@@ -317,10 +317,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    max_order = _resolve_max_order(args.max_order)
     try:
         scheme = load_scheme(args.table)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read scheme table: {exc}")
+    if scheme.order > max_order:
+        raise ConfigError(f"order {scheme.order} exceeds the cap {max_order}")
     checks = _parse_checks(args.checks, ORACLE_CHECKS) if args.checks else ORACLE_CHECKS
     base_points = _parse_base_points(args.base_points, scheme.order)
     points = list(range(scheme.order)) if base_points is None else base_points
@@ -432,6 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--checks", default=None, help=f"subset of: {','.join(ORACLE_CHECKS)}")
     oracle.add_argument("--out", default=None)
     oracle.add_argument("--format", choices=("json", "text"), default="json")
+    oracle.add_argument("--max-order", type=int, default=None, help="safety cap on the order")
     oracle.set_defaults(func=cmd_oracle)
 
     export = sub.add_parser("export", help="write a class table (and optional matrix dumps)")

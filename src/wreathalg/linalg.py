@@ -164,17 +164,23 @@ def _content_normalized(row: list[int], pivot: int) -> list[int]:
     return [a // g for a in row]
 
 
+def _support(row: list[int]) -> list[int]:
+    return [k for k, a in enumerate(row) if a]
+
+
 class ExactSpan:
     """A subspace of length-``length`` vectors in reduced echelon form.
 
     Pivoting is first-nonzero-entry; rows are fully reduced against each
-    other, so the stored basis is canonical for a given insertion order
-    of spanning vectors.
+    other, so the stored basis is the reduced echelon form of the subspace
+    and does not depend on which spanning vectors were inserted, or in
+    which order.
     """
 
     def __init__(self, length: int):
         self.length = length
-        self._int_rows: list[tuple[int, list[int]]] = []
+        # (pivot, row, indices of the row's nonzero entries)
+        self._int_rows: list[tuple[int, list[int], list[int]]] = []
         self._cyclo_rows: list[tuple[int, list[CycloNum]]] | None = None
 
     @property
@@ -211,21 +217,23 @@ class ExactSpan:
         return [as_cyclo(v) for v in vec]
 
     def _upgrade(self):
-        # Convert integer rows to pivot-one CycloNum rows.
-        rows = []
-        for pivot, row in self._int_rows:
-            inv = Fraction(1, row[pivot])
-            rows.append((pivot, [CycloNum.from_rational(a * inv) for a in row]))
-        self._cyclo_rows = rows
+        self._cyclo_rows = self._cyclo_view()
         self._int_rows = []
 
     # -- integer rows ---------------------------------------------------------
 
     def _reduce_int(self, v: list[int]) -> list[int]:
-        for pivot, row in self._int_rows:
+        v = list(v)
+        for pivot, row, support in self._int_rows:
             c = v[pivot]
             if c:
                 rp = row[pivot]
+                if c % rp == 0:
+                    # v needs no rescaling, so only the row's support changes.
+                    m_row = c // rp
+                    for k in support:
+                        v[k] -= m_row * row[k]
+                    continue
                 g = math.gcd(c, rp)
                 m_v, m_row = rp // g, c // g
                 v = [m_v * a - m_row * b for a, b in zip(v, row)]
@@ -233,20 +241,21 @@ class ExactSpan:
 
     def _insert_int(self, v: list[int]) -> bool:
         v = self._reduce_int(v)
-        pivot = next((k for k, a in enumerate(v) if a), None)
-        if pivot is None:
+        if not any(v):
             return False
+        pivot = next(k for k, a in enumerate(v) if a)
         v = _content_normalized(v, pivot)
         updated = []
-        for p, row in self._int_rows:
+        for p, row, support in self._int_rows:
             c = row[pivot]
             if c:
                 vp = v[pivot]
                 g = math.gcd(c, vp)
                 m_row, m_v = vp // g, c // g
                 row = _content_normalized([m_row * a - m_v * b for a, b in zip(row, v)], p)
-            updated.append((p, row))
-        updated.append((pivot, v))
+                support = _support(row)
+            updated.append((p, row, support))
+        updated.append((pivot, v, _support(v)))
         updated.sort(key=lambda item: item[0])
         self._int_rows = updated
         return True
@@ -307,7 +316,7 @@ class ExactSpan:
 
     def _cyclo_view(self):
         rows = []
-        for pivot, row in self._int_rows:
+        for pivot, row, _ in self._int_rows:
             inv = Fraction(1, row[pivot])
             rows.append((pivot, [CycloNum.from_rational(a * inv) for a in row]))
         return rows
@@ -325,7 +334,7 @@ class ExactSpan:
         if self._cyclo_rows is not None:
             return [list(row) for _, row in self._cyclo_rows]
         return [[CycloNum.from_rational(Fraction(a, row[pivot])) for a in row]
-                for pivot, row in self._int_rows]
+                for pivot, row, _ in self._int_rows]
 
 
 class SpanBasis:
@@ -375,91 +384,37 @@ class SpanBasis:
         return out
 
 
-def _mat_mul_int(a, b, n):
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for k in range(n):
-            c = arow[k]
-            if c:
-                brow = b[k]
-                for j in range(n):
-                    v = brow[j]
-                    if v:
-                        orow[j] += c * v
+def _left_product(row_terms, rows, n: int, zero):
+    """Flat ``g*r`` from the nonzero ``(column, entry)`` terms of each row of
+    ``g`` and the rows of ``r``: row i of the product is the combination of
+    the rows of ``r`` that row i of ``g`` selects."""
+    out = [zero] * (n * n)
+    start = 0
+    for terms in row_terms:
+        if len(terms) == 1 and terms[0][1] == 1:
+            out[start:start + n] = rows[terms[0][0]]
+        elif terms:
+            picked = [rows[k] if c == 1 else [c * b for b in rows[k]] for k, c in terms]
+            out[start:start + n] = [sum(col, zero) for col in zip(*picked)]
+        start += n
     return out
-
-
-def _integer_grid(matrix: ExactMatrix):
-    grid = []
-    for row in matrix.data:
-        line = []
-        for entry in row:
-            if not entry.is_rational():
-                return None
-            q = entry.coeffs[0]
-            if q.denominator != 1:
-                return None
-            line.append(int(q))
-        grid.append(line)
-    return grid
-
-
-def _closure_int(grids, n: int) -> ExactSpan:
-    span = ExactSpan(n * n)
-    reps = []
-    for g in grids:
-        if span.insert([a for row in g for a in row]):
-            reps.append(g)
-    processed = 0
-    while True:
-        count = len(reps)
-        if processed == count:
-            break
-        for i in range(count):
-            gi = reps[i]
-            for j in range(count):
-                if i < processed and j < processed:
-                    continue
-                prod = _mat_mul_int(gi, reps[j], n)
-                if span.insert([a for row in prod for a in row]):
-                    reps.append(prod)
-        processed = count
-    return span
-
-
-def _closure_generic(mats) -> ExactSpan:
-    n = mats[0].rows
-    span = ExactSpan(n * n)
-    reps = []
-    for m in mats:
-        if span.insert(m.flat()):
-            reps.append(m)
-    processed = 0
-    while True:
-        count = len(reps)
-        if processed == count:
-            break
-        for i in range(count):
-            for j in range(count):
-                if i < processed and j < processed:
-                    continue
-                prod = reps[i] * reps[j]
-                if span.insert(prod.flat()):
-                    reps.append(prod)
-        processed = count
-    return span
 
 
 def product_closure(matrices) -> SpanBasis:
     """Smallest subspace containing ``matrices`` and closed under products.
 
-    Starts from the span of the inputs and adjoins pairwise products of a
-    spanning set round by round until the dimension stabilizes (adjoining
-    products of any spanning set adjoins the full product space, since the
-    matrix product is bilinear).  Deterministic for a fixed input order.
-    Integer matrices are routed through the all-integer kernel.
+    Word schedule: the accepted spanning vectors ``reps`` are walked in
+    acceptance order, each is multiplied on the left by every accepted
+    generator, and a product that grows the span joins ``reps``.  The final
+    span V contains the generators S and satisfies s*V within V for each s,
+    so every word s1*(s2...sk) lies in V by induction on k; since V is
+    spanned by words, it is exactly the span of all words.
+
+    Rational generators are scaled to integers, which leaves the algebra
+    unchanged, and multiplied as flat int vectors inserted straight into the
+    integer echelon; otherwise the same loop runs on CycloNum vectors.  The
+    basis is the span's reduced echelon form, which depends only on the
+    subspace, not on the schedule.
     """
     matrices = list(matrices)
     if not matrices:
@@ -467,12 +422,24 @@ def product_closure(matrices) -> SpanBasis:
     n = matrices[0].rows
     if any(m.rows != n or m.cols != n for m in matrices):
         raise ValueError("generators must be square matrices of equal size")
-    grids = []
-    for m in matrices:
-        grid = _integer_grid(m)
-        if grid is None:
-            grids = None
-            break
-        grids.append(grid)
-    span = _closure_int(grids, n) if grids is not None else _closure_generic(matrices)
+    span = ExactSpan(n * n)
+    vecs = [span._as_int_vector(m.flat()) for m in matrices]
+    if all(v is not None for v in vecs):
+        zero, insert = 0, span._insert_int
+    else:
+        span._upgrade()
+        vecs = [m.flat() for m in matrices]
+        zero, insert = ZERO, span._insert_cyclo
+    generators, reps = [], []
+    for v in vecs:
+        if insert(v):
+            generators.append([[(k, c) for k, c in enumerate(v[i:i + n]) if c]
+                               for i in range(0, n * n, n)])
+            reps.append(v)
+    for r in reps:  # reps grows while it is walked
+        rows = [r[i:i + n] for i in range(0, n * n, n)]
+        for row_terms in generators:
+            product = _left_product(row_terms, rows, n, zero)
+            if insert(product):
+                reps.append(product)
     return SpanBasis._wrap(span, n, n)

@@ -61,7 +61,7 @@ class Scheme:
             raise ValueError("class table must be a nonempty square grid")
         for row in table:
             for v in row:
-                if not isinstance(v, int) or v < 0:
+                if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                     raise ValueError("class table entries must be nonnegative integers")
         self.order = order
         self.table = table

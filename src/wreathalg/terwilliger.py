@@ -133,8 +133,10 @@ def check_triple_list(moduli, base_point: int) -> CheckResult:
 def algebra_closure(generators) -> SpanBasis:
     """Smallest product-closed subspace containing the generators.
 
-    Round-based fixpoint over exact spans; see
-    :func:`wreathalg.linalg.product_closure` for the schedule.
+    Every accepted basis element is multiplied on the left by every
+    generator until no product grows the span; the result is closed under
+    left multiplication by the generators, so it holds every word in them.
+    See :func:`wreathalg.linalg.product_closure`.
     """
     return product_closure(generators)
 

@@ -195,3 +195,20 @@ def test_oracle_parse_error(capsys, tmp_path):
     path.write_text("2 1\n0 1 1\n")
     assert run(capsys, "oracle", str(path))[0] == 2
     assert run(capsys, "oracle", str(tmp_path / "missing.txt"))[0] == 2
+
+
+def test_oracle_order_cap(capsys, tmp_path, monkeypatch):
+    from wreathalg import cyclic_scheme, save_scheme
+
+    big = tmp_path / "c65.txt"
+    save_scheme(cyclic_scheme(65), big)
+    code, out, err = run(capsys, "oracle", str(big))
+    assert code == 2
+    assert out == ""
+    assert "cap" in err
+    table = tmp_path / "c6.txt"
+    save_scheme(cyclic_scheme(6), table)
+    assert run(capsys, "oracle", str(table), "--checks", "axioms", "--max-order", "4")[0] == 2
+    monkeypatch.setenv("WREATHALG_MAX_ORDER", "4")
+    assert run(capsys, "oracle", str(table), "--checks", "axioms")[0] == 2
+    assert run(capsys, "oracle", str(table), "--checks", "axioms", "--max-order", "6")[0] == 0

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,29 @@ def test_span_upgrade_to_cyclotomic_rows():
     assert span.insert([zeta(3), 0])
     assert span.dimension == 2
     assert span.contains([0, 5])
+
+
+@pytest.mark.parametrize("field", ["int", "cyclo"])
+def test_span_basis_is_independent_of_insertion_order(field):
+    rng = random.Random(7)
+    unit = zeta(3) if field == "cyclo" else 1
+    gens = [[rng.randrange(-3, 4) * unit ** rng.randrange(3) for _ in range(6)] for _ in range(3)]
+    combos = []
+    for _ in range(4):
+        coeffs = [rng.randrange(-2, 3) for _ in gens]
+        combos.append([sum((c * g[k] for c, g in zip(coeffs, gens)), 0 * unit) for k in range(6)])
+    vectors = gens + combos
+    reference = None
+    for _ in range(5):
+        rng.shuffle(vectors)
+        span = ExactSpan(6)
+        for vec in vectors:
+            span.insert(vec)
+        assert (span._cyclo_rows is None) == (field == "int")
+        if reference is None:
+            reference = span.vectors()
+        assert span.dimension == 3
+        assert span.vectors() == reference
 
 
 def test_span_basis_matrices():

@@ -206,3 +206,5 @@ def test_scheme_rejects_bad_tables():
         Scheme([[0, 1], [1]])
     with pytest.raises(ValueError):
         Scheme([[0, -1], [1, 0]])
+    with pytest.raises(ValueError):
+        Scheme([[False, True], [True, False]])
