@@ -11,40 +11,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__
 from .scheme import CheckResult, Scheme, load_scheme, save_scheme
 from .structure import (
-    build_central_idempotents,
-    build_matrix_units,
-    check_adjacency_action,
-    check_block_form,
-    check_central_idempotents,
-    check_commutation,
-    check_matrix_units,
-    decomposition_report,
     dimension_formula,
     matrix_block_size,
     one_dim_ideal_count,
-    StructureError,
+    run_point_checks,
 )
-from .terwilliger import (
-    algebra_dimension,
-    check_primary_module,
-    check_triple_list,
-    check_triply_regular,
-    wreath_context,
-)
-from .wreath import (
-    check_moduli,
-    check_vanishing_criterion,
-    class_indices,
-    wreath_of_cyclics,
-)
+from .terwilliger import algebra_dimension, check_triply_regular
+from .wreath import check_moduli, check_vanishing_criterion, wreath_of_cyclics
 
 VERIFY_CHECKS = (
     "axioms",
@@ -69,16 +50,6 @@ class ConfigError(ValueError):
     """Invalid flags or configuration; maps to exit code 2."""
 
 
-@dataclass
-class RunConfig:
-    moduli: tuple[int, ...]
-    base_points: list[int] | None  # None means every vertex
-    checks: tuple[str, ...]
-    out: str | None
-    fmt: str
-    max_order: int
-
-
 def _parse_moduli(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
@@ -92,9 +63,9 @@ def _parse_moduli(text: str) -> tuple[int, ...]:
         raise ConfigError(str(exc))
 
 
-def _parse_base_points(text: str, order: int) -> list[int] | None:
+def _parse_base_points(text: str, order: int) -> list[int]:
     if text == "all":
-        return None
+        return list(range(order))
     try:
         points = [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
@@ -129,115 +100,39 @@ def _resolve_max_order(flag_value) -> int:
     return DEFAULT_MAX_ORDER
 
 
-def _merge_result(slot: CheckResult | None, new: CheckResult) -> CheckResult:
-    if slot is None:
-        return new
-    return CheckResult(
-        new.name, slot.passed and new.passed, slot.witness or new.witness, slot.checked + new.checked
-    )
+def _check_cap(order: int, max_order: int) -> None:
+    if order > max_order:
+        raise ConfigError(f"order {order} exceeds the cap {max_order}")
 
 
-def _run_verify_check(name: str, moduli, scheme: Scheme, points: list[int]):
-    """Returns (CheckResult, extra-report-fields)."""
-    extra: dict = {}
-    if name == "axioms":
-        report = scheme.verify_axioms()
-        witness = "; ".join(f"{k}: {v}" for k, v in report.counterexamples.items()) or None
-        return CheckResult("axioms", report.passed, witness, 4), extra
-    if name == "vanishing":
-        return check_vanishing_criterion(moduli), extra
-    if name == "triple-list":
-        result = None
-        for x in points:
-            result = _merge_result(result, check_triple_list(moduli, x))
-            if not result.passed:
-                break
-        return result, extra
-    if name == "triply-regular":
-        report = check_triply_regular(scheme, points)
-        witness = report.witness
-        if report.dims_consistent is False:
-            witness = witness or "span-equality cross-check disagrees with the sweep"
-        return CheckResult("triply-regular", report.passed, witness, report.checked), extra
-    if name == "primary-module":
-        result = None
-        for x in points:
-            result = _merge_result(result, check_primary_module(wreath_context(moduli, x)))
-            if not result.passed:
-                break
-        return result, extra
-    if name == "block-form":
-        result = None
-        for x in points:
-            ctx = wreath_context(moduli, x)
-            for index in class_indices(moduli):
-                if index.level == 0:
-                    continue
-                result = _merge_result(result, check_block_form(ctx, index))
-                if not result.passed:
-                    return result, extra
-        return result, extra
-    if name in ("matrix-units", "ag-forms", "f-family"):
-        result = None
-        for x in points:
-            ctx = wreath_context(moduli, x)
-            try:
-                units = build_matrix_units(ctx)
-            except StructureError as exc:
-                return CheckResult(name, False, str(exc)), extra
-            if name == "matrix-units":
-                partial = check_matrix_units(units)
-            elif name == "ag-forms":
-                partial = check_adjacency_action(ctx, units)
-            else:
-                partial = check_central_idempotents(ctx, build_central_idempotents(ctx), units)
-            result = _merge_result(result, partial)
-            if not result.passed:
-                break
-        return result, extra
-    if name == "commutation":
-        result = None
-        for x in points:
-            result = _merge_result(result, check_commutation(wreath_context(moduli, x)))
-            if not result.passed:
-                break
-        return result, extra
-    if name == "decomposition":
-        report = decomposition_report(moduli, points)
-        extra["dim_T"] = report.dim_T
-        failed = [c for c in report.checks if not c.passed]
-        witness = failed[0].witness if failed else None
-        if report.dim_T != report.dim_formula and witness is None:
-            witness = f"oracle dimension {report.dim_T} != formula {report.dim_formula}"
-        return (
-            CheckResult(
-                "decomposition",
-                report.passed,
-                witness,
-                sum(c.checked for c in report.checks),
-            ),
-            extra,
-        )
-    raise ConfigError(f"unknown check {name!r}")
+def _axioms_result(report) -> CheckResult:
+    witness = "; ".join(f"{k}: {v}" for k, v in report.counterexamples.items()) or None
+    return CheckResult("axioms", report.passed, witness, 4)
 
 
-def _report_skeleton(checks: list[dict], **fields) -> dict:
-    report = {
-        "moduli": fields.get("moduli"),
-        "order": fields.get("order"),
-        "num_classes": fields.get("num_classes"),
-        "base_points": fields.get("base_points"),
-        "dim_T": fields.get("dim_T"),
-        "dim_formula": fields.get("dim_formula"),
-        "matrix_block": fields.get("matrix_block"),
-        "one_dim_count": fields.get("one_dim_count"),
-        "checks": checks,
-        "version": __version__,
-    }
-    return report
+def _triply_regular_result(scheme: Scheme, points: list[int]) -> CheckResult:
+    report = check_triply_regular(scheme, points)
+    witness = report.witness
+    if report.dims_consistent is False:
+        witness = witness or "span-equality cross-check disagrees with the sweep"
+    return CheckResult("triply-regular", report.passed, witness, report.checked)
 
 
-def _emit(report: dict, fmt: str, out: str | None, timings: dict[str, int]) -> None:
+# The verify checks that look at the whole scheme rather than one base point.
+GLOBAL_CHECKS = {
+    "axioms": lambda scheme, moduli, points: _axioms_result(scheme.verify_axioms()),
+    "vanishing": lambda scheme, moduli, points: check_vanishing_criterion(moduli),
+    "triply-regular": lambda scheme, moduli, points: _triply_regular_result(scheme, points),
+}
+
+
+def _report_skeleton(results: list[CheckResult], **fields) -> dict:
+    """The report: ``fields`` (passed in report order) and the check entries."""
+    checks = [result.to_dict() | {"millis": 0} for result in results]
+    return fields | {"checks": checks, "version": __version__}
+
+
+def _emit(report: dict, fmt: str, out: str | None, timings: dict[str, float]) -> None:
     if fmt == "json":
         text = json.dumps(report, indent=2) + "\n"
     else:
@@ -252,7 +147,7 @@ def _emit(report: dict, fmt: str, out: str | None, timings: dict[str, int]) -> N
         )
         for check in report["checks"]:
             status = check["status"].upper()
-            millis = timings.get(check["name"], 0)
+            millis = int(timings.get(check["name"], 0) * 1000)
             line = f"{check['name']}: {status} ({millis} ms)"
             if check.get("witness"):
                 line += f" -- {check['witness']}"
@@ -267,52 +162,40 @@ def _emit(report: dict, fmt: str, out: str | None, timings: dict[str, int]) -> N
         sys.stdout.write(text)
 
 
-def _verify_config(args) -> RunConfig:
+def cmd_verify(args) -> int:
     max_order = _resolve_max_order(args.max_order)
     moduli = _parse_moduli(args.moduli)
-    order = 1
-    for p in moduli:
-        order *= p
-    if order > max_order:
-        raise ConfigError(f"order {order} exceeds the cap {max_order}")
+    order = math.prod(moduli)
+    _check_cap(order, max_order)
     checks = _parse_checks(args.checks, VERIFY_CHECKS) if args.checks else VERIFY_CHECKS
-    base_points = _parse_base_points(args.base_points, order)
-    return RunConfig(moduli, base_points, checks, args.out, args.format, max_order)
+    points = _parse_base_points(args.base_points, order)
+    scheme = wreath_of_cyclics(moduli)
 
-
-def cmd_verify(args) -> int:
-    cfg = _verify_config(args)
-    scheme = wreath_of_cyclics(cfg.moduli)
-    points = list(range(scheme.order)) if cfg.base_points is None else cfg.base_points
-
-    results: list[CheckResult] = []
-    timings: dict[str, int] = {}
-    dim_T = None
-    for name in cfg.checks:
-        started = time.monotonic()
-        result, extra = _run_verify_check(name, cfg.moduli, scheme, points)
-        timings[name] = int((time.monotonic() - started) * 1000)
-        results.append(result)
-        if "dim_T" in extra:
-            dim_T = extra["dim_T"]
+    timings: dict[str, float] = {}
+    scheme_wide: dict[str, CheckResult] = {}
+    for name in dict.fromkeys(checks):
+        if name in GLOBAL_CHECKS:
+            started = time.monotonic()
+            scheme_wide[name] = GLOBAL_CHECKS[name](scheme, moduli, points)
+            timings[name] = time.monotonic() - started
+    run, decomposition, seconds = run_point_checks(
+        moduli, points, [name for name in checks if name not in GLOBAL_CHECKS]
+    )
+    timings.update(seconds)
+    results = [scheme_wide.get(name) or run[name] for name in checks]
 
     report = _report_skeleton(
-        [
-            {"name": r.name, "status": "pass" if r.passed else "fail"}
-            | ({"witness": r.witness} if r.witness else {})
-            | {"millis": 0}
-            for r in results
-        ],
-        moduli=list(cfg.moduli),
+        results,
+        moduli=list(moduli),
         order=scheme.order,
         num_classes=scheme.classes,
         base_points=points,
-        dim_T=dim_T,
-        dim_formula=dimension_formula(cfg.moduli),
-        matrix_block=matrix_block_size(cfg.moduli),
-        one_dim_count=one_dim_ideal_count(cfg.moduli),
+        dim_T=decomposition.dim_T if decomposition else None,
+        dim_formula=dimension_formula(moduli),
+        matrix_block=matrix_block_size(moduli),
+        one_dim_count=one_dim_ideal_count(moduli),
     )
-    _emit(report, cfg.fmt, cfg.out, timings)
+    _emit(report, args.format, args.out, timings)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -322,44 +205,32 @@ def cmd_oracle(args) -> int:
         scheme = load_scheme(args.table)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read scheme table: {exc}")
-    if scheme.order > max_order:
-        raise ConfigError(f"order {scheme.order} exceeds the cap {max_order}")
+    _check_cap(scheme.order, max_order)
     checks = _parse_checks(args.checks, ORACLE_CHECKS) if args.checks else ORACLE_CHECKS
-    base_points = _parse_base_points(args.base_points, scheme.order)
-    points = list(range(scheme.order)) if base_points is None else base_points
+    points = _parse_base_points(args.base_points, scheme.order)
 
     axiom_report = scheme.verify_axioms()
     results: list[CheckResult] = []
-    timings: dict[str, int] = {}
+    timings: dict[str, float] = {}
     dim_T = None
     for name in checks:
         started = time.monotonic()
         if name == "axioms":
-            witness = "; ".join(f"{k}: {v}" for k, v in axiom_report.counterexamples.items()) or None
-            results.append(CheckResult("axioms", axiom_report.passed, witness, 4))
+            results.append(_axioms_result(axiom_report))
         elif not axiom_report.passed:
             results.append(CheckResult(name, False, "skipped: the axioms do not hold"))
         elif name == "triply-regular":
-            report = check_triply_regular(scheme, points)
-            witness = report.witness
-            if report.dims_consistent is False:
-                witness = witness or "span-equality cross-check disagrees with the sweep"
-            results.append(CheckResult("triply-regular", report.passed, witness, report.checked))
+            results.append(_triply_regular_result(scheme, points))
         elif name == "dimension":
             dims = [algebra_dimension(scheme, x) for x in points]
             constant = all(d == dims[0] for d in dims)
             dim_T = dims[0] if constant else None
             witness = None if constant else f"dimension varies over base points: {dims}"
             results.append(CheckResult("dimension", True, witness, len(dims)))
-        timings[name] = int((time.monotonic() - started) * 1000)
+        timings[name] = time.monotonic() - started
 
     report = _report_skeleton(
-        [
-            {"name": r.name, "status": "pass" if r.passed else "fail"}
-            | ({"witness": r.witness} if r.witness else {})
-            | {"millis": 0}
-            for r in results
-        ],
+        results,
         moduli=None,
         order=scheme.order,
         num_classes=scheme.classes,
@@ -380,11 +251,7 @@ def _entry_json(value) -> dict:
 def cmd_export(args) -> int:
     max_order = _resolve_max_order(args.max_order)
     moduli = _parse_moduli(args.moduli)
-    order = 1
-    for p in moduli:
-        order *= p
-    if order > max_order:
-        raise ConfigError(f"order {order} exceeds the cap {max_order}")
+    _check_cap(math.prod(moduli), max_order)
     scheme = wreath_of_cyclics(moduli)
     try:
         save_scheme(scheme, args.out)

@@ -35,6 +35,11 @@ class CheckResult:
     witness: str | None = None
     checked: int = 0
 
+    def to_dict(self) -> dict:
+        """The report entry: name, status and the witness, if any."""
+        entry = {"name": self.name, "status": "pass" if self.passed else "fail"}
+        return entry | ({"witness": self.witness} if self.witness else {})
+
 
 @dataclass
 class AxiomReport:
@@ -55,7 +60,9 @@ class Scheme:
     """An association scheme (or candidate) on vertices 0..order-1."""
 
     def __init__(self, table, classes: int | None = None):
-        table = [list(row) for row in table]
+        # Immutable, so the cached adjacency matrices, valencies and
+        # parameters (and the shared cached schemes) cannot go stale.
+        table = tuple(tuple(row) for row in table)
         order = len(table)
         if order == 0 or any(len(row) != order for row in table):
             raise ValueError("class table must be a nonempty square grid")

@@ -9,8 +9,10 @@ independent closure oracle from :mod:`wreathalg.terwilliger`.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .cyclotomic import ZERO, CycloNum, rational, zeta
 from .linalg import ExactMatrix, SpanBasis
@@ -19,6 +21,8 @@ from .terwilliger import (
     TerwilligerContext,
     algebra_closure,
     algebra_dimension,
+    check_primary_module,
+    check_triple_list,
     standard_generators,
     wreath_context,
 )
@@ -43,6 +47,7 @@ __all__ = [
     "check_central_idempotents",
     "DecompReport",
     "decomposition_report",
+    "run_point_checks",
     "dimension_formula",
     "one_dim_ideal_count",
     "matrix_block_size",
@@ -531,25 +536,268 @@ class DecompReport:
             "dim_formula": self.dim_formula,
             "matrix_block": self.matrix_block,
             "one_dim_count": self.one_dim_count,
-            "checks": [
-                {"name": c.name, "status": "pass" if c.passed else "fail"}
-                | ({"witness": c.witness} if c.witness else {})
-                for c in self.checks
-            ],
+            "checks": [check.to_dict() for check in self.checks],
         }
 
-
-def _merge(results: dict[str, CheckResult], new: CheckResult) -> None:
-    old = results.get(new.name)
-    if old is None:
-        results[new.name] = new
-    else:
-        results[new.name] = CheckResult(
-            new.name,
-            old.passed and new.passed,
-            old.witness or new.witness,
-            old.checked + new.checked,
+    def as_check(self) -> CheckResult:
+        """The whole report as one ``decomposition`` verdict: the witness of
+        the first failing sub-check, else the dimension mismatch."""
+        failed = [c for c in self.checks if not c.passed]
+        witness = failed[0].witness if failed else None
+        if self.dim_T != self.dim_formula and witness is None:
+            witness = f"oracle dimension {self.dim_T} != formula {self.dim_formula}"
+        return CheckResult(
+            "decomposition", self.passed, witness, sum(c.checked for c in self.checks)
         )
+
+
+# -- the per-base-point check pipeline ---------------------------------------------------------
+
+
+def _merge(old: CheckResult | None, new: CheckResult) -> CheckResult:
+    """Fold one more pass of a check: it passes if both do, and keeps the
+    earlier witness."""
+    if old is None:
+        return new
+    return CheckResult(
+        new.name, old.passed and new.passed, old.witness or new.witness, old.checked + new.checked
+    )
+
+
+class BasePoint:
+    """One base point's artifacts, each built at most once on first use, and
+    the result of each registered check there.
+
+    ``seen`` is shared by all points of one run and keeps the value the
+    first point gave (the oracle dimension, under ``"dim"``).
+    """
+
+    def __init__(self, moduli: tuple[int, ...], x: int, seen: dict):
+        self.moduli = moduli
+        self.x = x
+        self.seen = seen
+        self.results: dict[str, CheckResult] = {}
+
+    @cached_property
+    def ctx(self) -> TerwilligerContext:
+        return wreath_context(self.moduli, self.x)
+
+    @cached_property
+    def dim(self) -> int:
+        return algebra_dimension(self.ctx.scheme, self.x)
+
+    @cached_property
+    def _units(self) -> MatrixUnitFamily | StructureError:
+        try:
+            return build_matrix_units(self.ctx)
+        except StructureError as exc:
+            return exc
+
+    @property
+    def units(self) -> MatrixUnitFamily:
+        """The unit family; raises the point's StructureError if it cannot be built."""
+        if isinstance(self._units, StructureError):
+            raise self._units
+        return self._units
+
+    @cached_property
+    def idempotents(self) -> CentralIdempotentFamily:
+        return build_central_idempotents(self.ctx)
+
+    @cached_property
+    def generators(self) -> list[ExactMatrix]:
+        return standard_generators(self.ctx)
+
+    @cached_property
+    def unit_span(self) -> SpanBasis:
+        return SpanBasis.from_matrices(mat for _, mat in sorted(self.units.matrices.items()))
+
+    def result(self, name: str) -> CheckResult:
+        """The registered check ``name`` at this point; a unit family that
+        cannot be built fails it with the construction's message."""
+        if name not in self.results:
+            try:
+                self.results[name] = POINT_CHECKS[name](self)
+            except StructureError as exc:
+                self.results[name] = CheckResult(name, False, str(exc))
+        return self.results[name]
+
+
+def _block_form(point: BasePoint) -> CheckResult:
+    result = None
+    for index in class_indices(point.moduli):
+        if index.level == 0:
+            continue
+        result = _merge(result, check_block_form(point.ctx, index))
+        if not result.passed:
+            break
+    return result
+
+
+def _f_family(point: BasePoint) -> CheckResult:
+    # Units first: a point whose units cannot be built needs no idempotents.
+    units = point.units
+    return check_central_idempotents(point.ctx, point.idempotents, units)
+
+
+def _dimension(point: BasePoint) -> CheckResult:
+    dim_here = point.dim
+    dim_seen = point.seen.setdefault("dim", dim_here)
+    formula = dimension_formula(point.moduli)
+    ok = dim_here == formula and dim_here == dim_seen
+    witness = None if ok else f"x={point.x}: oracle dimension {dim_here}, formula {formula}"
+    return CheckResult("dimension", ok, witness, 1)
+
+
+def _unit_support(point: BasePoint) -> CheckResult:
+    try:
+        units = point.units
+    except StructureError as exc:
+        return CheckResult("unit-support", False, str(exc), 1)
+    return CheckResult("unit-support", True, None, units.count)
+
+
+def _unit_rank(point: BasePoint) -> CheckResult:
+    rank = point.unit_span.dimension
+    full = matrix_block_size(point.moduli) ** 2
+    witness = None if rank == full else f"x={point.x}: unit span has rank {rank}, expected {full}"
+    return CheckResult("unit-rank", rank == full, witness, 1)
+
+
+def _unit_ideal(point: BasePoint) -> CheckResult:
+    span = point.unit_span
+    checked = 0
+    for gen in point.generators:
+        for _, unit in sorted(point.units.matrices.items()):
+            checked += 2
+            if not span.contains(gen * unit) or not span.contains(unit * gen):
+                return CheckResult(
+                    "unit-ideal",
+                    False,
+                    f"x={point.x}: a generator-unit product leaves the unit span",
+                    checked,
+                )
+    return CheckResult("unit-ideal", True, None, checked)
+
+
+def _quotient_commutes(point: BasePoint) -> CheckResult:
+    generators = point.generators
+    checked = 0
+    for idx1, g1 in enumerate(generators):
+        for g2 in generators[idx1 + 1:]:
+            checked += 1
+            if not point.unit_span.contains(g1 * g2 - g2 * g1):
+                return CheckResult(
+                    "quotient-commutes",
+                    False,
+                    f"x={point.x}: a generator commutator leaves the unit span",
+                    checked,
+                )
+    return CheckResult("quotient-commutes", True, None, checked)
+
+
+def _span_accounting(point: BasePoint) -> CheckResult:
+    families = (point.units, point.idempotents)
+    combined = SpanBasis.from_matrices(
+        mat for family in families for _, mat in sorted(family.matrices.items())
+    )
+    rank_uf = combined.dimension
+    for mat in algebra_closure(point.generators).basis():
+        combined.insert(mat)
+    formula = dimension_formula(point.moduli)
+    ok = rank_uf == formula and combined.dimension == point.dim
+    witness = (
+        None
+        if ok
+        else f"x={point.x}: rank(units+idempotents) = {rank_uf}, with closure "
+        f"{combined.dimension}; expected {formula} and {point.dim}"
+    )
+    return CheckResult("span-accounting", ok, witness, 2)
+
+
+# Every check that runs at one base point, as a function of that point's
+# artifacts.  The entries look the public check_*/build_* functions up by
+# module-level name at call time, so rebinding those names (as a tracer
+# does) reaches the pipeline.
+POINT_CHECKS = {
+    "triple-list": lambda point: check_triple_list(point.moduli, point.x),
+    "primary-module": lambda point: check_primary_module(point.ctx),
+    "block-form": _block_form,
+    "matrix-units": lambda point: check_matrix_units(point.units),
+    "ag-forms": lambda point: check_adjacency_action(point.ctx, point.units),
+    "commutation": lambda point: check_commutation(point.ctx),
+    "f-family": _f_family,
+    "dimension": _dimension,
+    "unit-support": _unit_support,
+    "unit-rank": _unit_rank,
+    "unit-ideal": _unit_ideal,
+    "quotient-commutes": _quotient_commutes,
+    "span-accounting": _span_accounting,
+}
+
+# The decomposition's sub-checks, in report order.  Where unit-support fails,
+# the sub-checks after it are skipped at that point.
+DECOMPOSITION = (
+    "dimension",
+    "unit-support",
+    "unit-rank",
+    "matrix-units",
+    "ag-forms",
+    "unit-ideal",
+    "quotient-commutes",
+    "f-family",
+    "span-accounting",
+)
+
+
+def run_point_checks(moduli, base_points, names):
+    """Run registered checks and ``decomposition`` one base point at a time.
+
+    Each point's artifacts and check results are built once, shared by
+    every requested name, and dropped before the next point.  A check stops
+    at its first failing point; the decomposition runs at every point.  The
+    checks run before the decomposition at each point, so work they share
+    is timed under the check.
+
+    Returns each name's result folded over the points, the decomposition's
+    report (None if not requested) and each name's wall time in seconds.
+    """
+    m = check_moduli(moduli)
+    points = list(base_points)
+    requested = sorted(dict.fromkeys(names), key=lambda name: name == "decomposition")
+    results: dict[str, CheckResult] = {}
+    group: dict[str, CheckResult] = {}
+    seconds = dict.fromkeys(requested, 0.0)
+    seen: dict = {}
+    for x in points:
+        point = BasePoint(m, x, seen)
+        for name in requested:
+            started = time.perf_counter()
+            if name == "decomposition":
+                for sub in DECOMPOSITION:
+                    result = point.result(sub)
+                    group[sub] = _merge(group.get(sub), result)
+                    if sub == "unit-support" and not result.passed:
+                        break
+            elif name not in results or results[name].passed:
+                results[name] = _merge(results.get(name), point.result(name))
+            seconds[name] += time.perf_counter() - started
+    report = None
+    if "decomposition" in seconds:
+        scheme = wreath_of_cyclics(m)
+        report = DecompReport(
+            moduli=m,
+            order=scheme.order,
+            num_classes=scheme.classes,
+            base_points=points,
+            dim_T=seen.get("dim"),
+            dim_formula=dimension_formula(m),
+            matrix_block=matrix_block_size(m),
+            one_dim_count=one_dim_ideal_count(m),
+            checks=[group[name] for name in DECOMPOSITION if name in group],
+        )
+        results["decomposition"] = report.as_check()
+    return results, report, seconds
 
 
 def decomposition_report(moduli, base_points=None) -> DecompReport:
@@ -568,129 +816,5 @@ def decomposition_report(moduli, base_points=None) -> DecompReport:
     points = list(range(scheme.order)) if base_points is None else list(base_points)
     if not points:
         raise ValueError("at least one base point is required")
-    block = matrix_block_size(m)
-    formula = dimension_formula(m)
-    results: dict[str, CheckResult] = {}
-    dim_seen: int | None = None
-    for x in points:
-        ctx = wreath_context(m, x)
-        dim_here = algebra_dimension(scheme, x)
-        if dim_seen is None:
-            dim_seen = dim_here
-        _merge(
-            results,
-            CheckResult(
-                "dimension",
-                dim_here == formula and dim_here == dim_seen,
-                None
-                if dim_here == formula and dim_here == dim_seen
-                else f"x={x}: oracle dimension {dim_here}, formula {formula}",
-                1,
-            ),
-        )
-        try:
-            units = build_matrix_units(ctx)
-        except StructureError as exc:
-            _merge(results, CheckResult("unit-support", False, str(exc), 1))
-            continue
-        _merge(results, CheckResult("unit-support", True, None, units.count))
-
-        unit_span = SpanBasis(scheme.order, scheme.order)
-        for _, mat in sorted(units.matrices.items()):
-            unit_span.insert(mat)
-        _merge(
-            results,
-            CheckResult(
-                "unit-rank",
-                unit_span.dimension == block * block,
-                None
-                if unit_span.dimension == block * block
-                else f"x={x}: unit span has rank {unit_span.dimension}, expected {block * block}",
-                1,
-            ),
-        )
-        _merge(results, check_matrix_units(units))
-        _merge(results, check_adjacency_action(ctx, units))
-
-        generators = standard_generators(ctx)
-        ideal_ok = True
-        ideal_witness = None
-        ideal_checked = 0
-        for gen in generators:
-            for _, unit in sorted(units.matrices.items()):
-                ideal_checked += 2
-                if not unit_span.contains(gen * unit) or not unit_span.contains(unit * gen):
-                    ideal_ok = False
-                    ideal_witness = f"x={x}: a generator-unit product leaves the unit span"
-                    break
-            if not ideal_ok:
-                break
-        _merge(results, CheckResult("unit-ideal", ideal_ok, ideal_witness, ideal_checked))
-
-        comm_ok = True
-        comm_witness = None
-        comm_checked = 0
-        for idx1 in range(len(generators)):
-            for idx2 in range(idx1 + 1, len(generators)):
-                comm_checked += 1
-                g1, g2 = generators[idx1], generators[idx2]
-                if not unit_span.contains(g1 * g2 - g2 * g1):
-                    comm_ok = False
-                    comm_witness = f"x={x}: a generator commutator leaves the unit span"
-                    break
-            if not comm_ok:
-                break
-        _merge(results, CheckResult("quotient-commutes", comm_ok, comm_witness, comm_checked))
-
-        idempotents = build_central_idempotents(ctx)
-        _merge(results, check_central_idempotents(ctx, idempotents, units))
-
-        combined = SpanBasis(scheme.order, scheme.order)
-        for _, mat in sorted(units.matrices.items()):
-            combined.insert(mat)
-        for _, mat in sorted(idempotents.matrices.items()):
-            combined.insert(mat)
-        rank_uf = combined.dimension
-        closure = algebra_closure(generators)
-        for mat in closure.basis():
-            combined.insert(mat)
-        accounting_ok = rank_uf == formula and combined.dimension == dim_here
-        _merge(
-            results,
-            CheckResult(
-                "span-accounting",
-                accounting_ok,
-                None
-                if accounting_ok
-                else f"x={x}: rank(units+idempotents) = {rank_uf}, with closure "
-                f"{combined.dimension}; expected {formula} and {dim_here}",
-                2,
-            ),
-        )
-
-    ordered = [
-        results[name]
-        for name in (
-            "dimension",
-            "unit-support",
-            "unit-rank",
-            "matrix-units",
-            "ag-forms",
-            "unit-ideal",
-            "quotient-commutes",
-            "f-family",
-            "span-accounting",
-        )
-        if name in results
-    ]
-    return DecompReport(
-        moduli=m,
-        order=scheme.order,
-        num_classes=scheme.classes,
-        base_points=points,
-        dim_T=dim_seen,
-        dim_formula=formula,
-        matrix_block=block,
-        one_dim_count=one_dim_ideal_count(m),
-        checks=ordered,
-    )
+    _, report, _ = run_point_checks(m, points, ("decomposition",))
+    return report

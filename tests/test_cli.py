@@ -1,6 +1,12 @@
 import json
+import sys
+from pathlib import Path
+
+import pytest
 
 from wreathalg.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -212,3 +218,138 @@ def test_oracle_order_cap(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("WREATHALG_MAX_ORDER", "4")
     assert run(capsys, "oracle", str(table), "--checks", "axioms")[0] == 2
     assert run(capsys, "oracle", str(table), "--checks", "axioms", "--max-order", "6")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("verify-2x3.json", ["verify", "--moduli", "2,3"]),
+        ("verify-3x3-points-0-4.json", ["verify", "--moduli", "3,3", "--base-points", "0,4"]),
+        (
+            "verify-2x2-decomposition-axioms-axioms.json",
+            ["verify", "--moduli", "2,2", "--checks", "decomposition,axioms,axioms"],
+        ),
+        ("oracle-corrupted.json", ["oracle", "{table}"]),
+    ],
+)
+def test_report_matches_golden(capsys, tmp_path, golden, argv):
+    # The checked-in reports pin every byte of the JSON output, witnesses
+    # and check order included; the corrupted table is the one of
+    # test_oracle_corrupted_table.
+    table = tmp_path / "bad.txt"
+    table.write_text("2 2\n0 1\n1 0\n")
+    out = tmp_path / "report.json"
+    expected_code = 1 if golden.startswith("oracle") else 0
+    argv = [arg.format(table=table) for arg in argv]
+    assert main(argv + ["--out", str(out)]) == expected_code
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def _checks_by_name(out):
+    return {c["name"]: c for c in json.loads(out)["checks"]}
+
+
+def _rebind(monkeypatch, name, make):
+    """Replace the structure function ``name`` by ``make(original)`` in every
+    wreathalg module that binds it."""
+    from wreathalg import structure
+
+    original = getattr(structure, name)
+    replacement = make(original)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "wreathalg" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
+
+
+def test_verify_unit_build_failure_at_one_point(capsys, monkeypatch):
+    from wreathalg import StructureError
+
+    message = "unit (0,0) at x=2 is not supported on its block"
+
+    def make(original):
+        def failing(ctx):
+            if ctx.base_point == 2:
+                raise StructureError(message)
+            return original(ctx)
+
+        return failing
+
+    _rebind(monkeypatch, "build_matrix_units", make)
+    code, out, _ = run(capsys, "verify", "--moduli", "2,2")
+    assert code == 1
+    checks = _checks_by_name(out)
+    for name in ("matrix-units", "ag-forms", "f-family", "decomposition"):
+        assert checks[name] == {"name": name, "status": "fail", "witness": message, "millis": 0}
+    assert checks["commutation"]["status"] == "pass"
+    assert json.loads(out)["dim_T"] == 10
+
+
+def test_verify_witness_names_the_first_failing_point(capsys, monkeypatch):
+    from wreathalg import CheckResult
+
+    def make(original):
+        def failing(units):
+            if units.base_point in (1, 2):
+                return CheckResult("matrix-units", False, f"x={units.base_point}: forced", 1)
+            return original(units)
+
+        return failing
+
+    _rebind(monkeypatch, "check_matrix_units", make)
+    code, out, _ = run(capsys, "verify", "--moduli", "2,2", "--checks", "matrix-units,decomposition")
+    assert code == 1
+    checks = _checks_by_name(out)
+    assert checks["matrix-units"]["witness"] == "x=1: forced"
+    assert checks["decomposition"]["witness"] == "x=1: forced"
+
+
+def test_verify_builds_and_checks_units_once_per_point(capsys, monkeypatch):
+    counts = {}
+
+    def counter(name):
+        def make(original):
+            def counted(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        return make
+
+    for name in (
+        "build_matrix_units",
+        "build_central_idempotents",
+        "check_matrix_units",
+        "check_adjacency_action",
+        "check_central_idempotents",
+    ):
+        _rebind(monkeypatch, name, counter(name))
+    code, _, _ = run(capsys, "verify", "--moduli", "2,2")
+    assert code == 0
+    assert counts == {
+        "build_matrix_units": 4,
+        "build_central_idempotents": 4,
+        "check_matrix_units": 4,
+        "check_adjacency_action": 4,
+        "check_central_idempotents": 4,
+    }
+
+
+def test_oracle_dimension_varying_over_base_points(capsys, tmp_path, monkeypatch):
+    # A dimension that depends on the base point is reported, not failed:
+    # dim_T is null and the witness lists the dimensions.
+    from wreathalg import cli
+
+    table = tmp_path / "t22.txt"
+    assert run(capsys, "export", "--moduli", "2,2", "--out", str(table))[0] == 0
+    monkeypatch.setattr(cli, "algebra_dimension", lambda scheme, x: 11 if x == 1 else 10)
+    code, out, _ = run(capsys, "oracle", str(table), "--checks", "dimension")
+    assert code == 0
+    assert json.loads(out)["dim_T"] is None
+    assert _checks_by_name(out)["dimension"] == {
+        "name": "dimension",
+        "status": "pass",
+        "witness": "dimension varies over base points: [10, 11, 10, 10]",
+        "millis": 0,
+    }

@@ -208,3 +208,17 @@ def test_scheme_rejects_bad_tables():
         Scheme([[0, -1], [1, 0]])
     with pytest.raises(ValueError):
         Scheme([[False, True], [True, False]])
+
+
+def test_table_is_immutable():
+    # The adjacency matrices and parameters are cached on the scheme, and
+    # wreath_of_cyclics shares one scheme per moduli, so the table must not
+    # change under them.
+    s = wreath_of_cyclics([2, 3])
+    before = s.adjacency_matrix(1)
+    with pytest.raises(TypeError):
+        s.table[0][1] = 2
+    with pytest.raises(TypeError):
+        s.table[0] = s.table[1]
+    assert s.table == Scheme([list(row) for row in s.table]).table
+    assert before == Scheme(s.table).adjacency_matrix(1)

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from wreathalg import (
+    CentralIdempotentFamily,
     ExactMatrix,
+    MatrixUnitFamily,
     StructureError,
     WreathIndex,
     build_central_idempotents,
@@ -23,7 +25,9 @@ from wreathalg import (
     wreath_context,
     zeta,
 )
+from wreathalg import structure
 from wreathalg.linalg import SpanBasis
+from wreathalg.structure import DECOMPOSITION, BasePoint
 
 
 def test_formula_helpers():
@@ -248,3 +252,97 @@ def test_decomposition_report_to_dict():
     assert data["dim_T"] == 4
     assert data["moduli"] == [2]
     assert all(c["status"] == "pass" for c in data["checks"])
+
+
+# -- negative controls through the per-point registry -------------------------------
+
+
+def _point_with_units(moduli, x, change):
+    """A fresh base point whose unit family has been edited by ``change``."""
+    point = BasePoint(tuple(moduli), x, {})
+    units = build_matrix_units(point.ctx)
+    matrices = dict(units.matrices)
+    change(point, matrices)
+    point._units = MatrixUnitFamily(units.moduli, units.base_point, units.indices, matrices)
+    return point
+
+
+def _assert_fails(point, name):
+    result = point.result(name)
+    assert not result.passed
+    assert result.witness.startswith(f"x={point.x}: ")
+    return result
+
+
+def test_registry_passes_on_an_intact_point():
+    point = BasePoint((2, 2), 1, {})
+    for name in DECOMPOSITION:
+        result = point.result(name)
+        assert result.passed, (name, result.witness)
+
+
+def test_unit_rank_fails_without_one_unit():
+    point = _point_with_units((2, 2), 0, lambda p, m: m.pop((1, 2)))
+    result = _assert_fails(point, "unit-rank")
+    assert "rank 8, expected 9" in result.witness
+
+
+def test_unit_ideal_fails_with_a_non_unit_in_the_family():
+    def replace(point, matrices):
+        matrices[(0, 0)] = point.ctx.adjacency[1]
+
+    point = _point_with_units((2, 2), 0, replace)
+    # the span still has full rank, so only the ideal test can notice
+    assert point.result("unit-rank").passed
+    _assert_fails(point, "unit-ideal")
+
+
+def test_quotient_commutes_fails_on_a_smaller_unit_span():
+    point = _point_with_units((2, 2), 0, lambda p, m: m.pop((0, 1)))
+    _assert_fails(point, "quotient-commutes")
+
+
+def test_span_accounting_fails_without_the_idempotents():
+    point = BasePoint((2, 2), 0, {})
+    point.idempotents = CentralIdempotentFamily((2, 2), 0)
+    result = _assert_fails(point, "span-accounting")
+    assert "rank(units+idempotents) = 9" in result.witness
+
+
+def test_dimension_fails_off_the_formula():
+    point = BasePoint((2, 2), 0, {})
+    point.dim = 11
+    result = _assert_fails(point, "dimension")
+    assert result.witness == "x=0: oracle dimension 11, formula 10"
+
+
+def test_dimension_fails_when_it_differs_from_the_first_point():
+    # the formula holds here, but the first point of the run saw another value
+    point = BasePoint((2, 2), 3, {"dim": 9})
+    _assert_fails(point, "dimension")
+    assert point.seen == {"dim": 9}
+
+
+def test_unit_build_failure_skips_the_rest_of_the_point(monkeypatch):
+    original = structure.build_matrix_units
+
+    def failing(ctx):
+        if ctx.base_point == 2:
+            raise StructureError(f"unit (0,0) at x={ctx.base_point} is not supported on its block")
+        return original(ctx)
+
+    monkeypatch.setattr(structure, "build_matrix_units", failing)
+    report = decomposition_report([2, 2])
+    by_name = {c.name: c for c in report.checks}
+    assert not report.passed
+    assert report.dim_T == 10
+    assert [c.name for c in report.checks] == list(DECOMPOSITION)
+    support = by_name["unit-support"]
+    assert not support.passed
+    assert support.witness == "unit (0,0) at x=2 is not supported on its block"
+    # unit-support counts its units at the three good points and 1 at x=2
+    assert support.checked == 3 * 9 + 1
+    # the other sub-checks ran at the three good points only
+    assert all(by_name[name].passed for name in DECOMPOSITION if name != "unit-support")
+    assert by_name["unit-rank"].checked == 3
+    assert report.as_check().witness == support.witness
