@@ -17,14 +17,13 @@ import sys
 import time
 
 from . import __version__
-from .scheme import CheckResult, Scheme, load_scheme, save_scheme
+from .scheme import CheckResult, load_scheme, save_scheme
 from .structure import (
     dimension_formula,
     matrix_block_size,
     one_dim_ideal_count,
     run_point_checks,
 )
-from .terwilliger import algebra_dimension, check_triply_regular
 from .wreath import check_moduli, check_vanishing_criterion, wreath_of_cyclics
 
 VERIFY_CHECKS = (
@@ -110,19 +109,10 @@ def _axioms_result(report) -> CheckResult:
     return CheckResult("axioms", report.passed, witness, 4)
 
 
-def _triply_regular_result(scheme: Scheme, points: list[int]) -> CheckResult:
-    report = check_triply_regular(scheme, points)
-    witness = report.witness
-    if report.dims_consistent is False:
-        witness = witness or "span-equality cross-check disagrees with the sweep"
-    return CheckResult("triply-regular", report.passed, witness, report.checked)
-
-
 # The verify checks that look at the whole scheme rather than one base point.
 GLOBAL_CHECKS = {
-    "axioms": lambda scheme, moduli, points: _axioms_result(scheme.verify_axioms()),
-    "vanishing": lambda scheme, moduli, points: check_vanishing_criterion(moduli),
-    "triply-regular": lambda scheme, moduli, points: _triply_regular_result(scheme, points),
+    "axioms": lambda scheme, moduli: _axioms_result(scheme.verify_axioms()),
+    "vanishing": lambda scheme, moduli: check_vanishing_criterion(moduli),
 }
 
 
@@ -171,18 +161,15 @@ def cmd_verify(args) -> int:
     points = _parse_base_points(args.base_points, order)
     scheme = wreath_of_cyclics(moduli)
 
-    timings: dict[str, float] = {}
-    scheme_wide: dict[str, CheckResult] = {}
+    run, seen, timings = run_point_checks(
+        scheme, moduli, points, [name for name in checks if name not in GLOBAL_CHECKS]
+    )
     for name in dict.fromkeys(checks):
         if name in GLOBAL_CHECKS:
             started = time.monotonic()
-            scheme_wide[name] = GLOBAL_CHECKS[name](scheme, moduli, points)
+            run[name] = GLOBAL_CHECKS[name](scheme, moduli)
             timings[name] = time.monotonic() - started
-    run, decomposition, seconds = run_point_checks(
-        moduli, points, [name for name in checks if name not in GLOBAL_CHECKS]
-    )
-    timings.update(seconds)
-    results = [scheme_wide.get(name) or run[name] for name in checks]
+    results = [run[name] for name in checks]
 
     report = _report_skeleton(
         results,
@@ -190,7 +177,7 @@ def cmd_verify(args) -> int:
         order=scheme.order,
         num_classes=scheme.classes,
         base_points=points,
-        dim_T=decomposition.dim_T if decomposition else None,
+        dim_T=seen["decomposition"].dim_T if "decomposition" in seen else None,
         dim_formula=dimension_formula(moduli),
         matrix_block=matrix_block_size(moduli),
         one_dim_count=one_dim_ideal_count(moduli),
@@ -209,25 +196,15 @@ def cmd_oracle(args) -> int:
     checks = _parse_checks(args.checks, ORACLE_CHECKS) if args.checks else ORACLE_CHECKS
     points = _parse_base_points(args.base_points, scheme.order)
 
-    axiom_report = scheme.verify_axioms()
-    results: list[CheckResult] = []
-    timings: dict[str, float] = {}
-    dim_T = None
-    for name in checks:
-        started = time.monotonic()
-        if name == "axioms":
-            results.append(_axioms_result(axiom_report))
-        elif not axiom_report.passed:
-            results.append(CheckResult(name, False, "skipped: the axioms do not hold"))
-        elif name == "triply-regular":
-            results.append(_triply_regular_result(scheme, points))
-        elif name == "dimension":
-            dims = [algebra_dimension(scheme, x) for x in points]
-            constant = all(d == dims[0] for d in dims)
-            dim_T = dims[0] if constant else None
-            witness = None if constant else f"dimension varies over base points: {dims}"
-            results.append(CheckResult("dimension", True, witness, len(dims)))
-        timings[name] = time.monotonic() - started
+    axioms = _axioms_result(scheme.verify_axioms())
+    # Where the axioms fail, no other check runs: each is skipped.
+    per_point = [name for name in checks if name != "axioms"] if axioms.passed else []
+    run, seen, timings = run_point_checks(scheme, None, points, per_point)
+    run["axioms"] = axioms
+    skipped = "skipped: the axioms do not hold"
+    results = [run.get(name) or CheckResult(name, False, skipped) for name in checks]
+    dims = seen.get("dims", [None])
+    dim_T = dims[0] if len(set(dims)) == 1 else None
 
     report = _report_skeleton(
         results,

@@ -168,6 +168,15 @@ def _support(row: list[int]) -> list[int]:
     return [k for k, a in enumerate(row) if a]
 
 
+def _reduce_cyclo(rows, v: list[CycloNum]) -> list[CycloNum]:
+    """Reduce ``v`` against (pivot, row) pairs whose pivots are one."""
+    for pivot, row in rows:
+        c = v[pivot]
+        if not c.is_zero():
+            v = [a - c * b if not b.is_zero() else a for a, b in zip(v, row)]
+    return v
+
+
 class ExactSpan:
     """A subspace of length-``length`` vectors in reduced echelon form.
 
@@ -262,15 +271,8 @@ class ExactSpan:
 
     # -- cyclotomic rows --------------------------------------------------------
 
-    def _reduce_cyclo(self, v: list[CycloNum]) -> list[CycloNum]:
-        for pivot, row in self._cyclo_rows:
-            c = v[pivot]
-            if not c.is_zero():
-                v = [a - c * b if not b.is_zero() else a for a, b in zip(v, row)]
-        return v
-
     def _insert_cyclo(self, v: list[CycloNum]) -> bool:
-        v = self._reduce_cyclo(v)
+        v = _reduce_cyclo(self._cyclo_rows, v)
         pivot = next((k for k, a in enumerate(v) if not a.is_zero()), None)
         if pivot is None:
             return False
@@ -304,14 +306,15 @@ class ExactSpan:
         """Exact membership: the residual after reduction is zero."""
         if len(vec) != self.length:
             raise ValueError("vector length does not match the ambient space")
-        if self._cyclo_rows is None:
+        rows = self._cyclo_rows
+        if rows is None:
             v = self._as_int_vector(vec)
             if v is not None:
                 return not any(self._reduce_int(v))
+            # An irrational vector against integer rows: reduce it against
+            # their cyclotomic view, leaving the stored rows as they are.
             rows = self._cyclo_view()
-            residual = self._reduce_against(rows, self._as_cyclo_vector(vec))
-            return all(a.is_zero() for a in residual)
-        residual = self._reduce_cyclo(self._as_cyclo_vector(vec))
+        residual = _reduce_cyclo(rows, self._as_cyclo_vector(vec))
         return all(a.is_zero() for a in residual)
 
     def _cyclo_view(self):
@@ -320,14 +323,6 @@ class ExactSpan:
             inv = Fraction(1, row[pivot])
             rows.append((pivot, [CycloNum.from_rational(a * inv) for a in row]))
         return rows
-
-    @staticmethod
-    def _reduce_against(rows, v):
-        for pivot, row in rows:
-            c = v[pivot]
-            if not c.is_zero():
-                v = [a - c * b if not b.is_zero() else a for a, b in zip(v, row)]
-        return v
 
     def vectors(self):
         """The reduced basis rows, pivots normalized to one."""

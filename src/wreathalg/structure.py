@@ -16,15 +16,17 @@ from functools import cached_property
 
 from .cyclotomic import ZERO, CycloNum, rational, zeta
 from .linalg import ExactMatrix, SpanBasis
-from .scheme import CheckResult
+from .scheme import CheckResult, Scheme
 from .terwilliger import (
     TerwilligerContext,
+    _require_wreath,
     algebra_closure,
-    algebra_dimension,
     check_primary_module,
     check_triple_list,
+    check_triply_regular,
+    make_context,
     standard_generators,
-    wreath_context,
+    t0_span,
 )
 from .wreath import (
     WreathIndex,
@@ -73,12 +75,6 @@ def one_dim_ideal_count(moduli) -> int:
 
 def dimension_formula(moduli) -> int:
     return matrix_block_size(moduli) ** 2 + one_dim_ideal_count(moduli)
-
-
-def _require_wreath(ctx: TerwilligerContext) -> tuple[int, ...]:
-    if ctx.moduli is None:
-        raise ValueError("this check needs a wreath-of-cyclics context")
-    return ctx.moduli
 
 
 # -- matrix units -------------------------------------------------------------------
@@ -556,23 +552,29 @@ class DecompReport:
 
 def _merge(old: CheckResult | None, new: CheckResult) -> CheckResult:
     """Fold one more pass of a check: it passes if both do, and keeps the
-    earlier witness."""
+    witness of the first failing pass, else the latest witness."""
     if old is None:
         return new
     return CheckResult(
-        new.name, old.passed and new.passed, old.witness or new.witness, old.checked + new.checked
+        new.name,
+        old.passed and new.passed,
+        new.witness if old.passed else old.witness,
+        old.checked + new.checked,
     )
 
 
 class BasePoint:
-    """One base point's artifacts, each built at most once on first use, and
-    the result of each registered check there.
+    """One base point's artifacts, each built at most once on first use and
+    owned by the point alone, and the result of each registered check there.
 
-    ``seen`` is shared by all points of one run and keeps the value the
-    first point gave (the oracle dimension, under ``"dim"``).
+    ``moduli`` is None for an ingested table.  ``seen`` is shared by all
+    points of one run: the oracle dimensions under ``"dims"``, in the order
+    the ``dimension`` check ran, and the triple-regularity sweep under
+    ``"sweep"``.
     """
 
-    def __init__(self, moduli: tuple[int, ...], x: int, seen: dict):
+    def __init__(self, scheme: Scheme, moduli: tuple[int, ...] | None, x: int, seen: dict):
+        self.scheme = scheme
         self.moduli = moduli
         self.x = x
         self.seen = seen
@@ -580,11 +582,20 @@ class BasePoint:
 
     @cached_property
     def ctx(self) -> TerwilligerContext:
-        return wreath_context(self.moduli, self.x)
+        return make_context(self.scheme, self.x, moduli=self.moduli)
+
+    @cached_property
+    def closure(self) -> SpanBasis:
+        """The generators' product closure: the algebra the oracle measures."""
+        return algebra_closure(self.generators)
 
     @cached_property
     def dim(self) -> int:
-        return algebra_dimension(self.ctx.scheme, self.x)
+        return self.closure.dimension
+
+    @cached_property
+    def t0_dim(self) -> int:
+        return t0_span(self.ctx).dimension
 
     @cached_property
     def _units(self) -> MatrixUnitFamily | StructureError:
@@ -640,12 +651,33 @@ def _f_family(point: BasePoint) -> CheckResult:
     return check_central_idempotents(point.ctx, point.idempotents, units)
 
 
+def _triply_regular(point: BasePoint) -> CheckResult:
+    # One sweep serves the run, and the point that runs it counts its
+    # tuples; the span cross-check runs at every point until it disagrees.
+    report = point.seen.get("sweep")
+    checked = 0
+    if report is None:
+        report = point.seen["sweep"] = check_triply_regular(point.scheme, ())
+        checked = report.checked
+    if report.dims_consistent:
+        report.cross_check(point.t0_dim, point.dim)
+    witness = report.witness or (
+        None if report.passed else "span-equality cross-check disagrees with the sweep"
+    )
+    return CheckResult("triply-regular", report.passed, witness, checked)
+
+
 def _dimension(point: BasePoint) -> CheckResult:
-    dim_here = point.dim
-    dim_seen = point.seen.setdefault("dim", dim_here)
+    dims = point.seen.setdefault("dims", [])
+    dims.append(point.dim)
+    if point.moduli is None:
+        # A table may give different algebras at different base points, so
+        # a varying dimension is reported, not failed.
+        witness = f"dimension varies over base points: {dims}" if len(set(dims)) > 1 else None
+        return CheckResult("dimension", True, witness, 1)
     formula = dimension_formula(point.moduli)
-    ok = dim_here == formula and dim_here == dim_seen
-    witness = None if ok else f"x={point.x}: oracle dimension {dim_here}, formula {formula}"
+    ok = point.dim == formula and point.dim == dims[0]
+    witness = None if ok else f"x={point.x}: oracle dimension {point.dim}, formula {formula}"
     return CheckResult("dimension", ok, witness, 1)
 
 
@@ -702,7 +734,7 @@ def _span_accounting(point: BasePoint) -> CheckResult:
         mat for family in families for _, mat in sorted(family.matrices.items())
     )
     rank_uf = combined.dimension
-    for mat in algebra_closure(point.generators).basis():
+    for mat in point.closure.basis():
         combined.insert(mat)
     formula = dimension_formula(point.moduli)
     ok = rank_uf == formula and combined.dimension == point.dim
@@ -720,7 +752,8 @@ def _span_accounting(point: BasePoint) -> CheckResult:
 # module-level name at call time, so rebinding those names (as a tracer
 # does) reaches the pipeline.
 POINT_CHECKS = {
-    "triple-list": lambda point: check_triple_list(point.moduli, point.x),
+    "triple-list": lambda point: check_triple_list(point.ctx),
+    "triply-regular": _triply_regular,
     "primary-module": lambda point: check_primary_module(point.ctx),
     "block-form": _block_form,
     "matrix-units": lambda point: check_matrix_units(point.units),
@@ -750,19 +783,20 @@ DECOMPOSITION = (
 )
 
 
-def run_point_checks(moduli, base_points, names):
+def run_point_checks(scheme: Scheme, moduli, base_points, names):
     """Run registered checks and ``decomposition`` one base point at a time.
 
-    Each point's artifacts and check results are built once, shared by
-    every requested name, and dropped before the next point.  A check stops
-    at its first failing point; the decomposition runs at every point.  The
-    checks run before the decomposition at each point, so work they share
-    is timed under the check.
+    ``moduli`` is None for an ingested table.  Each point's artifacts and
+    check results are built once, shared by every requested name, and
+    dropped before the next point.  A check stops at its first failing
+    point; the decomposition runs at every point.  The checks run before
+    the decomposition at each point, so work they share is timed under the
+    check.
 
-    Returns each name's result folded over the points, the decomposition's
-    report (None if not requested) and each name's wall time in seconds.
+    Returns each name's result folded over the points, the run's ``seen``
+    values (plus the decomposition's report under ``"decomposition"``, if
+    requested) and each name's wall time in seconds.
     """
-    m = check_moduli(moduli)
     points = list(base_points)
     requested = sorted(dict.fromkeys(names), key=lambda name: name == "decomposition")
     results: dict[str, CheckResult] = {}
@@ -770,7 +804,7 @@ def run_point_checks(moduli, base_points, names):
     seconds = dict.fromkeys(requested, 0.0)
     seen: dict = {}
     for x in points:
-        point = BasePoint(m, x, seen)
+        point = BasePoint(scheme, moduli, x, seen)
         for name in requested:
             started = time.perf_counter()
             if name == "decomposition":
@@ -782,22 +816,20 @@ def run_point_checks(moduli, base_points, names):
             elif name not in results or results[name].passed:
                 results[name] = _merge(results.get(name), point.result(name))
             seconds[name] += time.perf_counter() - started
-    report = None
     if "decomposition" in seconds:
-        scheme = wreath_of_cyclics(m)
-        report = DecompReport(
-            moduli=m,
+        report = seen["decomposition"] = DecompReport(
+            moduli=moduli,
             order=scheme.order,
             num_classes=scheme.classes,
             base_points=points,
-            dim_T=seen.get("dim"),
-            dim_formula=dimension_formula(m),
-            matrix_block=matrix_block_size(m),
-            one_dim_count=one_dim_ideal_count(m),
+            dim_T=seen.get("dims", [None])[0],
+            dim_formula=dimension_formula(moduli),
+            matrix_block=matrix_block_size(moduli),
+            one_dim_count=one_dim_ideal_count(moduli),
             checks=[group[name] for name in DECOMPOSITION if name in group],
         )
         results["decomposition"] = report.as_check()
-    return results, report, seconds
+    return results, seen, seconds
 
 
 def decomposition_report(moduli, base_points=None) -> DecompReport:
@@ -816,5 +848,5 @@ def decomposition_report(moduli, base_points=None) -> DecompReport:
     points = list(range(scheme.order)) if base_points is None else list(base_points)
     if not points:
         raise ValueError("at least one base point is required")
-    _, report, _ = run_point_checks(m, points, ("decomposition",))
-    return report
+    _, seen, _ = run_point_checks(scheme, m, points, ("decomposition",))
+    return seen["decomposition"]

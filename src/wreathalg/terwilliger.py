@@ -10,7 +10,6 @@ every structural claim in :mod:`wreathalg.structure` is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product as iter_product
 
 from .cyclotomic import ONE, ZERO
@@ -67,13 +66,15 @@ def make_context(scheme: Scheme, base_point: int, moduli=None) -> TerwilligerCon
     return TerwilligerContext(scheme, base_point, adjacency, duals, spheres, moduli)
 
 
-@lru_cache(maxsize=None)
-def _wreath_context(moduli: tuple[int, ...], base_point: int) -> TerwilligerContext:
-    return make_context(wreath_of_cyclics(moduli), base_point, moduli=moduli)
-
-
 def wreath_context(moduli, base_point: int) -> TerwilligerContext:
-    return _wreath_context(check_moduli(moduli), base_point)
+    m = check_moduli(moduli)
+    return make_context(wreath_of_cyclics(m), base_point, moduli=m)
+
+
+def _require_wreath(ctx: TerwilligerContext) -> tuple[int, ...]:
+    if ctx.moduli is None:
+        raise ValueError("this check needs a wreath-of-cyclics context")
+    return ctx.moduli
 
 
 def triple_product(ctx: TerwilligerContext, i: int, j: int, h: int) -> ExactMatrix:
@@ -108,10 +109,9 @@ def predict_triple_nonzero(moduli, a, b, c) -> bool:
     return False
 
 
-def check_triple_list(moduli, base_point: int) -> CheckResult:
+def check_triple_list(ctx: TerwilligerContext) -> CheckResult:
     """Compare the nonzero-triple-product case list with exact products."""
-    m = check_moduli(moduli)
-    ctx = wreath_context(m, base_point)
+    m = _require_wreath(ctx)
     indices = class_indices(m)
     checked = 0
     for a, b, c in iter_product(indices, repeat=3):
@@ -122,7 +122,7 @@ def check_triple_list(moduli, base_point: int) -> CheckResult:
             return CheckResult(
                 "triple-list",
                 False,
-                f"x={base_point}, classes ({a},{b},{c}): predicted "
+                f"x={ctx.base_point}, classes ({a},{b},{c}): predicted "
                 f"{'nonzero' if expected else 'zero'}, product is "
                 f"{'nonzero' if actual else 'zero'}",
                 checked,
@@ -146,15 +146,9 @@ def standard_generators(ctx: TerwilligerContext) -> list[ExactMatrix]:
     return list(ctx.adjacency) + list(ctx.dual_idempotents)
 
 
-@lru_cache(maxsize=None)
-def _algebra_dimension(scheme: Scheme, base_point: int) -> int:
-    ctx = make_context(scheme, base_point)
-    return algebra_closure(standard_generators(ctx)).dimension
-
-
 def algebra_dimension(scheme: Scheme, base_point: int) -> int:
-    """Oracle dimension of the algebra at a base point (cached per scheme)."""
-    return _algebra_dimension(scheme, base_point)
+    """Oracle dimension of the algebra at a base point."""
+    return algebra_closure(standard_generators(make_context(scheme, base_point))).dimension
 
 
 def t0_span(ctx: TerwilligerContext) -> SpanBasis:
@@ -169,13 +163,8 @@ def t0_span(ctx: TerwilligerContext) -> SpanBasis:
     return basis
 
 
-@lru_cache(maxsize=None)
-def _t0_dimension(scheme: Scheme, base_point: int) -> int:
-    return t0_span(make_context(scheme, base_point)).dimension
-
-
 def t0_dimension(scheme: Scheme, base_point: int) -> int:
-    return _t0_dimension(scheme, base_point)
+    return t0_span(make_context(scheme, base_point)).dimension
 
 
 def triple_intersection(scheme: Scheme, x: int, y: int, z: int, i: int, j: int, h: int) -> int:
@@ -193,9 +182,9 @@ class TriplyRegularReport:
     """Verdict of the triple-intersection constancy sweep.
 
     ``dims_consistent`` records whether the verdict agrees with
-    (dim T_0(x) == dim T(x)) at every base point; it is None when the
-    input is not a valid commutative scheme and the comparison does not
-    apply.
+    (dim T_0(x) == dim T(x)) at every base point cross-checked so far; it
+    is None when the input is not a valid commutative scheme and the
+    comparison does not apply.
     """
 
     regular: bool
@@ -207,11 +196,18 @@ class TriplyRegularReport:
     def passed(self) -> bool:
         return self.regular and self.dims_consistent is not False
 
+    def cross_check(self, t0_dim: int, dim: int) -> None:
+        """Fold in one base point: the sweep's verdict must agree with
+        dim T_0(x) == dim T(x) there."""
+        if (t0_dim == dim) != self.regular:
+            self.dims_consistent = False
+
 
 def check_triply_regular(scheme: Scheme, base_points=None) -> TriplyRegularReport:
     """Exhaustively test whether all triple intersection counts depend only
     on the six class labels, and cross-check the verdict against the span
-    equality dim T_0(x) == dim T(x) at every base point."""
+    equality dim T_0(x) == dim T(x) at every base point until one disagrees.
+    With no base points, the caller cross-checks through the report."""
     n = scheme.order
     t = scheme.table
     buckets: dict[tuple[int, int, int], tuple[tuple[int, int, int], dict]] = {}
@@ -250,16 +246,15 @@ def check_triply_regular(scheme: Scheme, base_points=None) -> TriplyRegularRepor
         if not regular:
             break
 
-    dims_consistent = None
-    if scheme.verify_axioms().passed and scheme.is_commutative():
-        points = range(n) if base_points is None else base_points
-        dims_consistent = True
-        for x in points:
-            spans_equal = t0_dimension(scheme, x) == algebra_dimension(scheme, x)
-            if spans_equal != regular:
-                dims_consistent = False
-                break
-    return TriplyRegularReport(regular, witness, dims_consistent, checked)
+    applies = scheme.verify_axioms().passed and scheme.is_commutative()
+    report = TriplyRegularReport(regular, witness, True if applies else None, checked)
+    for x in range(n) if base_points is None else base_points:
+        if not report.dims_consistent:
+            break
+        ctx = make_context(scheme, x)
+        t0_dim = t0_span(ctx).dimension
+        report.cross_check(t0_dim, algebra_closure(standard_generators(ctx)).dimension)
+    return report
 
 
 def check_primary_module(ctx: TerwilligerContext) -> CheckResult:

@@ -111,7 +111,7 @@ def test_criterion_5_triple_product_list():
     for moduli in [(2, 3), (2, 2, 2)]:
         scheme = wreath_of_cyclics(moduli)
         for x in range(scheme.order):
-            ok = ok and check_triple_list(moduli, x).passed
+            ok = ok and check_triple_list(wreath_context(moduli, x)).passed
     report("criterion 5: nonzero triple products", ok)
     assert ok
 
@@ -250,7 +250,7 @@ def test_criterion_11c_base_point_invariance():
         family = build_central_idempotents(ctx)
         verdicts.append(
             (
-                check_triple_list(moduli, x).passed,
+                check_triple_list(ctx).passed,
                 check_primary_module(ctx).passed,
                 check_matrix_units(units).passed,
                 check_adjacency_action(ctx, units).passed,

@@ -220,6 +220,31 @@ def test_oracle_order_cap(capsys, tmp_path, monkeypatch):
     assert run(capsys, "oracle", str(table), "--checks", "axioms", "--max-order", "6")[0] == 0
 
 
+def _write_tables(tmp_path):
+    """The class tables the golden oracle reports read, by placeholder name."""
+    from itertools import permutations
+
+    from wreathalg import Scheme, save_scheme, wreath_of_cyclics
+
+    # classes announced as 3 but class 2 never occurs: partition fails
+    (tmp_path / "bad.txt").write_text("2 2\n0 1\n1 0\n")
+    save_scheme(wreath_of_cyclics((2, 2)), tmp_path / "t22.txt")
+    # (2,2,2) with its vertices relabelled by v -> 5v+3 mod 8
+    t = wreath_of_cyclics((2, 2, 2)).table
+    perm = [(5 * v + 3) % 8 for v in range(8)]
+    table = [[0] * 8 for _ in range(8)]
+    for x in range(8):
+        for y in range(8):
+            table[perm[x]][perm[y]] = t[x][y]
+    save_scheme(Scheme(table), tmp_path / "t222.txt")
+    # the group scheme of S_3: the class of (g, h) is the index of g^-1 h,
+    # and the identity permutation comes first
+    group = list(permutations(range(3)))
+    table = [[group.index(tuple(g.index(h[k]) for k in range(3))) for h in group] for g in group]
+    save_scheme(Scheme(table), tmp_path / "s3.txt")
+    return {name: tmp_path / f"{name}.txt" for name in ("bad", "t22", "t222", "s3")}
+
+
 @pytest.mark.parametrize(
     "golden, argv",
     [
@@ -229,18 +254,33 @@ def test_oracle_order_cap(capsys, tmp_path, monkeypatch):
             "verify-2x2-decomposition-axioms-axioms.json",
             ["verify", "--moduli", "2,2", "--checks", "decomposition,axioms,axioms"],
         ),
-        ("oracle-corrupted.json", ["oracle", "{table}"]),
+        ("oracle-corrupted.json", ["oracle", "{bad}"]),
+        (
+            "verify-2x2-decomposition-triply-regular-axioms-triply-regular.json",
+            [
+                "verify", "--moduli", "2,2",
+                "--checks", "decomposition,triply-regular,axioms,triply-regular",
+            ],
+        ),
+        ("oracle-relabelled-2x2x2.json", ["oracle", "{t222}"]),
+        ("oracle-s3.json", ["oracle", "{s3}"]),
+        (
+            "oracle-2x2-dimension-triply-regular-dimension-points-1-3.json",
+            [
+                "oracle", "{t22}",
+                "--checks", "dimension,triply-regular,dimension", "--base-points", "1,3",
+            ],
+        ),
     ],
 )
 def test_report_matches_golden(capsys, tmp_path, golden, argv):
     # The checked-in reports pin every byte of the JSON output, witnesses
     # and check order included; the corrupted table is the one of
     # test_oracle_corrupted_table.
-    table = tmp_path / "bad.txt"
-    table.write_text("2 2\n0 1\n1 0\n")
+    tables = _write_tables(tmp_path)
     out = tmp_path / "report.json"
-    expected_code = 1 if golden.startswith("oracle") else 0
-    argv = [arg.format(table=table) for arg in argv]
+    expected_code = 1 if golden == "oracle-corrupted.json" else 0
+    argv = [arg.format(**tables) for arg in argv]
     assert main(argv + ["--out", str(out)]) == expected_code
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
@@ -251,11 +291,11 @@ def _checks_by_name(out):
 
 
 def _rebind(monkeypatch, name, make):
-    """Replace the structure function ``name`` by ``make(original)`` in every
-    wreathalg module that binds it."""
-    from wreathalg import structure
+    """Replace the public wreathalg function ``name`` by ``make(original)``
+    in every wreathalg module that binds it."""
+    import wreathalg
 
-    original = getattr(structure, name)
+    original = getattr(wreathalg, name)
     replacement = make(original)
     for module_name, module in list(sys.modules.items()):
         if module_name.split(".")[0] == "wreathalg" and getattr(module, name, None) is original:
@@ -304,7 +344,9 @@ def test_verify_witness_names_the_first_failing_point(capsys, monkeypatch):
     assert checks["decomposition"]["witness"] == "x=1: forced"
 
 
-def test_verify_builds_and_checks_units_once_per_point(capsys, monkeypatch):
+def _count_calls(monkeypatch, names):
+    """Count the calls of each public function in ``names``, through every
+    binding; returns the dict the counts go into."""
     counts = {}
 
     def counter(name):
@@ -317,33 +359,98 @@ def test_verify_builds_and_checks_units_once_per_point(capsys, monkeypatch):
 
         return make
 
-    for name in (
-        "build_matrix_units",
-        "build_central_idempotents",
-        "check_matrix_units",
-        "check_adjacency_action",
-        "check_central_idempotents",
-    ):
+    for name in names:
         _rebind(monkeypatch, name, counter(name))
+    return counts
+
+
+PER_POINT_STATE = ("make_context", "product_closure", "t0_span")
+
+
+def test_verify_builds_and_checks_units_once_per_point(capsys, monkeypatch):
+    counts = _count_calls(
+        monkeypatch,
+        (
+            "build_matrix_units",
+            "build_central_idempotents",
+            "check_matrix_units",
+            "check_adjacency_action",
+            "check_central_idempotents",
+        )
+        + PER_POINT_STATE,
+    )
     code, _, _ = run(capsys, "verify", "--moduli", "2,2")
     assert code == 0
+    # one context, one closure and one T_0 span per point: span-accounting
+    # and the triply-regular cross-check reuse the point's closure
     assert counts == {
         "build_matrix_units": 4,
         "build_central_idempotents": 4,
         "check_matrix_units": 4,
         "check_adjacency_action": 4,
         "check_central_idempotents": 4,
+        "make_context": 4,
+        "product_closure": 4,
+        "t0_span": 4,
+    }
+
+
+def test_oracle_builds_each_point_once(capsys, tmp_path, monkeypatch):
+    table = tmp_path / "t22.txt"
+    assert run(capsys, "export", "--moduli", "2,2", "--out", str(table))[0] == 0
+    counts = _count_calls(monkeypatch, PER_POINT_STATE)
+    assert run(capsys, "oracle", str(table))[0] == 0
+    assert counts == {"make_context": 4, "product_closure": 4, "t0_span": 4}
+
+
+def test_no_context_outlives_the_run(capsys):
+    import gc
+
+    from wreathalg import TerwilligerContext, decomposition_report
+
+    def live_contexts():
+        gc.collect()
+        return sum(isinstance(obj, TerwilligerContext) for obj in gc.get_objects())
+
+    assert run(capsys, "verify", "--moduli", "2,2")[0] == 0
+    assert live_contexts() == 0
+    assert decomposition_report([2, 2]).passed
+    assert live_contexts() == 0
+
+
+def test_span_cross_check_failure_fails_triply_regular(capsys, monkeypatch):
+    # A T_0 span one short at x=2 makes dim T_0(x) != dim T(x) there, which
+    # disagrees with the sweep's verdict that the scheme is triply regular.
+    from wreathalg import SpanBasis
+
+    def make(original):
+        def short_at_two(ctx):
+            span = original(ctx)
+            if ctx.base_point == 2:
+                return SpanBasis.from_matrices(span.basis()[:-1])
+            return span
+
+        return short_at_two
+
+    _rebind(monkeypatch, "t0_span", make)
+    code, out, _ = run(capsys, "verify", "--moduli", "2,2", "--checks", "triply-regular")
+    assert code == 1
+    assert _checks_by_name(out)["triply-regular"] == {
+        "name": "triply-regular",
+        "status": "fail",
+        "witness": "span-equality cross-check disagrees with the sweep",
+        "millis": 0,
     }
 
 
 def test_oracle_dimension_varying_over_base_points(capsys, tmp_path, monkeypatch):
     # A dimension that depends on the base point is reported, not failed:
     # dim_T is null and the witness lists the dimensions.
-    from wreathalg import cli
+    from wreathalg.structure import BasePoint
 
     table = tmp_path / "t22.txt"
     assert run(capsys, "export", "--moduli", "2,2", "--out", str(table))[0] == 0
-    monkeypatch.setattr(cli, "algebra_dimension", lambda scheme, x: 11 if x == 1 else 10)
+    monkeypatch.setattr(BasePoint, "dim", property(lambda point: 11 if point.x == 1 else 10))
     code, out, _ = run(capsys, "oracle", str(table), "--checks", "dimension")
     assert code == 0
     assert json.loads(out)["dim_T"] is None

@@ -23,6 +23,7 @@ from wreathalg import (
     one_dim_ideal_count,
     rational,
     wreath_context,
+    wreath_of_cyclics,
     zeta,
 )
 from wreathalg import structure
@@ -257,9 +258,14 @@ def test_decomposition_report_to_dict():
 # -- negative controls through the per-point registry -------------------------------
 
 
+def _point(moduli, x, seen=None):
+    """A fresh base point of the wreath scheme with these moduli."""
+    return BasePoint(wreath_of_cyclics(moduli), tuple(moduli), x, {} if seen is None else seen)
+
+
 def _point_with_units(moduli, x, change):
     """A fresh base point whose unit family has been edited by ``change``."""
-    point = BasePoint(tuple(moduli), x, {})
+    point = _point(moduli, x)
     units = build_matrix_units(point.ctx)
     matrices = dict(units.matrices)
     change(point, matrices)
@@ -275,7 +281,7 @@ def _assert_fails(point, name):
 
 
 def test_registry_passes_on_an_intact_point():
-    point = BasePoint((2, 2), 1, {})
+    point = _point((2, 2), 1)
     for name in DECOMPOSITION:
         result = point.result(name)
         assert result.passed, (name, result.witness)
@@ -303,14 +309,14 @@ def test_quotient_commutes_fails_on_a_smaller_unit_span():
 
 
 def test_span_accounting_fails_without_the_idempotents():
-    point = BasePoint((2, 2), 0, {})
+    point = _point((2, 2), 0)
     point.idempotents = CentralIdempotentFamily((2, 2), 0)
     result = _assert_fails(point, "span-accounting")
     assert "rank(units+idempotents) = 9" in result.witness
 
 
 def test_dimension_fails_off_the_formula():
-    point = BasePoint((2, 2), 0, {})
+    point = _point((2, 2), 0)
     point.dim = 11
     result = _assert_fails(point, "dimension")
     assert result.witness == "x=0: oracle dimension 11, formula 10"
@@ -318,9 +324,9 @@ def test_dimension_fails_off_the_formula():
 
 def test_dimension_fails_when_it_differs_from_the_first_point():
     # the formula holds here, but the first point of the run saw another value
-    point = BasePoint((2, 2), 3, {"dim": 9})
+    point = _point((2, 2), 3, {"dims": [9]})
     _assert_fails(point, "dimension")
-    assert point.seen == {"dim": 9}
+    assert point.seen == {"dims": [9, 10]}
 
 
 def test_unit_build_failure_skips_the_rest_of_the_point(monkeypatch):

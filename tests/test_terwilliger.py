@@ -5,6 +5,7 @@ import pytest
 from wreathalg import (
     ExactMatrix,
     Scheme,
+    SpanBasis,
     algebra_closure,
     algebra_dimension,
     check_primary_module,
@@ -84,12 +85,12 @@ def test_predict_triple_nonzero_cases():
 
 def test_triple_list_check():
     for m in [(2, 3), (2, 2, 2)]:
-        result = check_triple_list(m, 0)
+        result = check_triple_list(wreath_context(m, 0))
         assert result.passed, result.witness
 
 
 def test_triple_list_base_point_sweep():
-    results = [check_triple_list((2, 3), x).passed for x in range(6)]
+    results = [check_triple_list(wreath_context((2, 3), x)).passed for x in range(6)]
     assert results == [True] * 6
 
 
@@ -165,6 +166,40 @@ def test_triply_regular_wreaths():
         assert report.regular
         assert report.dims_consistent is True
         assert report.passed
+
+
+def test_triply_regular_span_cross_check_can_fail(monkeypatch):
+    # A T_0 span one short at x=2 makes dim T_0(x) != dim T(x) there, which
+    # disagrees with the sweep's verdict that the scheme is triply regular.
+    from wreathalg import terwilliger
+
+    original = terwilliger.t0_span
+
+    def short_at_two(ctx):
+        span = original(ctx)
+        if ctx.base_point == 2:
+            return SpanBasis.from_matrices(span.basis()[:-1])
+        return span
+
+    monkeypatch.setattr(terwilliger, "t0_span", short_at_two)
+    report = check_triply_regular(wreath_of_cyclics((2, 2)))
+    assert report.regular
+    assert report.dims_consistent is False
+    assert not report.passed
+    # the other base points agree
+    assert check_triply_regular(wreath_of_cyclics((2, 2)), [0, 1, 3]).passed
+
+
+def test_triply_regular_builds_one_context_per_point(monkeypatch):
+    from wreathalg import terwilliger
+
+    calls = []
+    original = terwilliger.make_context
+    monkeypatch.setattr(
+        terwilliger, "make_context", lambda *args: calls.append(args[1]) or original(*args)
+    )
+    assert check_triply_regular(wreath_of_cyclics((2, 2))).passed
+    assert calls == [0, 1, 2, 3]
 
 
 def test_triply_regular_counterexample():
