@@ -1,20 +1,40 @@
 """Dense exact matrices over Q(zeta_N) and echelon-form span bookkeeping.
 
-Two representations coexist here.  ``ExactMatrix`` is the general-purpose
-dense matrix with CycloNum entries.  ``ExactSpan`` keeps a subspace of
-flat vectors in reduced echelon form; while every inserted vector is
-rational it works on integer rows scaled to content one (all arithmetic
-stays in machine/big integers, which is what makes the closure oracle
-fast), and it upgrades itself to CycloNum rows the first time a vector
-with an irrational entry arrives.
+``ExactMatrix`` stores a matrix over Q(zeta_N) as packed integer rows
+(Kronecker substitution).  Entry (i, j) is
+``(v_0 + v_1 z + ... + v_{phi(N)-1} z^(phi(N)-1)) / den`` with integer
+coefficients, one positive common denominator ``den`` and ``z = zeta_N``;
+row i of plane s is the single int ``sum_j v_s(i, j) 2^(b j)`` for a slot
+width ``b``.  A rational matrix has one plane.  Packing is Z-linear, so
+sums, scalings and embeddings act on whole row ints, and row i of ``A*B``
+is ``sum_k a_ik packed(B_k)``: one big-int multiply-add per nonzero entry
+of A, with the planes convolved and reduced modulo Phi_N.  Packing is
+injective while every ``|v| < 2^(b-1)``, so each matrix carries a proven
+bound on its ``|v|``: every operation derives its result's bound from its
+operands' bounds and repacks wider when the bound would reach
+``2^(b-1)``, and no matrix is built, and no equality decided, under a bound
+its width does not certify.  Equality and zero tests are then int
+comparisons.  The ``CycloNum`` grid of the public API (``data``,
+``flat()``, ``[i, j]``) is decoded on demand.
+
+``ExactSpan`` keeps a subspace of flat vectors in reduced echelon form;
+while every inserted vector is rational it works on integer rows scaled to
+content one (a rational matrix hands it the integer rows of its packed
+form, denominator dropped, since scaling leaves a span unchanged), and it
+upgrades itself to CycloNum rows the first time a vector with an
+irrational entry arrives.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
+from functools import lru_cache
+from itertools import compress
+from operator import mul
 
-from .cyclotomic import ONE, ZERO, CycloNum
+from .cyclotomic import ZERO, CycloNum, cyclotomic_polynomial, euler_phi
 
 __all__ = ["ExactMatrix", "ExactSpan", "SpanBasis", "product_closure"]
 
@@ -22,129 +42,332 @@ __all__ = ["ExactMatrix", "ExactSpan", "SpanBasis", "product_closure"]
 def as_cyclo(value) -> CycloNum:
     if isinstance(value, CycloNum):
         return value
-    return CycloNum.from_rational(value)
+    return CycloNum.from_rational(value) if value else ZERO
+
+
+# -- packed rows ----------------------------------------------------------------
+
+# Slot widths are powers of two from 32 bits up, so that most matrices share
+# one width and compare without repacking.  Slots of a standard integer size
+# are packed and unpacked by ``struct`` in C.
+_MIN_WIDTH = 32
+_CODES = {32: "i", 64: "q"}
+
+
+def _width_for(bound: int) -> int:
+    """The narrowest slot width that certifies entries with ``|v| <= bound``."""
+    width = _MIN_WIDTH
+    while bound >= 1 << (width - 1):
+        width *= 2
+    return width
+
+
+def _certify(bound: int, width: int) -> None:
+    """The slot-bound certificate: packing at ``width`` is injective on
+    entries with ``|v| <= bound`` only if ``bound < 2^(width-1)``."""
+    if bound >= 1 << (width - 1):
+        raise ArithmeticError(f"entry bound {bound} is not certified by {width}-bit slots")
+
+
+@lru_cache(maxsize=None)
+def _bias(width: int, n: int) -> int:
+    # 2^(width-1) in each of n slots: it turns signed slots into offset ones.
+    half = 1 << (width - 1)
+    return half * ((1 << (width * n)) - 1) // ((1 << width) - 1)
+
+
+def _pack(values, width: int) -> int:
+    """``sum_k values[k] 2^(width k)``; every ``|values[k]| < 2^(width-1)``."""
+    code = _CODES.get(width)
+    if code is None:
+        return sum(v << (width * k) for k, v in enumerate(values) if v)
+    # Two's-complement slots with their top bits flipped are offset slots.
+    bias = _bias(width, len(values))
+    slots = struct.pack(f"<{len(values)}{code}", *values)
+    return (int.from_bytes(slots, "little") ^ bias) - bias
+
+
+def _unpack(row: int, width: int, n: int) -> list[int]:
+    """The n slot values of a packed row; the inverse of :func:`_pack`."""
+    if not row:
+        return [0] * n
+    bias = _bias(width, n)
+    raw = ((row + bias) ^ bias).to_bytes(width * n // 8, "little")
+    code = _CODES.get(width)
+    if code is None:
+        step = width // 8
+        return [int.from_bytes(raw[k:k + step], "little", signed=True)
+                for k in range(0, len(raw), step)]
+    return list(struct.unpack(f"<{n}{code}", raw))
+
+
+@lru_cache(maxsize=None)
+def _xpow(conductor: int, d: int) -> tuple[int, ...]:
+    """Integer coefficients of z^d in the power basis of Q(zeta_conductor)."""
+    phi = euler_phi(conductor)
+    if d < phi:
+        return tuple(int(k == d) for k in range(phi))
+    prev = _xpow(conductor, d - 1)
+    poly = cyclotomic_polynomial(conductor)  # monic of degree phi
+    return tuple(c - prev[-1] * poly[k] for k, c in enumerate((0,) + prev[:-1]))
+
+
+def _reduced(raw: dict[int, list[int]], conductor: int, rows: int) -> list[list[int]]:
+    """The planes of ``sum_d raw[d] z^d`` reduced modulo Phi_conductor."""
+    phi = euler_phi(conductor)
+    if all(d < phi for d in raw):
+        return [raw.get(j) or [0] * rows for j in range(phi)]
+    planes = [[0] * rows for _ in range(phi)]
+    for d, plane in raw.items():
+        for j, c in enumerate(_xpow(conductor, d)):
+            if c:
+                planes[j] = [x + c * y for x, y in zip(planes[j], plane)]
+    return planes
+
+
+def _max_abs(planes) -> int:
+    """The largest |v| over planes of int rows."""
+    rows = [row for plane in planes for row in plane if row]
+    if not rows:
+        return 0
+    return max(max(map(max, rows)), -min(map(min, rows)))
+
+
+def _numerators(grid):
+    """(conductor, den, planes of int rows) for a grid of ints, Fractions and
+    CycloNums: the smallest conductor holding every irrational entry and
+    the least common denominator of all coefficients."""
+    if all(set(map(type, row)) <= {int} for row in grid):
+        return 1, 1, [[list(row) for row in grid]]
+    cells = [[as_cyclo(v) for v in row] for row in grid]
+    conductor = 1
+    for row in cells:
+        for v in row:
+            if not v.is_rational():
+                conductor = math.lcm(conductor, v.conductor)
+    pad = (0,) * (euler_phi(conductor) - 1)
+    coeffs = [[(v.coeffs[0],) + pad if v.is_rational() else v.embedded(conductor).coeffs
+               for v in row] for row in cells]
+    den = 1
+    for row in coeffs:
+        for c in row:
+            for q in c:
+                den = math.lcm(den, q.denominator)
+    planes = [[[c[s].numerator * (den // c[s].denominator) for c in row] for row in coeffs]
+              for s in range(len(pad) + 1)]
+    return conductor, den, planes
+
+
+def _packing(conductor: int, den: int, planes):
+    """(conductor, den, bound, width, packed planes) for planes of int rows;
+    the width is certified before anything is packed at it."""
+    bound = _max_abs(planes)
+    width = _width_for(bound)
+    _certify(bound, width)
+    return conductor, den, bound, width, [[_pack(row, width) for row in plane] for plane in planes]
 
 
 class ExactMatrix:
-    """Immutable dense matrix with exact cyclotomic entries."""
+    """Immutable dense matrix with exact cyclotomic entries, stored as
+    packed integer rows (see the module docstring)."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "conductor", "den", "bound", "width", "planes",
+                 "_ints", "_terms")
 
     def __init__(self, rows: int, cols: int, data):
+        """The matrix of a ``rows`` x ``cols`` grid of CycloNum (or int or
+        Fraction) entries."""
+        if len(data) != rows or any(len(row) != cols for row in data):
+            raise ValueError("data does not have the given shape")
+        self._init(rows, cols, *_packing(*_numerators(data)))
+
+    def _init(self, rows, cols, conductor, den, bound, width, planes):
+        _certify(bound, width)
         self.rows = rows
         self.cols = cols
-        self.data = data
+        self.conductor = conductor
+        self.den = den
+        self.bound = bound
+        self.width = width
+        self.planes = planes
+        self._ints = None
+        self._terms = None
+
+    @classmethod
+    def _packed(cls, rows, cols, conductor, den, bound, width, planes) -> "ExactMatrix":
+        """A matrix from packed planes, whose entries are at most ``bound``."""
+        mat = cls.__new__(cls)
+        mat._init(rows, cols, conductor, den, bound, width, planes)
+        return mat
 
     @classmethod
     def from_rows(cls, rows) -> "ExactMatrix":
-        data = [[as_cyclo(v) for v in row] for row in rows]
-        if not data or any(len(row) != len(data[0]) for row in data):
+        rows = list(rows)
+        if not rows or any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("rows must be nonempty and of equal length")
-        return cls(len(data), len(data[0]), data)
+        return cls(len(rows), len(rows[0]), rows)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols, [[ZERO] * cols for _ in range(rows)])
+        return cls._packed(rows, cols, 1, 1, 0, _MIN_WIDTH, [[0] * rows])
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        data = [[ZERO] * n for _ in range(n)]
-        for i in range(n):
-            data[i][i] = ONE
-        return cls(n, n, data)
+        return _diagonal(n, 1, 1, (1,))
 
     @classmethod
     def ones(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols, [[ONE] * cols for _ in range(rows)])
+        return cls._packed(rows, cols, 1, 1, 1, _MIN_WIDTH, [[_pack([1] * cols, _MIN_WIDTH)] * rows])
+
+    # -- decoding -----------------------------------------------------------------
+
+    def _decoded(self) -> list[list[list[int]]]:
+        """The integer coefficients, plane by plane and row by row."""
+        if self._ints is None:
+            self._ints = [[_unpack(row, self.width, self.cols) for row in plane]
+                          for plane in self.planes]
+        return self._ints
+
+    def _left_terms(self):
+        """Each plane's nonzero entries, row by row, as ``(columns, values)``
+        (values None when all are one; None for a zero row), and the largest
+        row sum of ``|v|`` over all planes."""
+        if self._terms is None:
+            columns = range(self.cols)
+            sums = [0] * self.rows
+            planes = []
+            for plane in self._decoded():
+                terms = []
+                for i, row in enumerate(plane):
+                    values = list(filter(None, row))
+                    if not values:
+                        terms.append(None)
+                        continue
+                    sums[i] += sum(map(abs, values))
+                    ones = values.count(1) == len(values)
+                    terms.append((list(compress(columns, row)), None if ones else values))
+                planes.append(terms)
+            self._terms = planes, max(sums, default=0)
+        return self._terms
+
+    def _at(self, width: int) -> list[list[int]]:
+        """The planes packed at ``width``, which is at least the own width."""
+        if width == self.width:
+            return self.planes
+        return [[_pack(row, width) for row in plane] for plane in self._decoded()]
+
+    def _entry(self, coeffs) -> CycloNum:
+        return CycloNum(self.conductor, tuple(Fraction(v, self.den) for v in coeffs))
+
+    def _rational_rows(self) -> list[list[int]] | None:
+        """The integer rows of ``den`` times the matrix, or None if an entry
+        is irrational."""
+        if any(any(plane) for plane in self.planes[1:]):
+            return None
+        return self._decoded()[0]
+
+    @property
+    def data(self) -> list[list[CycloNum]]:
+        return [[self._entry(c) for c in zip(*rows)] for rows in zip(*self._decoded())]
+
+    def flat(self):
+        return [self._entry(c) for rows in zip(*self._decoded()) for c in zip(*rows)]
 
     def __getitem__(self, key):
         i, j = key
-        return self.data[i][j]
+        return self._entry([plane[i][j] for plane in self._decoded()])
+
+    def trace(self) -> CycloNum:
+        if self.rows != self.cols:
+            raise ValueError("trace of a non-square matrix")
+        return self._entry([sum(row[i] for i, row in enumerate(plane))
+                            for plane in self._decoded()])
+
+    # -- arithmetic ---------------------------------------------------------------
+
+    def _embedded(self, conductor: int) -> "ExactMatrix":
+        """The same matrix over Q(zeta_conductor), a multiple of its own."""
+        if conductor == self.conductor:
+            return self
+        one = (1,) + (0,) * (euler_phi(conductor) - 1)
+        return _product(_diagonal(self.rows, conductor, 1, one), self)
+
+    def _sum(self, other, sign: int) -> "ExactMatrix":
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        self._require_shape(other)
+        conductor = math.lcm(self.conductor, other.conductor)
+        a, b = self._embedded(conductor), other._embedded(conductor)
+        den = math.lcm(a.den, b.den)
+        ma, mb = den // a.den, sign * (den // b.den)
+        bound = a.bound * ma + b.bound * abs(mb)
+        width = max(a.width, b.width, _width_for(bound))
+        planes = [[x * ma + y * mb for x, y in zip(pa, pb)]
+                  for pa, pb in zip(a._at(width), b._at(width))]
+        return ExactMatrix._packed(self.rows, self.cols, conductor, den, bound, width, planes)
 
     def __add__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        self._require_shape(other)
-        return ExactMatrix(
-            self.rows,
-            self.cols,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-        )
+        return self._sum(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        self._require_shape(other)
-        return ExactMatrix(
-            self.rows,
-            self.cols,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-        )
+        return self._sum(other, -1)
 
     def __neg__(self):
-        return ExactMatrix(self.rows, self.cols, [[-a for a in row] for row in self.data])
+        return ExactMatrix._packed(self.rows, self.cols, self.conductor, self.den, self.bound,
+                                   self.width, [[-r for r in plane] for plane in self.planes])
 
     def __mul__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions do not match")
-        out = [[ZERO] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = out[i]
-            for k in range(self.cols):
-                c = arow[k]
-                if c.is_zero():
-                    continue
-                brow = other.data[k]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if not b.is_zero():
-                        orow[j] = orow[j] + c * b
-        return ExactMatrix(self.rows, other.cols, out)
+        return _product(self, other)
 
     def scaled(self, scalar) -> "ExactMatrix":
         s = as_cyclo(scalar)
-        return ExactMatrix(self.rows, self.cols, [[s * a for a in row] for row in self.data])
+        if s.is_rational():
+            q = Fraction(s.coeffs[0])
+            bound = self.bound * abs(q.numerator)
+            width = max(self.width, _width_for(bound))
+            planes = self._at(width)
+            if q.numerator != 1:
+                planes = [[q.numerator * r for r in plane] for plane in planes]
+            return ExactMatrix._packed(self.rows, self.cols, self.conductor,
+                                       self.den * q.denominator, bound, width, planes)
+        # An irrational scalar multiplies as the scalar matrix.
+        conductor, den, planes = _numerators([[s]])
+        return _product(_diagonal(self.rows, conductor, den, [p[0][0] for p in planes]), self)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.cols, self.rows, [list(col) for col in zip(*self.data)])
+        planes = [[_pack(column, self.width) for column in zip(*plane)]
+                  for plane in self._decoded()]
+        return ExactMatrix._packed(self.cols, self.rows, self.conductor, self.den, self.bound,
+                                   self.width, planes)
 
     def apply(self, vector):
         """Matrix-vector product; the vector entries are coerced to CycloNum."""
         if len(vector) != self.cols:
             raise ValueError("vector length does not match")
-        vec = [as_cyclo(v) for v in vector]
-        out = []
-        for row in self.data:
-            acc = ZERO
-            for a, v in zip(row, vec):
-                if not a.is_zero() and not v.is_zero():
-                    acc = acc + a * v
-            out.append(acc)
-        return out
-
-    def trace(self) -> CycloNum:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        acc = ZERO
-        for i in range(self.rows):
-            acc = acc + self.data[i][i]
-        return acc
-
-    def flat(self):
-        return [a for row in self.data for a in row]
+        return _product(self, ExactMatrix(self.cols, 1, [[v] for v in vector])).flat()
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.data for a in row)
+        return not any(any(plane) for plane in self.planes)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        return all(a == b for ra, rb in zip(self.data, other.data) for a, b in zip(ra, rb))
+        conductor = math.lcm(self.conductor, other.conductor)
+        a, b = self._embedded(conductor), other._embedded(conductor)
+        # a == b exactly when a's numerators times mb equal b's times ma.
+        g = math.gcd(a.den, b.den)
+        ma, mb = b.den // g, a.den // g
+        width = max(a.width, b.width, _width_for(max(a.bound * ma, b.bound * mb)))
+        _certify(a.bound * ma, width)
+        _certify(b.bound * mb, width)
+        pa, pb = a._at(width), b._at(width)
+        if ma == mb == 1:
+            return pa == pb
+        return all(x * ma == y * mb for ra, rb in zip(pa, pb) for x, y in zip(ra, rb))
 
     def _require_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -152,6 +375,53 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"<ExactMatrix {self.rows}x{self.cols}>"
+
+
+def _diagonal(n: int, conductor: int, den: int, coeffs) -> ExactMatrix:
+    """The n x n scalar matrix of ``sum_s coeffs[s] z^s / den``."""
+    bound = max(map(abs, coeffs))
+    width = _width_for(bound)
+    return ExactMatrix._packed(n, n, conductor, den, bound, width,
+                               [[c << (width * i) for i in range(n)] for c in coeffs])
+
+
+def _product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """The product over Q(zeta_N), N the lcm of the operands' conductors.
+
+    With z_A = z^(N/N_A) and z_B = z^(N/N_B), plane s of A times plane t of
+    B lands at degree d = s N/N_A + t N/N_B, and row i of it is
+    ``sum_k a_ik packed(B_k)``.  Given s and d there is at most one t, so
+    each raw degree has entries of size at most A's largest row sum of
+    ``|a|`` over all planes times B's bound; reducing z^d modulo Phi_N
+    multiplies that by at most the largest row sum of the reduction's
+    coefficients.  That is the result's proven bound, and so its width.
+    """
+    if a.cols != b.rows:
+        raise ValueError("inner dimensions do not match")
+    conductor = math.lcm(a.conductor, b.conductor)
+    step_a, step_b = conductor // a.conductor, conductor // b.conductor
+    terms, row_sum = a._left_terms()
+    pairs = [(s, t, s * step_a + t * step_b) for s, plane in enumerate(terms) if any(plane)
+             for t, plane_b in enumerate(b.planes) if any(plane_b)]
+    degrees = {d for _, _, d in pairs}
+    factor = max(sum(abs(_xpow(conductor, d)[j]) for d in degrees)
+                 for j in range(euler_phi(conductor)))
+    bound = row_sum * b.bound * factor
+    width = max(b.width, _width_for(bound))
+    planes_b = b._at(width)
+    raw = {}
+    for s, t, d in pairs:
+        get = planes_b[t].__getitem__
+        term = [0 if row is None
+                else sum(map(get, row[0])) if row[1] is None
+                else sum(map(mul, row[1], map(get, row[0])))
+                for row in terms[s]]
+        raw[d] = term if d not in raw else [x + y for x, y in zip(raw[d], term)]
+    return ExactMatrix._packed(a.rows, b.cols, conductor, a.den * b.den, bound, width,
+                               _reduced(raw, conductor, a.rows))
+
+
+# -- spans ----------------------------------------------------------------------
 
 
 def _content_normalized(row: list[int], pivot: int) -> list[int]:
@@ -177,6 +447,22 @@ def _reduce_cyclo(rows, v: list[CycloNum]) -> list[CycloNum]:
     return v
 
 
+def _rational_ints(vec) -> list[int] | None:
+    """``vec`` times a common denominator as ints; None if an entry is
+    irrational.  Scaling leaves every span unchanged."""
+    conductor, _, planes = _numerators([vec])
+    return planes[0][0] if conductor == 1 else None
+
+
+def _span_vector(matrix: ExactMatrix):
+    """The matrix flattened row-major: its packed form's integer rows when
+    it is rational, else its CycloNum entries."""
+    rows = matrix._rational_rows()
+    if rows is None:
+        return matrix.flat()
+    return [v for row in rows for v in row]
+
+
 class ExactSpan:
     """A subspace of length-``length`` vectors in reduced echelon form.
 
@@ -197,33 +483,6 @@ class ExactSpan:
         if self._cyclo_rows is not None:
             return len(self._cyclo_rows)
         return len(self._int_rows)
-
-    # -- input conversion ---------------------------------------------------
-
-    def _as_int_vector(self, vec):
-        # None signals an irrational entry (handled by the CycloNum path).
-        values = []
-        denom = 1
-        for v in vec:
-            if isinstance(v, CycloNum):
-                if not v.is_rational():
-                    return None
-                v = v.coeffs[0]
-            elif isinstance(v, int):
-                values.append(v)
-                continue
-            elif not isinstance(v, Fraction):
-                v = Fraction(v)
-            values.append(v)
-            if isinstance(v, Fraction):
-                denom = denom * v.denominator // math.gcd(denom, v.denominator)
-        if denom == 1:
-            return [int(v) for v in values]
-        return [int(v * denom) for v in values]
-
-    @staticmethod
-    def _as_cyclo_vector(vec):
-        return [as_cyclo(v) for v in vec]
 
     def _upgrade(self):
         self._cyclo_rows = self._cyclo_view()
@@ -296,11 +555,11 @@ class ExactSpan:
         if len(vec) != self.length:
             raise ValueError("vector length does not match the ambient space")
         if self._cyclo_rows is None:
-            v = self._as_int_vector(vec)
+            v = _rational_ints(vec)
             if v is not None:
                 return self._insert_int(v)
             self._upgrade()
-        return self._insert_cyclo(self._as_cyclo_vector(vec))
+        return self._insert_cyclo([as_cyclo(a) for a in vec])
 
     def contains(self, vec) -> bool:
         """Exact membership: the residual after reduction is zero."""
@@ -308,20 +567,19 @@ class ExactSpan:
             raise ValueError("vector length does not match the ambient space")
         rows = self._cyclo_rows
         if rows is None:
-            v = self._as_int_vector(vec)
+            v = _rational_ints(vec)
             if v is not None:
                 return not any(self._reduce_int(v))
             # An irrational vector against integer rows: reduce it against
             # their cyclotomic view, leaving the stored rows as they are.
             rows = self._cyclo_view()
-        residual = _reduce_cyclo(rows, self._as_cyclo_vector(vec))
+        residual = _reduce_cyclo(rows, [as_cyclo(a) for a in vec])
         return all(a.is_zero() for a in residual)
 
     def _cyclo_view(self):
         rows = []
         for pivot, row, _ in self._int_rows:
-            inv = Fraction(1, row[pivot])
-            rows.append((pivot, [CycloNum.from_rational(a * inv) for a in row]))
+            rows.append((pivot, [as_cyclo(Fraction(a, row[pivot])) if a else ZERO for a in row]))
         return rows
 
     def vectors(self):
@@ -359,24 +617,27 @@ class SpanBasis:
     def insert(self, matrix: ExactMatrix) -> bool:
         if (matrix.rows, matrix.cols) != self.shape:
             raise ValueError("matrix shape does not match the span")
-        return self.span.insert(matrix.flat())
+        return self.span.insert(_span_vector(matrix))
 
     def contains(self, matrix: ExactMatrix) -> bool:
         if (matrix.rows, matrix.cols) != self.shape:
             raise ValueError("matrix shape does not match the span")
-        return self.span.contains(matrix.flat())
+        return self.span.contains(_span_vector(matrix))
 
     @property
     def dimension(self) -> int:
         return self.span.dimension
 
     def basis(self) -> list[ExactMatrix]:
+        """The reduced echelon rows as matrices, pivots normalized to one."""
         rows, cols = self.shape
-        out = []
-        for vec in self.span.vectors():
-            data = [vec[r * cols:(r + 1) * cols] for r in range(rows)]
-            out.append(ExactMatrix(rows, cols, data))
-        return out
+        if self.span._cyclo_rows is not None:
+            return [ExactMatrix(rows, cols, [vec[r * cols:(r + 1) * cols] for r in range(rows)])
+                    for vec in self.span.vectors()]
+        # Content-normalized rows have a positive pivot: the denominator.
+        return [ExactMatrix._packed(rows, cols, *_packing(
+                    1, row[pivot], [[row[r * cols:(r + 1) * cols] for r in range(rows)]]))
+                for pivot, row, _ in self.span._int_rows]
 
 
 def _left_product(row_terms, rows, n: int, zero):
@@ -405,11 +666,12 @@ def product_closure(matrices) -> SpanBasis:
     so every word s1*(s2...sk) lies in V by induction on k; since V is
     spanned by words, it is exactly the span of all words.
 
-    Rational generators are scaled to integers, which leaves the algebra
-    unchanged, and multiplied as flat int vectors inserted straight into the
-    integer echelon; otherwise the same loop runs on CycloNum vectors.  The
-    basis is the span's reduced echelon form, which depends only on the
-    subspace, not on the schedule.
+    Rational generators enter as the integer rows of their packed form
+    (denominators dropped, which leaves the algebra unchanged) and are
+    multiplied as flat int vectors inserted straight into the integer
+    echelon; otherwise the same loop runs on CycloNum vectors.  The basis is
+    the span's reduced echelon form, which depends only on the subspace,
+    not on the schedule.
     """
     matrices = list(matrices)
     if not matrices:
@@ -418,8 +680,9 @@ def product_closure(matrices) -> SpanBasis:
     if any(m.rows != n or m.cols != n for m in matrices):
         raise ValueError("generators must be square matrices of equal size")
     span = ExactSpan(n * n)
-    vecs = [span._as_int_vector(m.flat()) for m in matrices]
-    if all(v is not None for v in vecs):
+    int_rows = [m._rational_rows() for m in matrices]
+    if all(rows is not None for rows in int_rows):
+        vecs = [[v for row in rows for v in row] for rows in int_rows]
         zero, insert = 0, span._insert_int
     else:
         span._upgrade()

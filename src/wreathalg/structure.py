@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .cyclotomic import ZERO, CycloNum, rational, zeta
+from .cyclotomic import CycloNum, rational, zeta
 from .linalg import ExactMatrix, SpanBasis
 from .scheme import CheckResult, Scheme
 from .terwilliger import (
@@ -135,14 +135,13 @@ def build_matrix_units(ctx: TerwilligerContext) -> MatrixUnitFamily:
 
 def _single_block(ctx: TerwilligerContext, a: WreathIndex, b: WreathIndex, value) -> ExactMatrix:
     n = ctx.scheme.order
-    entry = rational(value)
-    data = [[ZERO] * n for _ in range(n)]
+    block_row = [0] * n
+    for z in ctx.spheres[b.flat]:
+        block_row[z] = 1
+    rows = [[0] * n] * n
     for y in ctx.spheres[a.flat]:
-        row = list(data[y])
-        for z in ctx.spheres[b.flat]:
-            row[z] = entry
-        data[y] = row
-    return ExactMatrix(n, n, data)
+        rows[y] = block_row
+    return ExactMatrix.from_rows(rows).scaled(value)
 
 
 def check_matrix_units(units: MatrixUnitFamily) -> CheckResult:
@@ -654,12 +653,13 @@ def _f_family(point: BasePoint) -> CheckResult:
 def _triply_regular(point: BasePoint) -> CheckResult:
     # One sweep serves the run, and the point that runs it counts its
     # tuples; the span cross-check runs at every point until it disagrees.
+    # A failed sweep fixes the verdict and the witness, so it needs no T_0.
     report = point.seen.get("sweep")
     checked = 0
     if report is None:
         report = point.seen["sweep"] = check_triply_regular(point.scheme, ())
         checked = report.checked
-    if report.dims_consistent:
+    if report.regular and report.dims_consistent:
         report.cross_check(point.t0_dim, point.dim)
     witness = report.witness or (
         None if report.passed else "span-equality cross-check disagrees with the sweep"

@@ -55,11 +55,13 @@ def make_context(scheme: Scheme, base_point: int, moduli=None) -> TerwilligerCon
     for y in range(scheme.order):
         spheres[scheme.table[base_point][y]].append(y)
     duals = []
+    zero = [0] * scheme.order
     for i in range(scheme.classes):
-        data = [[ZERO] * scheme.order for _ in range(scheme.order)]
+        rows = [zero] * scheme.order
         for y in spheres[i]:
-            data[y][y] = ONE
-        duals.append(ExactMatrix(scheme.order, scheme.order, data))
+            rows[y] = [0] * scheme.order
+            rows[y][y] = 1
+        duals.append(ExactMatrix.from_rows(rows))
     adjacency = [scheme.adjacency_matrix(i) for i in range(scheme.classes)]
     if moduli is not None:
         moduli = check_moduli(moduli)

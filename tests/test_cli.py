@@ -242,7 +242,13 @@ def _write_tables(tmp_path):
     group = list(permutations(range(3)))
     table = [[group.index(tuple(g.index(h[k]) for k in range(3))) for h in group] for g in group]
     save_scheme(Scheme(table), tmp_path / "s3.txt")
-    return {name: tmp_path / f"{name}.txt" for name in ("bad", "t22", "t222", "s3")}
+    # the Shrikhande graph, the Cayley graph of Z4 x Z4 with connection set
+    # {±(1,0), ±(0,1), ±(1,1)}: a commutative scheme that is not triply regular
+    conn = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    table = [[0 if x == y else 1 if ((y // 4 - x // 4) % 4, (y - x) % 4) in conn else 2
+              for y in range(16)] for x in range(16)]
+    save_scheme(Scheme(table), tmp_path / "shrikhande.txt")
+    return {name: tmp_path / f"{name}.txt" for name in ("bad", "t22", "t222", "s3", "shrikhande")}
 
 
 @pytest.mark.parametrize(
@@ -264,6 +270,7 @@ def _write_tables(tmp_path):
         ),
         ("oracle-relabelled-2x2x2.json", ["oracle", "{t222}"]),
         ("oracle-s3.json", ["oracle", "{s3}"]),
+        ("oracle-shrikhande.json", ["oracle", "{shrikhande}"]),
         (
             "oracle-2x2-dimension-triply-regular-dimension-points-1-3.json",
             [
@@ -276,10 +283,10 @@ def _write_tables(tmp_path):
 def test_report_matches_golden(capsys, tmp_path, golden, argv):
     # The checked-in reports pin every byte of the JSON output, witnesses
     # and check order included; the corrupted table is the one of
-    # test_oracle_corrupted_table.
+    # test_oracle_corrupted_table, and the Shrikhande table fails its sweep.
     tables = _write_tables(tmp_path)
     out = tmp_path / "report.json"
-    expected_code = 1 if golden == "oracle-corrupted.json" else 0
+    expected_code = 1 if golden in ("oracle-corrupted.json", "oracle-shrikhande.json") else 0
     argv = [arg.format(**tables) for arg in argv]
     assert main(argv + ["--out", str(out)]) == expected_code
     capsys.readouterr()
@@ -401,6 +408,15 @@ def test_oracle_builds_each_point_once(capsys, tmp_path, monkeypatch):
     counts = _count_calls(monkeypatch, PER_POINT_STATE)
     assert run(capsys, "oracle", str(table))[0] == 0
     assert counts == {"make_context": 4, "product_closure": 4, "t0_span": 4}
+
+
+def test_oracle_skips_t0_once_the_sweep_fails(capsys, tmp_path, monkeypatch):
+    # The sweep's witness fixes the triply-regular verdict, so no point
+    # builds its T_0 span; the closures are the dimension check's own.
+    table = _write_tables(tmp_path)["shrikhande"]
+    counts = _count_calls(monkeypatch, PER_POINT_STATE)
+    assert run(capsys, "oracle", str(table))[0] == 1
+    assert counts == {"make_context": 16, "product_closure": 16}
 
 
 def test_no_context_outlives_the_run(capsys):

@@ -352,3 +352,56 @@ def test_unit_build_failure_skips_the_rest_of_the_point(monkeypatch):
     assert all(by_name[name].passed for name in DECOMPOSITION if name != "unit-support")
     assert by_name["unit-rank"].checked == 3
     assert report.as_check().witness == support.witness
+
+
+def _perturbed(matrix, y, z, delta):
+    """``matrix`` with ``delta`` added to its (y, z) entry, rebuilt through
+    the public constructor from its decoded entries."""
+    data = matrix.data
+    data[y][z] = data[y][z] + delta
+    return ExactMatrix(matrix.rows, matrix.cols, data)
+
+
+def test_matrix_unit_law_fails_on_a_perturbed_unit():
+    def perturb(point, matrices):
+        matrices[(1, 2)] = _perturbed(matrices[(1, 2)], 1, 2, rational(Fraction(1, 3)))
+
+    point = _point_with_units((2, 2), 0, perturb)
+    result = _assert_fails(point, "matrix-units")
+    assert "G[1,2]" in result.witness
+
+
+def test_adjacency_action_fails_on_a_perturbed_unit():
+    def perturb(point, matrices):
+        # off the unit's block, where every closed form is zero
+        matrices[(2, 3)] = _perturbed(matrices[(2, 3)], 0, 0, rational(1))
+
+    point = _point_with_units((2, 3), 2, perturb)
+    result = _assert_fails(point, "ag-forms")
+    assert "does not match the closed form" in result.witness
+
+
+def test_f_family_fails_on_the_wrong_character():
+    # (3, 2): the two members of a level-2 class differ in the character of
+    # Z/3 they weight the level-1 adjacency matrices with, so giving one of
+    # them the other's character breaks its eigenvalues in Q(zeta_3)
+    point = _point((3, 2), 0)
+    family = point.idempotents
+    keys = sorted(family.matrices)
+    (a1, h1), (a2, h2) = keys[0], keys[1]
+    assert a1 == a2 and h1 != h2
+    assert not all(v.is_rational() for v in family.matrices[keys[1]].flat())
+    matrices = dict(family.matrices)
+    matrices[keys[0]] = matrices[keys[1]]
+    point.idempotents = CentralIdempotentFamily(family.moduli, family.base_point, matrices)
+    result = _assert_fails(point, "f-family")
+    assert "wrong eigenvalue" in result.witness
+
+
+def test_commutation_fails_on_a_perturbed_dual_idempotent():
+    point = _point((2, 3), 1)
+    duals = point.ctx.dual_idempotents
+    y = point.ctx.spheres[2][0]
+    duals[2] = _perturbed(duals[2], y, point.ctx.spheres[3][0], rational(1))
+    result = _assert_fails(point, "commutation")
+    assert "E[" in result.witness
