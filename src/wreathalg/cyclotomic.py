@@ -12,7 +12,6 @@ Q(zeta_lcm), via zeta_m = zeta_lcm^(lcm/m).
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -316,6 +315,8 @@ class CycloNum:
 
     def to_complex(self) -> complex:
         """Numerical embedding zeta_N -> exp(2*pi*i/N).  Diagnostics only."""
+        import cmath
+
         root = cmath.exp(2j * cmath.pi / self.conductor)
         value = 0j
         for k, c in enumerate(self.coeffs):

@@ -17,12 +17,15 @@ its width does not certify.  Equality and zero tests are then int
 comparisons.  The ``CycloNum`` grid of the public API (``data``,
 ``flat()``, ``[i, j]``) is decoded on demand.
 
-``ExactSpan`` keeps a subspace of flat vectors in reduced echelon form;
-while every inserted vector is rational it works on integer rows scaled to
-content one (a rational matrix hands it the integer rows of its packed
-form, denominator dropped, since scaling leaves a span unchanged), and it
-upgrades itself to CycloNum rows the first time a vector with an
-irrational entry arrives.
+``ExactSpan`` keeps a subspace of flat vectors over Q(zeta_N) in reduced
+echelon form, with one row type: a row holds the integer power-basis
+coefficients of its entries over Z[zeta_N], interleaved, scaled to content
+one with a positive rational-integer pivot.  The conductor N starts at 1,
+where the rows are plain integer rows, and widens to the lcm of the
+conductors inserted; widening embeds the stored rows, which stay in reduced
+echelon form.  A matrix is inserted as its decoded integer planes,
+denominator dropped, since scaling leaves a span unchanged, and the product
+closure inserts packed products as they come.
 """
 
 from __future__ import annotations
@@ -87,18 +90,20 @@ def _pack(values, width: int) -> int:
     return (int.from_bytes(slots, "little") ^ bias) - bias
 
 
-def _unpack(row: int, width: int, n: int) -> list[int]:
-    """The n slot values of a packed row; the inverse of :func:`_pack`."""
-    if not row:
-        return [0] * n
+def _unpack(rows, width: int, n: int) -> list[int]:
+    """The n slot values of each packed row, concatenated; the inverse of
+    :func:`_pack` row by row."""
     bias = _bias(width, n)
-    raw = ((row + bias) ^ bias).to_bytes(width * n // 8, "little")
+    size = width * n // 8
+    zero = bytes(size)
+    raw = b"".join(((row + bias) ^ bias).to_bytes(size, "little") if row else zero
+                   for row in rows)
     code = _CODES.get(width)
     if code is None:
         step = width // 8
         return [int.from_bytes(raw[k:k + step], "little", signed=True)
                 for k in range(0, len(raw), step)]
-    return list(struct.unpack(f"<{n}{code}", raw))
+    return list(struct.unpack(f"<{len(raw) * 8 // width}{code}", raw))
 
 
 @lru_cache(maxsize=None)
@@ -224,8 +229,10 @@ class ExactMatrix:
     def _decoded(self) -> list[list[list[int]]]:
         """The integer coefficients, plane by plane and row by row."""
         if self._ints is None:
-            self._ints = [[_unpack(row, self.width, self.cols) for row in plane]
-                          for plane in self.planes]
+            cols = self.cols
+            flat = [_unpack(plane, self.width, cols) for plane in self.planes]
+            self._ints = [[values[k:k + cols] for k in range(0, len(values), cols)]
+                          for values in flat]
         return self._ints
 
     def _left_terms(self):
@@ -258,13 +265,6 @@ class ExactMatrix:
 
     def _entry(self, coeffs) -> CycloNum:
         return CycloNum(self.conductor, tuple(Fraction(v, self.den) for v in coeffs))
-
-    def _rational_rows(self) -> list[list[int]] | None:
-        """The integer rows of ``den`` times the matrix, or None if an entry
-        is irrational."""
-        if any(any(plane) for plane in self.planes[1:]):
-            return None
-        return self._decoded()[0]
 
     @property
     def data(self) -> list[list[CycloNum]]:
@@ -424,170 +424,196 @@ def _product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 # -- spans ----------------------------------------------------------------------
 
 
-def _content_normalized(row: list[int], pivot: int) -> list[int]:
-    g = 0
-    for a in row:
-        if a:
-            g = math.gcd(g, a)
-    if row[pivot] < 0:
+def _interleaved(planes) -> list[int]:
+    """The flat vector whose entry k has coefficients ``planes[s][k]``."""
+    phi = len(planes)
+    if phi == 1:
+        return planes[0]
+    out = [0] * (len(planes[0]) * phi)
+    for s, plane in enumerate(planes):
+        out[s::phi] = plane
+    return out
+
+
+def _times(a, vec: list[int], conductor: int) -> list[int]:
+    """``a * vec`` for ``a`` in Z[zeta_conductor], given by its power-basis
+    coefficients, and an interleaved vector over Z[zeta_conductor]."""
+    phi = len(a)
+    planes = [vec[t::phi] for t in range(phi)]
+    raw = {}
+    for s, c in enumerate(a):
+        if c:
+            for t, plane in enumerate(planes):
+                term = [c * x for x in plane]
+                d = s + t
+                raw[d] = [x + y for x, y in zip(raw[d], term)] if d in raw else term
+    return _interleaved(_reduced(raw, conductor, len(vec) // phi))
+
+
+def _embedded(vec: list[int], source: int, target: int) -> list[int]:
+    """An interleaved vector over Z[zeta_source] as one over Z[zeta_target]."""
+    if source == target:
+        return vec
+    phi, step = euler_phi(source), target // source
+    raw = {s * step: vec[s::phi] for s in range(phi)}
+    return _interleaved(_reduced(raw, target, len(vec) // phi))
+
+
+def _normalized(row: list[int], at: int) -> list[int]:
+    """``row`` divided by its content, with a positive coefficient at ``at``."""
+    g = math.gcd(*row)
+    if row[at] < 0:
         g = -g
-    return [a // g for a in row]
+    return row if g == 1 else [x // g for x in row]
 
 
-def _support(row: list[int]) -> list[int]:
-    return [k for k, a in enumerate(row) if a]
+def _support(row: list[int], phi: int) -> list[int]:
+    """The flat indices of every coefficient of the row's nonzero entries."""
+    nonzero = compress(range(len(row)), row)
+    if phi == 1:
+        return list(nonzero)
+    return [k + s for k in dict.fromkeys(i - i % phi for i in nonzero) for s in range(phi)]
 
 
-def _reduce_cyclo(rows, v: list[CycloNum]) -> list[CycloNum]:
-    """Reduce ``v`` against (pivot, row) pairs whose pivots are one."""
-    for pivot, row in rows:
-        c = v[pivot]
-        if not c.is_zero():
-            v = [a - c * b if not b.is_zero() else a for a, b in zip(v, row)]
+def _eliminate(v: list[int], row: list[int], support: list[int], at: int,
+               conductor: int) -> list[int]:
+    """Clear the entry of ``v`` that starts at flat index ``at``, where
+    ``row`` holds the positive integer ``c``: with ``a`` that entry of ``v``
+    and ``g = gcd(c, a)``, ``v <- (c/g) v - (a/g) * row``.  Only the row's
+    support changes when ``g = c``; ``v`` is then changed in place."""
+    a = v[at:at + euler_phi(conductor)]
+    c = row[at]
+    g = math.gcd(c, *a)
+    if g != c:
+        m = c // g
+        v = [m * x for x in v]
+    if any(a[1:]):
+        product = _times([x // g for x in a], [row[k] for k in support], conductor)
+        for k, x in zip(support, product):
+            v[k] -= x
+    else:
+        m = a[0] // g
+        for k in support:
+            v[k] -= m * row[k]
     return v
 
 
-def _rational_ints(vec) -> list[int] | None:
-    """``vec`` times a common denominator as ints; None if an entry is
-    irrational.  Scaling leaves every span unchanged."""
-    conductor, _, planes = _numerators([vec])
-    return planes[0][0] if conductor == 1 else None
-
-
-def _span_vector(matrix: ExactMatrix):
-    """The matrix flattened row-major: its packed form's integer rows when
-    it is rational, else its CycloNum entries."""
-    rows = matrix._rational_rows()
-    if rows is None:
-        return matrix.flat()
-    return [v for row in rows for v in row]
+def _reduce(rows, v: list[int], conductor: int) -> list[int]:
+    """Reduce ``v`` against (pivot, row, support) triples over one conductor."""
+    phi = euler_phi(conductor)
+    for pivot, row, support in rows:
+        at = pivot * phi
+        if any(v[at:at + phi]):
+            v = _eliminate(v, row, support, at, conductor)
+    return v
 
 
 class ExactSpan:
-    """A subspace of length-``length`` vectors in reduced echelon form.
+    """A subspace of length-``length`` vectors over Q(zeta_N), kept in
+    reduced echelon form.
 
-    Pivoting is first-nonzero-entry; rows are fully reduced against each
-    other, so the stored basis is the reduced echelon form of the subspace
-    and does not depend on which spanning vectors were inserted, or in
-    which order.
+    A row holds, entry by entry, the ``phi(N)`` integer power-basis
+    coefficients of one basis vector over Z[zeta_N], interleaved in one
+    flat list (coefficient s of entry k at index ``k phi(N) + s``).  Each row
+    is scaled to content one and is a positive integer ``c`` times the
+    reduced echelon row whose pivot entry is one, so its pivot entry is the
+    rational integer ``c``.  Pivoting is first-nonzero-entry, and rows are
+    fully reduced against each other, so the stored rows depend only on the
+    subspace, not on which spanning vectors were inserted, or in which
+    order.
+
+    The conductor N starts at 1 and grows to the lcm of the conductors of
+    the inserted vectors.  A field embedding keeps reduced echelon form, so
+    widening embeds the stored rows and normalises their content again;
+    nothing is re-inserted.  At N = 1 the rows are plain integer rows.
+    Inputs are flat entry vectors or ExactMatrix instances, flattened
+    row-major; either is scaled by a common denominator first, which leaves
+    every span unchanged.
     """
 
     def __init__(self, length: int):
         self.length = length
-        # (pivot, row, indices of the row's nonzero entries)
-        self._int_rows: list[tuple[int, list[int], list[int]]] = []
-        self._cyclo_rows: list[tuple[int, list[CycloNum]]] | None = None
+        self.conductor = 1
+        # (pivot entry, row, _support(row)), sorted by pivot
+        self._rows: list[tuple[int, list[int], list[int]]] = []
 
     @property
     def dimension(self) -> int:
-        if self._cyclo_rows is not None:
-            return len(self._cyclo_rows)
-        return len(self._int_rows)
+        return len(self._rows)
 
-    def _upgrade(self):
-        self._cyclo_rows = self._cyclo_view()
-        self._int_rows = []
+    def _vector(self, vec) -> tuple[int, list[int]]:
+        """The conductor and interleaved integer coefficients of ``vec``."""
+        if isinstance(vec, ExactMatrix):
+            if vec.rows * vec.cols != self.length:
+                raise ValueError("matrix size does not match the ambient space")
+            planes = vec.planes
+            if any(any(plane) for plane in planes[1:]):
+                conductor = vec.conductor
+            else:
+                conductor, planes = 1, planes[:1]
+            return conductor, _interleaved([_unpack(plane, vec.width, vec.cols)
+                                            for plane in planes])
+        if len(vec) != self.length:
+            raise ValueError("vector length does not match the ambient space")
+        conductor, _, planes = _numerators([vec])
+        return conductor, _interleaved([plane[0] for plane in planes])
 
-    # -- integer rows ---------------------------------------------------------
-
-    def _reduce_int(self, v: list[int]) -> list[int]:
-        v = list(v)
-        for pivot, row, support in self._int_rows:
-            c = v[pivot]
-            if c:
-                rp = row[pivot]
-                if c % rp == 0:
-                    # v needs no rescaling, so only the row's support changes.
-                    m_row = c // rp
-                    for k in support:
-                        v[k] -= m_row * row[k]
-                    continue
-                g = math.gcd(c, rp)
-                m_v, m_row = rp // g, c // g
-                v = [m_v * a - m_row * b for a, b in zip(v, row)]
-        return v
-
-    def _insert_int(self, v: list[int]) -> bool:
-        v = self._reduce_int(v)
-        if not any(v):
-            return False
-        pivot = next(k for k, a in enumerate(v) if a)
-        v = _content_normalized(v, pivot)
-        updated = []
-        for p, row, support in self._int_rows:
-            c = row[pivot]
-            if c:
-                vp = v[pivot]
-                g = math.gcd(c, vp)
-                m_row, m_v = vp // g, c // g
-                row = _content_normalized([m_row * a - m_v * b for a, b in zip(row, v)], p)
-                support = _support(row)
-            updated.append((p, row, support))
-        updated.append((pivot, v, _support(v)))
-        updated.sort(key=lambda item: item[0])
-        self._int_rows = updated
-        return True
-
-    # -- cyclotomic rows --------------------------------------------------------
-
-    def _insert_cyclo(self, v: list[CycloNum]) -> bool:
-        v = _reduce_cyclo(self._cyclo_rows, v)
-        pivot = next((k for k, a in enumerate(v) if not a.is_zero()), None)
-        if pivot is None:
-            return False
-        inv = v[pivot].inv()
-        v = [a * inv for a in v]
-        updated = []
-        for p, row in self._cyclo_rows:
-            c = row[pivot]
-            if not c.is_zero():
-                row = [a - c * b if not b.is_zero() else a for a, b in zip(row, v)]
-            updated.append((p, row))
-        updated.append((pivot, v))
-        updated.sort(key=lambda item: item[0])
-        self._cyclo_rows = updated
-        return True
-
-    # -- public API -----------------------------------------------------------
+    def _widened(self, conductor: int):
+        """The rows over Q(zeta_conductor), a multiple of the own conductor."""
+        if conductor == self.conductor:
+            return self._rows
+        phi = euler_phi(conductor)
+        rows = []
+        for pivot, row, _ in self._rows:
+            row = _normalized(_embedded(row, self.conductor, conductor), pivot * phi)
+            rows.append((pivot, row, _support(row, phi)))
+        return rows
 
     def insert(self, vec) -> bool:
         """Adjoin a vector; returns True iff the dimension grew."""
-        if len(vec) != self.length:
-            raise ValueError("vector length does not match the ambient space")
-        if self._cyclo_rows is None:
-            v = _rational_ints(vec)
-            if v is not None:
-                return self._insert_int(v)
-            self._upgrade()
-        return self._insert_cyclo([as_cyclo(a) for a in vec])
+        source, v = self._vector(vec)
+        conductor = math.lcm(self.conductor, source)
+        self._rows = self._widened(conductor)
+        self.conductor = conductor
+        v = _reduce(self._rows, _embedded(v, source, conductor), conductor)
+        if v.count(0) == len(v):
+            return False
+        phi = euler_phi(conductor)
+        pivot = next(compress(range(len(v)), v)) // phi
+        at = pivot * phi
+        if any(v[at + 1:at + phi]):
+            # An integer multiple of the pivot's inverse makes it rational.
+            inv = CycloNum(conductor, tuple(map(Fraction, v[at:at + phi]))).inv()
+            den = math.lcm(*(q.denominator for q in inv.coeffs))
+            v = _times([q.numerator * (den // q.denominator) for q in inv.coeffs], v, conductor)
+        v = _normalized(v, at)
+        support = _support(v, phi)
+        updated = []
+        for p, row, row_support in self._rows:
+            if any(row[at:at + phi]):
+                row = _normalized(_eliminate(row, v, support, at, conductor), p * phi)
+                row_support = _support(row, phi)
+            updated.append((p, row, row_support))
+        updated.append((pivot, v, support))
+        updated.sort(key=lambda item: item[0])
+        self._rows = updated
+        return True
 
     def contains(self, vec) -> bool:
-        """Exact membership: the residual after reduction is zero."""
-        if len(vec) != self.length:
-            raise ValueError("vector length does not match the ambient space")
-        rows = self._cyclo_rows
-        if rows is None:
-            v = _rational_ints(vec)
-            if v is not None:
-                return not any(self._reduce_int(v))
-            # An irrational vector against integer rows: reduce it against
-            # their cyclotomic view, leaving the stored rows as they are.
-            rows = self._cyclo_view()
-        residual = _reduce_cyclo(rows, [as_cyclo(a) for a in vec])
-        return all(a.is_zero() for a in residual)
+        """Exact membership: the residual after reduction is zero.  The
+        stored rows are left as they are."""
+        source, v = self._vector(vec)
+        conductor = math.lcm(self.conductor, source)
+        v = _reduce(self._widened(conductor), _embedded(v, source, conductor), conductor)
+        return v.count(0) == len(v)
 
-    def _cyclo_view(self):
-        rows = []
-        for pivot, row, _ in self._int_rows:
-            rows.append((pivot, [as_cyclo(Fraction(a, row[pivot])) if a else ZERO for a in row]))
-        return rows
-
-    def vectors(self):
+    def vectors(self) -> list[list[CycloNum]]:
         """The reduced basis rows, pivots normalized to one."""
-        if self._cyclo_rows is not None:
-            return [list(row) for _, row in self._cyclo_rows]
-        return [[CycloNum.from_rational(Fraction(a, row[pivot])) for a in row]
-                for pivot, row, _ in self._int_rows]
+        phi = euler_phi(self.conductor)
+        return [[CycloNum(self.conductor, tuple(Fraction(x, row[pivot * phi])
+                                                for x in row[k:k + phi]))
+                 for k in range(0, len(row), phi)]
+                for pivot, row, _ in self._rows]
 
 
 class SpanBasis:
@@ -607,22 +633,15 @@ class SpanBasis:
             basis.insert(mat)
         return basis
 
-    @classmethod
-    def _wrap(cls, span: ExactSpan, rows: int, cols: int) -> "SpanBasis":
-        basis = cls.__new__(cls)
-        basis.shape = (rows, cols)
-        basis.span = span
-        return basis
-
     def insert(self, matrix: ExactMatrix) -> bool:
         if (matrix.rows, matrix.cols) != self.shape:
             raise ValueError("matrix shape does not match the span")
-        return self.span.insert(_span_vector(matrix))
+        return self.span.insert(matrix)
 
     def contains(self, matrix: ExactMatrix) -> bool:
         if (matrix.rows, matrix.cols) != self.shape:
             raise ValueError("matrix shape does not match the span")
-        return self.span.contains(_span_vector(matrix))
+        return self.span.contains(matrix)
 
     @property
     def dimension(self) -> int:
@@ -631,47 +650,29 @@ class SpanBasis:
     def basis(self) -> list[ExactMatrix]:
         """The reduced echelon rows as matrices, pivots normalized to one."""
         rows, cols = self.shape
-        if self.span._cyclo_rows is not None:
-            return [ExactMatrix(rows, cols, [vec[r * cols:(r + 1) * cols] for r in range(rows)])
-                    for vec in self.span.vectors()]
-        # Content-normalized rows have a positive pivot: the denominator.
+        conductor = self.span.conductor
+        phi = euler_phi(conductor)
+        # A row's pivot coefficient is a positive integer: the denominator.
         return [ExactMatrix._packed(rows, cols, *_packing(
-                    1, row[pivot], [[row[r * cols:(r + 1) * cols] for r in range(rows)]]))
-                for pivot, row, _ in self.span._int_rows]
-
-
-def _left_product(row_terms, rows, n: int, zero):
-    """Flat ``g*r`` from the nonzero ``(column, entry)`` terms of each row of
-    ``g`` and the rows of ``r``: row i of the product is the combination of
-    the rows of ``r`` that row i of ``g`` selects."""
-    out = [zero] * (n * n)
-    start = 0
-    for terms in row_terms:
-        if len(terms) == 1 and terms[0][1] == 1:
-            out[start:start + n] = rows[terms[0][0]]
-        elif terms:
-            picked = [rows[k] if c == 1 else [c * b for b in rows[k]] for k, c in terms]
-            out[start:start + n] = [sum(col, zero) for col in zip(*picked)]
-        start += n
-    return out
+                    conductor, row[pivot * phi],
+                    [[plane[r * cols:(r + 1) * cols] for r in range(rows)]
+                     for plane in (row[s::phi] for s in range(phi))]))
+                for pivot, row, _ in self.span._rows]
 
 
 def product_closure(matrices) -> SpanBasis:
     """Smallest subspace containing ``matrices`` and closed under products.
 
-    Word schedule: the accepted spanning vectors ``reps`` are walked in
+    Word schedule: the accepted spanning matrices ``reps`` are walked in
     acceptance order, each is multiplied on the left by every accepted
     generator, and a product that grows the span joins ``reps``.  The final
     span V contains the generators S and satisfies s*V within V for each s,
     so every word s1*(s2...sk) lies in V by induction on k; since V is
     spanned by words, it is exactly the span of all words.
 
-    Rational generators enter as the integer rows of their packed form
-    (denominators dropped, which leaves the algebra unchanged) and are
-    multiplied as flat int vectors inserted straight into the integer
-    echelon; otherwise the same loop runs on CycloNum vectors.  The basis is
-    the span's reduced echelon form, which depends only on the subspace,
-    not on the schedule.
+    Products are packed matrix products, and every one is inserted into the
+    span as it comes.  The basis is the span's reduced echelon form, which
+    depends only on the subspace, not on the schedule.
     """
     matrices = list(matrices)
     if not matrices:
@@ -679,25 +680,12 @@ def product_closure(matrices) -> SpanBasis:
     n = matrices[0].rows
     if any(m.rows != n or m.cols != n for m in matrices):
         raise ValueError("generators must be square matrices of equal size")
-    span = ExactSpan(n * n)
-    int_rows = [m._rational_rows() for m in matrices]
-    if all(rows is not None for rows in int_rows):
-        vecs = [[v for row in rows for v in row] for rows in int_rows]
-        zero, insert = 0, span._insert_int
-    else:
-        span._upgrade()
-        vecs = [m.flat() for m in matrices]
-        zero, insert = ZERO, span._insert_cyclo
-    generators, reps = [], []
-    for v in vecs:
-        if insert(v):
-            generators.append([[(k, c) for k, c in enumerate(v[i:i + n]) if c]
-                               for i in range(0, n * n, n)])
-            reps.append(v)
+    basis = SpanBasis(n, n)
+    generators = [m for m in matrices if basis.insert(m)]
+    reps = list(generators)
     for r in reps:  # reps grows while it is walked
-        rows = [r[i:i + n] for i in range(0, n * n, n)]
-        for row_terms in generators:
-            product = _left_product(row_terms, rows, n, zero)
-            if insert(product):
+        for g in generators:
+            product = g * r
+            if basis.insert(product):
                 reps.append(product)
-    return SpanBasis._wrap(span, n, n)
+    return basis

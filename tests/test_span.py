@@ -1,0 +1,147 @@
+"""ExactSpan against the CycloNum Gauss-Jordan elimination it replaced.
+
+``ReferenceSpan`` is the reference: it keeps one CycloNum per entry, scales
+each accepted row to pivot one and reduces every stored row against it, the
+way ExactSpan held irrational spans before its rows became integer
+coefficients over Z[zeta_N].  Both keep the reduced echelon form of the
+same subspace, so insert verdicts, dimensions, basis vectors and membership
+must agree exactly, whatever the conductors and the insertion order.
+"""
+
+import math
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from wreathalg import ZERO, ExactMatrix, ExactSpan, SpanBasis, euler_phi, zeta
+from wreathalg.linalg import as_cyclo
+
+# The same examples on every run, and no example database on disk.
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+class ReferenceSpan:
+    """Reduced echelon form over CycloNum entries, pivots one."""
+
+    def __init__(self):
+        self.rows = []  # (pivot, row), sorted by pivot
+
+    def _reduce(self, v):
+        for pivot, row in self.rows:
+            c = v[pivot]
+            if not c.is_zero():
+                v = [a - c * b if not b.is_zero() else a for a, b in zip(v, row)]
+        return v
+
+    def insert(self, vec) -> bool:
+        v = self._reduce([as_cyclo(a) for a in vec])
+        pivot = next((k for k, a in enumerate(v) if not a.is_zero()), None)
+        if pivot is None:
+            return False
+        inv = v[pivot].inv()
+        v = [a * inv for a in v]
+        updated = []
+        for p, row in self.rows:
+            c = row[pivot]
+            if not c.is_zero():
+                row = [a - c * b if not b.is_zero() else a for a, b in zip(row, v)]
+            updated.append((p, row))
+        updated.append((pivot, v))
+        updated.sort(key=lambda item: item[0])
+        self.rows = updated
+        return True
+
+    def contains(self, vec) -> bool:
+        return all(a.is_zero() for a in self._reduce([as_cyclo(a) for a in vec]))
+
+    def vectors(self):
+        return [row for _, row in self.rows]
+
+
+@st.composite
+def elements(draw, conductor):
+    """A small element of Z[zeta_conductor], zero half of the time."""
+    if draw(st.booleans()):
+        return ZERO
+    value = ZERO
+    for k in range(euler_phi(conductor)):
+        value = value + zeta(conductor, k) * draw(st.integers(-2, 2))
+    return value
+
+
+@st.composite
+def vectors(draw, length, conductor, known=()):
+    """A vector over Q(zeta_conductor); often a combination of ``known``
+    ones, so that some inserts are rejected."""
+    if known and draw(st.booleans()):
+        picked = draw(st.lists(st.sampled_from(known), min_size=1, max_size=3))
+        vec = [ZERO] * length
+        for other in picked:
+            c = draw(elements(conductor))
+            vec = [a + c * b for a, b in zip(vec, other)]
+        return vec
+    return [draw(elements(conductor)) for _ in range(length)]
+
+
+# Conductors of the vectors, in insertion order; (3, 4) widens a span that
+# already holds Q(zeta_3) rows to conductor 12.
+FIELDS = [(1,), (3,), (4,), (3, 4)]
+
+
+@given(st.data(), st.sampled_from(FIELDS), st.integers(2, 6))
+@SETTINGS
+def test_span_matches_the_reference_echelon(data, field, length):
+    span, reference, inserted = ExactSpan(length), ReferenceSpan(), []
+    for conductor in field:
+        for k in range(data.draw(st.integers(1, 5))):
+            vec = data.draw(vectors(length, conductor, inserted))
+            if k == 0:
+                vec[0] = zeta(conductor)  # each field's first vector is irrational
+            assert span.insert(vec) == reference.insert(vec)
+            inserted.append(vec)
+    widened = math.lcm(*field)
+    assert span.conductor == widened
+    assert span.dimension == len(reference.rows)
+    assert span.vectors() == reference.vectors()
+    # membership, also of vectors over a conductor the span has not seen
+    for conductor in (1, 3, 4, 5):
+        vec = data.draw(vectors(length, conductor, inserted))
+        stored = span.vectors()
+        assert span.contains(vec) == reference.contains(vec)
+        assert span.vectors() == stored
+    assert span.conductor == widened
+
+
+@given(st.data(), st.sampled_from([3, 4]), st.integers(2, 6))
+@SETTINGS
+def test_irrational_membership_in_a_rational_span(data, conductor, length):
+    span, reference = ExactSpan(length), ReferenceSpan()
+    rational = [data.draw(vectors(length, 1)) for _ in range(data.draw(st.integers(1, 4)))]
+    for vec in rational:
+        span.insert(vec)
+        reference.insert(vec)
+    # an irrational multiple of a member is a member over the larger field
+    c = zeta(conductor) + data.draw(st.integers(-2, 2))
+    probes = [[c * a for a in rational[0]], data.draw(vectors(length, conductor, rational))]
+    for vec in probes:
+        assert span.contains(vec) == reference.contains(vec)
+    assert span.contains(probes[0])
+    assert span.conductor == 1
+
+
+@given(st.data(), st.sampled_from(FIELDS))
+@SETTINGS
+def test_basis_matrices_are_the_reference_rows(data, field):
+    span, reference, inserted = SpanBasis(2, 3), ReferenceSpan(), []
+    for conductor in field:
+        for k in range(data.draw(st.integers(1, 4))):
+            vec = data.draw(vectors(6, conductor, inserted))
+            if k == 0:
+                vec[0] = zeta(conductor)
+            span.insert(ExactMatrix(2, 3, [vec[:3], vec[3:]]))
+            reference.insert(vec)
+            inserted.append(vec)
+    assert [m.flat() for m in span.basis()] == reference.vectors()
+    for m in span.basis():
+        assert span.contains(m)

@@ -6,6 +6,7 @@ from wreathalg import (
     CentralIdempotentFamily,
     ExactMatrix,
     MatrixUnitFamily,
+    Scheme,
     StructureError,
     WreathIndex,
     build_central_idempotents,
@@ -15,6 +16,7 @@ from wreathalg import (
     check_central_idempotents,
     check_commutation,
     check_matrix_units,
+    check_vanishing_criterion,
     cyclic_scheme,
     decomposition_report,
     dimension_formula,
@@ -26,7 +28,7 @@ from wreathalg import (
     wreath_of_cyclics,
     zeta,
 )
-from wreathalg import structure
+from wreathalg import structure, wreath
 from wreathalg.linalg import SpanBasis
 from wreathalg.structure import DECOMPOSITION, BasePoint
 
@@ -405,3 +407,51 @@ def test_commutation_fails_on_a_perturbed_dual_idempotent():
     duals[2] = _perturbed(duals[2], y, point.ctx.spheres[3][0], rational(1))
     result = _assert_fails(point, "commutation")
     assert "E[" in result.witness
+
+
+# -- a (2,3) table whose class labels no longer match the wreath indices ----------------
+
+
+def _swapped_table():
+    """The (2,3) wreath table with the labels of classes 1 and 2 swapped.
+
+    It is still an association scheme, so its intersection numbers are
+    defined, but class 1 is now the non-symmetric level-2 class and class 2
+    the symmetric level-1 class: every check that reads a label as a wreath
+    index must fail on it.
+    """
+    swap = {1: 2, 2: 1}
+    scheme = Scheme([[swap.get(c, c) for c in row] for row in wreath_of_cyclics((2, 3)).table])
+    assert scheme.verify_axioms().passed
+    return scheme
+
+
+def test_block_form_fails_on_swapped_labels():
+    result = BasePoint(_swapped_table(), (2, 3), 0, {}).result("block-form")
+    assert not result.passed
+    assert result.witness == (
+        "x=0, A[WreathIndex(1,1)]: block (WreathIndex(1,1),WreathIndex(0,0)) is zero, "
+        "expected all-ones"
+    )
+
+
+def test_triple_list_fails_on_swapped_labels():
+    result = BasePoint(_swapped_table(), (2, 3), 0, {}).result("triple-list")
+    assert not result.passed
+    assert result.witness == (
+        "x=0, classes (WreathIndex(1,1),WreathIndex(1,1),WreathIndex(0,0)): "
+        "predicted nonzero, product is zero"
+    )
+
+
+def test_vanishing_fails_on_swapped_labels(monkeypatch):
+    swapped = _swapped_table()
+    monkeypatch.setattr(wreath, "wreath_of_cyclics", lambda moduli: swapped)
+    result = check_vanishing_criterion((2, 3))
+    assert not result.passed
+    assert result.witness == (
+        "classes (WreathIndex(1,1),WreathIndex(1,1),WreathIndex(0,0)): "
+        "predicted nonzero but count is 0"
+    )
+    monkeypatch.undo()
+    assert check_vanishing_criterion((2, 3)).passed
