@@ -31,6 +31,7 @@ from .terwilliger import (
     check_primary_module,
     check_triple_list,
     check_triply_regular,
+    label_triples,
     make_context,
     predict_triple_nonzero,
     standard_generators,

@@ -26,7 +26,7 @@ from .terwilliger import (
     check_triply_regular,
     make_context,
     standard_generators,
-    t0_span,
+    t0_dimension,
 )
 from .wreath import (
     WreathIndex,
@@ -264,30 +264,27 @@ def check_adjacency_action(ctx: TerwilligerContext, units: MatrixUnitFamily) -> 
 # -- block form ------------------------------------------------------------------------
 
 
-def _block(ctx: TerwilligerContext, matrix: ExactMatrix, a: WreathIndex, b: WreathIndex):
-    return [[matrix[y, z] for z in ctx.spheres[b.flat]] for y in ctx.spheres[a.flat]]
-
-
 def check_block_form(ctx: TerwilligerContext, index: WreathIndex) -> CheckResult:
     """Verify the block support of one adjacency matrix.
 
     Rows of levels below the class land entirely in its column as all-ones
     blocks; rows of the same level shift the offset, wrapping into the
     all-ones blocks over the lower-level columns when the offsets cancel;
-    rows of higher levels only meet the block diagonal.
+    rows of higher levels only meet the block diagonal.  Entry (y, z) is
+    one exactly when t[y][z] is the class, so blocks are read from the table.
     """
     moduli = _require_wreath(ctx)
     if index.level == 0:
         raise ValueError("block form is stated for non-identity classes")
     j, beta = index.level, index.offset
     p = moduli[j - 1]
-    matrix = ctx.adjacency[index.flat]
+    t, spheres = ctx.scheme.table, ctx.spheres
     checked = 0
     for a in class_indices(moduli):
         for b in class_indices(moduli):
-            block = _block(ctx, matrix, a, b)
-            nonzero = any(not v.is_zero() for row in block for v in row)
-            all_ones = all(v.is_one() for row in block for v in row)
+            block = [t[y][z] == index.flat for y in spheres[a.flat] for z in spheres[b.flat]]
+            nonzero = any(block)
+            all_ones = all(block)
             if a.level < j:
                 expect_nonzero = b.flat == index.flat
                 expect_ones = expect_nonzero
@@ -593,10 +590,6 @@ class BasePoint:
         return self.closure.dimension
 
     @cached_property
-    def t0_dim(self) -> int:
-        return t0_span(self.ctx).dimension
-
-    @cached_property
     def _units(self) -> MatrixUnitFamily | StructureError:
         try:
             return build_matrix_units(self.ctx)
@@ -652,15 +645,16 @@ def _f_family(point: BasePoint) -> CheckResult:
 
 def _triply_regular(point: BasePoint) -> CheckResult:
     # One sweep serves the run, and the point that runs it counts its
-    # tuples; the span cross-check runs at every point until it disagrees.
-    # A failed sweep fixes the verdict and the witness, so it needs no T_0.
+    # tuples; the cross-check of the table's T_0 count against the closure
+    # runs at every point until it disagrees.  A failed sweep fixes the
+    # verdict and the witness, so it needs no closure.
     report = point.seen.get("sweep")
     checked = 0
     if report is None:
         report = point.seen["sweep"] = check_triply_regular(point.scheme, ())
         checked = report.checked
     if report.regular and report.dims_consistent:
-        report.cross_check(point.t0_dim, point.dim)
+        report.cross_check(t0_dimension(point.scheme, point.x), point.dim)
     witness = report.witness or (
         None if report.passed else "span-equality cross-check disagrees with the sweep"
     )

@@ -5,12 +5,13 @@ adjacency matrices together with the diagonal projections onto the
 spheres around the base point.  Its dimension is computed by an
 exact-span fixpoint (``algebra_closure``) and serves as the oracle that
 every structural claim in :mod:`wreathalg.structure` is checked against.
+Which triple products are nonzero, and so dim T_0, is read from the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
+from itertools import product as iter_product, repeat
 
 from .cyclotomic import ONE, ZERO
 from .linalg import ExactMatrix, ExactSpan, SpanBasis, product_closure
@@ -22,6 +23,7 @@ __all__ = [
     "make_context",
     "wreath_context",
     "triple_product",
+    "label_triples",
     "predict_triple_nonzero",
     "check_triple_list",
     "algebra_closure",
@@ -80,8 +82,22 @@ def _require_wreath(ctx: TerwilligerContext) -> tuple[int, ...]:
 
 
 def triple_product(ctx: TerwilligerContext, i: int, j: int, h: int) -> ExactMatrix:
-    """The exact product E_i* A_j E_h*."""
+    """The exact product E_i* A_j E_h*: the matrix reference for ``label_triples``."""
     return ctx.dual_idempotents[i] * ctx.adjacency[j] * ctx.dual_idempotents[h]
+
+
+def label_triples(scheme: Scheme, x: int) -> set[tuple[int, int, int]]:
+    """The labels (t[x][y], t[y][z], t[x][z]) of all vertex pairs (y, z).
+
+    E_i* A_j E_h* at base point x is the 0/1 matrix of the pairs labelled
+    (i, j, h).  Each pair has one label, so the nonzero triple products have
+    disjoint supports and dim T_0(x) is the number of labels present.  For a
+    scheme, (i, j, h) is present iff p^h_{ij} != 0 (Terwilliger 1992, Lemma 3.2).
+    """
+    if not 0 <= x < scheme.order:
+        raise ValueError(f"base point {x} out of range")
+    tx = scheme.table[x]
+    return set().union(*(zip(repeat(tx[y]), row, tx) for y, row in enumerate(scheme.table)))
 
 
 def predict_triple_nonzero(moduli, a, b, c) -> bool:
@@ -112,13 +128,13 @@ def predict_triple_nonzero(moduli, a, b, c) -> bool:
 
 
 def check_triple_list(ctx: TerwilligerContext) -> CheckResult:
-    """Compare the nonzero-triple-product case list with exact products."""
+    """Compare the nonzero-triple-product case list with ``label_triples``."""
     m = _require_wreath(ctx)
-    indices = class_indices(m)
+    present = label_triples(ctx.scheme, ctx.base_point)
     checked = 0
-    for a, b, c in iter_product(indices, repeat=3):
+    for a, b, c in iter_product(class_indices(m), repeat=3):
         expected = predict_triple_nonzero(m, a, b, c)
-        actual = not triple_product(ctx, a.flat, b.flat, c.flat).is_zero()
+        actual = (a.flat, b.flat, c.flat) in present
         checked += 1
         if expected != actual:
             return CheckResult(
@@ -166,7 +182,7 @@ def t0_span(ctx: TerwilligerContext) -> SpanBasis:
 
 
 def t0_dimension(scheme: Scheme, base_point: int) -> int:
-    return t0_span(make_context(scheme, base_point)).dimension
+    return len(label_triples(scheme, base_point))
 
 
 def triple_intersection(scheme: Scheme, x: int, y: int, z: int, i: int, j: int, h: int) -> int:
@@ -184,9 +200,9 @@ class TriplyRegularReport:
     """Verdict of the triple-intersection constancy sweep.
 
     ``dims_consistent`` records whether the verdict agrees with
-    (dim T_0(x) == dim T(x)) at every base point cross-checked so far; it
-    is None when the input is not a valid commutative scheme and the
-    comparison does not apply.
+    (dim T_0(x) == dim T(x)), table count against closure, at every base
+    point cross-checked so far; it is None when the input is not a valid
+    commutative scheme and the comparison does not apply.
     """
 
     regular: bool
@@ -208,8 +224,9 @@ class TriplyRegularReport:
 def check_triply_regular(scheme: Scheme, base_points=None) -> TriplyRegularReport:
     """Exhaustively test whether all triple intersection counts depend only
     on the six class labels, and cross-check the verdict against the span
-    equality dim T_0(x) == dim T(x) at every base point until one disagrees.
-    With no base points, the caller cross-checks through the report."""
+    equality dim T_0(x) == dim T(x), table count against closure, at every base
+    point until one disagrees.  With no base points, the caller cross-checks
+    through the report."""
     n = scheme.order
     t = scheme.table
     buckets: dict[tuple[int, int, int], tuple[tuple[int, int, int], dict]] = {}
@@ -253,9 +270,7 @@ def check_triply_regular(scheme: Scheme, base_points=None) -> TriplyRegularRepor
     for x in range(n) if base_points is None else base_points:
         if not report.dims_consistent:
             break
-        ctx = make_context(scheme, x)
-        t0_dim = t0_span(ctx).dimension
-        report.cross_check(t0_dim, algebra_closure(standard_generators(ctx)).dimension)
+        report.cross_check(t0_dimension(scheme, x), algebra_dimension(scheme, x))
     return report
 
 

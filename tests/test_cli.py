@@ -220,34 +220,44 @@ def test_oracle_order_cap(capsys, tmp_path, monkeypatch):
     assert run(capsys, "oracle", str(table), "--checks", "axioms", "--max-order", "6")[0] == 0
 
 
-def _write_tables(tmp_path):
-    """The class tables the golden oracle reports read, by placeholder name."""
+def example_schemes():
+    """The valid class tables the golden oracle reports read, by placeholder name."""
     from itertools import permutations
 
-    from wreathalg import Scheme, save_scheme, wreath_of_cyclics
+    from wreathalg import Scheme, wreath_of_cyclics
 
-    # classes announced as 3 but class 2 never occurs: partition fails
-    (tmp_path / "bad.txt").write_text("2 2\n0 1\n1 0\n")
-    save_scheme(wreath_of_cyclics((2, 2)), tmp_path / "t22.txt")
     # (2,2,2) with its vertices relabelled by v -> 5v+3 mod 8
     t = wreath_of_cyclics((2, 2, 2)).table
     perm = [(5 * v + 3) % 8 for v in range(8)]
-    table = [[0] * 8 for _ in range(8)]
+    relabelled = [[0] * 8 for _ in range(8)]
     for x in range(8):
         for y in range(8):
-            table[perm[x]][perm[y]] = t[x][y]
-    save_scheme(Scheme(table), tmp_path / "t222.txt")
+            relabelled[perm[x]][perm[y]] = t[x][y]
     # the group scheme of S_3: the class of (g, h) is the index of g^-1 h,
     # and the identity permutation comes first
     group = list(permutations(range(3)))
-    table = [[group.index(tuple(g.index(h[k]) for k in range(3))) for h in group] for g in group]
-    save_scheme(Scheme(table), tmp_path / "s3.txt")
+    s3 = [[group.index(tuple(g.index(h[k]) for k in range(3))) for h in group] for g in group]
     # the Shrikhande graph, the Cayley graph of Z4 x Z4 with connection set
     # {±(1,0), ±(0,1), ±(1,1)}: a commutative scheme that is not triply regular
     conn = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
-    table = [[0 if x == y else 1 if ((y // 4 - x // 4) % 4, (y - x) % 4) in conn else 2
-              for y in range(16)] for x in range(16)]
-    save_scheme(Scheme(table), tmp_path / "shrikhande.txt")
+    shrikhande = [[0 if x == y else 1 if ((y // 4 - x // 4) % 4, (y - x) % 4) in conn else 2
+                   for y in range(16)] for x in range(16)]
+    return {
+        "t22": wreath_of_cyclics((2, 2)),
+        "t222": Scheme(relabelled),
+        "s3": Scheme(s3),
+        "shrikhande": Scheme(shrikhande),
+    }
+
+
+def _write_tables(tmp_path):
+    """The class tables the golden oracle reports read, by placeholder name."""
+    from wreathalg import save_scheme
+
+    # classes announced as 3 but class 2 never occurs: partition fails
+    (tmp_path / "bad.txt").write_text("2 2\n0 1\n1 0\n")
+    for name, scheme in example_schemes().items():
+        save_scheme(scheme, tmp_path / f"{name}.txt")
     return {name: tmp_path / f"{name}.txt" for name in ("bad", "t22", "t222", "s3", "shrikhande")}
 
 
@@ -371,7 +381,7 @@ def _count_calls(monkeypatch, names):
     return counts
 
 
-PER_POINT_STATE = ("make_context", "product_closure", "t0_span")
+PER_POINT_STATE = ("make_context", "product_closure", "t0_span", "t0_dimension")
 
 
 def test_verify_builds_and_checks_units_once_per_point(capsys, monkeypatch):
@@ -388,8 +398,9 @@ def test_verify_builds_and_checks_units_once_per_point(capsys, monkeypatch):
     )
     code, _, _ = run(capsys, "verify", "--moduli", "2,2")
     assert code == 0
-    # one context, one closure and one T_0 span per point: span-accounting
-    # and the triply-regular cross-check reuse the point's closure
+    # one context and one closure per point: span-accounting and the
+    # triply-regular cross-check reuse the point's closure; no point builds
+    # a T_0 span, as the cross-check counts the table's label triples
     assert counts == {
         "build_matrix_units": 4,
         "build_central_idempotents": 4,
@@ -398,7 +409,7 @@ def test_verify_builds_and_checks_units_once_per_point(capsys, monkeypatch):
         "check_central_idempotents": 4,
         "make_context": 4,
         "product_closure": 4,
-        "t0_span": 4,
+        "t0_dimension": 4,
     }
 
 
@@ -407,16 +418,52 @@ def test_oracle_builds_each_point_once(capsys, tmp_path, monkeypatch):
     assert run(capsys, "export", "--moduli", "2,2", "--out", str(table))[0] == 0
     counts = _count_calls(monkeypatch, PER_POINT_STATE)
     assert run(capsys, "oracle", str(table))[0] == 0
-    assert counts == {"make_context": 4, "product_closure": 4, "t0_span": 4}
+    assert counts == {"make_context": 4, "product_closure": 4, "t0_dimension": 4}
 
 
 def test_oracle_skips_t0_once_the_sweep_fails(capsys, tmp_path, monkeypatch):
     # The sweep's witness fixes the triply-regular verdict, so no point
-    # builds its T_0 span; the closures are the dimension check's own.
+    # counts its T_0; the closures are the dimension check's own.
     table = _write_tables(tmp_path)["shrikhande"]
     counts = _count_calls(monkeypatch, PER_POINT_STATE)
     assert run(capsys, "oracle", str(table))[0] == 1
     assert counts == {"make_context": 16, "product_closure": 16}
+
+
+def test_cli_path_forms_no_triple_product_or_t0_span(capsys, tmp_path, monkeypatch):
+    # verify and oracle read every label fact from the class table: with the
+    # matrix references made to raise, the same runs give the same bytes.
+    from wreathalg import ExactMatrix
+
+    tables = _write_tables(tmp_path)
+    runs = [
+        (["verify", "--moduli", "2,3"], "verify-2x3.json"),
+        (["oracle", str(tables["t22"])], None),
+        (["oracle", str(tables["s3"])], "oracle-s3.json"),
+    ]
+
+    def reports():
+        out = tmp_path / "report.json"
+        for argv, _ in runs:
+            assert main(argv + ["--out", str(out)]) == 0
+            yield out.read_bytes()
+
+    expected = list(reports())
+    for (_, golden), report in zip(runs, expected):
+        if golden is not None:
+            assert report == (GOLDEN / golden).read_bytes()
+
+    def refuse(original):
+        def raising(*args, **kwargs):
+            raise AssertionError(f"{original.__name__} is off the CLI path")
+
+        return raising
+
+    _rebind(monkeypatch, "triple_product", refuse)
+    _rebind(monkeypatch, "t0_span", refuse)
+    monkeypatch.setattr(ExactMatrix, "__getitem__", refuse(ExactMatrix.__getitem__))
+    assert list(reports()) == expected
+    capsys.readouterr()
 
 
 def test_no_context_outlives_the_run(capsys):
@@ -435,20 +482,15 @@ def test_no_context_outlives_the_run(capsys):
 
 
 def test_span_cross_check_failure_fails_triply_regular(capsys, monkeypatch):
-    # A T_0 span one short at x=2 makes dim T_0(x) != dim T(x) there, which
+    # A T_0 count one short at x=2 makes dim T_0(x) != dim T(x) there, which
     # disagrees with the sweep's verdict that the scheme is triply regular.
-    from wreathalg import SpanBasis
-
     def make(original):
-        def short_at_two(ctx):
-            span = original(ctx)
-            if ctx.base_point == 2:
-                return SpanBasis.from_matrices(span.basis()[:-1])
-            return span
+        def short_at_two(scheme, x):
+            return original(scheme, x) - (x == 2)
 
         return short_at_two
 
-    _rebind(monkeypatch, "t0_span", make)
+    _rebind(monkeypatch, "t0_dimension", make)
     code, out, _ = run(capsys, "verify", "--moduli", "2,2", "--checks", "triply-regular")
     assert code == 1
     assert _checks_by_name(out)["triply-regular"] == {

@@ -455,3 +455,18 @@ def test_vanishing_fails_on_swapped_labels(monkeypatch):
     )
     monkeypatch.undo()
     assert check_vanishing_criterion((2, 3)).passed
+
+
+def test_block_form_fails_on_a_partly_filled_all_ones_block():
+    # At x=0 the block of A[(2,1)] over the spheres (1,1) and (2,1) must be
+    # all ones; one entry moved to class 3 leaves it nonzero but not full.
+    intact = wreath_of_cyclics((2, 3))
+    table = [list(row) for row in intact.table]
+    assert table[1][2] == 2
+    table[1][2] = 3
+    result = BasePoint(Scheme(table, classes=intact.classes), (2, 3), 0, {}).result("block-form")
+    assert not result.passed
+    assert result.witness == (
+        "x=0, A[WreathIndex(2,1)]: block (WreathIndex(1,1),WreathIndex(2,1)) is nonzero, "
+        "expected all-ones"
+    )

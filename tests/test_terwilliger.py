@@ -5,7 +5,6 @@ import pytest
 from wreathalg import (
     ExactMatrix,
     Scheme,
-    SpanBasis,
     algebra_closure,
     algebra_dimension,
     check_primary_module,
@@ -169,19 +168,14 @@ def test_triply_regular_wreaths():
 
 
 def test_triply_regular_span_cross_check_can_fail(monkeypatch):
-    # A T_0 span one short at x=2 makes dim T_0(x) != dim T(x) there, which
+    # A T_0 count one short at x=2 makes dim T_0(x) != dim T(x) there, which
     # disagrees with the sweep's verdict that the scheme is triply regular.
     from wreathalg import terwilliger
 
-    original = terwilliger.t0_span
-
-    def short_at_two(ctx):
-        span = original(ctx)
-        if ctx.base_point == 2:
-            return SpanBasis.from_matrices(span.basis()[:-1])
-        return span
-
-    monkeypatch.setattr(terwilliger, "t0_span", short_at_two)
+    original = terwilliger.t0_dimension
+    monkeypatch.setattr(
+        terwilliger, "t0_dimension", lambda scheme, x: original(scheme, x) - (x == 2)
+    )
     report = check_triply_regular(wreath_of_cyclics((2, 2)))
     assert report.regular
     assert report.dims_consistent is False
