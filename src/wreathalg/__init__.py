@@ -45,6 +45,7 @@ from .wreath import (
     WreathIndex,
     check_ball_structure,
     check_moduli,
+    check_translation_certificate,
     check_vanishing_criterion,
     class_indices,
     cyclic_scheme,

@@ -566,14 +566,18 @@ class BasePoint:
     ``moduli`` is None for an ingested table.  ``seen`` is shared by all
     points of one run: the oracle dimensions under ``"dims"``, in the order
     the ``dimension`` check ran, and the triple-regularity sweep under
-    ``"sweep"``.
+    ``"sweep"``.  ``sweep_points`` are the first vertices of the sweep's
+    tuples, every vertex when None (see ``check_triply_regular``).
     """
 
-    def __init__(self, scheme: Scheme, moduli: tuple[int, ...] | None, x: int, seen: dict):
+    def __init__(
+        self, scheme: Scheme, moduli: tuple[int, ...] | None, x: int, seen: dict, sweep_points=None
+    ):
         self.scheme = scheme
         self.moduli = moduli
         self.x = x
         self.seen = seen
+        self.sweep_points = sweep_points
         self.results: dict[str, CheckResult] = {}
 
     @cached_property
@@ -651,7 +655,7 @@ def _triply_regular(point: BasePoint) -> CheckResult:
     report = point.seen.get("sweep")
     checked = 0
     if report is None:
-        report = point.seen["sweep"] = check_triply_regular(point.scheme, ())
+        report = point.seen["sweep"] = check_triply_regular(point.scheme, (), point.sweep_points)
         checked = report.checked
     if report.regular and report.dims_consistent:
         report.cross_check(t0_dimension(point.scheme, point.x), point.dim)
@@ -777,7 +781,7 @@ DECOMPOSITION = (
 )
 
 
-def run_point_checks(scheme: Scheme, moduli, base_points, names):
+def run_point_checks(scheme: Scheme, moduli, base_points, names, certified: bool = False):
     """Run registered checks and ``decomposition`` one base point at a time.
 
     ``moduli`` is None for an ingested table.  Each point's artifacts and
@@ -786,6 +790,13 @@ def run_point_checks(scheme: Scheme, moduli, base_points, names):
     point; the decomposition runs at every point.  The checks run before
     the decomposition at each point, so work they share is timed under the
     check.
+
+    ``certified`` says that a table automorphism maps 0 to every vertex, as
+    a passed ``check_translation_certificate`` shows; every check at x is
+    then the conjugate of the same check at 0.  The checks run at x = 0
+    alone and the triple-regularity sweep fixes x = 0, so each result, its
+    ``checked`` count included, is that of one point and stands for every
+    listed point.
 
     Returns each name's result folded over the points, the run's ``seen``
     values (plus the decomposition's report under ``"decomposition"``, if
@@ -797,8 +808,8 @@ def run_point_checks(scheme: Scheme, moduli, base_points, names):
     group: dict[str, CheckResult] = {}
     seconds = dict.fromkeys(requested, 0.0)
     seen: dict = {}
-    for x in points:
-        point = BasePoint(scheme, moduli, x, seen)
+    for x in [0] if certified else points:
+        point = BasePoint(scheme, moduli, x, seen, (0,) if certified else None)
         for name in requested:
             started = time.perf_counter()
             if name == "decomposition":

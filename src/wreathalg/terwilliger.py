@@ -221,19 +221,28 @@ class TriplyRegularReport:
             self.dims_consistent = False
 
 
-def check_triply_regular(scheme: Scheme, base_points=None) -> TriplyRegularReport:
+def check_triply_regular(
+    scheme: Scheme, base_points=None, sweep_points=None
+) -> TriplyRegularReport:
     """Exhaustively test whether all triple intersection counts depend only
     on the six class labels, and cross-check the verdict against the span
     equality dim T_0(x) == dim T(x), table count against closure, at every base
     point until one disagrees.  With no base points, the caller cross-checks
-    through the report."""
+    through the report.
+
+    The sweep visits the vertex tuples (x, y, z) with x in ``sweep_points``,
+    every vertex by default.  A table automorphism maps each tuple to one
+    with the same labels and the same counts, so where the automorphisms
+    move 0 to every vertex (a passed translation certificate), sweeping
+    x = 0 alone gives the same verdict: n^2 tuples, each counted over the n
+    vertices w, in place of n^3."""
     n = scheme.order
     t = scheme.table
     buckets: dict[tuple[int, int, int], tuple[tuple[int, int, int], dict]] = {}
     regular = True
     witness = None
     checked = 0
-    for x in range(n):
+    for x in range(n) if sweep_points is None else sweep_points:
         tx = t[x]
         for y in range(n):
             ty = t[y]

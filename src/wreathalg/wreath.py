@@ -5,7 +5,8 @@ index 0..sum(p_i - 1) matching the Scheme class numbering, and a
 (level, offset) pair where level i in 1..d names the cyclic factor and
 offset runs over 1..p_i - 1 (the identity relation is the single
 level-0 index).  Vertices are mixed-radix tuples with the last factor
-most significant, so vertex = x_1 + p_1*(x_2 + p_2*(...)).
+most significant, so vertex = x_1 + p_1*(x_2 + p_2*(...)).  The translation
+certificate tests that adding 1 to any one digit keeps the class table.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
+from math import prod
 
 from .scheme import CheckResult, Scheme
 
@@ -28,6 +30,7 @@ __all__ = [
     "wreath_of_cyclics",
     "predict_vanishing",
     "check_vanishing_criterion",
+    "check_translation_certificate",
     "check_ball_structure",
 ]
 
@@ -214,6 +217,48 @@ def check_vanishing_criterion(moduli) -> CheckResult:
             )
             break
     return CheckResult("vanishing", witness is None, witness, checked)
+
+
+# -- the translation certificate ------------------------------------------------------
+
+
+def check_translation_certificate(scheme: Scheme, moduli) -> CheckResult:
+    """Test that every translation of Z/p_1 x ... x Z/p_d preserves the table.
+
+    The unit translation sigma_i adds 1 to digit i modulo p_i, digit 1
+    being the least significant as in the vertex encoding; the check
+    compares t[sigma_i(y)][sigma_i(z)] with t[y][z] for every i, y and z,
+    d * n^2 comparisons.  The sigma_i generate the translations, and the
+    translation by x maps 0 to x.  A table automorphism fixes every A_j and
+    conjugates E*_j(0) to E*_j(x), so once this passes, every check at x is
+    the conjugate of the same check at 0 (Terwilliger 1992).  The witness
+    names the first translation and pair (y, z) whose class is not kept.
+    """
+    m = check_moduli(moduli)
+    n = scheme.order
+    if n != prod(m):
+        raise ValueError(f"a table of order {n} has no vertex encoding over {m}")
+    t = scheme.table
+    checked = 0
+    stride = 1
+    for i, p in enumerate(m, start=1):
+        sigma = [v - (p - 1) * stride if v // stride % p == p - 1 else v + stride
+                 for v in range(n)]
+        for y in range(n):
+            image = t[sigma[y]]
+            row = tuple(image[sz] for sz in sigma)
+            if row != t[y]:
+                z = next(z for z in range(n) if row[z] != t[y][z])
+                return CheckResult(
+                    "translation-certificate",
+                    False,
+                    f"sigma_{i} (+1 on digit {i} mod {p}) maps ({y},{z}) in class "
+                    f"{t[y][z]} to ({sigma[y]},{sigma[z]}) in class {row[z]}",
+                    checked + z + 1,
+                )
+            checked += n
+        stride *= p
+    return CheckResult("translation-certificate", True, None, checked)
 
 
 # -- ball structure -----------------------------------------------------------------

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from wreathalg.cli import main
+from wreathalg.cli import VERIFY_CHECKS, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -34,6 +34,7 @@ def test_verify_full_suite_small(capsys):
         "commutation",
         "f-family",
         "decomposition",
+        "translation-certificate",
     }
     assert all(c["status"] == "pass" for c in report["checks"])
 
@@ -250,6 +251,19 @@ def example_schemes():
     }
 
 
+def moved_pair_table():
+    """The (2,3) wreath table with the symmetric pair (0, 1)/(1, 0) moved
+    from class 1 to class 2: no longer a scheme, and no longer kept by the
+    translation that adds 1 to digit 2."""
+    from wreathalg import Scheme, wreath_of_cyclics
+
+    intact = wreath_of_cyclics((2, 3))
+    table = [list(row) for row in intact.table]
+    assert table[0][1] == table[1][0] == 1
+    table[0][1] = table[1][0] = 2
+    return Scheme(table, classes=intact.classes)
+
+
 def _write_tables(tmp_path):
     """The class tables the golden oracle reports read, by placeholder name."""
     from wreathalg import save_scheme
@@ -264,17 +278,20 @@ def _write_tables(tmp_path):
 @pytest.mark.parametrize(
     "golden, argv",
     [
-        ("verify-2x3.json", ["verify", "--moduli", "2,3"]),
+        ("verify-2x3.json", ["verify", "--moduli", "2,3", "--base-points", "0,1,2,3,4,5"]),
         ("verify-3x3-points-0-4.json", ["verify", "--moduli", "3,3", "--base-points", "0,4"]),
         (
             "verify-2x2-decomposition-axioms-axioms.json",
-            ["verify", "--moduli", "2,2", "--checks", "decomposition,axioms,axioms"],
+            [
+                "verify", "--moduli", "2,2", "--base-points", "0,1,2,3",
+                "--checks", "decomposition,axioms,axioms",
+            ],
         ),
         ("oracle-corrupted.json", ["oracle", "{bad}"]),
         (
             "verify-2x2-decomposition-triply-regular-axioms-triply-regular.json",
             [
-                "verify", "--moduli", "2,2",
+                "verify", "--moduli", "2,2", "--base-points", "0,1,2,3",
                 "--checks", "decomposition,triply-regular,axioms,triply-regular",
             ],
         ),
@@ -333,7 +350,7 @@ def test_verify_unit_build_failure_at_one_point(capsys, monkeypatch):
         return failing
 
     _rebind(monkeypatch, "build_matrix_units", make)
-    code, out, _ = run(capsys, "verify", "--moduli", "2,2")
+    code, out, _ = run(capsys, "verify", "--moduli", "2,2", "--base-points", "0,1,2,3")
     assert code == 1
     checks = _checks_by_name(out)
     for name in ("matrix-units", "ag-forms", "f-family", "decomposition"):
@@ -354,7 +371,10 @@ def test_verify_witness_names_the_first_failing_point(capsys, monkeypatch):
         return failing
 
     _rebind(monkeypatch, "check_matrix_units", make)
-    code, out, _ = run(capsys, "verify", "--moduli", "2,2", "--checks", "matrix-units,decomposition")
+    code, out, _ = run(
+        capsys, "verify", "--moduli", "2,2", "--base-points", "0,1,2,3",
+        "--checks", "matrix-units,decomposition",
+    )
     assert code == 1
     checks = _checks_by_name(out)
     assert checks["matrix-units"]["witness"] == "x=1: forced"
@@ -396,7 +416,7 @@ def test_verify_builds_and_checks_units_once_per_point(capsys, monkeypatch):
         )
         + PER_POINT_STATE,
     )
-    code, _, _ = run(capsys, "verify", "--moduli", "2,2")
+    code, _, _ = run(capsys, "verify", "--moduli", "2,2", "--base-points", "0,1,2,3")
     assert code == 0
     # one context and one closure per point: span-accounting and the
     # triply-regular cross-check reuse the point's closure; no point builds
@@ -437,7 +457,7 @@ def test_cli_path_forms_no_triple_product_or_t0_span(capsys, tmp_path, monkeypat
 
     tables = _write_tables(tmp_path)
     runs = [
-        (["verify", "--moduli", "2,3"], "verify-2x3.json"),
+        (["verify", "--moduli", "2,3", "--base-points", "0,1,2,3,4,5"], "verify-2x3.json"),
         (["oracle", str(tables["t22"])], None),
         (["oracle", str(tables["s3"])], "oracle-s3.json"),
     ]
@@ -491,7 +511,9 @@ def test_span_cross_check_failure_fails_triply_regular(capsys, monkeypatch):
         return short_at_two
 
     _rebind(monkeypatch, "t0_dimension", make)
-    code, out, _ = run(capsys, "verify", "--moduli", "2,2", "--checks", "triply-regular")
+    code, out, _ = run(
+        capsys, "verify", "--moduli", "2,2", "--base-points", "0,1,2,3", "--checks", "triply-regular"
+    )
     assert code == 1
     assert _checks_by_name(out)["triply-regular"] == {
         "name": "triply-regular",
@@ -518,3 +540,106 @@ def test_oracle_dimension_varying_over_base_points(capsys, tmp_path, monkeypatch
         "witness": "dimension varies over base points: [10, 11, 10, 10]",
         "millis": 0,
     }
+
+
+# -- the translation certificate ------------------------------------------------------
+
+
+def test_default_verify_builds_one_point(capsys, monkeypatch):
+    # The certificate covers every other point, so only x = 0 is built.
+    counts = _count_calls(monkeypatch, ("make_context", "product_closure", "build_matrix_units"))
+    assert run(capsys, "verify", "--moduli", "2,2")[0] == 0
+    assert counts == {"make_context": 1, "product_closure": 1, "build_matrix_units": 1}
+
+
+@pytest.mark.parametrize("moduli", ["2,2", "2,3", "3,3", "2,2,2,2", "2,3,4"])
+def test_certified_verify_agrees_with_every_point(capsys, moduli):
+    # The explicit list of every vertex is the exhaustive reference: the
+    # certified default report is its report plus the certificate entry.
+    code, out, _ = run(capsys, "verify", "--moduli", moduli)
+    every = ",".join(str(x) for x in range(json.loads(out)["order"]))
+    direct_code, direct_out, _ = run(capsys, "verify", "--moduli", moduli, "--base-points", every)
+    assert code == direct_code == 0
+    reduced, direct = json.loads(out), json.loads(direct_out)
+    assert reduced["checks"].pop() == {
+        "name": "translation-certificate",
+        "status": "pass",
+        "millis": 0,
+    }
+    assert reduced == direct
+    if moduli == "2,3":
+        assert out == (GOLDEN / "verify-2x3-certified.json").read_text()
+
+
+def _relabelled_2x3():
+    """The (2,3) wreath table with vertices 1 and 2 swapped: a scheme with the
+    same algebra at every point, but not in the vertex encoding."""
+    from wreathalg import Scheme, wreath_of_cyclics
+
+    t = wreath_of_cyclics((2, 3)).table
+    perm = [0, 2, 1, 3, 4, 5]
+    return Scheme([[t[perm[y]][perm[z]] for z in range(6)] for y in range(6)])
+
+
+# The checks a table that is not a scheme can run: the unit family needs the
+# valencies, which such a table does not have.
+NON_SCHEME_CHECKS = "triple-list,triply-regular,primary-module,block-form,commutation"
+
+
+@pytest.mark.parametrize(
+    "table, checks, witness, direct_code",
+    [
+        (
+            moved_pair_table,
+            NON_SCHEME_CHECKS,
+            "sigma_2 (+1 on digit 2 mod 3) maps (0,1) in class 2 to (2,3) in class 1",
+            1,
+        ),
+        (
+            _relabelled_2x3,
+            ",".join(VERIFY_CHECKS),
+            "sigma_1 (+1 on digit 1 mod 2) maps (0,1) in class 2 to (1,0) in class 3",
+            0,
+        ),
+    ],
+    ids=["moved-pair", "relabelled"],
+)
+def test_failed_certificate_computes_every_point(
+    capsys, monkeypatch, table, checks, witness, direct_code
+):
+    # A table that one translation does not keep fails the certificate with
+    # its witness, every point is then computed directly, and the run fails
+    # even where every point passes.
+    broken = table()
+    _rebind(monkeypatch, "wreath_of_cyclics", lambda original: lambda moduli: broken)
+    argv = ["verify", "--moduli", "2,3", "--checks", checks]
+    code, direct_out, _ = run(capsys, *argv, "--base-points", "0,1,2,3,4,5")
+    assert code == direct_code
+    counts = _count_calls(monkeypatch, ("make_context",))
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert counts == {"make_context": 6}
+    checks = json.loads(out)["checks"]
+    assert checks.pop() == {
+        "name": "translation-certificate",
+        "status": "fail",
+        "witness": witness,
+        "millis": 0,
+    }
+    assert checks == json.loads(direct_out)["checks"]
+
+
+def test_no_certificate_without_a_per_point_check(capsys):
+    code, out, _ = run(capsys, "verify", "--moduli", "2,3", "--checks", "axioms,vanishing")
+    assert code == 0
+    assert [c["name"] for c in json.loads(out)["checks"]] == ["axioms", "vanishing"]
+
+
+def test_repeated_base_points_are_checked_once(capsys, monkeypatch):
+    counts = _count_calls(monkeypatch, ("make_context",))
+    code, out, _ = run(
+        capsys, "verify", "--moduli", "2,3", "--base-points", "3,0,3,0", "--checks", "primary-module"
+    )
+    assert code == 0
+    assert json.loads(out)["base_points"] == [3, 0]
+    assert counts == {"make_context": 2}

@@ -13,11 +13,10 @@ from random import Random
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from test_cli import example_schemes
+from test_cli import example_schemes, moved_pair_table
 
 from wreathalg import (
     CycloNum,
-    Scheme,
     check_triple_list,
     cyclotomic_polynomial,
     euler_phi,
@@ -77,10 +76,7 @@ def test_triple_list_fails_on_one_relabelled_pair():
     # there with its witness.
     m = (2, 3)
     intact = wreath_of_cyclics(m)
-    table = [list(row) for row in intact.table]
-    assert table[0][1] == table[1][0] == 1
-    table[0][1] = table[1][0] = 2
-    broken = Scheme(table, classes=intact.classes)
+    broken = moved_pair_table()
     triples = list(iter_product(range(broken.classes), repeat=3))
     for x in range(broken.order):
         ctx = make_context(broken, x, moduli=m)

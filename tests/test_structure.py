@@ -30,7 +30,7 @@ from wreathalg import (
 )
 from wreathalg import structure, wreath
 from wreathalg.linalg import SpanBasis
-from wreathalg.structure import DECOMPOSITION, BasePoint
+from wreathalg.structure import DECOMPOSITION, POINT_CHECKS, BasePoint, run_point_checks
 
 
 def test_formula_helpers():
@@ -255,6 +255,25 @@ def test_decomposition_report_to_dict():
     assert data["dim_T"] == 4
     assert data["moduli"] == [2]
     assert all(c["status"] == "pass" for c in data["checks"])
+
+
+def test_certified_run_is_the_run_at_zero():
+    # Under a passed translation certificate every result, its checked count
+    # included, is that of x = 0, except that the sweep only starts at 0; the
+    # verdicts and witnesses are those of every point.
+    m = (2, 3)
+    scheme = wreath_of_cyclics(m)
+    names = [*POINT_CHECKS, "decomposition"]
+    certified, seen, _ = run_point_checks(scheme, m, range(6), names, certified=True)
+    at_zero, _, _ = run_point_checks(scheme, m, [0], names)
+    every, _, _ = run_point_checks(scheme, m, range(6), names)
+    assert certified.pop("triply-regular").checked == 6 ** 2
+    assert at_zero.pop("triply-regular").checked == 6 ** 3
+    assert certified == at_zero
+    assert {name: (r.passed, r.witness) for name, r in certified.items()} == {
+        name: (r.passed, r.witness) for name, r in every.items() if name != "triply-regular"
+    }
+    assert seen["decomposition"].base_points == list(range(6))
 
 
 # -- negative controls through the per-point registry -------------------------------

@@ -8,6 +8,7 @@ from wreathalg import (
     algebra_closure,
     algebra_dimension,
     check_primary_module,
+    check_translation_certificate,
     check_triple_list,
     check_triply_regular,
     cyclic_scheme,
@@ -165,6 +166,28 @@ def test_triply_regular_wreaths():
         assert report.regular
         assert report.dims_consistent is True
         assert report.passed
+
+
+@pytest.mark.parametrize("moduli", [(2, 2), (2, 3), (3, 3), (2, 2, 2, 2), (2, 3, 4)])
+def test_sweep_from_zero_gives_the_full_verdict(moduli):
+    scheme = wreath_of_cyclics(moduli)
+    full = check_triply_regular(scheme, ())
+    from_zero = check_triply_regular(scheme, (), (0,))
+    assert full.regular and from_zero.regular
+    assert (full.checked, from_zero.checked) == (scheme.order ** 3, scheme.order ** 2)
+
+
+def test_sweep_from_zero_fails_on_the_shrikhande_table():
+    # The Cayley table of Z4 x Z4 is certified under the (4,4) translations,
+    # and it is not triply regular: both sweeps find that.
+    from test_cli import example_schemes
+
+    shrikhande = example_schemes()["shrikhande"]
+    assert check_translation_certificate(shrikhande, (4, 4)).passed
+    full = check_triply_regular(shrikhande, ())
+    from_zero = check_triply_regular(shrikhande, (), (0,))
+    assert not full.regular and not from_zero.regular
+    assert full.witness is not None and from_zero.witness is not None
 
 
 def test_triply_regular_span_cross_check_can_fail(monkeypatch):

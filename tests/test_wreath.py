@@ -5,6 +5,7 @@ import pytest
 from wreathalg import (
     WreathIndex,
     check_ball_structure,
+    check_translation_certificate,
     check_vanishing_criterion,
     class_indices,
     cyclic_scheme,
@@ -208,3 +209,24 @@ def test_ball_structure_specific_ball():
     for a, y in enumerate(ball):
         for b, z in enumerate(ball):
             assert s.classify(y, z) == sub.classify(a, b)
+
+
+def test_translation_certificate_holds_up_to_the_cap():
+    # Every unit translation keeps the table: d * n^2 comparisons.
+    for m in [(2,), (2, 3), (3, 3), (2, 3, 4), (4, 4, 4), (2, 2, 2, 2, 2, 2)]:
+        scheme = wreath_of_cyclics(m)
+        result = check_translation_certificate(scheme, m)
+        assert result.passed and result.witness is None
+        assert result.checked == len(m) * scheme.order ** 2
+
+
+def test_translation_certificate_reads_the_digits_of_the_encoding():
+    # Digit 1 is the least significant: read as (3, 2), the (2, 3) table's
+    # first translation moves (0, 1) from class 1 to class 2.
+    scheme = wreath_of_cyclics((2, 3))
+    result = check_translation_certificate(scheme, (3, 2))
+    assert not result.passed
+    assert result.witness == "sigma_1 (+1 on digit 1 mod 3) maps (0,1) in class 1 to (1,2) in class 2"
+    assert result.checked == 2
+    with pytest.raises(ValueError):
+        check_translation_certificate(scheme, (2, 2))
