@@ -4,7 +4,7 @@ cyclic association schemes."""
 __version__ = "0.1.0"
 
 from .cyclotomic import ONE, ZERO, CycloNum, cyclotomic_polynomial, euler_phi, rational, zeta
-from .linalg import ExactMatrix, ExactSpan, SpanBasis, product_closure
+from .linalg import ExactMatrix, ExactSpan, product_closure
 from .scheme import AxiomReport, AxiomViolation, CheckResult, Scheme, load_scheme, save_scheme
 from .structure import (
     CentralIdempotentFamily,
@@ -25,8 +25,6 @@ from .structure import (
 )
 from .terwilliger import (
     TerwilligerContext,
-    TriplyRegularReport,
-    algebra_closure,
     algebra_dimension,
     check_primary_module,
     check_triple_list,

@@ -109,6 +109,16 @@ def _check_cap(order: int, max_order: int) -> None:
         raise ConfigError(f"order {order} exceeds the cap {max_order}")
 
 
+def _announced_order(path) -> int | None:
+    """The order in a class table's header: the first token of its first line,
+    of which 64 characters at most are read.  None where that is no integer."""
+    try:
+        with open(path, "r", encoding="ascii") as handle:
+            return int(handle.readline(64).split()[0])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
 def _axioms_result(report) -> CheckResult:
     witness = "; ".join(f"{k}: {v}" for k, v in report.counterexamples.items()) or None
     return CheckResult("axioms", report.passed, witness, 4)
@@ -204,6 +214,10 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     max_order = _resolve_max_order(args.max_order)
+    # The header's order is capped before the body is read and parsed.
+    announced = _announced_order(args.table)
+    if announced is not None:
+        _check_cap(announced, max_order)
     try:
         scheme = load_scheme(args.table)
     except (OSError, ValueError) as exc:

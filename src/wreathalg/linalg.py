@@ -17,15 +17,16 @@ its width does not certify.  Equality and zero tests are then int
 comparisons.  The ``CycloNum`` grid of the public API (``data``,
 ``flat()``, ``[i, j]``) is decoded on demand.
 
-``ExactSpan`` keeps a subspace of flat vectors over Q(zeta_N) in reduced
-echelon form, with one row type: a row holds the integer power-basis
-coefficients of its entries over Z[zeta_N], interleaved, scaled to content
-one with a positive rational-integer pivot.  The conductor N starts at 1,
-where the rows are plain integer rows, and widens to the lcm of the
-conductors inserted; widening embeds the stored rows, which stay in reduced
-echelon form.  A matrix is inserted as its decoded integer planes,
-denominator dropped, since scaling leaves a span unchanged, and the product
-closure inserts packed products as they come.
+``ExactSpan`` keeps the span of equal-shape matrices over Q(zeta_N),
+flattened row-major, in reduced echelon form, with one row type: a row
+holds the integer power-basis coefficients of its entries over Z[zeta_N],
+interleaved, scaled to content one with a positive rational-integer pivot.
+Vectors are n x 1 matrices.  The conductor N starts at 1, where the rows
+are plain integer rows, and widens to the lcm of the conductors inserted;
+widening embeds the stored rows, which stay in reduced echelon form.  A
+matrix is inserted as its decoded integer planes, denominator dropped, since
+scaling leaves a span unchanged, and the product closure inserts packed
+products as they come.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from operator import mul
 
 from .cyclotomic import ZERO, CycloNum, cyclotomic_polynomial, euler_phi
 
-__all__ = ["ExactMatrix", "ExactSpan", "SpanBasis", "product_closure"]
+__all__ = ["ExactMatrix", "ExactSpan", "product_closure"]
 
 
 def as_cyclo(value) -> CycloNum:
@@ -342,12 +343,6 @@ class ExactMatrix:
         return ExactMatrix._packed(self.cols, self.rows, self.conductor, self.den, self.bound,
                                    self.width, planes)
 
-    def apply(self, vector):
-        """Matrix-vector product; the vector entries are coerced to CycloNum."""
-        if len(vector) != self.cols:
-            raise ValueError("vector length does not match")
-        return _product(self, ExactMatrix(self.cols, 1, [[v] for v in vector])).flat()
-
     def is_zero(self) -> bool:
         return not any(any(plane) for plane in self.planes)
 
@@ -509,54 +504,57 @@ def _reduce(rows, v: list[int], conductor: int) -> list[int]:
 
 
 class ExactSpan:
-    """A subspace of length-``length`` vectors over Q(zeta_N), kept in
-    reduced echelon form.
+    """The span of ``rows`` x ``cols`` matrices over Q(zeta_N), flattened
+    row-major and kept in reduced echelon form.
 
     A row holds, entry by entry, the ``phi(N)`` integer power-basis
-    coefficients of one basis vector over Z[zeta_N], interleaved in one
+    coefficients of one basis matrix over Z[zeta_N], interleaved in one
     flat list (coefficient s of entry k at index ``k phi(N) + s``).  Each row
     is scaled to content one and is a positive integer ``c`` times the
     reduced echelon row whose pivot entry is one, so its pivot entry is the
     rational integer ``c``.  Pivoting is first-nonzero-entry, and rows are
     fully reduced against each other, so the stored rows depend only on the
-    subspace, not on which spanning vectors were inserted, or in which
+    subspace, not on which spanning matrices were inserted, or in which
     order.
 
     The conductor N starts at 1 and grows to the lcm of the conductors of
-    the inserted vectors.  A field embedding keeps reduced echelon form, so
+    the inserted matrices.  A field embedding keeps reduced echelon form, so
     widening embeds the stored rows and normalises their content again;
-    nothing is re-inserted.  At N = 1 the rows are plain integer rows.
-    Inputs are flat entry vectors or ExactMatrix instances, flattened
-    row-major; either is scaled by a common denominator first, which leaves
-    every span unchanged.
+    nothing is re-inserted.  At N = 1 the rows are plain integer rows.  A
+    matrix enters as its integer numerators, its denominator dropped, which
+    leaves every span unchanged.
     """
 
-    def __init__(self, length: int):
-        self.length = length
+    def __init__(self, rows: int, cols: int):
+        self.shape = (rows, cols)
         self.conductor = 1
         # (pivot entry, row, _support(row)), sorted by pivot
         self._rows: list[tuple[int, list[int], list[int]]] = []
+
+    @classmethod
+    def from_matrices(cls, matrices) -> "ExactSpan":
+        matrices = list(matrices)
+        if not matrices:
+            raise ValueError("need at least one matrix")
+        span = cls(matrices[0].rows, matrices[0].cols)
+        for mat in matrices:
+            span.insert(mat)
+        return span
 
     @property
     def dimension(self) -> int:
         return len(self._rows)
 
-    def _vector(self, vec) -> tuple[int, list[int]]:
-        """The conductor and interleaved integer coefficients of ``vec``."""
-        if isinstance(vec, ExactMatrix):
-            if vec.rows * vec.cols != self.length:
-                raise ValueError("matrix size does not match the ambient space")
-            planes = vec.planes
-            if any(any(plane) for plane in planes[1:]):
-                conductor = vec.conductor
-            else:
-                conductor, planes = 1, planes[:1]
-            return conductor, _interleaved([_unpack(plane, vec.width, vec.cols)
-                                            for plane in planes])
-        if len(vec) != self.length:
-            raise ValueError("vector length does not match the ambient space")
-        conductor, _, planes = _numerators([vec])
-        return conductor, _interleaved([plane[0] for plane in planes])
+    def _vector(self, mat: ExactMatrix) -> tuple[int, list[int]]:
+        """The conductor and interleaved integer coefficients of ``mat``."""
+        if (mat.rows, mat.cols) != self.shape:
+            raise ValueError("matrix shape does not match the span")
+        planes = mat.planes
+        if any(any(plane) for plane in planes[1:]):
+            conductor = mat.conductor
+        else:
+            conductor, planes = 1, planes[:1]
+        return conductor, _interleaved([_unpack(plane, mat.width, mat.cols) for plane in planes])
 
     def _widened(self, conductor: int):
         """The rows over Q(zeta_conductor), a multiple of the own conductor."""
@@ -569,9 +567,9 @@ class ExactSpan:
             rows.append((pivot, row, _support(row, phi)))
         return rows
 
-    def insert(self, vec) -> bool:
-        """Adjoin a vector; returns True iff the dimension grew."""
-        source, v = self._vector(vec)
+    def insert(self, mat: ExactMatrix) -> bool:
+        """Adjoin a matrix; returns True iff the dimension grew."""
+        source, v = self._vector(mat)
         conductor = math.lcm(self.conductor, source)
         self._rows = self._widened(conductor)
         self.conductor = conductor
@@ -599,68 +597,27 @@ class ExactSpan:
         self._rows = updated
         return True
 
-    def contains(self, vec) -> bool:
+    def contains(self, mat: ExactMatrix) -> bool:
         """Exact membership: the residual after reduction is zero.  The
         stored rows are left as they are."""
-        source, v = self._vector(vec)
+        source, v = self._vector(mat)
         conductor = math.lcm(self.conductor, source)
         v = _reduce(self._widened(conductor), _embedded(v, source, conductor), conductor)
         return v.count(0) == len(v)
 
-    def vectors(self) -> list[list[CycloNum]]:
-        """The reduced basis rows, pivots normalized to one."""
-        phi = euler_phi(self.conductor)
-        return [[CycloNum(self.conductor, tuple(Fraction(x, row[pivot * phi])
-                                                for x in row[k:k + phi]))
-                 for k in range(0, len(row), phi)]
-                for pivot, row, _ in self._rows]
-
-
-class SpanBasis:
-    """Span of equal-shape matrices, flattened row-major into an ExactSpan."""
-
-    def __init__(self, rows: int, cols: int):
-        self.shape = (rows, cols)
-        self.span = ExactSpan(rows * cols)
-
-    @classmethod
-    def from_matrices(cls, matrices) -> "SpanBasis":
-        matrices = list(matrices)
-        if not matrices:
-            raise ValueError("need at least one matrix")
-        basis = cls(matrices[0].rows, matrices[0].cols)
-        for mat in matrices:
-            basis.insert(mat)
-        return basis
-
-    def insert(self, matrix: ExactMatrix) -> bool:
-        if (matrix.rows, matrix.cols) != self.shape:
-            raise ValueError("matrix shape does not match the span")
-        return self.span.insert(matrix)
-
-    def contains(self, matrix: ExactMatrix) -> bool:
-        if (matrix.rows, matrix.cols) != self.shape:
-            raise ValueError("matrix shape does not match the span")
-        return self.span.contains(matrix)
-
-    @property
-    def dimension(self) -> int:
-        return self.span.dimension
-
     def basis(self) -> list[ExactMatrix]:
         """The reduced echelon rows as matrices, pivots normalized to one."""
         rows, cols = self.shape
-        conductor = self.span.conductor
-        phi = euler_phi(conductor)
+        phi = euler_phi(self.conductor)
         # A row's pivot coefficient is a positive integer: the denominator.
         return [ExactMatrix._packed(rows, cols, *_packing(
-                    conductor, row[pivot * phi],
+                    self.conductor, row[pivot * phi],
                     [[plane[r * cols:(r + 1) * cols] for r in range(rows)]
                      for plane in (row[s::phi] for s in range(phi))]))
-                for pivot, row, _ in self.span._rows]
+                for pivot, row, _ in self._rows]
 
 
-def product_closure(matrices) -> SpanBasis:
+def product_closure(matrices) -> ExactSpan:
     """Smallest subspace containing ``matrices`` and closed under products.
 
     Word schedule: the accepted spanning matrices ``reps`` are walked in
@@ -680,12 +637,12 @@ def product_closure(matrices) -> SpanBasis:
     n = matrices[0].rows
     if any(m.rows != n or m.cols != n for m in matrices):
         raise ValueError("generators must be square matrices of equal size")
-    basis = SpanBasis(n, n)
-    generators = [m for m in matrices if basis.insert(m)]
+    span = ExactSpan(n, n)
+    generators = [m for m in matrices if span.insert(m)]
     reps = list(generators)
     for r in reps:  # reps grows while it is walked
         for g in generators:
             product = g * r
-            if basis.insert(product):
+            if span.insert(product):
                 reps.append(product)
-    return basis
+    return span

@@ -78,7 +78,6 @@ class Scheme:
         self._pnums = None
         self._pnum_witness: str | None = None
         self._pnums_done = False
-        self._commutative: bool | None = None
 
     @classmethod
     def from_classifier(cls, order: int, classify, classes: int | None = None) -> "Scheme":
@@ -249,19 +248,18 @@ class Scheme:
         return self._adjacency[i]
 
     def is_commutative(self) -> bool:
-        """Whether all adjacency matrices commute, by exact products."""
-        if self._commutative is None:
-            mats = [self.adjacency_matrix(i) for i in range(self.classes)]
-            result = True
-            for i in range(self.classes):
-                for j in range(i + 1, self.classes):
-                    if mats[i] * mats[j] != mats[j] * mats[i]:
-                        result = False
-                        break
-                if not result:
-                    break
-            self._commutative = result
-        return self._commutative
+        """Whether all adjacency matrices commute.
+
+        A_i A_j = sum_h p^h_ij A_h, so A_i and A_j commute exactly when
+        p^h_ij == p^h_ji for every nonempty relation h.  A table whose
+        intersection numbers are not well defined raises AxiomViolation.
+        """
+        self._compute_intersection_data()
+        if self._pnum_witness is not None:
+            raise AxiomViolation(self._pnum_witness)
+        return all(grid[i][j] == grid[j][i]
+                   for grid in self._pnums if grid is not None
+                   for i in range(self.classes) for j in range(i))
 
     def __repr__(self):
         return f"<Scheme order={self.order} classes={self.classes}>"

@@ -15,12 +15,11 @@ from fractions import Fraction
 from functools import cached_property
 
 from .cyclotomic import CycloNum, rational, zeta
-from .linalg import ExactMatrix, SpanBasis
+from .linalg import ExactMatrix, ExactSpan, product_closure
 from .scheme import CheckResult, Scheme
 from .terwilliger import (
     TerwilligerContext,
     _require_wreath,
-    algebra_closure,
     check_primary_module,
     check_triple_list,
     check_triply_regular,
@@ -565,9 +564,10 @@ class BasePoint:
 
     ``moduli`` is None for an ingested table.  ``seen`` is shared by all
     points of one run: the oracle dimensions under ``"dims"``, in the order
-    the ``dimension`` check ran, and the triple-regularity sweep under
-    ``"sweep"``.  ``sweep_points`` are the first vertices of the sweep's
-    tuples, every vertex when None (see ``check_triply_regular``).
+    the ``dimension`` check ran, and under ``"sweep"`` the triple-regularity
+    sweep's result with whether the span cross-check applies.
+    ``sweep_points`` are the first vertices of the sweep's tuples, every
+    vertex when None (see ``check_triply_regular``).
     """
 
     def __init__(
@@ -585,9 +585,9 @@ class BasePoint:
         return make_context(self.scheme, self.x, moduli=self.moduli)
 
     @cached_property
-    def closure(self) -> SpanBasis:
+    def closure(self) -> ExactSpan:
         """The generators' product closure: the algebra the oracle measures."""
-        return algebra_closure(self.generators)
+        return product_closure(self.generators)
 
     @cached_property
     def dim(self) -> int:
@@ -616,8 +616,8 @@ class BasePoint:
         return standard_generators(self.ctx)
 
     @cached_property
-    def unit_span(self) -> SpanBasis:
-        return SpanBasis.from_matrices(mat for _, mat in sorted(self.units.matrices.items()))
+    def unit_span(self) -> ExactSpan:
+        return ExactSpan.from_matrices(mat for _, mat in sorted(self.units.matrices.items()))
 
     def result(self, name: str) -> CheckResult:
         """The registered check ``name`` at this point; a unit family that
@@ -649,20 +649,22 @@ def _f_family(point: BasePoint) -> CheckResult:
 
 def _triply_regular(point: BasePoint) -> CheckResult:
     # One sweep serves the run, and the point that runs it counts its
-    # tuples; the cross-check of the table's T_0 count against the closure
-    # runs at every point until it disagrees.  A failed sweep fixes the
-    # verdict and the witness, so it needs no closure.
-    report = point.seen.get("sweep")
-    checked = 0
-    if report is None:
-        report = point.seen["sweep"] = check_triply_regular(point.scheme, (), point.sweep_points)
-        checked = report.checked
-    if report.regular and report.dims_consistent:
-        report.cross_check(t0_dimension(point.scheme, point.x), point.dim)
-    witness = report.witness or (
-        None if report.passed else "span-equality cross-check disagrees with the sweep"
-    )
-    return CheckResult("triply-regular", report.passed, witness, checked)
+    # tuples.  Where the sweep passed on a commutative scheme, each point
+    # cross-checks it: the table's T_0 count must equal the closure's
+    # dimension there (Terwilliger 1992).  A failed sweep fixes the verdict
+    # and the witness, so it needs no closure.
+    scheme, checked = point.scheme, 0
+    if "sweep" not in point.seen:
+        sweep = check_triply_regular(scheme, point.sweep_points)
+        applies = sweep.passed and scheme.verify_axioms().passed and scheme.is_commutative()
+        point.seen["sweep"] = sweep, applies
+        checked = sweep.checked
+    sweep, applies = point.seen["sweep"]
+    if not applies:
+        return CheckResult(sweep.name, sweep.passed, sweep.witness, checked)
+    agrees = t0_dimension(scheme, point.x) == point.dim
+    witness = None if agrees else "span-equality cross-check disagrees with the sweep"
+    return CheckResult(sweep.name, agrees, witness, checked)
 
 
 def _dimension(point: BasePoint) -> CheckResult:
@@ -728,7 +730,7 @@ def _quotient_commutes(point: BasePoint) -> CheckResult:
 
 def _span_accounting(point: BasePoint) -> CheckResult:
     families = (point.units, point.idempotents)
-    combined = SpanBasis.from_matrices(
+    combined = ExactSpan.from_matrices(
         mat for family in families for _, mat in sorted(family.matrices.items())
     )
     rank_uf = combined.dimension

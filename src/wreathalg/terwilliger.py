@@ -3,9 +3,10 @@
 The algebra attached to a scheme and a base point is generated by the
 adjacency matrices together with the diagonal projections onto the
 spheres around the base point.  Its dimension is computed by an
-exact-span fixpoint (``algebra_closure``) and serves as the oracle that
+exact-span fixpoint (``product_closure``) and serves as the oracle that
 every structural claim in :mod:`wreathalg.structure` is checked against.
-Which triple products are nonzero, and so dim T_0, is read from the table.
+Which triple products are nonzero, and so dim T_0, is read from the table,
+and so is the triple-regularity sweep, which the pipeline cross-checks.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iter_product, repeat
 
-from .cyclotomic import ONE, ZERO
-from .linalg import ExactMatrix, ExactSpan, SpanBasis, product_closure
+from .linalg import ExactMatrix, ExactSpan, product_closure
 from .scheme import CheckResult, Scheme
 from .wreath import _as_index, check_moduli, class_indices, wreath_of_cyclics
 
@@ -26,13 +26,11 @@ __all__ = [
     "label_triples",
     "predict_triple_nonzero",
     "check_triple_list",
-    "algebra_closure",
     "standard_generators",
     "algebra_dimension",
     "t0_span",
     "t0_dimension",
     "triple_intersection",
-    "TriplyRegularReport",
     "check_triply_regular",
     "check_primary_module",
 ]
@@ -148,17 +146,6 @@ def check_triple_list(ctx: TerwilligerContext) -> CheckResult:
     return CheckResult("triple-list", True, None, checked)
 
 
-def algebra_closure(generators) -> SpanBasis:
-    """Smallest product-closed subspace containing the generators.
-
-    Every accepted basis element is multiplied on the left by every
-    generator until no product grows the span; the result is closed under
-    left multiplication by the generators, so it holds every word in them.
-    See :func:`wreathalg.linalg.product_closure`.
-    """
-    return product_closure(generators)
-
-
 def standard_generators(ctx: TerwilligerContext) -> list[ExactMatrix]:
     """Adjacency matrices followed by the dual idempotents, in class order."""
     return list(ctx.adjacency) + list(ctx.dual_idempotents)
@@ -166,19 +153,15 @@ def standard_generators(ctx: TerwilligerContext) -> list[ExactMatrix]:
 
 def algebra_dimension(scheme: Scheme, base_point: int) -> int:
     """Oracle dimension of the algebra at a base point."""
-    return algebra_closure(standard_generators(make_context(scheme, base_point))).dimension
+    return product_closure(standard_generators(make_context(scheme, base_point))).dimension
 
 
-def t0_span(ctx: TerwilligerContext) -> SpanBasis:
+def t0_span(ctx: TerwilligerContext) -> ExactSpan:
     """Span (no closure) of all triple products E_i* A_j E_h*."""
-    n = ctx.scheme.order
-    basis = SpanBasis(n, n)
-    c = ctx.scheme.classes
-    for i in range(c):
-        for j in range(c):
-            for h in range(c):
-                basis.insert(triple_product(ctx, i, j, h))
-    return basis
+    span = ExactSpan(ctx.scheme.order, ctx.scheme.order)
+    for i, j, h in iter_product(range(ctx.scheme.classes), repeat=3):
+        span.insert(triple_product(ctx, i, j, h))
+    return span
 
 
 def t0_dimension(scheme: Scheme, base_point: int) -> int:
@@ -195,47 +178,18 @@ def triple_intersection(scheme: Scheme, x: int, y: int, z: int, i: int, j: int, 
     return count
 
 
-@dataclass
-class TriplyRegularReport:
-    """Verdict of the triple-intersection constancy sweep.
-
-    ``dims_consistent`` records whether the verdict agrees with
-    (dim T_0(x) == dim T(x)), table count against closure, at every base
-    point cross-checked so far; it is None when the input is not a valid
-    commutative scheme and the comparison does not apply.
-    """
-
-    regular: bool
-    witness: str | None
-    dims_consistent: bool | None
-    checked: int
-
-    @property
-    def passed(self) -> bool:
-        return self.regular and self.dims_consistent is not False
-
-    def cross_check(self, t0_dim: int, dim: int) -> None:
-        """Fold in one base point: the sweep's verdict must agree with
-        dim T_0(x) == dim T(x) there."""
-        if (t0_dim == dim) != self.regular:
-            self.dims_consistent = False
-
-
-def check_triply_regular(
-    scheme: Scheme, base_points=None, sweep_points=None
-) -> TriplyRegularReport:
+def check_triply_regular(scheme: Scheme, sweep_points=None) -> CheckResult:
     """Exhaustively test whether all triple intersection counts depend only
-    on the six class labels, and cross-check the verdict against the span
-    equality dim T_0(x) == dim T(x), table count against closure, at every base
-    point until one disagrees.  With no base points, the caller cross-checks
-    through the report.
+    on the six class labels.
 
     The sweep visits the vertex tuples (x, y, z) with x in ``sweep_points``,
-    every vertex by default.  A table automorphism maps each tuple to one
-    with the same labels and the same counts, so where the automorphisms
-    move 0 to every vertex (a passed translation certificate), sweeping
-    x = 0 alone gives the same verdict: n^2 tuples, each counted over the n
-    vertices w, in place of n^3."""
+    every vertex by default, and reads only the class table.  A table
+    automorphism maps each tuple to one with the same labels and the same
+    counts, so where the automorphisms move 0 to every vertex (a passed
+    translation certificate), sweeping x = 0 alone gives the same verdict:
+    n^2 tuples, each counted over the n vertices w, in place of n^3.  The
+    span equality dim T_0(x) == dim T(x) (Terwilliger 1992) is cross-checked
+    against this verdict by :func:`wreathalg.structure.run_point_checks`."""
     n = scheme.order
     t = scheme.table
     buckets: dict[tuple[int, int, int], tuple[tuple[int, int, int], dict]] = {}
@@ -273,30 +227,16 @@ def check_triply_regular(
                 break
         if not regular:
             break
-
-    applies = scheme.verify_axioms().passed and scheme.is_commutative()
-    report = TriplyRegularReport(regular, witness, True if applies else None, checked)
-    for x in range(n) if base_points is None else base_points:
-        if not report.dims_consistent:
-            break
-        report.cross_check(t0_dimension(scheme, x), algebra_dimension(scheme, x))
-    return report
+    return CheckResult("triply-regular", regular, witness, checked)
 
 
 def check_primary_module(ctx: TerwilligerContext) -> CheckResult:
-    """The span of the sphere indicator vectors must have dimension d+1 and
-    be carried into itself by every generator."""
-    n = ctx.scheme.order
+    """The span of the sphere indicator vectors, n x 1 columns, must have
+    dimension d+1 and be carried into itself by every generator."""
     c = ctx.scheme.classes
-    indicators = []
-    for i in range(c):
-        vec = [ZERO] * n
-        for y in ctx.spheres[i]:
-            vec[y] = ONE
-        indicators.append(vec)
-    span = ExactSpan(n)
-    for vec in indicators:
-        span.insert(vec)
+    labels = ctx.scheme.table[ctx.base_point]
+    indicators = [ExactMatrix.from_rows([[int(label == i)] for label in labels]) for i in range(c)]
+    span = ExactSpan.from_matrices(indicators)
     if span.dimension != c:
         return CheckResult(
             "primary-module",
@@ -305,9 +245,9 @@ def check_primary_module(ctx: TerwilligerContext) -> CheckResult:
         )
     checked = 0
     for gen in standard_generators(ctx):
-        for vec in indicators:
+        for column in indicators:
             checked += 1
-            if not span.contains(gen.apply(vec)):
+            if not span.contains(gen * column):
                 return CheckResult(
                     "primary-module",
                     False,

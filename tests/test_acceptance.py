@@ -11,8 +11,8 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from wreathalg import (
+    ExactSpan,
     Scheme,
-    algebra_closure,
     algebra_dimension,
     build_central_idempotents,
     build_matrix_units,
@@ -27,6 +27,7 @@ from wreathalg import (
     class_indices,
     dimension_formula,
     euler_phi,
+    product_closure,
     standard_generators,
     t0_dimension,
     wreath_context,
@@ -35,7 +36,7 @@ from wreathalg import (
 )
 from wreathalg.cli import main as cli_main
 from wreathalg.cyclotomic import ZERO
-from wreathalg.linalg import SpanBasis
+from wreathalg.structure import run_point_checks
 
 
 def report(name: str, ok: bool) -> None:
@@ -100,8 +101,11 @@ def test_criterion_3_vanishing_criterion():
 def test_criterion_4_triple_regularity():
     ok = True
     for moduli in [(2, 3), (2, 2, 2), (3, 3)]:
-        result = check_triply_regular(wreath_of_cyclics(moduli))
-        ok = ok and result.regular and result.dims_consistent is True
+        scheme = wreath_of_cyclics(moduli)
+        ok = ok and check_triply_regular(scheme).passed
+        # the sweep once, and dim T_0(x) == dim T(x) at every base point
+        run, seen, _ = run_point_checks(scheme, None, range(scheme.order), ["triply-regular"])
+        ok = ok and run["triply-regular"].passed and seen["sweep"][1] is True
     report("criterion 4: triple regularity with span cross-check", ok)
     assert ok
 
@@ -175,7 +179,7 @@ def test_criterion_9_unit_span_is_ideal_quotient_commutative():
     for moduli in [(2, 3), (2, 2, 2), (3, 3)]:
         ctx = wreath_context(moduli, 0)
         units = build_matrix_units(ctx)
-        span = SpanBasis.from_matrices([m for _, m in sorted(units.matrices.items())])
+        span = ExactSpan.from_matrices([m for _, m in sorted(units.matrices.items())])
         generators = standard_generators(ctx)
         for gen in generators:
             for _, unit in sorted(units.matrices.items()):
@@ -233,8 +237,8 @@ def test_criterion_11a_cyclotomic_axioms_bulk():
 
 def test_criterion_11b_closure_idempotence():
     ctx = wreath_context((2, 3), 0)
-    closure = algebra_closure(standard_generators(ctx))
-    again = algebra_closure(closure.basis())
+    closure = product_closure(standard_generators(ctx))
+    again = product_closure(closure.basis())
     ok = again.dimension == closure.dimension == 18
     report("criterion 11b: closure idempotence", ok)
     assert ok

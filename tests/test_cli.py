@@ -221,6 +221,19 @@ def test_oracle_order_cap(capsys, tmp_path, monkeypatch):
     assert run(capsys, "oracle", str(table), "--checks", "axioms", "--max-order", "6")[0] == 0
 
 
+def test_oracle_caps_the_header_before_the_body(capsys, tmp_path):
+    # The order in the header is capped before the body is read, so a short
+    # body is never compared with the 10^10 entries the header announces.
+    path = tmp_path / "huge.txt"
+    path.write_text("100000 2\n0 1 2\n")
+    code, out, err = run(capsys, "oracle", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: order 100000 exceeds the cap 64\n"
+    assert run(capsys, "oracle", str(path), "--max-order", "100000")[2] == (
+        "error: cannot read scheme table: expected 10000000000 table entries, found 3\n"
+    )
+
+
 def example_schemes():
     """The valid class tables the golden oracle reports read, by placeholder name."""
     from itertools import permutations

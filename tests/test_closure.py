@@ -12,9 +12,8 @@ import pytest
 
 from wreathalg import (
     ExactMatrix,
+    ExactSpan,
     Scheme,
-    SpanBasis,
-    algebra_closure,
     build_central_idempotents,
     make_context,
     product_closure,
@@ -23,9 +22,9 @@ from wreathalg import (
 )
 
 
-def pairwise_closure(matrices) -> SpanBasis:
+def pairwise_closure(matrices) -> ExactSpan:
     n = matrices[0].rows
-    span = SpanBasis(n, n)
+    span = ExactSpan(n, n)
     reps = [m for m in matrices if span.insert(m)]
     processed = 0
     while processed < len(reps):
@@ -79,7 +78,7 @@ def test_cyclotomic_closure_matches_pairwise():
 def test_rational_reclosure_matches_pairwise():
     # criterion 11b closes the closure's own basis again; scaling that basis
     # by non-integral rationals keeps the algebra but not the integer entries
-    basis = algebra_closure(standard_generators(wreath_context((2, 3), 0))).basis()
+    basis = product_closure(standard_generators(wreath_context((2, 3), 0))).basis()
     assert_same_closure(basis)
     assert_same_closure([m.scaled(Fraction(2, k + 3)) for k, m in enumerate(basis)])
 

@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from wreathalg import ExactMatrix, ExactSpan, SpanBasis, product_closure, rational, zeta
+from wreathalg import ExactMatrix, ExactSpan, product_closure, rational, zeta
+
+
+def row(*entries):
+    """A vector, as the 1 x n matrix a span of vectors holds."""
+    return ExactMatrix.from_rows([list(entries)])
 
 
 def test_matrix_basics():
@@ -28,45 +33,45 @@ def test_matrix_shape_errors():
         ExactMatrix.from_rows([[1], [1, 2]])
 
 
-def test_matrix_apply():
+def test_matrix_vector_product():
     a = ExactMatrix.from_rows([[1, 2], [3, 4]])
-    assert a.apply([1, 1]) == [rational(3), rational(7)]
+    assert a * ExactMatrix.from_rows([[1], [1]]) == ExactMatrix.from_rows([[3], [7]])
 
 
 def test_span_rank_and_membership():
-    span = ExactSpan(3)
-    assert span.insert([1, 2, 3])
-    assert span.insert([0, 1, 1])
-    assert not span.insert([1, 3, 4])
+    span = ExactSpan(1, 3)
+    assert span.insert(row(1, 2, 3))
+    assert span.insert(row(0, 1, 1))
+    assert not span.insert(row(1, 3, 4))
     assert span.dimension == 2
-    assert span.contains([2, 5, 7])
-    assert not span.contains([0, 0, 1])
+    assert span.contains(row(2, 5, 7))
+    assert not span.contains(row(0, 0, 1))
 
 
 def test_span_fraction_input():
-    span = ExactSpan(2)
-    span.insert([Fraction(1, 2), Fraction(1, 3)])
-    assert span.contains([3, 2])
+    span = ExactSpan(1, 2)
+    span.insert(row(Fraction(1, 2), Fraction(1, 3)))
+    assert span.contains(row(3, 2))
     assert span.dimension == 1
 
 
 def test_span_reduced_form_is_pivot_one():
-    span = ExactSpan(3)
-    span.insert([2, 4, 0])
-    span.insert([2, 5, 0])
-    rows = span.vectors()
+    span = ExactSpan(1, 3)
+    span.insert(row(2, 4, 0))
+    span.insert(row(2, 5, 0))
+    rows = [m.flat() for m in span.basis()]
     assert rows[0] == [rational(1), rational(0), rational(0)]
     assert rows[1] == [rational(0), rational(1), rational(0)]
 
 
 def test_span_upgrade_to_cyclotomic_rows():
-    span = ExactSpan(2)
-    span.insert([1, 1])
-    assert span.contains([zeta(3), zeta(3)])  # scalar multiple over the big field
-    assert not span.contains([zeta(3), 0])
-    assert span.insert([zeta(3), 0])
+    span = ExactSpan(1, 2)
+    span.insert(row(1, 1))
+    assert span.contains(row(zeta(3), zeta(3)))  # scalar multiple over the big field
+    assert not span.contains(row(zeta(3), 0))
+    assert span.insert(row(zeta(3), 0))
     assert span.dimension == 2
-    assert span.contains([0, 5])
+    assert span.contains(row(0, 5))
 
 
 @pytest.mark.parametrize("field", ["int", "cyclo"])
@@ -82,25 +87,30 @@ def test_span_basis_is_independent_of_insertion_order(field):
     reference = None
     for _ in range(5):
         rng.shuffle(vectors)
-        span = ExactSpan(6)
+        span = ExactSpan(1, 6)
         for vec in vectors:
-            span.insert(vec)
+            span.insert(row(*vec))
         assert span.conductor == (3 if field == "cyclo" else 1)
         if reference is None:
-            reference = span.vectors()
+            reference = [m.flat() for m in span.basis()]
         assert span.dimension == 3
-        assert span.vectors() == reference
+        assert [m.flat() for m in span.basis()] == reference
 
 
 def test_span_basis_matrices():
     mats = [ExactMatrix.from_rows([[1, 0], [0, 0]]), ExactMatrix.from_rows([[1, 0], [0, 1]])]
-    basis = SpanBasis.from_matrices(mats)
+    basis = ExactSpan.from_matrices(mats)
     assert basis.dimension == 2
     assert basis.contains(ExactMatrix.from_rows([[0, 0], [0, 3]]))
     assert not basis.contains(ExactMatrix.from_rows([[0, 1], [0, 0]]))
     rebuilt = basis.basis()
     assert all(isinstance(m, ExactMatrix) for m in rebuilt)
     assert rebuilt[0][0, 0] == rational(1)
+    assert basis.shape == (2, 2)
+    with pytest.raises(ValueError):
+        basis.contains(ExactMatrix.from_rows([[1, 0, 0, 0]]))
+    with pytest.raises(ValueError):
+        ExactSpan.from_matrices([])
 
 
 def test_closure_of_identity():

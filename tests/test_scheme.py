@@ -153,6 +153,36 @@ def test_commutativity():
     assert wreath_of_cyclics([2, 3]).is_commutative()
 
 
+def commutes_by_products(scheme):
+    """The reference: every pair of adjacency matrices, multiplied exactly."""
+    mats = [scheme.adjacency_matrix(i) for i in range(scheme.classes)]
+    return all(a * b == b * a for k, a in enumerate(mats) for b in mats[k + 1:])
+
+
+@pytest.mark.parametrize(
+    "name", ["t22", "t222", "shrikhande", "s3", (2, 3), (3, 3), (2, 2, 2, 2), (2, 3, 4), (4, 4, 4)]
+)
+def test_commutativity_matches_matrix_products(name):
+    # is_commutative reads p^h_ij == p^h_ji off the table
+    from test_cli import example_schemes
+
+    scheme = example_schemes()[name] if isinstance(name, str) else wreath_of_cyclics(name)
+    expected = commutes_by_products(scheme)
+    assert scheme.is_commutative() == expected
+    assert expected == (name != "s3")
+
+
+def test_commutativity_raises_without_regularity():
+    table = [
+        [0, 2, 1, 1],
+        [2, 0, 1, 1],
+        [1, 1, 0, 1],
+        [1, 1, 1, 0],
+    ]
+    with pytest.raises(AxiomViolation):
+        Scheme(table).is_commutative()
+
+
 def test_axiom_verdict_invariant_under_relabeling():
     s = wreath_of_cyclics([2, 3])
     rng = random.Random(11)

@@ -13,7 +13,7 @@ import math
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wreathalg import ZERO, ExactMatrix, ExactSpan, SpanBasis, euler_phi, zeta
+from wreathalg import ZERO, ExactMatrix, ExactSpan, euler_phi, zeta
 from wreathalg.linalg import as_cyclo
 
 # The same examples on every run, and no example database on disk.
@@ -59,6 +59,15 @@ class ReferenceSpan:
         return [row for _, row in self.rows]
 
 
+def row(vec):
+    """A vector, as the 1 x n matrix a span of vectors holds."""
+    return ExactMatrix.from_rows([vec])
+
+
+def basis_vectors(span):
+    return [m.flat() for m in span.basis()]
+
+
 @st.composite
 def elements(draw, conductor):
     """A small element of Z[zeta_conductor], zero half of the time."""
@@ -92,48 +101,48 @@ FIELDS = [(1,), (3,), (4,), (3, 4)]
 @given(st.data(), st.sampled_from(FIELDS), st.integers(2, 6))
 @SETTINGS
 def test_span_matches_the_reference_echelon(data, field, length):
-    span, reference, inserted = ExactSpan(length), ReferenceSpan(), []
+    span, reference, inserted = ExactSpan(1, length), ReferenceSpan(), []
     for conductor in field:
         for k in range(data.draw(st.integers(1, 5))):
             vec = data.draw(vectors(length, conductor, inserted))
             if k == 0:
                 vec[0] = zeta(conductor)  # each field's first vector is irrational
-            assert span.insert(vec) == reference.insert(vec)
+            assert span.insert(row(vec)) == reference.insert(vec)
             inserted.append(vec)
     widened = math.lcm(*field)
     assert span.conductor == widened
     assert span.dimension == len(reference.rows)
-    assert span.vectors() == reference.vectors()
+    assert basis_vectors(span) == reference.vectors()
     # membership, also of vectors over a conductor the span has not seen
     for conductor in (1, 3, 4, 5):
         vec = data.draw(vectors(length, conductor, inserted))
-        stored = span.vectors()
-        assert span.contains(vec) == reference.contains(vec)
-        assert span.vectors() == stored
+        stored = basis_vectors(span)
+        assert span.contains(row(vec)) == reference.contains(vec)
+        assert basis_vectors(span) == stored
     assert span.conductor == widened
 
 
 @given(st.data(), st.sampled_from([3, 4]), st.integers(2, 6))
 @SETTINGS
 def test_irrational_membership_in_a_rational_span(data, conductor, length):
-    span, reference = ExactSpan(length), ReferenceSpan()
+    span, reference = ExactSpan(1, length), ReferenceSpan()
     rational = [data.draw(vectors(length, 1)) for _ in range(data.draw(st.integers(1, 4)))]
     for vec in rational:
-        span.insert(vec)
+        span.insert(row(vec))
         reference.insert(vec)
     # an irrational multiple of a member is a member over the larger field
     c = zeta(conductor) + data.draw(st.integers(-2, 2))
     probes = [[c * a for a in rational[0]], data.draw(vectors(length, conductor, rational))]
     for vec in probes:
-        assert span.contains(vec) == reference.contains(vec)
-    assert span.contains(probes[0])
+        assert span.contains(row(vec)) == reference.contains(vec)
+    assert span.contains(row(probes[0]))
     assert span.conductor == 1
 
 
 @given(st.data(), st.sampled_from(FIELDS))
 @SETTINGS
 def test_basis_matrices_are_the_reference_rows(data, field):
-    span, reference, inserted = SpanBasis(2, 3), ReferenceSpan(), []
+    span, reference, inserted = ExactSpan(2, 3), ReferenceSpan(), []
     for conductor in field:
         for k in range(data.draw(st.integers(1, 4))):
             vec = data.draw(vectors(6, conductor, inserted))
@@ -142,6 +151,6 @@ def test_basis_matrices_are_the_reference_rows(data, field):
             span.insert(ExactMatrix(2, 3, [vec[:3], vec[3:]]))
             reference.insert(vec)
             inserted.append(vec)
-    assert [m.flat() for m in span.basis()] == reference.vectors()
+    assert basis_vectors(span) == reference.vectors()
     for m in span.basis():
         assert span.contains(m)

@@ -29,7 +29,7 @@ from wreathalg import (
     zeta,
 )
 from wreathalg import structure, wreath
-from wreathalg.linalg import SpanBasis
+from wreathalg.linalg import ExactSpan
 from wreathalg.structure import DECOMPOSITION, POINT_CHECKS, BasePoint, run_point_checks
 
 
@@ -57,7 +57,7 @@ def test_unit_family_small_entries():
 def test_unit_family_rank():
     ctx = wreath_context([2, 2], 0)
     units = build_matrix_units(ctx)
-    span = SpanBasis.from_matrices([m for _, m in sorted(units.matrices.items())])
+    span = ExactSpan.from_matrices([m for _, m in sorted(units.matrices.items())])
     assert span.dimension == 9
 
 

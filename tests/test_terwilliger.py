@@ -5,7 +5,6 @@ import pytest
 from wreathalg import (
     ExactMatrix,
     Scheme,
-    algebra_closure,
     algebra_dimension,
     check_primary_module,
     check_translation_certificate,
@@ -13,6 +12,7 @@ from wreathalg import (
     check_triply_regular,
     cyclic_scheme,
     make_context,
+    product_closure,
     rational,
     standard_generators,
     t0_dimension,
@@ -22,6 +22,7 @@ from wreathalg import (
     wreath_context,
     wreath_of_cyclics,
 )
+from wreathalg.structure import run_point_checks
 
 
 def test_context_dual_idempotents():
@@ -97,14 +98,14 @@ def test_triple_list_base_point_sweep():
 def test_closure_dimension_oracle():
     s = wreath_of_cyclics([2, 2])
     ctx = make_context(s, 0)
-    closure = algebra_closure(standard_generators(ctx))
+    closure = product_closure(standard_generators(ctx))
     assert closure.dimension == 10
 
 
 def test_every_triple_product_lies_in_the_closure():
     s = wreath_of_cyclics([2, 2])
     ctx = make_context(s, 0)
-    closure = algebra_closure(standard_generators(ctx))
+    closure = product_closure(standard_generators(ctx))
     for i, j, h in iter_product(range(s.classes), repeat=3):
         assert closure.contains(triple_product(ctx, i, j, h))
 
@@ -126,7 +127,7 @@ def test_t0_equals_closure_for_wreaths():
 
 def test_t0_is_contained_in_closure():
     ctx = wreath_context([2, 3], 1)
-    closure = algebra_closure(standard_generators(ctx))
+    closure = product_closure(standard_generators(ctx))
     for mat in t0_span(ctx).basis():
         assert closure.contains(mat)
 
@@ -162,18 +163,22 @@ def test_triple_intersection_ball_case():
 
 def test_triply_regular_wreaths():
     for m in [(2, 3), (2, 2, 2)]:
-        report = check_triply_regular(wreath_of_cyclics(m))
-        assert report.regular
-        assert report.dims_consistent is True
-        assert report.passed
+        scheme = wreath_of_cyclics(m)
+        n = scheme.order
+        assert check_triply_regular(scheme).passed
+        # the pipeline sweeps once and cross-checks the span equality at each point
+        run, seen, _ = run_point_checks(scheme, None, range(n), ["triply-regular"])
+        assert run["triply-regular"].passed
+        assert run["triply-regular"].checked == n ** 3
+        assert seen["sweep"][1] is True
 
 
 @pytest.mark.parametrize("moduli", [(2, 2), (2, 3), (3, 3), (2, 2, 2, 2), (2, 3, 4)])
 def test_sweep_from_zero_gives_the_full_verdict(moduli):
     scheme = wreath_of_cyclics(moduli)
-    full = check_triply_regular(scheme, ())
-    from_zero = check_triply_regular(scheme, (), (0,))
-    assert full.regular and from_zero.regular
+    full = check_triply_regular(scheme)
+    from_zero = check_triply_regular(scheme, (0,))
+    assert full.passed and from_zero.passed
     assert (full.checked, from_zero.checked) == (scheme.order ** 3, scheme.order ** 2)
 
 
@@ -184,39 +189,85 @@ def test_sweep_from_zero_fails_on_the_shrikhande_table():
 
     shrikhande = example_schemes()["shrikhande"]
     assert check_translation_certificate(shrikhande, (4, 4)).passed
-    full = check_triply_regular(shrikhande, ())
-    from_zero = check_triply_regular(shrikhande, (), (0,))
-    assert not full.regular and not from_zero.regular
+    full = check_triply_regular(shrikhande)
+    from_zero = check_triply_regular(shrikhande, (0,))
+    assert not full.passed and not from_zero.passed
     assert full.witness is not None and from_zero.witness is not None
+
+
+def refuse(original):
+    """A replacement for ``original`` that fails the test when called."""
+
+    def raising(*args, **kwargs):
+        raise AssertionError(f"{original.__name__} is off this path")
+
+    return raising
+
+
+def test_sweep_reads_only_the_table(monkeypatch):
+    # With every path to a context or a closure made to raise, the sweep
+    # gives the same verdicts, counts and witness.
+    from test_cli import _rebind, example_schemes
+
+    for name in ("make_context", "product_closure", "algebra_dimension"):
+        _rebind(monkeypatch, name, refuse)
+    regular = check_triply_regular(wreath_of_cyclics((2, 3, 4)))
+    assert (regular.passed, regular.witness, regular.checked) == (True, None, 24 ** 3)
+    shrikhande = check_triply_regular(example_schemes()["shrikhande"])
+    assert not shrikhande.passed
+    assert shrikhande.witness == (
+        "classes (1, 1, 1) over pair pattern (1, 1, 2): count 0 at (0, 1, 3) but 1 at (0, 1, 4)"
+    )
+    assert shrikhande.checked == 21
 
 
 def test_triply_regular_span_cross_check_can_fail(monkeypatch):
     # A T_0 count one short at x=2 makes dim T_0(x) != dim T(x) there, which
     # disagrees with the sweep's verdict that the scheme is triply regular.
-    from wreathalg import terwilliger
+    from test_cli import _rebind
 
-    original = terwilliger.t0_dimension
-    monkeypatch.setattr(
-        terwilliger, "t0_dimension", lambda scheme, x: original(scheme, x) - (x == 2)
+    _rebind(
+        monkeypatch,
+        "t0_dimension",
+        lambda original: lambda scheme, x: original(scheme, x) - (x == 2),
     )
-    report = check_triply_regular(wreath_of_cyclics((2, 2)))
-    assert report.regular
-    assert report.dims_consistent is False
-    assert not report.passed
+    scheme = wreath_of_cyclics((2, 2))
+    assert check_triply_regular(scheme).passed
+    run, _, _ = run_point_checks(scheme, None, range(4), ["triply-regular"])
+    assert not run["triply-regular"].passed
+    assert run["triply-regular"].witness == "span-equality cross-check disagrees with the sweep"
     # the other base points agree
-    assert check_triply_regular(wreath_of_cyclics((2, 2)), [0, 1, 3]).passed
+    run, _, _ = run_point_checks(scheme, None, [0, 1, 3], ["triply-regular"])
+    assert run["triply-regular"].passed
 
 
 def test_triply_regular_builds_one_context_per_point(monkeypatch):
-    from wreathalg import terwilliger
+    from test_cli import _rebind
 
     calls = []
-    original = terwilliger.make_context
-    monkeypatch.setattr(
-        terwilliger, "make_context", lambda *args: calls.append(args[1]) or original(*args)
+    _rebind(
+        monkeypatch,
+        "make_context",
+        lambda original: lambda *args, **kwargs: calls.append(args[1]) or original(*args, **kwargs),
     )
     assert check_triply_regular(wreath_of_cyclics((2, 2))).passed
+    assert calls == []
+    run, _, _ = run_point_checks(wreath_of_cyclics((2, 2)), None, range(4), ["triply-regular"])
+    assert run["triply-regular"].passed
     assert calls == [0, 1, 2, 3]
+
+
+def test_cross_check_skips_a_noncommutative_scheme(monkeypatch):
+    # The S_3 group scheme is triply regular but not commutative, so the span
+    # equality does not apply and no point counts its T_0.
+    from test_cli import _rebind, example_schemes
+
+    _rebind(monkeypatch, "t0_dimension", refuse)
+    s3 = example_schemes()["s3"]
+    run, seen, _ = run_point_checks(s3, None, range(6), ["triply-regular"])
+    assert run["triply-regular"].passed
+    assert run["triply-regular"].checked == 6 ** 3
+    assert seen["sweep"][1] is False
 
 
 def test_triply_regular_counterexample():
@@ -229,10 +280,11 @@ def test_triply_regular_counterexample():
         [1, 1, 1, 0],
     ]
     report = check_triply_regular(Scheme(table))
-    assert not report.regular
-    assert report.witness is not None
-    assert report.dims_consistent is None
     assert not report.passed
+    assert report.witness is not None
+    run, seen, _ = run_point_checks(Scheme(table), None, range(4), ["triply-regular"])
+    assert run["triply-regular"] == report
+    assert seen["sweep"] == (report, False)
 
 
 def test_primary_module_dimensions():
@@ -264,6 +316,19 @@ def test_primary_module_detects_bad_span():
     result = check_primary_module(ctx)
     assert not result.passed
     assert "dimension" in result.witness
+
+
+def test_primary_module_detects_a_generator_leaving_the_span():
+    # The path on four vertices, classed by distance: the indicator span has
+    # the right dimension, but the table is not a scheme, and a generator
+    # maps an indicator outside the span at every base point.
+    table = [[0, 1, 2, 2], [1, 0, 1, 2], [2, 1, 0, 1], [2, 2, 1, 0]]
+    results = [check_primary_module(make_context(Scheme(table), x)) for x in range(4)]
+    assert [r.passed for r in results] == [False] * 4
+    assert [r.witness for r in results] == [
+        f"x={x}: a generator maps an indicator vector outside the span" for x in range(4)
+    ]
+    assert [r.checked for r in results] == [5, 6, 6, 5]
 
 
 def test_t0_span_matrices_have_scheme_shape():
