@@ -8,6 +8,15 @@ verdict in this package ultimately rests on that.
 
 Elements of different conductors are combined by embedding both into
 Q(zeta_lcm), via zeta_m = zeta_lcm^(lcm/m).
+
+This module is the one exact kernel for Q(zeta_N), and ``linalg`` calls it
+on integer coefficients over Z[zeta_N].  ``_reduce`` is the only reduction
+modulo Phi_N: a long division by the monic integer Phi_N, in the
+coefficients' own arithmetic, so integers stay integers.  The one inverse is
+the adjugate over the norm: the product of the Galois conjugates
+z -> z^k, 1 < k < N, gcd(k, N) = 1, of an integer element a is ``adj(a)``,
+and ``a adj(a) = N(a)`` is a nonzero rational integer, so
+``a^-1 = adj(a) / N(a)``.  No step divides in Z[zeta_N].
 """
 
 from __future__ import annotations
@@ -35,47 +44,22 @@ def euler_phi(n: int) -> int:
     """Euler's totient of a positive integer."""
     if n < 1:
         raise ValueError("totient undefined for n < 1")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    return sum(math.gcd(k, n) == 1 for k in range(1, n + 1))
 
 
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     # Exact division of integer polynomials (constant term first).
     # The divisor must be monic and must divide evenly.
     num = list(num)
-    deg_out = len(num) - len(den)
-    out = [0] * (deg_out + 1)
-    for k in range(deg_out, -1, -1):
+    out = []
+    for k in range(len(num) - len(den), -1, -1):
         c = num[k + len(den) - 1]
-        out[k] = c
-        if c:
-            for idx, dc in enumerate(den):
-                num[k + idx] -= c * dc
+        out.append(c)
+        for idx, dc in enumerate(den):
+            num[k + idx] -= c * dc
     if any(num):
         raise ArithmeticError("polynomial division left a remainder")
-    return out
+    return out[::-1]
 
 
 @lru_cache(maxsize=None)
@@ -90,71 +74,70 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     if n == 1:
         return (-1, 1)
     poly = [-1] + [0] * (n - 1) + [1]
-    for d in _divisors(n)[:-1]:
-        poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
     return tuple(poly)
 
 
-def _reduce(coeffs, n: int) -> tuple[Fraction, ...]:
-    # Reduce a raw coefficient list modulo Phi_n down to length phi(n).
+def _zero(coeffs):
+    # A zero of the coefficients' own type: CycloNum keeps Fractions.
+    return _F0 if isinstance(coeffs[0], Fraction) else 0
+
+
+def _reduce(coeffs, n: int) -> tuple:
+    """``sum_k coeffs[k] z^k`` modulo Phi_n: its phi(n) power-basis
+    coefficients, by long division by the monic integer Phi_n.  The
+    arithmetic is the coefficients' own, so integer input stays integer;
+    short input is padded with zeros of the same type."""
     phi = euler_phi(n)
-    work = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+    work = list(coeffs)
     if len(work) < phi:
-        work.extend([_F0] * (phi - len(work)))
-    if len(work) > phi:
-        mod = cyclotomic_polynomial(n)
+        work += [_zero(work)] * (phi - len(work))
+    elif len(work) > phi:
+        taps = [(idx, m) for idx, m in enumerate(cyclotomic_polynomial(n)[:phi]) if m]
         for k in range(len(work) - 1, phi - 1, -1):
             c = work[k]
             if c:
-                work[k] = _F0
                 base = k - phi
-                for idx in range(phi):
-                    if mod[idx]:
-                        work[base + idx] -= c * mod[idx]
+                for idx, m in taps:
+                    work[base + idx] -= c if m == 1 else -c if m == -1 else c * m
         del work[phi:]
     return tuple(work)
 
 
-def _poly_trimmed(p: list[Fraction]) -> list[Fraction]:
-    p = list(p)
-    while p and not p[-1]:
-        p.pop()
-    return p
+@lru_cache(maxsize=None)
+def _xpow(n: int, d: int) -> tuple[int, ...]:
+    """Integer coefficients of z^d in the power basis of Q(zeta_n)."""
+    return _reduce([0] * d + [1], n)
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = _poly_trimmed(num)
-    den = _poly_trimmed(den)
-    q = [_F0] * max(len(num) - len(den) + 1, 0)
-    inv_lead = _F1 / den[-1]
-    while len(num) >= len(den):
-        c = num[-1] * inv_lead
-        shift = len(num) - len(den)
-        if c:
-            q[shift] = c
-            for i, dc in enumerate(den):
-                num[shift + i] -= c * dc
-        num.pop()
-        num = _poly_trimmed(num)
-    return q, num
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_F0] * (len(a) + len(b) - 1)
+def _mul(a, b, n: int) -> tuple:
+    """The product of two power-basis coefficient vectors of Q(zeta_n),
+    reduced; zero coefficients are skipped, and integers stay integers."""
+    terms = [(j, cb) for j, cb in enumerate(b) if cb]
+    raw = [_zero(a)] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-    return out
+            for j, cb in terms:
+                raw[i + j] += ca * cb
+    return _reduce(raw, n)
 
 
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = list(a) + [_F0] * (len(b) - len(a))
-    for i, cb in enumerate(b):
-        out[i] -= cb
+def _adjugate(a, n: int) -> tuple[int, ...]:
+    """The product of the Galois conjugates sigma_k(a), z -> z^k, over
+    1 < k < n with gcd(k, n) = 1, for integer coefficients ``a``.  Then
+    ``a * _adjugate(a, n)`` is the norm N(a), a rational integer, nonzero
+    for nonzero ``a``, since Phi_n is irreducible."""
+    out = (1,) + (0,) * (len(a) - 1)
+    for k in range(2, n):
+        if math.gcd(k, n) == 1:
+            # k is a unit mod n, so the indices k*s mod n are distinct.
+            raw = [0] * n
+            for s, c in enumerate(a):
+                if c:
+                    raw[k * s % n] = c
+            out = _mul(out, _reduce(raw, n), n)
     return out
 
 
@@ -205,9 +188,7 @@ class CycloNum:
             raise ValueError("target conductor must be a multiple")
         step = n // self.conductor
         raw = [_F0] * ((len(self.coeffs) - 1) * step + 1)
-        for k, c in enumerate(self.coeffs):
-            if c:
-                raw[k * step] += c
+        raw[::step] = self.coeffs
         return CycloNum(n, _reduce(raw, n))
 
     def _promoted(self, other):
@@ -249,13 +230,7 @@ class CycloNum:
             return NotImplemented
         if a.conductor == 1:
             return CycloNum(1, (a.coeffs[0] * b.coeffs[0],))
-        raw = [_F0] * (2 * len(a.coeffs) - 1)
-        for i, ca in enumerate(a.coeffs):
-            if ca:
-                for j, cb in enumerate(b.coeffs):
-                    if cb:
-                        raw[i + j] += ca * cb
-        return CycloNum(a.conductor, _reduce(raw, a.conductor))
+        return CycloNum(a.conductor, _mul(a.coeffs, b.coeffs, a.conductor))
 
     __rmul__ = __mul__
 
@@ -265,21 +240,15 @@ class CycloNum:
             raise ZeroDivisionError("zero has no inverse")
         if self.conductor == 1:
             return CycloNum(1, (_F1 / self.coeffs[0],))
-        # Extended Euclid against Phi_N, which is irreducible over Q, so the
-        # gcd with any nonzero residue is a nonzero constant.
-        r0 = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        r1 = list(self.coeffs)
-        t0: list[Fraction] = [_F0]
-        t1: list[Fraction] = [_F1]
-        while any(r1):
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-        r0 = _poly_trimmed(r0)
-        if len(r0) != 1:
-            raise ArithmeticError("gcd with the cyclotomic polynomial is not constant")
-        scale = _F1 / r0[0]
-        return CycloNum(self.conductor, _reduce([c * scale for c in t0], self.conductor))
+        # a = self * den has integer coefficients, and a^-1 = adj(a) / N(a).
+        n = self.conductor
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        a = [c.numerator * (den // c.denominator) for c in self.coeffs]
+        adjugate = _adjugate(a, n)
+        norm = _mul(a, adjugate, n)
+        if any(norm[1:]):
+            raise ArithmeticError("the norm is not a rational integer")
+        return CycloNum(n, tuple(Fraction(c * den, norm[0]) for c in adjugate))
 
     def __truediv__(self, other):
         a, b = self._promoted(other)
@@ -313,24 +282,11 @@ class CycloNum:
 
     # -- output -------------------------------------------------------------
 
-    def to_complex(self) -> complex:
-        """Numerical embedding zeta_N -> exp(2*pi*i/N).  Diagnostics only."""
-        import cmath
-
-        root = cmath.exp(2j * cmath.pi / self.conductor)
-        value = 0j
-        for k, c in enumerate(self.coeffs):
-            if c:
-                value += float(c) * root**k
-        return value
-
     def __repr__(self):
         if self.is_rational():
             return f"CycloNum({self.coeffs[0]})"
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c:
-                terms.append(f"({c})*z{self.conductor}^{k}" if k else f"({c})")
+        terms = [f"({c})*z{self.conductor}^{k}" if k else f"({c})"
+                 for k, c in enumerate(self.coeffs) if c]
         return "CycloNum(" + " + ".join(terms) + ")"
 
 
@@ -345,9 +301,7 @@ def zeta(n: int, k: int = 1) -> CycloNum:
     k %= n
     if n == 1:
         return ONE
-    raw = [_F0] * (k + 1)
-    raw[k] = _F1
-    return CycloNum(n, _reduce(raw, n))
+    return CycloNum(n, _reduce([_F0] * k + [_F1], n))
 
 
 def rational(value) -> CycloNum:

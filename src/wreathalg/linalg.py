@@ -8,7 +8,8 @@ row i of plane s is the single int ``sum_j v_s(i, j) 2^(b j)`` for a slot
 width ``b``.  A rational matrix has one plane.  Packing is Z-linear, so
 sums, scalings and embeddings act on whole row ints, and row i of ``A*B``
 is ``sum_k a_ik packed(B_k)``: one big-int multiply-add per nonzero entry
-of A, with the planes convolved and reduced modulo Phi_N.  Packing is
+of A, with the planes convolved and reduced modulo Phi_N by the integer
+powers ``_xpow(N, d)`` of the ``cyclotomic`` kernel.  Packing is
 injective while every ``|v| < 2^(b-1)``, so each matrix carries a proven
 bound on its ``|v|``: every operation derives its result's bound from its
 operands' bounds and repacks wider when the bound would reach
@@ -26,7 +27,9 @@ are plain integer rows, and widens to the lcm of the conductors inserted;
 widening embeds the stored rows, which stay in reduced echelon form.  A
 matrix is inserted as its decoded integer planes, denominator dropped, since
 scaling leaves a span unchanged, and the product closure inserts packed
-products as they come.
+products as they come.  An irrational pivot is made rational by multiplying
+its row by the pivot's adjugate (see ``cyclotomic``), so the span code works
+on integers alone, with no ``CycloNum`` and no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from functools import lru_cache
 from itertools import compress
 from operator import mul
 
-from .cyclotomic import ZERO, CycloNum, cyclotomic_polynomial, euler_phi
+from .cyclotomic import ZERO, CycloNum, _adjugate, _xpow, euler_phi
 
 __all__ = ["ExactMatrix", "ExactSpan", "product_closure"]
 
@@ -105,17 +108,6 @@ def _unpack(rows, width: int, n: int) -> list[int]:
         return [int.from_bytes(raw[k:k + step], "little", signed=True)
                 for k in range(0, len(raw), step)]
     return list(struct.unpack(f"<{len(raw) * 8 // width}{code}", raw))
-
-
-@lru_cache(maxsize=None)
-def _xpow(conductor: int, d: int) -> tuple[int, ...]:
-    """Integer coefficients of z^d in the power basis of Q(zeta_conductor)."""
-    phi = euler_phi(conductor)
-    if d < phi:
-        return tuple(int(k == d) for k in range(phi))
-    prev = _xpow(conductor, d - 1)
-    poly = cyclotomic_polynomial(conductor)  # monic of degree phi
-    return tuple(c - prev[-1] * poly[k] for k, c in enumerate((0,) + prev[:-1]))
 
 
 def _reduced(raw: dict[int, list[int]], conductor: int, rows: int) -> list[list[int]]:
@@ -580,10 +572,9 @@ class ExactSpan:
         pivot = next(compress(range(len(v)), v)) // phi
         at = pivot * phi
         if any(v[at + 1:at + phi]):
-            # An integer multiple of the pivot's inverse makes it rational.
-            inv = CycloNum(conductor, tuple(map(Fraction, v[at:at + phi]))).inv()
-            den = math.lcm(*(q.denominator for q in inv.coeffs))
-            v = _times([q.numerator * (den // q.denominator) for q in inv.coeffs], v, conductor)
+            # The pivot's adjugate turns the pivot into its norm, a rational
+            # integer; _normalized then makes the row primitive.
+            v = _times(_adjugate(v[at:at + phi], conductor), v, conductor)
         v = _normalized(v, at)
         support = _support(v, phi)
         updated = []

@@ -9,6 +9,7 @@ certificate at the scale this package targets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice, product
 
 from .linalg import ExactMatrix
 
@@ -66,18 +67,20 @@ class Scheme:
         order = len(table)
         if order == 0 or any(len(row) != order for row in table):
             raise ValueError("class table must be a nonempty square grid")
-        for row in table:
-            for v in row:
-                if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                    raise ValueError("class table entries must be nonnegative integers")
+        if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for row in table for v in row):
+            raise ValueError("class table entries must be nonnegative integers")
+        top = max(map(max, table))
         self.order = order
         self.table = table
-        self.classes = classes if classes is not None else max(max(row) for row in table) + 1
+        self.classes = classes if classes is not None else top + 1
+        # Kept so that verify_axioms can report it; every parameter raises.
+        self._label_witness = None if top < self.classes else next(
+            f"classify({x},{y}) = {c} outside 0..{self.classes - 1}"
+            for x, row in enumerate(table) for y, c in enumerate(row) if c >= self.classes)
         self._adjacency: dict[int, ExactMatrix] = {}
         self._valencies: list[int] | None = None
         self._pnums = None
         self._pnum_witness: str | None = None
-        self._pnums_done = False
 
     @classmethod
     def from_classifier(cls, order: int, classify, classes: int | None = None) -> "Scheme":
@@ -99,58 +102,37 @@ class Scheme:
         t = self.table
         n = self.order
 
-        identity_ok = True
-        for x in range(n):
-            if t[x][x] != 0:
-                identity_ok = False
-                counterexamples["identity"] = f"classify({x},{x}) = {t[x][x]} != 0"
-                break
-        if identity_ok:
-            for x in range(n):
-                row = t[x]
-                for y in range(n):
-                    if x != y and row[y] == 0:
-                        identity_ok = False
-                        counterexamples["identity"] = f"classify({x},{y}) = 0 with {x} != {y}"
-                        break
-                if not identity_ok:
-                    break
+        x = next((x for x in range(n) if t[x][x] != 0), None)
+        if x is not None:
+            counterexamples["identity"] = f"classify({x},{x}) = {t[x][x]} != 0"
+        else:
+            pair = next(((x, y) for x, y in product(range(n), repeat=2) if x != y and t[x][y] == 0),
+                        None)
+            if pair is not None:
+                counterexamples["identity"] = "classify({0},{1}) = 0 with {0} != {1}".format(*pair)
+        identity_ok = "identity" not in counterexamples
 
-        partition_ok = True
-        seen = [False] * self.classes
-        for x in range(n):
-            for y in range(n):
-                c = t[x][y]
-                if c >= self.classes:
-                    partition_ok = False
-                    counterexamples["partition"] = (
-                        f"classify({x},{y}) = {c} outside 0..{self.classes - 1}"
-                    )
-                    break
-                seen[c] = True
-            if not partition_ok:
-                break
-        if partition_ok and not all(seen):
-            partition_ok = False
-            empty = seen.index(False)
-            counterexamples["partition"] = f"relation {empty} is empty"
+        partition_ok = self._label_witness is None
+        if not partition_ok:
+            counterexamples["partition"] = self._label_witness
+        else:
+            empty = set(range(self.classes)).difference(*t)
+            if empty:
+                partition_ok = False
+                counterexamples["partition"] = f"relation {min(empty)} is empty"
 
         transpose_ok = partition_ok
         if transpose_ok:
             tmap: list[int | None] = [None] * self.classes
-            for x in range(n):
-                for y in range(n):
-                    i = t[x][y]
-                    it = t[y][x]
-                    if tmap[i] is None:
-                        tmap[i] = it
-                    elif tmap[i] != it:
-                        transpose_ok = False
-                        counterexamples["transpose"] = (
-                            f"classify({y},{x}) = {it} but class {i} transposed to {tmap[i]} before"
-                        )
-                        break
-                if not transpose_ok:
+            for x, y in product(range(n), repeat=2):
+                i, it = t[x][y], t[y][x]
+                if tmap[i] is None:
+                    tmap[i] = it
+                elif tmap[i] != it:
+                    transpose_ok = False
+                    counterexamples["transpose"] = (
+                        f"classify({y},{x}) = {it} but class {i} transposed to {tmap[i]} before"
+                    )
                     break
 
         regular_ok = partition_ok
@@ -164,8 +146,14 @@ class Scheme:
 
     # -- parameters -------------------------------------------------------------
 
+    def _require_labels(self):
+        """Raise AxiomViolation if a label lies outside 0..classes-1."""
+        if self._label_witness is not None:
+            raise AxiomViolation(self._label_witness)
+
     def _compute_intersection_data(self):
-        if self._pnums_done:
+        self._require_labels()
+        if self._pnums is not None:
             return
         n = self.order
         c = self.classes
@@ -185,20 +173,15 @@ class Scheme:
                     pairs[h] = (x, y)
                 elif tensor[h] != counts and witness is None:
                     ref = tensor[h]
-                    for i in range(c):
-                        for j in range(c):
-                            if counts[i][j] != ref[i][j]:
-                                witness = (
-                                    f"count of class-{i}/class-{j} paths is {ref[i][j]} "
-                                    f"for pair {pairs[h]} but {counts[i][j]} for ({x},{y}), "
-                                    f"both in relation {h}"
-                                )
-                                break
-                        if witness:
-                            break
+                    i, j = next((i, j) for i, j in product(range(c), repeat=2)
+                                if counts[i][j] != ref[i][j])
+                    witness = (
+                        f"count of class-{i}/class-{j} paths is {ref[i][j]} "
+                        f"for pair {pairs[h]} but {counts[i][j]} for ({x},{y}), "
+                        f"both in relation {h}"
+                    )
         self._pnums = tensor
         self._pnum_witness = witness
-        self._pnums_done = True
 
     def intersection_number(self, i: int, j: int, h: int) -> int:
         """|{z : (x,z) in R_i, (z,y) in R_j}| for any (x,y) in R_h.
@@ -218,18 +201,12 @@ class Scheme:
 
     def valencies(self) -> list[int]:
         if self._valencies is None:
-            counts = [0] * self.classes
-            for y in self.table[0]:
-                counts[y] += 1
-            for x in range(1, self.order):
-                row_counts = [0] * self.classes
-                for y in self.table[x]:
-                    row_counts[y] += 1
-                if row_counts != counts:
-                    raise AxiomViolation(
-                        f"neighborhood sizes differ between vertices 0 and {x}"
-                    )
-            self._valencies = counts
+            self._require_labels()
+            rows = [[row.count(i) for i in range(self.classes)] for row in self.table]
+            x = next((x for x, counts in enumerate(rows) if counts != rows[0]), None)
+            if x is not None:
+                raise AxiomViolation(f"neighborhood sizes differ between vertices 0 and {x}")
+            self._valencies = rows[0]
         return list(self._valencies)
 
     def valency(self, i: int) -> int:
@@ -274,24 +251,51 @@ def save_scheme(scheme: Scheme, path) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
+# Characters per read; no token of a table file may be longer.
+_CHUNK = 1 << 16
+
+
+def _tokens(handle):
+    """The whitespace-separated tokens of a text file, read in chunks."""
+    tail = ""
+    while chunk := handle.read(_CHUNK):
+        parts = (tail + chunk).split()
+        # the last token may go on in the next chunk
+        tail = "" if chunk[-1].isspace() else parts.pop()
+        if len(tail) > _CHUNK:
+            raise ValueError(f"scheme file contains a token longer than {_CHUNK} characters")
+        yield from parts
+    if tail:
+        yield tail
+
+
+def _integers(tokens):
+    for token in tokens:
+        try:
+            yield int(token)
+        except ValueError as exc:
+            raise ValueError(f"scheme file contains a non-integer token: {exc}") from None
+
+
 def load_scheme(path) -> Scheme:
-    """Parse a class table file produced by :func:`save_scheme`."""
+    """Parse a class table file produced by :func:`save_scheme`.
+
+    Tokens are parsed as they are read, and reading stops one token past the
+    ``order^2`` entries the header announces, so a body that is too long is
+    reported without being read whole.
+    """
     with open(path, "r", encoding="ascii") as handle:
-        tokens = handle.read().split()
-    if len(tokens) < 2:
-        raise ValueError("scheme file must start with 'order d'")
-    try:
-        values = [int(tok) for tok in tokens]
-    except ValueError as exc:
-        raise ValueError(f"scheme file contains a non-integer token: {exc}") from None
-    order, d = values[0], values[1]
-    if order < 1 or d < 0:
-        raise ValueError("order must be >= 1 and d >= 0")
-    body = values[2:]
+        tokens = _tokens(handle)
+        header = list(islice(tokens, 2))
+        if len(header) < 2:
+            raise ValueError("scheme file must start with 'order d'")
+        order, d = _integers(header)
+        if order < 1 or d < 0:
+            raise ValueError("order must be >= 1 and d >= 0")
+        body = list(islice(_integers(tokens), order * order + 1))
     if len(body) != order * order:
-        raise ValueError(
-            f"expected {order * order} table entries, found {len(body)}"
-        )
+        more = "at least " if len(body) > order * order else ""
+        raise ValueError(f"expected {order * order} table entries, found {more}{len(body)}")
     if any(v < 0 or v > d for v in body):
         raise ValueError("table entries must lie in 0..d")
     table = [body[r * order:(r + 1) * order] for r in range(order)]

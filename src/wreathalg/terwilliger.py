@@ -51,6 +51,7 @@ class TerwilligerContext:
 def make_context(scheme: Scheme, base_point: int, moduli=None) -> TerwilligerContext:
     if not 0 <= base_point < scheme.order:
         raise ValueError(f"base point {base_point} out of range")
+    scheme._require_labels()
     spheres: list[list[int]] = [[] for _ in range(scheme.classes)]
     for y in range(scheme.order):
         spheres[scheme.table[base_point][y]].append(y)

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreathalg import ONE, ZERO, cyclotomic_polynomial, euler_phi, rational, zeta
+from wreathalg.cyclotomic import _adjugate, _mul
 
 
 def test_euler_phi_small_values():
@@ -91,12 +94,6 @@ def test_rational_detection():
         zeta(5).rational_value()
 
 
-def test_to_complex_embedding():
-    assert zeta(1, 0).to_complex() == pytest.approx(1.0)
-    assert zeta(2, 1).to_complex() == pytest.approx(-1.0)
-    assert abs(zeta(5, 1).to_complex()) == pytest.approx(1.0, abs=1e-12)
-
-
 def _random_element(rng, conductor):
     coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(euler_phi(conductor))]
     value = ZERO
@@ -134,3 +131,16 @@ def test_canonical_equality_same_conductor():
     a = zeta(12, 4)  # lies in Q(zeta_3) but is stored at conductor 12
     assert a == zeta(3, 1)
     assert a.coeffs == zeta(3, 1).embedded(12).coeffs
+
+
+@given(st.data(), st.sampled_from([2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 21, 35]))
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+def test_adjugate_times_element_is_its_norm(data, n):
+    # a * adj(a) = N(a), a nonzero rational integer, for every nonzero
+    # a in Z[zeta_n]; the adjugate has integer coefficients
+    a = data.draw(st.lists(st.integers(-3, 3), min_size=euler_phi(n), max_size=euler_phi(n))
+                  .filter(any))
+    adjugate = _adjugate(a, n)
+    norm = _mul(a, adjugate, n)
+    assert all(type(c) is int for c in adjugate + norm)
+    assert norm[0] != 0 and not any(norm[1:])

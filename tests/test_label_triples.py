@@ -31,6 +31,7 @@ from wreathalg import (
     wreath_context,
     wreath_of_cyclics,
 )
+from wreathalg.cyclotomic import _xpow
 
 # The same examples on every run, and no example database on disk.
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
@@ -127,12 +128,17 @@ def _sympy_coeffs(poly, length):
     return coeffs + [Fraction(0)] * (length - len(coeffs))
 
 
-@pytest.mark.parametrize("n", range(1, 31))
+@pytest.mark.parametrize("n", [*range(1, 32), 35, 36, 48, 60, 63, 64])
 def test_cyclotomic_arithmetic_against_sympy(n):
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     phi_n = sympy.Poly(sympy.cyclotomic_poly(n, x), x)
     assert list(cyclotomic_polynomial(n)) == _sympy_coeffs(phi_n, euler_phi(n) + 1)
+    # the one reduction modulo Phi_n, on integers, as linalg uses it
+    for d in range(2 * n + 1):
+        power = _xpow(n, d)
+        assert all(type(c) is int for c in power)
+        assert list(power) == _sympy_coeffs(sympy.Poly(x**d, x).rem(phi_n), euler_phi(n))
     rng = Random(n)
     for _ in range(3):
         value = CycloNum(n, tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4))
@@ -144,3 +150,4 @@ def test_cyclotomic_arithmetic_against_sympy(n):
                         reversed(value.coeffs)], x), phi_n
         )
         assert list(value.inv().coeffs) == _sympy_coeffs(sympy.Poly(inverse, x), euler_phi(n))
+        assert all(type(c) is Fraction for c in value.inv().coeffs)

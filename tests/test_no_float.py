@@ -1,26 +1,21 @@
 """A static guard on the package source: no floating point reaches a verdict.
 
 Every verdict rests on exact arithmetic, so the source under
-``src/wreathalg`` may not call ``float``/``complex`` or use ``cmath``
-anywhere but in ``CycloNum.to_complex`` (a diagnostic embedding), may not
-call ``to_complex`` itself, and may not import numpy.
+``src/wreathalg`` may not call ``float``/``complex``, use ``cmath``, call
+``to_complex`` or import numpy anywhere.  There is no exemption.
 """
 
 import ast
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "wreathalg"
-ALLOWED = ("cyclotomic.py", "CycloNum.to_complex")
 
 
 def _violations(path: Path) -> list[str]:
     found = []
 
-    def visit(node, scope):
-        if isinstance(node, ast.ClassDef | ast.FunctionDef | ast.AsyncFunctionDef):
-            scope = f"{scope}.{node.name}" if scope else node.name
+    def visit(node):
         where = f"{path.name}:{getattr(node, 'lineno', '?')}"
-        exempt = (path.name, scope) == ALLOWED
         if isinstance(node, ast.Import | ast.ImportFrom):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -30,20 +25,20 @@ def _violations(path: Path) -> list[str]:
                 root = name.split(".")[0]
                 if root == "numpy":
                     found.append(f"{where}: imports {name}")
-                if root == "cmath" and not exempt:
+                if root == "cmath":
                     found.append(f"{where}: imports cmath")
-        if isinstance(node, ast.Name) and node.id == "cmath" and not exempt:
+        if isinstance(node, ast.Name) and node.id == "cmath":
             found.append(f"{where}: uses cmath")
         if isinstance(node, ast.Call):
             func = node.func
-            if isinstance(func, ast.Name) and func.id in ("float", "complex") and not exempt:
+            if isinstance(func, ast.Name) and func.id in ("float", "complex"):
                 found.append(f"{where}: calls {func.id}()")
             if isinstance(func, ast.Attribute) and func.attr == "to_complex":
                 found.append(f"{where}: calls to_complex()")
         for child in ast.iter_child_nodes(node):
-            visit(child, scope)
+            visit(child)
 
-    visit(ast.parse(path.read_text(), filename=str(path)), "")
+    visit(ast.parse(path.read_text(), filename=str(path)))
     return found
 
 

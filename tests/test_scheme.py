@@ -8,9 +8,11 @@ from wreathalg import (
     Scheme,
     cyclic_scheme,
     load_scheme,
+    make_context,
     save_scheme,
     wreath_of_cyclics,
 )
+from wreathalg import scheme as scheme_module
 
 
 def brute_intersection(table, i, j, h):
@@ -46,6 +48,16 @@ def test_partition_axiom_failure_empty_class():
     s = Scheme([[0, 1], [1, 0]], classes=3)
     report = s.verify_axioms()
     assert not report.partition_ok
+
+
+def test_out_of_range_labels_raise_axiom_violations():
+    # the table is accepted, so that verify_axioms can report it
+    s = Scheme([[0, 2], [2, 0]], classes=2)
+    assert s.verify_axioms().counterexamples == {"partition": "classify(0,1) = 2 outside 0..1"}
+    for call in (lambda: s.intersection_number(0, 0, 0), s.is_commutative, s.valencies,
+                 lambda: make_context(s, 0)):
+        with pytest.raises(AxiomViolation, match=r"classify\(0,1\) = 2 outside 0\.\.1"):
+            call()
 
 
 def test_transpose_axiom_failure():
@@ -215,6 +227,35 @@ def test_load_scheme_errors(tmp_path):
         load_scheme(path)
     path.write_text("x y\n")
     with pytest.raises(ValueError):
+        load_scheme(path)
+
+
+def test_load_scheme_stops_after_one_entry_too_many(tmp_path):
+    # the non-integer token comes after entry order^2 + 1, so it is never
+    # parsed: the count error is reported, not the non-integer one
+    path = tmp_path / "long.txt"
+    path.write_text("2 1\n0 1\n1 0\n1 x\n")
+    with pytest.raises(ValueError, match=r"^expected 4 table entries, found at least 5$"):
+        load_scheme(path)
+    path.write_text("2 1\n0 1\n1 x\n")
+    with pytest.raises(ValueError, match="non-integer token"):
+        load_scheme(path)
+    path.write_text("2 1\n0 1\n1\n")
+    with pytest.raises(ValueError, match=r"^expected 4 table entries, found 3$"):
+        load_scheme(path)
+
+
+def test_load_scheme_joins_tokens_across_chunks(tmp_path, monkeypatch):
+    # with 3-character chunks most tokens and separators straddle a boundary
+    monkeypatch.setattr(scheme_module, "_CHUNK", 3)
+    s = wreath_of_cyclics([2, 3])
+    path = tmp_path / "table.txt"
+    save_scheme(s, path)
+    assert load_scheme(path).table == s.table
+    path.write_text("1 0 \n  0   ")
+    assert load_scheme(path).table == ((0,),)
+    path.write_text("1 0\n0000000")
+    with pytest.raises(ValueError, match="token longer than 3 characters"):
         load_scheme(path)
 
 

@@ -9,6 +9,7 @@ must agree exactly, whatever the conductors and the insertion order.
 """
 
 import math
+from random import Random
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -154,3 +155,30 @@ def test_basis_matrices_are_the_reference_rows(data, field):
     assert basis_vectors(span) == reference.vectors()
     for m in span.basis():
         assert span.contains(m)
+
+
+def test_irrational_pivots_over_q_zeta_35():
+    # phi(35) = 24: the pivot is made rational by its adjugate, a product of
+    # 23 Galois conjugates, and the rows must still be the reference's
+    rng = Random(35)
+
+    def element():
+        return sum((zeta(35, k) * rng.randint(-2, 2) for k in range(24)), ZERO)
+
+    span, reference, inserted = ExactSpan(1, 4), ReferenceSpan(), []
+    for k in range(4):
+        vec = [element() for _ in range(4)]
+        vec[0] = vec[0] + zeta(35)  # nonzero and irrational
+        if k == 3:  # a combination of the first two, with irrational weights
+            c = element()
+            vec = [a * zeta(35, 3) + b * c for a, b in zip(inserted[0], inserted[1])]
+        assert span.insert(row(vec)) == reference.insert(vec)
+        inserted.append(vec)
+    assert span.conductor == 35
+    assert span.dimension == len(reference.rows) == 3
+    assert basis_vectors(span) == reference.vectors()
+    c = element()
+    probe = [a * c + b for a, b in zip(inserted[2], inserted[1])]
+    assert span.contains(row(probe)) and reference.contains(probe)
+    outside = [element() for _ in range(4)]
+    assert span.contains(row(outside)) == reference.contains(outside)
