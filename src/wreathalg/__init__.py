@@ -26,6 +26,7 @@ from .structure import (
 from .terwilliger import (
     TerwilligerContext,
     algebra_dimension,
+    block_closure,
     check_primary_module,
     check_triple_list,
     check_triply_regular,

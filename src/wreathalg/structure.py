@@ -4,7 +4,7 @@ Everything here is verified, not assumed: the unit family is rebuilt
 from dual-idempotent products and its block support asserted, the
 product law and the adjacency action are recomputed exactly, and the
 final decomposition report certifies the dimension count against the
-independent closure oracle from :mod:`wreathalg.terwilliger`.
+block closure oracle from :mod:`wreathalg.terwilliger`.
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ from fractions import Fraction
 from functools import cached_property
 
 from .cyclotomic import CycloNum, rational, zeta
-from .linalg import ExactMatrix, ExactSpan, product_closure
+from .linalg import ExactMatrix, ExactSpan
 from .scheme import CheckResult, Scheme
 from .terwilliger import (
     TerwilligerContext,
     _require_wreath,
+    block_closure,
     check_primary_module,
     check_triple_list,
     check_triply_regular,
@@ -585,13 +586,14 @@ class BasePoint:
         return make_context(self.scheme, self.x, moduli=self.moduli)
 
     @cached_property
-    def closure(self) -> ExactSpan:
-        """The generators' product closure: the algebra the oracle measures."""
-        return product_closure(self.generators)
+    def closure(self) -> dict[tuple[int, int], ExactSpan]:
+        """The algebra the oracle measures, one span per sphere block; it
+        reads the class table alone, so it needs no context."""
+        return block_closure(self.scheme, self.x)
 
     @cached_property
     def dim(self) -> int:
-        return self.closure.dimension
+        return sum(span.dimension for span in self.closure.values())
 
     @cached_property
     def _units(self) -> MatrixUnitFamily | StructureError:
@@ -729,20 +731,38 @@ def _quotient_commutes(point: BasePoint) -> CheckResult:
 
 
 def _span_accounting(point: BasePoint) -> CheckResult:
-    families = (point.units, point.idempotents)
-    combined = ExactSpan.from_matrices(
-        mat for family in families for _, mat in sorted(family.matrices.items())
-    )
-    rank_uf = combined.dimension
-    for mat in point.closure.basis():
-        combined.insert(mat)
+    # Each unit G_ab lies in block (a, b) and each idempotent F_(a,hx) in
+    # block (a, a).  Once every member is certified zero off its block, the
+    # combined span is the sum of its blocks, as the closure is, and is
+    # ranked block by block.
+    spheres = point.ctx.spheres
+    members = [
+        (f"unit G[{a},{b}]", a, b, mat) for (a, b), mat in sorted(point.units.matrices.items())
+    ]
+    members += [
+        (f"idempotent F[{a},{hx}]", a, a, mat)
+        for (a, hx), mat in sorted(point.idempotents.matrices.items())
+    ]
+    combined: dict[tuple[int, int], ExactSpan] = {}
+    for name, a, b, mat in members:
+        block = mat.block(spheres[a], spheres[b])
+        if block is None:
+            witness = f"x={point.x}: {name} is nonzero off the block ({a},{b})"
+            return CheckResult("span-accounting", False, witness, 1)
+        combined.setdefault((a, b), ExactSpan(block.rows, block.cols)).insert(block)
+    rank_uf = sum(span.dimension for span in combined.values())
+    for key, span in point.closure.items():
+        target = combined.setdefault(key, ExactSpan(*span.shape))
+        for mat in span.basis():
+            target.insert(mat)
+    rank = sum(span.dimension for span in combined.values())
     formula = dimension_formula(point.moduli)
-    ok = rank_uf == formula and combined.dimension == point.dim
+    ok = rank_uf == formula and rank == point.dim
     witness = (
         None
         if ok
         else f"x={point.x}: rank(units+idempotents) = {rank_uf}, with closure "
-        f"{combined.dimension}; expected {formula} and {point.dim}"
+        f"{rank}; expected {formula} and {point.dim}"
     )
     return CheckResult("span-accounting", ok, witness, 2)
 

@@ -1,12 +1,15 @@
 """Dual idempotents, triple products, and the algebra they generate.
 
-The algebra attached to a scheme and a base point is generated by the
-adjacency matrices together with the diagonal projections onto the
-spheres around the base point.  Its dimension is computed by an
-exact-span fixpoint (``product_closure``) and serves as the oracle that
-every structural claim in :mod:`wreathalg.structure` is checked against.
-Which triple products are nonzero, and so dim T_0, is read from the table,
-and so is the triple-regularity sweep, which the pipeline cross-checks.
+The algebra T(x) attached to a scheme and a base point x is generated by
+the adjacency matrices together with the diagonal projections E*_i onto the
+spheres S_i around x.  Its dimension is computed block by block, by an
+exact-span fixpoint on the pieces E*_i T E*_k (``block_closure``), and
+serves as the oracle that every structural claim in
+:mod:`wreathalg.structure` is checked against.  The flat fixpoint on whole
+n x n words (``product_closure``, through ``algebra_dimension``) is kept as
+the reference the block closure is cross-checked against.  Which triple
+products are nonzero, and so dim T_0, is read from the table, and so is the
+triple-regularity sweep, which the pipeline cross-checks.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ __all__ = [
     "predict_triple_nonzero",
     "check_triple_list",
     "standard_generators",
+    "starting_pieces",
+    "close_blocks",
+    "block_closure",
     "algebra_dimension",
     "t0_span",
     "t0_dimension",
@@ -48,13 +54,19 @@ class TerwilligerContext:
     moduli: tuple[int, ...] | None = None
 
 
-def make_context(scheme: Scheme, base_point: int, moduli=None) -> TerwilligerContext:
+def _spheres(scheme: Scheme, base_point: int) -> list[list[int]]:
+    """The spheres S_i = {y : t[x][y] = i} around x, each in vertex order."""
     if not 0 <= base_point < scheme.order:
         raise ValueError(f"base point {base_point} out of range")
     scheme._require_labels()
     spheres: list[list[int]] = [[] for _ in range(scheme.classes)]
-    for y in range(scheme.order):
-        spheres[scheme.table[base_point][y]].append(y)
+    for y, label in enumerate(scheme.table[base_point]):
+        spheres[label].append(y)
+    return spheres
+
+
+def make_context(scheme: Scheme, base_point: int, moduli=None) -> TerwilligerContext:
+    spheres = _spheres(scheme, base_point)
     duals = []
     zero = [0] * scheme.order
     for i in range(scheme.classes):
@@ -152,8 +164,74 @@ def standard_generators(ctx: TerwilligerContext) -> list[ExactMatrix]:
     return list(ctx.adjacency) + list(ctx.dual_idempotents)
 
 
+def starting_pieces(scheme: Scheme, base_point: int) -> dict[tuple[int, int, int], ExactMatrix]:
+    """E*_i A_j E*_h at x as the |S_i| x |S_h| block of the pairs (y, z) in
+    S_i x S_h with t[y][z] = j, one 0/1 block per label (i, j, h) of
+    ``label_triples``, read from the class table."""
+    spheres, t = _spheres(scheme, base_point), scheme.table
+    return {
+        (i, j, h): ExactMatrix.from_rows([[int(t[y][z] == j) for z in spheres[h]] for y in spheres[i]])
+        for i, j, h in sorted(label_triples(scheme, base_point))
+    }
+
+
+def close_blocks(pieces, factors) -> dict[tuple[int, int], ExactSpan]:
+    """The smallest block spans that hold ``pieces`` and are closed under
+    left multiplication by ``factors``.
+
+    Both map labels (i, j, h) to blocks with row block i and column block h.
+    Block (i, k) keeps one span.  Word schedule, as in ``product_closure``:
+    each accepted block at (i, k) is multiplied on the left by every factor
+    labelled (h, j, i), the factors whose columns are its rows, and a
+    product that grows the span at (h, k) is accepted in turn.  A span that
+    holds every matrix of its shape cannot grow, so no product into it is
+    formed.
+    """
+    spans: dict[tuple[int, int], ExactSpan] = {}
+
+    def grows(i: int, k: int, mat: ExactMatrix) -> bool:
+        if (i, k) not in spans:
+            spans[i, k] = ExactSpan(mat.rows, mat.cols)
+        return spans[i, k].insert(mat)
+
+    acting: dict[int, list[tuple[int, ExactMatrix]]] = {}
+    for (h, _, i), factor in factors.items():
+        acting.setdefault(i, []).append((h, factor))
+    accepted = [(i, k, piece) for (i, _, k), piece in pieces.items() if grows(i, k, piece)]
+    for i, k, mat in accepted:  # accepted grows while it is walked
+        for h, factor in acting.get(i, ()):
+            span = spans.get((h, k))
+            if span is not None and span.dimension == factor.rows * mat.cols:
+                continue
+            product = factor * mat
+            if grows(h, k, product):
+                accepted.append((h, k, product))
+    return spans
+
+
+def block_closure(scheme: Scheme, base_point: int) -> dict[tuple[int, int], ExactSpan]:
+    """The algebra T(x) as the direct sum of its blocks E*_i T E*_k.
+
+    Every E*_i is a generator, so T is the sum of its blocks (Terwilliger
+    1992), and block (i, k) is a span of |S_i| x |S_k| matrices, rows and
+    columns in vertex order.  Each A_j is the sum of its starting pieces
+    E*_i A_j E*_h and each E*_i is the piece E*_i A_0 E*_i, while each piece
+    is a product of generators; so the pieces generate T.  The closure of
+    the pieces under left multiplication by the pieces then holds every
+    word, and lies in T.  dim T is the sum of the block dimensions, and only
+    the class table is read.  E*_i is a piece only where class 0 is the
+    identity relation, so a table on which it is not is refused.
+    """
+    if any((label == 0) != (y == z) for y, row in enumerate(scheme.table)
+           for z, label in enumerate(row)):
+        raise ValueError("class 0 is not the identity relation, so the pieces need not generate T")
+    pieces = starting_pieces(scheme, base_point)
+    return close_blocks(pieces, pieces)
+
+
 def algebra_dimension(scheme: Scheme, base_point: int) -> int:
-    """Oracle dimension of the algebra at a base point."""
+    """Dimension of the algebra at a base point by the flat closure of the
+    n x n generators: the reference for ``block_closure``."""
     return product_closure(standard_generators(make_context(scheme, base_point))).dimension
 
 

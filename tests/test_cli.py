@@ -414,7 +414,7 @@ def _count_calls(monkeypatch, names):
     return counts
 
 
-PER_POINT_STATE = ("make_context", "product_closure", "t0_span", "t0_dimension")
+PER_POINT_STATE = ("make_context", "block_closure", "product_closure", "t0_span", "t0_dimension")
 
 
 def test_verify_builds_and_checks_units_once_per_point(capsys, monkeypatch):
@@ -431,9 +431,10 @@ def test_verify_builds_and_checks_units_once_per_point(capsys, monkeypatch):
     )
     code, _, _ = run(capsys, "verify", "--moduli", "2,2", "--base-points", "0,1,2,3")
     assert code == 0
-    # one context and one closure per point: span-accounting and the
+    # one context and one block closure per point: span-accounting and the
     # triply-regular cross-check reuse the point's closure; no point builds
-    # a T_0 span, as the cross-check counts the table's label triples
+    # a T_0 span, as the cross-check counts the table's label triples, or
+    # the flat reference closure
     assert counts == {
         "build_matrix_units": 4,
         "build_central_idempotents": 4,
@@ -441,7 +442,7 @@ def test_verify_builds_and_checks_units_once_per_point(capsys, monkeypatch):
         "check_adjacency_action": 4,
         "check_central_idempotents": 4,
         "make_context": 4,
-        "product_closure": 4,
+        "block_closure": 4,
         "t0_dimension": 4,
     }
 
@@ -451,7 +452,8 @@ def test_oracle_builds_each_point_once(capsys, tmp_path, monkeypatch):
     assert run(capsys, "export", "--moduli", "2,2", "--out", str(table))[0] == 0
     counts = _count_calls(monkeypatch, PER_POINT_STATE)
     assert run(capsys, "oracle", str(table))[0] == 0
-    assert counts == {"make_context": 4, "product_closure": 4, "t0_dimension": 4}
+    # the block closure reads the class table, so oracle builds no context
+    assert counts == {"block_closure": 4, "t0_dimension": 4}
 
 
 def test_oracle_skips_t0_once_the_sweep_fails(capsys, tmp_path, monkeypatch):
@@ -460,7 +462,7 @@ def test_oracle_skips_t0_once_the_sweep_fails(capsys, tmp_path, monkeypatch):
     table = _write_tables(tmp_path)["shrikhande"]
     counts = _count_calls(monkeypatch, PER_POINT_STATE)
     assert run(capsys, "oracle", str(table))[0] == 1
-    assert counts == {"make_context": 16, "product_closure": 16}
+    assert counts == {"block_closure": 16}
 
 
 def test_cli_path_forms_no_triple_product_or_t0_span(capsys, tmp_path, monkeypatch):
@@ -560,9 +562,11 @@ def test_oracle_dimension_varying_over_base_points(capsys, tmp_path, monkeypatch
 
 def test_default_verify_builds_one_point(capsys, monkeypatch):
     # The certificate covers every other point, so only x = 0 is built.
-    counts = _count_calls(monkeypatch, ("make_context", "product_closure", "build_matrix_units"))
+    counts = _count_calls(
+        monkeypatch, ("make_context", "block_closure", "product_closure", "build_matrix_units")
+    )
     assert run(capsys, "verify", "--moduli", "2,2")[0] == 0
-    assert counts == {"make_context": 1, "product_closure": 1, "build_matrix_units": 1}
+    assert counts == {"make_context": 1, "block_closure": 1, "build_matrix_units": 1}
 
 
 @pytest.mark.parametrize("moduli", ["2,2", "2,3", "3,3", "2,2,2,2", "2,3,4"])

@@ -1,11 +1,17 @@
-"""The word-schedule closure against the pairwise fixpoint it replaced.
+"""The closures against their references.
 
-``pairwise_closure`` is the reference: round by round it multiplies every
-pair of accepted spanning matrices, at least one of them new, until a round
-adds nothing.  Both must give the same dimension and, because the span
-stores the reduced echelon form of the subspace, the same basis.
+``pairwise_closure`` is the reference of the flat word-schedule closure
+``product_closure``: round by round it multiplies every pair of accepted
+spanning matrices, at least one of them new, until a round adds nothing.
+Both must give the same dimension and, because the span stores the reduced
+echelon form of the subspace, the same basis.
+
+The flat closure is in turn the reference of the block closure, which the
+pipeline runs: the block dimensions must add up to the flat dimension, and
+the block bases, embedded into n x n, must span the flat closure.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,12 +20,17 @@ from wreathalg import (
     ExactMatrix,
     ExactSpan,
     Scheme,
+    algebra_dimension,
+    block_closure,
     build_central_idempotents,
+    check_translation_certificate,
     make_context,
     product_closure,
     standard_generators,
     wreath_context,
+    wreath_of_cyclics,
 )
+from wreathalg.terwilliger import close_blocks, starting_pieces
 
 
 def pairwise_closure(matrices) -> ExactSpan:
@@ -54,16 +65,13 @@ def test_wreath_closure_matches_pairwise(moduli, base_point):
     assert_same_closure(standard_generators(wreath_context(moduli, base_point)))
 
 
+# the broken table of the triple-regularity counterexample
+BROKEN = Scheme([[0, 2, 1, 1], [2, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
+
+
 def test_non_wreath_closure_matches_pairwise():
-    # the broken table of the triple-regularity counterexample
-    table = [
-        [0, 2, 1, 1],
-        [2, 0, 1, 1],
-        [1, 1, 0, 1],
-        [1, 1, 1, 0],
-    ]
     for x in range(4):
-        assert_same_closure(standard_generators(make_context(Scheme(table), x)))
+        assert_same_closure(standard_generators(make_context(BROKEN, x)))
 
 
 def test_cyclotomic_closure_matches_pairwise():
@@ -92,3 +100,134 @@ def test_closure_needs_long_words():
     assert closure.dimension == 5
     assert closure.contains(ExactMatrix.identity(5))
     assert pairwise_closure([cycle]).dimension == 5
+
+
+# -- the block closure against the flat one ---------------------------------------------
+
+
+def block_dimension(scheme, x):
+    return sum(span.dimension for span in block_closure(scheme, x).values())
+
+
+def moduli_up_to(order, prefix=()):
+    """Every tuple of cyclic orders, each at least 2, with product at most ``order``."""
+    tuples = []
+    for p in range(2, order + 1):
+        tuples.append(prefix + (p,))
+        tuples += moduli_up_to(order // p, prefix + (p,))
+    return tuples
+
+
+def embedded_basis(spans, spheres, n):
+    """Each block's basis matrices as n x n matrices on their sphere blocks."""
+    for (i, k), span in spans.items():
+        for mat in span.basis():
+            grid = [[0] * n for _ in range(n)]
+            for y, row in zip(spheres[i], mat.data):
+                for z, value in zip(spheres[k], row):
+                    grid[y][z] = value
+            yield ExactMatrix(n, n, grid)
+
+
+def relabelled(moduli, seed):
+    """The wreath table with its vertices permuted by a seeded permutation."""
+    scheme = wreath_of_cyclics(moduli)
+    n = scheme.order
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[perm[a]][perm[b]] = scheme.table[a][b]
+    return Scheme(table, classes=scheme.classes)
+
+
+@pytest.mark.parametrize("moduli", moduli_up_to(24), ids=str)
+def test_block_dimension_is_the_flat_one_at_every_point(moduli):
+    # Every point of every tuple of order <= 24.  The flat closure runs at
+    # x = 0; a passed translation certificate gives table automorphisms that
+    # take 0 to every vertex, so the flat dimension is the same everywhere.
+    scheme = wreath_of_cyclics(moduli)
+    assert check_translation_certificate(scheme, moduli).passed
+    flat = algebra_dimension(scheme, 0)
+    assert [block_dimension(scheme, x) for x in range(scheme.order)] == [flat] * scheme.order
+
+
+@pytest.mark.parametrize("moduli", moduli_up_to(12), ids=str)
+def test_block_basis_spans_the_flat_closure(moduli):
+    # The first and the last point of every tuple of order <= 12: the same
+    # subspace, so the same reduced echelon basis.
+    scheme = wreath_of_cyclics(moduli)
+    for x in {0, scheme.order - 1}:
+        ctx = make_context(scheme, x)
+        flat = product_closure(standard_generators(ctx))
+        span = ExactSpan.from_matrices(
+            embedded_basis(block_closure(scheme, x), ctx.spheres, scheme.order)
+        )
+        assert span.basis() == flat.basis(), x
+
+
+@pytest.mark.parametrize("name", ["t22", "t222", "s3", "shrikhande"])
+def test_block_dimension_is_the_flat_one_on_example_tables(name):
+    # these include a non-commutative table (s3) and one that is not triply
+    # regular (shrikhande), where dim T differs between points
+    from test_cli import example_schemes
+
+    scheme = example_schemes()[name]
+    for x in range(scheme.order):
+        assert block_dimension(scheme, x) == algebra_dimension(scheme, x), x
+
+
+@pytest.mark.parametrize("moduli, seed, points", [((2, 2, 2), 7, range(8)), ((4, 4, 4), 1, (0, 5, 33))])
+def test_block_dimension_is_the_flat_one_on_relabelled_tables(moduli, seed, points):
+    scheme = relabelled(moduli, seed)
+    for x in points:
+        assert block_dimension(scheme, x) == algebra_dimension(scheme, x), x
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_block_dimension_is_the_flat_one_on_random_tables(seed):
+    # Random labels off the diagonal give no scheme, and at most of these
+    # points the products add more to the algebra than the pieces span.
+    rng = random.Random(seed)
+    n = 5 + seed % 3
+    table = [[0 if y == z else rng.randrange(1, 3) for z in range(n)] for y in range(n)]
+    scheme = Scheme(table, classes=3)
+    for x in range(n):
+        assert block_dimension(scheme, x) == algebra_dimension(scheme, x), x
+
+
+def test_block_closure_refuses_a_table_without_the_identity_class():
+    # E*_i is the piece E*_i A_0 E*_i only where A_0 = I
+    with pytest.raises(ValueError, match="identity relation"):
+        block_closure(Scheme([[1, 0], [0, 1]]), 0)
+
+
+# -- negative controls: broken block closures disagree with the flat one -------------
+#
+# On a triply regular scheme the starting pieces already span T, and on the
+# example schemes every piece is also a product of the others, so these
+# mutations there still reach T.  At x = 2 of the broken table, which is no
+# scheme, they do not.
+
+
+def test_block_closure_is_the_flat_one_on_the_broken_table():
+    for x in range(4):
+        assert block_dimension(BROKEN, x) == algebra_dimension(BROKEN, x) == 10
+
+
+def test_block_closure_without_one_piece_falls_short():
+    pieces = starting_pieces(BROKEN, 2)
+    del pieces[0, 1, 1]
+    spans = close_blocks(pieces, pieces)
+    assert sum(s.dimension for s in spans.values()) == 8
+
+
+def test_block_closure_with_reversed_factors_falls_short():
+    # Multiplying block (i, k) on the left by E*_i A_j E*_h in place of
+    # E*_h A_j E*_i: in n x n that product vanishes unless h = i, so only the
+    # diagonal pieces act.
+    pieces = starting_pieces(BROKEN, 2)
+    reversed_factors = {(i, j, h): pieces[i, j, h] for i, j, h in pieces if h == i}
+    spans = close_blocks(pieces, reversed_factors)
+    assert sum(s.dimension for s in spans.values()) == 9

@@ -336,6 +336,31 @@ def test_span_accounting_fails_without_the_idempotents():
     assert "rank(units+idempotents) = 9" in result.witness
 
 
+@pytest.mark.parametrize("unit", [(0, 0), (3, 0)], ids=["off-rows", "off-columns"])
+def test_span_accounting_fails_on_a_member_spread_over_two_blocks(unit):
+    # F[3,1] lies in block (3,3); adding a unit spreads it over a second
+    # block, in other rows or in other columns of the same rows
+    point = _point((2, 3), 0)
+    family = build_central_idempotents(point.ctx)
+    family.matrices[3, 1] = family.matrices[3, 1] + point.units.matrices[unit]
+    point.idempotents = family
+    result = _assert_fails(point, "span-accounting")
+    assert result.witness == "x=0: idempotent F[3,1] is nonzero off the block (3,3)"
+
+
+def test_span_accounting_fails_on_a_closure_the_families_do_not_span():
+    # A closure of the right dimension, but with [1, 0] in place of the
+    # all-ones row of block (0,2), which the unit G[0,2] spans
+    point = _point((2, 2), 0)
+    closure = dict(point.closure)
+    closure[0, 2] = ExactSpan.from_matrices([ExactMatrix.from_rows([[1, 0]])])
+    point.closure = closure
+    result = _assert_fails(point, "span-accounting")
+    assert result.witness == (
+        "x=0: rank(units+idempotents) = 10, with closure 11; expected 10 and 10"
+    )
+
+
 def test_dimension_fails_off_the_formula():
     point = _point((2, 2), 0)
     point.dim = 11

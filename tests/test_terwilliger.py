@@ -209,7 +209,7 @@ def test_sweep_reads_only_the_table(monkeypatch):
     # gives the same verdicts, counts and witness.
     from test_cli import _rebind, example_schemes
 
-    for name in ("make_context", "product_closure", "algebra_dimension"):
+    for name in ("make_context", "block_closure", "product_closure", "algebra_dimension"):
         _rebind(monkeypatch, name, refuse)
     regular = check_triply_regular(wreath_of_cyclics((2, 3, 4)))
     assert (regular.passed, regular.witness, regular.checked) == (True, None, 24 ** 3)
@@ -241,20 +241,25 @@ def test_triply_regular_span_cross_check_can_fail(monkeypatch):
     assert run["triply-regular"].passed
 
 
-def test_triply_regular_builds_one_context_per_point(monkeypatch):
+def test_triply_regular_builds_one_closure_per_point(monkeypatch):
+    # The cross-check's closure reads the class table, so no point builds a
+    # context.
     from test_cli import _rebind
 
-    calls = []
-    _rebind(
-        monkeypatch,
-        "make_context",
-        lambda original: lambda *args, **kwargs: calls.append(args[1]) or original(*args, **kwargs),
-    )
+    calls = {"make_context": [], "block_closure": []}
+    for name, seen in calls.items():
+        _rebind(
+            monkeypatch,
+            name,
+            lambda original, seen=seen: (
+                lambda *args, **kwargs: seen.append(args[1]) or original(*args, **kwargs)
+            ),
+        )
     assert check_triply_regular(wreath_of_cyclics((2, 2))).passed
-    assert calls == []
+    assert calls == {"make_context": [], "block_closure": []}
     run, _, _ = run_point_checks(wreath_of_cyclics((2, 2)), None, range(4), ["triply-regular"])
     assert run["triply-regular"].passed
-    assert calls == [0, 1, 2, 3]
+    assert calls == {"make_context": [], "block_closure": [0, 1, 2, 3]}
 
 
 def test_cross_check_skips_a_noncommutative_scheme(monkeypatch):
