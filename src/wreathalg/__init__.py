@@ -4,7 +4,7 @@ cyclic association schemes."""
 __version__ = "0.1.0"
 
 from .cyclotomic import ONE, ZERO, CycloNum, cyclotomic_polynomial, euler_phi, rational, zeta
-from .linalg import ExactMatrix, ExactSpan, product_closure
+from .linalg import ExactMatrix, ExactSpan
 from .scheme import AxiomReport, AxiomViolation, CheckResult, Scheme, load_scheme, save_scheme
 from .structure import (
     CentralIdempotentFamily,
@@ -25,7 +25,6 @@ from .structure import (
 )
 from .terwilliger import (
     TerwilligerContext,
-    algebra_dimension,
     block_closure,
     check_primary_module,
     check_triple_list,
@@ -35,9 +34,7 @@ from .terwilliger import (
     predict_triple_nonzero,
     standard_generators,
     t0_dimension,
-    t0_span,
     triple_intersection,
-    triple_product,
     wreath_context,
 )
 from .wreath import (

@@ -89,7 +89,7 @@ def _parse_checks(text: str, allowed) -> tuple[str, ...]:
     for name in names:
         if name not in allowed:
             raise ConfigError(f"unknown check {name!r}; choose from {', '.join(allowed)}")
-    return names
+    return tuple(dict.fromkeys(names))
 
 
 def _resolve_max_order(flag_value) -> int:
@@ -187,7 +187,7 @@ def cmd_verify(args) -> int:
     run, seen, timings = run_point_checks(
         scheme, moduli, points, per_point, certified=certificate is not None and certificate.passed
     )
-    for name in dict.fromkeys(checks):
+    for name in checks:
         if name in GLOBAL_CHECKS:
             started = time.monotonic()
             run[name] = GLOBAL_CHECKS[name](scheme, moduli)

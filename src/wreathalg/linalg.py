@@ -26,10 +26,10 @@ Vectors are n x 1 matrices.  The conductor N starts at 1, where the rows
 are plain integer rows, and widens to the lcm of the conductors inserted;
 widening embeds the stored rows, which stay in reduced echelon form.  A
 matrix is inserted as its decoded integer planes, denominator dropped, since
-scaling leaves a span unchanged, and the product closure inserts packed
-products as they come.  An irrational pivot is made rational by multiplying
-its row by the pivot's adjugate (see ``cyclotomic``), so the span code works
-on integers alone, with no ``CycloNum`` and no ``Fraction``.
+scaling leaves a span unchanged, and the block closure of ``terwilliger``
+inserts packed products as they come.  An irrational pivot is made rational
+by multiplying its row by the pivot's adjugate (see ``cyclotomic``), so the
+span code works on integers alone, with no ``CycloNum`` and no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from operator import mul
 
 from .cyclotomic import ZERO, CycloNum, _adjugate, _xpow, euler_phi
 
-__all__ = ["ExactMatrix", "ExactSpan", "product_closure"]
+__all__ = ["ExactMatrix", "ExactSpan"]
 
 
 def as_cyclo(value) -> CycloNum:
@@ -623,34 +623,3 @@ class ExactSpan:
                     [[plane[r * cols:(r + 1) * cols] for r in range(rows)]
                      for plane in (row[s::phi] for s in range(phi))]))
                 for pivot, row, _ in self._rows]
-
-
-def product_closure(matrices) -> ExactSpan:
-    """Smallest subspace containing ``matrices`` and closed under products.
-
-    Word schedule: the accepted spanning matrices ``reps`` are walked in
-    acceptance order, each is multiplied on the left by every accepted
-    generator, and a product that grows the span joins ``reps``.  The final
-    span V contains the generators S and satisfies s*V within V for each s,
-    so every word s1*(s2...sk) lies in V by induction on k; since V is
-    spanned by words, it is exactly the span of all words.
-
-    Products are packed matrix products, and every one is inserted into the
-    span as it comes.  The basis is the span's reduced echelon form, which
-    depends only on the subspace, not on the schedule.
-    """
-    matrices = list(matrices)
-    if not matrices:
-        raise ValueError("need at least one generator")
-    n = matrices[0].rows
-    if any(m.rows != n or m.cols != n for m in matrices):
-        raise ValueError("generators must be square matrices of equal size")
-    span = ExactSpan(n, n)
-    generators = [m for m in matrices if span.insert(m)]
-    reps = list(generators)
-    for r in reps:  # reps grows while it is walked
-        for g in generators:
-            product = g * r
-            if span.insert(product):
-                reps.append(product)
-    return span

@@ -1,15 +1,15 @@
-"""Dual idempotents, triple products, and the algebra they generate.
+"""Dual idempotents, the label triples, and the algebra they generate.
 
 The algebra T(x) attached to a scheme and a base point x is generated by
 the adjacency matrices together with the diagonal projections E*_i onto the
 spheres S_i around x.  Its dimension is computed block by block, by an
 exact-span fixpoint on the pieces E*_i T E*_k (``block_closure``), and
 serves as the oracle that every structural claim in
-:mod:`wreathalg.structure` is checked against.  The flat fixpoint on whole
-n x n words (``product_closure``, through ``algebra_dimension``) is kept as
-the reference the block closure is cross-checked against.  Which triple
-products are nonzero, and so dim T_0, is read from the table, and so is the
-triple-regularity sweep, which the pipeline cross-checks.
+:mod:`wreathalg.structure` is checked against.  Which triple products
+E*_i A_j E*_h are nonzero, and so dim T_0, is read from the table, and so
+is the triple-regularity sweep, which the pipeline cross-checks.  The
+matrix references these are tested against (the flat closure of whole
+n x n words, and the triple products themselves) live in the test suite.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iter_product, repeat
 
-from .linalg import ExactMatrix, ExactSpan, product_closure
+from .linalg import ExactMatrix, ExactSpan
 from .scheme import CheckResult, Scheme
 from .wreath import _as_index, check_moduli, class_indices, wreath_of_cyclics
 
@@ -25,7 +25,6 @@ __all__ = [
     "TerwilligerContext",
     "make_context",
     "wreath_context",
-    "triple_product",
     "label_triples",
     "predict_triple_nonzero",
     "check_triple_list",
@@ -33,8 +32,6 @@ __all__ = [
     "starting_pieces",
     "close_blocks",
     "block_closure",
-    "algebra_dimension",
-    "t0_span",
     "t0_dimension",
     "triple_intersection",
     "check_triply_regular",
@@ -90,11 +87,6 @@ def _require_wreath(ctx: TerwilligerContext) -> tuple[int, ...]:
     if ctx.moduli is None:
         raise ValueError("this check needs a wreath-of-cyclics context")
     return ctx.moduli
-
-
-def triple_product(ctx: TerwilligerContext, i: int, j: int, h: int) -> ExactMatrix:
-    """The exact product E_i* A_j E_h*: the matrix reference for ``label_triples``."""
-    return ctx.dual_idempotents[i] * ctx.adjacency[j] * ctx.dual_idempotents[h]
 
 
 def label_triples(scheme: Scheme, x: int) -> set[tuple[int, int, int]]:
@@ -180,10 +172,13 @@ def close_blocks(pieces, factors) -> dict[tuple[int, int], ExactSpan]:
     left multiplication by ``factors``.
 
     Both map labels (i, j, h) to blocks with row block i and column block h.
-    Block (i, k) keeps one span.  Word schedule, as in ``product_closure``:
-    each accepted block at (i, k) is multiplied on the left by every factor
-    labelled (h, j, i), the factors whose columns are its rows, and a
-    product that grows the span at (h, k) is accepted in turn.  A span that
+    Block (i, k) keeps one span.  Word schedule: the accepted blocks are
+    walked in acceptance order, each accepted block at (i, k) is multiplied
+    on the left by every factor labelled (h, j, i), the factors whose
+    columns are its rows, and a product that grows the span at (h, k) is
+    accepted in turn.  The final spans hold the pieces and are closed under
+    left multiplication by every factor, so by induction on its length they
+    hold every word of factors times a piece.  A span that
     holds every matrix of its shape cannot grow, so no product into it is
     formed.
     """
@@ -227,20 +222,6 @@ def block_closure(scheme: Scheme, base_point: int) -> dict[tuple[int, int], Exac
         raise ValueError("class 0 is not the identity relation, so the pieces need not generate T")
     pieces = starting_pieces(scheme, base_point)
     return close_blocks(pieces, pieces)
-
-
-def algebra_dimension(scheme: Scheme, base_point: int) -> int:
-    """Dimension of the algebra at a base point by the flat closure of the
-    n x n generators: the reference for ``block_closure``."""
-    return product_closure(standard_generators(make_context(scheme, base_point))).dimension
-
-
-def t0_span(ctx: TerwilligerContext) -> ExactSpan:
-    """Span (no closure) of all triple products E_i* A_j E_h*."""
-    span = ExactSpan(ctx.scheme.order, ctx.scheme.order)
-    for i, j, h in iter_product(range(ctx.scheme.classes), repeat=3):
-        span.insert(triple_product(ctx, i, j, h))
-    return span
 
 
 def t0_dimension(scheme: Scheme, base_point: int) -> int:

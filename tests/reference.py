@@ -1,0 +1,239 @@
+"""The exact references the tests compare the package against.
+
+Each reference is the slow, direct computation that a path of the package
+replaced, kept here as it was so that every cross-check stays independent
+of the code it checks.  None of them is on a CLI path.
+
+- ``product_closure`` and ``algebra_dimension``: the flat closure of the
+  n x n generators, the reference of ``terwilliger.block_closure``.
+  ``pairwise_closure`` is in turn the reference of ``product_closure``.
+- ``triple_product`` and ``t0_span``: the matrices E*_i A_j E*_h, the
+  reference of ``label_triples`` and ``t0_dimension``.
+- ``grid_product`` and ``grid_map``: entrywise CycloNum arithmetic, the
+  reference of the packed ``ExactMatrix`` operations.
+- ``ReferenceSpan``: CycloNum Gauss-Jordan elimination, the reference of
+  ``ExactSpan``.
+- ``brute_intersection`` and ``commutes_by_products``: the intersection
+  numbers and commutativity from their definitions, the reference of the
+  table-read ``Scheme`` parameters.
+
+It also holds the example tables the tests share, and ``rebind``, which
+replaces a public wreathalg function through every binding.
+"""
+
+import sys
+from itertools import permutations
+from itertools import product as iter_product
+
+from wreathalg import (
+    ZERO,
+    ExactMatrix,
+    ExactSpan,
+    Scheme,
+    TerwilligerContext,
+    make_context,
+    standard_generators,
+    wreath_of_cyclics,
+)
+from wreathalg.linalg import as_cyclo
+
+# -- closures -------------------------------------------------------------------------
+
+
+def product_closure(matrices) -> ExactSpan:
+    """Smallest subspace containing ``matrices`` and closed under products.
+
+    Word schedule: the accepted spanning matrices ``reps`` are walked in
+    acceptance order, each is multiplied on the left by every accepted
+    generator, and a product that grows the span joins ``reps``.  The final
+    span V contains the generators S and satisfies s*V within V for each s,
+    so every word s1*(s2...sk) lies in V by induction on k; since V is
+    spanned by words, it is exactly the span of all words.
+
+    Products are packed matrix products, and every one is inserted into the
+    span as it comes.  The basis is the span's reduced echelon form, which
+    depends only on the subspace, not on the schedule.
+    """
+    matrices = list(matrices)
+    if not matrices:
+        raise ValueError("need at least one generator")
+    n = matrices[0].rows
+    if any(m.rows != n or m.cols != n for m in matrices):
+        raise ValueError("generators must be square matrices of equal size")
+    span = ExactSpan(n, n)
+    generators = [m for m in matrices if span.insert(m)]
+    reps = list(generators)
+    for r in reps:  # reps grows while it is walked
+        for g in generators:
+            product = g * r
+            if span.insert(product):
+                reps.append(product)
+    return span
+
+
+def algebra_dimension(scheme: Scheme, base_point: int) -> int:
+    """Dimension of the algebra at a base point by the flat closure of the
+    n x n generators: the reference for ``block_closure``."""
+    return product_closure(standard_generators(make_context(scheme, base_point))).dimension
+
+
+def pairwise_closure(matrices) -> ExactSpan:
+    """Round by round, every pair of accepted spanning matrices, at least one
+    of them new, multiplied until a round adds nothing: the reference of
+    ``product_closure``."""
+    n = matrices[0].rows
+    span = ExactSpan(n, n)
+    reps = [m for m in matrices if span.insert(m)]
+    processed = 0
+    while processed < len(reps):
+        count = len(reps)
+        for i in range(count):
+            for j in range(count):
+                if i >= processed or j >= processed:
+                    product = reps[i] * reps[j]
+                    if span.insert(product):
+                        reps.append(product)
+        processed = count
+    return span
+
+
+# -- triple products ------------------------------------------------------------------
+
+
+def triple_product(ctx: TerwilligerContext, i: int, j: int, h: int) -> ExactMatrix:
+    """The exact product E_i* A_j E_h*: the matrix reference for ``label_triples``."""
+    return ctx.dual_idempotents[i] * ctx.adjacency[j] * ctx.dual_idempotents[h]
+
+
+def t0_span(ctx: TerwilligerContext) -> ExactSpan:
+    """Span (no closure) of all triple products E_i* A_j E_h*."""
+    span = ExactSpan(ctx.scheme.order, ctx.scheme.order)
+    for i, j, h in iter_product(range(ctx.scheme.classes), repeat=3):
+        span.insert(triple_product(ctx, i, j, h))
+    return span
+
+
+# -- entrywise matrices and spans -----------------------------------------------------
+
+
+def grid_product(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def grid_map(f, *grids):
+    return [[f(*cells) for cells in zip(*rows)] for rows in zip(*grids)]
+
+
+class ReferenceSpan:
+    """Reduced echelon form over CycloNum entries, pivots one."""
+
+    def __init__(self):
+        self.rows = []  # (pivot, row), sorted by pivot
+
+    def _reduce(self, v):
+        for pivot, row in self.rows:
+            c = v[pivot]
+            if not c.is_zero():
+                v = [a - c * b if not b.is_zero() else a for a, b in zip(v, row)]
+        return v
+
+    def insert(self, vec) -> bool:
+        v = self._reduce([as_cyclo(a) for a in vec])
+        pivot = next((k for k, a in enumerate(v) if not a.is_zero()), None)
+        if pivot is None:
+            return False
+        inv = v[pivot].inv()
+        v = [a * inv for a in v]
+        updated = []
+        for p, row in self.rows:
+            c = row[pivot]
+            if not c.is_zero():
+                row = [a - c * b if not b.is_zero() else a for a, b in zip(row, v)]
+            updated.append((p, row))
+        updated.append((pivot, v))
+        updated.sort(key=lambda item: item[0])
+        self.rows = updated
+        return True
+
+    def contains(self, vec) -> bool:
+        return all(a.is_zero() for a in self._reduce([as_cyclo(a) for a in vec]))
+
+    def vectors(self):
+        return [row for _, row in self.rows]
+
+
+# -- scheme parameters ----------------------------------------------------------------
+
+
+def brute_intersection(table, i, j, h):
+    """Independent recount of p_{ij}^h straight from the definition."""
+    n = len(table)
+    counts = set()
+    for x in range(n):
+        for y in range(n):
+            if table[x][y] == h:
+                counts.add(sum(1 for z in range(n) if table[x][z] == i and table[z][y] == j))
+    assert len(counts) == 1, "table is not a scheme"
+    return counts.pop()
+
+
+def commutes_by_products(scheme):
+    """Every pair of adjacency matrices, multiplied exactly."""
+    mats = [scheme.adjacency_matrix(i) for i in range(scheme.classes)]
+    return all(a * b == b * a for k, a in enumerate(mats) for b in mats[k + 1:])
+
+
+# -- example tables -------------------------------------------------------------------
+
+
+def example_schemes():
+    """The valid class tables the golden oracle reports read, by placeholder name."""
+    # (2,2,2) with its vertices relabelled by v -> 5v+3 mod 8
+    t = wreath_of_cyclics((2, 2, 2)).table
+    perm = [(5 * v + 3) % 8 for v in range(8)]
+    relabelled = [[0] * 8 for _ in range(8)]
+    for x in range(8):
+        for y in range(8):
+            relabelled[perm[x]][perm[y]] = t[x][y]
+    # the group scheme of S_3: the class of (g, h) is the index of g^-1 h,
+    # and the identity permutation comes first
+    group = list(permutations(range(3)))
+    s3 = [[group.index(tuple(g.index(h[k]) for k in range(3))) for h in group] for g in group]
+    # the Shrikhande graph, the Cayley graph of Z4 x Z4 with connection set
+    # {±(1,0), ±(0,1), ±(1,1)}: a commutative scheme that is not triply regular
+    conn = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    shrikhande = [[0 if x == y else 1 if ((y // 4 - x // 4) % 4, (y - x) % 4) in conn else 2
+                   for y in range(16)] for x in range(16)]
+    return {
+        "t22": wreath_of_cyclics((2, 2)),
+        "t222": Scheme(relabelled),
+        "s3": Scheme(s3),
+        "shrikhande": Scheme(shrikhande),
+    }
+
+
+def moved_pair_table():
+    """The (2,3) wreath table with the symmetric pair (0, 1)/(1, 0) moved
+    from class 1 to class 2: no longer a scheme, and no longer kept by the
+    translation that adds 1 to digit 2."""
+    intact = wreath_of_cyclics((2, 3))
+    table = [list(row) for row in intact.table]
+    assert table[0][1] == table[1][0] == 1
+    table[0][1] = table[1][0] = 2
+    return Scheme(table, classes=intact.classes)
+
+
+# -- rebinding ------------------------------------------------------------------------
+
+
+def rebind(monkeypatch, name, make):
+    """Replace the public wreathalg function ``name`` by ``make(original)``
+    in every wreathalg module that binds it."""
+    import wreathalg
+
+    original = getattr(wreathalg, name)
+    replacement = make(original)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "wreathalg" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)

