@@ -217,6 +217,15 @@ class ExactMatrix:
     def ones(cls, rows: int, cols: int) -> "ExactMatrix":
         return cls._packed(rows, cols, 1, 1, 1, _MIN_WIDTH, [[_pack([1] * cols, _MIN_WIDTH)] * rows])
 
+    @classmethod
+    def block_ones(cls, rows: int, cols: int, row_set, col_set) -> "ExactMatrix":
+        """The 0/1 matrix that is one on ``row_set`` x ``col_set``: u v^T for
+        the indicator columns u and v of the two sets."""
+        line = sum(1 << (_MIN_WIDTH * j) for j in col_set)
+        inside = set(row_set)
+        return cls._packed(rows, cols, 1, 1, 1, _MIN_WIDTH,
+                           [[line if i in inside else 0 for i in range(rows)]])
+
     # -- decoding -----------------------------------------------------------------
 
     def _decoded(self) -> list[list[list[int]]]:
@@ -354,6 +363,10 @@ class ExactMatrix:
 
     def is_zero(self) -> bool:
         return not any(any(plane) for plane in self.planes)
+
+    def nonzero_rows(self) -> list[int]:
+        """The indices of the rows with a nonzero entry, read off the packed rows."""
+        return [i for i, row in enumerate(zip(*self.planes)) if any(row)]
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):

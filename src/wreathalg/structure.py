@@ -1,14 +1,20 @@
 """Matrix-unit and central-idempotent structure of the wreath algebra.
 
 Everything here is verified, not assumed: the unit family is rebuilt
-from dual-idempotent products and its block support asserted, the
-product law and the adjacency action are recomputed exactly, and the
-final decomposition report certifies the dimension count against the
+from dual-idempotent products and certified to have the rank-one form
+G_ab = u_a u_b^T / n_b, with u_a the 0/1 indicator column of the sphere
+S_a and n_b = |S_b|.  Every unit check certifies that form again on the
+family it is given, and then reads the family through the k indicator
+columns alone: the product law, the adjacency action, the ideal and
+commutator memberships and the idempotents' annihilation of the units
+become exact matrix-vector identities (see the certificate's section).
+The final decomposition report certifies the dimension count against the
 block closure oracle from :mod:`wreathalg.terwilliger`.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -100,13 +106,13 @@ class MatrixUnitFamily:
 
 
 def build_matrix_units(ctx: TerwilligerContext) -> MatrixUnitFamily:
-    """Construct the unit family and assert its single-block support.
+    """Construct the unit family and certify its rank-one form.
 
     The (a, b) member is built from dual-idempotent products (sandwiching
     the adjacency matrix of the higher level, or the all-ones matrix on
-    equal levels) scaled by the reciprocal column valency; the result
-    must equal the matrix carrying 1/n_b on the (a, b) block and zero
-    elsewhere.
+    equal levels) scaled by the reciprocal column valency; the family must
+    then pass the rank-one certificate on the spheres of the base point:
+    each member is 1/n_b on the (a, b) block and zero elsewhere.
     """
     moduli = _require_wreath(ctx)
     scheme = ctx.scheme
@@ -124,62 +130,95 @@ def build_matrix_units(ctx: TerwilligerContext) -> MatrixUnitFamily:
                 mat = (ea * ctx.adjacency[a.flat].transpose() * eb).scaled(Fraction(1, n_b))
             else:
                 mat = (ea * ones * eb).scaled(Fraction(1, n_b))
-            expected = _single_block(ctx, a, b, Fraction(1, n_b))
-            if mat != expected:
-                raise StructureError(
-                    f"unit ({a},{b}) at x={ctx.base_point} is not supported on its block"
-                )
             matrices[(a.flat, b.flat)] = mat
+    off = _rank_one(matrices, [ctx.spheres[a.flat] for a in indices])
+    if off is not None:
+        a, b = (indices[key] for key in off)
+        raise StructureError(f"unit ({a},{b}) at x={ctx.base_point} is not supported on its block")
     return MatrixUnitFamily(moduli, ctx.base_point, indices, matrices)
 
 
-def _single_block(ctx: TerwilligerContext, a: WreathIndex, b: WreathIndex, value) -> ExactMatrix:
-    n = ctx.scheme.order
-    block_row = [0] * n
-    for z in ctx.spheres[b.flat]:
-        block_row[z] = 1
-    rows = [[0] * n] * n
-    for y in ctx.spheres[a.flat]:
-        rows[y] = block_row
-    return ExactMatrix.from_rows(rows).scaled(value)
+# -- the rank-one certificate and the factored unit checks ----------------------------
+#
+# A family that passes the certificate is G_ab = u_a w_b^T, with u_a the 0/1
+# indicator column of a sphere S_a, w_b = u_b / n_b, n_b = |S_b|, and the
+# spheres disjoint.  With U the n x k matrix of columns u_a and W the k x n
+# matrix of rows w_b^T, W U = I, the family spans {U P W : P k x k}, and a
+# product with an n x n matrix M factors: M G_ab = (M u_a) w_b^T and
+# G_ab M = u_a (w_b^T M).  So each unit check reads M U and W M in place of
+# products with the k^2 units; the product loops are the reference in
+# tests/reference.py.
+
+
+def _rank_one(matrices, spheres) -> tuple[int, int] | None:
+    """The first key, in key order, that keeps ``matrices`` from being the
+    k^2 units u_a u_b^T / n_b on ``spheres`` (k = len(spheres)): a missing
+    pair, a key that is no pair of classes, or a unit off that form; None
+    if there is none.  k^2 packed compares and no product."""
+    k = len(spheres)
+    keys = [(a, b) for a in range(k) for b in range(k)]
+    missing = [key for key in keys if key not in matrices]
+    if missing or len(matrices) != len(keys):
+        return missing[0] if missing else min(set(matrices) - set(keys))
+    for a, b in keys:
+        mat = matrices[a, b]
+        if not spheres[b] or mat != ExactMatrix.block_ones(
+            mat.rows, mat.cols, spheres[a], spheres[b]
+        ).scaled(Fraction(1, len(spheres[b]))):
+            return a, b
+    return None
+
+
+def _certified(units: MatrixUnitFamily):
+    """The rank-one certificate of a unit family: (U, W, None) when it has
+    the form above, on the spheres read off the family itself as the
+    nonzero rows of each G_aa; else (None, None, witness).  Each factored
+    check runs it first, so a family edited after ``build_matrix_units`` is
+    certified again."""
+    k, x = len(units.indices), units.base_point
+    spheres = [units.matrices[a, a].nonzero_rows() if (a, a) in units.matrices else []
+               for a in range(k)]
+    off = _rank_one(units.matrices, spheres)
+    if off is not None:
+        a, b = off
+        return None, None, f"x={x}: G[{a},{b}] does not match the closed form u_{a} u_{b}^T / n_{b}"
+    n = units.matrices[0, 0].rows
+    columns, rows, owner = [[0] * k for _ in range(n)], [[0] * n for _ in range(k)], {}
+    scale = math.lcm(*map(len, spheres))
+    for b, sphere in enumerate(spheres):
+        for y in sphere:
+            if y in owner:
+                # G_cc G_bb = (u_c^T u_b / n_c) G_cb is not zero
+                return None, None, f"x={x}: G[{owner[y]},{owner[y]}]G[{b},{b}] is not zero"
+            owner[y] = b
+            columns[y][b] = 1
+            rows[b][y] = scale // len(sphere)
+    w = ExactMatrix.from_rows(rows).scaled(Fraction(1, scale))
+    return ExactMatrix.from_rows(columns), w, None
+
+
+def _nonzero_columns(mat: ExactMatrix) -> set[int]:
+    return set(mat.transpose().nonzero_rows())
+
+
+def _first_off(pairs, left_off, right_off) -> int | None:
+    """The position of the first pair (a, b) with a in ``left_off`` or b in
+    ``right_off``: the first unit G_ab whose product with M breaks, where
+    M G_ab = (M u_a) w_b^T and G_ab M = u_a (w_b^T M)."""
+    return next((i for i, (a, b) in enumerate(pairs) if a in left_off or b in right_off), None)
 
 
 def check_matrix_units(units: MatrixUnitFamily) -> CheckResult:
-    """Verify the product law: G_ab G_cd equals G_ad when b == c, else zero."""
-    zero = None
-    checked = 0
-    for (ka, kb), gab in units.matrices.items():
-        for (kc, kd), gcd_ in units.matrices.items():
-            prod = gab * gcd_
-            checked += 1
-            if kb == kc:
-                expected = units.matrices[(ka, kd)]
-                if prod != expected:
-                    return CheckResult(
-                        "matrix-units",
-                        False,
-                        f"x={units.base_point}: G[{ka},{kb}]G[{kc},{kd}] != G[{ka},{kd}]",
-                        checked,
-                    )
-            else:
-                if zero is None:
-                    zero = ExactMatrix.zeros(prod.rows, prod.cols)
-                if prod != zero:
-                    return CheckResult(
-                        "matrix-units",
-                        False,
-                        f"x={units.base_point}: G[{ka},{kb}]G[{kc},{kd}] is not zero",
-                        checked,
-                    )
-    return CheckResult("matrix-units", True, None, checked)
+    """Verify the product law: G_ab G_cd equals G_ad when b == c, else zero.
 
-
-def _unit_sum(units: MatrixUnitFamily, pairs_and_scales) -> ExactMatrix:
-    total = None
-    for (ka, kb), scale in pairs_and_scales:
-        term = units.matrices[(ka, kb)].scaled(scale)
-        total = term if total is None else total + term
-    return total
+    G_ab G_cd = (u_b^T u_c / n_b) G_ad, so the law holds iff
+    u_b^T u_c = delta_bc n_b: iff the spheres are disjoint, which the
+    rank-one certificate reads.  ``checked`` counts the k^4 products.
+    """
+    _, _, witness = _certified(units)
+    if witness:
+        return CheckResult("matrix-units", False, witness)
+    return CheckResult("matrix-units", True, None, len(units.matrices) ** 2)
 
 
 def check_adjacency_action(ctx: TerwilligerContext, units: MatrixUnitFamily) -> CheckResult:
@@ -189,75 +228,75 @@ def check_adjacency_action(ctx: TerwilligerContext, units: MatrixUnitFamily) -> 
     the level of a (row index); the right action compares with the level
     of b and shifts its offset.  The identity class acts trivially on
     both sides.
+
+    After the certificate, A G_ab = (A u_a) w_b^T and a closed form
+    sum_r c_r G_rb is (sum_r c_r u_r) w_b^T, so the left forms hold for
+    every b iff A u_a = sum_r c_r u_r: for all a at once, A U = U C with C
+    the k x k matrix of the c_r.  Likewise on the right, W A = D W.  A
+    failure names the first (a, b), in the order of the 2k^3 products
+    ``checked`` counts, whose product breaks its form.
     """
     moduli = _require_wreath(ctx)
+    u, w, witness = _certified(units)
+    if witness:
+        return CheckResult("ag-forms", False, witness)
     scheme = ctx.scheme
     indices = units.indices
+    k = len(indices)
+    pairs = [(a, b) for a in range(k) for b in range(k)]
     checked = 0
     for hx in indices:
         adj = ctx.adjacency[hx.flat]
         n_hx = scheme.valency(hx.flat)
+        left = [[0] * k for _ in range(k)]  # column a: A u_a in the u_r
+        right = [[0] * k for _ in range(k)]  # row b: w_b^T A in the w_r^T
         for a in indices:
             n_a = scheme.valency(a.flat)
-            for b in indices:
-                g = units.matrices[(a.flat, b.flat)]
-                # left: A * G
-                if hx.level == 0:
-                    expected = g
-                elif hx.level < a.level:
-                    expected = g.scaled(n_hx)
-                elif hx.level == a.level:
-                    p = moduli[a.level - 1]
-                    if hx.offset == a.offset:
-                        expected = _unit_sum(
-                            units,
-                            [((r.flat, b.flat), n_a) for r in indices_below_level(moduli, a.level)],
-                        )
-                    else:
-                        shifted = WreathIndex(a.level, (a.offset - hx.offset) % p, moduli)
-                        expected = units.matrices[(shifted.flat, b.flat)].scaled(n_a)
+            if hx.level == 0:
+                left[a.flat][a.flat] = 1
+            elif hx.level < a.level:
+                left[a.flat][a.flat] = n_hx
+            elif hx.level == a.level:
+                p = moduli[a.level - 1]
+                if hx.offset == a.offset:
+                    for r in indices_below_level(moduli, a.level):
+                        left[r.flat][a.flat] = n_a
                 else:
-                    p = moduli[hx.level - 1]
-                    reflected = WreathIndex(hx.level, p - hx.offset, moduli)
-                    expected = units.matrices[(reflected.flat, b.flat)].scaled(n_a)
-                checked += 1
-                if adj * g != expected:
-                    return CheckResult(
-                        "ag-forms",
-                        False,
-                        f"x={ctx.base_point}: A[{hx}] * G[{a},{b}] does not match the closed form",
-                        checked,
-                    )
-                # right: G * A
-                n_b = scheme.valency(b.flat)
-                if hx.level == 0:
-                    expected = g
-                elif hx.level < b.level:
-                    expected = g.scaled(n_hx)
-                elif hx.level == b.level:
-                    p = moduli[b.level - 1]
-                    rho = (b.offset + hx.offset) % p
-                    if rho:
-                        target = WreathIndex(b.level, rho, moduli)
-                        expected = units.matrices[(a.flat, target.flat)].scaled(n_b)
-                    else:
-                        expected = _unit_sum(
-                            units,
-                            [
-                                ((a.flat, r.flat), scheme.valency(r.flat))
-                                for r in indices_below_level(moduli, b.level)
-                            ],
-                        )
+                    shifted = WreathIndex(a.level, (a.offset - hx.offset) % p, moduli)
+                    left[shifted.flat][a.flat] = n_a
+            else:
+                p = moduli[hx.level - 1]
+                left[WreathIndex(hx.level, p - hx.offset, moduli).flat][a.flat] = n_a
+        for b in indices:
+            n_b = scheme.valency(b.flat)
+            if hx.level == 0:
+                right[b.flat][b.flat] = 1
+            elif hx.level < b.level:
+                right[b.flat][b.flat] = n_hx
+            elif hx.level == b.level:
+                p = moduli[b.level - 1]
+                rho = (b.offset + hx.offset) % p
+                if rho:
+                    right[b.flat][WreathIndex(b.level, rho, moduli).flat] = n_b
                 else:
-                    expected = units.matrices[(a.flat, hx.flat)].scaled(n_hx)
-                checked += 1
-                if g * adj != expected:
-                    return CheckResult(
-                        "ag-forms",
-                        False,
-                        f"x={ctx.base_point}: G[{a},{b}] * A[{hx}] does not match the closed form",
-                        checked,
-                    )
+                    for r in indices_below_level(moduli, b.level):
+                        right[b.flat][r.flat] = scheme.valency(r.flat)
+            else:
+                right[b.flat][hx.flat] = n_hx
+        left_off = _nonzero_columns(adj * u - u * ExactMatrix.from_rows(left))
+        right_off = set((w * adj - ExactMatrix.from_rows(right) * w).nonzero_rows())
+        first = _first_off(pairs, left_off, right_off)
+        if first is not None:
+            a, b = indices[pairs[first][0]], indices[pairs[first][1]]
+            on_left = a.flat in left_off
+            product = f"A[{hx}] * G[{a},{b}]" if on_left else f"G[{a},{b}] * A[{hx}]"
+            return CheckResult(
+                "ag-forms",
+                False,
+                f"x={ctx.base_point}: {product} does not match the closed form",
+                checked + 2 * first + (1 if on_left else 2),
+            )
+        checked += 2 * len(pairs)
     return CheckResult("ag-forms", True, None, checked)
 
 
@@ -423,7 +462,12 @@ def check_central_idempotents(
     """Every member must be a nonzero idempotent commuting with all
     generators via the eigenvalue table, annihilating every matrix unit,
     and orthogonal to every other member; the family size must match the
-    product-count formula."""
+    product-count formula.
+
+    The units must pass the rank-one certificate.  Then F G_cd = (F u_c)
+    w_d^T and G_cd F = u_c (w_d^T F), so F annihilates every unit iff
+    F U = 0 and W F = 0.
+    """
     moduli = _require_wreath(ctx)
     scheme = ctx.scheme
     if units is None:
@@ -436,6 +480,10 @@ def check_central_idempotents(
             f"x={ctx.base_point}: {family.nonzero_count()} nonzero members of "
             f"{family.count}, expected {expected_count}",
         )
+    u, w, witness = _certified(units)
+    if witness:
+        return CheckResult("f-family", False, witness)
+    keys = list(units.matrices)
     checked = 0
     items = sorted(family.matrices.items())
     indices = class_indices(moduli)
@@ -473,15 +521,15 @@ def check_central_idempotents(
                     f"x={ctx.base_point}: E[{jb}] does not commute with member ({a},{hx})",
                     checked,
                 )
-        for key, unit in units.matrices.items():
-            checked += 2
-            if not (mat * unit).is_zero() or not (unit * mat).is_zero():
-                return CheckResult(
-                    "f-family",
-                    False,
-                    f"x={ctx.base_point}: member ({a},{hx}) does not annihilate unit {key}",
-                    checked,
-                )
+        first = _first_off(keys, _nonzero_columns(mat * u), set((w * mat).nonzero_rows()))
+        if first is not None:
+            return CheckResult(
+                "f-family",
+                False,
+                f"x={ctx.base_point}: member ({a},{hx}) does not annihilate unit {keys[first]}",
+                checked + 2 * first + 2,
+            )
+        checked += 2 * len(keys)
         for (kc, khx2), other in items:
             if (kc, khx2) == (ka, khx):
                 continue
@@ -699,28 +747,42 @@ def _unit_rank(point: BasePoint) -> CheckResult:
 
 
 def _unit_ideal(point: BasePoint) -> CheckResult:
-    span = point.unit_span
+    # g G_ab = (g u_a) w_b^T lies in the unit span {U P W} iff g u_a lies in
+    # span{u_c}, and G_ab g = u_a (w_b^T g) iff w_b^T g lies in span{w_c^T}:
+    # for every a and b at once, g U = U P and W g = P W, with P = W g U.
+    u, w, witness = _certified(point.units)
+    if witness:
+        return CheckResult("unit-ideal", False, witness)
+    keys = sorted(point.units.matrices)
     checked = 0
     for gen in point.generators:
-        for _, unit in sorted(point.units.matrices.items()):
-            checked += 2
-            if not span.contains(gen * unit) or not span.contains(unit * gen):
-                return CheckResult(
-                    "unit-ideal",
-                    False,
-                    f"x={point.x}: a generator-unit product leaves the unit span",
-                    checked,
-                )
+        gu, wg = gen * u, w * gen
+        p = w * gu
+        first = _first_off(keys, _nonzero_columns(gu - u * p), set((wg - p * w).nonzero_rows()))
+        if first is not None:
+            return CheckResult(
+                "unit-ideal",
+                False,
+                f"x={point.x}: a generator-unit product leaves the unit span",
+                checked + 2 * first + 2,
+            )
+        checked += 2 * len(keys)
     return CheckResult("unit-ideal", True, None, checked)
 
 
 def _quotient_commutes(point: BasePoint) -> CheckResult:
+    # A matrix c lies in the unit span {U P W} iff c = U (W c U) W: iff it is
+    # constant on every block S_a x S_b and zero off them.
+    u, w, witness = _certified(point.units)
+    if witness:
+        return CheckResult("quotient-commutes", False, witness)
     generators = point.generators
     checked = 0
     for idx1, g1 in enumerate(generators):
         for g2 in generators[idx1 + 1:]:
             checked += 1
-            if not point.unit_span.contains(g1 * g2 - g2 * g1):
+            commutator = g1 * g2 - g2 * g1
+            if commutator != u * (w * commutator * u) * w:
                 return CheckResult(
                     "quotient-commutes",
                     False,

@@ -16,6 +16,11 @@ of the code it checks.  None of them is on a CLI path.
 - ``brute_intersection`` and ``commutes_by_products``: the intersection
   numbers and commutativity from their definitions, the reference of the
   table-read ``Scheme`` parameters.
+- ``matrix_units_by_products``, ``adjacency_action_by_products``,
+  ``central_idempotents_by_products``, ``unit_ideal_by_membership`` and
+  ``quotient_commutes_by_membership``: the unit checks as n x n products
+  and unit-span memberships, the reference of the rank-one certificate
+  and the factored checks of ``structure``.
 
 It also holds the example tables the tests share, and ``rebind``, which
 replaces a public wreathalg function through every binding.
@@ -27,15 +32,24 @@ from itertools import product as iter_product
 
 from wreathalg import (
     ZERO,
+    CentralIdempotentFamily,
+    CheckResult,
     ExactMatrix,
     ExactSpan,
+    MatrixUnitFamily,
     Scheme,
     TerwilligerContext,
+    WreathIndex,
+    build_matrix_units,
+    class_indices,
+    indices_below_level,
     make_context,
+    one_dim_ideal_count,
     standard_generators,
     wreath_of_cyclics,
 )
 from wreathalg.linalg import as_cyclo
+from wreathalg.structure import BasePoint, _idempotent_scalar, _require_wreath
 
 # -- closures -------------------------------------------------------------------------
 
@@ -182,6 +196,240 @@ def commutes_by_products(scheme):
     """Every pair of adjacency matrices, multiplied exactly."""
     mats = [scheme.adjacency_matrix(i) for i in range(scheme.classes)]
     return all(a * b == b * a for k, a in enumerate(mats) for b in mats[k + 1:])
+
+
+# -- the matrix-unit checks -----------------------------------------------------------
+
+
+def matrix_units_by_products(units: MatrixUnitFamily) -> CheckResult:
+    """Verify the product law: G_ab G_cd equals G_ad when b == c, else zero."""
+    zero = None
+    checked = 0
+    for (ka, kb), gab in units.matrices.items():
+        for (kc, kd), gcd_ in units.matrices.items():
+            prod = gab * gcd_
+            checked += 1
+            if kb == kc:
+                expected = units.matrices[(ka, kd)]
+                if prod != expected:
+                    return CheckResult(
+                        "matrix-units",
+                        False,
+                        f"x={units.base_point}: G[{ka},{kb}]G[{kc},{kd}] != G[{ka},{kd}]",
+                        checked,
+                    )
+            else:
+                if zero is None:
+                    zero = ExactMatrix.zeros(prod.rows, prod.cols)
+                if prod != zero:
+                    return CheckResult(
+                        "matrix-units",
+                        False,
+                        f"x={units.base_point}: G[{ka},{kb}]G[{kc},{kd}] is not zero",
+                        checked,
+                    )
+    return CheckResult("matrix-units", True, None, checked)
+
+
+def _unit_sum(units: MatrixUnitFamily, pairs_and_scales) -> ExactMatrix:
+    total = None
+    for (ka, kb), scale in pairs_and_scales:
+        term = units.matrices[(ka, kb)].scaled(scale)
+        total = term if total is None else total + term
+    return total
+
+
+def adjacency_action_by_products(ctx: TerwilligerContext, units: MatrixUnitFamily) -> CheckResult:
+    """Check the closed forms for A_(h,xi) times a unit, on both sides.
+
+    Left action on G_ab depends on how the level of (h, xi) compares with
+    the level of a (row index); the right action compares with the level
+    of b and shifts its offset.  The identity class acts trivially on
+    both sides.
+    """
+    moduli = _require_wreath(ctx)
+    scheme = ctx.scheme
+    indices = units.indices
+    checked = 0
+    for hx in indices:
+        adj = ctx.adjacency[hx.flat]
+        n_hx = scheme.valency(hx.flat)
+        for a in indices:
+            n_a = scheme.valency(a.flat)
+            for b in indices:
+                g = units.matrices[(a.flat, b.flat)]
+                # left: A * G
+                if hx.level == 0:
+                    expected = g
+                elif hx.level < a.level:
+                    expected = g.scaled(n_hx)
+                elif hx.level == a.level:
+                    p = moduli[a.level - 1]
+                    if hx.offset == a.offset:
+                        expected = _unit_sum(
+                            units,
+                            [((r.flat, b.flat), n_a) for r in indices_below_level(moduli, a.level)],
+                        )
+                    else:
+                        shifted = WreathIndex(a.level, (a.offset - hx.offset) % p, moduli)
+                        expected = units.matrices[(shifted.flat, b.flat)].scaled(n_a)
+                else:
+                    p = moduli[hx.level - 1]
+                    reflected = WreathIndex(hx.level, p - hx.offset, moduli)
+                    expected = units.matrices[(reflected.flat, b.flat)].scaled(n_a)
+                checked += 1
+                if adj * g != expected:
+                    return CheckResult(
+                        "ag-forms",
+                        False,
+                        f"x={ctx.base_point}: A[{hx}] * G[{a},{b}] does not match the closed form",
+                        checked,
+                    )
+                # right: G * A
+                n_b = scheme.valency(b.flat)
+                if hx.level == 0:
+                    expected = g
+                elif hx.level < b.level:
+                    expected = g.scaled(n_hx)
+                elif hx.level == b.level:
+                    p = moduli[b.level - 1]
+                    rho = (b.offset + hx.offset) % p
+                    if rho:
+                        target = WreathIndex(b.level, rho, moduli)
+                        expected = units.matrices[(a.flat, target.flat)].scaled(n_b)
+                    else:
+                        expected = _unit_sum(
+                            units,
+                            [
+                                ((a.flat, r.flat), scheme.valency(r.flat))
+                                for r in indices_below_level(moduli, b.level)
+                            ],
+                        )
+                else:
+                    expected = units.matrices[(a.flat, hx.flat)].scaled(n_hx)
+                checked += 1
+                if g * adj != expected:
+                    return CheckResult(
+                        "ag-forms",
+                        False,
+                        f"x={ctx.base_point}: G[{a},{b}] * A[{hx}] does not match the closed form",
+                        checked,
+                    )
+    return CheckResult("ag-forms", True, None, checked)
+
+
+def central_idempotents_by_products(
+    ctx: TerwilligerContext,
+    family: CentralIdempotentFamily,
+    units: MatrixUnitFamily | None = None,
+) -> CheckResult:
+    """Every member must be a nonzero idempotent commuting with all
+    generators via the eigenvalue table, annihilating every matrix unit,
+    and orthogonal to every other member; the family size must match the
+    product-count formula."""
+    moduli = _require_wreath(ctx)
+    scheme = ctx.scheme
+    if units is None:
+        units = build_matrix_units(ctx)
+    expected_count = one_dim_ideal_count(moduli)
+    if family.count != expected_count or family.nonzero_count() != expected_count:
+        return CheckResult(
+            "f-family",
+            False,
+            f"x={ctx.base_point}: {family.nonzero_count()} nonzero members of "
+            f"{family.count}, expected {expected_count}",
+        )
+    checked = 0
+    items = sorted(family.matrices.items())
+    indices = class_indices(moduli)
+    zero = ExactMatrix.zeros(scheme.order, scheme.order)
+    for (ka, khx), mat in items:
+        a = indices[ka]
+        hx = indices[khx]
+        checked += 1
+        if mat * mat != mat:
+            return CheckResult(
+                "f-family", False, f"x={ctx.base_point}: member ({a},{hx}) is not idempotent", checked
+            )
+        for jb in indices:
+            scalar = _idempotent_scalar(moduli, scheme, a, hx, jb)
+            expected = mat.scaled(scalar)
+            adj = ctx.adjacency[jb.flat]
+            checked += 2
+            if adj * mat != expected or mat * adj != expected:
+                return CheckResult(
+                    "f-family",
+                    False,
+                    f"x={ctx.base_point}: A[{jb}] acts on member ({a},{hx}) "
+                    f"with the wrong eigenvalue",
+                    checked,
+                )
+            dual = ctx.dual_idempotents[jb.flat]
+            left = dual * mat
+            right = mat * dual
+            target = mat if jb.flat == ka else zero
+            checked += 2
+            if left != target or right != target:
+                return CheckResult(
+                    "f-family",
+                    False,
+                    f"x={ctx.base_point}: E[{jb}] does not commute with member ({a},{hx})",
+                    checked,
+                )
+        for key, unit in units.matrices.items():
+            checked += 2
+            if not (mat * unit).is_zero() or not (unit * mat).is_zero():
+                return CheckResult(
+                    "f-family",
+                    False,
+                    f"x={ctx.base_point}: member ({a},{hx}) does not annihilate unit {key}",
+                    checked,
+                )
+        for (kc, khx2), other in items:
+            if (kc, khx2) == (ka, khx):
+                continue
+            checked += 1
+            if not (mat * other).is_zero():
+                return CheckResult(
+                    "f-family",
+                    False,
+                    f"x={ctx.base_point}: members ({a},{hx}) and "
+                    f"({indices[kc]},{indices[khx2]}) are not orthogonal",
+                    checked,
+                )
+    return CheckResult("f-family", True, None, checked)
+
+
+def unit_ideal_by_membership(point: BasePoint) -> CheckResult:
+    span = point.unit_span
+    checked = 0
+    for gen in point.generators:
+        for _, unit in sorted(point.units.matrices.items()):
+            checked += 2
+            if not span.contains(gen * unit) or not span.contains(unit * gen):
+                return CheckResult(
+                    "unit-ideal",
+                    False,
+                    f"x={point.x}: a generator-unit product leaves the unit span",
+                    checked,
+                )
+    return CheckResult("unit-ideal", True, None, checked)
+
+
+def quotient_commutes_by_membership(point: BasePoint) -> CheckResult:
+    generators = point.generators
+    checked = 0
+    for idx1, g1 in enumerate(generators):
+        for g2 in generators[idx1 + 1:]:
+            checked += 1
+            if not point.unit_span.contains(g1 * g2 - g2 * g1):
+                return CheckResult(
+                    "quotient-commutes",
+                    False,
+                    f"x={point.x}: a generator commutator leaves the unit span",
+                    checked,
+                )
+    return CheckResult("quotient-commutes", True, None, checked)
 
 
 # -- example tables -------------------------------------------------------------------

@@ -24,6 +24,17 @@ def test_matrix_basics():
     assert a.scaled(Fraction(1, 2))[0, 1] == rational(1)
 
 
+def test_block_ones_and_nonzero_rows():
+    mat = ExactMatrix.block_ones(3, 4, [0, 2], [1, 3])
+    assert mat == ExactMatrix.from_rows([[0, 1, 0, 1], [0, 0, 0, 0], [0, 1, 0, 1]])
+    assert mat.nonzero_rows() == [0, 2]
+    assert ExactMatrix.block_ones(2, 2, [], [0]).is_zero()
+    # a row whose only nonzero coefficient is that of zeta_3
+    irrational = ExactMatrix.from_rows([[0, 0], [0, zeta(3, 1)]])
+    assert irrational.planes[0][1] == 0
+    assert irrational.nonzero_rows() == [1]
+
+
 def test_matrix_shape_errors():
     a = ExactMatrix.from_rows([[1, 2]])
     with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from wreathalg import (
     CentralIdempotentFamily,
+    CheckResult,
     ExactMatrix,
     MatrixUnitFamily,
     Scheme,
@@ -31,6 +33,14 @@ from wreathalg import (
 from wreathalg import structure, wreath
 from wreathalg.linalg import ExactSpan
 from wreathalg.structure import DECOMPOSITION, POINT_CHECKS, BasePoint, run_point_checks
+
+from reference import (
+    adjacency_action_by_products,
+    central_idempotents_by_products,
+    matrix_units_by_products,
+    quotient_commutes_by_membership,
+    unit_ideal_by_membership,
+)
 
 
 def test_formula_helpers():
@@ -514,3 +524,243 @@ def test_block_form_fails_on_a_partly_filled_all_ones_block():
         "x=0, A[WreathIndex(2,1)]: block (WreathIndex(1,1),WreathIndex(2,1)) is nonzero, "
         "expected all-ones"
     )
+
+
+# -- the factored unit checks against their product references ---------------------------
+
+# Each factored unit check of the registry, with the n x n product loop it
+# replaced, kept in tests/reference.py.
+REFERENCE_CHECKS = {
+    "matrix-units": lambda point: matrix_units_by_products(point.units),
+    "ag-forms": lambda point: adjacency_action_by_products(point.ctx, point.units),
+    "unit-ideal": unit_ideal_by_membership,
+    "quotient-commutes": quotient_commutes_by_membership,
+    "f-family": lambda point: central_idempotents_by_products(
+        point.ctx, point.idempotents, point.units
+    ),
+}
+
+
+def _assert_agrees_with_reference(point, stricter=()):
+    """Each factored unit check gives the reference's verdict at ``point``.
+    Past the certificate, the witness and ``checked`` are the reference's
+    too.
+
+    A family the certificate refuses fails every factored check.  The
+    references quantify over the units present and read the span of the
+    family as given, so on such a family they may raise KeyError, read as a
+    failure, or pass: the checks in ``stricter`` are those that pass there."""
+    certified = structure._certified(point.units)[2] is None
+    for name, reference in REFERENCE_CHECKS.items():
+        factored = point.result(name)
+        try:
+            expected = reference(point)
+        except KeyError:
+            expected = CheckResult(name, False, None)
+        if name in stricter:
+            assert not certified and not factored.passed and expected.passed, name
+            continue
+        assert factored.passed == expected.passed, (name, factored.witness, expected.witness)
+        if certified:
+            assert (factored.witness, factored.checked) == (expected.witness, expected.checked), name
+
+
+def _moduli_up_to(order):
+    """Every tuple of moduli, each at least 2, whose product is at most ``order``."""
+    tuples = [(p,) for p in range(2, order + 1)]
+    for moduli in tuples:  # tuples grows while it is walked
+        tuples += [moduli + (p,) for p in range(2, order // math.prod(moduli) + 1)]
+    return tuples
+
+
+@pytest.mark.parametrize("moduli", _moduli_up_to(12), ids=str)
+def test_factored_unit_checks_match_the_products_up_to_order_12(moduli):
+    n = math.prod(moduli)
+    for x in sorted({0, n - 1}):
+        point = _point(moduli, x)
+        _assert_agrees_with_reference(point)
+        assert all(point.result(name).passed for name in REFERENCE_CHECKS)
+
+
+def test_factored_unit_checks_match_the_products_at_every_point_of_2_3_4():
+    for x in range(24):
+        _assert_agrees_with_reference(_point((2, 3, 4), x))
+
+
+def _perturbed_generator(point):
+    # A_1 at x=0 of (2,2) plus one entry in the sphere S_2 = {2, 3}: A_1 u_0
+    # is then no longer constant on S_2
+    generators = list(point.generators)
+    generators[1] = _perturbed(generators[1], 2, 0, rational(1))
+    point.generators = generators
+
+
+def _perturbed_adjacency(point):
+    # A[(2,1)] of (2,3) at x=1, plus one entry in a block where it is zero,
+    # once the units are built
+    assert point.units
+    h = WreathIndex(2, 1, point.moduli).flat
+    y, z = point.ctx.spheres[1][0], point.ctx.spheres[3][0]
+    assert point.ctx.adjacency[h][y, z] == rational(0)
+    point.ctx.adjacency[h] = _perturbed(point.ctx.adjacency[h], y, z, rational(1))
+
+
+def _units_of_another_point(point):
+    # a unit family that passes the certificate, but on the spheres of x=2
+    other = build_matrix_units(wreath_context(point.moduli, 2))
+    point._units = MatrixUnitFamily(other.moduli, point.x, other.indices, other.matrices)
+
+
+def _edited_units(moduli, x, change):
+    return lambda: _point_with_units(moduli, x, change)
+
+
+def _edited_point(moduli, x, change):
+    def make():
+        point = _point(moduli, x)
+        change(point)
+        return point
+
+    return make
+
+
+def _wrong_character(point):
+    family = point.idempotents
+    keys = sorted(family.matrices)
+    matrices = dict(family.matrices)
+    matrices[keys[0]] = matrices[keys[1]]
+    point.idempotents = CentralIdempotentFamily(family.moduli, family.base_point, matrices)
+
+
+def _spread_idempotent(unit):
+    def change(point):
+        family = build_central_idempotents(point.ctx)
+        family.matrices[3, 1] = family.matrices[3, 1] + point.units.matrices[unit]
+        point.idempotents = family
+
+    return change
+
+
+def _replace_unit_00(point, matrices):
+    matrices[(0, 0)] = point.ctx.adjacency[1]
+
+
+def _perturb_unit_12(point, matrices):
+    matrices[(1, 2)] = _perturbed(matrices[(1, 2)], 1, 2, rational(Fraction(1, 3)))
+
+
+def _perturb_unit_23(point, matrices):
+    matrices[(2, 3)] = _perturbed(matrices[(2, 3)], 0, 0, rational(1))
+
+
+# The edited points of the negative controls in this file, by name.
+# Where a unit is missing, the reference f-family passes on the units left;
+# where G[0,0] is A[1], the commutators still lie in the family's span.
+STRICTER = {
+    "popped-unit-12": {"f-family"},
+    "popped-unit-01": {"f-family"},
+    "non-unit-00": {"quotient-commutes"},
+}
+EDITED_POINTS = {
+    "popped-unit-12": _edited_units((2, 2), 0, lambda p, m: m.pop((1, 2))),
+    "popped-unit-01": _edited_units((2, 2), 0, lambda p, m: m.pop((0, 1))),
+    "non-unit-00": _edited_units((2, 2), 0, _replace_unit_00),
+    "perturbed-unit-12": _edited_units((2, 2), 0, _perturb_unit_12),
+    "perturbed-unit-23": _edited_units((2, 3), 2, _perturb_unit_23),
+    "wrong-character": _edited_point((3, 2), 0, _wrong_character),
+    "spread-idempotent-off-rows": _edited_point((2, 3), 0, _spread_idempotent((0, 0))),
+    "spread-idempotent-off-columns": _edited_point((2, 3), 0, _spread_idempotent((3, 0))),
+    "perturbed-generator": _edited_point((2, 2), 0, _perturbed_generator),
+    "perturbed-adjacency": _edited_point((2, 3), 1, _perturbed_adjacency),
+    "units-of-another-point": _edited_point((2, 3), 0, _units_of_another_point),
+}
+
+
+@pytest.mark.parametrize("name", EDITED_POINTS)
+def test_factored_unit_checks_match_the_products_on_edited_points(name):
+    _assert_agrees_with_reference(EDITED_POINTS[name](), STRICTER.get(name, ()))
+
+
+def test_unit_ideal_and_quotient_fail_past_the_certificate_on_a_perturbed_generator():
+    point = EDITED_POINTS["perturbed-generator"]()
+    assert point.result("matrix-units").passed
+    assert point.result("unit-rank").passed
+    _assert_fails(point, "unit-ideal")
+    _assert_fails(point, "quotient-commutes")
+
+
+def test_ag_forms_fail_past_the_certificate_on_an_off_block_adjacency_entry():
+    point = EDITED_POINTS["perturbed-adjacency"]()
+    assert point.result("matrix-units").passed
+    result = _assert_fails(point, "ag-forms")
+    # the entry sits in row S_1 and column S_3, so w_1^T A breaks first
+    assert result.witness == (
+        "x=1: G[WreathIndex(0,0),WreathIndex(1,1)] * A[WreathIndex(2,1)] "
+        "does not match the closed form"
+    )
+
+
+def test_annihilation_fails_past_the_certificate_on_the_units_of_another_point():
+    # The units of x=2 keep the product law and the closed forms, which
+    # hold at every point, but the idempotents of x=0 do not annihilate them
+    point = EDITED_POINTS["units-of-another-point"]()
+    for name in ("matrix-units", "ag-forms", "unit-rank"):
+        assert point.result(name).passed, name
+    _assert_fails(point, "unit-ideal")
+    result = _assert_fails(point, "f-family")
+    assert "does not annihilate unit" in result.witness
+
+
+def test_certificate_witness_names_the_unit_off_its_form():
+    point = EDITED_POINTS["perturbed-unit-12"]()
+    for name in ("matrix-units", "ag-forms", "unit-ideal", "quotient-commutes", "f-family"):
+        result = _assert_fails(point, name)
+        assert result.witness == "x=0: G[1,2] does not match the closed form u_1 u_2^T / n_2"
+    result = _assert_fails(EDITED_POINTS["popped-unit-01"](), "matrix-units")
+    assert result.witness == "x=0: G[0,1] does not match the closed form u_0 u_1^T / n_1"
+
+
+def test_matrix_unit_law_fails_on_overlapping_spheres():
+    # G_ab = u_a u_b^T / n_b on the spheres of x=0 of (2,2), with S_1 = {1}
+    # replaced by S_2 = {2, 3}: every unit has its rank-one form, but
+    # G_11 G_22 = G_12 where it must be zero
+    point = _point((2, 2), 0)
+    spheres = list(point.ctx.spheres)
+    spheres[1] = spheres[2]
+    matrices = {
+        (a, b): ExactMatrix.block_ones(4, 4, spheres[a], spheres[b]).scaled(
+            Fraction(1, len(spheres[b]))
+        )
+        for a in range(3)
+        for b in range(3)
+    }
+    point._units = MatrixUnitFamily((2, 2), 0, point.units.indices, matrices)
+    assert structure._rank_one(matrices, spheres) is None
+    assert not matrix_units_by_products(point.units).passed
+    for name in REFERENCE_CHECKS:
+        result = _assert_fails(point, name)
+        assert result.witness == "x=0: G[1,1]G[2,2] is not zero"
+
+
+def test_unit_checks_form_no_product_of_two_n_by_n_matrices(monkeypatch):
+    # At (2,3)@0, matrix-units, ag-forms and unit-ideal read only the
+    # k = 4 sphere indicators, and f-family forms only the products of its
+    # own battery: per member, F F, A F and F A for each of the 4 adjacency
+    # matrices, E F and F E for each of the 4 dual idempotents, and F F'
+    # with the other member.  Its annihilation of the 16 units forms none.
+    point = _point((2, 3), 0)
+    assert point.units and point.generators and point.idempotents.count == 2
+    n = point.scheme.order
+    counts = {}
+    name = None
+    product = ExactMatrix.__mul__
+
+    def counted(a, b):
+        if (a.rows, a.cols, b.rows, b.cols) == (n, n, n, n):
+            counts[name] = counts.get(name, 0) + 1
+        return product(a, b)
+
+    monkeypatch.setattr(ExactMatrix, "__mul__", counted)
+    for name in ("matrix-units", "ag-forms", "unit-ideal", "f-family"):
+        assert point.result(name).passed, name
+    assert counts == {"f-family": 2 * (1 + 2 * 4 + 2 * 4 + 1)}
