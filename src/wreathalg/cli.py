@@ -1,5 +1,9 @@
 """Command-line front end: build schemes, run verification suites, emit reports.
 
+Each command parses its arguments, calls ``structure.run_point_checks``,
+which runs and times every check, and emits the report that
+``DecompReport.to_dict()`` heads; it runs no check and reads no clock.
+
 Exit codes: 0 all checks pass, 1 some check failed, 2 usage or
 configuration error, 3 internal error.  JSON reports are byte-identical
 across runs for a fixed configuration; wall-clock timings therefore go
@@ -14,22 +18,11 @@ import json
 import math
 import os
 import sys
-import time
 
 from . import __version__
 from .scheme import CheckResult, load_scheme, save_scheme
-from .structure import (
-    dimension_formula,
-    matrix_block_size,
-    one_dim_ideal_count,
-    run_point_checks,
-)
-from .wreath import (
-    check_moduli,
-    check_translation_certificate,
-    check_vanishing_criterion,
-    wreath_of_cyclics,
-)
+from .structure import DecompReport, run_point_checks
+from .wreath import check_moduli, wreath_of_cyclics
 
 VERIFY_CHECKS = (
     "axioms",
@@ -119,45 +112,27 @@ def _announced_order(path) -> int | None:
         return None
 
 
-def _axioms_result(report) -> CheckResult:
-    witness = "; ".join(f"{k}: {v}" for k, v in report.counterexamples.items()) or None
-    return CheckResult("axioms", report.passed, witness, 4)
-
-
-# The verify checks that look at the whole scheme rather than one base point.
-GLOBAL_CHECKS = {
-    "axioms": lambda scheme, moduli: _axioms_result(scheme.verify_axioms()),
-    "vanishing": lambda scheme, moduli: check_vanishing_criterion(moduli),
-}
-
-
-def _report_skeleton(results: list[CheckResult], **fields) -> dict:
-    """The report: ``fields`` (passed in report order) and the check entries."""
-    checks = [result.to_dict() | {"millis": 0} for result in results]
-    return fields | {"checks": checks, "version": __version__}
-
-
-def _emit(report: dict, fmt: str, out: str | None, timings: dict[str, float]) -> None:
+def _emit(report: DecompReport, fmt: str, out: str | None, timings: dict[str, float]) -> None:
+    data = report.to_dict() | {"version": __version__}
+    for check in data["checks"]:
+        check["millis"] = 0
     if fmt == "json":
-        text = json.dumps(report, indent=2) + "\n"
+        text = json.dumps(data, indent=2) + "\n"
     else:
-        lines = []
-        lines.append(
-            f"moduli={report['moduli']} order={report['order']} "
-            f"classes={report['num_classes']} base_points={report['base_points']}"
-        )
-        lines.append(
-            f"dim_T={report['dim_T']} dim_formula={report['dim_formula']} "
-            f"matrix_block={report['matrix_block']} one_dim_count={report['one_dim_count']}"
-        )
-        for check in report["checks"]:
+        lines = [
+            f"moduli={data['moduli']} order={data['order']} "
+            f"classes={data['num_classes']} base_points={data['base_points']}",
+            f"dim_T={data['dim_T']} dim_formula={data['dim_formula']} "
+            f"matrix_block={data['matrix_block']} one_dim_count={data['one_dim_count']}",
+        ]
+        for check in data["checks"]:
             status = check["status"].upper()
             millis = int(timings.get(check["name"], 0) * 1000)
             line = f"{check['name']}: {status} ({millis} ms)"
             if check.get("witness"):
                 line += f" -- {check['witness']}"
             lines.append(line)
-        overall = "PASS" if all(c["status"] == "pass" for c in report["checks"]) else "FAIL"
+        overall = "PASS" if all(c["status"] == "pass" for c in data["checks"]) else "FAIL"
         lines.append(f"overall: {overall}")
         text = "\n".join(lines) + "\n"
     if out:
@@ -175,41 +150,16 @@ def cmd_verify(args) -> int:
     checks = _parse_checks(args.checks, VERIFY_CHECKS) if args.checks else VERIFY_CHECKS
     points = _parse_base_points(args.base_points, order)
     scheme = wreath_of_cyclics(moduli)
-    per_point = [name for name in checks if name not in GLOBAL_CHECKS]
 
-    # All points are covered from x = 0 once the translations are certified
-    # to preserve the table; an explicit list is computed point by point.
-    certificate = None
-    if args.base_points == "all" and per_point:
-        started = time.perf_counter()
-        certificate = check_translation_certificate(scheme, moduli)
-        certificate_seconds = time.perf_counter() - started
+    # The default covers every vertex (the runner's certificate may reduce
+    # it to x = 0); an explicit list is computed point by point.
     run, seen, timings = run_point_checks(
-        scheme, moduli, points, per_point, certified=certificate is not None and certificate.passed
+        scheme, moduli, None if args.base_points == "all" else points, checks
     )
-    for name in checks:
-        if name in GLOBAL_CHECKS:
-            started = time.perf_counter()
-            run[name] = GLOBAL_CHECKS[name](scheme, moduli)
-            timings[name] = time.perf_counter() - started
-    results = [run[name] for name in checks]
-    if certificate is not None:
-        results.append(certificate)
-        timings[certificate.name] = certificate_seconds
-
-    report = _report_skeleton(
-        results,
-        moduli=list(moduli),
-        order=scheme.order,
-        num_classes=scheme.classes,
-        base_points=points,
-        dim_T=seen["decomposition"].dim_T if "decomposition" in seen else None,
-        dim_formula=dimension_formula(moduli),
-        matrix_block=matrix_block_size(moduli),
-        one_dim_count=one_dim_ideal_count(moduli),
-    )
+    dim_T = seen["decomposition"].dim_T if "decomposition" in seen else None
+    report = DecompReport(moduli, scheme.order, scheme.classes, points, dim_T, list(run.values()))
     _emit(report, args.format, args.out, timings)
-    return 0 if all(r.passed for r in results) else 1
+    return 0 if all(r.passed for r in report.checks) else 1
 
 
 def cmd_oracle(args) -> int:
@@ -226,29 +176,19 @@ def cmd_oracle(args) -> int:
     checks = _parse_checks(args.checks, ORACLE_CHECKS) if args.checks else ORACLE_CHECKS
     points = _parse_base_points(args.base_points, scheme.order)
 
-    axioms = _axioms_result(scheme.verify_axioms())
+    run, _, timings = run_point_checks(scheme, None, points, ["axioms"])
     # Where the axioms fail, no other check runs: each is skipped.
-    per_point = [name for name in checks if name != "axioms"] if axioms.passed else []
-    run, seen, timings = run_point_checks(scheme, None, points, per_point)
-    run["axioms"] = axioms
+    others = [name for name in checks if name != "axioms"] if run["axioms"].passed else []
+    more, seen, more_timings = run_point_checks(scheme, None, points, others)
+    run |= more
+    timings |= more_timings
     skipped = "skipped: the axioms do not hold"
     results = [run.get(name) or CheckResult(name, False, skipped) for name in checks]
     dims = seen.get("dims", [None])
     dim_T = dims[0] if len(set(dims)) == 1 else None
-
-    report = _report_skeleton(
-        results,
-        moduli=None,
-        order=scheme.order,
-        num_classes=scheme.classes,
-        base_points=points,
-        dim_T=dim_T,
-        dim_formula=None,
-        matrix_block=None,
-        one_dim_count=None,
-    )
+    report = DecompReport(None, scheme.order, scheme.classes, points, dim_T, results)
     _emit(report, args.format, args.out, timings)
-    return 0 if all(r.passed for r in results) else 1
+    return 0 if all(r.passed for r in report.checks) else 1
 
 
 def _entry_json(value) -> dict:

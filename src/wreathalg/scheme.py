@@ -56,6 +56,11 @@ class AxiomReport:
     def passed(self) -> bool:
         return self.identity_ok and self.partition_ok and self.transpose_ok and self.regular_ok
 
+    def as_check(self) -> CheckResult:
+        """The report as one ``axioms`` verdict: the witness lists every counterexample."""
+        witness = "; ".join(f"{k}: {v}" for k, v in self.counterexamples.items()) or None
+        return CheckResult("axioms", self.passed, witness, 4)
+
 
 class Scheme:
     """An association scheme (or candidate) on vertices 0..order-1."""

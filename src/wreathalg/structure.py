@@ -10,6 +10,9 @@ commutator memberships and the idempotents' annihilation of the units
 become exact matrix-vector identities (see the certificate's section).
 The final decomposition report certifies the dimension count against the
 block closure oracle from :mod:`wreathalg.terwilliger`.
+
+``run_point_checks`` is the one runner, and the one clock, of every check;
+``DecompReport.to_dict`` is the one report header.
 """
 
 from __future__ import annotations
@@ -37,8 +40,11 @@ from .terwilliger import (
 from .wreath import (
     WreathIndex,
     check_moduli,
+    check_translation_certificate,
+    check_vanishing_criterion,
     class_indices,
     indices_below_level,
+    num_classes,
     wreath_of_cyclics,
 )
 
@@ -67,7 +73,7 @@ class StructureError(RuntimeError):
 
 
 def matrix_block_size(moduli) -> int:
-    return 1 + sum(p - 1 for p in check_moduli(moduli))
+    return num_classes(moduli)
 
 
 def one_dim_ideal_count(moduli) -> int:
@@ -457,7 +463,7 @@ def _idempotent_scalar(moduli, scheme, a: WreathIndex, hx: WreathIndex, jb: Wrea
 def check_central_idempotents(
     ctx: TerwilligerContext,
     family: CentralIdempotentFamily,
-    units: MatrixUnitFamily | None = None,
+    units: MatrixUnitFamily,
 ) -> CheckResult:
     """Every member must be a nonzero idempotent commuting with all
     generators via the eigenvalue table, annihilating every matrix unit,
@@ -470,8 +476,6 @@ def check_central_idempotents(
     """
     moduli = _require_wreath(ctx)
     scheme = ctx.scheme
-    if units is None:
-        units = build_matrix_units(ctx)
     expected_count = one_dim_ideal_count(moduli)
     if family.count != expected_count or family.nonzero_count() != expected_count:
         return CheckResult(
@@ -550,17 +554,30 @@ def check_central_idempotents(
 
 @dataclass
 class DecompReport:
-    """All structural verdicts for one choice of moduli."""
+    """The verdicts of one run and the header they are reported under.
 
-    moduli: tuple[int, ...]
+    ``moduli`` is None for an ingested table, which has no formula: the
+    formula fields derived from the moduli are then None too.
+    """
+
+    moduli: tuple[int, ...] | None
     order: int
     num_classes: int
     base_points: list[int]
     dim_T: int | None
-    dim_formula: int
-    matrix_block: int
-    one_dim_count: int
     checks: list[CheckResult] = field(default_factory=list)
+
+    @property
+    def dim_formula(self) -> int | None:
+        return None if self.moduli is None else dimension_formula(self.moduli)
+
+    @property
+    def matrix_block(self) -> int | None:
+        return None if self.moduli is None else matrix_block_size(self.moduli)
+
+    @property
+    def one_dim_count(self) -> int | None:
+        return None if self.moduli is None else one_dim_ideal_count(self.moduli)
 
     @property
     def passed(self) -> bool:
@@ -568,7 +585,7 @@ class DecompReport:
 
     def to_dict(self) -> dict:
         return {
-            "moduli": list(self.moduli),
+            "moduli": None if self.moduli is None else list(self.moduli),
             "order": self.order,
             "num_classes": self.num_classes,
             "base_points": list(self.base_points),
@@ -850,6 +867,13 @@ POINT_CHECKS = {
     "span-accounting": _span_accounting,
 }
 
+# The checks that look at the whole scheme rather than one base point, as a
+# function of the scheme and its moduli, looked up by name as above.
+SCHEME_CHECKS = {
+    "axioms": lambda scheme, moduli: scheme.verify_axioms().as_check(),
+    "vanishing": lambda scheme, moduli: check_vanishing_criterion(moduli),
+}
+
 # The decomposition's sub-checks, in report order.  Where unit-support fails,
 # the sub-checks after it are skipped at that point.
 DECOMPOSITION = (
@@ -865,59 +889,71 @@ DECOMPOSITION = (
 )
 
 
-def run_point_checks(scheme: Scheme, moduli, base_points, names, certified: bool = False):
-    """Run registered checks and ``decomposition`` one base point at a time.
+def run_point_checks(scheme: Scheme, moduli, base_points, names):
+    """Run and time the checks ``names``: those of ``SCHEME_CHECKS`` once,
+    the others (``POINT_CHECKS`` and ``decomposition``) one base point at a
+    time.  ``moduli`` is None for an ingested table.  Each point's artifacts
+    and results are built once, shared by every requested name, and dropped
+    before the next point.  A check stops at its first failing point; the
+    decomposition runs at every point, after the checks, so work they share
+    is timed under the check.
 
-    ``moduli`` is None for an ingested table.  Each point's artifacts and
-    check results are built once, shared by every requested name, and
-    dropped before the next point.  A check stops at its first failing
-    point; the decomposition runs at every point.  The checks run before
-    the decomposition at each point, so work they share is timed under the
-    check.
-
-    ``certified`` says that a table automorphism maps 0 to every vertex, as
-    a passed ``check_translation_certificate`` shows; every check at x is
-    then the conjugate of the same check at 0.  The checks run at x = 0
-    alone and the triple-regularity sweep fixes x = 0, so each result, its
+    ``base_points=None`` means every vertex.  With moduli and a per-point
+    check, ``check_translation_certificate`` runs before them; where it
+    passes, a table automorphism maps 0 to every vertex, so every check at x
+    is the conjugate of the same check at 0.  The checks then run at x = 0
+    alone and the triple-regularity sweep fixes x = 0: each result, its
     ``checked`` count included, is that of one point and stands for every
-    listed point.
+    vertex.  Where it fails, every point is computed.
 
-    Returns each name's result folded over the points, the run's ``seen``
+    Returns each name's result folded over the points, in the order of
+    ``names`` and then the certificate's, if it ran; the run's ``seen``
     values (plus the decomposition's report under ``"decomposition"``, if
-    requested) and each name's wall time in seconds.
+    requested); and the wall time in seconds of each result.
     """
-    points = list(base_points)
-    requested = sorted(dict.fromkeys(names), key=lambda name: name == "decomposition")
-    results: dict[str, CheckResult] = {}
+    results: dict[str, CheckResult | None] = dict.fromkeys(names)
+    per_point = [name for name in results if name not in SCHEME_CHECKS]
+    per_point.sort(key=lambda name: name == "decomposition")
+    points = list(range(scheme.order) if base_points is None else base_points)
     group: dict[str, CheckResult] = {}
-    seconds = dict.fromkeys(requested, 0.0)
+    seconds: dict[str, float] = {}
     seen: dict = {}
-    for x in [0] if certified else points:
-        point = BasePoint(scheme, moduli, x, seen, (0,) if certified else None)
-        for name in requested:
-            started = time.perf_counter()
-            if name == "decomposition":
-                for sub in DECOMPOSITION:
-                    result = point.result(sub)
-                    group[sub] = _merge(group.get(sub), result)
-                    if sub == "unit-support" and not result.passed:
-                        break
-            elif name not in results or results[name].passed:
-                results[name] = _merge(results.get(name), point.result(name))
-            seconds[name] += time.perf_counter() - started
-    if "decomposition" in seconds:
+
+    def timed(name, check, *args):
+        started = time.perf_counter()
+        result = check(*args)
+        seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - started
+        return result
+
+    def step(point, name):
+        if name == "decomposition":
+            for sub in DECOMPOSITION:
+                result = point.result(sub)
+                group[sub] = _merge(group.get(sub), result)
+                if sub == "unit-support" and not result.passed:
+                    break
+        elif results[name] is None or results[name].passed:
+            results[name] = _merge(results[name], point.result(name))
+
+    for name in results:
+        if name in SCHEME_CHECKS:
+            results[name] = timed(name, SCHEME_CHECKS[name], scheme, moduli)
+    certificate = None
+    if base_points is None and moduli is not None and per_point:
+        certificate = timed("translation-certificate", check_translation_certificate, scheme, moduli)
+    sweep_points = (0,) if certificate is not None and certificate.passed else None
+    for x in [0] if sweep_points else points:
+        point = BasePoint(scheme, moduli, x, seen, sweep_points)
+        for name in per_point:
+            timed(name, step, point, name)
+    if "decomposition" in per_point:
         report = seen["decomposition"] = DecompReport(
-            moduli=moduli,
-            order=scheme.order,
-            num_classes=scheme.classes,
-            base_points=points,
-            dim_T=seen.get("dims", [None])[0],
-            dim_formula=dimension_formula(moduli),
-            matrix_block=matrix_block_size(moduli),
-            one_dim_count=one_dim_ideal_count(moduli),
-            checks=[group[name] for name in DECOMPOSITION if name in group],
+            moduli, scheme.order, scheme.classes, points, seen.get("dims", [None])[0],
+            [group[name] for name in DECOMPOSITION if name in group],
         )
         results["decomposition"] = report.as_check()
+    if certificate is not None:
+        results[certificate.name] = certificate
     return results, seen, seconds
 
 

@@ -175,7 +175,7 @@ def test_criterion_8_central_idempotents():
         ctx = wreath_context(moduli, 0)
         family = build_central_idempotents(ctx)
         ok = ok and family.count == count and family.nonzero_count() == count
-        ok = ok and check_central_idempotents(ctx, family).passed
+        ok = ok and check_central_idempotents(ctx, family, build_matrix_units(ctx)).passed
     report("criterion 8: central idempotent family", ok)
     assert ok
 

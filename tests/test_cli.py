@@ -1,5 +1,8 @@
+import itertools
 import json
+import re
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -622,6 +625,30 @@ def test_no_certificate_without_a_per_point_check(capsys):
     code, out, _ = run(capsys, "verify", "--moduli", "2,3", "--checks", "axioms,vanishing")
     assert code == 0
     assert [c["name"] for c in json.loads(out)["checks"]] == ["axioms", "vanishing"]
+
+
+def test_every_reported_check_is_timed(capsys, tmp_path, monkeypatch):
+    # A fake clock that advances one second per reading: each check the
+    # runner times shows at least 1000 ms, whatever the real time, and a
+    # check that nothing timed shows 0.
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
+    table = str(_write_tables(tmp_path)["t22"])
+    for argv, count in ((["verify", "--moduli", "2,2"], 12), (["oracle", table], 3)):
+        code, out, _ = run(capsys, *argv, "--format", "text")
+        assert code == 0
+        millis = re.findall(r"^[a-z-]+: PASS \((\d+) ms\)$", out, re.MULTILINE)
+        assert len(millis) == count
+        assert all(int(ms) > 0 for ms in millis), out
+
+
+def test_cli_runs_no_check_and_reads_no_clock():
+    # The runner, structure.run_point_checks, runs and times every check.
+    import wreathalg.cli as cli
+
+    assert not {"time", "check_translation_certificate", "check_vanishing_criterion"} & set(
+        vars(cli)
+    )
 
 
 def test_repeated_base_points_are_checked_once(capsys, monkeypatch):

@@ -210,7 +210,7 @@ def test_idempotent_property_battery():
     for m in [(2, 2), (2, 3), (2, 2, 2)]:
         ctx = wreath_context(m, 0)
         fam = build_central_idempotents(ctx)
-        result = check_central_idempotents(ctx, fam)
+        result = check_central_idempotents(ctx, fam, build_matrix_units(ctx))
         assert result.passed, result.witness
 
 
@@ -274,7 +274,11 @@ def test_certified_run_is_the_run_at_zero():
     m = (2, 3)
     scheme = wreath_of_cyclics(m)
     names = [*POINT_CHECKS, "decomposition"]
-    certified, seen, _ = run_point_checks(scheme, m, range(6), names, certified=True)
+    certified, seen, seconds = run_point_checks(scheme, m, None, names)
+    assert list(certified)[-1] == "translation-certificate" and "translation-certificate" in seconds
+    assert certified.pop("translation-certificate") == CheckResult(
+        "translation-certificate", True, None, len(m) * 6 ** 2
+    )
     at_zero, _, _ = run_point_checks(scheme, m, [0], names)
     every, _, _ = run_point_checks(scheme, m, range(6), names)
     assert certified.pop("triply-regular").checked == 6 ** 2
@@ -283,6 +287,35 @@ def test_certified_run_is_the_run_at_zero():
     assert {name: (r.passed, r.witness) for name, r in certified.items()} == {
         name: (r.passed, r.witness) for name, r in every.items() if name != "triply-regular"
     }
+    assert seen["decomposition"].base_points == list(range(6))
+
+
+def _vertex_swapped_table():
+    """The (2,3) wreath table with vertices 1 and 2 swapped: a scheme with the
+    same algebra at every point, but not in the vertex encoding."""
+    t = wreath_of_cyclics((2, 3)).table
+    perm = [0, 2, 1, 3, 4, 5]
+    return Scheme([[t[perm[y]][perm[z]] for z in range(6)] for y in range(6)])
+
+
+def test_failed_certificate_runs_every_point():
+    # A translation that does not keep the table fails the certificate with
+    # its witness; the runner then computes every point, with the full
+    # sweep, exactly as for the explicit list of every vertex.
+    m = (2, 3)
+    scheme = _vertex_swapped_table()
+    names = [*structure.SCHEME_CHECKS, *POINT_CHECKS, "decomposition"]
+    run, seen, _ = run_point_checks(scheme, m, None, names)
+    every, _, _ = run_point_checks(scheme, m, range(6), names)
+    assert list(run)[-1] == "translation-certificate"
+    certificate = run.pop("translation-certificate")
+    assert not certificate.passed
+    assert certificate.witness == (
+        "sigma_1 (+1 on digit 1 mod 2) maps (0,1) in class 2 to (1,0) in class 3"
+    )
+    assert run == every
+    assert run["triply-regular"].checked == 6 ** 3
+    assert all(result.passed for result in run.values())
     assert seen["decomposition"].base_points == list(range(6))
 
 
