@@ -39,7 +39,6 @@ from .terwilliger import (
 )
 from .wreath import (
     WreathIndex,
-    check_ball_structure,
     check_moduli,
     check_translation_certificate,
     check_vanishing_criterion,

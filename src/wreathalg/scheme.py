@@ -121,10 +121,13 @@ class Scheme:
         if not partition_ok:
             counterexamples["partition"] = self._label_witness
         else:
-            empty = set(range(self.classes)).difference(*t)
-            if empty:
+            # the smallest absent label is at most the number of labels present,
+            # so the search never depends on the class count the header claims
+            present = set().union(*t)
+            empty = next(i for i in range(len(present) + 1) if i not in present)
+            if empty < self.classes:
                 partition_ok = False
-                counterexamples["partition"] = f"relation {min(empty)} is empty"
+                counterexamples["partition"] = f"relation {empty} is empty"
 
         transpose_ok = partition_ok
         if transpose_ok:

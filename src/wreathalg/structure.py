@@ -1,13 +1,15 @@
 """Matrix-unit and central-idempotent structure of the wreath algebra.
 
-Everything here is verified, not assumed: the unit family is rebuilt
-from dual-idempotent products and certified to have the rank-one form
-G_ab = u_a u_b^T / n_b, with u_a the 0/1 indicator column of the sphere
-S_a and n_b = |S_b|.  Every unit check certifies that form again on the
-family it is given, and then reads the family through the k indicator
-columns alone: the product law, the adjacency action, the ideal and
-commutator memberships and the idempotents' annihilation of the units
-become exact matrix-vector identities (see the certificate's section).
+Everything here is verified, not assumed.  A ``MatrixUnitFamily`` is the
+rank-one form G_ab = u_a u_b^T / n_b itself, held as its k disjoint
+nonempty spheres S_a (u_a the 0/1 indicator column of S_a, n_b = |S_b|),
+so its rank k^2 is a property of the type.  ``build_matrix_units`` forms
+each unit independently from dual-idempotent products and compares it
+with that form, once per base point; a point whose products differ has no
+family, and every unit check fails there.  The unit checks read a family
+through the k indicator columns alone: the product law, the adjacency
+action, the ideal and commutator memberships and the idempotents'
+annihilation of the units become exact matrix-vector identities.
 The final decomposition report certifies the dimension count against the
 block closure oracle from :mod:`wreathalg.terwilliger`.
 
@@ -17,7 +19,6 @@ block closure oracle from :mod:`wreathalg.terwilliger`.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -92,39 +93,86 @@ def dimension_formula(moduli) -> int:
 # -- matrix units -------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatrixUnitFamily:
-    """One matrix per ordered pair of classes, supported on a single block."""
+    """The k^2 matrix units G_ab = u_a u_b^T / n_b of one base point, held as
+    their k spheres: u_a is the 0/1 indicator column of the sphere S_a
+    (``spheres[a]``, vertices among 0..order-1) and n_b = |S_b|.
+
+    The spheres are nonempty and pairwise disjoint, or construction raises
+    StructureError.  Then, with U the n x k matrix of columns u_a and W the
+    k x n matrix of rows w_b^T = u_b^T / n_b, W U = I and G_ab = U e_a e_b^T W.
+    So P -> U P W is injective (W (U P W) U = P), and the units, the images
+    of the k^2 standard units e_a e_b^T, have rank k^2.  A product with an
+    n x n matrix M factors: M G_ab = (M u_a) w_b^T and G_ab M = u_a (w_b^T M),
+    so each unit check reads M U and W M in place of products with the
+    units; the product loops are the reference in tests/reference.py.
+    """
 
     moduli: tuple[int, ...]
     base_point: int
     indices: tuple[WreathIndex, ...]
-    matrices: dict[tuple[int, int], ExactMatrix]
+    spheres: tuple[tuple[int, ...], ...]
+    order: int
+
+    def __post_init__(self):
+        owner: dict[int, int] = {}
+        for b, sphere in enumerate(self.spheres):
+            if not sphere:
+                raise StructureError(f"x={self.base_point}: sphere S_{b} is empty")
+            for y in sphere:
+                if y in owner:
+                    # G_cc G_bb = (u_c^T u_b / n_c) G_cb is not zero
+                    raise StructureError(
+                        f"x={self.base_point}: G[{owner[y]},{owner[y]}]G[{b},{b}] is not zero"
+                    )
+                owner[y] = b
+
+    @cached_property
+    def u(self) -> ExactMatrix:
+        """The n x k indicator matrix U."""
+        return ExactMatrix.from_rows(
+            [[int(y in sphere) for sphere in self.spheres] for y in range(self.order)])
+
+    @cached_property
+    def w(self) -> ExactMatrix:
+        """The k x n matrix W of rows u_b^T / n_b."""
+        return ExactMatrix.from_rows([[Fraction(int(y in sphere), len(sphere))
+                                       for y in range(self.order)] for sphere in self.spheres])
 
     def matrix(self, a, b) -> ExactMatrix:
-        ka = a.flat if isinstance(a, WreathIndex) else a
-        kb = b.flat if isinstance(b, WreathIndex) else b
-        return self.matrices[(ka, kb)]
+        """The unit G_ab, built on demand; a and b are flat indices or WreathIndex."""
+        sa, sb = (self.spheres[i.flat if isinstance(i, WreathIndex) else i] for i in (a, b))
+        return ExactMatrix.block_ones(self.order, self.order, sa, sb).scaled(Fraction(1, len(sb)))
+
+    @property
+    def keys(self) -> list[tuple[int, int]]:
+        """The unit keys (a, b), a major: the order of every unit loop."""
+        return [(a, b) for a in range(len(self.spheres)) for b in range(len(self.spheres))]
 
     @property
     def count(self) -> int:
-        return len(self.matrices)
+        return len(self.spheres) ** 2
 
 
 def build_matrix_units(ctx: TerwilligerContext) -> MatrixUnitFamily:
-    """Construct the unit family and certify its rank-one form.
+    """Construct the unit family on the spheres of the base point.
 
-    The (a, b) member is built from dual-idempotent products (sandwiching
-    the adjacency matrix of the higher level, or the all-ones matrix on
-    equal levels) scaled by the reciprocal column valency; the family must
-    then pass the rank-one certificate on the spheres of the base point:
-    each member is 1/n_b on the (a, b) block and zero elsewhere.
+    Each (a, b) member is then formed independently from dual-idempotent
+    products (sandwiching the adjacency matrix of the higher level, or the
+    all-ones matrix on equal levels) scaled by the reciprocal column
+    valency, and must equal ``family.matrix(a, b)``: 1/n_b on the (a, b)
+    block and zero elsewhere.  The first mismatch, in key order, raises
+    StructureError.
     """
     moduli = _require_wreath(ctx)
     scheme = ctx.scheme
     indices = class_indices(moduli)
+    family = MatrixUnitFamily(
+        moduli, ctx.base_point, indices,
+        tuple(tuple(ctx.spheres[a.flat]) for a in indices), scheme.order,
+    )
     ones = ExactMatrix.ones(scheme.order, scheme.order)
-    matrices: dict[tuple[int, int], ExactMatrix] = {}
     for a in indices:
         ea = ctx.dual_idempotents[a.flat]
         for b in indices:
@@ -136,71 +184,13 @@ def build_matrix_units(ctx: TerwilligerContext) -> MatrixUnitFamily:
                 mat = (ea * ctx.adjacency[a.flat].transpose() * eb).scaled(Fraction(1, n_b))
             else:
                 mat = (ea * ones * eb).scaled(Fraction(1, n_b))
-            matrices[(a.flat, b.flat)] = mat
-    off = _rank_one(matrices, [ctx.spheres[a.flat] for a in indices])
-    if off is not None:
-        a, b = (indices[key] for key in off)
-        raise StructureError(f"unit ({a},{b}) at x={ctx.base_point} is not supported on its block")
-    return MatrixUnitFamily(moduli, ctx.base_point, indices, matrices)
+            if mat != family.matrix(a, b):
+                raise StructureError(f"x={ctx.base_point}: G[{a.flat},{b.flat}] does not match "
+                                     f"the closed form u_{a.flat} u_{b.flat}^T / n_{b.flat}")
+    return family
 
 
-# -- the rank-one certificate and the factored unit checks ----------------------------
-#
-# A family that passes the certificate is G_ab = u_a w_b^T, with u_a the 0/1
-# indicator column of a sphere S_a, w_b = u_b / n_b, n_b = |S_b|, and the
-# spheres disjoint.  With U the n x k matrix of columns u_a and W the k x n
-# matrix of rows w_b^T, W U = I, the family spans {U P W : P k x k}, and a
-# product with an n x n matrix M factors: M G_ab = (M u_a) w_b^T and
-# G_ab M = u_a (w_b^T M).  So each unit check reads M U and W M in place of
-# products with the k^2 units; the product loops are the reference in
-# tests/reference.py.
-
-
-def _rank_one(matrices, spheres) -> tuple[int, int] | None:
-    """The first key, in key order, that keeps ``matrices`` from being the
-    k^2 units u_a u_b^T / n_b on ``spheres`` (k = len(spheres)): a missing
-    pair, a key that is no pair of classes, or a unit off that form; None
-    if there is none.  k^2 packed compares and no product."""
-    k = len(spheres)
-    keys = [(a, b) for a in range(k) for b in range(k)]
-    missing = [key for key in keys if key not in matrices]
-    if missing or len(matrices) != len(keys):
-        return missing[0] if missing else min(set(matrices) - set(keys))
-    for a, b in keys:
-        mat = matrices[a, b]
-        if not spheres[b] or mat != ExactMatrix.block_ones(
-            mat.rows, mat.cols, spheres[a], spheres[b]
-        ).scaled(Fraction(1, len(spheres[b]))):
-            return a, b
-    return None
-
-
-def _certified(units: MatrixUnitFamily):
-    """The rank-one certificate of a unit family: (U, W, None) when it has
-    the form above, on the spheres read off the family itself as the
-    nonzero rows of each G_aa; else (None, None, witness).  Each factored
-    check runs it first, so a family edited after ``build_matrix_units`` is
-    certified again."""
-    k, x = len(units.indices), units.base_point
-    spheres = [units.matrices[a, a].nonzero_rows() if (a, a) in units.matrices else []
-               for a in range(k)]
-    off = _rank_one(units.matrices, spheres)
-    if off is not None:
-        a, b = off
-        return None, None, f"x={x}: G[{a},{b}] does not match the closed form u_{a} u_{b}^T / n_{b}"
-    n = units.matrices[0, 0].rows
-    columns, rows, owner = [[0] * k for _ in range(n)], [[0] * n for _ in range(k)], {}
-    scale = math.lcm(*map(len, spheres))
-    for b, sphere in enumerate(spheres):
-        for y in sphere:
-            if y in owner:
-                # G_cc G_bb = (u_c^T u_b / n_c) G_cb is not zero
-                return None, None, f"x={x}: G[{owner[y]},{owner[y]}]G[{b},{b}] is not zero"
-            owner[y] = b
-            columns[y][b] = 1
-            rows[b][y] = scale // len(sphere)
-    w = ExactMatrix.from_rows(rows).scaled(Fraction(1, scale))
-    return ExactMatrix.from_rows(columns), w, None
+# -- the factored unit checks -------------------------------------------------------------
 
 
 def _nonzero_columns(mat: ExactMatrix) -> set[int]:
@@ -218,13 +208,10 @@ def check_matrix_units(units: MatrixUnitFamily) -> CheckResult:
     """Verify the product law: G_ab G_cd equals G_ad when b == c, else zero.
 
     G_ab G_cd = (u_b^T u_c / n_b) G_ad, so the law holds iff
-    u_b^T u_c = delta_bc n_b: iff the spheres are disjoint, which the
-    rank-one certificate reads.  ``checked`` counts the k^4 products.
+    u_b^T u_c = delta_bc n_b: iff the spheres are disjoint, which every
+    MatrixUnitFamily is.  ``checked`` counts the k^4 products.
     """
-    _, _, witness = _certified(units)
-    if witness:
-        return CheckResult("matrix-units", False, witness)
-    return CheckResult("matrix-units", True, None, len(units.matrices) ** 2)
+    return CheckResult("matrix-units", True, None, units.count ** 2)
 
 
 def check_adjacency_action(ctx: TerwilligerContext, units: MatrixUnitFamily) -> CheckResult:
@@ -235,21 +222,19 @@ def check_adjacency_action(ctx: TerwilligerContext, units: MatrixUnitFamily) -> 
     of b and shifts its offset.  The identity class acts trivially on
     both sides.
 
-    After the certificate, A G_ab = (A u_a) w_b^T and a closed form
-    sum_r c_r G_rb is (sum_r c_r u_r) w_b^T, so the left forms hold for
-    every b iff A u_a = sum_r c_r u_r: for all a at once, A U = U C with C
-    the k x k matrix of the c_r.  Likewise on the right, W A = D W.  A
-    failure names the first (a, b), in the order of the 2k^3 products
-    ``checked`` counts, whose product breaks its form.
+    A G_ab = (A u_a) w_b^T and a closed form sum_r c_r G_rb is
+    (sum_r c_r u_r) w_b^T, so the left forms hold for every b iff
+    A u_a = sum_r c_r u_r: for all a at once, A U = U C with C the k x k
+    matrix of the c_r.  Likewise on the right, W A = D W.  A failure names
+    the first (a, b), in the order of the 2k^3 products ``checked`` counts,
+    whose product breaks its form.
     """
     moduli = _require_wreath(ctx)
-    u, w, witness = _certified(units)
-    if witness:
-        return CheckResult("ag-forms", False, witness)
+    u, w = units.u, units.w
     scheme = ctx.scheme
     indices = units.indices
     k = len(indices)
-    pairs = [(a, b) for a in range(k) for b in range(k)]
+    pairs = units.keys
     checked = 0
     for hx in indices:
         adj = ctx.adjacency[hx.flat]
@@ -470,9 +455,12 @@ def check_central_idempotents(
     and orthogonal to every other member; the family size must match the
     product-count formula.
 
-    The units must pass the rank-one certificate.  Then F G_cd = (F u_c)
-    w_d^T and G_cd F = u_c (w_d^T F), so F annihilates every unit iff
-    F U = 0 and W F = 0.
+    F G_cd = (F u_c) w_d^T and G_cd F = u_c (w_d^T F), so F annihilates
+    every unit iff F U = 0 and W F = 0.  The dual idempotent E_j is the
+    diagonal indicator of S_j, so E_j F and F E_j select F's rows and
+    columns in S_j: both equal F when j is the member's class a iff every
+    nonzero row and column of F lies in S_a, and both are zero when j != a
+    iff none meets S_j.
     """
     moduli = _require_wreath(ctx)
     scheme = ctx.scheme
@@ -484,17 +472,14 @@ def check_central_idempotents(
             f"x={ctx.base_point}: {family.nonzero_count()} nonzero members of "
             f"{family.count}, expected {expected_count}",
         )
-    u, w, witness = _certified(units)
-    if witness:
-        return CheckResult("f-family", False, witness)
-    keys = list(units.matrices)
+    u, w, keys = units.u, units.w, units.keys
     checked = 0
     items = sorted(family.matrices.items())
     indices = class_indices(moduli)
-    zero = ExactMatrix.zeros(scheme.order, scheme.order)
     for (ka, khx), mat in items:
         a = indices[ka]
         hx = indices[khx]
+        rows, columns = set(mat.nonzero_rows()), _nonzero_columns(mat)
         checked += 1
         if mat * mat != mat:
             return CheckResult(
@@ -513,12 +498,13 @@ def check_central_idempotents(
                     f"with the wrong eigenvalue",
                     checked,
                 )
-            dual = ctx.dual_idempotents[jb.flat]
-            left = dual * mat
-            right = mat * dual
-            target = mat if jb.flat == ka else zero
+            sphere = set(ctx.spheres[jb.flat])
+            if jb.flat == ka:
+                breaks = not rows <= sphere or not columns <= sphere
+            else:
+                breaks = bool(rows & sphere or columns & sphere)
             checked += 2
-            if left != target or right != target:
+            if breaks:
                 return CheckResult(
                     "f-family",
                     False,
@@ -682,10 +668,6 @@ class BasePoint:
     def generators(self) -> list[ExactMatrix]:
         return standard_generators(self.ctx)
 
-    @cached_property
-    def unit_span(self) -> ExactSpan:
-        return ExactSpan.from_matrices(mat for _, mat in sorted(self.units.matrices.items()))
-
     def result(self, name: str) -> CheckResult:
         """The registered check ``name`` at this point; a unit family that
         cannot be built fails it with the construction's message."""
@@ -757,20 +739,17 @@ def _unit_support(point: BasePoint) -> CheckResult:
 
 
 def _unit_rank(point: BasePoint) -> CheckResult:
-    rank = point.unit_span.dimension
-    full = matrix_block_size(point.moduli) ** 2
-    witness = None if rank == full else f"x={point.x}: unit span has rank {rank}, expected {full}"
-    return CheckResult("unit-rank", rank == full, witness, 1)
+    # A built family has rank k^2 (see MatrixUnitFamily); where it cannot be
+    # built, reading it raises the StructureError that BasePoint.result reports.
+    point.units
+    return CheckResult("unit-rank", True, None, 1)
 
 
 def _unit_ideal(point: BasePoint) -> CheckResult:
     # g G_ab = (g u_a) w_b^T lies in the unit span {U P W} iff g u_a lies in
     # span{u_c}, and G_ab g = u_a (w_b^T g) iff w_b^T g lies in span{w_c^T}:
     # for every a and b at once, g U = U P and W g = P W, with P = W g U.
-    u, w, witness = _certified(point.units)
-    if witness:
-        return CheckResult("unit-ideal", False, witness)
-    keys = sorted(point.units.matrices)
+    u, w, keys = point.units.u, point.units.w, point.units.keys
     checked = 0
     for gen in point.generators:
         gu, wg = gen * u, w * gen
@@ -790,9 +769,7 @@ def _unit_ideal(point: BasePoint) -> CheckResult:
 def _quotient_commutes(point: BasePoint) -> CheckResult:
     # A matrix c lies in the unit span {U P W} iff c = U (W c U) W: iff it is
     # constant on every block S_a x S_b and zero off them.
-    u, w, witness = _certified(point.units)
-    if witness:
-        return CheckResult("quotient-commutes", False, witness)
+    u, w = point.units.u, point.units.w
     generators = point.generators
     checked = 0
     for idx1, g1 in enumerate(generators):
@@ -810,25 +787,19 @@ def _quotient_commutes(point: BasePoint) -> CheckResult:
 
 
 def _span_accounting(point: BasePoint) -> CheckResult:
-    # Each unit G_ab lies in block (a, b) and each idempotent F_(a,hx) in
-    # block (a, a).  Once every member is certified zero off its block, the
-    # combined span is the sum of its blocks, as the closure is, and is
-    # ranked block by block.
-    spheres = point.ctx.spheres
-    members = [
-        (f"unit G[{a},{b}]", a, b, mat) for (a, b), mat in sorted(point.units.matrices.items())
-    ]
-    members += [
-        (f"idempotent F[{a},{hx}]", a, a, mat)
-        for (a, hx), mat in sorted(point.idempotents.matrices.items())
-    ]
-    combined: dict[tuple[int, int], ExactSpan] = {}
-    for name, a, b, mat in members:
-        block = mat.block(spheres[a], spheres[b])
+    # Each unit G_ab is 1/n_b on block (a, b), so it enters as the all-ones
+    # block, and each idempotent F_(a,hx) lies in block (a, a).  Once every
+    # idempotent is certified zero off its block, the combined span is the
+    # sum of its blocks, as the closure is, and is ranked block by block.
+    spheres = point.units.spheres
+    combined = {(a, b): ExactSpan.from_matrices([ExactMatrix.ones(len(sa), len(sb))])
+                for a, sa in enumerate(spheres) for b, sb in enumerate(spheres)}
+    for (a, hx), mat in sorted(point.idempotents.matrices.items()):
+        block = mat.block(spheres[a], spheres[a])
         if block is None:
-            witness = f"x={point.x}: {name} is nonzero off the block ({a},{b})"
+            witness = f"x={point.x}: idempotent F[{a},{hx}] is nonzero off the block ({a},{a})"
             return CheckResult("span-accounting", False, witness, 1)
-        combined.setdefault((a, b), ExactSpan(block.rows, block.cols)).insert(block)
+        combined[a, a].insert(block)
     rank_uf = sum(span.dimension for span in combined.values())
     for key, span in point.closure.items():
         target = combined.setdefault(key, ExactSpan(*span.shape))

@@ -31,7 +31,6 @@ __all__ = [
     "predict_vanishing",
     "check_vanishing_criterion",
     "check_translation_certificate",
-    "check_ball_structure",
 ]
 
 
@@ -259,78 +258,3 @@ def check_translation_certificate(scheme: Scheme, moduli) -> CheckResult:
             checked += n
         stride *= p
     return CheckResult("translation-certificate", True, None, checked)
-
-
-# -- ball structure -----------------------------------------------------------------
-
-
-def check_ball_structure(moduli) -> CheckResult:
-    """Verify that each class neighborhood induces the smaller wreath product
-    and that cross-level neighborhoods sit inside a single relation.
-
-    For every base vertex x and class (i, alpha) with i >= 1, the set
-    R_{(i,alpha)}(x) listed in vertex order must reproduce the class table
-    of C_{p_1} wr ... wr C_{p_{i-1}}.  Additionally, for y in
-    R_{(i,alpha)}(x) and z in R_{(j,beta)}(x): if i == j the pair (y, z)
-    lies in a relation of level at most i, and if i > j then (z, y) lies
-    in R_{(i,alpha)} itself.
-    """
-    m = check_moduli(moduli)
-    scheme = wreath_of_cyclics(m)
-    indices = class_indices(m)
-    checked = 0
-    t = scheme.table
-
-    for x in range(scheme.order):
-        balls = {ix.flat: scheme.related(x, ix.flat) for ix in indices}
-        for ix in indices:
-            if ix.level == 0:
-                continue
-            ball = balls[ix.flat]
-            sub = cyclic_scheme(1) if ix.level == 1 else wreath_of_cyclics(m[: ix.level - 1])
-            if len(ball) != sub.order:
-                return CheckResult(
-                    "ball-structure",
-                    False,
-                    f"x={x}, class {ix}: ball size {len(ball)} != {sub.order}",
-                    checked,
-                )
-            for s, y in enumerate(ball):
-                for u, z in enumerate(ball):
-                    checked += 1
-                    if t[y][z] != sub.table[s][u]:
-                        return CheckResult(
-                            "ball-structure",
-                            False,
-                            f"x={x}, class {ix}: classify({y},{z}) = {t[y][z]} "
-                            f"but the induced scheme expects {sub.table[s][u]}",
-                            checked,
-                        )
-        for a in indices:
-            if a.level == 0:
-                continue
-            top = sum(p - 1 for p in m[: a.level])
-            for b in indices:
-                if b.level == 0 or b.level > a.level:
-                    continue
-                for y in balls[a.flat]:
-                    for z in balls[b.flat]:
-                        checked += 1
-                        if a.level == b.level:
-                            if t[y][z] > top:
-                                return CheckResult(
-                                    "ball-structure",
-                                    False,
-                                    f"x={x}: pair from balls {a},{b} lands in class "
-                                    f"{t[y][z]} above level {a.level}",
-                                    checked,
-                                )
-                        elif t[z][y] != a.flat:
-                            return CheckResult(
-                                "ball-structure",
-                                False,
-                                f"x={x}: z in ball {b}, y in ball {a} but "
-                                f"classify({z},{y}) = {t[z][y]} != {a.flat}",
-                                checked,
-                            )
-    return CheckResult("ball-structure", True, None, checked)

@@ -16,11 +16,13 @@ of the code it checks.  None of them is on a CLI path.
 - ``brute_intersection`` and ``commutes_by_products``: the intersection
   numbers and commutativity from their definitions, the reference of the
   table-read ``Scheme`` parameters.
+- ``unit_matrices``: the k^2 units of a family as n x n matrices, which
+  the unit references read.
 - ``matrix_units_by_products``, ``adjacency_action_by_products``,
-  ``central_idempotents_by_products``, ``unit_ideal_by_membership`` and
-  ``quotient_commutes_by_membership``: the unit checks as n x n products
-  and unit-span memberships, the reference of the rank-one certificate
-  and the factored checks of ``structure``.
+  ``central_idempotents_by_products``, ``unit_ideal_by_membership``,
+  ``quotient_commutes_by_membership`` and ``unit_rank_by_echelon``: the
+  unit checks as n x n products, unit-span memberships and an echelon
+  rank, the reference of the factored checks of ``structure``.
 
 It also holds the example tables the tests share, and ``rebind``, which
 replaces a public wreathalg function through every binding.
@@ -201,16 +203,34 @@ def commutes_by_products(scheme):
 # -- the matrix-unit checks -----------------------------------------------------------
 
 
+def unit_matrices(units: MatrixUnitFamily) -> dict[tuple[int, int], ExactMatrix]:
+    """Every unit of the family by its (a, b) key, in key order."""
+    return {key: units.matrix(*key) for key in units.keys}
+
+
+def _unit_span(units: MatrixUnitFamily) -> ExactSpan:
+    return ExactSpan.from_matrices(unit_matrices(units).values())
+
+
+def unit_rank_by_echelon(point: BasePoint) -> CheckResult:
+    """The rank of the unit family on an echelon: k^2 for a full family."""
+    rank = _unit_span(point.units).dimension
+    full = len(point.units.indices) ** 2
+    witness = None if rank == full else f"x={point.x}: unit span has rank {rank}, expected {full}"
+    return CheckResult("unit-rank", rank == full, witness, 1)
+
+
 def matrix_units_by_products(units: MatrixUnitFamily) -> CheckResult:
     """Verify the product law: G_ab G_cd equals G_ad when b == c, else zero."""
+    matrices = unit_matrices(units)
     zero = None
     checked = 0
-    for (ka, kb), gab in units.matrices.items():
-        for (kc, kd), gcd_ in units.matrices.items():
+    for (ka, kb), gab in matrices.items():
+        for (kc, kd), gcd_ in matrices.items():
             prod = gab * gcd_
             checked += 1
             if kb == kc:
-                expected = units.matrices[(ka, kd)]
+                expected = matrices[(ka, kd)]
                 if prod != expected:
                     return CheckResult(
                         "matrix-units",
@@ -231,10 +251,10 @@ def matrix_units_by_products(units: MatrixUnitFamily) -> CheckResult:
     return CheckResult("matrix-units", True, None, checked)
 
 
-def _unit_sum(units: MatrixUnitFamily, pairs_and_scales) -> ExactMatrix:
+def _unit_sum(matrices, pairs_and_scales) -> ExactMatrix:
     total = None
     for (ka, kb), scale in pairs_and_scales:
-        term = units.matrices[(ka, kb)].scaled(scale)
+        term = matrices[(ka, kb)].scaled(scale)
         total = term if total is None else total + term
     return total
 
@@ -250,6 +270,7 @@ def adjacency_action_by_products(ctx: TerwilligerContext, units: MatrixUnitFamil
     moduli = _require_wreath(ctx)
     scheme = ctx.scheme
     indices = units.indices
+    matrices = unit_matrices(units)
     checked = 0
     for hx in indices:
         adj = ctx.adjacency[hx.flat]
@@ -257,7 +278,7 @@ def adjacency_action_by_products(ctx: TerwilligerContext, units: MatrixUnitFamil
         for a in indices:
             n_a = scheme.valency(a.flat)
             for b in indices:
-                g = units.matrices[(a.flat, b.flat)]
+                g = matrices[(a.flat, b.flat)]
                 # left: A * G
                 if hx.level == 0:
                     expected = g
@@ -267,16 +288,16 @@ def adjacency_action_by_products(ctx: TerwilligerContext, units: MatrixUnitFamil
                     p = moduli[a.level - 1]
                     if hx.offset == a.offset:
                         expected = _unit_sum(
-                            units,
+                            matrices,
                             [((r.flat, b.flat), n_a) for r in indices_below_level(moduli, a.level)],
                         )
                     else:
                         shifted = WreathIndex(a.level, (a.offset - hx.offset) % p, moduli)
-                        expected = units.matrices[(shifted.flat, b.flat)].scaled(n_a)
+                        expected = matrices[(shifted.flat, b.flat)].scaled(n_a)
                 else:
                     p = moduli[hx.level - 1]
                     reflected = WreathIndex(hx.level, p - hx.offset, moduli)
-                    expected = units.matrices[(reflected.flat, b.flat)].scaled(n_a)
+                    expected = matrices[(reflected.flat, b.flat)].scaled(n_a)
                 checked += 1
                 if adj * g != expected:
                     return CheckResult(
@@ -296,17 +317,17 @@ def adjacency_action_by_products(ctx: TerwilligerContext, units: MatrixUnitFamil
                     rho = (b.offset + hx.offset) % p
                     if rho:
                         target = WreathIndex(b.level, rho, moduli)
-                        expected = units.matrices[(a.flat, target.flat)].scaled(n_b)
+                        expected = matrices[(a.flat, target.flat)].scaled(n_b)
                     else:
                         expected = _unit_sum(
-                            units,
+                            matrices,
                             [
                                 ((a.flat, r.flat), scheme.valency(r.flat))
                                 for r in indices_below_level(moduli, b.level)
                             ],
                         )
                 else:
-                    expected = units.matrices[(a.flat, hx.flat)].scaled(n_hx)
+                    expected = matrices[(a.flat, hx.flat)].scaled(n_hx)
                 checked += 1
                 if g * adj != expected:
                     return CheckResult(
@@ -376,7 +397,7 @@ def central_idempotents_by_products(
                     f"x={ctx.base_point}: E[{jb}] does not commute with member ({a},{hx})",
                     checked,
                 )
-        for key, unit in units.matrices.items():
+        for key, unit in unit_matrices(units).items():
             checked += 2
             if not (mat * unit).is_zero() or not (unit * mat).is_zero():
                 return CheckResult(
@@ -401,10 +422,10 @@ def central_idempotents_by_products(
 
 
 def unit_ideal_by_membership(point: BasePoint) -> CheckResult:
-    span = point.unit_span
+    span = _unit_span(point.units)
     checked = 0
     for gen in point.generators:
-        for _, unit in sorted(point.units.matrices.items()):
+        for unit in unit_matrices(point.units).values():
             checked += 2
             if not span.contains(gen * unit) or not span.contains(unit * gen):
                 return CheckResult(
@@ -417,12 +438,13 @@ def unit_ideal_by_membership(point: BasePoint) -> CheckResult:
 
 
 def quotient_commutes_by_membership(point: BasePoint) -> CheckResult:
+    span = _unit_span(point.units)
     generators = point.generators
     checked = 0
     for idx1, g1 in enumerate(generators):
         for g2 in generators[idx1 + 1:]:
             checked += 1
-            if not point.unit_span.contains(g1 * g2 - g2 * g1):
+            if not span.contains(g1 * g2 - g2 * g1):
                 return CheckResult(
                     "quotient-commutes",
                     False,

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from reference import brute_intersection, commutes_by_products, example_schemes
@@ -37,6 +38,19 @@ def test_partition_axiom_failure_empty_class():
     s = Scheme([[0, 1], [1, 0]], classes=3)
     report = s.verify_axioms()
     assert not report.partition_ok
+
+
+def test_empty_class_search_does_not_grow_with_the_class_count():
+    # the class count comes from a table header; two labels present must not
+    # cost memory in proportion to a million classes claimed
+    tracemalloc.start()
+    try:
+        report = Scheme([[0, 1], [1, 0]], classes=10**6).verify_axioms()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.counterexamples == {"partition": "relation 2 is empty"}
+    assert peak < 2**20
 
 
 def test_out_of_range_labels_raise_axiom_violations():

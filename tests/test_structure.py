@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,7 +8,6 @@ from wreathalg import (
     CentralIdempotentFamily,
     CheckResult,
     ExactMatrix,
-    MatrixUnitFamily,
     Scheme,
     StructureError,
     WreathIndex,
@@ -40,6 +40,8 @@ from reference import (
     matrix_units_by_products,
     quotient_commutes_by_membership,
     unit_ideal_by_membership,
+    unit_matrices,
+    unit_rank_by_echelon,
 )
 
 
@@ -67,7 +69,7 @@ def test_unit_family_small_entries():
 def test_unit_family_rank():
     ctx = wreath_context([2, 2], 0)
     units = build_matrix_units(ctx)
-    span = ExactSpan.from_matrices([m for _, m in sorted(units.matrices.items())])
+    span = ExactSpan.from_matrices(unit_matrices(units).values())
     assert span.dimension == 9
 
 
@@ -84,7 +86,7 @@ def test_matrix_unit_law():
         units = build_matrix_units(ctx)
         result = check_matrix_units(units)
         assert result.passed, result.witness
-        assert result.checked == len(units.matrices) ** 2
+        assert result.checked == units.count ** 2
 
 
 def test_matrix_unit_law_specific_products():
@@ -219,7 +221,7 @@ def test_idempotents_annihilate_units():
     fam = build_central_idempotents(ctx)
     units = build_matrix_units(ctx)
     for _, f in fam.matrices.items():
-        for _, g in units.matrices.items():
+        for g in unit_matrices(units).values():
             assert (f * g).is_zero()
             assert (g * f).is_zero()
 
@@ -327,16 +329,6 @@ def _point(moduli, x, seen=None):
     return BasePoint(wreath_of_cyclics(moduli), tuple(moduli), x, {} if seen is None else seen)
 
 
-def _point_with_units(moduli, x, change):
-    """A fresh base point whose unit family has been edited by ``change``."""
-    point = _point(moduli, x)
-    units = build_matrix_units(point.ctx)
-    matrices = dict(units.matrices)
-    change(point, matrices)
-    point._units = MatrixUnitFamily(units.moduli, units.base_point, units.indices, matrices)
-    return point
-
-
 def _assert_fails(point, name):
     result = point.result(name)
     assert not result.passed
@@ -352,24 +344,23 @@ def test_registry_passes_on_an_intact_point():
 
 
 def test_unit_rank_fails_without_one_unit():
-    point = _point_with_units((2, 2), 0, lambda p, m: m.pop((1, 2)))
-    result = _assert_fails(point, "unit-rank")
-    assert "rank 8, expected 9" in result.witness
+    # the build's G_12 is zero, so the point has no unit family
+    result = _assert_fails(EDITED_POINTS["popped-unit-12"](), "unit-rank")
+    assert result.witness == "x=0: G[1,2] does not match the closed form u_1 u_2^T / n_2"
 
 
 def test_unit_ideal_fails_with_a_non_unit_in_the_family():
-    def replace(point, matrices):
-        matrices[(0, 0)] = point.ctx.adjacency[1]
-
-    point = _point_with_units((2, 2), 0, replace)
-    # the span still has full rank, so only the ideal test can notice
-    assert point.result("unit-rank").passed
-    _assert_fails(point, "unit-ideal")
+    # the build's G_00 is four times the unit, so the point has no unit family
+    point = EDITED_POINTS["non-unit-00"]()
+    for name in ("unit-rank", "unit-ideal"):
+        result = _assert_fails(point, name)
+        assert result.witness == "x=0: G[0,0] does not match the closed form u_0 u_0^T / n_0"
 
 
 def test_quotient_commutes_fails_on_a_smaller_unit_span():
-    point = _point_with_units((2, 2), 0, lambda p, m: m.pop((0, 1)))
-    _assert_fails(point, "quotient-commutes")
+    # the build's G_01 is zero, so the point has no unit family
+    result = _assert_fails(EDITED_POINTS["popped-unit-01"](), "quotient-commutes")
+    assert result.witness == "x=0: G[0,1] does not match the closed form u_0 u_1^T / n_1"
 
 
 def test_span_accounting_fails_without_the_idempotents():
@@ -385,7 +376,7 @@ def test_span_accounting_fails_on_a_member_spread_over_two_blocks(unit):
     # block, in other rows or in other columns of the same rows
     point = _point((2, 3), 0)
     family = build_central_idempotents(point.ctx)
-    family.matrices[3, 1] = family.matrices[3, 1] + point.units.matrices[unit]
+    family.matrices[3, 1] = family.matrices[3, 1] + point.units.matrix(*unit)
     point.idempotents = family
     result = _assert_fails(point, "span-accounting")
     assert result.witness == "x=0: idempotent F[3,1] is nonzero off the block (3,3)"
@@ -452,22 +443,13 @@ def _perturbed(matrix, y, z, delta):
 
 
 def test_matrix_unit_law_fails_on_a_perturbed_unit():
-    def perturb(point, matrices):
-        matrices[(1, 2)] = _perturbed(matrices[(1, 2)], 1, 2, rational(Fraction(1, 3)))
-
-    point = _point_with_units((2, 2), 0, perturb)
-    result = _assert_fails(point, "matrix-units")
+    result = _assert_fails(EDITED_POINTS["perturbed-unit-12"](), "matrix-units")
     assert "G[1,2]" in result.witness
 
 
 def test_adjacency_action_fails_on_a_perturbed_unit():
-    def perturb(point, matrices):
-        # off the unit's block, where every closed form is zero
-        matrices[(2, 3)] = _perturbed(matrices[(2, 3)], 0, 0, rational(1))
-
-    point = _point_with_units((2, 3), 2, perturb)
-    result = _assert_fails(point, "ag-forms")
-    assert "does not match the closed form" in result.witness
+    result = _assert_fails(EDITED_POINTS["perturbed-unit-23"](), "ag-forms")
+    assert result.witness == "x=2: G[2,3] does not match the closed form u_2 u_3^T / n_3"
 
 
 def test_f_family_fails_on_the_wrong_character():
@@ -561,8 +543,8 @@ def test_block_form_fails_on_a_partly_filled_all_ones_block():
 
 # -- the factored unit checks against their product references ---------------------------
 
-# Each factored unit check of the registry, with the n x n product loop it
-# replaced, kept in tests/reference.py.
+# Each factored unit check of the registry, with the n x n product loop or
+# echelon it replaced, kept in tests/reference.py.
 REFERENCE_CHECKS = {
     "matrix-units": lambda point: matrix_units_by_products(point.units),
     "ag-forms": lambda point: adjacency_action_by_products(point.ctx, point.units),
@@ -571,31 +553,23 @@ REFERENCE_CHECKS = {
     "f-family": lambda point: central_idempotents_by_products(
         point.ctx, point.idempotents, point.units
     ),
+    "unit-rank": unit_rank_by_echelon,
 }
 
 
-def _assert_agrees_with_reference(point, stricter=()):
-    """Each factored unit check gives the reference's verdict at ``point``.
-    Past the certificate, the witness and ``checked`` are the reference's
-    too.
-
-    A family the certificate refuses fails every factored check.  The
-    references quantify over the units present and read the span of the
-    family as given, so on such a family they may raise KeyError, read as a
-    failure, or pass: the checks in ``stricter`` are those that pass there."""
-    certified = structure._certified(point.units)[2] is None
+def _assert_agrees_with_reference(point):
+    """Each factored unit check gives the reference's verdict, witness and
+    ``checked`` at ``point``.  Where the build refuses the unit family, the
+    references have no family to read, and every check fails with the
+    build's witness."""
+    try:
+        point.units
+    except StructureError as exc:
+        for name in REFERENCE_CHECKS:
+            assert point.result(name) == CheckResult(name, False, str(exc)), name
+        return
     for name, reference in REFERENCE_CHECKS.items():
-        factored = point.result(name)
-        try:
-            expected = reference(point)
-        except KeyError:
-            expected = CheckResult(name, False, None)
-        if name in stricter:
-            assert not certified and not factored.passed and expected.passed, name
-            continue
-        assert factored.passed == expected.passed, (name, factored.witness, expected.witness)
-        if certified:
-            assert (factored.witness, factored.checked) == (expected.witness, expected.checked), name
+        assert point.result(name) == reference(point), name
 
 
 def _moduli_up_to(order):
@@ -639,13 +613,9 @@ def _perturbed_adjacency(point):
 
 
 def _units_of_another_point(point):
-    # a unit family that passes the certificate, but on the spheres of x=2
+    # a unit family built at x=2, so on the spheres of x=2
     other = build_matrix_units(wreath_context(point.moduli, 2))
-    point._units = MatrixUnitFamily(other.moduli, point.x, other.indices, other.matrices)
-
-
-def _edited_units(moduli, x, change):
-    return lambda: _point_with_units(moduli, x, change)
+    point._units = dataclasses.replace(other, base_point=point.x)
 
 
 def _edited_point(moduli, x, change):
@@ -665,53 +635,103 @@ def _wrong_character(point):
     point.idempotents = CentralIdempotentFamily(family.moduli, family.base_point, matrices)
 
 
+def _idempotent_off_block(transposed):
+    """F[3,1] plus v e_x^T, where v = F e_c is a column of F and x the base
+    point, or, ``transposed``, plus e_x w^T with w^T = e_c^T F: still
+    idempotent, since F v = v, w^T F = w^T and v_x = w_x = 0, and acted on
+    by A_0 = I as it should, but its column, or its row, x lies in S_0
+    while its rows, or its columns, stay in S_3."""
+
+    def change(point):
+        family = point.idempotents
+        mat = family.matrices[3, 1].transpose() if transposed else family.matrices[3, 1]
+        data = mat.data
+        c = point.ctx.spheres[3][0]
+        for row in data:
+            row[point.x] = row[c]
+        mat = ExactMatrix(mat.rows, mat.cols, data)
+        family.matrices[3, 1] = mat.transpose() if transposed else mat
+
+    return change
+
+
+def _shrunk_sphere(point):
+    # once the units and idempotents are built, the last vertex y of S_3
+    # leaves the sphere and E_3, while F[3,1] keeps its row and column y
+    assert point.units and point.idempotents.count
+    y = point.ctx.spheres[3].pop()
+    point.ctx.dual_idempotents[3] = _perturbed(point.ctx.dual_idempotents[3], y, y, rational(-1))
+
+
 def _spread_idempotent(unit):
     def change(point):
         family = build_central_idempotents(point.ctx)
-        family.matrices[3, 1] = family.matrices[3, 1] + point.units.matrices[unit]
+        family.matrices[3, 1] = family.matrices[3, 1] + point.units.matrix(*unit)
         point.idempotents = family
 
     return change
 
 
-def _replace_unit_00(point, matrices):
-    matrices[(0, 0)] = point.ctx.adjacency[1]
+def _perturbed_input(matrices, label, cells, delta):
+    """Add ``delta`` to the entries ``cells`` of the build input
+    ``matrices[label]`` (an adjacency matrix or a dual idempotent of the
+    point's context), before the units are built."""
+
+    def change(point):
+        mat = getattr(point.ctx, matrices)[label]
+        for y, z in cells(point.ctx.spheres):
+            mat = _perturbed(mat, y, z, delta)
+        getattr(point.ctx, matrices)[label] = mat
+
+    return change
 
 
-def _perturb_unit_12(point, matrices):
-    matrices[(1, 2)] = _perturbed(matrices[(1, 2)], 1, 2, rational(Fraction(1, 3)))
+def _block(a, b):
+    """Every cell of the sphere block (a, b)."""
+    return lambda spheres: [(y, z) for y in spheres[a] for z in spheres[b]]
 
 
-def _perturb_unit_23(point, matrices):
-    matrices[(2, 3)] = _perturbed(matrices[(2, 3)], 0, 0, rational(1))
+def _first_cell(a, b):
+    """The first cell of the sphere block (a, b)."""
+    return lambda spheres: [(spheres[a][0], spheres[b][0])]
 
 
-# The edited points of the negative controls in this file, by name.
-# Where a unit is missing, the reference f-family passes on the units left;
-# where G[0,0] is A[1], the commutators still lie in the family's span.
-STRICTER = {
-    "popped-unit-12": {"f-family"},
-    "popped-unit-01": {"f-family"},
-    "non-unit-00": {"quotient-commutes"},
-}
+# The edited points of the negative controls in this file, by name.  The
+# units are G_ab = E_a A_b E_b / n_b below the diagonal of levels, and
+# E_a J E_b / n_b on equal levels, J the all-ones matrix.  Each unit edit
+# changes a build input inside block (a, b), so that the build's G_ab
+# differs from its closed form first, in key order, at (a, b): the build
+# then refuses the family.  At (2,2) the classes are 0, 1 and 2, of levels
+# 0, 1 and 2; at (2,3) they are 0, 1, 2 and 3, of levels 0, 1, 2 and 2.
 EDITED_POINTS = {
-    "popped-unit-12": _edited_units((2, 2), 0, lambda p, m: m.pop((1, 2))),
-    "popped-unit-01": _edited_units((2, 2), 0, lambda p, m: m.pop((0, 1))),
-    "non-unit-00": _edited_units((2, 2), 0, _replace_unit_00),
-    "perturbed-unit-12": _edited_units((2, 2), 0, _perturb_unit_12),
-    "perturbed-unit-23": _edited_units((2, 3), 2, _perturb_unit_23),
+    # -A_b on block (a, b) makes the built G_ab zero
+    "popped-unit-12": _edited_point((2, 2), 0, _perturbed_input(
+        "adjacency", 2, _block(1, 2), rational(-1))),
+    "popped-unit-01": _edited_point((2, 2), 0, _perturbed_input(
+        "adjacency", 1, _block(0, 1), rational(-1))),
+    # E_0 doubled: the built G_00 is four times the unit
+    "non-unit-00": _edited_point((2, 2), 0, _perturbed_input(
+        "dual_idempotents", 0, _block(0, 0), rational(1))),
+    "perturbed-unit-12": _edited_point((2, 2), 0, _perturbed_input(
+        "adjacency", 2, _first_cell(1, 2), rational(Fraction(1, 3)))),
+    # an entry of E_3 in block (2, 3) adds to E_2 J E_3 alone
+    "perturbed-unit-23": _edited_point((2, 3), 2, _perturbed_input(
+        "dual_idempotents", 3, _first_cell(2, 3), rational(1))),
     "wrong-character": _edited_point((3, 2), 0, _wrong_character),
     "spread-idempotent-off-rows": _edited_point((2, 3), 0, _spread_idempotent((0, 0))),
     "spread-idempotent-off-columns": _edited_point((2, 3), 0, _spread_idempotent((3, 0))),
     "perturbed-generator": _edited_point((2, 2), 0, _perturbed_generator),
     "perturbed-adjacency": _edited_point((2, 3), 1, _perturbed_adjacency),
     "units-of-another-point": _edited_point((2, 3), 0, _units_of_another_point),
+    "idempotent-column-off-block": _edited_point((2, 3), 0, _idempotent_off_block(False)),
+    "idempotent-row-off-block": _edited_point((2, 3), 0, _idempotent_off_block(True)),
+    "shrunk-sphere": _edited_point((2, 3), 0, _shrunk_sphere),
 }
 
 
 @pytest.mark.parametrize("name", EDITED_POINTS)
 def test_factored_unit_checks_match_the_products_on_edited_points(name):
-    _assert_agrees_with_reference(EDITED_POINTS[name](), STRICTER.get(name, ()))
+    _assert_agrees_with_reference(EDITED_POINTS[name]())
 
 
 def test_unit_ideal_and_quotient_fail_past_the_certificate_on_a_perturbed_generator():
@@ -744,9 +764,25 @@ def test_annihilation_fails_past_the_certificate_on_the_units_of_another_point()
     assert "does not annihilate unit" in result.witness
 
 
+def test_f_family_reads_the_dual_idempotent_products_off_the_member():
+    # E_j F and F E_j are read off the member's nonzero rows and columns:
+    # for j != a a column in S_j fails, and for j == a a row or column
+    # outside S_a
+    for name in ("idempotent-column-off-block", "idempotent-row-off-block"):
+        result = _assert_fails(EDITED_POINTS[name](), "f-family")
+        assert result.witness == (
+            "x=0: E[WreathIndex(0,0)] does not commute with member "
+            "(WreathIndex(2,2),WreathIndex(1,1))"
+        )
+    result = _assert_fails(EDITED_POINTS["shrunk-sphere"](), "f-family")
+    assert result.witness == (
+        "x=0: E[WreathIndex(2,2)] does not commute with member (WreathIndex(2,2),WreathIndex(1,1))"
+    )
+
+
 def test_certificate_witness_names_the_unit_off_its_form():
     point = EDITED_POINTS["perturbed-unit-12"]()
-    for name in ("matrix-units", "ag-forms", "unit-ideal", "quotient-commutes", "f-family"):
+    for name in ("unit-support", *REFERENCE_CHECKS):
         result = _assert_fails(point, name)
         assert result.witness == "x=0: G[1,2] does not match the closed form u_1 u_2^T / n_2"
     result = _assert_fails(EDITED_POINTS["popped-unit-01"](), "matrix-units")
@@ -754,33 +790,22 @@ def test_certificate_witness_names_the_unit_off_its_form():
 
 
 def test_matrix_unit_law_fails_on_overlapping_spheres():
-    # G_ab = u_a u_b^T / n_b on the spheres of x=0 of (2,2), with S_1 = {1}
-    # replaced by S_2 = {2, 3}: every unit has its rank-one form, but
-    # G_11 G_22 = G_12 where it must be zero
-    point = _point((2, 2), 0)
-    spheres = list(point.ctx.spheres)
-    spheres[1] = spheres[2]
-    matrices = {
-        (a, b): ExactMatrix.block_ones(4, 4, spheres[a], spheres[b]).scaled(
-            Fraction(1, len(spheres[b]))
-        )
-        for a in range(3)
-        for b in range(3)
-    }
-    point._units = MatrixUnitFamily((2, 2), 0, point.units.indices, matrices)
-    assert structure._rank_one(matrices, spheres) is None
-    assert not matrix_units_by_products(point.units).passed
-    for name in REFERENCE_CHECKS:
-        result = _assert_fails(point, name)
-        assert result.witness == "x=0: G[1,1]G[2,2] is not zero"
+    # The spheres of x=0 of (2,2), with S_1 = {1} replaced by S_2 = {2, 3}:
+    # G_11 G_22 = G_12 would not be zero, so there is no such family
+    units = _point((2, 2), 0).units
+    spheres = (units.spheres[0], units.spheres[2], units.spheres[2])
+    with pytest.raises(StructureError, match=r"^x=0: G\[1,1\]G\[2,2\] is not zero$"):
+        dataclasses.replace(units, spheres=spheres)
+    with pytest.raises(StructureError, match=r"^x=0: sphere S_1 is empty$"):
+        dataclasses.replace(units, spheres=(units.spheres[0], (), units.spheres[2]))
 
 
 def test_unit_checks_form_no_product_of_two_n_by_n_matrices(monkeypatch):
     # At (2,3)@0, matrix-units, ag-forms and unit-ideal read only the
     # k = 4 sphere indicators, and f-family forms only the products of its
     # own battery: per member, F F, A F and F A for each of the 4 adjacency
-    # matrices, E F and F E for each of the 4 dual idempotents, and F F'
-    # with the other member.  Its annihilation of the 16 units forms none.
+    # matrices, and F F' with the other member.  E F and F E, for each of
+    # the 4 dual idempotents, and the annihilation of the 16 units form none.
     point = _point((2, 3), 0)
     assert point.units and point.generators and point.idempotents.count == 2
     n = point.scheme.order
@@ -796,4 +821,19 @@ def test_unit_checks_form_no_product_of_two_n_by_n_matrices(monkeypatch):
     monkeypatch.setattr(ExactMatrix, "__mul__", counted)
     for name in ("matrix-units", "ag-forms", "unit-ideal", "f-family"):
         assert point.result(name).passed, name
-    assert counts == {"f-family": 2 * (1 + 2 * 4 + 2 * 4 + 1)}
+    assert counts == {"f-family": 2 * (1 + 2 * 4 + 1)}
+
+
+def test_full_decomposition_compares_each_unit_once(monkeypatch):
+    # The build compares each of the k^2 = 16 units of (2,3)@0 with its
+    # closed form once, and no check forms a unit again.
+    calls = []
+    block_ones = ExactMatrix.block_ones
+
+    def counted(*args):
+        calls.append(args)
+        return block_ones(*args)
+
+    monkeypatch.setattr(ExactMatrix, "block_ones", staticmethod(counted))
+    assert decomposition_report((2, 3), base_points=[0]).passed
+    assert len(calls) == 16

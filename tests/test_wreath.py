@@ -3,8 +3,9 @@ from itertools import product as iter_product
 import pytest
 
 from wreathalg import (
+    CheckResult,
     WreathIndex,
-    check_ball_structure,
+    check_moduli,
     check_translation_certificate,
     check_vanishing_criterion,
     class_indices,
@@ -191,6 +192,78 @@ def test_vanishing_is_complement_of_triple_nonzero():
         indices = class_indices(m)
         for a, b, c in iter_product(indices, repeat=3):
             assert predict_vanishing(m, a, b, c) != predict_triple_nonzero(m, a, b, c)
+
+
+def check_ball_structure(moduli) -> CheckResult:
+    """Verify that each class neighborhood induces the smaller wreath product
+    and that cross-level neighborhoods sit inside a single relation.
+
+    For every base vertex x and class (i, alpha) with i >= 1, the set
+    R_{(i,alpha)}(x) listed in vertex order must reproduce the class table
+    of C_{p_1} wr ... wr C_{p_{i-1}}.  Additionally, for y in
+    R_{(i,alpha)}(x) and z in R_{(j,beta)}(x): if i == j the pair (y, z)
+    lies in a relation of level at most i, and if i > j then (z, y) lies
+    in R_{(i,alpha)} itself.
+    """
+    m = check_moduli(moduli)
+    scheme = wreath_of_cyclics(m)
+    indices = class_indices(m)
+    checked = 0
+    t = scheme.table
+
+    for x in range(scheme.order):
+        balls = {ix.flat: scheme.related(x, ix.flat) for ix in indices}
+        for ix in indices:
+            if ix.level == 0:
+                continue
+            ball = balls[ix.flat]
+            sub = cyclic_scheme(1) if ix.level == 1 else wreath_of_cyclics(m[: ix.level - 1])
+            if len(ball) != sub.order:
+                return CheckResult(
+                    "ball-structure",
+                    False,
+                    f"x={x}, class {ix}: ball size {len(ball)} != {sub.order}",
+                    checked,
+                )
+            for s, y in enumerate(ball):
+                for u, z in enumerate(ball):
+                    checked += 1
+                    if t[y][z] != sub.table[s][u]:
+                        return CheckResult(
+                            "ball-structure",
+                            False,
+                            f"x={x}, class {ix}: classify({y},{z}) = {t[y][z]} "
+                            f"but the induced scheme expects {sub.table[s][u]}",
+                            checked,
+                        )
+        for a in indices:
+            if a.level == 0:
+                continue
+            top = sum(p - 1 for p in m[: a.level])
+            for b in indices:
+                if b.level == 0 or b.level > a.level:
+                    continue
+                for y in balls[a.flat]:
+                    for z in balls[b.flat]:
+                        checked += 1
+                        if a.level == b.level:
+                            if t[y][z] > top:
+                                return CheckResult(
+                                    "ball-structure",
+                                    False,
+                                    f"x={x}: pair from balls {a},{b} lands in class "
+                                    f"{t[y][z]} above level {a.level}",
+                                    checked,
+                                )
+                        elif t[z][y] != a.flat:
+                            return CheckResult(
+                                "ball-structure",
+                                False,
+                                f"x={x}: z in ball {b}, y in ball {a} but "
+                                f"classify({z},{y}) = {t[z][y]} != {a.flat}",
+                                checked,
+                            )
+    return CheckResult("ball-structure", True, None, checked)
 
 
 def test_ball_structure():
