@@ -14,8 +14,10 @@ n x n words, and the triple products themselves) live in the test suite.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iter_product, repeat
+from operator import add
 
 from .linalg import ExactMatrix, ExactSpan
 from .scheme import CheckResult, Scheme
@@ -247,47 +249,60 @@ def check_triply_regular(scheme: Scheme, sweep_points=None) -> CheckResult:
     automorphism maps each tuple to one with the same labels and the same
     counts, so where the automorphisms move 0 to every vertex (a passed
     translation certificate), sweeping x = 0 alone gives the same verdict:
-    n^2 tuples, each counted over the n vertices w, in place of n^3.  The
-    span equality dim T_0(x) == dim T(x) (Terwilliger 1992) is cross-checked
-    against this verdict by :func:`wreathalg.structure.run_point_checks`."""
+    n^2 tuples in place of n^3.  The span equality dim T_0(x) == dim T(x)
+    (Terwilliger 1992) is cross-checked against this verdict by
+    :func:`wreathalg.structure.run_point_checks`.
+
+    The counts of a tuple are the multiset of its labels
+    (t[x][w], t[y][w], t[z][w]) over the n vertices w.  With b one more
+    than the largest label in the table, the code (i*b + j)*b + h of a label
+    (i, j, h) is its three base-b digits, so it is injective on labels.  A
+    tuple's sorted code list is its multiset of codes, so two tuples have
+    equal counts exactly when their sorted code lists are equal.  Each pair
+    (x, y) builds its n codes (t[x][w]*b + t[y][w])*b once, and each z adds
+    t[z] to them and sorts: one map and one sort of n integers per tuple,
+    both in C, in place of n dict updates.  Tuples are compared within the
+    bucket of their pair pattern (t[x][y], t[x][z], t[y][z]) against the
+    first tuple there.  At the first mismatch the two tuples are counted
+    label by label, and the witness names the first label, in sorted order,
+    whose counts differ."""
     n = scheme.order
     t = scheme.table
-    buckets: dict[tuple[int, int, int], tuple[tuple[int, int, int], dict]] = {}
-    regular = True
-    witness = None
+    b = 1 + max(map(max, t))
+    scaled = [[label * b for label in row] for row in t]
+    # buckets[t[x][y]][(t[x][z]*b + t[y][z])*b]: the first tuple with that
+    # pair pattern, and its sorted codes
+    buckets: dict[int, dict[int, tuple[tuple[int, int, int], list[int]]]] = {}
     checked = 0
     for x in range(n) if sweep_points is None else sweep_points:
         tx = t[x]
+        codes_x = [label * b for label in scaled[x]]
         for y in range(n):
-            ty = t[y]
-            key_xy = tx[y]
-            for z in range(n):
-                tz = t[z]
-                key = (key_xy, tx[z], ty[z])
-                counts: dict[tuple[int, int, int], int] = {}
-                for w in range(n):
-                    label = (tx[w], ty[w], tz[w])
-                    counts[label] = counts.get(label, 0) + 1
-                checked += 1
-                if key not in buckets:
-                    buckets[key] = ((x, y, z), counts)
-                elif buckets[key][1] != counts:
-                    regular = False
-                    first_triple, ref = buckets[key][0], buckets[key][1]
-                    for label in sorted(set(ref) | set(counts)):
-                        if ref.get(label, 0) != counts.get(label, 0):
-                            witness = (
-                                f"classes {label} over pair pattern {key}: count "
-                                f"{ref.get(label, 0)} at {first_triple} but "
-                                f"{counts.get(label, 0)} at {(x, y, z)}"
-                            )
-                            break
-                    break
-            if not regular:
-                break
-        if not regular:
-            break
-    return CheckResult("triply-regular", regular, witness, checked)
+            pair = list(map(add, codes_x, scaled[y]))
+            bucket = buckets.setdefault(tx[y], {})
+            for z, (tz, pattern) in enumerate(zip(t, pair)):
+                codes = sorted(map(add, pair, tz))
+                first = bucket.get(pattern)
+                if first is None:
+                    bucket[pattern] = ((x, y, z), codes)
+                elif first[1] != codes:
+                    key = (tx[y], tx[z], t[y][z])
+                    witness = _count_witness(t, key, first[0], (x, y, z))
+                    return CheckResult("triply-regular", False, witness, checked + z + 1)
+            checked += n
+    return CheckResult("triply-regular", True, None, checked)
+
+
+def _count_witness(t, key, first, other) -> str:
+    """The first label, in sorted order, whose count differs between two
+    tuples of the pair pattern ``key``."""
+    ref, counts = (Counter(zip(t[x], t[y], t[z])) for x, y, z in (first, other))
+    labels = sorted(ref.keys() | counts.keys())
+    label = next(label for label in labels if ref[label] != counts[label])
+    return (
+        f"classes {label} over pair pattern {key}: count "
+        f"{ref[label]} at {first} but {counts[label]} at {other}"
+    )
 
 
 def check_primary_module(ctx: TerwilligerContext) -> CheckResult:

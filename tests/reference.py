@@ -16,6 +16,9 @@ of the code it checks.  None of them is on a CLI path.
 - ``brute_intersection`` and ``commutes_by_products``: the intersection
   numbers and commutativity from their definitions, the reference of the
   table-read ``Scheme`` parameters.
+- ``triply_regular_by_counts``: the triple-regularity sweep with a dict of
+  label counts per tuple, the reference of the sorted-code sweep of
+  ``check_triply_regular``.
 - ``unit_matrices``: the k^2 units of a family as n x n matrices, which
   the unit references read.
 - ``matrix_units_by_products``, ``adjacency_action_by_products``,
@@ -24,8 +27,9 @@ of the code it checks.  None of them is on a CLI path.
   unit checks as n x n products, unit-span memberships and an echelon
   rank, the reference of the factored checks of ``structure``.
 
-It also holds the example tables the tests share, and ``rebind``, which
-replaces a public wreathalg function through every binding.
+It also holds the example tables and moduli tuples the tests share, and
+``rebind``, which replaces a public wreathalg function through every
+binding.
 """
 
 import sys
@@ -198,6 +202,49 @@ def commutes_by_products(scheme):
     """Every pair of adjacency matrices, multiplied exactly."""
     mats = [scheme.adjacency_matrix(i) for i in range(scheme.classes)]
     return all(a * b == b * a for k, a in enumerate(mats) for b in mats[k + 1:])
+
+
+def triply_regular_by_counts(scheme: Scheme, sweep_points=None) -> CheckResult:
+    """The triple-regularity sweep with one dict of label counts per tuple,
+    one update per vertex: the reference of ``check_triply_regular``."""
+    n = scheme.order
+    t = scheme.table
+    buckets: dict[tuple[int, int, int], tuple[tuple[int, int, int], dict]] = {}
+    regular = True
+    witness = None
+    checked = 0
+    for x in range(n) if sweep_points is None else sweep_points:
+        tx = t[x]
+        for y in range(n):
+            ty = t[y]
+            key_xy = tx[y]
+            for z in range(n):
+                tz = t[z]
+                key = (key_xy, tx[z], ty[z])
+                counts: dict[tuple[int, int, int], int] = {}
+                for w in range(n):
+                    label = (tx[w], ty[w], tz[w])
+                    counts[label] = counts.get(label, 0) + 1
+                checked += 1
+                if key not in buckets:
+                    buckets[key] = ((x, y, z), counts)
+                elif buckets[key][1] != counts:
+                    regular = False
+                    first_triple, ref = buckets[key][0], buckets[key][1]
+                    for label in sorted(set(ref) | set(counts)):
+                        if ref.get(label, 0) != counts.get(label, 0):
+                            witness = (
+                                f"classes {label} over pair pattern {key}: count "
+                                f"{ref.get(label, 0)} at {first_triple} but "
+                                f"{counts.get(label, 0)} at {(x, y, z)}"
+                            )
+                            break
+                    break
+            if not regular:
+                break
+        if not regular:
+            break
+    return CheckResult("triply-regular", regular, witness, checked)
 
 
 # -- the matrix-unit checks -----------------------------------------------------------
@@ -481,6 +528,15 @@ def example_schemes():
         "s3": Scheme(s3),
         "shrikhande": Scheme(shrikhande),
     }
+
+
+def moduli_up_to(order, prefix=()):
+    """Every tuple of cyclic orders, each at least 2, with product at most ``order``."""
+    tuples = []
+    for p in range(2, order + 1):
+        tuples.append(prefix + (p,))
+        tuples += moduli_up_to(order // p, prefix + (p,))
+    return tuples
 
 
 def moved_pair_table():

@@ -1,6 +1,8 @@
 import itertools
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -659,3 +661,13 @@ def test_repeated_base_points_are_checked_once(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["base_points"] == [3, 0]
     assert counts == {"make_context": 2}
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wreathalg", "verify", "--moduli", "2,2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["dim_T"] == 10

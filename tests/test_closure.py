@@ -17,7 +17,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from reference import algebra_dimension, example_schemes, pairwise_closure, product_closure
+from reference import (
+    algebra_dimension,
+    example_schemes,
+    moduli_up_to,
+    pairwise_closure,
+    product_closure,
+)
 
 from wreathalg import (
     ExactMatrix,
@@ -91,15 +97,6 @@ def test_closure_needs_long_words():
 
 def block_dimension(scheme, x):
     return sum(span.dimension for span in block_closure(scheme, x).values())
-
-
-def moduli_up_to(order, prefix=()):
-    """Every tuple of cyclic orders, each at least 2, with product at most ``order``."""
-    tuples = []
-    for p in range(2, order + 1):
-        tuples.append(prefix + (p,))
-        tuples += moduli_up_to(order // p, prefix + (p,))
-    return tuples
 
 
 def embedded_basis(spans, spheres, n):

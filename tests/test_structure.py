@@ -38,6 +38,7 @@ from reference import (
     adjacency_action_by_products,
     central_idempotents_by_products,
     matrix_units_by_products,
+    moduli_up_to,
     quotient_commutes_by_membership,
     unit_ideal_by_membership,
     unit_matrices,
@@ -572,15 +573,7 @@ def _assert_agrees_with_reference(point):
         assert point.result(name) == reference(point), name
 
 
-def _moduli_up_to(order):
-    """Every tuple of moduli, each at least 2, whose product is at most ``order``."""
-    tuples = [(p,) for p in range(2, order + 1)]
-    for moduli in tuples:  # tuples grows while it is walked
-        tuples += [moduli + (p,) for p in range(2, order // math.prod(moduli) + 1)]
-    return tuples
-
-
-@pytest.mark.parametrize("moduli", _moduli_up_to(12), ids=str)
+@pytest.mark.parametrize("moduli", moduli_up_to(12), ids=str)
 def test_factored_unit_checks_match_the_products_up_to_order_12(moduli):
     n = math.prod(moduli)
     for x in sorted({0, n - 1}):

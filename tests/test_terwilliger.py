@@ -4,10 +4,12 @@ import pytest
 from reference import (
     algebra_dimension,
     example_schemes,
+    moduli_up_to,
     product_closure,
     rebind,
     t0_span,
     triple_product,
+    triply_regular_by_counts,
 )
 
 from wreathalg import (
@@ -219,6 +221,54 @@ def test_sweep_reads_only_the_table(monkeypatch):
         "classes (1, 1, 1) over pair pattern (1, 1, 2): count 0 at (0, 1, 3) but 1 at (0, 1, 4)"
     )
     assert shrikhande.checked == 21
+
+
+def edited_table(moduli, y, z, label):
+    """The wreath table with the symmetric pair (y, z)/(z, y) moved to ``label``."""
+    table = [list(row) for row in wreath_of_cyclics(moduli).table]
+    table[y][z] = table[z][y] = label
+    return table
+
+
+SHRIKHANDE = example_schemes()["shrikhande"]
+SWEPT_TABLES = {
+    "shrikhande": SHRIKHANDE,
+    # not triply regular, but every tuple (0, y, z) agrees with the first
+    # tuple of its pair pattern: the first mismatch lies at x = 2
+    "2x2-edited": Scheme(edited_table((2, 2), 2, 3, 2)),
+    "2x3-edited": Scheme(edited_table((2, 3), 4, 5, 2)),
+    # labels at or above the declared class count
+    "2x3-class-3-renamed-9": Scheme(
+        [[9 if v == 3 else v for v in row] for row in wreath_of_cyclics((2, 3)).table], classes=4
+    ),
+    "shrikhande-two-classes": Scheme(SHRIKHANDE.table, classes=2),
+    "2x3-edited-labels-times-7": Scheme(
+        [[7 * v for v in row] for row in edited_table((2, 3), 4, 5, 2)], classes=3
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [wreath_of_cyclics(moduli) for moduli in moduli_up_to(12)] + list(SWEPT_TABLES.values()),
+    ids=[str(moduli) for moduli in moduli_up_to(12)] + list(SWEPT_TABLES),
+)
+def test_sweep_matches_the_count_reference(scheme):
+    # CheckResult equality compares the verdict, the witness and the count
+    for sweep_points in (None, (0,)):
+        assert check_triply_regular(scheme, sweep_points) == triply_regular_by_counts(
+            scheme, sweep_points
+        )
+
+
+def test_edited_table_fails_past_the_first_vertex():
+    scheme = SWEPT_TABLES["2x2-edited"]
+    report = check_triply_regular(scheme)
+    assert report.checked > 4 * 4
+    assert report.witness == (
+        "classes (1, 2, 2) over pair pattern (2, 2, 0): count 1 at (0, 2, 2) but 0 at (2, 0, 0)"
+    )
+    assert check_triply_regular(scheme, (0,)).passed
 
 
 def test_triply_regular_span_cross_check_can_fail(monkeypatch):
