@@ -179,7 +179,7 @@ class Scheme:
                 if tensor[h] is None:
                     tensor[h] = counts
                     pairs[h] = (x, y)
-                elif tensor[h] != counts and witness is None:
+                elif tensor[h] != counts:
                     ref = tensor[h]
                     i, j = next((i, j) for i, j in product(range(c), repeat=2)
                                 if counts[i][j] != ref[i][j])
@@ -188,6 +188,11 @@ class Scheme:
                         f"for pair {pairs[h]} but {counts[i][j]} for ({x},{y}), "
                         f"both in relation {h}"
                     )
+                    break
+            # Past the first witness the numbers are not well defined, and
+            # every reader of the tensor raises the witness first.
+            if witness is not None:
+                break
         self._pnums = tensor
         self._pnum_witness = witness
 

@@ -616,20 +616,17 @@ class BasePoint:
 
     ``moduli`` is None for an ingested table.  ``seen`` is shared by all
     points of one run: the oracle dimensions under ``"dims"``, in the order
-    the ``dimension`` check ran, and under ``"sweep"`` the triple-regularity
-    sweep's result with whether the span cross-check applies.
-    ``sweep_points`` are the first vertices of the sweep's tuples, every
-    vertex when None (see ``check_triply_regular``).
+    the ``dimension`` check ran; under ``"translation-certificate"`` the
+    run's certificate, None where the table has none over ``moduli``; and
+    under ``"sweep"`` the triple-regularity sweep's result with whether the
+    span cross-check applies.
     """
 
-    def __init__(
-        self, scheme: Scheme, moduli: tuple[int, ...] | None, x: int, seen: dict, sweep_points=None
-    ):
+    def __init__(self, scheme: Scheme, moduli: tuple[int, ...] | None, x: int, seen: dict):
         self.scheme = scheme
         self.moduli = moduli
         self.x = x
         self.seen = seen
-        self.sweep_points = sweep_points
         self.results: dict[str, CheckResult] = {}
 
     @cached_property
@@ -698,13 +695,26 @@ def _f_family(point: BasePoint) -> CheckResult:
 
 def _triply_regular(point: BasePoint) -> CheckResult:
     # One sweep serves the run, and the point that runs it counts its
-    # tuples.  Where the sweep passed on a commutative scheme, each point
+    # tuples, from x = 0 alone under a passed certificate (run_point_checks
+    # says why).  Where the sweep passed on a commutative scheme, each point
     # cross-checks it: the table's T_0 count must equal the closure's
     # dimension there (Terwilliger 1992).  A failed sweep fixes the verdict
     # and the witness, so it needs no closure.
-    scheme, checked = point.scheme, 0
-    if "sweep" not in point.seen:
-        sweep = check_triply_regular(scheme, point.sweep_points)
+    scheme, checked, seen = point.scheme, 0, point.seen
+    if "sweep" not in seen:
+        if "translation-certificate" not in seen:
+            # An explicit list: the sweep forms the run's certificate once,
+            # unreported; a table with no vertex encoding has none.
+            seen["translation-certificate"] = None
+            if point.moduli is not None:
+                try:
+                    seen["translation-certificate"] = check_translation_certificate(
+                        scheme, point.moduli
+                    )
+                except ValueError:
+                    pass
+        certificate = seen["translation-certificate"]
+        sweep = check_triply_regular(scheme, (0,) if certificate and certificate.passed else None)
         applies = sweep.passed and scheme.verify_axioms().passed and scheme.is_commutative()
         point.seen["sweep"] = sweep, applies
         checked = sweep.checked
@@ -870,15 +880,29 @@ def run_point_checks(scheme: Scheme, moduli, base_points, names):
     is timed under the check.
 
     ``base_points=None`` means every vertex.  With moduli and a per-point
-    check, ``check_translation_certificate`` runs before them; where it
-    passes, a table automorphism maps 0 to every vertex, so every check at x
-    is the conjugate of the same check at 0.  The checks then run at x = 0
-    alone and the triple-regularity sweep fixes x = 0: each result, its
-    ``checked`` count included, is that of one point and stands for every
-    vertex.  Where it fails, every point is computed.
+    check, ``check_translation_certificate`` runs before them and is
+    reported; where it passes, a table automorphism maps 0 to every vertex,
+    so every check at x is the conjugate of the same check at 0.  The checks
+    then run at x = 0 alone: each result, its ``checked`` count included, is
+    that of one point and stands for every vertex.  Where it fails, every
+    point is computed.  An explicit list computes every listed point and
+    reports no certificate.
+
+    The triple-regularity sweep reads that certificate; under an explicit
+    list with moduli it computes it once, unreported and timed under
+    ``triply-regular``.  Where it passed, the sweep fixes x = 0: n^2 tuples
+    in place of n^3, with the full sweep's verdict and witness.  The full
+    sweep visits x = 0 first, with the same buckets, so if it fails there,
+    the sweep from 0 fails at the same tuple, with the same witness and
+    ``checked``.  If every tuple at 0 agrees with the first of its pair
+    pattern, the translation taking x to 0 maps each tuple (x, y, z) to one
+    at 0 with the same pattern and the same counts, so the full sweep passes
+    too.  Only a passing ``checked`` differs, and no report prints it.
+    Without moduli, or where the certificate fails or the table has no
+    vertex encoding over the moduli, the sweep visits every x.
 
     Returns each name's result folded over the points, in the order of
-    ``names`` and then the certificate's, if it ran; the run's ``seen``
+    ``names`` and then the certificate's, if reported; the run's ``seen``
     values (plus the decomposition's report under ``"decomposition"``, if
     requested); and the wall time in seconds of each result.
     """
@@ -912,9 +936,9 @@ def run_point_checks(scheme: Scheme, moduli, base_points, names):
     certificate = None
     if base_points is None and moduli is not None and per_point:
         certificate = timed("translation-certificate", check_translation_certificate, scheme, moduli)
-    sweep_points = (0,) if certificate is not None and certificate.passed else None
-    for x in [0] if sweep_points else points:
-        point = BasePoint(scheme, moduli, x, seen, sweep_points)
+        seen[certificate.name] = certificate
+    for x in [0] if certificate is not None and certificate.passed else points:
+        point = BasePoint(scheme, moduli, x, seen)
         for name in per_point:
             timed(name, step, point, name)
     if "decomposition" in per_point:

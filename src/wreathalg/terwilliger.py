@@ -245,13 +245,12 @@ def check_triply_regular(scheme: Scheme, sweep_points=None) -> CheckResult:
     on the six class labels.
 
     The sweep visits the vertex tuples (x, y, z) with x in ``sweep_points``,
-    every vertex by default, and reads only the class table.  A table
-    automorphism maps each tuple to one with the same labels and the same
-    counts, so where the automorphisms move 0 to every vertex (a passed
-    translation certificate), sweeping x = 0 alone gives the same verdict:
-    n^2 tuples in place of n^3.  The span equality dim T_0(x) == dim T(x)
-    (Terwilliger 1992) is cross-checked against this verdict by
-    :func:`wreathalg.structure.run_point_checks`.
+    every vertex by default (the exhaustive n^3 sweep), and reads only the
+    class table; a point outside 0..n-1 raises ValueError.  Where a passed
+    translation certificate moves 0 to every vertex, sweeping x = 0 alone
+    gives the full sweep's verdict and witness in n^2 tuples, and
+    :func:`wreathalg.structure.run_point_checks` sweeps so; it also
+    cross-checks the verdict against dim T_0(x) == dim T(x) (Terwilliger 1992).
 
     The counts of a tuple are the multiset of its labels
     (t[x][w], t[y][w], t[z][w]) over the n vertices w.  With b one more
@@ -267,6 +266,10 @@ def check_triply_regular(scheme: Scheme, sweep_points=None) -> CheckResult:
     label by label, and the witness names the first label, in sorted order,
     whose counts differ."""
     n = scheme.order
+    points = range(n) if sweep_points is None else tuple(sweep_points)
+    bad = next((x for x in points if not 0 <= x < n), None)
+    if bad is not None:
+        raise ValueError(f"sweep point {bad} out of range")
     t = scheme.table
     b = 1 + max(map(max, t))
     scaled = [[label * b for label in row] for row in t]
@@ -274,7 +277,7 @@ def check_triply_regular(scheme: Scheme, sweep_points=None) -> CheckResult:
     # pair pattern, and its sorted codes
     buckets: dict[int, dict[int, tuple[tuple[int, int, int], list[int]]]] = {}
     checked = 0
-    for x in range(n) if sweep_points is None else sweep_points:
+    for x in points:
         tx = t[x]
         codes_x = [label * b for label in scaled[x]]
         for y in range(n):

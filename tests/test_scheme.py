@@ -2,7 +2,7 @@ import random
 import tracemalloc
 
 import pytest
-from reference import brute_intersection, commutes_by_products, example_schemes
+from reference import brute_intersection, commutes_by_products, example_schemes, moved_pair_table
 
 from wreathalg import (
     AxiomViolation,
@@ -86,6 +86,21 @@ def test_regularity_failure_reported_not_raised():
     assert not report.regular_ok
     with pytest.raises(AxiomViolation):
         s.intersection_number(1, 1, 1)
+
+
+def test_regularity_witness_is_the_first_inconsistent_pair():
+    # The count stops at its first witness; the report and the raise keep it.
+    scheme = moved_pair_table()
+    witness = (
+        "count of class-2/class-1 paths is 0 for pair (0, 1) but 1 for (0,2), both in relation 2"
+    )
+    assert scheme.verify_axioms().as_check().witness == (
+        f"transpose: classify(2,0) = 3 but class 2 transposed to 2 before; regularity: {witness}"
+    )
+    for read in (lambda: scheme.intersection_number(1, 1, 1), scheme.is_commutative):
+        with pytest.raises(AxiomViolation) as raised:
+            read()
+        assert str(raised.value) == witness
 
 
 def test_adjacency_identity_and_partition():

@@ -18,6 +18,8 @@ from wreathalg import (
     check_central_idempotents,
     check_commutation,
     check_matrix_units,
+    check_translation_certificate,
+    check_triply_regular,
     check_vanishing_criterion,
     cyclic_scheme,
     decomposition_report,
@@ -37,6 +39,7 @@ from wreathalg.structure import DECOMPOSITION, POINT_CHECKS, BasePoint, run_poin
 from reference import (
     adjacency_action_by_products,
     central_idempotents_by_products,
+    example_schemes,
     matrix_units_by_products,
     moduli_up_to,
     quotient_commutes_by_membership,
@@ -272,8 +275,9 @@ def test_decomposition_report_to_dict():
 
 def test_certified_run_is_the_run_at_zero():
     # Under a passed translation certificate every result, its checked count
-    # included, is that of x = 0, except that the sweep only starts at 0; the
-    # verdicts and witnesses are those of every point.
+    # included, is that of x = 0, where the sweep starts at 0 alone, as it
+    # does for an explicit list; the verdicts and witnesses are those of
+    # every point.
     m = (2, 3)
     scheme = wreath_of_cyclics(m)
     names = [*POINT_CHECKS, "decomposition"]
@@ -284,11 +288,10 @@ def test_certified_run_is_the_run_at_zero():
     )
     at_zero, _, _ = run_point_checks(scheme, m, [0], names)
     every, _, _ = run_point_checks(scheme, m, range(6), names)
-    assert certified.pop("triply-regular").checked == 6 ** 2
-    assert at_zero.pop("triply-regular").checked == 6 ** 3
+    assert certified["triply-regular"].checked == 6 ** 2
     assert certified == at_zero
     assert {name: (r.passed, r.witness) for name, r in certified.items()} == {
-        name: (r.passed, r.witness) for name, r in every.items() if name != "triply-regular"
+        name: (r.passed, r.witness) for name, r in every.items()
     }
     assert seen["decomposition"].base_points == list(range(6))
 
@@ -320,6 +323,58 @@ def test_failed_certificate_runs_every_point():
     assert run["triply-regular"].checked == 6 ** 3
     assert all(result.passed for result in run.values())
     assert seen["decomposition"].base_points == list(range(6))
+
+
+@pytest.mark.parametrize("moduli", moduli_up_to(12), ids=str)
+def test_explicit_list_sweeps_from_zero(moduli):
+    # One explicit point: the certificate is computed, unreported and timed
+    # under triply-regular, and the sweep from x = 0 gives the full sweep's
+    # verdict and witness in n^2 tuples.
+    scheme = wreath_of_cyclics(moduli)
+    n = scheme.order
+    run, seen, seconds = run_point_checks(scheme, moduli, [n - 1], ["triply-regular"])
+    full = check_triply_regular(scheme)
+    assert list(run) == list(seconds) == ["triply-regular"]
+    assert seen["translation-certificate"].passed
+    assert (run["triply-regular"].passed, run["triply-regular"].witness) == (
+        full.passed,
+        full.witness,
+    )
+    assert run["triply-regular"].checked == n ** 2
+
+
+def test_explicit_list_fails_with_the_full_sweeps_witness():
+    # The Shrikhande table is certified under the (4,4) translations and is
+    # not triply regular: the sweep from x = 0 fails at the full sweep's
+    # first failing tuple.
+    shrikhande = example_schemes()["shrikhande"]
+    assert check_translation_certificate(shrikhande, (4, 4)).passed
+    run, _, _ = run_point_checks(shrikhande, (4, 4), [5, 9], ["triply-regular"])
+    assert run == {"triply-regular": check_triply_regular(shrikhande)}
+    assert run["triply-regular"].witness == (
+        "classes (1, 1, 1) over pair pattern (1, 1, 2): count 0 at (0, 1, 3) but 1 at (0, 1, 4)"
+    )
+    assert run["triply-regular"].checked == 21
+
+
+def test_explicit_list_with_a_failed_certificate_sweeps_every_vertex():
+    m = (2, 3)
+    scheme = _vertex_swapped_table()
+    names = [*POINT_CHECKS, "decomposition"]
+    run, seen, seconds = run_point_checks(scheme, m, [0, 4], names)
+    assert not seen["translation-certificate"].passed
+    assert list(run) == names and "translation-certificate" not in seconds
+    assert run["triply-regular"] == CheckResult("triply-regular", True, None, 6 ** 3)
+
+
+@pytest.mark.parametrize("moduli", [(2, 2), (6, 1)], ids=str)
+def test_explicit_list_without_a_vertex_encoding_sweeps_every_vertex(moduli):
+    # Moduli that give the table no vertex encoding raise nothing: the
+    # certificate is not formed, and the sweep visits every x.
+    scheme = wreath_of_cyclics((2, 3))
+    run, seen, _ = run_point_checks(scheme, moduli, [1], ["triply-regular"])
+    assert seen["translation-certificate"] is None
+    assert run["triply-regular"] == CheckResult("triply-regular", True, None, 6 ** 3)
 
 
 # -- negative controls through the per-point registry -------------------------------

@@ -261,6 +261,12 @@ def test_sweep_matches_the_count_reference(scheme):
         )
 
 
+@pytest.mark.parametrize("point", [-16, 16])
+def test_sweep_refuses_a_point_that_is_no_vertex(point):
+    with pytest.raises(ValueError, match=f"sweep point {point} out of range"):
+        check_triply_regular(SHRIKHANDE, (point,))
+
+
 def test_edited_table_fails_past_the_first_vertex():
     scheme = SWEPT_TABLES["2x2-edited"]
     report = check_triply_regular(scheme)
