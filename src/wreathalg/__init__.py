@@ -7,6 +7,7 @@ from .cyclotomic import ONE, ZERO, CycloNum, cyclotomic_polynomial, euler_phi, r
 from .linalg import ExactMatrix, ExactSpan
 from .scheme import AxiomReport, AxiomViolation, CheckResult, Scheme, load_scheme, save_scheme
 from .structure import (
+    BasePoint,
     CentralIdempotentFamily,
     DecompReport,
     MatrixUnitFamily,
@@ -24,18 +25,14 @@ from .structure import (
     one_dim_ideal_count,
 )
 from .terwilliger import (
-    TerwilligerContext,
     block_closure,
     check_primary_module,
     check_triple_list,
     check_triply_regular,
     label_triples,
-    make_context,
     predict_triple_nonzero,
-    standard_generators,
-    t0_dimension,
+    starting_pieces,
     triple_intersection,
-    wreath_context,
 )
 from .wreath import (
     WreathIndex,

@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import __version__
-from .scheme import CheckResult, load_scheme, save_scheme
+from .scheme import CheckResult, load_header, load_scheme, save_scheme
 from .structure import DecompReport, run_point_checks
 from .wreath import check_moduli, wreath_of_cyclics
 
@@ -102,14 +102,11 @@ def _check_cap(order: int, max_order: int) -> None:
         raise ConfigError(f"order {order} exceeds the cap {max_order}")
 
 
-def _announced_order(path) -> int | None:
-    """The order in a class table's header: the first token of its first line,
-    of which 64 characters at most are read.  None where that is no integer."""
+def _read_table(load, path):
     try:
-        with open(path, "r", encoding="ascii") as handle:
-            return int(handle.readline(64).split()[0])
-    except (OSError, ValueError, IndexError):
-        return None
+        return load(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read scheme table: {exc}")
 
 
 def _emit(report: DecompReport, fmt: str, out: str | None, timings: dict[str, float]) -> None:
@@ -159,19 +156,14 @@ def cmd_verify(args) -> int:
     dim_T = seen["decomposition"].dim_T if "decomposition" in seen else None
     report = DecompReport(moduli, scheme.order, scheme.classes, points, dim_T, list(run.values()))
     _emit(report, args.format, args.out, timings)
-    return 0 if all(r.passed for r in report.checks) else 1
+    return 0 if report.passed else 1
 
 
 def cmd_oracle(args) -> int:
     max_order = _resolve_max_order(args.max_order)
     # The header's order is capped before the body is read and parsed.
-    announced = _announced_order(args.table)
-    if announced is not None:
-        _check_cap(announced, max_order)
-    try:
-        scheme = load_scheme(args.table)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read scheme table: {exc}")
+    _check_cap(_read_table(load_header, args.table)[0], max_order)
+    scheme = _read_table(load_scheme, args.table)
     _check_cap(scheme.order, max_order)
     checks = _parse_checks(args.checks, ORACLE_CHECKS) if args.checks else ORACLE_CHECKS
     points = _parse_base_points(args.base_points, scheme.order)
@@ -188,7 +180,7 @@ def cmd_oracle(args) -> int:
     dim_T = dims[0] if len(set(dims)) == 1 else None
     report = DecompReport(None, scheme.order, scheme.classes, points, dim_T, results)
     _emit(report, args.format, args.out, timings)
-    return 0 if all(r.passed for r in report.checks) else 1
+    return 0 if report.passed else 1
 
 
 def _entry_json(value) -> dict:

@@ -338,23 +338,6 @@ class ExactMatrix:
         conductor, den, planes = _numerators([[s]])
         return _product(_diagonal(self.rows, conductor, den, [p[0][0] for p in planes]), self)
 
-    def block(self, rows, cols) -> "ExactMatrix | None":
-        """The submatrix on the rows ``rows`` and the columns ``cols``, both
-        increasing, where every entry off it is zero; None otherwise."""
-        inside = set(rows)
-        keep = [0] * self.cols
-        for c in cols:
-            keep[c] = 1
-        off = [1 - k for k in keep]
-        planes = []
-        for plane in self._decoded():
-            if any(any(compress(row, off)) if r in inside else any(row)
-                   for r, row in enumerate(plane)):
-                return None
-            planes.append([list(compress(plane[r], keep)) for r in rows])
-        return ExactMatrix._packed(len(rows), len(cols),
-                                   *_packing(self.conductor, self.den, planes))
-
     def transpose(self) -> "ExactMatrix":
         planes = [[_pack(column, self.width) for column in zip(*plane)]
                   for plane in self._decoded()]

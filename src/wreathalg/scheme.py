@@ -18,6 +18,7 @@ __all__ = [
     "AxiomReport",
     "CheckResult",
     "Scheme",
+    "load_header",
     "load_scheme",
     "save_scheme",
 ]
@@ -290,6 +291,20 @@ def _integers(tokens):
             raise ValueError(f"scheme file contains a non-integer token: {exc}") from None
 
 
+def load_header(path) -> tuple[int, int]:
+    """The order and d of a class table file, the header that
+    :func:`load_scheme` reads; nothing past it is read, so a size cap can
+    be checked on the order before the body is."""
+    with open(path, "r", encoding="ascii") as handle:
+        header = list(islice(_tokens(handle), 2))
+    if len(header) < 2:
+        raise ValueError("scheme file must start with 'order d'")
+    order, d = _integers(header)
+    if order < 1 or d < 0:
+        raise ValueError("order must be >= 1 and d >= 0")
+    return order, d
+
+
 def load_scheme(path) -> Scheme:
     """Parse a class table file produced by :func:`save_scheme`.
 
@@ -297,15 +312,9 @@ def load_scheme(path) -> Scheme:
     ``order^2`` entries the header announces, so a body that is too long is
     reported without being read whole.
     """
+    order, d = load_header(path)
     with open(path, "r", encoding="ascii") as handle:
-        tokens = _tokens(handle)
-        header = list(islice(tokens, 2))
-        if len(header) < 2:
-            raise ValueError("scheme file must start with 'order d'")
-        order, d = _integers(header)
-        if order < 1 or d < 0:
-            raise ValueError("order must be >= 1 and d >= 0")
-        body = list(islice(_integers(tokens), order * order + 1))
+        body = list(islice(_integers(islice(_tokens(handle), 2, None)), order * order + 1))
     if len(body) != order * order:
         more = "at least " if len(body) > order * order else ""
         raise ValueError(f"expected {order * order} table entries, found {more}{len(body)}")

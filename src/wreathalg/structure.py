@@ -1,17 +1,22 @@
 """Matrix-unit and central-idempotent structure of the wreath algebra.
 
-Everything here is verified, not assumed.  A ``MatrixUnitFamily`` is the
-rank-one form G_ab = u_a u_b^T / n_b itself, held as its k disjoint
-nonempty spheres S_a (u_a the 0/1 indicator column of S_a, n_b = |S_b|),
-so its rank k^2 is a property of the type.  ``build_matrix_units`` forms
-each unit independently from dual-idempotent products and compares it
-with that form, once per base point; a point whose products differ has no
-family, and every unit check fails there.  The unit checks read a family
-through the k indicator columns alone: the product law, the adjacency
-action, the ideal and commutator memberships and the idempotents'
-annihilation of the units become exact matrix-vector identities.
-The final decomposition report certifies the dimension count against the
-block closure oracle from :mod:`wreathalg.terwilliger`.
+Everything here is verified, not assumed.  Every per-point check takes a
+``BasePoint``: its spheres S_i, which stand for the dual idempotents E*_i,
+and its pieces E*_i A_j E*_h.  A product with E*_i selects the rows or
+columns in S_i, so it is a read of the pieces or holds by construction.
+
+A ``MatrixUnitFamily`` is the rank-one form G_ab = u_a u_b^T / n_b itself,
+held as its k disjoint nonempty spheres S_a (u_a the 0/1 indicator column
+of S_a, n_b = |S_b|), so its rank k^2 is a property of the type.
+``build_matrix_units`` certifies each unit against that form from its
+piece, once per base point; a point where a piece differs has no family,
+and every unit check fails there.  The unit checks read a family through
+the k indicator columns alone: the product law, the adjacency action, the
+ideal and commutator memberships and the idempotents' annihilation of the
+units become exact matrix-vector identities.  A central idempotent lies in
+one sphere block and is held as that block.  The final decomposition
+report certifies the dimension count against the block closure oracle
+from :mod:`wreathalg.terwilliger`.
 
 ``run_point_checks`` is the one runner, and the one clock, of every check;
 ``DecompReport.to_dict`` is the one report header.
@@ -23,20 +28,19 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 
 from .cyclotomic import CycloNum, rational, zeta
 from .linalg import ExactMatrix, ExactSpan
 from .scheme import CheckResult, Scheme
 from .terwilliger import (
-    TerwilligerContext,
+    _closure,
     _require_wreath,
-    block_closure,
+    _spheres,
     check_primary_module,
     check_triple_list,
     check_triply_regular,
-    make_context,
-    standard_generators,
-    t0_dimension,
+    starting_pieces,
 )
 from .wreath import (
     WreathIndex,
@@ -51,6 +55,7 @@ from .wreath import (
 
 __all__ = [
     "StructureError",
+    "BasePoint",
     "MatrixUnitFamily",
     "build_matrix_units",
     "check_matrix_units",
@@ -155,37 +160,35 @@ class MatrixUnitFamily:
         return len(self.spheres) ** 2
 
 
-def build_matrix_units(ctx: TerwilligerContext) -> MatrixUnitFamily:
+def _all_ones(piece: ExactMatrix | None) -> bool:
+    return piece is not None and piece == ExactMatrix.ones(piece.rows, piece.cols)
+
+
+def build_matrix_units(point: BasePoint) -> MatrixUnitFamily:
     """Construct the unit family on the spheres of the base point.
 
-    Each (a, b) member is then formed independently from dual-idempotent
-    products (sandwiching the adjacency matrix of the higher level, or the
-    all-ones matrix on equal levels) scaled by the reciprocal column
-    valency, and must equal ``family.matrix(a, b)``: 1/n_b on the (a, b)
-    block and zero elsewhere.  The first mismatch, in key order, raises
-    StructureError.
+    Each (a, b) member, the sandwich E_a M E_b / n_b with n_b = |S_b| at x
+    and M the adjacency matrix of the higher level (or the all-ones J on
+    equal levels), must equal ``family.matrix(a, b)``: 1/n_b on the (a, b)
+    block and zero elsewhere.  The sandwich is M's (a, b) block: the piece
+    (a, b, b) for a.level < b.level, the piece (b, a, a) transposed for
+    a.level > b.level (M = A_a^T), and all ones by construction on equal
+    levels.  So a member matches iff its piece is present and all ones, and
+    the first that does not, in key order, raises StructureError.
     """
-    moduli = _require_wreath(ctx)
-    scheme = ctx.scheme
+    moduli = _require_wreath(point)
     indices = class_indices(moduli)
     family = MatrixUnitFamily(
-        moduli, ctx.base_point, indices,
-        tuple(tuple(ctx.spheres[a.flat]) for a in indices), scheme.order,
+        moduli, point.x, indices,
+        tuple(tuple(point.spheres[a.flat]) for a in indices), point.scheme.order,
     )
-    ones = ExactMatrix.ones(scheme.order, scheme.order)
     for a in indices:
-        ea = ctx.dual_idempotents[a.flat]
         for b in indices:
-            eb = ctx.dual_idempotents[b.flat]
-            n_b = scheme.valency(b.flat)
-            if a.level < b.level:
-                mat = (ea * ctx.adjacency[b.flat] * eb).scaled(Fraction(1, n_b))
-            elif a.level > b.level:
-                mat = (ea * ctx.adjacency[a.flat].transpose() * eb).scaled(Fraction(1, n_b))
-            else:
-                mat = (ea * ones * eb).scaled(Fraction(1, n_b))
-            if mat != family.matrix(a, b):
-                raise StructureError(f"x={ctx.base_point}: G[{a.flat},{b.flat}] does not match "
+            if a.level == b.level:
+                continue
+            low, high = (a, b) if a.level < b.level else (b, a)
+            if not _all_ones(point.pieces.get((low.flat, high.flat, high.flat))):
+                raise StructureError(f"x={point.x}: G[{a.flat},{b.flat}] does not match "
                                      f"the closed form u_{a.flat} u_{b.flat}^T / n_{b.flat}")
     return family
 
@@ -214,7 +217,7 @@ def check_matrix_units(units: MatrixUnitFamily) -> CheckResult:
     return CheckResult("matrix-units", True, None, units.count ** 2)
 
 
-def check_adjacency_action(ctx: TerwilligerContext, units: MatrixUnitFamily) -> CheckResult:
+def check_adjacency_action(point: BasePoint, units: MatrixUnitFamily) -> CheckResult:
     """Check the closed forms for A_(h,xi) times a unit, on both sides.
 
     Left action on G_ab depends on how the level of (h, xi) compares with
@@ -229,15 +232,15 @@ def check_adjacency_action(ctx: TerwilligerContext, units: MatrixUnitFamily) -> 
     the first (a, b), in the order of the 2k^3 products ``checked`` counts,
     whose product breaks its form.
     """
-    moduli = _require_wreath(ctx)
+    moduli = _require_wreath(point)
     u, w = units.u, units.w
-    scheme = ctx.scheme
+    scheme = point.scheme
     indices = units.indices
     k = len(indices)
     pairs = units.keys
     checked = 0
     for hx in indices:
-        adj = ctx.adjacency[hx.flat]
+        adj = scheme.adjacency_matrix(hx.flat)
         n_hx = scheme.valency(hx.flat)
         left = [[0] * k for _ in range(k)]  # column a: A u_a in the u_r
         right = [[0] * k for _ in range(k)]  # row b: w_b^T A in the w_r^T
@@ -284,7 +287,7 @@ def check_adjacency_action(ctx: TerwilligerContext, units: MatrixUnitFamily) -> 
             return CheckResult(
                 "ag-forms",
                 False,
-                f"x={ctx.base_point}: {product} does not match the closed form",
+                f"x={point.x}: {product} does not match the closed form",
                 checked + 2 * first + (1 if on_left else 2),
             )
         checked += 2 * len(pairs)
@@ -294,27 +297,25 @@ def check_adjacency_action(ctx: TerwilligerContext, units: MatrixUnitFamily) -> 
 # -- block form ------------------------------------------------------------------------
 
 
-def check_block_form(ctx: TerwilligerContext, index: WreathIndex) -> CheckResult:
+def check_block_form(point: BasePoint, index: WreathIndex) -> CheckResult:
     """Verify the block support of one adjacency matrix.
 
     Rows of levels below the class land entirely in its column as all-ones
     blocks; rows of the same level shift the offset, wrapping into the
     all-ones blocks over the lower-level columns when the offsets cancel;
-    rows of higher levels only meet the block diagonal.  Entry (y, z) is
-    one exactly when t[y][z] is the class, so blocks are read from the table.
+    rows of higher levels only meet the block diagonal.  The block (a, b)
+    of A_j is the piece (a, j, b), nonzero exactly when it is present.
     """
-    moduli = _require_wreath(ctx)
+    moduli = _require_wreath(point)
     if index.level == 0:
         raise ValueError("block form is stated for non-identity classes")
     j, beta = index.level, index.offset
     p = moduli[j - 1]
-    t, spheres = ctx.scheme.table, ctx.spheres
     checked = 0
     for a in class_indices(moduli):
         for b in class_indices(moduli):
-            block = [t[y][z] == index.flat for y in spheres[a.flat] for z in spheres[b.flat]]
-            nonzero = any(block)
-            all_ones = all(block)
+            piece = point.pieces.get((a.flat, index.flat, b.flat))
+            nonzero = piece is not None
             if a.level < j:
                 expect_nonzero = b.flat == index.flat
                 expect_ones = expect_nonzero
@@ -331,11 +332,11 @@ def check_block_form(ctx: TerwilligerContext, index: WreathIndex) -> CheckResult
                 expect_nonzero = b.flat == a.flat
                 expect_ones = False
             checked += 1
-            if nonzero != expect_nonzero or (expect_ones and not all_ones):
+            if nonzero != expect_nonzero or (expect_ones and not _all_ones(piece)):
                 return CheckResult(
                     "block-form",
                     False,
-                    f"x={ctx.base_point}, A[{index}]: block ({a},{b}) is "
+                    f"x={point.x}, A[{index}]: block ({a},{b}) is "
                     f"{'nonzero' if nonzero else 'zero'}, expected "
                     f"{'all-ones' if expect_ones else ('nonzero' if expect_nonzero else 'zero')}",
                     checked,
@@ -343,39 +344,35 @@ def check_block_form(ctx: TerwilligerContext, index: WreathIndex) -> CheckResult
     return CheckResult("block-form", True, None, checked)
 
 
-def check_commutation(ctx: TerwilligerContext) -> CheckResult:
+def check_commutation(point: BasePoint) -> CheckResult:
     """Dual idempotents commute with all lower-level adjacency matrices, and
-    sandwiched products of lower-level adjacency matrices multiply through."""
-    moduli = _require_wreath(ctx)
+    sandwiched products of lower-level adjacency matrices multiply through.
+
+    E_a A_b keeps the rows of A_b in S_a and A_b E_a its columns in S_a, so
+    they are equal iff A_b has no entry with exactly one of its row and
+    column in S_a: iff no piece (a, b, h) or (h, b, a) with h != a is
+    present.  Once E_a commutes with every lower A_b, the sandwich identity
+    holds for all lower b and c: A_c E_a = E_a A_c and E_a^2 = E_a give
+    E_a A_b A_c E_a = E_a A_b E_a A_c = (E_a A_b E_a)(E_a A_c E_a).  So
+    ``checked`` counts those k_a^2 identities with no product.
+    """
+    moduli = _require_wreath(point)
+    crossing = {key for i, j, h in point.pieces if i != h for key in ((i, j), (h, j))}
     checked = 0
     for a in class_indices(moduli):
         if a.level == 0:
             continue
-        ea = ctx.dual_idempotents[a.flat]
         lower = indices_below_level(moduli, a.level)
         for b in lower:
-            adj = ctx.adjacency[b.flat]
             checked += 1
-            if ea * adj != adj * ea:
+            if (a.flat, b.flat) in crossing:
                 return CheckResult(
                     "commutation",
                     False,
-                    f"x={ctx.base_point}: E[{a}] does not commute with A[{b}]",
+                    f"x={point.x}: E[{a}] does not commute with A[{b}]",
                     checked,
                 )
-        sandwiched = {b.flat: ea * ctx.adjacency[b.flat] * ea for b in lower}
-        for b in lower:
-            for c in lower:
-                checked += 1
-                left = sandwiched[b.flat] * sandwiched[c.flat]
-                right = ea * (ctx.adjacency[b.flat] * ctx.adjacency[c.flat]) * ea
-                if left != right:
-                    return CheckResult(
-                        "commutation",
-                        False,
-                        f"x={ctx.base_point}: sandwich identity fails for E[{a}], A[{b}], A[{c}]",
-                        checked,
-                    )
+        checked += len(lower) ** 2
     return CheckResult("commutation", True, None, checked)
 
 
@@ -385,7 +382,9 @@ def check_commutation(ctx: TerwilligerContext) -> CheckResult:
 @dataclass
 class CentralIdempotentFamily:
     """Candidate rank-one central idempotents, one per (class, lower level,
-    character) choice; keys are (class flat index, lower-class flat index)."""
+    character) choice; keys are (class flat index, lower-class flat index).
+    The member F_(a,hx) = E_a F E_a is held as its |S_a| x |S_a| block,
+    rows and columns in vertex order."""
 
     moduli: tuple[int, ...]
     base_point: int
@@ -399,36 +398,37 @@ class CentralIdempotentFamily:
         return sum(1 for mat in self.matrices.values() if not mat.is_zero())
 
 
-def build_central_idempotents(ctx: TerwilligerContext) -> CentralIdempotentFamily:
+def build_central_idempotents(point: BasePoint) -> CentralIdempotentFamily:
     """Assemble the character-weighted sphere projections.
 
     For a class a of level i >= 2 and a class (h, xi) of lower level
     h >= 1, the member is E_a ( sum of all adjacency matrices below level
     h, plus the level-h adjacency matrices weighted by the xi-th character
-    of Z/p_h ) E_a, normalized by p_h times the level-h valency.
+    of Z/p_h ) E_a, normalized by p_h times the level-h valency.  E_a A_r E_a
+    is the piece (a, r, a), so the member's block is the weighted sum of
+    those pieces, with no product.
     """
-    moduli = _require_wreath(ctx)
-    family = CentralIdempotentFamily(moduli, ctx.base_point)
-    scheme = ctx.scheme
+    moduli = _require_wreath(point)
+    family = CentralIdempotentFamily(moduli, point.x)
+    scheme = point.scheme
     for a in class_indices(moduli):
         if a.level < 2:
             continue
-        ea = ctx.dual_idempotents[a.flat]
+        size = len(point.spheres[a.flat])
         for hx in class_indices(moduli):
             if hx.level == 0 or hx.level >= a.level:
                 continue
             h, xi = hx.level, hx.offset
             p = moduli[h - 1]
-            inner = None
-            for r in indices_below_level(moduli, h):
-                term = ctx.adjacency[r.flat]
-                inner = term if inner is None else inner + term
-            for t in range(1, p):
-                level_index = WreathIndex(h, t, moduli)
-                inner = inner + ctx.adjacency[level_index.flat].scaled(zeta(p, t * xi))
+            weights = [(r.flat, 1) for r in indices_below_level(moduli, h)]
+            weights += [(WreathIndex(h, t, moduli).flat, zeta(p, t * xi)) for t in range(1, p)]
+            block = ExactMatrix.zeros(size, size)
+            for r, weight in weights:
+                piece = point.pieces.get((a.flat, r, a.flat))
+                if piece is not None:
+                    block = block + piece.scaled(weight)
             n_h = scheme.valency(hx.flat)
-            mat = (ea * inner * ea).scaled(Fraction(1, p * n_h))
-            family.matrices[(a.flat, hx.flat)] = mat
+            family.matrices[(a.flat, hx.flat)] = block.scaled(Fraction(1, p * n_h))
     return family
 
 
@@ -445,8 +445,16 @@ def _idempotent_scalar(moduli, scheme, a: WreathIndex, hx: WreathIndex, jb: Wrea
     return n_j
 
 
+def _acts_by(expected: ExactMatrix, ka: int, blocks) -> bool:
+    """Whether the product blocks ``blocks``, by sphere index, are
+    ``expected`` at ka and zero at every other index."""
+    own = blocks.pop(ka, None)
+    return (expected.is_zero() if own is None else own == expected) and all(
+        product.is_zero() for product in blocks.values())
+
+
 def check_central_idempotents(
-    ctx: TerwilligerContext,
+    point: BasePoint,
     family: CentralIdempotentFamily,
     units: MatrixUnitFamily,
 ) -> CheckResult:
@@ -455,68 +463,64 @@ def check_central_idempotents(
     and orthogonal to every other member; the family size must match the
     product-count formula.
 
-    F G_cd = (F u_c) w_d^T and G_cd F = u_c (w_d^T F), so F annihilates
-    every unit iff F U = 0 and W F = 0.  The dual idempotent E_j is the
-    diagonal indicator of S_j, so E_j F and F E_j select F's rows and
-    columns in S_j: both equal F when j is the member's class a iff every
-    nonzero row and column of F lies in S_a, and both are zero when j != a
-    iff none meets S_j.
+    Each member F is its block at (a, a).  A_j F has block (i, a) equal to
+    piece(i, j, a) F, and F A_j block (a, h) equal to F piece(a, j, h), so
+    A_j F = F A_j = lambda F iff piece(a, j, a) F = F piece(a, j, a) =
+    lambda F and the other pieces give zero.  E_j F and F E_j (F for j = a,
+    else zero), and F F' for members of other classes (zero), hold by
+    construction and are counted.  F G_cd = (F u_c) w_d^T and
+    G_cd F = u_c (w_d^T F), so F annihilates every unit iff F U_a = 0 and
+    U_a^T F = 0, U_a the rows in S_a of the family's own indicators U.
     """
-    moduli = _require_wreath(ctx)
-    scheme = ctx.scheme
+    moduli = _require_wreath(point)
+    scheme = point.scheme
     expected_count = one_dim_ideal_count(moduli)
     if family.count != expected_count or family.nonzero_count() != expected_count:
         return CheckResult(
             "f-family",
             False,
-            f"x={ctx.base_point}: {family.nonzero_count()} nonzero members of "
+            f"x={point.x}: {family.nonzero_count()} nonzero members of "
             f"{family.count}, expected {expected_count}",
         )
-    u, w, keys = units.u, units.w, units.keys
+    unit_spheres = [set(sphere) for sphere in units.spheres]
+    keys = units.keys
     checked = 0
     items = sorted(family.matrices.items())
     indices = class_indices(moduli)
     for (ka, khx), mat in items:
         a = indices[ka]
         hx = indices[khx]
-        rows, columns = set(mat.nonzero_rows()), _nonzero_columns(mat)
+        into = [(i, j, piece) for (i, j, h), piece in point.pieces.items() if h == ka]
+        out_of = [(h, j, piece) for (i, j, h), piece in point.pieces.items() if i == ka]
         checked += 1
         if mat * mat != mat:
             return CheckResult(
-                "f-family", False, f"x={ctx.base_point}: member ({a},{hx}) is not idempotent", checked
+                "f-family", False, f"x={point.x}: member ({a},{hx}) is not idempotent", checked
             )
         for jb in indices:
             scalar = _idempotent_scalar(moduli, scheme, a, hx, jb)
             expected = mat.scaled(scalar)
-            adj = ctx.adjacency[jb.flat]
+            left = {i: piece * mat for i, j, piece in into if j == jb.flat}
+            right = {h: mat * piece for h, j, piece in out_of if j == jb.flat}
             checked += 2
-            if adj * mat != expected or mat * adj != expected:
+            if not _acts_by(expected, ka, left) or not _acts_by(expected, ka, right):
                 return CheckResult(
                     "f-family",
                     False,
-                    f"x={ctx.base_point}: A[{jb}] acts on member ({a},{hx}) "
+                    f"x={point.x}: A[{jb}] acts on member ({a},{hx}) "
                     f"with the wrong eigenvalue",
                     checked,
                 )
-            sphere = set(ctx.spheres[jb.flat])
-            if jb.flat == ka:
-                breaks = not rows <= sphere or not columns <= sphere
-            else:
-                breaks = bool(rows & sphere or columns & sphere)
-            checked += 2
-            if breaks:
-                return CheckResult(
-                    "f-family",
-                    False,
-                    f"x={ctx.base_point}: E[{jb}] does not commute with member ({a},{hx})",
-                    checked,
-                )
-        first = _first_off(keys, _nonzero_columns(mat * u), set((w * mat).nonzero_rows()))
+            checked += 2  # E_j F and F E_j
+        u_a = ExactMatrix.from_rows(
+            [[int(y in sphere) for sphere in unit_spheres] for y in point.spheres[ka]])
+        first = _first_off(keys, _nonzero_columns(mat * u_a),
+                           set((u_a.transpose() * mat).nonzero_rows()))
         if first is not None:
             return CheckResult(
                 "f-family",
                 False,
-                f"x={ctx.base_point}: member ({a},{hx}) does not annihilate unit {keys[first]}",
+                f"x={point.x}: member ({a},{hx}) does not annihilate unit {keys[first]}",
                 checked + 2 * first + 2,
             )
         checked += 2 * len(keys)
@@ -524,11 +528,11 @@ def check_central_idempotents(
             if (kc, khx2) == (ka, khx):
                 continue
             checked += 1
-            if not (mat * other).is_zero():
+            if kc == ka and not (mat * other).is_zero():
                 return CheckResult(
                     "f-family",
                     False,
-                    f"x={ctx.base_point}: members ({a},{hx}) and "
+                    f"x={point.x}: members ({a},{hx}) and "
                     f"({indices[kc]},{indices[khx2]}) are not orthogonal",
                     checked,
                 )
@@ -567,7 +571,9 @@ class DecompReport:
 
     @property
     def passed(self) -> bool:
-        return all(check.passed for check in self.checks) and self.dim_T == self.dim_formula
+        """Every check passed; the ``dimension`` check fails wherever dim T
+        differs from the formula."""
+        return all(check.passed for check in self.checks)
 
     def to_dict(self) -> dict:
         return {
@@ -583,12 +589,9 @@ class DecompReport:
         }
 
     def as_check(self) -> CheckResult:
-        """The whole report as one ``decomposition`` verdict: the witness of
-        the first failing sub-check, else the dimension mismatch."""
-        failed = [c for c in self.checks if not c.passed]
-        witness = failed[0].witness if failed else None
-        if self.dim_T != self.dim_formula and witness is None:
-            witness = f"oracle dimension {self.dim_T} != formula {self.dim_formula}"
+        """The whole report as one ``decomposition`` verdict, with the witness
+        of the first failing sub-check."""
+        witness = next((c.witness for c in self.checks if not c.passed), None)
         return CheckResult(
             "decomposition", self.passed, witness, sum(c.checked for c in self.checks)
         )
@@ -612,7 +615,12 @@ def _merge(old: CheckResult | None, new: CheckResult) -> CheckResult:
 
 class BasePoint:
     """One base point's artifacts, each built at most once on first use and
-    owned by the point alone, and the result of each registered check there.
+    owned by the point alone, and the result of each registered check there:
+    the one input of every per-point check.
+
+    E*_i is the sphere S_i (``spheres``), and each nonzero E*_i A_j E*_h is
+    its 0/1 piece (``pieces``, keyed (i, j, h)), which the closure starts
+    from too; the n x n A_j are the scheme's own, cached there.
 
     ``moduli`` is None for an ingested table.  ``seen`` is shared by all
     points of one run: the oracle dimensions under ``"dims"``, in the order
@@ -630,14 +638,18 @@ class BasePoint:
         self.results: dict[str, CheckResult] = {}
 
     @cached_property
-    def ctx(self) -> TerwilligerContext:
-        return make_context(self.scheme, self.x, moduli=self.moduli)
+    def spheres(self) -> list[list[int]]:
+        return _spheres(self.scheme, self.x)
+
+    @cached_property
+    def pieces(self) -> dict[tuple[int, int, int], ExactMatrix]:
+        return starting_pieces(self.scheme, self.x)
 
     @cached_property
     def closure(self) -> dict[tuple[int, int], ExactSpan]:
-        """The algebra the oracle measures, one span per sphere block; it
-        reads the class table alone, so it needs no context."""
-        return block_closure(self.scheme, self.x)
+        """The algebra the oracle measures, one span per sphere block, closed
+        from the pieces."""
+        return _closure(self.scheme, self.pieces)
 
     @cached_property
     def dim(self) -> int:
@@ -646,7 +658,7 @@ class BasePoint:
     @cached_property
     def _units(self) -> MatrixUnitFamily | StructureError:
         try:
-            return build_matrix_units(self.ctx)
+            return build_matrix_units(self)
         except StructureError as exc:
             return exc
 
@@ -659,11 +671,7 @@ class BasePoint:
 
     @cached_property
     def idempotents(self) -> CentralIdempotentFamily:
-        return build_central_idempotents(self.ctx)
-
-    @cached_property
-    def generators(self) -> list[ExactMatrix]:
-        return standard_generators(self.ctx)
+        return build_central_idempotents(self)
 
     def result(self, name: str) -> CheckResult:
         """The registered check ``name`` at this point; a unit family that
@@ -681,7 +689,7 @@ def _block_form(point: BasePoint) -> CheckResult:
     for index in class_indices(point.moduli):
         if index.level == 0:
             continue
-        result = _merge(result, check_block_form(point.ctx, index))
+        result = _merge(result, check_block_form(point, index))
         if not result.passed:
             break
     return result
@@ -690,15 +698,15 @@ def _block_form(point: BasePoint) -> CheckResult:
 def _f_family(point: BasePoint) -> CheckResult:
     # Units first: a point whose units cannot be built needs no idempotents.
     units = point.units
-    return check_central_idempotents(point.ctx, point.idempotents, units)
+    return check_central_idempotents(point, point.idempotents, units)
 
 
 def _triply_regular(point: BasePoint) -> CheckResult:
     # One sweep serves the run, and the point that runs it counts its
     # tuples, from x = 0 alone under a passed certificate (run_point_checks
     # says why).  Where the sweep passed on a commutative scheme, each point
-    # cross-checks it: the table's T_0 count must equal the closure's
-    # dimension there (Terwilliger 1992).  A failed sweep fixes the verdict
+    # cross-checks it: the count of its pieces, dim T_0, must equal the
+    # closure's dimension there (Terwilliger 1992).  A failed sweep fixes the verdict
     # and the witness, so it needs no closure.
     scheme, checked, seen = point.scheme, 0, point.seen
     if "sweep" not in seen:
@@ -721,7 +729,7 @@ def _triply_regular(point: BasePoint) -> CheckResult:
     sweep, applies = point.seen["sweep"]
     if not applies:
         return CheckResult(sweep.name, sweep.passed, sweep.witness, checked)
-    agrees = t0_dimension(scheme, point.x) == point.dim
+    agrees = len(point.pieces) == point.dim
     witness = None if agrees else "span-equality cross-check disagrees with the sweep"
     return CheckResult(sweep.name, agrees, witness, checked)
 
@@ -759,9 +767,14 @@ def _unit_ideal(point: BasePoint) -> CheckResult:
     # g G_ab = (g u_a) w_b^T lies in the unit span {U P W} iff g u_a lies in
     # span{u_c}, and G_ab g = u_a (w_b^T g) iff w_b^T g lies in span{w_c^T}:
     # for every a and b at once, g U = U P and W g = P W, with P = W g U.
+    # The generators are the A_j, then the E*_j; E*_j G_ab and G_ab E*_j are
+    # G_ab or zero, so the E*_j pass by construction, and their products are
+    # counted after those of the A_j.
     u, w, keys = point.units.u, point.units.w, point.units.keys
+    classes = point.scheme.classes
     checked = 0
-    for gen in point.generators:
+    for j in range(classes):
+        gen = point.scheme.adjacency_matrix(j)
         gu, wg = gen * u, w * gen
         p = w * gu
         first = _first_off(keys, _nonzero_columns(gu - u * p), set((wg - p * w).nonzero_rows()))
@@ -773,43 +786,53 @@ def _unit_ideal(point: BasePoint) -> CheckResult:
                 checked + 2 * first + 2,
             )
         checked += 2 * len(keys)
-    return CheckResult("unit-ideal", True, None, checked)
+    return CheckResult("unit-ideal", True, None, checked + classes * 2 * len(keys))
 
 
 def _quotient_commutes(point: BasePoint) -> CheckResult:
     # A matrix c lies in the unit span {U P W} iff c = U (W c U) W: iff it is
-    # constant on every block S_a x S_b and zero off them.
+    # constant on every block S_a x S_b and zero off them.  The generators
+    # are the A_i, then the E*_j, and their commutators are taken in pair
+    # order.  [A_i, E*_j] is piece(h, i, j) on block (h, j) and
+    # -piece(j, i, h) on block (j, h), for h != j, and zero elsewhere: it
+    # lies in the span iff each of those pieces present is all ones.
+    # [E*_i, E*_j] = 0.  Only the [A_i, A_k] are formed.
     u, w = point.units.u, point.units.w
-    generators = point.generators
+    classes = point.scheme.classes
+    adjacency = [point.scheme.adjacency_matrix(i) for i in range(classes)]
+    leaves = {key for (h, i, j), piece in point.pieces.items() if h != j and not _all_ones(piece)
+              for key in ((i, j), (i, h))}
+
+    def verdicts():
+        for i, a_i in enumerate(adjacency):
+            for a_k in adjacency[i + 1:]:
+                commutator = a_i * a_k - a_k * a_i
+                yield commutator == u * (w * commutator * u) * w
+            yield from ((i, j) not in leaves for j in range(classes))
+        yield from repeat(True, classes * (classes - 1) // 2)
+
     checked = 0
-    for idx1, g1 in enumerate(generators):
-        for g2 in generators[idx1 + 1:]:
-            checked += 1
-            commutator = g1 * g2 - g2 * g1
-            if commutator != u * (w * commutator * u) * w:
-                return CheckResult(
-                    "quotient-commutes",
-                    False,
-                    f"x={point.x}: a generator commutator leaves the unit span",
-                    checked,
-                )
+    for checked, inside in enumerate(verdicts(), 1):
+        if not inside:
+            return CheckResult(
+                "quotient-commutes",
+                False,
+                f"x={point.x}: a generator commutator leaves the unit span",
+                checked,
+            )
     return CheckResult("quotient-commutes", True, None, checked)
 
 
 def _span_accounting(point: BasePoint) -> CheckResult:
     # Each unit G_ab is 1/n_b on block (a, b), so it enters as the all-ones
-    # block, and each idempotent F_(a,hx) lies in block (a, a).  Once every
-    # idempotent is certified zero off its block, the combined span is the
-    # sum of its blocks, as the closure is, and is ranked block by block.
+    # block, and each idempotent F_(a,hx) is its block (a, a).  So the
+    # combined span is the sum of its blocks, as the closure is, and is
+    # ranked block by block.
     spheres = point.units.spheres
     combined = {(a, b): ExactSpan.from_matrices([ExactMatrix.ones(len(sa), len(sb))])
                 for a, sa in enumerate(spheres) for b, sb in enumerate(spheres)}
-    for (a, hx), mat in sorted(point.idempotents.matrices.items()):
-        block = mat.block(spheres[a], spheres[a])
-        if block is None:
-            witness = f"x={point.x}: idempotent F[{a},{hx}] is nonzero off the block ({a},{a})"
-            return CheckResult("span-accounting", False, witness, 1)
-        combined[a, a].insert(block)
+    for (a, _), mat in sorted(point.idempotents.matrices.items()):
+        combined[a, a].insert(mat)
     rank_uf = sum(span.dimension for span in combined.values())
     for key, span in point.closure.items():
         target = combined.setdefault(key, ExactSpan(*span.shape))
@@ -832,13 +855,13 @@ def _span_accounting(point: BasePoint) -> CheckResult:
 # module-level name at call time, so rebinding those names (as a tracer
 # does) reaches the pipeline.
 POINT_CHECKS = {
-    "triple-list": lambda point: check_triple_list(point.ctx),
+    "triple-list": lambda point: check_triple_list(point),
     "triply-regular": _triply_regular,
-    "primary-module": lambda point: check_primary_module(point.ctx),
+    "primary-module": lambda point: check_primary_module(point),
     "block-form": _block_form,
     "matrix-units": lambda point: check_matrix_units(point.units),
-    "ag-forms": lambda point: check_adjacency_action(point.ctx, point.units),
-    "commutation": lambda point: check_commutation(point.ctx),
+    "ag-forms": lambda point: check_adjacency_action(point, point.units),
+    "commutation": lambda point: check_commutation(point),
     "f-family": _f_family,
     "dimension": _dimension,
     "unit-support": _unit_support,

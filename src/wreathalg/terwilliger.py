@@ -1,56 +1,41 @@
-"""Dual idempotents, the label triples, and the algebra they generate.
+"""The spheres and pieces of a base point, and the algebra they generate.
 
 The algebra T(x) attached to a scheme and a base point x is generated by
 the adjacency matrices together with the diagonal projections E*_i onto the
-spheres S_i around x.  Its dimension is computed block by block, by an
-exact-span fixpoint on the pieces E*_i T E*_k (``block_closure``), and
+spheres S_i around x.  A product with E*_i selects the rows or the columns
+in S_i, so E*_i is held as its sphere, and each E*_i A_j E*_h as its 0/1
+piece, the |S_i| x |S_h| block of the pairs labelled j, read from the class
+table (``starting_pieces``).  The dimension of T is computed block by block,
+by an exact-span fixpoint on the pieces E*_i T E*_k (``block_closure``), and
 serves as the oracle that every structural claim in
-:mod:`wreathalg.structure` is checked against.  Which triple products
-E*_i A_j E*_h are nonzero, and so dim T_0, is read from the table, and so
-is the triple-regularity sweep, which the pipeline cross-checks.  The
-matrix references these are tested against (the flat closure of whole
-n x n words, and the triple products themselves) live in the test suite.
+:mod:`wreathalg.structure` is checked against.  Which pieces are present,
+and so dim T_0, is read from the table, and so is the triple-regularity
+sweep, which the pipeline cross-checks.  The n x n references these are
+tested against (the dual idempotents, the flat closure of whole n x n words
+and the triple products) live in the test suite.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product as iter_product, repeat
 from operator import add
 
 from .linalg import ExactMatrix, ExactSpan
 from .scheme import CheckResult, Scheme
-from .wreath import _as_index, check_moduli, class_indices, wreath_of_cyclics
+from .wreath import _as_index, check_moduli, class_indices
 
 __all__ = [
-    "TerwilligerContext",
-    "make_context",
-    "wreath_context",
     "label_triples",
     "predict_triple_nonzero",
     "check_triple_list",
-    "standard_generators",
     "starting_pieces",
     "close_blocks",
     "block_closure",
-    "t0_dimension",
     "triple_intersection",
     "check_triply_regular",
     "check_primary_module",
 ]
-
-
-@dataclass
-class TerwilligerContext:
-    """A scheme together with a base point and the derived matrices."""
-
-    scheme: Scheme
-    base_point: int
-    adjacency: list[ExactMatrix]
-    dual_idempotents: list[ExactMatrix]
-    spheres: list[list[int]]
-    moduli: tuple[int, ...] | None = None
 
 
 def _spheres(scheme: Scheme, base_point: int) -> list[list[int]]:
@@ -64,31 +49,10 @@ def _spheres(scheme: Scheme, base_point: int) -> list[list[int]]:
     return spheres
 
 
-def make_context(scheme: Scheme, base_point: int, moduli=None) -> TerwilligerContext:
-    spheres = _spheres(scheme, base_point)
-    duals = []
-    zero = [0] * scheme.order
-    for i in range(scheme.classes):
-        rows = [zero] * scheme.order
-        for y in spheres[i]:
-            rows[y] = [0] * scheme.order
-            rows[y][y] = 1
-        duals.append(ExactMatrix.from_rows(rows))
-    adjacency = [scheme.adjacency_matrix(i) for i in range(scheme.classes)]
-    if moduli is not None:
-        moduli = check_moduli(moduli)
-    return TerwilligerContext(scheme, base_point, adjacency, duals, spheres, moduli)
-
-
-def wreath_context(moduli, base_point: int) -> TerwilligerContext:
-    m = check_moduli(moduli)
-    return make_context(wreath_of_cyclics(m), base_point, moduli=m)
-
-
-def _require_wreath(ctx: TerwilligerContext) -> tuple[int, ...]:
-    if ctx.moduli is None:
-        raise ValueError("this check needs a wreath-of-cyclics context")
-    return ctx.moduli
+def _require_wreath(point) -> tuple[int, ...]:
+    if point.moduli is None:
+        raise ValueError("this check needs the moduli of a wreath of cyclics")
+    return point.moduli
 
 
 def label_triples(scheme: Scheme, x: int) -> set[tuple[int, int, int]]:
@@ -132,10 +96,11 @@ def predict_triple_nonzero(moduli, a, b, c) -> bool:
     return False
 
 
-def check_triple_list(ctx: TerwilligerContext) -> CheckResult:
-    """Compare the nonzero-triple-product case list with ``label_triples``."""
-    m = _require_wreath(ctx)
-    present = label_triples(ctx.scheme, ctx.base_point)
+def check_triple_list(point) -> CheckResult:
+    """Compare the nonzero-triple-product case list with the labels of the
+    point's pieces."""
+    m = _require_wreath(point)
+    present = point.pieces
     checked = 0
     for a, b, c in iter_product(class_indices(m), repeat=3):
         expected = predict_triple_nonzero(m, a, b, c)
@@ -145,17 +110,12 @@ def check_triple_list(ctx: TerwilligerContext) -> CheckResult:
             return CheckResult(
                 "triple-list",
                 False,
-                f"x={ctx.base_point}, classes ({a},{b},{c}): predicted "
+                f"x={point.x}, classes ({a},{b},{c}): predicted "
                 f"{'nonzero' if expected else 'zero'}, product is "
                 f"{'nonzero' if actual else 'zero'}",
                 checked,
             )
     return CheckResult("triple-list", True, None, checked)
-
-
-def standard_generators(ctx: TerwilligerContext) -> list[ExactMatrix]:
-    """Adjacency matrices followed by the dual idempotents, in class order."""
-    return list(ctx.adjacency) + list(ctx.dual_idempotents)
 
 
 def starting_pieces(scheme: Scheme, base_point: int) -> dict[tuple[int, int, int], ExactMatrix]:
@@ -219,15 +179,15 @@ def block_closure(scheme: Scheme, base_point: int) -> dict[tuple[int, int], Exac
     the class table is read.  E*_i is a piece only where class 0 is the
     identity relation, so a table on which it is not is refused.
     """
+    return _closure(scheme, starting_pieces(scheme, base_point))
+
+
+def _closure(scheme: Scheme, pieces) -> dict[tuple[int, int], ExactSpan]:
+    """``block_closure`` from the point's starting pieces."""
     if any((label == 0) != (y == z) for y, row in enumerate(scheme.table)
            for z, label in enumerate(row)):
         raise ValueError("class 0 is not the identity relation, so the pieces need not generate T")
-    pieces = starting_pieces(scheme, base_point)
     return close_blocks(pieces, pieces)
-
-
-def t0_dimension(scheme: Scheme, base_point: int) -> int:
-    return len(label_triples(scheme, base_point))
 
 
 def triple_intersection(scheme: Scheme, x: int, y: int, z: int, i: int, j: int, h: int) -> int:
@@ -308,28 +268,35 @@ def _count_witness(t, key, first, other) -> str:
     )
 
 
-def check_primary_module(ctx: TerwilligerContext) -> CheckResult:
+def check_primary_module(point) -> CheckResult:
     """The span of the sphere indicator vectors, n x 1 columns, must have
-    dimension d+1 and be carried into itself by every generator."""
-    c = ctx.scheme.classes
-    labels = ctx.scheme.table[ctx.base_point]
+    dimension d+1 and be carried into itself by every generator.
+
+    The generators are the A_j, then the E*_j.  E*_j maps the indicator of
+    S_j to itself and every other indicator to zero, so the E*_j pass by
+    construction, and ``checked`` counts their c^2 images after those of
+    the A_j."""
+    scheme = point.scheme
+    c = scheme.classes
+    labels = scheme.table[point.x]
     indicators = [ExactMatrix.from_rows([[int(label == i)] for label in labels]) for i in range(c)]
     span = ExactSpan.from_matrices(indicators)
     if span.dimension != c:
         return CheckResult(
             "primary-module",
             False,
-            f"x={ctx.base_point}: indicator span has dimension {span.dimension}, expected {c}",
+            f"x={point.x}: indicator span has dimension {span.dimension}, expected {c}",
         )
     checked = 0
-    for gen in standard_generators(ctx):
+    for j in range(c):
+        adjacency = scheme.adjacency_matrix(j)
         for column in indicators:
             checked += 1
-            if not span.contains(gen * column):
+            if not span.contains(adjacency * column):
                 return CheckResult(
                     "primary-module",
                     False,
-                    f"x={ctx.base_point}: a generator maps an indicator vector outside the span",
+                    f"x={point.x}: a generator maps an indicator vector outside the span",
                     checked,
                 )
-    return CheckResult("primary-module", True, None, checked)
+    return CheckResult("primary-module", True, None, checked + c * c)

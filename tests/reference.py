@@ -4,6 +4,10 @@ Each reference is the slow, direct computation that a path of the package
 replaced, kept here as it was so that every cross-check stays independent
 of the code it checks.  None of them is on a CLI path.
 
+- ``TerwilligerContext``, ``make_context``, ``wreath_context`` and
+  ``standard_generators``: the n x n adjacency matrices and dual
+  idempotents of a base point, which the references below multiply; the
+  package holds E*_i as its sphere and E*_i A_j E*_h as its piece.
 - ``product_closure`` and ``algebra_dimension``: the flat closure of the
   n x n generators, the reference of ``terwilliger.block_closure``.
   ``pairwise_closure`` is in turn the reference of ``product_closure``.
@@ -21,11 +25,17 @@ of the code it checks.  None of them is on a CLI path.
   ``check_triply_regular``.
 - ``unit_matrices``: the k^2 units of a family as n x n matrices, which
   the unit references read.
+- ``units_by_products`` and ``idempotents_by_products``: the unit and
+  idempotent families built from n x n sandwiches E_a M E_b, the reference
+  of the piece-read builds of ``structure``; ``embedded`` puts a block back
+  into n x n.
 - ``matrix_units_by_products``, ``adjacency_action_by_products``,
   ``central_idempotents_by_products``, ``unit_ideal_by_membership``,
-  ``quotient_commutes_by_membership`` and ``unit_rank_by_echelon``: the
-  unit checks as n x n products, unit-span memberships and an echelon
-  rank, the reference of the factored checks of ``structure``.
+  ``quotient_commutes_by_membership``, ``unit_rank_by_echelon``,
+  ``commutation_by_products``, ``primary_module_by_products`` and
+  ``span_accounting_by_blocks``: the per-point checks as n x n products,
+  unit-span memberships and echelon ranks, the reference of the checks of
+  ``structure`` and ``terwilliger``.
 
 It also holds the example tables and moduli tuples the tests share, and
 ``rebind``, which replaces a public wreathalg function through every
@@ -33,29 +43,86 @@ binding.
 """
 
 import sys
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 from itertools import product as iter_product
 
 from wreathalg import (
     ZERO,
+    BasePoint,
     CentralIdempotentFamily,
     CheckResult,
     ExactMatrix,
     ExactSpan,
     MatrixUnitFamily,
     Scheme,
-    TerwilligerContext,
+    StructureError,
     WreathIndex,
-    build_matrix_units,
+    check_moduli,
     class_indices,
+    dimension_formula,
     indices_below_level,
-    make_context,
+    label_triples,
     one_dim_ideal_count,
-    standard_generators,
     wreath_of_cyclics,
+    zeta,
 )
 from wreathalg.linalg import as_cyclo
-from wreathalg.structure import BasePoint, _idempotent_scalar, _require_wreath
+from wreathalg.structure import _idempotent_scalar
+from wreathalg.terwilliger import _require_wreath, _spheres
+
+# -- n x n contexts ---------------------------------------------------------------------
+
+
+@dataclass
+class TerwilligerContext:
+    """A scheme together with a base point and the derived n x n matrices."""
+
+    scheme: Scheme
+    base_point: int
+    adjacency: list[ExactMatrix]
+    dual_idempotents: list[ExactMatrix]
+    spheres: list[list[int]]
+    moduli: tuple[int, ...] | None = None
+
+
+def make_context(scheme: Scheme, base_point: int, moduli=None) -> TerwilligerContext:
+    spheres = _spheres(scheme, base_point)
+    duals = []
+    zero = [0] * scheme.order
+    for i in range(scheme.classes):
+        rows = [zero] * scheme.order
+        for y in spheres[i]:
+            rows[y] = [0] * scheme.order
+            rows[y][y] = 1
+        duals.append(ExactMatrix.from_rows(rows))
+    adjacency = [scheme.adjacency_matrix(i) for i in range(scheme.classes)]
+    if moduli is not None:
+        moduli = check_moduli(moduli)
+    return TerwilligerContext(scheme, base_point, adjacency, duals, spheres, moduli)
+
+
+def wreath_context(moduli, base_point: int) -> TerwilligerContext:
+    m = check_moduli(moduli)
+    return make_context(wreath_of_cyclics(m), base_point, moduli=m)
+
+
+def standard_generators(ctx: TerwilligerContext) -> list[ExactMatrix]:
+    """Adjacency matrices followed by the dual idempotents, in class order."""
+    return list(ctx.adjacency) + list(ctx.dual_idempotents)
+
+
+def wreath_point(moduli, base_point: int) -> BasePoint:
+    """A fresh base point of the wreath scheme with these moduli."""
+    m = check_moduli(moduli)
+    return BasePoint(wreath_of_cyclics(m), m, base_point, {})
+
+
+def t0_dimension(scheme: Scheme, base_point: int) -> int:
+    """dim T_0(x): the number of label triples at x."""
+    return len(label_triples(scheme, base_point))
 
 # -- closures -------------------------------------------------------------------------
 
@@ -255,6 +322,84 @@ def unit_matrices(units: MatrixUnitFamily) -> dict[tuple[int, int], ExactMatrix]
     return {key: units.matrix(*key) for key in units.keys}
 
 
+def units_by_products(ctx: TerwilligerContext) -> MatrixUnitFamily:
+    """The unit family, each unit formed from dual-idempotent products
+    (sandwiching the adjacency matrix of the higher level, or the all-ones
+    matrix on equal levels) scaled by the reciprocal column valency and
+    compared with its closed form; the first mismatch, in key order, raises
+    StructureError."""
+    moduli = _require_wreath(ctx)
+    scheme = ctx.scheme
+    indices = class_indices(moduli)
+    family = MatrixUnitFamily(
+        moduli, ctx.base_point, indices,
+        tuple(tuple(ctx.spheres[a.flat]) for a in indices), scheme.order,
+    )
+    ones = ExactMatrix.ones(scheme.order, scheme.order)
+    for a in indices:
+        ea = ctx.dual_idempotents[a.flat]
+        for b in indices:
+            eb = ctx.dual_idempotents[b.flat]
+            n_b = scheme.valency(b.flat)
+            if a.level < b.level:
+                mat = (ea * ctx.adjacency[b.flat] * eb).scaled(Fraction(1, n_b))
+            elif a.level > b.level:
+                mat = (ea * ctx.adjacency[a.flat].transpose() * eb).scaled(Fraction(1, n_b))
+            else:
+                mat = (ea * ones * eb).scaled(Fraction(1, n_b))
+            if mat != family.matrix(a, b):
+                raise StructureError(f"x={ctx.base_point}: G[{a.flat},{b.flat}] does not match "
+                                     f"the closed form u_{a.flat} u_{b.flat}^T / n_{b.flat}")
+    return family
+
+
+def idempotents_by_products(ctx: TerwilligerContext) -> CentralIdempotentFamily:
+    """The idempotent family as n x n sandwiches E_a M E_a of the
+    character-weighted sums M of adjacency matrices."""
+    moduli = _require_wreath(ctx)
+    family = CentralIdempotentFamily(moduli, ctx.base_point)
+    for a in class_indices(moduli):
+        if a.level < 2:
+            continue
+        ea = ctx.dual_idempotents[a.flat]
+        for hx in class_indices(moduli):
+            if hx.level == 0 or hx.level >= a.level:
+                continue
+            h, xi = hx.level, hx.offset
+            p = moduli[h - 1]
+            inner = None
+            for r in indices_below_level(moduli, h):
+                term = ctx.adjacency[r.flat]
+                inner = term if inner is None else inner + term
+            for t in range(1, p):
+                level_index = WreathIndex(h, t, moduli)
+                inner = inner + ctx.adjacency[level_index.flat].scaled(zeta(p, t * xi))
+            n_h = ctx.scheme.valency(hx.flat)
+            family.matrices[(a.flat, hx.flat)] = (ea * inner * ea).scaled(Fraction(1, p * n_h))
+    return family
+
+
+def embedded(block: ExactMatrix, rows, cols, order: int) -> ExactMatrix:
+    """The n x n matrix that is ``block`` on ``rows`` x ``cols`` and zero
+    elsewhere."""
+    data = [[ZERO] * order for _ in range(order)]
+    for y, row in zip(rows, block.data):
+        for z, value in zip(cols, row):
+            data[y][z] = value
+    return ExactMatrix(order, order, data)
+
+
+def block(mat: ExactMatrix, rows, cols) -> ExactMatrix | None:
+    """The submatrix of ``mat`` on ``rows`` x ``cols``, where every entry off
+    it is zero; None otherwise."""
+    data = mat.data
+    inside = {(y, z) for y in rows for z in cols}
+    if any(not value.is_zero() for y, row in enumerate(data) for z, value in enumerate(row)
+           if (y, z) not in inside):
+        return None
+    return ExactMatrix.from_rows([[data[y][z] for z in cols] for y in rows])
+
+
 def _unit_span(units: MatrixUnitFamily) -> ExactSpan:
     return ExactSpan.from_matrices(unit_matrices(units).values())
 
@@ -389,7 +534,7 @@ def adjacency_action_by_products(ctx: TerwilligerContext, units: MatrixUnitFamil
 def central_idempotents_by_products(
     ctx: TerwilligerContext,
     family: CentralIdempotentFamily,
-    units: MatrixUnitFamily | None = None,
+    units: MatrixUnitFamily,
 ) -> CheckResult:
     """Every member must be a nonzero idempotent commuting with all
     generators via the eigenvalue table, annihilating every matrix unit,
@@ -397,8 +542,6 @@ def central_idempotents_by_products(
     product-count formula."""
     moduli = _require_wreath(ctx)
     scheme = ctx.scheme
-    if units is None:
-        units = build_matrix_units(ctx)
     expected_count = one_dim_ideal_count(moduli)
     if family.count != expected_count or family.nonzero_count() != expected_count:
         return CheckResult(
@@ -468,25 +611,25 @@ def central_idempotents_by_products(
     return CheckResult("f-family", True, None, checked)
 
 
-def unit_ideal_by_membership(point: BasePoint) -> CheckResult:
-    span = _unit_span(point.units)
+def unit_ideal_by_membership(ctx: TerwilligerContext, units: MatrixUnitFamily) -> CheckResult:
+    span = _unit_span(units)
     checked = 0
-    for gen in point.generators:
-        for unit in unit_matrices(point.units).values():
+    for gen in standard_generators(ctx):
+        for unit in unit_matrices(units).values():
             checked += 2
             if not span.contains(gen * unit) or not span.contains(unit * gen):
                 return CheckResult(
                     "unit-ideal",
                     False,
-                    f"x={point.x}: a generator-unit product leaves the unit span",
+                    f"x={ctx.base_point}: a generator-unit product leaves the unit span",
                     checked,
                 )
     return CheckResult("unit-ideal", True, None, checked)
 
 
-def quotient_commutes_by_membership(point: BasePoint) -> CheckResult:
-    span = _unit_span(point.units)
-    generators = point.generators
+def quotient_commutes_by_membership(ctx: TerwilligerContext, units: MatrixUnitFamily) -> CheckResult:
+    span = _unit_span(units)
+    generators = standard_generators(ctx)
     checked = 0
     for idx1, g1 in enumerate(generators):
         for g2 in generators[idx1 + 1:]:
@@ -495,10 +638,172 @@ def quotient_commutes_by_membership(point: BasePoint) -> CheckResult:
                 return CheckResult(
                     "quotient-commutes",
                     False,
-                    f"x={point.x}: a generator commutator leaves the unit span",
+                    f"x={ctx.base_point}: a generator commutator leaves the unit span",
                     checked,
                 )
     return CheckResult("quotient-commutes", True, None, checked)
+
+
+def commutation_by_products(ctx: TerwilligerContext) -> CheckResult:
+    """Dual idempotents commute with all lower-level adjacency matrices, and
+    sandwiched products of lower-level adjacency matrices multiply through."""
+    moduli = _require_wreath(ctx)
+    checked = 0
+    for a in class_indices(moduli):
+        if a.level == 0:
+            continue
+        ea = ctx.dual_idempotents[a.flat]
+        lower = indices_below_level(moduli, a.level)
+        for b in lower:
+            adj = ctx.adjacency[b.flat]
+            checked += 1
+            if ea * adj != adj * ea:
+                return CheckResult(
+                    "commutation",
+                    False,
+                    f"x={ctx.base_point}: E[{a}] does not commute with A[{b}]",
+                    checked,
+                )
+        sandwiched = {b.flat: ea * ctx.adjacency[b.flat] * ea for b in lower}
+        for b in lower:
+            for c in lower:
+                checked += 1
+                left = sandwiched[b.flat] * sandwiched[c.flat]
+                right = ea * (ctx.adjacency[b.flat] * ctx.adjacency[c.flat]) * ea
+                if left != right:
+                    return CheckResult(
+                        "commutation",
+                        False,
+                        f"x={ctx.base_point}: sandwich identity fails for E[{a}], A[{b}], A[{c}]",
+                        checked,
+                    )
+    return CheckResult("commutation", True, None, checked)
+
+
+def primary_module_by_products(ctx: TerwilligerContext) -> CheckResult:
+    """The span of the sphere indicator vectors, n x 1 columns, must have
+    dimension d+1 and be carried into itself by every generator."""
+    c = ctx.scheme.classes
+    labels = ctx.scheme.table[ctx.base_point]
+    indicators = [ExactMatrix.from_rows([[int(label == i)] for label in labels]) for i in range(c)]
+    span = ExactSpan.from_matrices(indicators)
+    if span.dimension != c:
+        return CheckResult(
+            "primary-module",
+            False,
+            f"x={ctx.base_point}: indicator span has dimension {span.dimension}, expected {c}",
+        )
+    checked = 0
+    for gen in standard_generators(ctx):
+        for column in indicators:
+            checked += 1
+            if not span.contains(gen * column):
+                return CheckResult(
+                    "primary-module",
+                    False,
+                    f"x={ctx.base_point}: a generator maps an indicator vector outside the span",
+                    checked,
+                )
+    return CheckResult("primary-module", True, None, checked)
+
+
+def span_accounting_by_blocks(point: BasePoint, family: CentralIdempotentFamily) -> CheckResult:
+    """The rank of units and n x n idempotents, and with the point's closure,
+    block by block, where every idempotent is certified zero off its block."""
+    spheres = point.units.spheres
+    combined = {(a, b): ExactSpan.from_matrices([ExactMatrix.ones(len(sa), len(sb))])
+                for a, sa in enumerate(spheres) for b, sb in enumerate(spheres)}
+    for (a, hx), mat in sorted(family.matrices.items()):
+        own = block(mat, spheres[a], spheres[a])
+        if own is None:
+            witness = f"x={point.x}: idempotent F[{a},{hx}] is nonzero off the block ({a},{a})"
+            return CheckResult("span-accounting", False, witness, 1)
+        combined[a, a].insert(own)
+    rank_uf = sum(span.dimension for span in combined.values())
+    for key, span in point.closure.items():
+        target = combined.setdefault(key, ExactSpan(*span.shape))
+        for mat in span.basis():
+            target.insert(mat)
+    rank = sum(span.dimension for span in combined.values())
+    formula = dimension_formula(point.moduli)
+    ok = rank_uf == formula and rank == point.dim
+    witness = (
+        None
+        if ok
+        else f"x={point.x}: rank(units+idempotents) = {rank_uf}, with closure "
+        f"{rank}; expected {formula} and {point.dim}"
+    )
+    return CheckResult("span-accounting", ok, witness, 2)
+
+
+# -- the references at one base point ------------------------------------------------
+
+
+class ReferencePoint:
+    """The n x n references of the per-point checks at a ``BasePoint``: its
+    context from the same table, the unit and idempotent families built by
+    products, and ``result(name)``, the reference of the registered check
+    ``name``, where a unit family that cannot be built fails every unit
+    check with the build's message, as at the point.  The closure and its
+    dimension are the point's."""
+
+    def __init__(self, point: BasePoint):
+        self.point = point
+        self.x = point.x
+        self.moduli = point.moduli
+        self.ctx = make_context(point.scheme, point.x, point.moduli)
+
+    @cached_property
+    def _units(self) -> MatrixUnitFamily | StructureError:
+        try:
+            return units_by_products(self.ctx)
+        except StructureError as exc:
+            return exc
+
+    @property
+    def units(self) -> MatrixUnitFamily:
+        if isinstance(self._units, StructureError):
+            raise self._units
+        return self._units
+
+    @cached_property
+    def idempotents(self) -> CentralIdempotentFamily:
+        return idempotents_by_products(self.ctx)
+
+    @property
+    def closure(self):
+        return self.point.closure
+
+    @property
+    def dim(self) -> int:
+        return self.point.dim
+
+    def result(self, name: str) -> CheckResult:
+        try:
+            return REFERENCES[name](self)
+        except StructureError as exc:
+            if name == "unit-support":
+                return CheckResult(name, False, str(exc), 1)
+            return CheckResult(name, False, str(exc))
+
+
+def _f_family(ref: ReferencePoint) -> CheckResult:
+    units = ref.units  # first: a point with no unit family needs no idempotents
+    return central_idempotents_by_products(ref.ctx, ref.idempotents, units)
+
+
+REFERENCES = {
+    "primary-module": lambda ref: primary_module_by_products(ref.ctx),
+    "commutation": lambda ref: commutation_by_products(ref.ctx),
+    "unit-support": lambda ref: CheckResult("unit-support", True, None, ref.units.count),
+    "unit-rank": unit_rank_by_echelon,
+    "matrix-units": lambda ref: matrix_units_by_products(ref.units),
+    "ag-forms": lambda ref: adjacency_action_by_products(ref.ctx, ref.units),
+    "unit-ideal": lambda ref: unit_ideal_by_membership(ref.ctx, ref.units),
+    "quotient-commutes": lambda ref: quotient_commutes_by_membership(ref.ctx, ref.units),
+    "f-family": _f_family,
+    "span-accounting": lambda ref: span_accounting_by_blocks(ref, ref.idempotents),
+}
 
 
 # -- example tables -------------------------------------------------------------------

@@ -10,7 +10,15 @@ import time
 from fractions import Fraction
 from itertools import product as iter_product
 
-from reference import algebra_dimension, product_closure, unit_matrices
+from reference import (
+    algebra_dimension,
+    product_closure,
+    standard_generators,
+    t0_dimension,
+    unit_matrices,
+    wreath_context,
+    wreath_point,
+)
 
 from wreathalg import (
     ExactSpan,
@@ -29,9 +37,6 @@ from wreathalg import (
     class_indices,
     dimension_formula,
     euler_phi,
-    standard_generators,
-    t0_dimension,
-    wreath_context,
     wreath_of_cyclics,
     zeta,
 )
@@ -121,7 +126,7 @@ def test_criterion_5_triple_product_list():
     for moduli in [(2, 3), (2, 2, 2)]:
         scheme = wreath_of_cyclics(moduli)
         for x in range(scheme.order):
-            ok = ok and check_triple_list(wreath_context(moduli, x)).passed
+            ok = ok and check_triple_list(wreath_point(moduli, x)).passed
     report("criterion 5: nonzero triple products", ok)
     assert ok
 
@@ -129,7 +134,7 @@ def test_criterion_5_triple_product_list():
 def test_criterion_6_matrix_unit_law():
     ok = True
     for moduli in [(2, 3), (2, 2, 2)]:
-        units = build_matrix_units(wreath_context(moduli, 0))
+        units = build_matrix_units(wreath_point(moduli, 0))
         result = check_matrix_units(units)
         ok = ok and result.passed and result.checked == units.count ** 2
     report("criterion 6: matrix-unit products", ok)
@@ -139,9 +144,9 @@ def test_criterion_6_matrix_unit_law():
 def test_criterion_7_adjacency_action_rows():
     ok = True
     for moduli in [(2, 3), (2, 2, 2)]:
-        ctx = wreath_context(moduli, 0)
-        units = build_matrix_units(ctx)
-        ok = ok and check_adjacency_action(ctx, units).passed
+        point = wreath_point(moduli, 0)
+        units = build_matrix_units(point)
+        ok = ok and check_adjacency_action(point, units).passed
     # all eight case rows occur on [2,3] (levels of both sizes 2 and 3)
     moduli = (2, 3)
     left_rows = set()
@@ -172,10 +177,10 @@ def test_criterion_8_central_idempotents():
     expected = {(2, 2): 1, (2, 3): 2, (2, 2, 2): 3, (3, 3): 4}
     ok = True
     for moduli, count in expected.items():
-        ctx = wreath_context(moduli, 0)
-        family = build_central_idempotents(ctx)
+        point = wreath_point(moduli, 0)
+        family = build_central_idempotents(point)
         ok = ok and family.count == count and family.nonzero_count() == count
-        ok = ok and check_central_idempotents(ctx, family, build_matrix_units(ctx)).passed
+        ok = ok and check_central_idempotents(point, family, build_matrix_units(point)).passed
     report("criterion 8: central idempotent family", ok)
     assert ok
 
@@ -184,7 +189,7 @@ def test_criterion_9_unit_span_is_ideal_quotient_commutative():
     ok = True
     for moduli in [(2, 3), (2, 2, 2), (3, 3)]:
         ctx = wreath_context(moduli, 0)
-        units = build_matrix_units(ctx)
+        units = build_matrix_units(wreath_point(moduli, 0))
         matrices = unit_matrices(units)
         span = ExactSpan.from_matrices(matrices.values())
         generators = standard_generators(ctx)
@@ -208,7 +213,7 @@ def test_criterion_10_primary_module():
         expected_dim = scheme.classes
         ok = ok and expected_dim == 1 + sum(p - 1 for p in moduli)
         for x in range(scheme.order):
-            ok = ok and check_primary_module(wreath_context(moduli, x)).passed
+            ok = ok and check_primary_module(wreath_point(moduli, x)).passed
     report("criterion 10: primary module span", ok)
     assert ok
 
@@ -256,17 +261,17 @@ def test_criterion_11c_base_point_invariance():
     scheme = wreath_of_cyclics(moduli)
     verdicts = []
     for x in range(scheme.order):
-        ctx = wreath_context(moduli, x)
-        units = build_matrix_units(ctx)
-        family = build_central_idempotents(ctx)
+        point = wreath_point(moduli, x)
+        units = build_matrix_units(point)
+        family = build_central_idempotents(point)
         verdicts.append(
             (
-                check_triple_list(ctx).passed,
-                check_primary_module(ctx).passed,
+                check_triple_list(point).passed,
+                check_primary_module(point).passed,
                 check_matrix_units(units).passed,
-                check_adjacency_action(ctx, units).passed,
-                check_commutation(ctx).passed,
-                check_central_idempotents(ctx, family, units).passed,
+                check_adjacency_action(point, units).passed,
+                check_commutation(point).passed,
+                check_central_idempotents(point, family, units).passed,
                 algebra_dimension(scheme, x),
                 t0_dimension(scheme, x),
             )

@@ -230,14 +230,17 @@ def test_oracle_order_cap(capsys, tmp_path, monkeypatch):
 def test_oracle_caps_the_header_before_the_body(capsys, tmp_path):
     # The order in the header is capped before the body is read, so a short
     # body is never compared with the 10^10 entries the header announces.
+    # The cap reads the order as load_scheme does, zero padding and leading
+    # blank lines included.
     path = tmp_path / "huge.txt"
-    path.write_text("100000 2\n0 1 2\n")
-    code, out, err = run(capsys, "oracle", str(path))
-    assert (code, out) == (2, "")
-    assert err == "error: order 100000 exceeds the cap 64\n"
-    assert run(capsys, "oracle", str(path), "--max-order", "100000")[2] == (
-        "error: cannot read scheme table: expected 10000000000 table entries, found 3\n"
-    )
+    for header in ("100000 2", "0" * 64 + "100000 2", "\n\n100000 2"):
+        path.write_text(f"{header}\n0 1 2\n")
+        code, out, err = run(capsys, "oracle", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: order 100000 exceeds the cap 64\n"
+        assert run(capsys, "oracle", str(path), "--max-order", "100000")[2] == (
+            "error: cannot read scheme table: expected 10000000000 table entries, found 3\n"
+        )
 
 
 def _write_tables(tmp_path):
@@ -307,10 +310,10 @@ def test_verify_unit_build_failure_at_one_point(capsys, monkeypatch):
     message = "unit (0,0) at x=2 is not supported on its block"
 
     def make(original):
-        def failing(ctx):
-            if ctx.base_point == 2:
+        def failing(point):
+            if point.x == 2:
                 raise StructureError(message)
-            return original(ctx)
+            return original(point)
 
         return failing
 
@@ -366,7 +369,8 @@ def _count_calls(monkeypatch, names):
     return counts
 
 
-PER_POINT_STATE = ("make_context", "block_closure", "t0_dimension")
+# The pieces of a point, which its checks and its closure share.
+PER_POINT_STATE = ("starting_pieces", "block_closure")
 
 
 def test_verify_builds_and_checks_units_once_per_point(capsys, monkeypatch):
@@ -383,18 +387,16 @@ def test_verify_builds_and_checks_units_once_per_point(capsys, monkeypatch):
     )
     code, _, _ = run(capsys, "verify", "--moduli", "2,2", "--base-points", "0,1,2,3")
     assert code == 0
-    # one context and one block closure per point: span-accounting and the
-    # triply-regular cross-check reuse the point's closure, and the
-    # cross-check counts the table's label triples
+    # one read of the pieces per point: the builds, the checks, the closure
+    # and the triply-regular cross-check, which counts them, share it, and
+    # span-accounting reuses the point's closure
     assert counts == {
         "build_matrix_units": 4,
         "build_central_idempotents": 4,
         "check_matrix_units": 4,
         "check_adjacency_action": 4,
         "check_central_idempotents": 4,
-        "make_context": 4,
-        "block_closure": 4,
-        "t0_dimension": 4,
+        "starting_pieces": 4,
     }
 
 
@@ -403,17 +405,19 @@ def test_oracle_builds_each_point_once(capsys, tmp_path, monkeypatch):
     assert run(capsys, "export", "--moduli", "2,2", "--out", str(table))[0] == 0
     counts = _count_calls(monkeypatch, PER_POINT_STATE)
     assert run(capsys, "oracle", str(table))[0] == 0
-    # the block closure reads the class table, so oracle builds no context
-    assert counts == {"block_closure": 4, "t0_dimension": 4}
+    # the closure and the cross-check share each point's pieces
+    assert counts == {"starting_pieces": 4}
 
 
 def test_oracle_skips_t0_once_the_sweep_fails(capsys, tmp_path, monkeypatch):
     # The sweep's witness fixes the triply-regular verdict, so no point
-    # counts its T_0; the closures are the dimension check's own.
+    # reads its pieces for T_0; the pieces read are the dimension check's.
     table = _write_tables(tmp_path)["shrikhande"]
     counts = _count_calls(monkeypatch, PER_POINT_STATE)
+    assert run(capsys, "oracle", str(table), "--checks", "triply-regular")[0] == 1
+    assert counts == {}
     assert run(capsys, "oracle", str(table))[0] == 1
-    assert counts == {"block_closure": 16}
+    assert counts == {"starting_pieces": 16}
 
 
 def test_cli_path_forms_no_triple_product_or_t0_span(capsys, tmp_path, monkeypatch):
@@ -423,7 +427,8 @@ def test_cli_path_forms_no_triple_product_or_t0_span(capsys, tmp_path, monkeypat
     # same bytes.
     from wreathalg import ExactMatrix
 
-    moved = {"product_closure", "algebra_dimension", "triple_product", "t0_span"}
+    moved = {"product_closure", "algebra_dimension", "triple_product", "t0_span", "t0_dimension",
+             "TerwilligerContext", "make_context", "wreath_context", "standard_generators"}
     bound = {
         (module_name, name)
         for module_name, module in list(sys.modules.items())
@@ -462,13 +467,15 @@ def test_cli_path_forms_no_triple_product_or_t0_span(capsys, tmp_path, monkeypat
 
 
 def test_no_context_outlives_the_run(capsys):
+    # No base point, with its spheres, pieces, closure and families,
+    # outlives the run.
     import gc
 
-    from wreathalg import TerwilligerContext, decomposition_report
+    from wreathalg import BasePoint, decomposition_report
 
     def live_contexts():
         gc.collect()
-        return sum(isinstance(obj, TerwilligerContext) for obj in gc.get_objects())
+        return sum(isinstance(obj, BasePoint) for obj in gc.get_objects())
 
     assert run(capsys, "verify", "--moduli", "2,2")[0] == 0
     assert live_contexts() == 0
@@ -477,15 +484,12 @@ def test_no_context_outlives_the_run(capsys):
 
 
 def test_span_cross_check_failure_fails_triply_regular(capsys, monkeypatch):
-    # A T_0 count one short at x=2 makes dim T_0(x) != dim T(x) there, which
+    # A closure one larger at x=2 makes dim T_0(x) != dim T(x) there, which
     # disagrees with the sweep's verdict that the scheme is triply regular.
-    def make(original):
-        def short_at_two(scheme, x):
-            return original(scheme, x) - (x == 2)
+    from wreathalg.structure import BasePoint
 
-        return short_at_two
-
-    rebind(monkeypatch, "t0_dimension", make)
+    dim = BasePoint.dim
+    monkeypatch.setattr(BasePoint, "dim", property(lambda point: dim.func(point) + (point.x == 2)))
     code, out, _ = run(
         capsys, "verify", "--moduli", "2,2", "--base-points", "0,1,2,3", "--checks", "triply-regular"
     )
@@ -522,11 +526,9 @@ def test_oracle_dimension_varying_over_base_points(capsys, tmp_path, monkeypatch
 
 def test_default_verify_builds_one_point(capsys, monkeypatch):
     # The certificate covers every other point, so only x = 0 is built.
-    counts = _count_calls(
-        monkeypatch, ("make_context", "block_closure", "build_matrix_units")
-    )
+    counts = _count_calls(monkeypatch, ("starting_pieces", "build_matrix_units"))
     assert run(capsys, "verify", "--moduli", "2,2")[0] == 0
-    assert counts == {"make_context": 1, "block_closure": 1, "build_matrix_units": 1}
+    assert counts == {"starting_pieces": 1, "build_matrix_units": 1}
 
 
 @pytest.mark.parametrize("moduli", ["2,2", "2,3", "3,3", "2,2,2,2", "2,3,4"])
@@ -592,10 +594,10 @@ def test_failed_certificate_computes_every_point(
     argv = ["verify", "--moduli", "2,3", "--checks", checks]
     code, direct_out, _ = run(capsys, *argv, "--base-points", "0,1,2,3,4,5")
     assert code == direct_code
-    counts = _count_calls(monkeypatch, ("make_context",))
+    counts = _count_calls(monkeypatch, ("starting_pieces",))
     code, out, _ = run(capsys, *argv)
     assert code == 1
-    assert counts == {"make_context": 6}
+    assert counts == {"starting_pieces": 6}
     checks = json.loads(out)["checks"]
     assert checks.pop() == {
         "name": "translation-certificate",
@@ -654,13 +656,13 @@ def test_cli_runs_no_check_and_reads_no_clock():
 
 
 def test_repeated_base_points_are_checked_once(capsys, monkeypatch):
-    counts = _count_calls(monkeypatch, ("make_context",))
+    counts = _count_calls(monkeypatch, ("check_primary_module",))
     code, out, _ = run(
         capsys, "verify", "--moduli", "2,3", "--base-points", "3,0,3,0", "--checks", "primary-module"
     )
     assert code == 0
     assert json.loads(out)["base_points"] == [3, 0]
-    assert counts == {"make_context": 2}
+    assert counts == {"check_primary_module": 2}
 
 
 def test_python_dash_m_runs_the_cli():

@@ -20,9 +20,13 @@ import pytest
 from reference import (
     algebra_dimension,
     example_schemes,
+    idempotents_by_products,
+    make_context,
     moduli_up_to,
     pairwise_closure,
     product_closure,
+    standard_generators,
+    wreath_context,
 )
 
 from wreathalg import (
@@ -30,11 +34,7 @@ from wreathalg import (
     ExactSpan,
     Scheme,
     block_closure,
-    build_central_idempotents,
     check_translation_certificate,
-    make_context,
-    standard_generators,
-    wreath_context,
     wreath_of_cyclics,
 )
 from wreathalg.terwilliger import close_blocks, starting_pieces
@@ -67,7 +67,7 @@ def test_non_wreath_closure_matches_pairwise():
 def test_cyclotomic_closure_matches_pairwise():
     # the idempotents of (3,2) have entries in Q(zeta_3)
     ctx = wreath_context((3, 2), 0)
-    idempotents = list(build_central_idempotents(ctx).matrices.values())
+    idempotents = list(idempotents_by_products(ctx).matrices.values())
     assert all(any(not a.is_rational() for a in e.flat()) for e in idempotents)
     assert_same_closure(idempotents + standard_generators(ctx))
     assert_same_closure(idempotents[:1] + [ctx.adjacency[1]])

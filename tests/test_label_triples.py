@@ -1,8 +1,9 @@
 """The class-table facts behind T_0, against the matrices they stand for.
 
 ``label_triples`` reads which triple products E_i* A_j E_h* are nonzero
-from the class table, and ``t0_dimension`` counts them.  ``triple_product``
-and ``t0_span`` (``reference.py``) are the exact matrix reference, and the
+from the class table, ``starting_pieces`` reads the products themselves as
+sphere blocks, and ``t0_dimension`` counts them.  ``triple_product`` and
+``t0_span`` (``reference.py``) are the exact matrix reference, and the
 intersection numbers are a second, base-point-free one (Terwilliger 1992,
 Lemma 3.2).
 """
@@ -14,20 +15,27 @@ from random import Random
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from reference import example_schemes, moved_pair_table, t0_span, triple_product
+from reference import (
+    example_schemes,
+    make_context,
+    moved_pair_table,
+    t0_dimension,
+    t0_span,
+    triple_product,
+    wreath_point,
+)
 
 from wreathalg import (
+    BasePoint,
     CycloNum,
     check_triple_list,
     cyclotomic_polynomial,
     euler_phi,
     label_triples,
-    make_context,
     predict_triple_nonzero,
     predict_vanishing,
     rational,
-    t0_dimension,
-    wreath_context,
+    starting_pieces,
     wreath_of_cyclics,
 )
 from wreathalg.cyclotomic import _xpow
@@ -60,6 +68,10 @@ def test_table_facts_match_the_matrices_at_every_point(name):
         assert labels == {tr for tr in triples if not triple_product(ctx, *tr).is_zero()}
         assert labels == by_intersection
         assert t0_dimension(scheme, x) == t0_span(ctx).dimension == len(labels)
+        # each piece is the block of its triple product on its two spheres
+        for (i, j, h), piece in starting_pieces(scheme, x).items():
+            assert piece.data == [[triple_product(ctx, i, j, h)[y, z] for z in ctx.spheres[h]]
+                                  for y in ctx.spheres[i]]
 
 
 def test_label_triples_rejects_a_bad_base_point():
@@ -83,13 +95,13 @@ def test_triple_list_fails_on_one_relabelled_pair():
         labels = label_triples(broken, x)
         assert labels != label_triples(intact, x)
         assert labels == {tr for tr in triples if not triple_product(ctx, *tr).is_zero()}
-        assert not check_triple_list(ctx).passed
-        assert check_triple_list(wreath_context(m, x)).passed
-    assert check_triple_list(make_context(broken, 0, moduli=m)).witness == (
+        assert not check_triple_list(BasePoint(broken, m, x, {})).passed
+        assert check_triple_list(wreath_point(m, x)).passed
+    assert check_triple_list(BasePoint(broken, m, 0, {})).witness == (
         "x=0, classes (WreathIndex(0,0),WreathIndex(1,1),WreathIndex(1,1)): "
         "predicted nonzero, product is zero"
     )
-    assert check_triple_list(make_context(broken, 2, moduli=m)).witness == (
+    assert check_triple_list(BasePoint(broken, m, 2, {})).witness == (
         "x=2, classes (WreathIndex(2,2),WreathIndex(1,1),WreathIndex(2,2)): "
         "predicted nonzero, product is zero"
     )

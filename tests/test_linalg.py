@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from reference import product_closure
+from reference import block, product_closure
 
 from wreathalg import ExactMatrix, ExactSpan, rational, zeta
 
@@ -46,19 +46,21 @@ def test_matrix_shape_errors():
 
 
 def test_matrix_block():
-    # rows 1, 3 and columns 0, 2 of a matrix that is zero elsewhere
+    # rows 1, 3 and columns 0, 2 of a matrix that is zero elsewhere, read by
+    # the reference of span-accounting
     w = zeta(3, 1)
     a = ExactMatrix.from_rows([[0, 0, 0, 0], [Fraction(1, 2), 0, w, 0],
                                [0, 0, 0, 0], [0, 0, 3, 0]])
-    assert a.block([1, 3], [0, 2]) == ExactMatrix.from_rows([[Fraction(1, 2), w], [0, 3]])
-    assert a.block([1, 3], [0, 2, 3]) == ExactMatrix.from_rows([[Fraction(1, 2), w, 0],
-                                                              [0, 3, 0]])
+    assert block(a, [1, 3], [0, 2]) == ExactMatrix.from_rows([[Fraction(1, 2), w], [0, 3]])
+    assert block(a, [1, 3], [0, 2, 3]) == ExactMatrix.from_rows([[Fraction(1, 2), w, 0],
+                                                               [0, 3, 0]])
     # a nonzero entry in another row, or in another column of the same rows
-    assert a.block([1], [0, 2]) is None
-    assert a.block([1, 3], [2]) is None
+    assert block(a, [1], [0, 2]) is None
+    assert block(a, [1, 3], [2]) is None
     # only the irrational plane of the entry (1, 2) is off the block
-    assert (a - ExactMatrix.from_rows([[0, 0, 0, 0], [Fraction(1, 2), 0, 0, 0],
-                                       [0, 0, 0, 0], [0, 0, 3, 0]])).block([1, 3], [0]) is None
+    rational_part = ExactMatrix.from_rows([[0, 0, 0, 0], [Fraction(1, 2), 0, 0, 0],
+                                           [0, 0, 0, 0], [0, 0, 3, 0]])
+    assert block(a - rational_part, [1, 3], [0]) is None
 
 
 def test_matrix_vector_product():

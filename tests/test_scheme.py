@@ -10,8 +10,8 @@ from wreathalg import (
     Scheme,
     cyclic_scheme,
     load_scheme,
-    make_context,
     save_scheme,
+    starting_pieces,
     wreath_of_cyclics,
 )
 from wreathalg import scheme as scheme_module
@@ -58,7 +58,7 @@ def test_out_of_range_labels_raise_axiom_violations():
     s = Scheme([[0, 2], [2, 0]], classes=2)
     assert s.verify_axioms().counterexamples == {"partition": "classify(0,1) = 2 outside 0..1"}
     for call in (lambda: s.intersection_number(0, 0, 0), s.is_commutative, s.valencies,
-                 lambda: make_context(s, 0)):
+                 lambda: starting_pieces(s, 0)):
         with pytest.raises(AxiomViolation, match=r"classify\(0,1\) = 2 outside 0\.\.1"):
             call()
 

@@ -7,6 +7,7 @@ import pytest
 from wreathalg import (
     CentralIdempotentFamily,
     CheckResult,
+    DecompReport,
     ExactMatrix,
     Scheme,
     StructureError,
@@ -24,11 +25,9 @@ from wreathalg import (
     cyclic_scheme,
     decomposition_report,
     dimension_formula,
-    make_context,
     matrix_block_size,
     one_dim_ideal_count,
     rational,
-    wreath_context,
     wreath_of_cyclics,
     zeta,
 )
@@ -37,15 +36,16 @@ from wreathalg.linalg import ExactSpan
 from wreathalg.structure import DECOMPOSITION, POINT_CHECKS, BasePoint, run_point_checks
 
 from reference import (
-    adjacency_action_by_products,
-    central_idempotents_by_products,
+    REFERENCES,
+    ReferencePoint,
+    embedded,
     example_schemes,
-    matrix_units_by_products,
+    idempotents_by_products,
+    make_context,
     moduli_up_to,
-    quotient_commutes_by_membership,
-    unit_ideal_by_membership,
     unit_matrices,
-    unit_rank_by_echelon,
+    wreath_context,
+    wreath_point,
 )
 
 
@@ -59,8 +59,7 @@ def test_formula_helpers():
 
 
 def test_unit_family_small_entries():
-    ctx = wreath_context([2, 2], 0)
-    units = build_matrix_units(ctx)
+    units = build_matrix_units(wreath_point([2, 2], 0))
     g = units.matrix(1, 2)  # level 1 row, level 2 column
     half = rational(Fraction(1, 2))
     assert g[1, 2] == half and g[1, 3] == half
@@ -71,119 +70,118 @@ def test_unit_family_small_entries():
 
 
 def test_unit_family_rank():
-    ctx = wreath_context([2, 2], 0)
-    units = build_matrix_units(ctx)
+    units = build_matrix_units(wreath_point([2, 2], 0))
     span = ExactSpan.from_matrices(unit_matrices(units).values())
     assert span.dimension == 9
 
 
 def test_unit_support_violation_detected():
-    # wrong scheme for the claimed moduli: the sandwich is not single-block
-    ctx = make_context(cyclic_scheme(4), 0, moduli=(2, 2))
-    with pytest.raises(StructureError):
-        build_matrix_units(ctx)
+    # wrong scheme for the claimed moduli: the piece (1, 2, 2) is absent
+    point = BasePoint(cyclic_scheme(4), (2, 2), 0, {})
+    with pytest.raises(StructureError, match=r"^x=0: G\[1,2\] does not match"):
+        build_matrix_units(point)
 
 
 def test_matrix_unit_law():
     for m in [(2, 2), (2, 3)]:
-        ctx = wreath_context(m, 0)
-        units = build_matrix_units(ctx)
+        units = build_matrix_units(wreath_point(m, 0))
         result = check_matrix_units(units)
         assert result.passed, result.witness
         assert result.checked == units.count ** 2
 
 
 def test_matrix_unit_law_specific_products():
-    ctx = wreath_context([2, 3], 0)
-    units = build_matrix_units(ctx)
+    units = build_matrix_units(wreath_point([2, 3], 0))
     assert units.matrix(0, 2) * units.matrix(2, 3) == units.matrix(0, 3)
     assert (units.matrix(0, 2) * units.matrix(3, 1)).is_zero()
 
 
 def test_adjacency_action_closed_forms():
     for m in [(2, 2), (2, 3)]:
-        ctx = wreath_context(m, 0)
-        units = build_matrix_units(ctx)
-        result = check_adjacency_action(ctx, units)
+        point = wreath_point(m, 0)
+        result = check_adjacency_action(point, build_matrix_units(point))
         assert result.passed, result.witness
 
 
 def test_adjacency_action_collapses_to_level_zero():
-    ctx = wreath_context([2, 2], 0)
-    units = build_matrix_units(ctx)
+    point = wreath_point([2, 2], 0)
+    units = build_matrix_units(point)
     # acting by the level-1 class on a level-1 row lands on the level-0 row
-    assert ctx.adjacency[1] * units.matrix(1, 0) == units.matrix(0, 0)
+    assert point.scheme.adjacency_matrix(1) * units.matrix(1, 0) == units.matrix(0, 0)
     # acting by a higher level reflects its offset
-    assert ctx.adjacency[2] * units.matrix(1, 0) == units.matrix(2, 0)
+    assert point.scheme.adjacency_matrix(2) * units.matrix(1, 0) == units.matrix(2, 0)
 
 
 def test_block_form():
     from wreathalg import class_indices
 
     for m in [(2, 3), (2, 2, 2)]:
-        ctx = wreath_context(m, 0)
+        point = wreath_point(m, 0)
         for index in class_indices(m):
             if index.level == 0:
                 continue
-            result = check_block_form(ctx, index)
+            result = check_block_form(point, index)
             assert result.passed, result.witness
 
 
 def test_block_form_specific_blocks():
     m = (2, 3)
-    ctx = wreath_context(m, 0)
-    a = ctx.adjacency[WreathIndex(2, 1, m).flat]
+    point = wreath_point(m, 0)
+    a = point.scheme.adjacency_matrix(WreathIndex(2, 1, m).flat)
     # rows of lower levels meet only the (2,1) column, as all-ones blocks
     assert a[0, 2] == rational(1) and a[0, 3] == rational(1)
     assert a[0, 1] == rational(0) and a[0, 4] == rational(0)
     # the wrap-around row (offset 2, since 2+1=0 mod 3) covers the low columns
-    wrap = ctx.spheres[WreathIndex(2, 2, m).flat]
-    low = ctx.spheres[0] + ctx.spheres[1]
+    wrap = point.spheres[WreathIndex(2, 2, m).flat]
+    low = point.spheres[0] + point.spheres[1]
     assert all(not a[y, z].is_zero() for y in wrap for z in low)
 
 
 def test_block_form_diagonal_blocks_above_level():
     m = (2, 2, 2)
-    ctx = wreath_context(m, 0)
+    point = wreath_point(m, 0)
     index = WreathIndex(2, 1, m)
-    a = ctx.adjacency[index.flat]
-    top = ctx.spheres[WreathIndex(3, 1, m).flat]
+    a = point.scheme.adjacency_matrix(index.flat)
+    top = point.spheres[WreathIndex(3, 1, m).flat]
     block = [[a[y, z] for z in top] for y in top]
     assert any(not v.is_zero() for row in block for v in row)
 
 
 def test_block_form_rejects_identity_class():
-    ctx = wreath_context([2, 3], 0)
     with pytest.raises(ValueError):
-        check_block_form(ctx, WreathIndex(0, 0, (2, 3)))
+        check_block_form(wreath_point([2, 3], 0), WreathIndex(0, 0, (2, 3)))
 
 
 def test_commutation():
     for m in [(2, 3), (2, 2, 2)]:
-        result = check_commutation(wreath_context(m, 0))
+        result = check_commutation(wreath_point(m, 0))
         assert result.passed, result.witness
 
 
 def test_commutation_specific_identity():
+    # the n x n identity that commutation reads off the pieces
     m = (2, 3)
     ctx = wreath_context(m, 0)
     e = ctx.dual_idempotents[2]
     a = ctx.adjacency[1]
     assert e * a == a * e
+    assert not any(i != h and j == 1 and 2 in (i, h) for i, j, h in wreath_point(m, 0).pieces)
 
 
 def test_idempotent_family_sizes():
-    assert build_central_idempotents(wreath_context([2], 0)).count == 0
-    assert build_central_idempotents(wreath_context([2, 2], 0)).count == 1
-    assert build_central_idempotents(wreath_context([2, 3], 0)).count == 2
-    assert build_central_idempotents(wreath_context([2, 2, 2], 0)).count == 3
+    assert build_central_idempotents(wreath_point([2], 0)).count == 0
+    assert build_central_idempotents(wreath_point([2, 2], 0)).count == 1
+    assert build_central_idempotents(wreath_point([2, 3], 0)).count == 2
+    assert build_central_idempotents(wreath_point([2, 2, 2], 0)).count == 3
 
 
 def test_idempotent_matrix_for_two_two():
-    ctx = wreath_context([2, 2], 0)
-    fam = build_central_idempotents(ctx)
+    point = wreath_point([2, 2], 0)
+    fam = build_central_idempotents(point)
     ((key, mat),) = fam.matrices.items()
     half = Fraction(1, 2)
+    # the member is its block on S_2 = {2, 3}
+    assert mat == ExactMatrix.from_rows([[half, -half], [-half, half]])
     expected = ExactMatrix.from_rows(
         [
             [0, 0, 0, 0],
@@ -192,39 +190,42 @@ def test_idempotent_matrix_for_two_two():
             [0, 0, -half, half],
         ]
     )
-    assert mat == expected
+    assert embedded(mat, point.spheres[2], point.spheres[2], 4) == expected
     assert mat * mat == mat
     assert mat.trace() == rational(1)
 
 
 def test_idempotent_eigenvalue_table():
     m = (2, 3)
-    ctx = wreath_context(m, 0)
-    fam = build_central_idempotents(ctx)
-    a1 = ctx.adjacency[1]  # level-1 class
+    point = wreath_point(m, 0)
+    fam = build_central_idempotents(point)
+    members = {key: embedded(mat, point.spheres[key[0]], point.spheres[key[0]], 6)
+               for key, mat in fam.matrices.items()}
+    a1 = point.scheme.adjacency_matrix(1)  # level-1 class
     eps = zeta(2, 1)
-    for (ka, khx), mat in fam.matrices.items():
+    for (ka, khx), mat in members.items():
         assert khx == 1
         assert a1 * mat == mat.scaled(eps)  # eigenvalue -1 = eps^(-1*1) * n
         assert mat * a1 == mat.scaled(eps)
-    a2 = ctx.adjacency[2]  # level equal to the member's own class level
-    for _, mat in fam.matrices.items():
+    a2 = point.scheme.adjacency_matrix(2)  # level equal to the member's own class level
+    for _, mat in members.items():
         assert (a2 * mat).is_zero()
 
 
 def test_idempotent_property_battery():
     for m in [(2, 2), (2, 3), (2, 2, 2)]:
-        ctx = wreath_context(m, 0)
-        fam = build_central_idempotents(ctx)
-        result = check_central_idempotents(ctx, fam, build_matrix_units(ctx))
+        point = wreath_point(m, 0)
+        fam = build_central_idempotents(point)
+        result = check_central_idempotents(point, fam, build_matrix_units(point))
         assert result.passed, result.witness
 
 
 def test_idempotents_annihilate_units():
-    ctx = wreath_context([2, 3], 0)
-    fam = build_central_idempotents(ctx)
-    units = build_matrix_units(ctx)
-    for _, f in fam.matrices.items():
+    point = wreath_point([2, 3], 0)
+    fam = build_central_idempotents(point)
+    units = build_matrix_units(point)
+    for (a, _), mat in fam.matrices.items():
+        f = embedded(mat, point.spheres[a], point.spheres[a], 6)
         for g in unit_matrices(units).values():
             assert (f * g).is_zero()
             assert (g * f).is_zero()
@@ -271,6 +272,22 @@ def test_decomposition_report_to_dict():
     assert data["dim_T"] == 4
     assert data["moduli"] == [2]
     assert all(c["status"] == "pass" for c in data["checks"])
+
+
+def test_report_passes_when_every_check_passes():
+    # An ingested table has no formula, and a verify run without
+    # decomposition has no dim_T: a report whose checks all pass passes.
+    scheme = wreath_of_cyclics((2, 3))
+    run, seen, _ = run_point_checks(scheme, None, [0], ["axioms", "dimension"])
+    ingested = DecompReport(None, 6, scheme.classes, [0], seen["dims"][0], list(run.values()))
+    assert (ingested.dim_T, ingested.dim_formula) == (18, None)
+    assert ingested.passed and ingested.as_check().passed
+    run, _, _ = run_point_checks(scheme, (2, 3), None, ["axioms", "vanishing"])
+    verified = DecompReport((2, 3), 6, scheme.classes, list(range(6)), None, list(run.values()))
+    assert verified.dim_T is None and verified.passed
+    witness = "x=0: oracle dimension 19, formula 18"
+    verified.checks.append(CheckResult("dimension", False, witness, 1))
+    assert not verified.passed and verified.as_check().witness == witness
 
 
 def test_certified_run_is_the_run_at_zero():
@@ -392,6 +409,11 @@ def _assert_fails(point, name):
     return result
 
 
+def _edited(name):
+    """The point of the edited point ``name`` and its reference."""
+    return EDITED_POINTS[name][0]()
+
+
 def test_registry_passes_on_an_intact_point():
     point = _point((2, 2), 1)
     for name in DECOMPOSITION:
@@ -400,23 +422,32 @@ def test_registry_passes_on_an_intact_point():
 
 
 def test_unit_rank_fails_without_one_unit():
-    # the build's G_12 is zero, so the point has no unit family
-    result = _assert_fails(EDITED_POINTS["popped-unit-12"](), "unit-rank")
+    # the pieces of G_12 and G_13 are gone from row 1, so the point has no
+    # unit family
+    point, _ = _edited("popped-unit-12")
+    result = _assert_fails(point, "unit-rank")
     assert result.witness == "x=0: G[1,2] does not match the closed form u_1 u_2^T / n_2"
 
 
 def test_unit_ideal_fails_with_a_non_unit_in_the_family():
-    # the build's G_00 is four times the unit, so the point has no unit family
-    point = EDITED_POINTS["non-unit-00"]()
+    # E_0 doubled: the product build's G_00 is four times the unit, so the
+    # reference has no unit family.  The point has no E_0 to double: a unit
+    # on equal levels is the all-ones block by construction.
+    point, reference = _edited("non-unit-00")
     for name in ("unit-rank", "unit-ideal"):
-        result = _assert_fails(point, name)
+        result = _assert_fails(reference, name)
         assert result.witness == "x=0: G[0,0] does not match the closed form u_0 u_0^T / n_0"
+        assert point.result(name).passed
 
 
 def test_quotient_commutes_fails_on_a_smaller_unit_span():
-    # the build's G_01 is zero, so the point has no unit family
-    result = _assert_fails(EDITED_POINTS["popped-unit-01"](), "quotient-commutes")
+    # -A_1 on block (0, 1): the product build's G_01 is zero, so the
+    # reference has no unit family.  The point's piece (0, 1, 1) is the row
+    # of x on S_1, all ones by construction.
+    point, reference = _edited("popped-unit-01")
+    result = _assert_fails(reference, "quotient-commutes")
     assert result.witness == "x=0: G[0,1] does not match the closed form u_0 u_1^T / n_1"
+    assert point.result("quotient-commutes").passed
 
 
 def test_span_accounting_fails_without_the_idempotents():
@@ -429,13 +460,15 @@ def test_span_accounting_fails_without_the_idempotents():
 @pytest.mark.parametrize("unit", [(0, 0), (3, 0)], ids=["off-rows", "off-columns"])
 def test_span_accounting_fails_on_a_member_spread_over_two_blocks(unit):
     # F[3,1] lies in block (3,3); adding a unit spreads it over a second
-    # block, in other rows or in other columns of the same rows
+    # block, in other rows or in other columns of the same rows.  The point
+    # holds each member as its block, so the n x n reference carries this
+    # control.
     point = _point((2, 3), 0)
-    family = build_central_idempotents(point.ctx)
-    family.matrices[3, 1] = family.matrices[3, 1] + point.units.matrix(*unit)
-    point.idempotents = family
-    result = _assert_fails(point, "span-accounting")
+    reference = ReferencePoint(point)
+    _spread_idempotent(unit)(point, reference)
+    result = _assert_fails(reference, "span-accounting")
     assert result.witness == "x=0: idempotent F[3,1] is nonzero off the block (3,3)"
+    assert point.result("span-accounting").passed
 
 
 def test_span_accounting_fails_on_a_closure_the_families_do_not_span():
@@ -468,10 +501,10 @@ def test_dimension_fails_when_it_differs_from_the_first_point():
 def test_unit_build_failure_skips_the_rest_of_the_point(monkeypatch):
     original = structure.build_matrix_units
 
-    def failing(ctx):
-        if ctx.base_point == 2:
-            raise StructureError(f"unit (0,0) at x={ctx.base_point} is not supported on its block")
-        return original(ctx)
+    def failing(point):
+        if point.x == 2:
+            raise StructureError(f"unit (0,0) at x={point.x} is not supported on its block")
+        return original(point)
 
     monkeypatch.setattr(structure, "build_matrix_units", failing)
     report = decomposition_report([2, 2])
@@ -499,13 +532,19 @@ def _perturbed(matrix, y, z, delta):
 
 
 def test_matrix_unit_law_fails_on_a_perturbed_unit():
-    result = _assert_fails(EDITED_POINTS["perturbed-unit-12"](), "matrix-units")
+    point, _ = _edited("perturbed-unit-12")
+    result = _assert_fails(point, "matrix-units")
     assert "G[1,2]" in result.witness
 
 
 def test_adjacency_action_fails_on_a_perturbed_unit():
-    result = _assert_fails(EDITED_POINTS["perturbed-unit-23"](), "ag-forms")
+    # an entry of E_3 in block (2, 3) adds to the product build's E_2 J E_3
+    # alone; on equal levels the point's unit is the all-ones block by
+    # construction
+    point, reference = _edited("perturbed-unit-23")
+    result = _assert_fails(reference, "ag-forms")
     assert result.witness == "x=2: G[2,3] does not match the closed form u_2 u_3^T / n_3"
+    assert point.result("ag-forms").passed
 
 
 def test_f_family_fails_on_the_wrong_character():
@@ -525,13 +564,23 @@ def test_f_family_fails_on_the_wrong_character():
     assert "wrong eigenvalue" in result.witness
 
 
+def test_f_family_fails_on_two_members_that_are_not_orthogonal():
+    # members of one class are multiplied; the first member's own steps pass
+    point, _ = _edited("duplicated-member")
+    result = _assert_fails(point, "f-family")
+    assert result.witness == (
+        "x=0: members (WreathIndex(2,1),WreathIndex(1,1)) and "
+        "(WreathIndex(2,1),WreathIndex(1,2)) are not orthogonal"
+    )
+
+
 def test_commutation_fails_on_a_perturbed_dual_idempotent():
-    point = _point((2, 3), 1)
-    duals = point.ctx.dual_idempotents
-    y = point.ctx.spheres[2][0]
-    duals[2] = _perturbed(duals[2], y, point.ctx.spheres[3][0], rational(1))
+    # The level-1 label moved to (2, 4), which joins S_2 to S_3 at x=1, where
+    # the n x n control added an entry of E_2 there: E_2 no longer commutes
+    # with A_1
+    point, _ = _edited("perturbed-dual")
     result = _assert_fails(point, "commutation")
-    assert "E[" in result.witness
+    assert result.witness == "x=1: E[WreathIndex(2,1)] does not commute with A[WreathIndex(1,1)]"
 
 
 # -- a (2,3) table whose class labels no longer match the wreath indices ----------------
@@ -597,90 +646,130 @@ def test_block_form_fails_on_a_partly_filled_all_ones_block():
     )
 
 
-# -- the factored unit checks against their product references ---------------------------
+# -- the checks read off the spheres and pieces against their n x n references ----------
 
-# Each factored unit check of the registry, with the n x n product loop or
-# echelon it replaced, kept in tests/reference.py.
-REFERENCE_CHECKS = {
-    "matrix-units": lambda point: matrix_units_by_products(point.units),
-    "ag-forms": lambda point: adjacency_action_by_products(point.ctx, point.units),
-    "unit-ideal": unit_ideal_by_membership,
-    "quotient-commutes": quotient_commutes_by_membership,
-    "f-family": lambda point: central_idempotents_by_products(
-        point.ctx, point.idempotents, point.units
-    ),
-    "unit-rank": unit_rank_by_echelon,
-}
+# The checks this file cross-checks at every point up to order 12: those
+# that read a product with a dual idempotent off the pieces, and the unit
+# build, through unit-support.  The references of the others (matrix-units,
+# ag-forms and unit-rank) run at the first and last point.
+READ_OFF_THE_PIECES = (
+    "unit-support",
+    "commutation",
+    "primary-module",
+    "unit-ideal",
+    "quotient-commutes",
+    "f-family",
+    "span-accounting",
+)
+
+# The checks that read the unit family, which fail where it cannot be built.
+UNIT_CHECKS = (
+    "unit-support",
+    "unit-rank",
+    "matrix-units",
+    "ag-forms",
+    "unit-ideal",
+    "quotient-commutes",
+    "f-family",
+    "span-accounting",
+)
 
 
-def _assert_agrees_with_reference(point):
-    """Each factored unit check gives the reference's verdict, witness and
-    ``checked`` at ``point``.  Where the build refuses the unit family, the
-    references have no family to read, and every check fails with the
-    build's witness."""
-    try:
-        point.units
-    except StructureError as exc:
-        for name in REFERENCE_CHECKS:
-            assert point.result(name) == CheckResult(name, False, str(exc)), name
-        return
-    for name, reference in REFERENCE_CHECKS.items():
-        assert point.result(name) == reference(point), name
+# The checks on which the reference fails an n x n member off its sphere
+# block, which the point's block form cannot hold.
+OFF_THE_BLOCK = ("f-family", "span-accounting")
+
+
+def _built(point):
+    """The point's unit family, or the witness of its refused build."""
+    units = point._units
+    return str(units) if isinstance(units, StructureError) else units
+
+
+def _assert_agrees_with_reference(point, reference, names=tuple(REFERENCES), differ=()):
+    """Each check of ``names`` gives its n x n reference's verdict, witness
+    and ``checked`` at ``point``, and the build gives the reference's unit
+    family or its witness.  On the checks ``differ``, the reference fails
+    on an edit of its n x n inputs that the point holds by construction,
+    and the point passes."""
+    if "unit-support" not in differ:
+        assert _built(point) == _built(reference)
+    for name in names:
+        if name in differ:
+            assert point.result(name).passed and not reference.result(name).passed, name
+        else:
+            assert point.result(name) == reference.result(name), name
 
 
 @pytest.mark.parametrize("moduli", moduli_up_to(12), ids=str)
 def test_factored_unit_checks_match_the_products_up_to_order_12(moduli):
     n = math.prod(moduli)
-    for x in sorted({0, n - 1}):
+    for x in range(n):
         point = _point(moduli, x)
-        _assert_agrees_with_reference(point)
-        assert all(point.result(name).passed for name in REFERENCE_CHECKS)
+        names = REFERENCES if x in (0, n - 1) else READ_OFF_THE_PIECES
+        _assert_agrees_with_reference(point, ReferencePoint(point), names)
+        assert all(point.result(name).passed for name in names)
 
 
 def test_factored_unit_checks_match_the_products_at_every_point_of_2_3_4():
     for x in range(24):
-        _assert_agrees_with_reference(_point((2, 3, 4), x))
+        point = _point((2, 3, 4), x)
+        _assert_agrees_with_reference(point, ReferencePoint(point))
 
 
-def _perturbed_generator(point):
-    # A_1 at x=0 of (2,2) plus one entry in the sphere S_2 = {2, 3}: A_1 u_0
-    # is then no longer constant on S_2
-    generators = list(point.generators)
-    generators[1] = _perturbed(generators[1], 2, 0, rational(1))
-    point.generators = generators
+@pytest.mark.parametrize("moduli", moduli_up_to(24), ids=str)
+def test_idempotent_blocks_are_the_products_up_to_order_24(moduli):
+    # Each member, held as its block, embedded into n x n, is the member
+    # the n x n sandwich E_a M E_a builds, at the first and the last point.
+    scheme = wreath_of_cyclics(moduli)
+    for x in sorted({0, scheme.order - 1}):
+        point = BasePoint(scheme, moduli, x, {})
+        products = idempotents_by_products(make_context(scheme, x, moduli)).matrices
+        blocks = point.idempotents.matrices
+        assert list(blocks) == list(products)
+        for (a, hx), mat in blocks.items():
+            sphere = point.spheres[a]
+            assert embedded(mat, sphere, sphere, scheme.order) == products[a, hx], (x, a, hx)
 
 
-def _perturbed_adjacency(point):
-    # A[(2,1)] of (2,3) at x=1, plus one entry in a block where it is zero,
-    # once the units are built
-    assert point.units
-    h = WreathIndex(2, 1, point.moduli).flat
-    y, z = point.ctx.spheres[1][0], point.ctx.spheres[3][0]
-    assert point.ctx.adjacency[h][y, z] == rational(0)
-    point.ctx.adjacency[h] = _perturbed(point.ctx.adjacency[h], y, z, rational(1))
+def _edited_point(moduli, x, swaps=(), change=None):
+    """A maker of the point x of the wreath table with the label ``swaps``
+    made, each (y, z, w) exchanging the labels of row y in columns z and w,
+    which keeps every valency, and of its reference from the same table;
+    ``change(point, reference)`` then edits either."""
 
-
-def _units_of_another_point(point):
-    # a unit family built at x=2, so on the spheres of x=2
-    other = build_matrix_units(wreath_context(point.moduli, 2))
-    point._units = dataclasses.replace(other, base_point=point.x)
-
-
-def _edited_point(moduli, x, change):
     def make():
-        point = _point(moduli, x)
-        change(point)
-        return point
+        intact = wreath_of_cyclics(moduli)
+        table = [list(row) for row in intact.table]
+        for y, z, w in swaps:
+            table[y][z], table[y][w] = table[y][w], table[y][z]
+        point = BasePoint(Scheme(table, classes=intact.classes), tuple(moduli), x, {})
+        reference = ReferencePoint(point)
+        if change is not None:
+            change(point, reference)
+        return point, reference
 
     return make
 
 
-def _wrong_character(point):
-    family = point.idempotents
-    keys = sorted(family.matrices)
-    matrices = dict(family.matrices)
-    matrices[keys[0]] = matrices[keys[1]]
-    point.idempotents = CentralIdempotentFamily(family.moduli, family.base_point, matrices)
+def _wrong_character(point, reference):
+    for family in (point.idempotents, reference.idempotents):
+        keys = sorted(family.matrices)
+        family.matrices[keys[0]] = family.matrices[keys[1]]
+
+
+def _duplicated_member(point, reference):
+    # the second member of a class given the first's matrix: the first
+    # member passes its own steps and is not orthogonal to the second
+    for family in (point.idempotents, reference.idempotents):
+        keys = sorted(family.matrices)
+        family.matrices[keys[1]] = family.matrices[keys[0]]
+
+
+def _units_of_another_point(point, reference):
+    # a unit family built at x=2, so on the spheres of x=2
+    other = build_matrix_units(BasePoint(point.scheme, point.moduli, 2, {}))
+    point._units = reference._units = dataclasses.replace(other, base_point=point.x)
 
 
 def _idempotent_off_block(transposed):
@@ -688,48 +777,51 @@ def _idempotent_off_block(transposed):
     point, or, ``transposed``, plus e_x w^T with w^T = e_c^T F: still
     idempotent, since F v = v, w^T F = w^T and v_x = w_x = 0, and acted on
     by A_0 = I as it should, but its column, or its row, x lies in S_0
-    while its rows, or its columns, stay in S_3."""
+    while its rows, or its columns, stay in S_3.  An edit of the reference's
+    n x n member."""
 
-    def change(point):
-        family = point.idempotents
+    def change(point, reference):
+        family = reference.idempotents
         mat = family.matrices[3, 1].transpose() if transposed else family.matrices[3, 1]
         data = mat.data
-        c = point.ctx.spheres[3][0]
+        c = reference.ctx.spheres[3][0]
         for row in data:
-            row[point.x] = row[c]
+            row[reference.x] = row[c]
         mat = ExactMatrix(mat.rows, mat.cols, data)
         family.matrices[3, 1] = mat.transpose() if transposed else mat
 
     return change
 
 
-def _shrunk_sphere(point):
-    # once the units and idempotents are built, the last vertex y of S_3
-    # leaves the sphere and E_3, while F[3,1] keeps its row and column y
-    assert point.units and point.idempotents.count
-    y = point.ctx.spheres[3].pop()
-    point.ctx.dual_idempotents[3] = _perturbed(point.ctx.dual_idempotents[3], y, y, rational(-1))
+def _shrunk_sphere(point, reference):
+    # once the reference's units and idempotents are built, the last vertex
+    # y of S_3 leaves the sphere and E_3, while F[3,1] keeps its row and
+    # column y
+    assert reference.units and reference.idempotents.count
+    y = reference.ctx.spheres[3].pop()
+    duals = reference.ctx.dual_idempotents
+    duals[3] = _perturbed(duals[3], y, y, rational(-1))
 
 
 def _spread_idempotent(unit):
-    def change(point):
-        family = build_central_idempotents(point.ctx)
-        family.matrices[3, 1] = family.matrices[3, 1] + point.units.matrix(*unit)
-        point.idempotents = family
+    def change(point, reference):
+        family = reference.idempotents
+        family.matrices[3, 1] = family.matrices[3, 1] + reference.units.matrix(*unit)
 
     return change
 
 
 def _perturbed_input(matrices, label, cells, delta):
-    """Add ``delta`` to the entries ``cells`` of the build input
-    ``matrices[label]`` (an adjacency matrix or a dual idempotent of the
-    point's context), before the units are built."""
+    """Add ``delta`` to the entries ``cells`` of the reference's build input
+    ``matrices[label]`` (an adjacency matrix or a dual idempotent of its
+    context), before its units are built."""
 
-    def change(point):
-        mat = getattr(point.ctx, matrices)[label]
-        for y, z in cells(point.ctx.spheres):
+    def change(point, reference):
+        inputs = getattr(reference.ctx, matrices)
+        mat = inputs[label]
+        for y, z in cells(reference.ctx.spheres):
             mat = _perturbed(mat, y, z, delta)
-        getattr(point.ctx, matrices)[label] = mat
+        inputs[label] = mat
 
     return change
 
@@ -744,59 +836,100 @@ def _first_cell(a, b):
     return lambda spheres: [(spheres[a][0], spheres[b][0])]
 
 
-# The edited points of the negative controls in this file, by name.  The
+# The edited points of the negative controls in this file, by name, each
+# with the checks on which its reference fails and the point passes.  Where
+# those are named, the edit is of the reference's n x n inputs, in a
+# certificate that the point's spheres and pieces hold by construction, so
+# the control stands against the reference alone.  The product build's
 # units are G_ab = E_a A_b E_b / n_b below the diagonal of levels, and
-# E_a J E_b / n_b on equal levels, J the all-ones matrix.  Each unit edit
-# changes a build input inside block (a, b), so that the build's G_ab
-# differs from its closed form first, in key order, at (a, b): the build
-# then refuses the family.  At (2,2) the classes are 0, 1 and 2, of levels
-# 0, 1 and 2; at (2,3) they are 0, 1, 2 and 3, of levels 0, 1, 2 and 2.
+# E_a J E_b / n_b on equal levels, J the all-ones matrix; the point's are
+# certified by the pieces (a, b, b), or the all-ones block.  At (2,2) the
+# classes are 0, 1 and 2, of levels 0, 1 and 2; at (2,3) they are 0, 1, 2
+# and 3, of levels 0, 1, 2 and 2.
 EDITED_POINTS = {
-    # -A_b on block (a, b) makes the built G_ab zero
-    "popped-unit-12": _edited_point((2, 2), 0, _perturbed_input(
-        "adjacency", 2, _block(1, 2), rational(-1))),
-    "popped-unit-01": _edited_point((2, 2), 0, _perturbed_input(
-        "adjacency", 1, _block(0, 1), rational(-1))),
-    # E_0 doubled: the built G_00 is four times the unit
-    "non-unit-00": _edited_point((2, 2), 0, _perturbed_input(
-        "dual_idempotents", 0, _block(0, 0), rational(1))),
-    "perturbed-unit-12": _edited_point((2, 2), 0, _perturbed_input(
-        "adjacency", 2, _first_cell(1, 2), rational(Fraction(1, 3)))),
-    # an entry of E_3 in block (2, 3) adds to E_2 J E_3 alone
-    "perturbed-unit-23": _edited_point((2, 3), 2, _perturbed_input(
+    # labels 2 and 3 exchanged in row 1: the pieces (1, 2, 2) and (1, 3, 3)
+    # of x=0 are gone, so G_12 is zero
+    "popped-unit-12": (_edited_point((2, 3), 0, [(1, 2, 4), (1, 3, 5)]), ()),
+    # -A_1 on block (0, 1) makes the product build's G_01 zero
+    "popped-unit-01": (_edited_point((2, 2), 0, change=_perturbed_input(
+        "adjacency", 1, _block(0, 1), rational(-1))), UNIT_CHECKS),
+    # E_0 doubled: the product build's G_00 is four times the unit
+    "non-unit-00": (_edited_point((2, 2), 0, change=_perturbed_input(
+        "dual_idempotents", 0, _block(0, 0), rational(1))), UNIT_CHECKS),
+    # labels 1 and 2 exchanged in row 1: the piece (1, 2, 2) of x=0 is not
+    # all ones
+    "perturbed-unit-12": (_edited_point((2, 2), 0, [(1, 0, 2)]), ()),
+    # an entry of E_3 in block (2, 3) adds to the product build's E_2 J E_3;
+    # the E_3 it perturbs also fails the reference's E_3 steps
+    "perturbed-unit-23": (_edited_point((2, 3), 2, change=_perturbed_input(
         "dual_idempotents", 3, _first_cell(2, 3), rational(1))),
-    "wrong-character": _edited_point((3, 2), 0, _wrong_character),
-    "spread-idempotent-off-rows": _edited_point((2, 3), 0, _spread_idempotent((0, 0))),
-    "spread-idempotent-off-columns": _edited_point((2, 3), 0, _spread_idempotent((3, 0))),
-    "perturbed-generator": _edited_point((2, 2), 0, _perturbed_generator),
-    "perturbed-adjacency": _edited_point((2, 3), 1, _perturbed_adjacency),
-    "units-of-another-point": _edited_point((2, 3), 0, _units_of_another_point),
-    "idempotent-column-off-block": _edited_point((2, 3), 0, _idempotent_off_block(False)),
-    "idempotent-row-off-block": _edited_point((2, 3), 0, _idempotent_off_block(True)),
-    "shrunk-sphere": _edited_point((2, 3), 0, _shrunk_sphere),
+        ("primary-module", "commutation", *UNIT_CHECKS)),
+    "wrong-character": (_edited_point((3, 2), 0, change=_wrong_character), ()),
+    "duplicated-member": (_edited_point((3, 2), 0, change=_duplicated_member), ()),
+    "spread-idempotent-off-rows": (
+        _edited_point((2, 3), 0, change=_spread_idempotent((0, 0))), OFF_THE_BLOCK),
+    "spread-idempotent-off-columns": (
+        _edited_point((2, 3), 0, change=_spread_idempotent((3, 0))), OFF_THE_BLOCK),
+    # labels 2 and 1 exchanged in row 2: A_1 u_0 is not constant on S_2 = {2, 3}
+    "perturbed-generator": (_edited_point((2, 2), 0, [(2, 0, 3)]), ()),
+    # labels 3 and 2 exchanged in row 2 of (2,3), which lies in S_2 at x=1:
+    # rows 0 and 1, those of the unit pieces there, keep their labels
+    "perturbed-adjacency": (_edited_point((2, 3), 1, [(2, 0, 4)]), ()),
+    # labels 1 and 2 exchanged in row 2: the level-1 label at (2, 4) joins
+    # S_2 to S_3 at x=1
+    "perturbed-dual": (_edited_point((2, 3), 1, [(2, 3, 4)]), ()),
+    # labels 3 and 2 exchanged in rows 2 and 3: at x=0 every [A_i, A_k] stays
+    # in the unit span, and [A_2, E*_2] leaves it first, through the piece
+    # (2, 2, 3) = [[0, 1], [1, 0]] on its block (2, 3)
+    "perturbed-commutator": (_edited_point((2, 3), 0, [(2, 0, 4), (3, 0, 5)]), ()),
+    # units on other spheres than the point's: the E*_j steps of the point
+    # pass by construction, on its own spheres, and the reference's
+    # members lie off the units' blocks
+    "units-of-another-point": (_edited_point((2, 3), 0, change=_units_of_another_point),
+                               ("unit-ideal", "quotient-commutes", "span-accounting")),
+    "idempotent-column-off-block": (
+        _edited_point((2, 3), 0, change=_idempotent_off_block(False)), OFF_THE_BLOCK),
+    "idempotent-row-off-block": (
+        _edited_point((2, 3), 0, change=_idempotent_off_block(True)), OFF_THE_BLOCK),
+    "shrunk-sphere": (_edited_point((2, 3), 0, change=_shrunk_sphere), (
+        "primary-module", "commutation", "unit-ideal", "quotient-commutes", "f-family")),
 }
 
 
 @pytest.mark.parametrize("name", EDITED_POINTS)
 def test_factored_unit_checks_match_the_products_on_edited_points(name):
-    _assert_agrees_with_reference(EDITED_POINTS[name]())
+    make, differ = EDITED_POINTS[name]
+    _assert_agrees_with_reference(*make(), differ=differ)
 
 
 def test_unit_ideal_and_quotient_fail_past_the_certificate_on_a_perturbed_generator():
-    point = EDITED_POINTS["perturbed-generator"]()
+    point, _ = _edited("perturbed-generator")
     assert point.result("matrix-units").passed
     assert point.result("unit-rank").passed
     _assert_fails(point, "unit-ideal")
     _assert_fails(point, "quotient-commutes")
 
 
+def test_quotient_commutes_reads_the_dual_idempotent_commutators_off_the_pieces():
+    # [A_i, E*_j] is piece(h, i, j) on block (h, j) and -piece(j, i, h) on
+    # block (j, h).  The first pair to leave the unit span is (A_2, E*_2),
+    # through -piece(2, 2, 3), as the reference finds: after the 6 [A_i, A_k],
+    # the 8 pairs (A_0, E*_j) and (A_1, E*_j), and (A_2, E*_0), (A_2, E*_1).
+    point, reference = _edited("perturbed-commutator")
+    assert point.result("matrix-units").passed
+    result = _assert_fails(point, "quotient-commutes")
+    assert result == reference.result("quotient-commutes")
+    assert result.checked == 6 + 8 + 3
+
+
 def test_ag_forms_fail_past_the_certificate_on_an_off_block_adjacency_entry():
-    point = EDITED_POINTS["perturbed-adjacency"]()
+    point, _ = _edited("perturbed-adjacency")
     assert point.result("matrix-units").passed
     result = _assert_fails(point, "ag-forms")
-    # the entry sits in row S_1 and column S_3, so w_1^T A breaks first
+    # the label 2 moved to (2, 4) sits in row S_2 and column S_3, so
+    # w_2^T A_2 breaks first
     assert result.witness == (
-        "x=1: G[WreathIndex(0,0),WreathIndex(1,1)] * A[WreathIndex(2,1)] "
+        "x=1: G[WreathIndex(0,0),WreathIndex(2,1)] * A[WreathIndex(2,1)] "
         "does not match the closed form"
     )
 
@@ -804,36 +937,39 @@ def test_ag_forms_fail_past_the_certificate_on_an_off_block_adjacency_entry():
 def test_annihilation_fails_past_the_certificate_on_the_units_of_another_point():
     # The units of x=2 keep the product law and the closed forms, which
     # hold at every point, but the idempotents of x=0 do not annihilate them
-    point = EDITED_POINTS["units-of-another-point"]()
+    point, _ = _edited("units-of-another-point")
     for name in ("matrix-units", "ag-forms", "unit-rank"):
         assert point.result(name).passed, name
-    _assert_fails(point, "unit-ideal")
     result = _assert_fails(point, "f-family")
     assert "does not annihilate unit" in result.witness
 
 
 def test_f_family_reads_the_dual_idempotent_products_off_the_member():
-    # E_j F and F E_j are read off the member's nonzero rows and columns:
-    # for j != a a column in S_j fails, and for j == a a row or column
-    # outside S_a
+    # The point holds each member as its block, so E_j F and F E_j are F or
+    # zero by construction.  The reference forms them, and fails on an
+    # n x n member off its block: for j != a a column in S_j, and for j == a
+    # a row or column outside S_a.
     for name in ("idempotent-column-off-block", "idempotent-row-off-block"):
-        result = _assert_fails(EDITED_POINTS[name](), "f-family")
+        _, reference = _edited(name)
+        result = _assert_fails(reference, "f-family")
         assert result.witness == (
             "x=0: E[WreathIndex(0,0)] does not commute with member "
             "(WreathIndex(2,2),WreathIndex(1,1))"
         )
-    result = _assert_fails(EDITED_POINTS["shrunk-sphere"](), "f-family")
+    _, reference = _edited("shrunk-sphere")
+    result = _assert_fails(reference, "f-family")
     assert result.witness == (
         "x=0: E[WreathIndex(2,2)] does not commute with member (WreathIndex(2,2),WreathIndex(1,1))"
     )
 
 
 def test_certificate_witness_names_the_unit_off_its_form():
-    point = EDITED_POINTS["perturbed-unit-12"]()
-    for name in ("unit-support", *REFERENCE_CHECKS):
+    point, _ = _edited("perturbed-unit-12")
+    for name in UNIT_CHECKS:
         result = _assert_fails(point, name)
         assert result.witness == "x=0: G[1,2] does not match the closed form u_1 u_2^T / n_2"
-    result = _assert_fails(EDITED_POINTS["popped-unit-01"](), "matrix-units")
+    _, reference = _edited("popped-unit-01")
+    result = _assert_fails(reference, "matrix-units")
     assert result.witness == "x=0: G[0,1] does not match the closed form u_0 u_1^T / n_1"
 
 
@@ -848,14 +984,56 @@ def test_matrix_unit_law_fails_on_overlapping_spheres():
         dataclasses.replace(units, spheres=(units.spheres[0], (), units.spheres[2]))
 
 
+# Every negative control on a base point: its maker, and the registered
+# checks that fail there.
+CONTROLS = {
+    "swapped-labels": (lambda: BasePoint(_swapped_table(), (2, 3), 0, {}),
+                       ("triple-list", "block-form")),
+    "shrikhande": (lambda: BasePoint(example_schemes()["shrikhande"], None, 0, {}),
+                   ("triply-regular",)),
+    # the path on four vertices, classed by distance
+    "path": (lambda: BasePoint(Scheme([[0, 1, 2, 2], [1, 0, 1, 2], [2, 1, 0, 1], [2, 2, 1, 0]]),
+                               None, 0, {}), ("primary-module",)),
+    "dimension-11": (lambda: _with(_point((2, 2), 0), dim=11), ("dimension",)),
+    "no-idempotents": (lambda: _with(_point((2, 2), 0),
+                                     idempotents=CentralIdempotentFamily((2, 2), 0)),
+                       ("span-accounting",)),
+    **{name: (lambda name=name: _edited(name)[0], fails) for name, fails in {
+        "popped-unit-12": UNIT_CHECKS,
+        "perturbed-generator": ("unit-ideal", "quotient-commutes"),
+        "perturbed-commutator": ("quotient-commutes",),
+        "perturbed-adjacency": ("ag-forms",),
+        "perturbed-dual": ("commutation",),
+        "wrong-character": ("f-family",),
+        "duplicated-member": ("f-family",),
+        "units-of-another-point": ("f-family",),
+    }.items()},
+}
+
+
+def _with(point, **artifacts):
+    """``point`` with the given artifacts in place of its own."""
+    for name, value in artifacts.items():
+        setattr(point, name, value)
+    return point
+
+
+@pytest.mark.parametrize("name", POINT_CHECKS)
+def test_every_registered_check_fails_on_a_control(name):
+    makers = [make for make, fails in CONTROLS.values() if name in fails]
+    assert makers, f"{name} has no negative control"
+    for make in makers:
+        point = make()
+        assert not point.result(name).passed, name
+
+
 def test_unit_checks_form_no_product_of_two_n_by_n_matrices(monkeypatch):
-    # At (2,3)@0, matrix-units, ag-forms and unit-ideal read only the
-    # k = 4 sphere indicators, and f-family forms only the products of its
-    # own battery: per member, F F, A F and F A for each of the 4 adjacency
-    # matrices, and F F' with the other member.  E F and F E, for each of
-    # the 4 dual idempotents, and the annihilation of the 16 units form none.
+    # At (2,3)@0 no registered check forms a product with a dual idempotent,
+    # which is a sphere, and only quotient-commutes forms products of two
+    # n x n matrices: A_i A_k and A_k A_i for each of the C(4, 2) = 6 pairs of
+    # adjacency matrices.  The builds, the closure and the f-family battery
+    # multiply sphere blocks, and the unit checks n x k matrices.
     point = _point((2, 3), 0)
-    assert point.units and point.generators and point.idempotents.count == 2
     n = point.scheme.order
     counts = {}
     name = None
@@ -867,14 +1045,15 @@ def test_unit_checks_form_no_product_of_two_n_by_n_matrices(monkeypatch):
         return product(a, b)
 
     monkeypatch.setattr(ExactMatrix, "__mul__", counted)
-    for name in ("matrix-units", "ag-forms", "unit-ideal", "f-family"):
+    for name in POINT_CHECKS:
         assert point.result(name).passed, name
-    assert counts == {"f-family": 2 * (1 + 2 * 4 + 1)}
+    assert counts == {"quotient-commutes": 2 * math.comb(4, 2)}
 
 
 def test_full_decomposition_compares_each_unit_once(monkeypatch):
-    # The build compares each of the k^2 = 16 units of (2,3)@0 with its
-    # closed form once, and no check forms a unit again.
+    # The build certifies each of the k^2 = 16 units of (2,3)@0 from its
+    # piece, or on equal levels by construction, and forms none; no check
+    # forms a unit either.
     calls = []
     block_ones = ExactMatrix.block_ones
 
@@ -883,5 +1062,9 @@ def test_full_decomposition_compares_each_unit_once(monkeypatch):
         return block_ones(*args)
 
     monkeypatch.setattr(ExactMatrix, "block_ones", staticmethod(counted))
+    builds = []
+    original = structure.build_matrix_units
+    monkeypatch.setattr(structure, "build_matrix_units",
+                        lambda point: builds.append(point.x) or original(point))
     assert decomposition_report((2, 3), base_points=[0]).passed
-    assert len(calls) == 16
+    assert (calls, builds) == ([], [0])

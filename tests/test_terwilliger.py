@@ -4,15 +4,22 @@ import pytest
 from reference import (
     algebra_dimension,
     example_schemes,
+    make_context,
     moduli_up_to,
     product_closure,
     rebind,
+    standard_generators,
+    t0_dimension,
     t0_span,
     triple_product,
     triply_regular_by_counts,
+    wreath_context,
+    wreath_point,
 )
 
+import wreathalg
 from wreathalg import (
+    BasePoint,
     ExactMatrix,
     Scheme,
     check_primary_module,
@@ -20,15 +27,20 @@ from wreathalg import (
     check_triple_list,
     check_triply_regular,
     cyclic_scheme,
-    make_context,
     rational,
-    standard_generators,
-    t0_dimension,
     triple_intersection,
-    wreath_context,
     wreath_of_cyclics,
 )
 from wreathalg.structure import run_point_checks
+
+
+def test_the_package_holds_no_n_by_n_context():
+    # A dual idempotent is its sphere, and the n x n context lives in the
+    # test references alone.
+    for name in ("TerwilligerContext", "make_context", "wreath_context", "standard_generators"):
+        assert not hasattr(wreathalg, name), name
+        assert not hasattr(wreathalg.terwilliger, name), name
+        assert not hasattr(wreathalg.structure, name), name
 
 
 def test_context_dual_idempotents():
@@ -51,13 +63,13 @@ def test_dual_idempotents_sum_to_identity():
 
 
 def test_sphere_sizes_follow_valencies():
-    ctx = wreath_context([2, 3], 0)
-    assert [len(s) for s in ctx.spheres] == [1, 1, 2, 2]
+    point = wreath_point([2, 3], 0)
+    assert [len(s) for s in point.spheres] == [1, 1, 2, 2]
 
 
 def test_context_rejects_bad_base_point():
     with pytest.raises(ValueError):
-        make_context(cyclic_scheme(2), 2)
+        BasePoint(cyclic_scheme(2), None, 2, {}).spheres
 
 
 def test_triple_product_identity_case():
@@ -92,12 +104,12 @@ def test_predict_triple_nonzero_cases():
 
 def test_triple_list_check():
     for m in [(2, 3), (2, 2, 2)]:
-        result = check_triple_list(wreath_context(m, 0))
+        result = check_triple_list(wreath_point(m, 0))
         assert result.passed, result.witness
 
 
 def test_triple_list_base_point_sweep():
-    results = [check_triple_list(wreath_context((2, 3), x)).passed for x in range(6)]
+    results = [check_triple_list(wreath_point((2, 3), x)).passed for x in range(6)]
     assert results == [True] * 6
 
 
@@ -209,9 +221,9 @@ def refuse(original):
 
 
 def test_sweep_reads_only_the_table(monkeypatch):
-    # With every path to a context or a closure made to raise, the sweep
+    # With every path to the pieces or a closure made to raise, the sweep
     # gives the same verdicts, counts and witness.
-    for name in ("make_context", "block_closure"):
+    for name in ("starting_pieces", "block_closure"):
         rebind(monkeypatch, name, refuse)
     regular = check_triply_regular(wreath_of_cyclics((2, 3, 4)))
     assert (regular.passed, regular.witness, regular.checked) == (True, None, 24 ** 3)
@@ -278,13 +290,10 @@ def test_edited_table_fails_past_the_first_vertex():
 
 
 def test_triply_regular_span_cross_check_can_fail(monkeypatch):
-    # A T_0 count one short at x=2 makes dim T_0(x) != dim T(x) there, which
+    # A closure one larger at x=2 makes dim T_0(x) != dim T(x) there, which
     # disagrees with the sweep's verdict that the scheme is triply regular.
-    rebind(
-        monkeypatch,
-        "t0_dimension",
-        lambda original: lambda scheme, x: original(scheme, x) - (x == 2),
-    )
+    dim = BasePoint.dim
+    monkeypatch.setattr(BasePoint, "dim", property(lambda point: dim.func(point) + (point.x == 2)))
     scheme = wreath_of_cyclics((2, 2))
     assert check_triply_regular(scheme).passed
     run, _, _ = run_point_checks(scheme, None, range(4), ["triply-regular"])
@@ -296,9 +305,10 @@ def test_triply_regular_span_cross_check_can_fail(monkeypatch):
 
 
 def test_triply_regular_builds_one_closure_per_point(monkeypatch):
-    # The cross-check's closure reads the class table, so no point builds a
-    # context.
-    calls = {"make_context": [], "block_closure": []}
+    # The sweep reads the class table alone, and the cross-check closes each
+    # point's own pieces, read once; no point runs the library's
+    # block_closure, which reads them again.
+    calls = {"starting_pieces": [], "block_closure": []}
     for name, seen in calls.items():
         rebind(
             monkeypatch,
@@ -308,16 +318,16 @@ def test_triply_regular_builds_one_closure_per_point(monkeypatch):
             ),
         )
     assert check_triply_regular(wreath_of_cyclics((2, 2))).passed
-    assert calls == {"make_context": [], "block_closure": []}
+    assert calls == {"starting_pieces": [], "block_closure": []}
     run, _, _ = run_point_checks(wreath_of_cyclics((2, 2)), None, range(4), ["triply-regular"])
     assert run["triply-regular"].passed
-    assert calls == {"make_context": [], "block_closure": [0, 1, 2, 3]}
+    assert calls == {"starting_pieces": [0, 1, 2, 3], "block_closure": []}
 
 
 def test_cross_check_skips_a_noncommutative_scheme(monkeypatch):
     # The S_3 group scheme is triply regular but not commutative, so the span
-    # equality does not apply and no point counts its T_0.
-    rebind(monkeypatch, "t0_dimension", refuse)
+    # equality does not apply and no point reads its pieces.
+    rebind(monkeypatch, "starting_pieces", refuse)
     s3 = example_schemes()["s3"]
     run, seen, _ = run_point_checks(s3, None, range(6), ["triply-regular"])
     assert run["triply-regular"].passed
@@ -343,16 +353,16 @@ def test_triply_regular_counterexample():
 
 
 def test_primary_module_dimensions():
-    assert check_primary_module(wreath_context([2, 2], 0)).passed
-    assert check_primary_module(wreath_context([2, 3], 0)).passed
-    ctx = wreath_context([2, 3], 0)
-    assert ctx.scheme.classes == 4  # span dimension checked inside equals d+1
+    assert check_primary_module(wreath_point([2, 2], 0)).passed
+    assert check_primary_module(wreath_point([2, 3], 0)).passed
+    point = wreath_point([2, 3], 0)
+    assert point.scheme.classes == 4  # span dimension checked inside equals d+1
 
 
 def test_primary_module_indicators_are_disjoint():
-    ctx = wreath_context([2, 3], 2)
+    point = wreath_point([2, 3], 2)
     seen = set()
-    for sphere in ctx.spheres:
+    for sphere in point.spheres:
         assert sphere, "indicator vector must be nonzero"
         assert not (seen & set(sphere))
         seen |= set(sphere)
@@ -367,8 +377,7 @@ def test_primary_module_detects_bad_span():
         [1, 1, 0, 1],
         [1, 1, 1, 0],
     ]
-    ctx = make_context(Scheme(table), 2)
-    result = check_primary_module(ctx)
+    result = check_primary_module(BasePoint(Scheme(table), None, 2, {}))
     assert not result.passed
     assert "dimension" in result.witness
 
@@ -378,7 +387,7 @@ def test_primary_module_detects_a_generator_leaving_the_span():
     # the right dimension, but the table is not a scheme, and a generator
     # maps an indicator outside the span at every base point.
     table = [[0, 1, 2, 2], [1, 0, 1, 2], [2, 1, 0, 1], [2, 2, 1, 0]]
-    results = [check_primary_module(make_context(Scheme(table), x)) for x in range(4)]
+    results = [check_primary_module(BasePoint(Scheme(table), None, x, {})) for x in range(4)]
     assert [r.passed for r in results] == [False] * 4
     assert [r.witness for r in results] == [
         f"x={x}: a generator maps an indicator vector outside the span" for x in range(4)
