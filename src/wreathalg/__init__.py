@@ -32,7 +32,6 @@ from .terwilliger import (
     label_triples,
     predict_triple_nonzero,
     starting_pieces,
-    triple_intersection,
 )
 from .wreath import (
     WreathIndex,

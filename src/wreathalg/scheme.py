@@ -8,10 +8,13 @@ certificate at the scale this package targets.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice, product
+from operator import add
 
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, ExactSpan
 
 __all__ = [
     "AxiomViolation",
@@ -161,32 +164,38 @@ class Scheme:
             raise AxiomViolation(self._label_witness)
 
     def _compute_intersection_data(self):
+        """p^h_ij as ``_pnums[h][i][j]``, or the first witness that it is
+        not well defined.
+
+        A pair (x, y) is coded by the sorted codes t[x][z]*c + t[z][y] over
+        the vertices z, injective on label pairs since every label is below
+        c, so two pairs have equal path counts exactly when their code lists
+        are equal: one map and one sort of n integers per pair, both in C.
+        Each pair, in row order, is compared with the first pair of its
+        relation, whose codes give the relation's grid.  At the first
+        mismatch both pairs are counted, and the witness names the first
+        label pair (i, j) whose counts differ.
+        """
         self._require_labels()
         if self._pnums is not None:
             return
-        n = self.order
         c = self.classes
-        tensor: list[list[list[int]] | None] = [None] * c
-        pairs: list[tuple[int, int] | None] = [None] * c
-        witness = None
         t = self.table
-        for x in range(n):
-            row_x = t[x]
-            for y in range(n):
-                h = row_x[y]
-                counts = [[0] * c for _ in range(c)]
-                for z in range(n):
-                    counts[row_x[z]][t[z][y]] += 1
-                if tensor[h] is None:
-                    tensor[h] = counts
-                    pairs[h] = (x, y)
-                elif tensor[h] != counts:
-                    ref = tensor[h]
-                    i, j = next((i, j) for i, j in product(range(c), repeat=2)
-                                if counts[i][j] != ref[i][j])
+        columns = list(zip(*t))
+        # first[h]: the first pair of relation h and its sorted codes
+        first: dict[int, tuple[tuple[int, int], list[int]]] = {}
+        witness = None
+        for x, row in enumerate(t):
+            scaled = [label * c for label in row]
+            for y, h in enumerate(row):
+                codes = sorted(map(add, scaled, columns[y]))
+                ref = first.setdefault(h, ((x, y), codes))
+                if ref[1] != codes:
+                    counts = [Counter(zip(t[a], columns[b])) for a, b in (ref[0], (x, y))]
+                    i, j = min(key for key in counts[0] | counts[1] if counts[0][key] != counts[1][key])
                     witness = (
-                        f"count of class-{i}/class-{j} paths is {ref[i][j]} "
-                        f"for pair {pairs[h]} but {counts[i][j]} for ({x},{y}), "
+                        f"count of class-{i}/class-{j} paths is {counts[0][i, j]} "
+                        f"for pair {ref[0]} but {counts[1][i, j]} for ({x},{y}), "
                         f"both in relation {h}"
                     )
                     break
@@ -194,8 +203,67 @@ class Scheme:
             # every reader of the tensor raises the witness first.
             if witness is not None:
                 break
+        tensor: list[list[list[int]] | None] = [None] * c
+        for h, (_, codes) in first.items():
+            grid = tensor[h] = [[0] * c for _ in range(c)]
+            for code in codes:
+                i, j = divmod(code, c)
+                grid[i][j] += 1
         self._pnums = tensor
         self._pnum_witness = witness
+
+    @cached_property
+    def generating_classes(self) -> tuple[int, ...] | None:
+        """Classes J whose A_j generate the span of all the A_j as an
+        algebra, or None where no such set is certified.
+
+        The labels j = 1..c-1 are walked in order, and j joins J only where
+        A_j is not yet in the span of the words in A_J applied to A_0
+        (``_word_span``), which is then closed again.  Where A_0 = I, a span
+        of dimension c holds every A_j, so the words in A_J span them all.
+        None where the intersection numbers are not well defined, a relation
+        is empty, or the span stays below c.
+        """
+        c = self.classes
+        if len(set().union(*self.table)) < c:
+            return None
+        self._compute_intersection_data()
+        if self._pnum_witness is not None:
+            return None
+        classes: list[int] = []
+        span = self._word_span(classes)
+        for j in range(1, c):
+            if span.dimension == c:
+                break
+            if not span.contains(_column([int(h == j) for h in range(c)])):
+                classes.append(j)
+                span = self._word_span(classes)
+        return tuple(classes) if span.dimension == c else None
+
+    def _word_span(self, classes) -> ExactSpan:
+        """The span of the words in the A_j, j in ``classes``, applied to
+        A_0, as the c x 1 columns of their coefficients over the A_h: the
+        closure of the column of A_0 under the maps
+        A_g sum_m v_m A_m = sum_h (sum_m v_m p^h_gm) A_h."""
+        self._compute_intersection_data()
+        if self._pnum_witness is not None:
+            raise AxiomViolation(self._pnum_witness)
+        c = self.classes
+        # terms[g][m]: the nonzero (h, p^h_gm) of A_g A_m, one g per class
+        terms = [[[(h, grid[g][m]) for h, grid in enumerate(self._pnums) if grid and grid[g][m]]
+                  for m in range(c)] for g in classes]
+        words = [[1] + [0] * (c - 1)]
+        span = ExactSpan.from_matrices([_column(words[0])])
+        for vector in words:  # words grows while it is walked
+            for acting in terms:
+                image = [0] * c
+                for m, v in enumerate(vector):
+                    if v:
+                        for h, p in acting[m]:
+                            image[h] += v * p
+                if span.insert(_column(image)):
+                    words.append(image)
+        return span
 
     def intersection_number(self, i: int, j: int, h: int) -> int:
         """|{z : (x,z) in R_i, (z,y) in R_j}| for any (x,y) in R_h.
@@ -254,6 +322,10 @@ class Scheme:
 
     def __repr__(self):
         return f"<Scheme order={self.order} classes={self.classes}>"
+
+
+def _column(vector) -> ExactMatrix:
+    return ExactMatrix.from_rows([[v] for v in vector])
 
 
 def save_scheme(scheme: Scheme, path) -> None:

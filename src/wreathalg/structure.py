@@ -32,7 +32,7 @@ from itertools import repeat
 
 from .cyclotomic import CycloNum, rational, zeta
 from .linalg import ExactMatrix, ExactSpan
-from .scheme import CheckResult, Scheme
+from .scheme import AxiomViolation, CheckResult, Scheme
 from .terwilliger import (
     _closure,
     _require_wreath,
@@ -675,11 +675,13 @@ class BasePoint:
 
     def result(self, name: str) -> CheckResult:
         """The registered check ``name`` at this point; a unit family that
-        cannot be built fails it with the construction's message."""
+        cannot be built fails it with the construction's message, and a
+        scheme parameter that is not well defined (a valency that differs
+        between vertices) with the scheme's witness."""
         if name not in self.results:
             try:
                 self.results[name] = POINT_CHECKS[name](self)
-            except StructureError as exc:
+            except (StructureError, AxiomViolation) as exc:
                 self.results[name] = CheckResult(name, False, str(exc))
         return self.results[name]
 

@@ -32,7 +32,6 @@ __all__ = [
     "starting_pieces",
     "close_blocks",
     "block_closure",
-    "triple_intersection",
     "check_triply_regular",
     "check_primary_module",
 ]
@@ -171,13 +170,22 @@ def block_closure(scheme: Scheme, base_point: int) -> dict[tuple[int, int], Exac
 
     Every E*_i is a generator, so T is the sum of its blocks (Terwilliger
     1992), and block (i, k) is a span of |S_i| x |S_k| matrices, rows and
-    columns in vertex order.  Each A_j is the sum of its starting pieces
-    E*_i A_j E*_h and each E*_i is the piece E*_i A_0 E*_i, while each piece
-    is a product of generators; so the pieces generate T.  The closure of
-    the pieces under left multiplication by the pieces then holds every
-    word, and lies in T.  dim T is the sum of the block dimensions, and only
+    columns in vertex order.  The closure C starts from the starting pieces
+    E*_i A_j E*_h and closes them under left multiplication by the pieces of
+    the A_j with j in J, the scheme's ``generating_classes``:
+    - C lies in T, since every piece is a product of generators;
+    - I = sum_i E*_i lies in C, since E*_i is the piece (i, 0, i);
+    - C is a direct sum of blocks, so it is closed under each E*_h;
+    - C is closed under each A_j, j in J, since A_j is the sum of its pieces;
+    - the words in A_J span every A_j, so T is the span of the words in
+      A_J and the E*_i applied to I, and C = T.
+    The argument needs the A_j to span an algebra; where J is None (the
+    intersection numbers are not well defined, or a relation is empty), the
+    factors are all the pieces, and the same argument holds with every A_j
+    in place of A_J.  dim T is the sum of the block dimensions, and only
     the class table is read.  E*_i is a piece only where class 0 is the
-    identity relation, so a table on which it is not is refused.
+    identity relation, so a table on which it is not is refused.  Nothing
+    is kept between calls; J is cached on the immutable scheme.
     """
     return _closure(scheme, starting_pieces(scheme, base_point))
 
@@ -187,17 +195,10 @@ def _closure(scheme: Scheme, pieces) -> dict[tuple[int, int], ExactSpan]:
     if any((label == 0) != (y == z) for y, row in enumerate(scheme.table)
            for z, label in enumerate(row)):
         raise ValueError("class 0 is not the identity relation, so the pieces need not generate T")
-    return close_blocks(pieces, pieces)
-
-
-def triple_intersection(scheme: Scheme, x: int, y: int, z: int, i: int, j: int, h: int) -> int:
-    """|R_i(x) & R_j(y) & R_h(z)| by enumeration over the vertex set."""
-    t = scheme.table
-    count = 0
-    for w in range(scheme.order):
-        if t[x][w] == i and t[y][w] == j and t[z][w] == h:
-            count += 1
-    return count
+    classes = scheme.generating_classes
+    if classes is None:
+        return close_blocks(pieces, pieces)
+    return close_blocks(pieces, {key: piece for key, piece in pieces.items() if key[1] in classes})
 
 
 def check_triply_regular(scheme: Scheme, sweep_points=None) -> CheckResult:

@@ -20,6 +20,11 @@ of the code it checks.  None of them is on a CLI path.
 - ``brute_intersection`` and ``commutes_by_products``: the intersection
   numbers and commutativity from their definitions, the reference of the
   table-read ``Scheme`` parameters.
+- ``intersection_data_by_counts``: the intersection tensor and its witness
+  with one c x c count grid per vertex pair, the reference of the
+  sorted-code count of ``Scheme``.
+- ``triple_intersection``: one triple intersection count by enumeration
+  over the vertex set.
 - ``triply_regular_by_counts``: the triple-regularity sweep with a dict of
   label counts per tuple, the reference of the sorted-code sweep of
   ``check_triply_regular``.
@@ -263,6 +268,52 @@ def brute_intersection(table, i, j, h):
                 counts.add(sum(1 for z in range(n) if table[x][z] == i and table[z][y] == j))
     assert len(counts) == 1, "table is not a scheme"
     return counts.pop()
+
+
+def intersection_data_by_counts(scheme: Scheme):
+    """The tensor p^h_ij as ``tensor[h][i][j]`` and the first regularity
+    witness, or None, with one c x c grid of path counts per pair (x, y),
+    compared with the first pair of its relation: the reference of
+    ``Scheme._compute_intersection_data``."""
+    n = scheme.order
+    c = scheme.classes
+    tensor = [None] * c
+    pairs = [None] * c
+    witness = None
+    t = scheme.table
+    for x in range(n):
+        row_x = t[x]
+        for y in range(n):
+            h = row_x[y]
+            counts = [[0] * c for _ in range(c)]
+            for z in range(n):
+                counts[row_x[z]][t[z][y]] += 1
+            if tensor[h] is None:
+                tensor[h] = counts
+                pairs[h] = (x, y)
+            elif tensor[h] != counts:
+                ref = tensor[h]
+                i, j = next((i, j) for i, j in iter_product(range(c), repeat=2)
+                            if counts[i][j] != ref[i][j])
+                witness = (
+                    f"count of class-{i}/class-{j} paths is {ref[i][j]} "
+                    f"for pair {pairs[h]} but {counts[i][j]} for ({x},{y}), "
+                    f"both in relation {h}"
+                )
+                break
+        if witness is not None:
+            break
+    return tensor, witness
+
+
+def triple_intersection(scheme: Scheme, x: int, y: int, z: int, i: int, j: int, h: int) -> int:
+    """|R_i(x) & R_j(y) & R_h(z)| by enumeration over the vertex set."""
+    t = scheme.table
+    count = 0
+    for w in range(scheme.order):
+        if t[x][w] == i and t[y][w] == j and t[z][w] == h:
+            count += 1
+    return count
 
 
 def commutes_by_products(scheme):
@@ -842,6 +893,12 @@ def moduli_up_to(order, prefix=()):
         tuples.append(prefix + (p,))
         tuples += moduli_up_to(order // p, prefix + (p,))
     return tuples
+
+
+def broken_table():
+    """The four-vertex table of the triple-regularity counterexample: no
+    scheme, since its path counts differ between pairs of one relation."""
+    return Scheme([[0, 2, 1, 1], [2, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
 
 
 def moved_pair_table():

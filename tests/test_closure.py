@@ -1,6 +1,11 @@
 """The block closure against the flat closure, and the flat closure
 against the pairwise one; both references are in ``reference.py``.
 
+The block closure's factors are the pieces of a generating class set, the
+scheme's ``generating_classes``; its reference is the closure under every
+piece, ``close_blocks(pieces, pieces)``, which must give the same basis in
+every block.
+
 The flat closure ``product_closure`` is the reference of the block closure,
 which the pipeline runs: the block dimensions must add up to the flat
 dimension, and the block bases, embedded into n x n, must span the flat
@@ -19,10 +24,12 @@ from fractions import Fraction
 import pytest
 from reference import (
     algebra_dimension,
+    broken_table,
     example_schemes,
     idempotents_by_products,
     make_context,
     moduli_up_to,
+    moved_pair_table,
     pairwise_closure,
     product_closure,
     standard_generators,
@@ -35,8 +42,11 @@ from wreathalg import (
     Scheme,
     block_closure,
     check_translation_certificate,
+    cyclic_scheme,
     wreath_of_cyclics,
+    wreath_product,
 )
+from wreathalg import terwilliger
 from wreathalg.terwilliger import close_blocks, starting_pieces
 
 
@@ -55,8 +65,7 @@ def test_wreath_closure_matches_pairwise(moduli, base_point):
     assert_same_closure(standard_generators(wreath_context(moduli, base_point)))
 
 
-# the broken table of the triple-regularity counterexample
-BROKEN = Scheme([[0, 2, 1, 1], [2, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
+BROKEN = broken_table()
 
 
 def test_non_wreath_closure_matches_pairwise():
@@ -210,3 +219,140 @@ def test_block_closure_with_reversed_factors_falls_short():
     reversed_factors = {(i, j, h): pieces[i, j, h] for i, j, h in pieces if h == i}
     spans = close_blocks(pieces, reversed_factors)
     assert sum(s.dimension for s in spans.values()) == 9
+
+
+# -- the closure under the pieces of a generating class set ---------------------------
+
+
+def assert_closes_as_under_every_piece(scheme, x):
+    """The closure under the pieces of ``generating_classes`` against the
+    closure under every piece: the same blocks and the same basis in each."""
+    pieces = starting_pieces(scheme, x)
+    expected = close_blocks(pieces, pieces)
+    actual = block_closure(scheme, x)
+    assert actual.keys() == expected.keys()
+    for key, span in expected.items():
+        assert actual[key].basis() == span.basis(), (x, key)
+
+
+@pytest.mark.parametrize("moduli", moduli_up_to(12), ids=str)
+def test_generating_closure_is_the_full_one_at_every_point(moduli):
+    scheme = wreath_of_cyclics(moduli)
+    assert scheme.generating_classes is not None
+    for x in range(scheme.order):
+        assert_closes_as_under_every_piece(scheme, x)
+
+
+@pytest.mark.parametrize("name", ["(2, 3, 4)", "(4, 4, 4) seed 1", "shrikhande"])
+def test_generating_closure_is_the_full_one_on_larger_tables(name):
+    # Every point of (2,3,4) and of Shrikhande, where the closure grows past
+    # the pieces, and x = 0 of the benchmark's relabelled (4,4,4) table.
+    scheme, points = {
+        "(2, 3, 4)": lambda: (wreath_of_cyclics((2, 3, 4)), range(24)),
+        "(4, 4, 4) seed 1": lambda: (relabelled((4, 4, 4), 1), [0]),
+        "shrikhande": lambda: (example_schemes()["shrikhande"], range(16)),
+    }[name]()
+    for x in points:
+        assert_closes_as_under_every_piece(scheme, x)
+
+
+@pytest.mark.parametrize(
+    "name, classes",
+    [
+        ((2, 3), (1, 2)),
+        ((3, 3), (1, 3)),
+        ((2, 3, 4), (1, 2, 4)),
+        ((4, 4, 4), (1, 4, 7)),
+        ((64,), (1,)),
+        ((31, 2), (1, 31)),
+        ((2, 2, 2, 2, 2, 2), (1, 2, 3, 4, 5, 6)),
+        ("shrikhande", (1,)),
+        ("broken", None),
+        ("moved-pair", None),
+    ],
+    ids=str,
+)
+def test_generating_classes(name, classes):
+    # one generator per level of a wreath, the first label of the level;
+    # None where the intersection numbers are not well defined
+    scheme = {"shrikhande": lambda: example_schemes()["shrikhande"], "broken": broken_table,
+              "moved-pair": moved_pair_table}.get(name, lambda: wreath_of_cyclics(name))()
+    assert scheme.generating_classes == classes
+
+
+def test_generating_classes_without_a_certificate():
+    # an empty relation, found before any c x c grid is counted, and a
+    # class 0 that is not the identity relation, under which the words stay
+    # below c
+    empty = Scheme([[0, 1], [1, 0]], classes=3)
+    assert empty.generating_classes is None
+    assert empty._pnums is None
+    assert Scheme([[1, 0], [0, 1]]).generating_classes is None
+    assert Scheme([[0]]).generating_classes == ()
+
+
+def words_by_products(scheme, classes) -> int:
+    """The dimension of the span of the words in the n x n A_j, j in
+    ``classes``, the identity included."""
+    generators = [ExactMatrix.identity(scheme.order)]
+    return product_closure(generators + [scheme.adjacency_matrix(j) for j in classes]).dimension
+
+
+def test_certificate_level_refuses_a_class_set_that_does_not_generate():
+    # On (2,3), A_1 alone spans I and A_1; on Shrikhande wr C_2, A_3 (the
+    # C_2 class) alone spans I, A_3 and J - I - A_3.  The certificate's span
+    # of coefficient columns has the dimension of the n x n words.
+    for scheme, short, full in [
+        (wreath_of_cyclics((2, 3)), (1,), (1, 2)),
+        (wreath_product(example_schemes()["shrikhande"], cyclic_scheme(2)), (3,), (1, 3)),
+    ]:
+        assert scheme.generating_classes == full
+        assert scheme._word_span(short).dimension == words_by_products(scheme, short) < scheme.classes
+        assert scheme._word_span(full).dimension == words_by_products(scheme, full) == scheme.classes
+
+
+def test_closure_under_a_class_set_that_does_not_generate_falls_short():
+    # Shrikhande wr C_2 at x = 0: the certificate's {1, 3} reaches 29, the
+    # 24 pieces alone and the pieces of A_3 alone do not grow.
+    scheme = wreath_product(example_schemes()["shrikhande"], cyclic_scheme(2))
+    pieces = starting_pieces(scheme, 0)
+    assert len(pieces) == 24
+    assert block_dimension(scheme, 0) == algebra_dimension(scheme, 0) == 29
+    only_3 = {key: piece for key, piece in pieces.items() if key[1] == 3}
+    assert sum(span.dimension for span in close_blocks(pieces, only_3).values()) == 24
+
+
+def test_pieces_alone_fall_short_on_a_table_that_is_not_triply_regular():
+    shrikhande = example_schemes()["shrikhande"]
+    pieces = starting_pieces(shrikhande, 0)
+    assert sum(span.dimension for span in close_blocks(pieces, {}).values()) == 15
+    assert block_dimension(shrikhande, 0) == 20
+
+
+def closure_census(monkeypatch, scheme, x):
+    """The factors the block closure at x passes, and the products it forms."""
+    factors, products = [], []
+    close = terwilliger.close_blocks
+    monkeypatch.setattr(terwilliger, "close_blocks",
+                        lambda pieces, acting: factors.append(acting) or close(pieces, acting))
+    multiply = ExactMatrix.__mul__
+    monkeypatch.setattr(ExactMatrix, "__mul__", lambda a, b: products.append(1) or multiply(a, b))
+    spans = block_closure(scheme, x)
+    return sum(span.dimension for span in spans.values()), factors[0], len(products)
+
+
+@pytest.mark.parametrize("seed", [None, 1])
+def test_closure_census_at_4_4_4(monkeypatch, seed):
+    # 468 products under the pieces of A_1, A_4 and A_7; none is E*_i
+    scheme = wreath_of_cyclics((4, 4, 4)) if seed is None else relabelled((4, 4, 4), seed)
+    dim, factors, products = closure_census(monkeypatch, scheme, 0)
+    assert (dim, products) == (127, 468)
+    assert {j for _, j, _ in factors} == {1, 4, 7}
+
+
+def test_broken_table_closes_under_every_piece(monkeypatch):
+    for x in range(4):
+        with monkeypatch.context() as patch:
+            dim, factors, _ = closure_census(patch, BROKEN, x)
+        assert dim == 10
+        assert factors == starting_pieces(BROKEN, x)

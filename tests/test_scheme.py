@@ -2,7 +2,15 @@ import random
 import tracemalloc
 
 import pytest
-from reference import brute_intersection, commutes_by_products, example_schemes, moved_pair_table
+from reference import (
+    broken_table,
+    brute_intersection,
+    commutes_by_products,
+    example_schemes,
+    intersection_data_by_counts,
+    moduli_up_to,
+    moved_pair_table,
+)
 
 from wreathalg import (
     AxiomViolation,
@@ -101,6 +109,37 @@ def test_regularity_witness_is_the_first_inconsistent_pair():
         with pytest.raises(AxiomViolation) as raised:
             read()
         assert str(raised.value) == witness
+
+
+def _random_table(seed):
+    # random symmetric labels off the diagonal: mostly no scheme
+    rng = random.Random(seed)
+    n = 5 + seed % 3
+    table = [[0] * n for _ in range(n)]
+    for y in range(n):
+        for z in range(y):
+            table[y][z] = table[z][y] = rng.randrange(1, 3)
+    return Scheme(table, classes=3)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [*moduli_up_to(12), "shrikhande", "s3", "broken", "moved-pair", *(f"random-{s}" for s in range(6))],
+    ids=str,
+)
+def test_intersection_data_matches_the_count_grids(name):
+    # the sorted-code count against one c x c grid per pair: the whole
+    # tensor, the relations counted before a witness included, and the witness
+    if isinstance(name, tuple):
+        scheme = wreath_of_cyclics(name)
+    elif name.startswith("random-"):
+        scheme = _random_table(int(name.split("-")[1]))
+    else:
+        scheme = {"broken": broken_table, "moved-pair": moved_pair_table}.get(
+            name, lambda: example_schemes()[name])()
+    scheme._compute_intersection_data()
+    assert (scheme._pnums, scheme._pnum_witness) == intersection_data_by_counts(scheme)
+    assert (scheme._pnum_witness is None) == (isinstance(name, tuple) or name in ("shrikhande", "s3"))
 
 
 def test_adjacency_identity_and_partition():

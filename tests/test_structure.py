@@ -984,6 +984,25 @@ def test_matrix_unit_law_fails_on_overlapping_spheres():
         dataclasses.replace(units, spheres=(units.spheres[0], (), units.spheres[2]))
 
 
+def _unequal_valency_table():
+    # (2,2) with t[2][0] = 1: row 2 holds two labels 1, row 0 one
+    intact = wreath_of_cyclics((2, 2))
+    table = [list(row) for row in intact.table]
+    table[2][0] = 1
+    return Scheme(table, classes=intact.classes)
+
+
+def test_unequal_valencies_fail_the_checks_that_read_them():
+    # unit-support passes, since the units read |S_b| at x; the checks that
+    # read a valency fail with the scheme's witness, in place of raising
+    point = BasePoint(_unequal_valency_table(), (2, 2), 0, {})
+    assert point.result("unit-support").passed
+    for name in ("ag-forms", "f-family", "span-accounting"):
+        assert point.result(name) == CheckResult(
+            name, False, "neighborhood sizes differ between vertices 0 and 2"
+        )
+
+
 # Every negative control on a base point: its maker, and the registered
 # checks that fail there.
 CONTROLS = {
@@ -995,6 +1014,8 @@ CONTROLS = {
     "path": (lambda: BasePoint(Scheme([[0, 1, 2, 2], [1, 0, 1, 2], [2, 1, 0, 1], [2, 2, 1, 0]]),
                                None, 0, {}), ("primary-module",)),
     "dimension-11": (lambda: _with(_point((2, 2), 0), dim=11), ("dimension",)),
+    "unequal-valencies": (lambda: BasePoint(_unequal_valency_table(), (2, 2), 0, {}),
+                          ("ag-forms", "f-family", "span-accounting")),
     "no-idempotents": (lambda: _with(_point((2, 2), 0),
                                      idempotents=CentralIdempotentFamily((2, 2), 0)),
                        ("span-accounting",)),

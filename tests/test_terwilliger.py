@@ -11,6 +11,7 @@ from reference import (
     standard_generators,
     t0_dimension,
     t0_span,
+    triple_intersection,
     triple_product,
     triply_regular_by_counts,
     wreath_context,
@@ -28,7 +29,6 @@ from wreathalg import (
     check_triply_regular,
     cyclic_scheme,
     rational,
-    triple_intersection,
     wreath_of_cyclics,
 )
 from wreathalg.structure import run_point_checks
