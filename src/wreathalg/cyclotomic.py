@@ -170,11 +170,6 @@ class CycloNum:
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
-
     def __bool__(self) -> bool:
         return not self.is_zero()
 

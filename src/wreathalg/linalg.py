@@ -217,15 +217,6 @@ class ExactMatrix:
     def ones(cls, rows: int, cols: int) -> "ExactMatrix":
         return cls._packed(rows, cols, 1, 1, 1, _MIN_WIDTH, [[_pack([1] * cols, _MIN_WIDTH)] * rows])
 
-    @classmethod
-    def block_ones(cls, rows: int, cols: int, row_set, col_set) -> "ExactMatrix":
-        """The 0/1 matrix that is one on ``row_set`` x ``col_set``: u v^T for
-        the indicator columns u and v of the two sets."""
-        line = sum(1 << (_MIN_WIDTH * j) for j in col_set)
-        inside = set(row_set)
-        return cls._packed(rows, cols, 1, 1, 1, _MIN_WIDTH,
-                           [[line if i in inside else 0 for i in range(rows)]])
-
     # -- decoding -----------------------------------------------------------------
 
     def _decoded(self) -> list[list[list[int]]]:

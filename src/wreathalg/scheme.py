@@ -70,8 +70,8 @@ class Scheme:
     """An association scheme (or candidate) on vertices 0..order-1."""
 
     def __init__(self, table, classes: int | None = None):
-        # Immutable, so the cached adjacency matrices, valencies and
-        # parameters (and the shared cached schemes) cannot go stale.
+        # Immutable, so the cached valencies and parameters (and the shared
+        # cached schemes) cannot go stale.
         table = tuple(tuple(row) for row in table)
         order = len(table)
         if order == 0 or any(len(row) != order for row in table):
@@ -86,7 +86,6 @@ class Scheme:
         self._label_witness = None if top < self.classes else next(
             f"classify({x},{y}) = {c} outside 0..{self.classes - 1}"
             for x, row in enumerate(table) for y, c in enumerate(row) if c >= self.classes)
-        self._adjacency: dict[int, ExactMatrix] = {}
         self._valencies: list[int] | None = None
         self._pnums = None
         self._pnum_witness: str | None = None
@@ -98,11 +97,6 @@ class Scheme:
 
     def classify(self, x: int, y: int) -> int:
         return self.table[x][y]
-
-    def related(self, x: int, i: int) -> list[int]:
-        """All y with (x, y) in relation i."""
-        row = self.table[x]
-        return [y for y in range(self.order) if row[y] == i]
 
     # -- axiom verification ---------------------------------------------------
 
@@ -217,12 +211,10 @@ class Scheme:
         """Classes J whose A_j generate the span of all the A_j as an
         algebra, or None where no such set is certified.
 
-        The labels j = 1..c-1 are walked in order, and j joins J only where
-        A_j is not yet in the span of the words in A_J applied to A_0
-        (``_word_span``), which is then closed again.  Where A_0 = I, a span
-        of dimension c holds every A_j, so the words in A_J span them all.
-        None where the intersection numbers are not well defined, a relation
-        is empty, or the span stays below c.
+        J is chosen greedily from the labels 1..c-1 (``_word_span``).  Where
+        A_0 = I, a span of dimension c holds every A_j, so the words in A_J
+        span them all.  None where the intersection numbers are not well
+        defined, a relation is empty, or the span stays below c.
         """
         c = self.classes
         if len(set().union(*self.table)) < c:
@@ -230,40 +222,53 @@ class Scheme:
         self._compute_intersection_data()
         if self._pnum_witness is not None:
             return None
-        classes: list[int] = []
-        span = self._word_span(classes)
-        for j in range(1, c):
-            if span.dimension == c:
-                break
-            if not span.contains(_column([int(h == j) for h in range(c)])):
-                classes.append(j)
-                span = self._word_span(classes)
+        classes, span = self._word_span(range(1, c))
         return tuple(classes) if span.dimension == c else None
 
-    def _word_span(self, classes) -> ExactSpan:
-        """The span of the words in the A_j, j in ``classes``, applied to
-        A_0, as the c x 1 columns of their coefficients over the A_h: the
-        closure of the column of A_0 under the maps
-        A_g sum_m v_m A_m = sum_h (sum_m v_m p^h_gm) A_h."""
+    def _word_span(self, candidates) -> tuple[list[int], ExactSpan]:
+        """Classes J among ``candidates`` and the span of the words in the
+        A_j, j in J, applied to A_0, as the c x 1 columns of their
+        coefficients over the A_h: the closure of the column of A_0 under the
+        maps A_g sum_m v_m A_m = sum_h (sum_m v_m p^h_gm) A_h.
+
+        Each candidate j in turn, until the span has dimension c, joins J
+        where A_j is not yet in the span (if it is, the span, an algebra, is
+        closed under A_j already).  When g joins, each word is walked under
+        the maps it has not been walked under: the words so far under A_g
+        alone, each new word under all of A_J.  So the span holds the words
+        and is closed under each map, as the closure of J from scratch is.
+        """
         self._compute_intersection_data()
         if self._pnum_witness is not None:
             raise AxiomViolation(self._pnum_witness)
         c = self.classes
-        # terms[g][m]: the nonzero (h, p^h_gm) of A_g A_m, one g per class
-        terms = [[[(h, grid[g][m]) for h, grid in enumerate(self._pnums) if grid and grid[g][m]]
-                  for m in range(c)] for g in classes]
+        grids = [(h, grid) for h, grid in enumerate(self._pnums) if grid]
         words = [[1] + [0] * (c - 1)]
         span = ExactSpan.from_matrices([_column(words[0])])
-        for vector in words:  # words grows while it is walked
-            for acting in terms:
-                image = [0] * c
-                for m, v in enumerate(vector):
-                    if v:
-                        for h, p in acting[m]:
-                            image[h] += v * p
-                if span.insert(_column(image)):
-                    words.append(image)
-        return span
+        applied = [0]  # per word, how many maps of ``acting`` it has been walked under
+        classes: list[int] = []
+        acting: list[list[list[tuple[int, int]]]] = []  # [g][m]: the nonzero (h, p^h_gm)
+        for g in candidates:
+            if span.dimension == c:
+                break
+            if span.contains(_column([int(h == g) for h in range(c)])):
+                continue
+            classes.append(g)
+            acting.append([[(h, grid[g][m]) for h, grid in grids if grid[g][m]] for m in range(c)])
+            w = 0
+            while w < len(words):  # words grows while it is walked
+                for terms in acting[applied[w]:]:
+                    image = [0] * c
+                    for m, v in enumerate(words[w]):
+                        if v:
+                            for h, p in terms[m]:
+                                image[h] += v * p
+                    if span.insert(_column(image)):
+                        words.append(image)
+                        applied.append(0)
+                applied[w] = len(acting)
+                w += 1
+        return classes, span
 
     def intersection_number(self, i: int, j: int, h: int) -> int:
         """|{z : (x,z) in R_i, (z,y) in R_j}| for any (x,y) in R_h.
@@ -297,14 +302,11 @@ class Scheme:
         return self.valencies()[i]
 
     def adjacency_matrix(self, i: int) -> ExactMatrix:
+        """The n x n 0/1 matrix A_i, built on each call: no check reads it,
+        only ``export --matrices`` and the references of the tests."""
         if not 0 <= i < self.classes:
             raise ValueError("class index out of range")
-        if i not in self._adjacency:
-            mat = ExactMatrix.from_rows(
-                [[1 if c == i else 0 for c in row] for row in self.table]
-            )
-            self._adjacency[i] = mat
-        return self._adjacency[i]
+        return ExactMatrix.from_rows([[int(c == i) for c in row] for row in self.table])
 
     def is_commutative(self) -> bool:
         """Whether all adjacency matrices commute.

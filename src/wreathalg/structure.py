@@ -11,12 +11,11 @@ of S_a, n_b = |S_b|), so its rank k^2 is a property of the type.
 ``build_matrix_units`` certifies each unit against that form from its
 piece, once per base point; a point where a piece differs has no family,
 and every unit check fails there.  The unit checks read a family through
-the k indicator columns alone: the product law, the adjacency action, the
-ideal and commutator memberships and the idempotents' annihilation of the
-units become exact matrix-vector identities.  A central idempotent lies in
-one sphere block and is held as that block.  The final decomposition
-report certifies the dimension count against the block closure oracle
-from :mod:`wreathalg.terwilliger`.
+the k indicator columns alone, and an A_j through the row and column sums
+of its pieces or the intersection tensor, with no n x n product.  A central
+idempotent lies in one sphere block and is held as that block.  The final
+decomposition report certifies the dimension count against the block
+closure oracle from :mod:`wreathalg.terwilliger`.
 
 ``run_point_checks`` is the one runner, and the one clock, of every check;
 ``DecompReport.to_dict`` is the one report header.
@@ -35,11 +34,14 @@ from .linalg import ExactMatrix, ExactSpan
 from .scheme import AxiomViolation, CheckResult, Scheme
 from .terwilliger import (
     _closure,
+    _commutator_constant,
     _require_wreath,
     _spheres,
+    _uneven,
     check_primary_module,
     check_triple_list,
     check_triply_regular,
+    piece_sums,
     starting_pieces,
 )
 from .wreath import (
@@ -102,7 +104,7 @@ def dimension_formula(moduli) -> int:
 class MatrixUnitFamily:
     """The k^2 matrix units G_ab = u_a u_b^T / n_b of one base point, held as
     their k spheres: u_a is the 0/1 indicator column of the sphere S_a
-    (``spheres[a]``, vertices among 0..order-1) and n_b = |S_b|.
+    (``spheres[a]``, vertices of the scheme) and n_b = |S_b|.
 
     The spheres are nonempty and pairwise disjoint, or construction raises
     StructureError.  Then, with U the n x k matrix of columns u_a and W the
@@ -110,15 +112,14 @@ class MatrixUnitFamily:
     So P -> U P W is injective (W (U P W) U = P), and the units, the images
     of the k^2 standard units e_a e_b^T, have rank k^2.  A product with an
     n x n matrix M factors: M G_ab = (M u_a) w_b^T and G_ab M = u_a (w_b^T M),
-    so each unit check reads M U and W M in place of products with the
-    units; the product loops are the reference in tests/reference.py.
+    so each unit check reads M u_a and u_b^T M, for M = A_j the sums of its
+    pieces (``BasePoint.sums``); the product loops are in tests/reference.py.
     """
 
     moduli: tuple[int, ...]
     base_point: int
     indices: tuple[WreathIndex, ...]
     spheres: tuple[tuple[int, ...], ...]
-    order: int
 
     def __post_init__(self):
         owner: dict[int, int] = {}
@@ -132,23 +133,6 @@ class MatrixUnitFamily:
                         f"x={self.base_point}: G[{owner[y]},{owner[y]}]G[{b},{b}] is not zero"
                     )
                 owner[y] = b
-
-    @cached_property
-    def u(self) -> ExactMatrix:
-        """The n x k indicator matrix U."""
-        return ExactMatrix.from_rows(
-            [[int(y in sphere) for sphere in self.spheres] for y in range(self.order)])
-
-    @cached_property
-    def w(self) -> ExactMatrix:
-        """The k x n matrix W of rows u_b^T / n_b."""
-        return ExactMatrix.from_rows([[Fraction(int(y in sphere), len(sphere))
-                                       for y in range(self.order)] for sphere in self.spheres])
-
-    def matrix(self, a, b) -> ExactMatrix:
-        """The unit G_ab, built on demand; a and b are flat indices or WreathIndex."""
-        sa, sb = (self.spheres[i.flat if isinstance(i, WreathIndex) else i] for i in (a, b))
-        return ExactMatrix.block_ones(self.order, self.order, sa, sb).scaled(Fraction(1, len(sb)))
 
     @property
     def keys(self) -> list[tuple[int, int]]:
@@ -169,8 +153,8 @@ def build_matrix_units(point: BasePoint) -> MatrixUnitFamily:
 
     Each (a, b) member, the sandwich E_a M E_b / n_b with n_b = |S_b| at x
     and M the adjacency matrix of the higher level (or the all-ones J on
-    equal levels), must equal ``family.matrix(a, b)``: 1/n_b on the (a, b)
-    block and zero elsewhere.  The sandwich is M's (a, b) block: the piece
+    equal levels), must equal the unit G_ab: 1/n_b on the (a, b) block and
+    zero elsewhere.  The sandwich is M's (a, b) block: the piece
     (a, b, b) for a.level < b.level, the piece (b, a, a) transposed for
     a.level > b.level (M = A_a^T), and all ones by construction on equal
     levels.  So a member matches iff its piece is present and all ones, and
@@ -179,9 +163,7 @@ def build_matrix_units(point: BasePoint) -> MatrixUnitFamily:
     moduli = _require_wreath(point)
     indices = class_indices(moduli)
     family = MatrixUnitFamily(
-        moduli, point.x, indices,
-        tuple(tuple(point.spheres[a.flat]) for a in indices), point.scheme.order,
-    )
+        moduli, point.x, indices, tuple(tuple(point.spheres[a.flat]) for a in indices))
     for a in indices:
         for b in indices:
             if a.level == b.level:
@@ -194,10 +176,6 @@ def build_matrix_units(point: BasePoint) -> MatrixUnitFamily:
 
 
 # -- the factored unit checks -------------------------------------------------------------
-
-
-def _nonzero_columns(mat: ExactMatrix) -> set[int]:
-    return set(mat.transpose().nonzero_rows())
 
 
 def _first_off(pairs, left_off, right_off) -> int | None:
@@ -228,19 +206,20 @@ def check_adjacency_action(point: BasePoint, units: MatrixUnitFamily) -> CheckRe
     A G_ab = (A u_a) w_b^T and a closed form sum_r c_r G_rb is
     (sum_r c_r u_r) w_b^T, so the left forms hold for every b iff
     A u_a = sum_r c_r u_r: for all a at once, A U = U C with C the k x k
-    matrix of the c_r.  Likewise on the right, W A = D W.  A failure names
-    the first (a, b), in the order of the 2k^3 products ``checked`` counts,
-    whose product breaks its form.
+    matrix of the c_r.  Likewise on the right, W A = D W.  On S_h, A u_a is
+    the row sums of the piece (h, A, a), each C[h][a], and u_b^T A the
+    column sums s of (b, A, h), each with s n_h = D[b][h] n_b.  A failure
+    names the first (a, b), in the order of the 2k^3 products ``checked``
+    counts, whose product breaks its form.
     """
     moduli = _require_wreath(point)
-    u, w = units.u, units.w
+    sizes = [len(sphere) for sphere in point.spheres]
     scheme = point.scheme
     indices = units.indices
     k = len(indices)
     pairs = units.keys
     checked = 0
     for hx in indices:
-        adj = scheme.adjacency_matrix(hx.flat)
         n_hx = scheme.valency(hx.flat)
         left = [[0] * k for _ in range(k)]  # column a: A u_a in the u_r
         right = [[0] * k for _ in range(k)]  # row b: w_b^T A in the w_r^T
@@ -277,19 +256,21 @@ def check_adjacency_action(point: BasePoint, units: MatrixUnitFamily) -> CheckRe
                         right[b.flat][r.flat] = scheme.valency(r.flat)
             else:
                 right[b.flat][hx.flat] = n_hx
-        left_off = _nonzero_columns(adj * u - u * ExactMatrix.from_rows(left))
-        right_off = set((w * adj - ExactMatrix.from_rows(right) * w).nonzero_rows())
+        sums = point.sums[hx.flat]  # an absent piece has sums 0
+        left_off = {a for (h, a), (rows, _) in sums.items() if any(s != left[h][a] for s in rows)}
+        left_off.update(a for h in range(k) for a in range(k)
+                        if left[h][a] and sizes[h] and (h, a) not in sums)
+        right_off = {b for (b, h), (_, cols) in sums.items()
+                     if any(s * sizes[h] != right[b][h] * sizes[b] for s in cols)}
+        right_off.update(b for b in range(k) for h in range(k)
+                         if right[b][h] and sizes[b] and sizes[h] and (b, h) not in sums)
         first = _first_off(pairs, left_off, right_off)
         if first is not None:
             a, b = indices[pairs[first][0]], indices[pairs[first][1]]
             on_left = a.flat in left_off
             product = f"A[{hx}] * G[{a},{b}]" if on_left else f"G[{a},{b}] * A[{hx}]"
-            return CheckResult(
-                "ag-forms",
-                False,
-                f"x={point.x}: {product} does not match the closed form",
-                checked + 2 * first + (1 if on_left else 2),
-            )
+            witness = f"x={point.x}: {product} does not match the closed form"
+            return CheckResult("ag-forms", False, witness, checked + 2 * first + (1 if on_left else 2))
         checked += 2 * len(pairs)
     return CheckResult("ag-forms", True, None, checked)
 
@@ -514,7 +495,7 @@ def check_central_idempotents(
             checked += 2  # E_j F and F E_j
         u_a = ExactMatrix.from_rows(
             [[int(y in sphere) for sphere in unit_spheres] for y in point.spheres[ka]])
-        first = _first_off(keys, _nonzero_columns(mat * u_a),
+        first = _first_off(keys, set((mat * u_a).transpose().nonzero_rows()),
                            set((u_a.transpose() * mat).nonzero_rows()))
         if first is not None:
             return CheckResult(
@@ -620,7 +601,7 @@ class BasePoint:
 
     E*_i is the sphere S_i (``spheres``), and each nonzero E*_i A_j E*_h is
     its 0/1 piece (``pieces``, keyed (i, j, h)), which the closure starts
-    from too; the n x n A_j are the scheme's own, cached there.
+    from too, and their row and column sums (``sums``).
 
     ``moduli`` is None for an ingested table.  ``seen`` is shared by all
     points of one run: the oracle dimensions under ``"dims"``, in the order
@@ -644,6 +625,10 @@ class BasePoint:
     @cached_property
     def pieces(self) -> dict[tuple[int, int, int], ExactMatrix]:
         return starting_pieces(self.scheme, self.x)
+
+    @cached_property
+    def sums(self) -> list[dict[tuple[int, int], tuple[list[int], list[int]]]]:
+        return piece_sums(self.scheme, self.x)
 
     @cached_property
     def closure(self) -> dict[tuple[int, int], ExactSpan]:
@@ -767,61 +752,52 @@ def _unit_rank(point: BasePoint) -> CheckResult:
 
 def _unit_ideal(point: BasePoint) -> CheckResult:
     # g G_ab = (g u_a) w_b^T lies in the unit span {U P W} iff g u_a lies in
-    # span{u_c}, and G_ab g = u_a (w_b^T g) iff w_b^T g lies in span{w_c^T}:
-    # for every a and b at once, g U = U P and W g = P W, with P = W g U.
+    # span{u_c}, and G_ab g = u_a (w_b^T g) iff u_b^T g lies in span{u_c^T}:
+    # for g = A_j, iff A_j u_a, or u_b^T A_j, is constant on every sphere.
     # The generators are the A_j, then the E*_j; E*_j G_ab and G_ab E*_j are
     # G_ab or zero, so the E*_j pass by construction, and their products are
     # counted after those of the A_j.
-    u, w, keys = point.units.u, point.units.w, point.units.keys
+    keys = point.units.keys
     classes = point.scheme.classes
     checked = 0
     for j in range(classes):
-        gen = point.scheme.adjacency_matrix(j)
-        gu, wg = gen * u, w * gen
-        p = w * gu
-        first = _first_off(keys, _nonzero_columns(gu - u * p), set((wg - p * w).nonzero_rows()))
+        first = _first_off(keys, _uneven(point, j), _uneven(point, j, columns=True))
         if first is not None:
-            return CheckResult(
-                "unit-ideal",
-                False,
-                f"x={point.x}: a generator-unit product leaves the unit span",
-                checked + 2 * first + 2,
-            )
+            witness = f"x={point.x}: a generator-unit product leaves the unit span"
+            return CheckResult("unit-ideal", False, witness, checked + 2 * first + 2)
         checked += 2 * len(keys)
     return CheckResult("unit-ideal", True, None, checked + classes * 2 * len(keys))
 
 
 def _quotient_commutes(point: BasePoint) -> CheckResult:
     # A matrix c lies in the unit span {U P W} iff c = U (W c U) W: iff it is
-    # constant on every block S_a x S_b and zero off them.  The generators
-    # are the A_i, then the E*_j, and their commutators are taken in pair
-    # order.  [A_i, E*_j] is piece(h, i, j) on block (h, j) and
-    # -piece(j, i, h) on block (j, h), for h != j, and zero elsewhere: it
-    # lies in the span iff each of those pieces present is all ones.
-    # [E*_i, E*_j] = 0.  Only the [A_i, A_k] are formed.
-    u, w = point.units.u, point.units.w
-    classes = point.scheme.classes
-    adjacency = [point.scheme.adjacency_matrix(i) for i in range(classes)]
+    # constant on every block S_a x S_b.  The generators are the A_i, then
+    # the E*_j, and their commutators are taken in pair order.  Where the
+    # intersection numbers are well defined, A_i A_k = sum_h p^h_ik A_h, so
+    # on a commutative scheme [A_i, A_k] = 0; elsewhere it is formed block
+    # by block from the pieces (``_commutator_constant``).
+    # [A_i, E*_j] is piece(h, i, j) on block (h, j) and -piece(j, i, h) on
+    # block (j, h), for h != j, and zero elsewhere: it lies in the span iff
+    # each of those pieces present is all ones.  [E*_i, E*_j] = 0.
+    point.units
+    scheme, classes = point.scheme, point.scheme.classes
+    scheme._compute_intersection_data()
+    commutative = scheme._pnum_witness is None and scheme.is_commutative()
     leaves = {key for (h, i, j), piece in point.pieces.items() if h != j and not _all_ones(piece)
               for key in ((i, j), (i, h))}
 
     def verdicts():
-        for i, a_i in enumerate(adjacency):
-            for a_k in adjacency[i + 1:]:
-                commutator = a_i * a_k - a_k * a_i
-                yield commutator == u * (w * commutator * u) * w
+        for i in range(classes):
+            for k in range(i + 1, classes):
+                yield commutative or _commutator_constant(point.pieces, i, k)
             yield from ((i, j) not in leaves for j in range(classes))
         yield from repeat(True, classes * (classes - 1) // 2)
 
     checked = 0
     for checked, inside in enumerate(verdicts(), 1):
         if not inside:
-            return CheckResult(
-                "quotient-commutes",
-                False,
-                f"x={point.x}: a generator commutator leaves the unit span",
-                checked,
-            )
+            witness = f"x={point.x}: a generator commutator leaves the unit span"
+            return CheckResult("quotient-commutes", False, witness, checked)
     return CheckResult("quotient-commutes", True, None, checked)
 
 

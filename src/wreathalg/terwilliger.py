@@ -5,10 +5,11 @@ the adjacency matrices together with the diagonal projections E*_i onto the
 spheres S_i around x.  A product with E*_i selects the rows or the columns
 in S_i, so E*_i is held as its sphere, and each E*_i A_j E*_h as its 0/1
 piece, the |S_i| x |S_h| block of the pairs labelled j, read from the class
-table (``starting_pieces``).  The dimension of T is computed block by block,
-by an exact-span fixpoint on the pieces E*_i T E*_k (``block_closure``), and
-serves as the oracle that every structural claim in
-:mod:`wreathalg.structure` is checked against.  Which pieces are present,
+table (``starting_pieces``), as are its row and column sums, the products
+of A_j with the sphere indicators on either side (``piece_sums``).  The
+dimension of T is computed block by block, by an exact-span fixpoint on
+the pieces E*_i T E*_k (``block_closure``), and serves as the oracle that
+every structural claim in :mod:`wreathalg.structure` is checked against.  Which pieces are present,
 and so dim T_0, is read from the table, and so is the triple-regularity
 sweep, which the pipeline cross-checks.  The n x n references these are
 tested against (the dual idempotents, the flat closure of whole n x n words
@@ -30,6 +31,7 @@ __all__ = [
     "predict_triple_nonzero",
     "check_triple_list",
     "starting_pieces",
+    "piece_sums",
     "close_blocks",
     "block_closure",
     "check_triply_regular",
@@ -126,6 +128,51 @@ def starting_pieces(scheme: Scheme, base_point: int) -> dict[tuple[int, int, int
         (i, j, h): ExactMatrix.from_rows([[int(t[y][z] == j) for z in spheres[h]] for y in spheres[i]])
         for i, j, h in sorted(label_triples(scheme, base_point))
     }
+
+
+def piece_sums(scheme: Scheme, base_point: int) -> list[dict[tuple[int, int], tuple[list[int], list[int]]]]:
+    """The row sums over S_i and the column sums over S_h of each piece
+    E*_i A_j E*_h at x, as ``sums[j][i, h]``, from one pass over the class
+    table; an absent piece has none.  With u_i the indicator column of S_i,
+    they are the entries of A_j u_h in S_i and of u_i^T A_j in S_h."""
+    spheres, t = _spheres(scheme, base_point), scheme.table
+    labels = t[base_point]
+    place = {y: k for sphere in spheres for k, y in enumerate(sphere)}
+    sums: list[dict[tuple[int, int], tuple[list[int], list[int]]]] = [{} for _ in spheres]
+    for y, row in enumerate(t):
+        for z, j in enumerate(row):
+            i, h = labels[y], labels[z]
+            rows, cols = sums[j].setdefault((i, h), ([0] * len(spheres[i]), [0] * len(spheres[h])))
+            rows[place[y]] += 1
+            cols[place[z]] += 1
+    return sums
+
+
+def _uneven(point, j: int, columns: bool = False) -> set[int]:
+    """The a for which A_j u_a is not constant on every sphere, u_a the
+    indicator column of S_a: those of the pieces (h, j, a) whose row sums
+    differ (an absent piece is zero).  With ``columns``, the b for which
+    u_b^T A_j is not, read off the column sums of the pieces (b, j, h)."""
+    return {i if columns else h for (i, h), (rows, cols) in point.sums[j].items()
+            if len(set(cols if columns else rows)) > 1}
+
+
+def _commutator_constant(pieces, i: int, k: int) -> bool:
+    """Whether [A_i, A_k] is constant on every sphere block (a, b), formed
+    block by block from ``pieces``, keyed as ``starting_pieces``: block
+    (a, b) is sum_h piece(a, i, h) piece(h, k, b) - piece(a, k, h) piece(h, i, b)."""
+    after: dict[tuple[int, int], list[tuple[int, ExactMatrix]]] = {}
+    for (a, j, h), piece in pieces.items():
+        after.setdefault((a, j), []).append((h, piece))
+    blocks: dict[tuple[int, int], ExactMatrix] = {}
+    for first, second, sign in ((i, k, 1), (k, i, -1)):
+        for (a, j), lefts in after.items():
+            for h, left in lefts if j == first else ():
+                for b, right in after.get((h, second), ()):
+                    term = (left * right).scaled(sign)
+                    blocks[a, b] = blocks[a, b] + term if (a, b) in blocks else term
+    return all(block == ExactMatrix.ones(block.rows, block.cols).scaled(block[0, 0])
+               for block in blocks.values())
 
 
 def close_blocks(pieces, factors) -> dict[tuple[int, int], ExactSpan]:
@@ -270,34 +317,21 @@ def _count_witness(t, key, first, other) -> str:
 
 
 def check_primary_module(point) -> CheckResult:
-    """The span of the sphere indicator vectors, n x 1 columns, must have
+    """The span of the sphere indicator vectors u_i, n x 1 columns, must have
     dimension d+1 and be carried into itself by every generator.
 
-    The generators are the A_j, then the E*_j.  E*_j maps the indicator of
-    S_j to itself and every other indicator to zero, so the E*_j pass by
-    construction, and ``checked`` counts their c^2 images after those of
-    the A_j."""
-    scheme = point.scheme
-    c = scheme.classes
-    labels = scheme.table[point.x]
-    indicators = [ExactMatrix.from_rows([[int(label == i)] for label in labels]) for i in range(c)]
-    span = ExactSpan.from_matrices(indicators)
-    if span.dimension != c:
-        return CheckResult(
-            "primary-module",
-            False,
-            f"x={point.x}: indicator span has dimension {span.dimension}, expected {c}",
-        )
-    checked = 0
+    The span has dimension c iff every sphere is nonempty, and holds A_j u_a
+    iff A_j u_a is constant on every sphere (``_uneven``).  The generators
+    are the A_j, then the E*_j, each applied to u_0 .. u_{c-1}.  E*_j maps
+    u_j to itself and every other u_i to zero, so the E*_j pass by
+    construction, and ``checked`` counts their c^2 images after the A_j's."""
+    c = point.scheme.classes
+    dimension = sum(1 for sphere in point.spheres if sphere)
+    if dimension != c:
+        witness = f"x={point.x}: indicator span has dimension {dimension}, expected {c}"
+        return CheckResult("primary-module", False, witness)
     for j in range(c):
-        adjacency = scheme.adjacency_matrix(j)
-        for column in indicators:
-            checked += 1
-            if not span.contains(adjacency * column):
-                return CheckResult(
-                    "primary-module",
-                    False,
-                    f"x={point.x}: a generator maps an indicator vector outside the span",
-                    checked,
-                )
-    return CheckResult("primary-module", True, None, checked + c * c)
+        if off := _uneven(point, j):
+            witness = f"x={point.x}: a generator maps an indicator vector outside the span"
+            return CheckResult("primary-module", False, witness, j * c + min(off) + 1)
+    return CheckResult("primary-module", True, None, 2 * c * c)

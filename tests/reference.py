@@ -25,11 +25,15 @@ of the code it checks.  None of them is on a CLI path.
   sorted-code count of ``Scheme``.
 - ``triple_intersection``: one triple intersection count by enumeration
   over the vertex set.
+- ``generating_classes_by_reclosure``: the greedy generating class set with
+  the word span closed again from scratch for every label that joins, the
+  reference of the grown span of ``Scheme.generating_classes``.
 - ``triply_regular_by_counts``: the triple-regularity sweep with a dict of
   label counts per tuple, the reference of the sorted-code sweep of
   ``check_triply_regular``.
-- ``unit_matrices``: the k^2 units of a family as n x n matrices, which
-  the unit references read.
+- ``block_ones``, ``unit_matrix`` and ``unit_matrices``: the k^2 units of
+  a family as n x n matrices, which the unit references read; the package
+  holds a family as its spheres and forms no unit.
 - ``units_by_products`` and ``idempotents_by_products``: the unit and
   idempotent families built from n x n sandwiches E_a M E_b, the reference
   of the piece-read builds of ``structure``; ``embedded`` puts a block back
@@ -316,6 +320,43 @@ def triple_intersection(scheme: Scheme, x: int, y: int, z: int, i: int, j: int, 
     return count
 
 
+def word_span_by_reclosure(scheme: Scheme, classes) -> ExactSpan:
+    """The span of the coefficient columns of the words in the A_j, j in
+    ``classes``, applied to A_0, closed from scratch."""
+    scheme._compute_intersection_data()
+    c = scheme.classes
+    # terms[g][m]: the nonzero (h, p^h_gm) of A_g A_m, one g per class
+    terms = [[[(h, grid[g][m]) for h, grid in enumerate(scheme._pnums) if grid and grid[g][m]]
+              for m in range(c)] for g in classes]
+    words = [[1] + [0] * (c - 1)]
+    span = ExactSpan.from_matrices([ExactMatrix.from_rows([[v] for v in words[0]])])
+    for vector in words:  # words grows while it is walked
+        for acting in terms:
+            image = [0] * c
+            for m, v in enumerate(vector):
+                if v:
+                    for h, p in acting[m]:
+                        image[h] += v * p
+            if span.insert(ExactMatrix.from_rows([[v] for v in image])):
+                words.append(image)
+    return span
+
+
+def generating_classes_by_reclosure(scheme: Scheme):
+    """The greedy generating class set, the word span closed again for every
+    label that joins, on a scheme whose intersection numbers are defined."""
+    c = scheme.classes
+    classes: list[int] = []
+    span = word_span_by_reclosure(scheme, classes)
+    for j in range(1, c):
+        if span.dimension == c:
+            break
+        if not span.contains(ExactMatrix.from_rows([[int(h == j)] for h in range(c)])):
+            classes.append(j)
+            span = word_span_by_reclosure(scheme, classes)
+    return tuple(classes) if span.dimension == c else None
+
+
 def commutes_by_products(scheme):
     """Every pair of adjacency matrices, multiplied exactly."""
     mats = [scheme.adjacency_matrix(i) for i in range(scheme.classes)]
@@ -368,9 +409,24 @@ def triply_regular_by_counts(scheme: Scheme, sweep_points=None) -> CheckResult:
 # -- the matrix-unit checks -----------------------------------------------------------
 
 
+def block_ones(rows: int, cols: int, row_set, col_set) -> ExactMatrix:
+    """The 0/1 matrix that is one on ``row_set`` x ``col_set``: u v^T for
+    the indicator columns u and v of the two sets."""
+    u = ExactMatrix.from_rows([[int(i in row_set)] for i in range(rows)])
+    return u * ExactMatrix.from_rows([[int(j in col_set) for j in range(cols)]])
+
+
+def unit_matrix(units: MatrixUnitFamily, a, b) -> ExactMatrix:
+    """The unit G_ab = u_a u_b^T / n_b of the family as an n x n matrix; a
+    and b are flat indices or WreathIndex."""
+    sa, sb = (units.spheres[i.flat if isinstance(i, WreathIndex) else i] for i in (a, b))
+    n = sum(map(len, units.spheres))  # the spheres cover the vertices
+    return block_ones(n, n, sa, sb).scaled(Fraction(1, len(sb)))
+
+
 def unit_matrices(units: MatrixUnitFamily) -> dict[tuple[int, int], ExactMatrix]:
     """Every unit of the family by its (a, b) key, in key order."""
-    return {key: units.matrix(*key) for key in units.keys}
+    return {key: unit_matrix(units, *key) for key in units.keys}
 
 
 def units_by_products(ctx: TerwilligerContext) -> MatrixUnitFamily:
@@ -383,9 +439,7 @@ def units_by_products(ctx: TerwilligerContext) -> MatrixUnitFamily:
     scheme = ctx.scheme
     indices = class_indices(moduli)
     family = MatrixUnitFamily(
-        moduli, ctx.base_point, indices,
-        tuple(tuple(ctx.spheres[a.flat]) for a in indices), scheme.order,
-    )
+        moduli, ctx.base_point, indices, tuple(tuple(ctx.spheres[a.flat]) for a in indices))
     ones = ExactMatrix.ones(scheme.order, scheme.order)
     for a in indices:
         ea = ctx.dual_idempotents[a.flat]
@@ -398,7 +452,7 @@ def units_by_products(ctx: TerwilligerContext) -> MatrixUnitFamily:
                 mat = (ea * ctx.adjacency[a.flat].transpose() * eb).scaled(Fraction(1, n_b))
             else:
                 mat = (ea * ones * eb).scaled(Fraction(1, n_b))
-            if mat != family.matrix(a, b):
+            if mat != unit_matrix(family, a, b):
                 raise StructureError(f"x={ctx.base_point}: G[{a.flat},{b.flat}] does not match "
                                      f"the closed form u_{a.flat} u_{b.flat}^T / n_{b.flat}")
     return family
@@ -664,9 +718,10 @@ def central_idempotents_by_products(
 
 def unit_ideal_by_membership(ctx: TerwilligerContext, units: MatrixUnitFamily) -> CheckResult:
     span = _unit_span(units)
+    matrices = unit_matrices(units).values()
     checked = 0
     for gen in standard_generators(ctx):
-        for unit in unit_matrices(units).values():
+        for unit in matrices:
             checked += 2
             if not span.contains(gen * unit) or not span.contains(unit * gen):
                 return CheckResult(

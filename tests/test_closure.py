@@ -26,6 +26,7 @@ from reference import (
     algebra_dimension,
     broken_table,
     example_schemes,
+    generating_classes_by_reclosure,
     idempotents_by_products,
     make_context,
     moduli_up_to,
@@ -291,6 +292,39 @@ def test_generating_classes_without_a_certificate():
     assert Scheme([[0]]).generating_classes == ()
 
 
+@pytest.mark.parametrize("moduli", moduli_up_to(24), ids=str)
+def test_grown_span_gives_the_reclosed_classes(moduli):
+    # a fresh scheme, so that neither route reads the other's cache
+    assert Scheme(wreath_of_cyclics(moduli).table).generating_classes == \
+        generating_classes_by_reclosure(wreath_of_cyclics(moduli))
+
+
+def test_grown_span_inserts_fewer_columns(monkeypatch):
+    # at (2,2,2,2,2,2) every label joins: closed again for each of them, the
+    # span takes 119 columns; grown, 43
+    inserts = []
+    insert = ExactSpan.insert
+    monkeypatch.setattr(ExactSpan, "insert", lambda span, mat: inserts.append(1) or insert(span, mat))
+    table = wreath_of_cyclics((2, 2, 2, 2, 2, 2)).table
+    assert generating_classes_by_reclosure(Scheme(table)) == (1, 2, 3, 4, 5, 6)
+    reclosed = len(inserts)
+    inserts.clear()
+    assert Scheme(table).generating_classes == (1, 2, 3, 4, 5, 6)
+    assert (reclosed, len(inserts)) == (119, 43)
+
+
+def test_grown_span_walks_each_joining_label_once(monkeypatch):
+    # 40 labels of which two are present, so the span stays at I and A_1
+    # and every label joins: each walks the two words once, 1 + 2 * 39
+    # columns, where closing again from scratch takes 1,600.  Read past the
+    # empty-relation early return of ``generating_classes``.
+    inserts = []
+    insert = ExactSpan.insert
+    monkeypatch.setattr(ExactSpan, "insert", lambda span, mat: inserts.append(1) or insert(span, mat))
+    classes, span = Scheme([[0, 1], [1, 0]], classes=40)._word_span(range(1, 40))
+    assert (classes, span.dimension, len(inserts)) == (list(range(1, 40)), 2, 1 + 2 * 39)
+
+
 def words_by_products(scheme, classes) -> int:
     """The dimension of the span of the words in the n x n A_j, j in
     ``classes``, the identity included."""
@@ -307,8 +341,8 @@ def test_certificate_level_refuses_a_class_set_that_does_not_generate():
         (wreath_product(example_schemes()["shrikhande"], cyclic_scheme(2)), (3,), (1, 3)),
     ]:
         assert scheme.generating_classes == full
-        assert scheme._word_span(short).dimension == words_by_products(scheme, short) < scheme.classes
-        assert scheme._word_span(full).dimension == words_by_products(scheme, full) == scheme.classes
+        assert scheme._word_span(short)[1].dimension == words_by_products(scheme, short) < scheme.classes
+        assert scheme._word_span(full)[1].dimension == words_by_products(scheme, full) == scheme.classes
 
 
 def test_closure_under_a_class_set_that_does_not_generate_falls_short():

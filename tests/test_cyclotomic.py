@@ -86,12 +86,20 @@ def test_sum_of_all_roots_is_zero():
         assert total.is_zero(), n
 
 
+def rational_value(value) -> Fraction:
+    """The rational number ``value`` is; ValueError where it is irrational."""
+    if not value.is_rational():
+        raise ValueError(f"{value!r} is not rational")
+    return value.coeffs[0]
+
+
 def test_rational_detection():
     assert rational(Fraction(2, 3)).is_rational()
     assert (zeta(3) + zeta(3, 2)).is_rational()
+    assert rational_value(zeta(3) + zeta(3, 2)) == -1
     assert not zeta(5).is_rational()
     with pytest.raises(ValueError):
-        zeta(5).rational_value()
+        rational_value(zeta(5))
 
 
 def _random_element(rng, conductor):

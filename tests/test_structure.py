@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from wreathalg import (
+    AxiomViolation,
     CentralIdempotentFamily,
     CheckResult,
     DecompReport,
@@ -44,6 +45,7 @@ from reference import (
     make_context,
     moduli_up_to,
     unit_matrices,
+    unit_matrix,
     wreath_context,
     wreath_point,
 )
@@ -60,11 +62,11 @@ def test_formula_helpers():
 
 def test_unit_family_small_entries():
     units = build_matrix_units(wreath_point([2, 2], 0))
-    g = units.matrix(1, 2)  # level 1 row, level 2 column
+    g = unit_matrix(units, 1, 2)  # level 1 row, level 2 column
     half = rational(Fraction(1, 2))
     assert g[1, 2] == half and g[1, 3] == half
     assert sum(1 for v in g.flat() if not v.is_zero()) == 2
-    g00 = units.matrix(0, 0)
+    g00 = unit_matrix(units, 0, 0)
     assert g00[0, 0] == rational(1)
     assert sum(1 for v in g00.flat() if not v.is_zero()) == 1
 
@@ -92,8 +94,8 @@ def test_matrix_unit_law():
 
 def test_matrix_unit_law_specific_products():
     units = build_matrix_units(wreath_point([2, 3], 0))
-    assert units.matrix(0, 2) * units.matrix(2, 3) == units.matrix(0, 3)
-    assert (units.matrix(0, 2) * units.matrix(3, 1)).is_zero()
+    assert unit_matrix(units, 0, 2) * unit_matrix(units, 2, 3) == unit_matrix(units, 0, 3)
+    assert (unit_matrix(units, 0, 2) * unit_matrix(units, 3, 1)).is_zero()
 
 
 def test_adjacency_action_closed_forms():
@@ -107,9 +109,9 @@ def test_adjacency_action_collapses_to_level_zero():
     point = wreath_point([2, 2], 0)
     units = build_matrix_units(point)
     # acting by the level-1 class on a level-1 row lands on the level-0 row
-    assert point.scheme.adjacency_matrix(1) * units.matrix(1, 0) == units.matrix(0, 0)
+    assert point.scheme.adjacency_matrix(1) * unit_matrix(units, 1, 0) == unit_matrix(units, 0, 0)
     # acting by a higher level reflects its offset
-    assert point.scheme.adjacency_matrix(2) * units.matrix(1, 0) == units.matrix(2, 0)
+    assert point.scheme.adjacency_matrix(2) * unit_matrix(units, 1, 0) == unit_matrix(units, 2, 0)
 
 
 def test_block_form():
@@ -806,7 +808,7 @@ def _shrunk_sphere(point, reference):
 def _spread_idempotent(unit):
     def change(point, reference):
         family = reference.idempotents
-        family.matrices[3, 1] = family.matrices[3, 1] + reference.units.matrix(*unit)
+        family.matrices[3, 1] = family.matrices[3, 1] + unit_matrix(reference.units, *unit)
 
     return change
 
@@ -882,6 +884,10 @@ EDITED_POINTS = {
     # in the unit span, and [A_2, E*_2] leaves it first, through the piece
     # (2, 2, 3) = [[0, 1], [1, 0]] on its block (2, 3)
     "perturbed-commutator": (_edited_point((2, 3), 0, [(2, 0, 4), (3, 0, 5)]), ()),
+    # labels 1 and 2 exchanged in row 2 of (3,2): at x=0 the piece (2, 1, 0)
+    # is gone, so A_1 u_0 is 0 on S_2 where its closed form is 1, and the
+    # piece (2, 1, 1) that gains the label breaks the form of a later unit
+    "absent-piece": (_edited_point((3, 2), 0, [(2, 0, 1)]), ()),
     # units on other spheres than the point's: the E*_j steps of the point
     # pass by construction, on its own spheres, and the reference's
     # members lie off the units' blocks
@@ -900,6 +906,37 @@ EDITED_POINTS = {
 def test_factored_unit_checks_match_the_products_on_edited_points(name):
     make, differ = EDITED_POINTS[name]
     _assert_agrees_with_reference(*make(), differ=differ)
+
+
+def _block_route(monkeypatch, make):
+    """The quotient-commutes result at ``make()``, with the scheme read as
+    not commutative, so that every [A_i, A_k] is formed from the pieces."""
+    with monkeypatch.context() as patch:
+        patch.setattr(Scheme, "is_commutative", lambda scheme: False)
+        return make().result("quotient-commutes")
+
+
+@pytest.mark.parametrize("moduli", moduli_up_to(12) + [(2, 3, 4)], ids=str)
+def test_quotient_commutes_by_blocks_matches_the_tensor_read(monkeypatch, moduli):
+    for x in range(math.prod(moduli)):
+        point = _point(moduli, x)
+        read = point.result("quotient-commutes")
+        assert read.passed
+        assert _block_route(monkeypatch, lambda: _point(moduli, x)) == read
+        assert ReferencePoint(point).result("quotient-commutes") == read
+
+
+def test_edited_tables_take_the_block_route():
+    # A label swap leaves the intersection numbers ill defined, so the
+    # controls on edited tables read every [A_i, A_k] from the pieces
+    edited = 0
+    for make, _ in EDITED_POINTS.values():
+        point, _ = make()
+        if point.scheme.table != wreath_of_cyclics(point.moduli).table:
+            edited += 1
+            with pytest.raises(AxiomViolation):
+                point.scheme.is_commutative()
+    assert edited == 7
 
 
 def test_unit_ideal_and_quotient_fail_past_the_certificate_on_a_perturbed_generator():
@@ -1039,6 +1076,25 @@ def _with(point, **artifacts):
     return point
 
 
+def _control_points():
+    """The maker of the point of every edited point and every control with
+    moduli, by name."""
+    makers = {name: (lambda name=name: _edited(name)[0]) for name in EDITED_POINTS}
+    makers.update((name, make) for name, (make, _) in CONTROLS.items())
+    return {name: make for name, make in makers.items() if make().moduli is not None}
+
+
+CONTROL_POINTS = _control_points()
+
+
+@pytest.mark.parametrize("name", CONTROL_POINTS)
+def test_quotient_commutes_by_blocks_on_every_control(monkeypatch, name):
+    # the block route gives the default route's verdict, witness and
+    # checked count on every control, where most tables take it anyway
+    make = CONTROL_POINTS[name]
+    assert _block_route(monkeypatch, make) == make().result("quotient-commutes")
+
+
 @pytest.mark.parametrize("name", POINT_CHECKS)
 def test_every_registered_check_fails_on_a_control(name):
     makers = [make for make, fails in CONTROLS.values() if name in fails]
@@ -1049,40 +1105,42 @@ def test_every_registered_check_fails_on_a_control(name):
 
 
 def test_unit_checks_form_no_product_of_two_n_by_n_matrices(monkeypatch):
-    # At (2,3)@0 no registered check forms a product with a dual idempotent,
-    # which is a sphere, and only quotient-commutes forms products of two
-    # n x n matrices: A_i A_k and A_k A_i for each of the C(4, 2) = 6 pairs of
-    # adjacency matrices.  The builds, the closure and the f-family battery
-    # multiply sphere blocks, and the unit checks n x k matrices.
-    point = _point((2, 3), 0)
-    n = point.scheme.order
+    # At (2,3)@0 and (2,3,4)@5 no registered check forms a product of two
+    # n x n matrices, nor one with a dual idempotent, which is a sphere.  The
+    # builds, the closure and the f-family battery multiply sphere blocks;
+    # ag-forms, unit-ideal and primary-module read the sums of the pieces,
+    # and quotient-commutes the intersection tensor of a commutative scheme.
     counts = {}
     name = None
     product = ExactMatrix.__mul__
 
     def counted(a, b):
-        if (a.rows, a.cols, b.rows, b.cols) == (n, n, n, n):
+        if a.rows == a.cols == b.cols == n:
             counts[name] = counts.get(name, 0) + 1
         return product(a, b)
 
     monkeypatch.setattr(ExactMatrix, "__mul__", counted)
-    for name in POINT_CHECKS:
-        assert point.result(name).passed, name
-    assert counts == {"quotient-commutes": 2 * math.comb(4, 2)}
+    for moduli, x in (((2, 3), 0), ((2, 3, 4), 5)):
+        point = _point(moduli, x)
+        n = point.scheme.order
+        for name in POINT_CHECKS:
+            assert point.result(name).passed, name
+    assert counts == {}
 
 
 def test_full_decomposition_compares_each_unit_once(monkeypatch):
     # The build certifies each of the k^2 = 16 units of (2,3)@0 from its
     # piece, or on equal levels by construction, and forms none; no check
-    # forms a unit either.
+    # forms a unit or an adjacency matrix either: no n x n matrix is made.
     calls = []
-    block_ones = ExactMatrix.block_ones
+    init = ExactMatrix._init
 
-    def counted(*args):
-        calls.append(args)
-        return block_ones(*args)
+    def counted(mat, rows, cols, *args):
+        if rows == cols == 6:
+            calls.append(rows)
+        return init(mat, rows, cols, *args)
 
-    monkeypatch.setattr(ExactMatrix, "block_ones", staticmethod(counted))
+    monkeypatch.setattr(ExactMatrix, "_init", counted)
     builds = []
     original = structure.build_matrix_units
     monkeypatch.setattr(structure, "build_matrix_units",
