@@ -210,10 +210,6 @@ class ExactMatrix:
         return cls._packed(rows, cols, 1, 1, 0, _MIN_WIDTH, [[0] * rows])
 
     @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return _diagonal(n, 1, 1, (1,))
-
-    @classmethod
     def ones(cls, rows: int, cols: int) -> "ExactMatrix":
         return cls._packed(rows, cols, 1, 1, 1, _MIN_WIDTH, [[_pack([1] * cols, _MIN_WIDTH)] * rows])
 
@@ -269,12 +265,6 @@ class ExactMatrix:
     def __getitem__(self, key):
         i, j = key
         return self._entry([plane[i][j] for plane in self._decoded()])
-
-    def trace(self) -> CycloNum:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return self._entry([sum(row[i] for i, row in enumerate(plane))
-                            for plane in self._decoded()])
 
     # -- arithmetic ---------------------------------------------------------------
 

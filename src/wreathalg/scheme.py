@@ -9,7 +9,6 @@ certificate at the scale this package targets.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice, product
 from operator import add
@@ -31,14 +30,60 @@ class AxiomViolation(ValueError):
     """A quantity the scheme axioms promise to be well defined is not."""
 
 
-@dataclass
-class CheckResult:
+class Record:
+    """A value class whose fields are named, in constructor order, by
+    ``_fields``: ``==`` compares two instances of one class field by field,
+    and ``repr`` lists the fields as ``Name(field=value, ...)``.  A mutable
+    record is unhashable."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class FrozenRecord(Record):
+    """An immutable record, hashed by its fields; its constructor sets each
+    slot once through ``_freeze``."""
+
+    __slots__ = ()
+
+    def _freeze(self, **values):
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class CheckResult(Record):
     """Outcome of one verification pass."""
 
-    name: str
-    passed: bool
-    witness: str | None = None
-    checked: int = 0
+    __slots__ = _fields = ("name", "passed", "witness", "checked")
+
+    def __init__(self, name: str, passed: bool, witness: str | None = None, checked: int = 0):
+        self.name = name
+        self.passed = passed
+        self.witness = witness
+        self.checked = checked
 
     def to_dict(self) -> dict:
         """The report entry: name, status and the witness, if any."""
@@ -46,15 +91,19 @@ class CheckResult:
         return entry | ({"witness": self.witness} if self.witness else {})
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(Record):
     """Per-axiom verdicts with the first counterexample for each failure."""
 
-    identity_ok: bool
-    partition_ok: bool
-    transpose_ok: bool
-    regular_ok: bool
-    counterexamples: dict[str, str] = field(default_factory=dict)
+    __slots__ = _fields = (
+        "identity_ok", "partition_ok", "transpose_ok", "regular_ok", "counterexamples")
+
+    def __init__(self, identity_ok: bool, partition_ok: bool, transpose_ok: bool,
+                 regular_ok: bool, counterexamples: dict[str, str] | None = None):
+        self.identity_ok = identity_ok
+        self.partition_ok = partition_ok
+        self.transpose_ok = transpose_ok
+        self.regular_ok = regular_ok
+        self.counterexamples = {} if counterexamples is None else counterexamples
 
     @property
     def passed(self) -> bool:
@@ -94,9 +143,6 @@ class Scheme:
     def from_classifier(cls, order: int, classify, classes: int | None = None) -> "Scheme":
         table = [[classify(x, y) for y in range(order)] for x in range(order)]
         return cls(table, classes)
-
-    def classify(self, x: int, y: int) -> int:
-        return self.table[x][y]
 
     # -- axiom verification ---------------------------------------------------
 

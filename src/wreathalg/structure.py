@@ -24,15 +24,15 @@ closure oracle from :mod:`wreathalg.terwilliger`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 
 from .cyclotomic import CycloNum, rational, zeta
 from .linalg import ExactMatrix, ExactSpan
-from .scheme import AxiomViolation, CheckResult, Scheme
+from .scheme import AxiomViolation, CheckResult, FrozenRecord, Record, Scheme
 from .terwilliger import (
+    ModuliRequired,
     _closure,
     _commutator_constant,
     _require_wreath,
@@ -100,8 +100,7 @@ def dimension_formula(moduli) -> int:
 # -- matrix units -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatrixUnitFamily:
+class MatrixUnitFamily(FrozenRecord):
     """The k^2 matrix units G_ab = u_a u_b^T / n_b of one base point, held as
     their k spheres: u_a is the 0/1 indicator column of the sphere S_a
     (``spheres[a]``, vertices of the scheme) and n_b = |S_b|.
@@ -116,21 +115,20 @@ class MatrixUnitFamily:
     pieces (``BasePoint.sums``); the product loops are in tests/reference.py.
     """
 
-    moduli: tuple[int, ...]
-    base_point: int
-    indices: tuple[WreathIndex, ...]
-    spheres: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("moduli", "base_point", "indices", "spheres")
 
-    def __post_init__(self):
+    def __init__(self, moduli: tuple[int, ...], base_point: int,
+                 indices: tuple[WreathIndex, ...], spheres: tuple[tuple[int, ...], ...]):
+        self._freeze(moduli=moduli, base_point=base_point, indices=indices, spheres=spheres)
         owner: dict[int, int] = {}
-        for b, sphere in enumerate(self.spheres):
+        for b, sphere in enumerate(spheres):
             if not sphere:
-                raise StructureError(f"x={self.base_point}: sphere S_{b} is empty")
+                raise StructureError(f"x={base_point}: sphere S_{b} is empty")
             for y in sphere:
                 if y in owner:
                     # G_cc G_bb = (u_c^T u_b / n_c) G_cb is not zero
                     raise StructureError(
-                        f"x={self.base_point}: G[{owner[y]},{owner[y]}]G[{b},{b}] is not zero"
+                        f"x={base_point}: G[{owner[y]},{owner[y]}]G[{b},{b}] is not zero"
                     )
                 owner[y] = b
 
@@ -182,6 +180,8 @@ def _first_off(pairs, left_off, right_off) -> int | None:
     """The position of the first pair (a, b) with a in ``left_off`` or b in
     ``right_off``: the first unit G_ab whose product with M breaks, where
     M G_ab = (M u_a) w_b^T and G_ab M = u_a (w_b^T M)."""
+    if not (left_off or right_off):
+        return None
     return next((i for i, (a, b) in enumerate(pairs) if a in left_off or b in right_off), None)
 
 
@@ -210,7 +210,8 @@ def check_adjacency_action(point: BasePoint, units: MatrixUnitFamily) -> CheckRe
     the row sums of the piece (h, A, a), each C[h][a], and u_b^T A the
     column sums s of (b, A, h), each with s n_h = D[b][h] n_b.  A failure
     names the first (a, b), in the order of the 2k^3 products ``checked``
-    counts, whose product breaks its form.
+    counts, whose product breaks its form.  The label of a's level with
+    offset o has the flat index a.flat - a.offset + o.
     """
     moduli = _require_wreath(point)
     sizes = [len(sphere) for sphere in point.spheres]
@@ -235,11 +236,10 @@ def check_adjacency_action(point: BasePoint, units: MatrixUnitFamily) -> CheckRe
                     for r in indices_below_level(moduli, a.level):
                         left[r.flat][a.flat] = n_a
                 else:
-                    shifted = WreathIndex(a.level, (a.offset - hx.offset) % p, moduli)
-                    left[shifted.flat][a.flat] = n_a
+                    left[a.flat - a.offset + (a.offset - hx.offset) % p][a.flat] = n_a
             else:
                 p = moduli[hx.level - 1]
-                left[WreathIndex(hx.level, p - hx.offset, moduli).flat][a.flat] = n_a
+                left[hx.flat - hx.offset + p - hx.offset][a.flat] = n_a
         for b in indices:
             n_b = scheme.valency(b.flat)
             if hx.level == 0:
@@ -250,7 +250,7 @@ def check_adjacency_action(point: BasePoint, units: MatrixUnitFamily) -> CheckRe
                 p = moduli[b.level - 1]
                 rho = (b.offset + hx.offset) % p
                 if rho:
-                    right[b.flat][WreathIndex(b.level, rho, moduli).flat] = n_b
+                    right[b.flat][b.flat - b.offset + rho] = n_b
                 else:
                     for r in indices_below_level(moduli, b.level):
                         right[b.flat][r.flat] = scheme.valency(r.flat)
@@ -360,16 +360,19 @@ def check_commutation(point: BasePoint) -> CheckResult:
 # -- central idempotents --------------------------------------------------------------------
 
 
-@dataclass
-class CentralIdempotentFamily:
+class CentralIdempotentFamily(Record):
     """Candidate rank-one central idempotents, one per (class, lower level,
     character) choice; keys are (class flat index, lower-class flat index).
     The member F_(a,hx) = E_a F E_a is held as its |S_a| x |S_a| block,
     rows and columns in vertex order."""
 
-    moduli: tuple[int, ...]
-    base_point: int
-    matrices: dict[tuple[int, int], ExactMatrix] = field(default_factory=dict)
+    __slots__ = _fields = ("moduli", "base_point", "matrices")
+
+    def __init__(self, moduli: tuple[int, ...], base_point: int,
+                 matrices: dict[tuple[int, int], ExactMatrix] | None = None):
+        self.moduli = moduli
+        self.base_point = base_point
+        self.matrices = {} if matrices is None else matrices
 
     @property
     def count(self) -> int:
@@ -402,7 +405,8 @@ def build_central_idempotents(point: BasePoint) -> CentralIdempotentFamily:
             h, xi = hx.level, hx.offset
             p = moduli[h - 1]
             weights = [(r.flat, 1) for r in indices_below_level(moduli, h)]
-            weights += [(WreathIndex(h, t, moduli).flat, zeta(p, t * xi)) for t in range(1, p)]
+            # (h, t) has the flat index hx.flat - xi + t
+            weights += [(hx.flat - xi + t, zeta(p, t * xi)) for t in range(1, p)]
             block = ExactMatrix.zeros(size, size)
             for r, weight in weights:
                 piece = point.pieces.get((a.flat, r, a.flat))
@@ -523,20 +527,24 @@ def check_central_idempotents(
 # -- the decomposition report -----------------------------------------------------------------
 
 
-@dataclass
-class DecompReport:
+class DecompReport(Record):
     """The verdicts of one run and the header they are reported under.
 
     ``moduli`` is None for an ingested table, which has no formula: the
     formula fields derived from the moduli are then None too.
     """
 
-    moduli: tuple[int, ...] | None
-    order: int
-    num_classes: int
-    base_points: list[int]
-    dim_T: int | None
-    checks: list[CheckResult] = field(default_factory=list)
+    __slots__ = _fields = ("moduli", "order", "num_classes", "base_points", "dim_T", "checks")
+
+    def __init__(self, moduli: tuple[int, ...] | None, order: int, num_classes: int,
+                 base_points: list[int], dim_T: int | None,
+                 checks: list[CheckResult] | None = None):
+        self.moduli = moduli
+        self.order = order
+        self.num_classes = num_classes
+        self.base_points = base_points
+        self.dim_T = dim_T
+        self.checks = [] if checks is None else checks
 
     @property
     def dim_formula(self) -> int | None:
@@ -660,20 +668,21 @@ class BasePoint:
 
     def result(self, name: str) -> CheckResult:
         """The registered check ``name`` at this point; a unit family that
-        cannot be built fails it with the construction's message, and a
+        cannot be built fails it with the construction's message, a
         scheme parameter that is not well defined (a valency that differs
-        between vertices) with the scheme's witness."""
+        between vertices) with the scheme's witness, and a check stated for
+        a wreath of cyclics, at a point without moduli, with that witness."""
         if name not in self.results:
             try:
                 self.results[name] = POINT_CHECKS[name](self)
-            except (StructureError, AxiomViolation) as exc:
+            except (StructureError, AxiomViolation, ModuliRequired) as exc:
                 self.results[name] = CheckResult(name, False, str(exc))
         return self.results[name]
 
 
 def _block_form(point: BasePoint) -> CheckResult:
     result = None
-    for index in class_indices(point.moduli):
+    for index in class_indices(_require_wreath(point)):
         if index.level == 0:
             continue
         result = _merge(result, check_block_form(point, index))

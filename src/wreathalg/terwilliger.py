@@ -50,9 +50,13 @@ def _spheres(scheme: Scheme, base_point: int) -> list[list[int]]:
     return spheres
 
 
+class ModuliRequired(ValueError):
+    """A check stated for a wreath of cyclics ran at a point without moduli."""
+
+
 def _require_wreath(point) -> tuple[int, ...]:
     if point.moduli is None:
-        raise ValueError("this check needs the moduli of a wreath of cyclics")
+        raise ModuliRequired("this check needs the moduli of a wreath of cyclics")
     return point.moduli
 
 

@@ -11,12 +11,11 @@ certificate tests that adding 1 to any one digit keeps the class table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
 from math import prod
 
-from .scheme import CheckResult, Scheme
+from .scheme import CheckResult, FrozenRecord, Scheme
 
 __all__ = [
     "WreathIndex",
@@ -43,36 +42,29 @@ def check_moduli(moduli) -> tuple[int, ...]:
     return m
 
 
-@dataclass(frozen=True)
-class WreathIndex:
+class WreathIndex(FrozenRecord):
     """A wreath class label: level 0 is the identity class, level i >= 1
-    carries an offset in 1..p_i - 1, read modulo p_i."""
+    carries an offset in 1..p_i - 1, read modulo p_i.  ``flat``, its index
+    in the Scheme class numbering, is set at construction."""
 
-    level: int
-    offset: int
-    moduli: tuple[int, ...]
+    __slots__ = ("level", "offset", "moduli", "flat")
+    _fields = ("level", "offset", "moduli")
 
-    def __post_init__(self):
-        moduli = check_moduli(self.moduli)
-        object.__setattr__(self, "moduli", moduli)
-        if not 0 <= self.level <= len(moduli):
-            raise ValueError(f"level {self.level} out of range for {moduli}")
-        if self.level == 0:
-            if self.offset != 0:
+    def __init__(self, level: int, offset: int, moduli: tuple[int, ...]):
+        moduli = check_moduli(moduli)
+        if not 0 <= level <= len(moduli):
+            raise ValueError(f"level {level} out of range for {moduli}")
+        if level == 0:
+            if offset != 0:
                 raise ValueError("the level-0 class has no offset")
+            flat = 0
         else:
-            off = self.offset % moduli[self.level - 1]
+            off = offset % moduli[level - 1]
             if off == 0:
-                raise ValueError(
-                    f"offset {self.offset} collapses to 0 modulo {moduli[self.level - 1]}"
-                )
-            object.__setattr__(self, "offset", off)
-
-    @property
-    def flat(self) -> int:
-        if self.level == 0:
-            return 0
-        return sum(p - 1 for p in self.moduli[: self.level - 1]) + self.offset
+                raise ValueError(f"offset {offset} collapses to 0 modulo {moduli[level - 1]}")
+            offset = off
+            flat = sum(p - 1 for p in moduli[: level - 1]) + offset
+        self._freeze(level=level, offset=offset, moduli=moduli, flat=flat)
 
     def __repr__(self):
         return f"WreathIndex({self.level},{self.offset})"

@@ -15,6 +15,8 @@ of the code it checks.  None of them is on a CLI path.
   reference of ``label_triples`` and ``t0_dimension``.
 - ``grid_product`` and ``grid_map``: entrywise CycloNum arithmetic, the
   reference of the packed ``ExactMatrix`` operations.
+- ``identity``, ``trace`` and ``classify``: the n x n identity, the trace
+  of a square matrix and one table entry, which only the tests read.
 - ``ReferenceSpan``: CycloNum Gauss-Jordan elimination, the reference of
   ``ExactSpan``.
 - ``brute_intersection`` and ``commutes_by_products``: the intersection
@@ -219,6 +221,20 @@ def grid_product(a, b):
 
 def grid_map(f, *grids):
     return [[f(*cells) for cells in zip(*rows)] for rows in zip(*grids)]
+
+
+def identity(n: int) -> ExactMatrix:
+    return ExactMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def trace(mat: ExactMatrix):
+    if mat.rows != mat.cols:
+        raise ValueError("trace of a non-square matrix")
+    return sum((mat[i, i] for i in range(mat.rows)), ZERO)
+
+
+def classify(scheme: Scheme, x: int, y: int) -> int:
+    return scheme.table[x][y]
 
 
 class ReferenceSpan:

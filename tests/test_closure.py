@@ -28,6 +28,7 @@ from reference import (
     example_schemes,
     generating_classes_by_reclosure,
     idempotents_by_products,
+    identity,
     make_context,
     moduli_up_to,
     moved_pair_table,
@@ -98,7 +99,7 @@ def test_closure_needs_long_words():
                                    for r in range(5)])
     closure = product_closure([cycle])
     assert closure.dimension == 5
-    assert closure.contains(ExactMatrix.identity(5))
+    assert closure.contains(identity(5))
     assert pairwise_closure([cycle]).dimension == 5
 
 
@@ -328,7 +329,7 @@ def test_grown_span_walks_each_joining_label_once(monkeypatch):
 def words_by_products(scheme, classes) -> int:
     """The dimension of the span of the words in the n x n A_j, j in
     ``classes``, the identity included."""
-    generators = [ExactMatrix.identity(scheme.order)]
+    generators = [identity(scheme.order)]
     return product_closure(generators + [scheme.adjacency_matrix(j) for j in classes]).dimension
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from reference import grid_map, grid_product
+from reference import grid_map, grid_product, identity
 
 from wreathalg import ZERO, CycloNum, ExactMatrix, euler_phi, rational, zeta
 from wreathalg import linalg
@@ -127,7 +127,7 @@ def test_entries_near_the_slot_bound_round_trip():
         mat = ExactMatrix.from_rows(values)
         assert mat.width == (32 if max(abs(v) for row in values for v in row) < BIG else 64)
         assert mat.data == [[rational(v) for v in row] for row in values]
-        assert mat * ExactMatrix.identity(2) == mat
+        assert mat * identity(2) == mat
         assert (mat * mat).data == grid_product(mat.data, mat.data)
 
 

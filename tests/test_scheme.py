@@ -7,6 +7,7 @@ from reference import (
     brute_intersection,
     commutes_by_products,
     example_schemes,
+    identity,
     intersection_data_by_counts,
     moduli_up_to,
     moved_pair_table,
@@ -144,7 +145,7 @@ def test_intersection_data_matches_the_count_grids(name):
 
 def test_adjacency_identity_and_partition():
     s = wreath_of_cyclics([2, 3])
-    assert s.adjacency_matrix(0) == ExactMatrix.identity(s.order)
+    assert s.adjacency_matrix(0) == identity(s.order)
     total = s.adjacency_matrix(0)
     for i in range(1, s.classes):
         total = total + s.adjacency_matrix(i)

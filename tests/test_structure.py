@@ -1,15 +1,16 @@
-import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
 from wreathalg import (
+    AxiomReport,
     AxiomViolation,
     CentralIdempotentFamily,
     CheckResult,
     DecompReport,
     ExactMatrix,
+    MatrixUnitFamily,
     Scheme,
     StructureError,
     WreathIndex,
@@ -44,6 +45,7 @@ from reference import (
     idempotents_by_products,
     make_context,
     moduli_up_to,
+    trace,
     unit_matrices,
     unit_matrix,
     wreath_context,
@@ -194,7 +196,7 @@ def test_idempotent_matrix_for_two_two():
     )
     assert embedded(mat, point.spheres[2], point.spheres[2], 4) == expected
     assert mat * mat == mat
-    assert mat.trace() == rational(1)
+    assert trace(mat) == rational(1)
 
 
 def test_idempotent_eigenvalue_table():
@@ -771,7 +773,8 @@ def _duplicated_member(point, reference):
 def _units_of_another_point(point, reference):
     # a unit family built at x=2, so on the spheres of x=2
     other = build_matrix_units(BasePoint(point.scheme, point.moduli, 2, {}))
-    point._units = reference._units = dataclasses.replace(other, base_point=point.x)
+    point._units = reference._units = MatrixUnitFamily(
+        other.moduli, point.x, other.indices, other.spheres)
 
 
 def _idempotent_off_block(transposed):
@@ -1016,9 +1019,10 @@ def test_matrix_unit_law_fails_on_overlapping_spheres():
     units = _point((2, 2), 0).units
     spheres = (units.spheres[0], units.spheres[2], units.spheres[2])
     with pytest.raises(StructureError, match=r"^x=0: G\[1,1\]G\[2,2\] is not zero$"):
-        dataclasses.replace(units, spheres=spheres)
+        MatrixUnitFamily(units.moduli, units.base_point, units.indices, spheres)
     with pytest.raises(StructureError, match=r"^x=0: sphere S_1 is empty$"):
-        dataclasses.replace(units, spheres=(units.spheres[0], (), units.spheres[2]))
+        MatrixUnitFamily(
+            units.moduli, units.base_point, units.indices, (units.spheres[0], (), units.spheres[2]))
 
 
 def _unequal_valency_table():
@@ -1038,6 +1042,63 @@ def test_unequal_valencies_fail_the_checks_that_read_them():
         assert point.result(name) == CheckResult(
             name, False, "neighborhood sizes differ between vertices 0 and 2"
         )
+
+
+def test_checks_stated_for_a_wreath_fail_without_moduli():
+    # The (2,3) table read as an ingested one: every check stated for a
+    # wreath of cyclics fails with the same witness, in place of raising,
+    # and the others pass
+    point = BasePoint(Scheme(wreath_of_cyclics((2, 3)).table), None, 0, {})
+    needs_moduli = {"triple-list", "block-form", "matrix-units", "ag-forms", "commutation",
+                    "f-family", "unit-support", "unit-rank", "unit-ideal", "quotient-commutes",
+                    "span-accounting"}
+    for name in POINT_CHECKS:
+        if name in needs_moduli:
+            assert point.result(name) == CheckResult(
+                name, False, "this check needs the moduli of a wreath of cyclics")
+        else:
+            assert point.result(name).passed, name
+    # any other error still propagates
+    with pytest.raises(ValueError, match="^base point 6 out of range$"):
+        BasePoint(wreath_of_cyclics((2, 3)), (2, 3), 6, {}).result("triple-list")
+
+
+def test_value_classes_compare_hash_and_print_by_their_fields():
+    index = WreathIndex(2, 5, [3, 4])
+    assert (index.level, index.offset, index.moduli, index.flat) == (2, 1, (3, 4), 3)
+    assert index == WreathIndex(2, 1, (3, 4)) != WreathIndex(2, 2, (3, 4))
+    assert hash(index) == hash((2, 1, (3, 4)))
+    assert repr(index) == "WreathIndex(2,1)"
+    units = _point((2, 3), 1).units
+    again = MatrixUnitFamily(units.moduli, 1, units.indices, units.spheres)
+    assert units == again and hash(units) == hash(again)
+    assert units != MatrixUnitFamily(units.moduli, 0, units.indices, units.spheres)
+    assert repr(units) == (
+        "MatrixUnitFamily(moduli=(2, 3), base_point=1, indices=(WreathIndex(0,0), "
+        "WreathIndex(1,1), WreathIndex(2,1), WreathIndex(2,2)), "
+        "spheres=((1,), (0,), (2, 3), (4, 5)))")
+    for frozen, field in ((index, "level"), (units, "spheres")):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+            setattr(frozen, field, None)
+    result = CheckResult(name="a", passed=True)
+    assert result == CheckResult("a", True, None, 0) != CheckResult("a", True, None, 1)
+    assert result != ("a", True, None, 0)
+    assert repr(result) == "CheckResult(name='a', passed=True, witness=None, checked=0)"
+    with pytest.raises(TypeError):
+        hash(result)
+    result.checked = 2
+    assert result.checked == 2
+    # the container fields default to a fresh one per instance
+    reports = [AxiomReport(True, True, True, True) for _ in range(2)]
+    assert reports[0] == reports[1] and reports[0].counterexamples is not reports[1].counterexamples
+    families = [CentralIdempotentFamily((2, 2), 0) for _ in range(2)]
+    assert families[0].matrices == {} and families[0].matrices is not families[1].matrices
+    decomps = [DecompReport(None, 1, 1, [0], None) for _ in range(2)]
+    assert decomps[0].checks == [] and decomps[0].checks is not decomps[1].checks
+    assert repr(decomps[0]) == (
+        "DecompReport(moduli=None, order=1, num_classes=1, base_points=[0], dim_T=None, checks=[])")
+    assert repr(reports[0]) == ("AxiomReport(identity_ok=True, partition_ok=True, "
+                                "transpose_ok=True, regular_ok=True, counterexamples={})")
 
 
 # Every negative control on a base point: its maker, and the registered

@@ -3,7 +3,9 @@ from itertools import product as iter_product
 import pytest
 from reference import (
     algebra_dimension,
+    classify,
     example_schemes,
+    identity,
     make_context,
     moduli_up_to,
     product_closure,
@@ -55,7 +57,7 @@ def test_dual_idempotents_sum_to_identity():
         total = ctx.dual_idempotents[0]
         for e in ctx.dual_idempotents[1:]:
             total = total + e
-        assert total == ExactMatrix.identity(scheme.order)
+        assert total == identity(scheme.order)
         for i, e in enumerate(ctx.dual_idempotents):
             assert e * e == e
             for j in range(i + 1, scheme.classes):
@@ -168,7 +170,7 @@ def test_triple_intersection_partition():
     j, h = 2, 3
     total = sum(triple_intersection(s, x, y, z, i, j, h) for i in range(s.classes))
     expected = sum(
-        1 for w in range(s.order) if s.classify(y, w) == j and s.classify(z, w) == h
+        1 for w in range(s.order) if classify(s, y, w) == j and classify(s, z, w) == h
     )
     assert total == expected
 
@@ -402,4 +404,4 @@ def test_t0_span_matrices_have_scheme_shape():
     assert span.dimension == 10
     assert all(isinstance(mat, ExactMatrix) for mat in span.basis())
     assert span.contains(ctx.adjacency[1])
-    assert span.contains(ExactMatrix.identity(4).scaled(rational(3)))
+    assert span.contains(identity(4).scaled(rational(3)))
