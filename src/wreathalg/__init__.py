@@ -29,7 +29,6 @@ from .terwilliger import (
     check_primary_module,
     check_triple_list,
     check_triply_regular,
-    label_triples,
     predict_triple_nonzero,
     starting_pieces,
 )

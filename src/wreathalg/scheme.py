@@ -8,10 +8,10 @@ certificate at the scale this package targets.
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
 from functools import cached_property
 from itertools import islice, product
-from operator import add
 
 from .linalg import ExactMatrix, ExactSpan
 
@@ -24,6 +24,10 @@ __all__ = [
     "load_scheme",
     "save_scheme",
 ]
+
+
+# Unsigned struct lanes by their size in bytes.
+_LANES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 class AxiomViolation(ValueError):
@@ -173,19 +177,9 @@ class Scheme:
                 partition_ok = False
                 counterexamples["partition"] = f"relation {empty} is empty"
 
-        transpose_ok = partition_ok
-        if transpose_ok:
-            tmap: list[int | None] = [None] * self.classes
-            for x, y in product(range(n), repeat=2):
-                i, it = t[x][y], t[y][x]
-                if tmap[i] is None:
-                    tmap[i] = it
-                elif tmap[i] != it:
-                    transpose_ok = False
-                    counterexamples["transpose"] = (
-                        f"classify({y},{x}) = {it} but class {i} transposed to {tmap[i]} before"
-                    )
-                    break
+        transpose_ok = partition_ok and self._transpose[1] is None
+        if partition_ok and not transpose_ok:
+            counterexamples["transpose"] = self._transpose[1]
 
         regular_ok = partition_ok
         if regular_ok:
@@ -203,6 +197,19 @@ class Scheme:
         if self._label_witness is not None:
             raise AxiomViolation(self._label_witness)
 
+    @cached_property
+    def _transpose(self) -> tuple[dict[int, int] | None, str | None]:
+        """The transpose map tau on the labels present, t[y][x] = tau(t[x][y])
+        for every pair, or None and the witness of the first pair, in row
+        order, whose transpose breaks it: one pass over the table, which
+        ``verify_axioms`` and the intersection count share."""
+        tmap: dict[int, int] = {}
+        for x, (row, column) in enumerate(zip(self.table, zip(*self.table))):
+            for y, (i, it) in enumerate(zip(row, column)):
+                if tmap.setdefault(i, it) != it:
+                    return None, f"classify({y},{x}) = {it} but class {i} transposed to {tmap[i]} before"
+        return tmap, None
+
     def _compute_intersection_data(self):
         """p^h_ij as ``_pnums[h][i][j]``, or the first witness that it is
         not well defined.
@@ -210,39 +217,48 @@ class Scheme:
         A pair (x, y) is coded by the sorted codes t[x][z]*c + t[z][y] over
         the vertices z, injective on label pairs since every label is below
         c, so two pairs have equal path counts exactly when their code lists
-        are equal: one map and one sort of n integers per pair, both in C.
-        Each pair, in row order, is compared with the first pair of its
-        relation, whose codes give the relation's grid.  At the first
-        mismatch both pairs are counted, and the witness names the first
-        label pair (i, j) whose counts differ.
+        are equal.  Each pair, in row order, is compared with the first pair
+        of its relation, whose codes give the relation's grid (``_scan``).
+        Where the transpose map tau is well defined, only the pairs with
+        x <= y are scanned.  There t[y][z] = tau(t[z][y]) and
+        t[z][x] = tau(t[x][z]), so the codes of (y, x) are those of (x, y)
+        under sigma: i*c + j -> tau(j)*c + tau(i).  The half scan is
+        accepted when no pair in it differs from its relation's list L_h and
+        L_h = sigma(L_tau(h)) for every relation h it read.  A pair (x, y)
+        with x > y then lies in h = tau(g), g = t[y][x], and has the list
+        sigma(L_g), which is L_h as tau is an involution on the labels
+        present.  So every pair has its relation's list, the full scan would
+        find no mismatch, and its first pair of each relation has the list
+        L_h: the tensor is the full scan's.  A relation with no pair on or
+        above the diagonal leaves L_tau(h) unread for h = tau of it, and
+        fails the comparison.  A half scan that is not accepted is discarded
+        and every pair is scanned in row order, so a table with a witness
+        gets the full scan's witness and the grids it counted before it.  At
+        the first mismatch both pairs are counted, and the witness names the
+        first label pair (i, j) whose counts differ.  The comparisons under
+        sigma are needed: in [[0, 1], [1, 2]] each relation has one pair on
+        or above the diagonal, yet (0, 1) and (1, 0) have different counts.
         """
         self._require_labels()
         if self._pnums is not None:
             return
-        c = self.classes
-        t = self.table
-        columns = list(zip(*t))
-        # first[h]: the first pair of relation h and its sorted codes
-        first: dict[int, tuple[tuple[int, int], list[int]]] = {}
+        c, t = self.classes, self.table
+        tau = self._transpose[0]
+        first, mismatch = self._scan(tau is not None)
+        if tau is not None:
+            sigma = {i * c + j: tau[j] * c + tau[i] for i in tau for j in tau}
+            if mismatch or not all(sorted(map(sigma.__getitem__, first.get(tau[h], (None, ()))[1])) == codes
+                                   for h, (_, codes) in first.items()):
+                first, mismatch = self._scan(False)
         witness = None
-        for x, row in enumerate(t):
-            scaled = [label * c for label in row]
-            for y, h in enumerate(row):
-                codes = sorted(map(add, scaled, columns[y]))
-                ref = first.setdefault(h, ((x, y), codes))
-                if ref[1] != codes:
-                    counts = [Counter(zip(t[a], columns[b])) for a, b in (ref[0], (x, y))]
-                    i, j = min(key for key in counts[0] | counts[1] if counts[0][key] != counts[1][key])
-                    witness = (
-                        f"count of class-{i}/class-{j} paths is {counts[0][i, j]} "
-                        f"for pair {ref[0]} but {counts[1][i, j]} for ({x},{y}), "
-                        f"both in relation {h}"
-                    )
-                    break
-            # Past the first witness the numbers are not well defined, and
-            # every reader of the tensor raises the witness first.
-            if witness is not None:
-                break
+        if mismatch:
+            ref, (x, y) = mismatch
+            counts = [Counter(zip(t[a], (row[b] for row in t))) for a, b in mismatch]
+            i, j = min(key for key in counts[0] | counts[1] if counts[0][key] != counts[1][key])
+            witness = (f"count of class-{i}/class-{j} paths is {counts[0][i, j]} for pair {ref} "
+                       f"but {counts[1][i, j]} for ({x},{y}), both in relation {t[x][y]}")
+        # Past the first witness the numbers are not well defined, and every
+        # reader of the tensor raises the witness first.
         tensor: list[list[list[int]] | None] = [None] * c
         for h, (_, codes) in first.items():
             grid = tensor[h] = [[0] * c for _ in range(c)]
@@ -251,6 +267,39 @@ class Scheme:
                 grid[i][j] += 1
         self._pnums = tensor
         self._pnum_witness = witness
+
+    def _tensor(self) -> list[list[list[int]] | None]:
+        """``_pnums``; raises AxiomViolation with the witness where the
+        intersection numbers are not well defined."""
+        self._compute_intersection_data()
+        if self._pnum_witness is not None:
+            raise AxiomViolation(self._pnum_witness)
+        return self._pnums
+
+    def _scan(self, upper: bool):
+        """The first pair of each relation, in row order, with its sorted
+        codes, over the pairs with x <= y where ``upper`` and over every pair
+        otherwise, up to the first pair whose codes differ from its
+        relation's; and that pair with its relation's first, or None.  A
+        pair's codes are the lanes of one int sum, row x scaled by c plus
+        column y, each packed by ``struct`` in unsigned lanes of the fewest
+        bytes that hold c^2 - 1, so no lane carries into the next."""
+        c, n = self.classes, self.order
+        lane = next((code for size, code in _LANES.items() if c * c <= 256 ** size), None)
+        if lane is None:
+            raise ValueError(f"{c} classes are too many to count paths over")
+        lanes = struct.Struct(f"<{n}{lane}")
+        packed = [int.from_bytes(lanes.pack(*column), "little") for column in zip(*self.table)]
+        first: dict[int, tuple[tuple[int, int], list[int]]] = {}
+        for x, row in enumerate(self.table):
+            scaled = int.from_bytes(lanes.pack(*[label * c for label in row]), "little")
+            for y in range(x if upper else 0, n):
+                raw = (scaled + packed[y]).to_bytes(lanes.size, "little")
+                codes = sorted(raw if lane == "B" else lanes.unpack(raw))
+                ref = first.setdefault(row[y], ((x, y), codes))
+                if ref[1] != codes:
+                    return first, (ref[0], (x, y))
+        return first, None
 
     @cached_property
     def generating_classes(self) -> tuple[int, ...] | None:
@@ -284,11 +333,8 @@ class Scheme:
         alone, each new word under all of A_J.  So the span holds the words
         and is closed under each map, as the closure of J from scratch is.
         """
-        self._compute_intersection_data()
-        if self._pnum_witness is not None:
-            raise AxiomViolation(self._pnum_witness)
         c = self.classes
-        grids = [(h, grid) for h, grid in enumerate(self._pnums) if grid]
+        grids = [(h, grid) for h, grid in enumerate(self._tensor()) if grid]
         words = [[1] + [0] * (c - 1)]
         span = ExactSpan.from_matrices([_column(words[0])])
         applied = [0]  # per word, how many maps of ``acting`` it has been walked under
@@ -324,10 +370,7 @@ class Scheme:
         """
         if not (0 <= i < self.classes and 0 <= j < self.classes and 0 <= h < self.classes):
             raise ValueError("class index out of range")
-        self._compute_intersection_data()
-        if self._pnum_witness is not None:
-            raise AxiomViolation(self._pnum_witness)
-        grid = self._pnums[h]
+        grid = self._tensor()[h]
         if grid is None:
             raise AxiomViolation(f"relation {h} is empty")
         return grid[i][j]
@@ -361,11 +404,8 @@ class Scheme:
         p^h_ij == p^h_ji for every nonempty relation h.  A table whose
         intersection numbers are not well defined raises AxiomViolation.
         """
-        self._compute_intersection_data()
-        if self._pnum_witness is not None:
-            raise AxiomViolation(self._pnum_witness)
         return all(grid[i][j] == grid[j][i]
-                   for grid in self._pnums if grid is not None
+                   for grid in self._tensor() if grid is not None
                    for i in range(self.classes) for j in range(i))
 
     def __repr__(self):

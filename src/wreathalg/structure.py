@@ -215,55 +215,52 @@ def check_adjacency_action(point: BasePoint, units: MatrixUnitFamily) -> CheckRe
     """
     moduli = _require_wreath(point)
     sizes = [len(sphere) for sphere in point.spheres]
-    scheme = point.scheme
+    valency = point.scheme.valencies()
     indices = units.indices
-    k = len(indices)
     pairs = units.keys
     checked = 0
     for hx in indices:
-        n_hx = scheme.valency(hx.flat)
-        left = [[0] * k for _ in range(k)]  # column a: A u_a in the u_r
-        right = [[0] * k for _ in range(k)]  # row b: w_b^T A in the w_r^T
+        n_hx = valency[hx.flat]
+        left: dict[tuple[int, int], int] = {}  # (r, a): A u_a in the u_r; absent is 0
+        right: dict[tuple[int, int], int] = {}  # (b, r): w_b^T A in the w_r^T
         for a in indices:
-            n_a = scheme.valency(a.flat)
+            n_a = valency[a.flat]
             if hx.level == 0:
-                left[a.flat][a.flat] = 1
+                left[a.flat, a.flat] = 1
             elif hx.level < a.level:
-                left[a.flat][a.flat] = n_hx
+                left[a.flat, a.flat] = n_hx
             elif hx.level == a.level:
                 p = moduli[a.level - 1]
                 if hx.offset == a.offset:
                     for r in indices_below_level(moduli, a.level):
-                        left[r.flat][a.flat] = n_a
+                        left[r.flat, a.flat] = n_a
                 else:
-                    left[a.flat - a.offset + (a.offset - hx.offset) % p][a.flat] = n_a
+                    left[a.flat - a.offset + (a.offset - hx.offset) % p, a.flat] = n_a
             else:
                 p = moduli[hx.level - 1]
-                left[hx.flat - hx.offset + p - hx.offset][a.flat] = n_a
+                left[hx.flat - hx.offset + p - hx.offset, a.flat] = n_a
         for b in indices:
-            n_b = scheme.valency(b.flat)
+            n_b = valency[b.flat]
             if hx.level == 0:
-                right[b.flat][b.flat] = 1
+                right[b.flat, b.flat] = 1
             elif hx.level < b.level:
-                right[b.flat][b.flat] = n_hx
+                right[b.flat, b.flat] = n_hx
             elif hx.level == b.level:
                 p = moduli[b.level - 1]
                 rho = (b.offset + hx.offset) % p
                 if rho:
-                    right[b.flat][b.flat - b.offset + rho] = n_b
+                    right[b.flat, b.flat - b.offset + rho] = n_b
                 else:
                     for r in indices_below_level(moduli, b.level):
-                        right[b.flat][r.flat] = scheme.valency(r.flat)
+                        right[b.flat, r.flat] = valency[r.flat]
             else:
-                right[b.flat][hx.flat] = n_hx
-        sums = point.sums[hx.flat]  # an absent piece has sums 0
-        left_off = {a for (h, a), (rows, _) in sums.items() if any(s != left[h][a] for s in rows)}
-        left_off.update(a for h in range(k) for a in range(k)
-                        if left[h][a] and sizes[h] and (h, a) not in sums)
-        right_off = {b for (b, h), (_, cols) in sums.items()
-                     if any(s * sizes[h] != right[b][h] * sizes[b] for s in cols)}
-        right_off.update(b for b in range(k) for h in range(k)
-                         if right[b][h] and sizes[b] and sizes[h] and (b, h) not in sums)
+                right[b.flat, hx.flat] = n_hx
+        # an absent piece (i, hx, h) has |S_i| row sums and |S_h| column sums, all 0
+        sums = point.sums[hx.flat]
+        left_off = {a for h, a in left.keys() | sums.keys()
+                    if any(s != left.get((h, a), 0) for s in sums.get((h, a), ([0] * sizes[h],))[0])}
+        right_off = {b for b, h in right.keys() | sums.keys() if any(
+            s * sizes[h] != right.get((b, h), 0) * sizes[b] for s in sums.get((b, h), ((), [0] * sizes[h]))[1])}
         first = _first_off(pairs, left_off, right_off)
         if first is not None:
             a, b = indices[pairs[first][0]], indices[pairs[first][1]]
@@ -636,7 +633,7 @@ class BasePoint:
 
     @cached_property
     def sums(self) -> list[dict[tuple[int, int], tuple[list[int], list[int]]]]:
-        return piece_sums(self.scheme, self.x)
+        return piece_sums(self.pieces, self.scheme.classes)
 
     @cached_property
     def closure(self) -> dict[tuple[int, int], ExactSpan]:

@@ -4,16 +4,18 @@ The algebra T(x) attached to a scheme and a base point x is generated by
 the adjacency matrices together with the diagonal projections E*_i onto the
 spheres S_i around x.  A product with E*_i selects the rows or the columns
 in S_i, so E*_i is held as its sphere, and each E*_i A_j E*_h as its 0/1
-piece, the |S_i| x |S_h| block of the pairs labelled j, read from the class
-table (``starting_pieces``), as are its row and column sums, the products
-of A_j with the sphere indicators on either side (``piece_sums``).  The
-dimension of T is computed block by block, by an exact-span fixpoint on
-the pieces E*_i T E*_k (``block_closure``), and serves as the oracle that
-every structural claim in :mod:`wreathalg.structure` is checked against.  Which pieces are present,
-and so dim T_0, is read from the table, and so is the triple-regularity
-sweep, which the pipeline cross-checks.  The n x n references these are
-tested against (the dual idempotents, the flat closure of whole n x n words
-and the triple products) live in the test suite.
+piece, the |S_i| x |S_h| block of the pairs labelled j, packed from one
+pass over the class table (``starting_pieces``); its row and column sums,
+the products of A_j with the sphere indicators on either side, are read
+off the packed rows (``piece_sums``).  The dimension of T is computed
+block by block, by an exact-span fixpoint on the pieces E*_i T E*_k
+(``block_closure``), and serves as the oracle that every structural claim
+in :mod:`wreathalg.structure` is checked against.  Which pieces are
+present, and so dim T_0, is read from the table, and so is the
+triple-regularity sweep, which the pipeline cross-checks.  The n x n
+references these are tested against (the dual idempotents, the flat
+closure of whole n x n words and the triple products) live in the test
+suite.
 """
 
 from __future__ import annotations
@@ -22,12 +24,11 @@ from collections import Counter
 from itertools import product as iter_product, repeat
 from operator import add
 
-from .linalg import ExactMatrix, ExactSpan
+from .linalg import _MIN_WIDTH, ExactMatrix, ExactSpan
 from .scheme import CheckResult, Scheme
 from .wreath import _as_index, check_moduli, class_indices
 
 __all__ = [
-    "label_triples",
     "predict_triple_nonzero",
     "check_triple_list",
     "starting_pieces",
@@ -58,20 +59,6 @@ def _require_wreath(point) -> tuple[int, ...]:
     if point.moduli is None:
         raise ModuliRequired("this check needs the moduli of a wreath of cyclics")
     return point.moduli
-
-
-def label_triples(scheme: Scheme, x: int) -> set[tuple[int, int, int]]:
-    """The labels (t[x][y], t[y][z], t[x][z]) of all vertex pairs (y, z).
-
-    E_i* A_j E_h* at base point x is the 0/1 matrix of the pairs labelled
-    (i, j, h).  Each pair has one label, so the nonzero triple products have
-    disjoint supports and dim T_0(x) is the number of labels present.  For a
-    scheme, (i, j, h) is present iff p^h_{ij} != 0 (Terwilliger 1992, Lemma 3.2).
-    """
-    if not 0 <= x < scheme.order:
-        raise ValueError(f"base point {x} out of range")
-    tx = scheme.table[x]
-    return set().union(*(zip(repeat(tx[y]), row, tx) for y, row in enumerate(scheme.table)))
 
 
 def predict_triple_nonzero(moduli, a, b, c) -> bool:
@@ -125,30 +112,39 @@ def check_triple_list(point) -> CheckResult:
 
 def starting_pieces(scheme: Scheme, base_point: int) -> dict[tuple[int, int, int], ExactMatrix]:
     """E*_i A_j E*_h at x as the |S_i| x |S_h| block of the pairs (y, z) in
-    S_i x S_h with t[y][z] = j, one 0/1 block per label (i, j, h) of
-    ``label_triples``, read from the class table."""
-    spheres, t = _spheres(scheme, base_point), scheme.table
-    return {
-        (i, j, h): ExactMatrix.from_rows([[int(t[y][z] == j) for z in spheres[h]] for y in spheres[i]])
-        for i, j, h in sorted(label_triples(scheme, base_point))
-    }
-
-
-def piece_sums(scheme: Scheme, base_point: int) -> list[dict[tuple[int, int], tuple[list[int], list[int]]]]:
-    """The row sums over S_i and the column sums over S_h of each piece
-    E*_i A_j E*_h at x, as ``sums[j][i, h]``, from one pass over the class
-    table; an absent piece has none.  With u_i the indicator column of S_i,
-    they are the entries of A_j u_h in S_i and of u_i^T A_j in S_h."""
+    S_i x S_h with t[y][z] = j, one 0/1 block per label (i, j, h) present,
+    in sorted order, packed from one pass over the class table: pair (y, z)
+    sets bit 32k of the row of y, k the place of z in S_h.  Each pair has
+    one label, so the nonzero pieces have disjoint supports, and each holds
+    a pair, so its entries are bounded by 1 at the narrowest width."""
     spheres, t = _spheres(scheme, base_point), scheme.table
     labels = t[base_point]
     place = {y: k for sphere in spheres for k, y in enumerate(sphere)}
-    sums: list[dict[tuple[int, int], tuple[list[int], list[int]]]] = [{} for _ in spheres]
+    bits = [1 << _MIN_WIDTH * place[z] for z in range(scheme.order)]
+    rows: dict[tuple[int, int, int], list[int]] = {}
     for y, row in enumerate(t):
-        for z, j in enumerate(row):
-            i, h = labels[y], labels[z]
-            rows, cols = sums[j].setdefault((i, h), ([0] * len(spheres[i]), [0] * len(spheres[h])))
-            rows[place[y]] += 1
-            cols[place[z]] += 1
+        packed: dict[tuple[int, int, int], int] = {}  # the row of y in each piece
+        for key, bit in zip(zip(repeat(labels[y]), row, labels), bits):
+            packed[key] = packed.get(key, 0) | bit
+        for key, value in packed.items():
+            rows.setdefault(key, [0] * len(spheres[key[0]]))[place[y]] = value
+    return {key: ExactMatrix._packed(len(spheres[key[0]]), len(spheres[key[2]]), 1, 1, 1, _MIN_WIDTH,
+                                     [rows[key]]) for key in sorted(rows)}
+
+
+def piece_sums(pieces, classes: int) -> list[dict[tuple[int, int], tuple[list[int], list[int]]]]:
+    """The row sums over S_i and the column sums over S_h of each piece
+    E*_i A_j E*_h of ``pieces``, keyed as ``starting_pieces``, as
+    ``sums[j][i, h]``; an absent piece has none.  They are read off the
+    packed 0/1 rows: a row's sum is its count of set bits, and the column
+    sums are the lanes of the sum of the rows, each at most |S_i|, so no
+    lane carries.  With u_i the indicator column of S_i, they are the
+    entries of A_j u_h in S_i and of u_i^T A_j in S_h."""
+    sums: list[dict[tuple[int, int], tuple[list[int], list[int]]]] = [{} for _ in range(classes)]
+    for (i, j, h), piece in pieces.items():
+        rows, width, total = piece.planes[0], piece.width, sum(piece.planes[0])
+        sums[j][i, h] = ([row.bit_count() for row in rows],
+                         [total >> width * k & (1 << width) - 1 for k in range(piece.cols)])
     return sums
 
 

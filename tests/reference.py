@@ -11,6 +11,10 @@ of the code it checks.  None of them is on a CLI path.
 - ``product_closure`` and ``algebra_dimension``: the flat closure of the
   n x n generators, the reference of ``terwilliger.block_closure``.
   ``pairwise_closure`` is in turn the reference of ``product_closure``.
+- ``label_triples`` and ``t0_dimension``: the labels of the vertex pairs
+  at a base point and their count, dim T_0(x), read from the class table;
+  ``pieces_by_rows`` builds the 0/1 block of each label entry by entry, the
+  reference of ``terwilliger.starting_pieces``.
 - ``triple_product`` and ``t0_span``: the matrices E*_i A_j E*_h, the
   reference of ``label_triples`` and ``t0_dimension``.
 - ``grid_product`` and ``grid_map``: entrywise CycloNum arithmetic, the
@@ -25,6 +29,10 @@ of the code it checks.  None of them is on a CLI path.
 - ``intersection_data_by_counts``: the intersection tensor and its witness
   with one c x c count grid per vertex pair, the reference of the
   sorted-code count of ``Scheme``.
+- ``relabelled``: a wreath table with its vertices permuted by a seeded
+  permutation, as the benchmark's oracle workload draws it.
+- ``transpose_witness_by_pairs``: the transpose axiom's first witness by
+  a loop over every pair, the reference of ``Scheme._transpose``.
 - ``triple_intersection``: one triple intersection count by enumeration
   over the vertex set.
 - ``generating_classes_by_reclosure``: the greedy generating class set with
@@ -53,11 +61,12 @@ It also holds the example tables and moduli tuples the tests share, and
 binding.
 """
 
+import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations
+from itertools import permutations, repeat
 from itertools import product as iter_product
 
 from wreathalg import (
@@ -75,7 +84,6 @@ from wreathalg import (
     class_indices,
     dimension_formula,
     indices_below_level,
-    label_triples,
     one_dim_ideal_count,
     wreath_of_cyclics,
     zeta,
@@ -131,9 +139,35 @@ def wreath_point(moduli, base_point: int) -> BasePoint:
     return BasePoint(wreath_of_cyclics(m), m, base_point, {})
 
 
+def label_triples(scheme: Scheme, x: int) -> set[tuple[int, int, int]]:
+    """The labels (t[x][y], t[y][z], t[x][z]) of all vertex pairs (y, z).
+
+    E_i* A_j E_h* at base point x is the 0/1 matrix of the pairs labelled
+    (i, j, h).  Each pair has one label, so the nonzero triple products have
+    disjoint supports and dim T_0(x) is the number of labels present.  For a
+    scheme, (i, j, h) is present iff p^h_{ij} != 0 (Terwilliger 1992, Lemma 3.2).
+    """
+    if not 0 <= x < scheme.order:
+        raise ValueError(f"base point {x} out of range")
+    tx = scheme.table[x]
+    return set().union(*(zip(repeat(tx[y]), row, tx) for y, row in enumerate(scheme.table)))
+
+
 def t0_dimension(scheme: Scheme, base_point: int) -> int:
     """dim T_0(x): the number of label triples at x."""
     return len(label_triples(scheme, base_point))
+
+
+def pieces_by_rows(scheme: Scheme, base_point: int) -> dict[tuple[int, int, int], ExactMatrix]:
+    """E*_i A_j E*_h at x as the 0/1 block of the pairs labelled j on
+    S_i x S_h, one per label triple, built entry by entry through
+    ``ExactMatrix.from_rows``: the reference of ``starting_pieces``."""
+    spheres, t = _spheres(scheme, base_point), scheme.table
+    return {
+        (i, j, h): ExactMatrix.from_rows([[int(t[y][z] == j) for z in spheres[h]] for y in spheres[i]])
+        for i, j, h in sorted(label_triples(scheme, base_point))
+    }
+
 
 # -- closures -------------------------------------------------------------------------
 
@@ -324,6 +358,19 @@ def intersection_data_by_counts(scheme: Scheme):
         if witness is not None:
             break
     return tensor, witness
+
+
+def transpose_witness_by_pairs(scheme: Scheme) -> str | None:
+    """The first pair, in row order, whose transpose label breaks the
+    transpose map, as ``verify_axioms`` names it, or None: the reference of
+    ``Scheme._transpose``."""
+    t = scheme.table
+    tmap = {}
+    for x, y in iter_product(range(scheme.order), repeat=2):
+        i, it = t[x][y], t[y][x]
+        if tmap.setdefault(i, it) != it:
+            return f"classify({y},{x}) = {it} but class {i} transposed to {tmap[i]} before"
+    return None
 
 
 def triple_intersection(scheme: Scheme, x: int, y: int, z: int, i: int, j: int, h: int) -> int:
@@ -964,6 +1011,19 @@ def moduli_up_to(order, prefix=()):
         tuples.append(prefix + (p,))
         tuples += moduli_up_to(order // p, prefix + (p,))
     return tuples
+
+
+def relabelled(moduli, seed):
+    """The wreath table with its vertices permuted by a seeded permutation."""
+    scheme = wreath_of_cyclics(moduli)
+    n = scheme.order
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[perm[a]][perm[b]] = scheme.table[a][b]
+    return Scheme(table, classes=scheme.classes)
 
 
 def broken_table():

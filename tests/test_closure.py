@@ -34,6 +34,7 @@ from reference import (
     moved_pair_table,
     pairwise_closure,
     product_closure,
+    relabelled,
     standard_generators,
     wreath_context,
 )
@@ -119,19 +120,6 @@ def embedded_basis(spans, spheres, n):
                 for z, value in zip(spheres[k], row):
                     grid[y][z] = value
             yield ExactMatrix(n, n, grid)
-
-
-def relabelled(moduli, seed):
-    """The wreath table with its vertices permuted by a seeded permutation."""
-    scheme = wreath_of_cyclics(moduli)
-    n = scheme.order
-    perm = list(range(n))
-    random.Random(seed).shuffle(perm)
-    table = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            table[perm[a]][perm[b]] = scheme.table[a][b]
-    return Scheme(table, classes=scheme.classes)
 
 
 @pytest.mark.parametrize("moduli", moduli_up_to(24), ids=str)

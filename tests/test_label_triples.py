@@ -1,8 +1,10 @@
 """The class-table facts behind T_0, against the matrices they stand for.
 
-``label_triples`` reads which triple products E_i* A_j E_h* are nonzero
-from the class table, ``starting_pieces`` reads the products themselves as
-sphere blocks, and ``t0_dimension`` counts them.  ``triple_product`` and
+``label_triples`` (``reference.py``) reads which triple products
+E_i* A_j E_h* are nonzero from the class table, ``starting_pieces`` packs
+the products themselves as sphere blocks, and ``t0_dimension`` counts them.
+``pieces_by_rows`` (``reference.py``) is the entry-by-entry build of the
+pieces that ``starting_pieces`` replaced.  ``triple_product`` and
 ``t0_span`` (``reference.py``) are the exact matrix reference, and the
 intersection numbers are a second, base-point-free one (Terwilliger 1992,
 Lemma 3.2).
@@ -17,8 +19,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from reference import (
     example_schemes,
+    label_triples,
     make_context,
+    moduli_up_to,
     moved_pair_table,
+    pieces_by_rows,
+    relabelled,
     t0_dimension,
     t0_span,
     triple_product,
@@ -31,7 +37,6 @@ from wreathalg import (
     check_triple_list,
     cyclotomic_polynomial,
     euler_phi,
-    label_triples,
     predict_triple_nonzero,
     predict_vanishing,
     rational,
@@ -72,6 +77,34 @@ def test_table_facts_match_the_matrices_at_every_point(name):
         for (i, j, h), piece in starting_pieces(scheme, x).items():
             assert piece.data == [[triple_product(ctx, i, j, h)[y, z] for z in ctx.spheres[h]]
                                   for y in ctx.spheres[i]]
+
+
+PIECE_CASES = {
+    **{str(m): (lambda m=m: wreath_of_cyclics(m), None) for m in moduli_up_to(12)},
+    "(2, 3, 4)@4": (lambda: wreath_of_cyclics((2, 3, 4)), [4]),
+    "relabelled-444-seed-1@0": (lambda: relabelled((4, 4, 4), 1), [0]),
+    "relabelled-444-seed-1103@0": (lambda: relabelled((4, 4, 4), 1103), [0]),
+    **{name: (lambda name=name: example_schemes()[name], None) for name in ("shrikhande", "s3")},
+    "moved-pair": (moved_pair_table, None),
+}
+
+
+@pytest.mark.parametrize("name", PIECE_CASES)
+def test_packed_pieces_match_the_blocks_built_entry_by_entry(name):
+    # every point of every tuple of order <= 12, and single points of the
+    # larger tables: the same keys in the same order, and each piece equal
+    # to the from_rows block in value and in its packed representation
+    build, points = PIECE_CASES[name]
+    scheme = build()
+    for x in range(scheme.order) if points is None else points:
+        packed, reference = starting_pieces(scheme, x), pieces_by_rows(scheme, x)
+        assert list(packed) == list(reference) == sorted(label_triples(scheme, x))
+        for key, piece in reference.items():
+            assert packed[key] == piece
+            assert (packed[key].rows, packed[key].cols, packed[key].planes, packed[key].width,
+                    packed[key].bound, packed[key].conductor, packed[key].den) == (
+                piece.rows, piece.cols, piece.planes, piece.width, piece.bound, piece.conductor,
+                piece.den)
 
 
 def test_label_triples_rejects_a_bad_base_point():

@@ -11,6 +11,8 @@ from reference import (
     intersection_data_by_counts,
     moduli_up_to,
     moved_pair_table,
+    relabelled,
+    transpose_witness_by_pairs,
 )
 
 from wreathalg import (
@@ -123,24 +125,138 @@ def _random_table(seed):
     return Scheme(table, classes=3)
 
 
-@pytest.mark.parametrize(
-    "name",
-    [*moduli_up_to(12), "shrikhande", "s3", "broken", "moved-pair", *(f"random-{s}" for s in range(6))],
-    ids=str,
-)
-def test_intersection_data_matches_the_count_grids(name):
+def _random_transposed_table(seed):
+    # random labels off the diagonal under a transpose map tau != id: odd
+    # labels swap with the next even one, the last one is symmetric.  Some
+    # seeds use more than 16 classes, so that the codes take two-byte lanes.
+    rng = random.Random(seed)
+    n = 4 + seed % 4
+    c = 20 if seed % 2 else 6
+    tau = [0] + [label + 1 if label % 2 else label - 1 for label in range(1, c - 1)] + [c - 1]
+    table = [[0] * n for _ in range(n)]
+    for y in range(n):
+        for z in range(y):
+            table[y][z] = rng.randrange(1, c)
+            table[z][y] = tau[table[y][z]]
+    return Scheme(table, classes=c)
+
+
+def _broken_transpose_table(seed):
+    # labels drawn for each ordered pair on its own: the transpose map breaks
+    rng = random.Random(seed)
+    n = 4 + seed % 3
+    table = [[0 if y == z else rng.randrange(1, 4) for z in range(n)] for y in range(n)]
+    return Scheme(table, classes=4)
+
+
+TABLES = {
+    "shrikhande": lambda: example_schemes()["shrikhande"],
+    "s3": lambda: example_schemes()["s3"],
+    "broken": broken_table,
+    "moved-pair": moved_pair_table,
+    **{f"random-{s}": (lambda s=s: _random_table(s)) for s in range(6)},
+    **{f"transposed-{s}": (lambda s=s: _random_transposed_table(s)) for s in range(8)},
+    **{f"broken-transpose-{s}": (lambda s=s: _broken_transpose_table(s)) for s in range(6)},
+    **{f"relabelled-444-seed-{s}": (lambda s=s: relabelled((4, 4, 4), s)) for s in (1, 1103)},
+    "cyclic-64": lambda: wreath_of_cyclics((64,)),
+    "sigma-control": lambda: Scheme([[0, 1], [1, 2]]),
+}
+
+
+@pytest.mark.parametrize("name", [*moduli_up_to(12), *TABLES], ids=str)
+def test_intersection_data_matches_the_count_grids(name, monkeypatch):
     # the sorted-code count against one c x c grid per pair: the whole
-    # tensor, the relations counted before a witness included, and the witness
-    if isinstance(name, tuple):
-        scheme = wreath_of_cyclics(name)
-    elif name.startswith("random-"):
-        scheme = _random_table(int(name.split("-")[1]))
-    else:
-        scheme = {"broken": broken_table, "moved-pair": moved_pair_table}.get(
-            name, lambda: example_schemes()[name])()
+    # tensor, the relations counted before a witness included, and the
+    # witness; the read above the diagonal accepts a table whose transpose
+    # map is well defined exactly where no witness exists, and refuses the
+    # rest, which are counted in row order
+    built = wreath_of_cyclics(name) if isinstance(name, tuple) else TABLES[name]()
+    scheme = Scheme(built.table, built.classes)  # nothing cached from another test
+    scans = []
+    scan = Scheme._scan
+    monkeypatch.setattr(Scheme, "_scan", lambda self, upper: scans.append(upper) or scan(self, upper))
     scheme._compute_intersection_data()
     assert (scheme._pnums, scheme._pnum_witness) == intersection_data_by_counts(scheme)
-    assert (scheme._pnum_witness is None) == (isinstance(name, tuple) or name in ("shrikhande", "s3"))
+    scheme_like = isinstance(name, tuple) or name.startswith(("shrikhande", "s3", "relabelled", "cyclic"))
+    assert (scheme._pnum_witness is None) == scheme_like
+    tau, transpose_witness = scheme._transpose
+    assert transpose_witness == transpose_witness_by_pairs(scheme)
+    assert (tau is None) == (not isinstance(name, tuple)
+                             and name.startswith(("broken-transpose", "moved-pair")))
+    # the half scan, where tau is well defined, is accepted exactly on the
+    # tables with no witness; any other table is scanned in full
+    if tau is None:
+        assert scans == [False]
+    else:
+        assert scans == ([True] if scheme_like else [True, False])
+
+
+def test_only_the_comparison_under_sigma_refuses_the_sigma_control():
+    # the pairs with x <= y, (0, 0), (0, 1) and (1, 1), are one per relation
+    # and agree with themselves; the pair (1, 0) of relation 1 does not
+    # agree with (0, 1), and only the comparison of L_1 with sigma(L_1)
+    # sees it
+    scheme = TABLES["sigma-control"]()
+    assert scheme._transpose == ({0: 0, 1: 1, 2: 2}, None)
+    assert scheme._scan(True)[1] is None
+    assert scheme._scan(False)[1] == ((0, 1), (1, 0))
+    assert scheme.verify_axioms().counterexamples["regularity"] == (
+        "count of class-0/class-1 paths is 1 for pair (0, 1) but 0 for (1,0), both in relation 1"
+    )
+
+
+def test_intersection_tables_cover_both_lanes_and_a_transpose_other_than_the_identity():
+    # one-byte and two-byte lanes among the random tables with tau != id,
+    # and a scheme with tau != id, which the read above the diagonal accepts
+    tables = [_random_transposed_table(s) for s in range(8)]
+    assert {t.classes for t in tables} == {6, 20}
+    cyclic = wreath_of_cyclics((5,))
+    for t in [*tables, cyclic]:
+        tau = t._transpose[0]
+        assert any(image != label for label, image in tau.items())
+    assert cyclic._scan(True)[1] is None
+    assert wreath_of_cyclics((64,)).classes ** 2 > 256 >= tables[0].classes ** 2
+
+
+def test_axiom_counterexamples_are_pinned_on_the_transpose_controls():
+    # verify_axioms reads the transpose witness from the pass that the
+    # intersection count shares; the text is the first broken pair in row
+    # order, as the loop over every pair names it
+    cases = {
+        "transpose-control": Scheme([[0, 1, 2], [2, 0, 1], [2, 1, 0]]),
+        "moved-pair": moved_pair_table(),
+        **{f"broken-transpose-{s}": _broken_transpose_table(s) for s in range(3)},
+    }
+    found = {name: s.verify_axioms().counterexamples for name, s in cases.items()}
+    assert found == {
+        "transpose-control": {
+            "transpose": "classify(0,1) = 1 but class 2 transposed to 2 before",
+            "regularity": "count of class-1/class-1 paths is 1 for pair (0, 2) but 0 for (1,0), "
+                          "both in relation 2",
+        },
+        "moved-pair": {
+            "transpose": "classify(2,0) = 3 but class 2 transposed to 2 before",
+            "regularity": "count of class-2/class-1 paths is 0 for pair (0, 1) but 1 for (0,2), "
+                          "both in relation 2",
+        },
+        "broken-transpose-0": {
+            "transpose": "classify(3,1) = 3 but class 2 transposed to 2 before",
+            "regularity": "count of class-1/class-1 paths is 0 for pair (0, 1) but 1 for (0,2), "
+                          "both in relation 2",
+        },
+        "broken-transpose-1": {
+            "transpose": "classify(3,0) = 2 but class 1 transposed to 1 before",
+            "regularity": "count of class-1/class-1 paths is 1 for pair (0, 1) but 0 for (0,3), "
+                          "both in relation 1",
+        },
+        "broken-transpose-2": {
+            "transpose": "classify(2,0) = 1 but class 1 transposed to 3 before",
+            "regularity": "count of class-1/class-2 paths is 1 for pair (0, 1) but 0 for (0,2), "
+                          "both in relation 1",
+        },
+    }
+    for name, s in cases.items():
+        assert found[name]["transpose"] == transpose_witness_by_pairs(s)
 
 
 def test_adjacency_identity_and_partition():
