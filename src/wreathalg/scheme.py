@@ -135,6 +135,7 @@ class Scheme:
         self.order = order
         self.table = table
         self.classes = classes if classes is not None else top + 1
+        self._bound = top + 1
         # Kept so that verify_axioms can report it; every parameter raises.
         self._label_witness = None if top < self.classes else next(
             f"classify({x},{y}) = {c} outside 0..{self.classes - 1}"
@@ -152,18 +153,9 @@ class Scheme:
 
     def verify_axioms(self) -> AxiomReport:
         counterexamples: dict[str, str] = {}
-        t = self.table
-        n = self.order
-
-        x = next((x for x in range(n) if t[x][x] != 0), None)
-        if x is not None:
-            counterexamples["identity"] = f"classify({x},{x}) = {t[x][x]} != 0"
-        else:
-            pair = next(((x, y) for x, y in product(range(n), repeat=2) if x != y and t[x][y] == 0),
-                        None)
-            if pair is not None:
-                counterexamples["identity"] = "classify({0},{1}) = 0 with {0} != {1}".format(*pair)
-        identity_ok = "identity" not in counterexamples
+        identity_ok = self._identity_witness is None
+        if not identity_ok:
+            counterexamples["identity"] = self._identity_witness
 
         partition_ok = self._label_witness is None
         if not partition_ok:
@@ -171,7 +163,7 @@ class Scheme:
         else:
             # the smallest absent label is at most the number of labels present,
             # so the search never depends on the class count the header claims
-            present = set().union(*t)
+            present = set().union(*self.table)
             empty = next(i for i in range(len(present) + 1) if i not in present)
             if empty < self.classes:
                 partition_ok = False
@@ -198,6 +190,17 @@ class Scheme:
             raise AxiomViolation(self._label_witness)
 
     @cached_property
+    def _identity_witness(self) -> str | None:
+        """The identity axiom's witness, None where A_0 = I; the block
+        closure reads it too."""
+        t, n = self.table, self.order
+        x = next((x for x in range(n) if t[x][x] != 0), None)
+        if x is not None:
+            return f"classify({x},{x}) = {t[x][x]} != 0"
+        pair = next(((x, y) for x, y in product(range(n), repeat=2) if x != y and t[x][y] == 0), None)
+        return None if pair is None else "classify({0},{1}) = 0 with {0} != {1}".format(*pair)
+
+    @cached_property
     def _transpose(self) -> tuple[dict[int, int] | None, str | None]:
         """The transpose map tau on the labels present, t[y][x] = tau(t[x][y])
         for every pair, or None and the witness of the first pair, in row
@@ -212,7 +215,8 @@ class Scheme:
 
     def _compute_intersection_data(self):
         """p^h_ij as ``_pnums[h][i][j]``, or the first witness that it is
-        not well defined.
+        not well defined.  c is one more than the largest label held, not
+        the class count claimed: a class no pair holds has no paths.
 
         A pair (x, y) is coded by the sorted codes t[x][z]*c + t[z][y] over
         the vertices z, injective on label pairs since every label is below
@@ -242,7 +246,7 @@ class Scheme:
         self._require_labels()
         if self._pnums is not None:
             return
-        c, t = self.classes, self.table
+        c, t = self._bound, self.table
         tau = self._transpose[0]
         first, mismatch = self._scan(tau is not None)
         if tau is not None:
@@ -284,10 +288,10 @@ class Scheme:
         pair's codes are the lanes of one int sum, row x scaled by c plus
         column y, each packed by ``struct`` in unsigned lanes of the fewest
         bytes that hold c^2 - 1, so no lane carries into the next."""
-        c, n = self.classes, self.order
+        c, n = self._bound, self.order
         lane = next((code for size, code in _LANES.items() if c * c <= 256 ** size), None)
         if lane is None:
-            raise ValueError(f"{c} classes are too many to count paths over")
+            raise ValueError(f"labels up to {c - 1} are too many to count paths over")
         lanes = struct.Struct(f"<{n}{lane}")
         packed = [int.from_bytes(lanes.pack(*column), "little") for column in zip(*self.table)]
         first: dict[int, tuple[tuple[int, int], list[int]]] = {}
@@ -333,8 +337,8 @@ class Scheme:
         alone, each new word under all of A_J.  So the span holds the words
         and is closed under each map, as the closure of J from scratch is.
         """
-        c = self.classes
-        grids = [(h, grid) for h, grid in enumerate(self._tensor()) if grid]
+        c, tensor = self.classes, self._tensor()
+        grids = [(h, grid) for h, grid in enumerate(tensor) if grid]
         words = [[1] + [0] * (c - 1)]
         span = ExactSpan.from_matrices([_column(words[0])])
         applied = [0]  # per word, how many maps of ``acting`` it has been walked under
@@ -346,7 +350,9 @@ class Scheme:
             if span.contains(_column([int(h == g) for h in range(c)])):
                 continue
             classes.append(g)
-            acting.append([[(h, grid[g][m]) for h, grid in grids if grid[g][m]] for m in range(c)])
+            # a word is zero past the labels held, and a label not held has no paths
+            acting.append([[(h, grid[g][m]) for h, grid in grids if g < len(tensor) and grid[g][m]]
+                           for m in range(len(tensor))])
             w = 0
             while w < len(words):  # words grows while it is walked
                 for terms in acting[applied[w]:]:
@@ -370,10 +376,11 @@ class Scheme:
         """
         if not (0 <= i < self.classes and 0 <= j < self.classes and 0 <= h < self.classes):
             raise ValueError("class index out of range")
-        grid = self._tensor()[h]
+        tensor = self._tensor()
+        grid = tensor[h] if h < len(tensor) else None
         if grid is None:
             raise AxiomViolation(f"relation {h} is empty")
-        return grid[i][j]
+        return grid[i][j] if max(i, j) < len(tensor) else 0
 
     def valencies(self) -> list[int]:
         if self._valencies is None:
@@ -406,7 +413,7 @@ class Scheme:
         """
         return all(grid[i][j] == grid[j][i]
                    for grid in self._tensor() if grid is not None
-                   for i in range(self.classes) for j in range(i))
+                   for i in range(len(grid)) for j in range(i))
 
     def __repr__(self):
         return f"<Scheme order={self.order} classes={self.classes}>"

@@ -25,7 +25,7 @@ from itertools import product as iter_product, repeat
 from operator import add
 
 from .linalg import _MIN_WIDTH, ExactMatrix, ExactSpan
-from .scheme import CheckResult, Scheme
+from .scheme import AxiomViolation, CheckResult, Scheme
 from .wreath import _as_index, check_moduli, class_indices
 
 __all__ = [
@@ -239,9 +239,8 @@ def block_closure(scheme: Scheme, base_point: int) -> dict[tuple[int, int], Exac
 
 def _closure(scheme: Scheme, pieces) -> dict[tuple[int, int], ExactSpan]:
     """``block_closure`` from the point's starting pieces."""
-    if any((label == 0) != (y == z) for y, row in enumerate(scheme.table)
-           for z, label in enumerate(row)):
-        raise ValueError("class 0 is not the identity relation, so the pieces need not generate T")
+    if scheme._identity_witness is not None:
+        raise AxiomViolation("class 0 is not the identity relation, so the pieces need not generate T")
     classes = scheme.generating_classes
     if classes is None:
         return close_blocks(pieces, pieces)

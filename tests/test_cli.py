@@ -8,7 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
-from reference import example_schemes, moved_pair_table, rebind
+from reference import example_schemes, moved_pair_table, rebind, relabelled
 
 from wreathalg.cli import VERIFY_CHECKS, main
 
@@ -251,7 +251,9 @@ def _write_tables(tmp_path):
     (tmp_path / "bad.txt").write_text("2 2\n0 1\n1 0\n")
     for name, scheme in example_schemes().items():
         save_scheme(scheme, tmp_path / f"{name}.txt")
-    return {name: tmp_path / f"{name}.txt" for name in ("bad", "t22", "t222", "s3", "shrikhande")}
+    # the table of the oracle benchmark workload at seed 1
+    save_scheme(relabelled((4, 4, 4), 1), tmp_path / "w444.txt")
+    return {name: tmp_path / f"{name}.txt" for name in ("bad", "t22", "t222", "s3", "shrikhande", "w444")}
 
 
 @pytest.mark.parametrize(
@@ -283,6 +285,13 @@ def _write_tables(tmp_path):
                 "oracle", "{t22}",
                 "--checks", "dimension,triply-regular,dimension", "--base-points", "1,3",
             ],
+        ),
+        # the three benchmark invocations at seed 1
+        ("verify-3x3.json", ["verify", "--moduli", "3,3"]),
+        ("verify-2x3x4-points-4.json", ["verify", "--moduli", "2,3,4", "--base-points", "4"]),
+        (
+            "oracle-relabelled-4x4x4-seed-1-dimension-points-0.json",
+            ["oracle", "{w444}", "--checks", "dimension", "--base-points", "0"],
         ),
     ],
 )

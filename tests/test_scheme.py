@@ -64,6 +64,34 @@ def test_empty_class_search_does_not_grow_with_the_class_count():
     assert peak < 2**20
 
 
+def test_intersection_numbers_do_not_grow_with_the_class_count():
+    # the path counts are sized by the labels the table holds: a class that
+    # is claimed but absent has no paths, so its numbers are 0, and a relation
+    # that is absent still raises
+    tracemalloc.start()
+    try:
+        scheme = Scheme([[0, 1], [1, 0]], classes=10**4)
+        numbers = [scheme.intersection_number(i, j, h)
+                   for i, j, h in ((0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1), (9999, 1, 1))]
+        commutative = scheme.is_commutative()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert numbers == [1, 1, 1, 1, 0, 0]
+    assert commutative
+    assert peak < 2**20
+    with pytest.raises(AxiomViolation, match="^relation 2 is empty$"):
+        scheme.intersection_number(0, 0, 2)
+    assert scheme.generating_classes is None
+
+
+def _number(tensor, h, i, j):
+    """p^h_ij read from ``tensor``, 0 past its labels, or None where relation
+    h has no grid."""
+    grid = tensor[h] if h < len(tensor) else None
+    return None if grid is None else (grid[i][j] if max(i, j) < len(grid) else 0)
+
+
 def test_out_of_range_labels_raise_axiom_violations():
     # the table is accepted, so that verify_axioms can report it
     s = Scheme([[0, 2], [2, 0]], classes=2)
@@ -176,7 +204,11 @@ def test_intersection_data_matches_the_count_grids(name, monkeypatch):
     scan = Scheme._scan
     monkeypatch.setattr(Scheme, "_scan", lambda self, upper: scans.append(upper) or scan(self, upper))
     scheme._compute_intersection_data()
-    assert (scheme._pnums, scheme._pnum_witness) == intersection_data_by_counts(scheme)
+    tensor, witness = intersection_data_by_counts(scheme)
+    assert scheme._pnum_witness == witness
+    c = scheme.classes
+    assert all(_number(scheme._pnums, h, i, j) == _number(tensor, h, i, j)
+               for h in range(c) for i in range(c) for j in range(c))
     scheme_like = isinstance(name, tuple) or name.startswith(("shrikhande", "s3", "relabelled", "cyclic"))
     assert (scheme._pnum_witness is None) == scheme_like
     tau, transpose_witness = scheme._transpose

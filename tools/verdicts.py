@@ -1,0 +1,98 @@
+"""Dump every verdict the checks give on a fixed set of wreath schemes.
+
+Run it on a source tree as
+
+    PYTHONPATH=<tree>/src python tools/verdicts.py > verdicts.jsonl
+
+and compare the dumps of two trees with ``diff``: equal dumps mean the same
+verdict, witness and ``checked`` count from every registered per-point check
+at every point of every moduli tuple of order at most 12 and of (2,3,4), the
+same certified results of ``run_point_checks`` on each of those tuples, and
+byte-identical default ``verify`` reports at a ladder of larger tuples.
+
+Output, one JSON object per line:
+- ``{"moduli", "x", "check", "passed", "witness", "checked"}`` per tuple,
+  point and ``POINT_CHECKS`` name, the points of one tuple sharing one run;
+- ``{"moduli", "certified", "check", "passed", "witness", "checked"}`` per
+  tuple and result of ``run_point_checks`` over every vertex, which runs the
+  translation certificate;
+- ``{"moduli", "exit", "sha256"}`` of the JSON report of the default
+  ``verify`` at each tuple of ``REPORTED``.
+
+Only the standard library and the package are imported.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import math
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+from wreathalg import wreath_of_cyclics
+from wreathalg.cli import main
+from wreathalg.structure import POINT_CHECKS, SCHEME_CHECKS, BasePoint, run_point_checks
+
+# The tuples whose default verify report is hashed.
+REPORTED = ((2, 3), (3, 3), (2, 2, 2, 2), (2, 3, 4), (4, 4, 4), (2, 2, 2, 2, 2, 2), (64,))
+
+
+def moduli_up_to(order: int, prefix: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
+    """Every tuple of cyclic orders, each at least 2, with product at most ``order``."""
+    tuples = []
+    for p in range(2, order + 1):
+        tuples.append(prefix + (p,))
+        tuples += moduli_up_to(order // p, prefix + (p,))
+    return tuples
+
+
+def _line(**fields) -> None:
+    print(json.dumps(fields, sort_keys=True))
+
+
+def _result(result) -> dict:
+    return {"passed": result.passed, "witness": result.witness, "checked": result.checked}
+
+
+def point_verdicts(moduli: tuple[int, ...]) -> None:
+    scheme = wreath_of_cyclics(moduli)
+    seen: dict = {}
+    for x in range(scheme.order):
+        point = BasePoint(scheme, moduli, x, seen)
+        for name in POINT_CHECKS:
+            _line(moduli=list(moduli), x=x, check=name, **_result(point.result(name)))
+
+
+def certified_verdicts(moduli: tuple[int, ...]) -> None:
+    names = [*SCHEME_CHECKS, *POINT_CHECKS, "decomposition"]
+    results, _, _ = run_point_checks(wreath_of_cyclics(moduli), moduli, None, names)
+    for name, result in results.items():
+        _line(moduli=list(moduli), certified=True, check=name, **_result(result))
+
+
+def report_digest(moduli: tuple[int, ...], workdir: Path) -> None:
+    out = workdir / "report.json"
+    with redirect_stdout(StringIO()):
+        code = main(["verify", "--moduli", ",".join(map(str, moduli)), "--out", str(out)])
+    _line(moduli=list(moduli), exit=code, sha256=hashlib.sha256(out.read_bytes()).hexdigest())
+
+
+def run() -> int:
+    tuples = sorted(moduli_up_to(12) + [(2, 3, 4)], key=lambda m: (math.prod(m), m))
+    for moduli in tuples:
+        point_verdicts(moduli)
+    for moduli in tuples:
+        certified_verdicts(moduli)
+    with tempfile.TemporaryDirectory() as workdir:
+        for moduli in REPORTED:
+            report_digest(moduli, Path(workdir))
+    sys.stdout.flush()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(run())
