@@ -18,18 +18,19 @@ its width does not certify.  Equality and zero tests are then int
 comparisons.  The ``CycloNum`` grid of the public API (``data``,
 ``flat()``, ``[i, j]``) is decoded on demand.
 
-``ExactSpan`` keeps the span of equal-shape matrices over Q(zeta_N),
-flattened row-major, in reduced echelon form, with one row type: a row
-holds the integer power-basis coefficients of its entries over Z[zeta_N],
-interleaved, scaled to content one with a positive rational-integer pivot.
-Vectors are n x 1 matrices.  The conductor N starts at 1, where the rows
-are plain integer rows, and widens to the lcm of the conductors inserted;
-widening embeds the stored rows, which stay in reduced echelon form.  A
-matrix is inserted as its decoded integer planes, denominator dropped, since
-scaling leaves a span unchanged, and the block closure of ``terwilliger``
-inserts packed products as they come.  An irrational pivot is made rational
-by multiplying its row by the pivot's adjugate (see ``cyclotomic``), so the
-span code works on integers alone, with no ``CycloNum`` and no ``Fraction``.
+``ExactSpan`` keeps the span of equal-shape matrices over Q(zeta_N) in
+reduced echelon form, each row an ``ExactMatrix`` in the same layout: its
+numerators are the row, of content one, and its ``den`` is its positive
+rational-integer pivot entry.  Vectors are n x 1 matrices.  A matrix is
+reduced on its own packed rows, denominator dropped: a pivot entry is one
+biased shift and mask of a row int, a step is one big-int multiply-add per
+row, and zero is ``not any`` of the row ints.  The vector carries a proven
+bound, and the span repacks wider before a step its width would not
+certify.  Rows are unpacked only on an accepted insert and when the span
+widens.  Every product by a scalar of Z[zeta_N], in the spans and in
+``ExactMatrix.scaled``, is one helper on planes of packed rows
+(``_times``), and an irrational pivot is made rational by its adjugate
+(see ``cyclotomic``), so the span code works on integers alone.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ import math
 import struct
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
-from operator import mul
+from itertools import chain, compress
+from operator import itemgetter, mul, sub
 
 from .cyclotomic import ZERO, CycloNum, _adjugate, _xpow, euler_phi
 
@@ -112,23 +113,55 @@ def _unpack(rows, width: int, n: int) -> list[int]:
 
 def _reduced(raw: dict[int, list[int]], conductor: int, rows: int) -> list[list[int]]:
     """The planes of ``sum_d raw[d] z^d`` reduced modulo Phi_conductor."""
+    if conductor == 1:
+        return [raw.get(0) or [0] * rows]
     phi = euler_phi(conductor)
-    if all(d < phi for d in raw):
+    if max(raw, default=0) < phi:
         return [raw.get(j) or [0] * rows for j in range(phi)]
-    planes = [[0] * rows for _ in range(phi)]
+    terms: list[tuple[list[int], list[list[int]]]] = [([], []) for _ in range(phi)]
     for d, plane in raw.items():
         for j, c in enumerate(_xpow(conductor, d)):
             if c:
-                planes[j] = [x + c * y for x, y in zip(planes[j], plane)]
-    return planes
+                terms[j][0].append(c)
+                terms[j][1].append(plane)
+    return [[sum(map(mul, factors, column)) for column in zip(*rows_in)] if factors else [0] * rows
+            for factors, rows_in in terms]
+
+
+@lru_cache(maxsize=None)
+def _spread(conductor: int, source_a: int, source_b: int) -> int:
+    """``max_j sum_d |coefficient j of z^d|`` in Q(zeta_N), N = conductor,
+    over the degrees ``d = s N/N_a + t N/N_b`` of plane s over Q(zeta_{N_a})
+    times plane t over Q(zeta_{N_b}): reducing modulo Phi_N multiplies the
+    raw degrees' bound by at most this."""
+    step_a, step_b = conductor // source_a, conductor // source_b
+    degrees = {s * step_a + t * step_b
+               for s in range(euler_phi(source_a)) for t in range(euler_phi(source_b))}
+    return max(sum(abs(_xpow(conductor, d)[j]) for d in degrees) for j in range(euler_phi(conductor)))
+
+
+def _times(coeffs, source_a: int, planes, source_b: int, conductor: int) -> list[list[int]]:
+    """The planes of ``a M`` over Q(zeta_conductor), new lists, for
+    ``a = sum_s coeffs[s] z_a^s`` over Q(zeta_{source_a}) and the planes of
+    M over Q(zeta_{source_b}), packed rows or entries alike.  Given s and d
+    there is at most one t, so its entries are at most ``sum_s |coeffs[s]|``
+    times ``_spread(conductor, source_a, source_b)`` times M's bound."""
+    step_a, step_b = conductor // source_a, conductor // source_b
+    terms: dict[int, tuple[list[int], list[list[int]]]] = {}
+    for s, c in enumerate(coeffs):
+        for t, plane in enumerate(planes if c else ()):
+            factors, rows = terms.setdefault(s * step_a + t * step_b, ([], []))
+            factors.append(c)
+            rows.append(plane)
+    raw = {d: [sum(map(mul, factors, column)) for column in zip(*rows)]
+           for d, (factors, rows) in terms.items()}
+    return _reduced(raw, conductor, len(planes[0]))
 
 
 def _max_abs(planes) -> int:
     """The largest |v| over planes of int rows."""
     rows = [row for plane in planes for row in plane if row]
-    if not rows:
-        return 0
-    return max(max(map(max, rows)), -min(map(min, rows)))
+    return max(max(map(max, rows)), -min(map(min, rows))) if rows else 0
 
 
 def _numerators(grid):
@@ -138,19 +171,11 @@ def _numerators(grid):
     if all(set(map(type, row)) <= {int} for row in grid):
         return 1, 1, [[list(row) for row in grid]]
     cells = [[as_cyclo(v) for v in row] for row in grid]
-    conductor = 1
-    for row in cells:
-        for v in row:
-            if not v.is_rational():
-                conductor = math.lcm(conductor, v.conductor)
+    conductor = math.lcm(1, *(v.conductor for row in cells for v in row if not v.is_rational()))
     pad = (0,) * (euler_phi(conductor) - 1)
     coeffs = [[(v.coeffs[0],) + pad if v.is_rational() else v.embedded(conductor).coeffs
                for v in row] for row in cells]
-    den = 1
-    for row in coeffs:
-        for c in row:
-            for q in c:
-                den = math.lcm(den, q.denominator)
+    den = math.lcm(*(q.denominator for row in coeffs for c in row for q in c))
     planes = [[[c[s].numerator * (den // c[s].denominator) for c in row] for row in coeffs]
               for s in range(len(pad) + 1)]
     return conductor, den, planes
@@ -225,24 +250,25 @@ class ExactMatrix:
         return self._ints
 
     def _left_terms(self):
-        """Each plane's nonzero entries, row by row, as ``(columns, values)``
-        (values None when all are one; None for a zero row), and the largest
-        row sum of ``|v|`` over all planes."""
+        """Each plane's distinct rows as ``(columns, values)`` of their nonzero
+        entries (values None when all are one; None for a zero row), with
+        each row's place among them, and the largest row sum of ``|v|`` over
+        all planes.  Equal rows of a left factor give equal product rows."""
         if self._terms is None:
             columns = range(self.cols)
             sums = [0] * self.rows
             planes = []
             for plane in self._decoded():
+                distinct: dict[tuple[int, ...], int] = {}
+                places = [distinct.setdefault(tuple(row), len(distinct)) for row in plane]
                 terms = []
-                for i, row in enumerate(plane):
+                for row in distinct:
                     values = list(filter(None, row))
-                    if not values:
-                        terms.append(None)
-                        continue
-                    sums[i] += sum(map(abs, values))
                     ones = values.count(1) == len(values)
-                    terms.append((list(compress(columns, row)), None if ones else values))
-                planes.append(terms)
+                    terms.append((list(compress(columns, row)), None if ones else values) if values else None)
+                for i, row in enumerate(plane):
+                    sums[i] += sum(map(abs, row))
+                planes.append((terms, places))
             self._terms = planes, max(sums, default=0)
         return self._terms
 
@@ -270,10 +296,15 @@ class ExactMatrix:
 
     def _embedded(self, conductor: int) -> "ExactMatrix":
         """The same matrix over Q(zeta_conductor), a multiple of its own."""
-        if conductor == self.conductor:
-            return self
-        one = (1,) + (0,) * (euler_phi(conductor) - 1)
-        return _product(_diagonal(self.rows, conductor, 1, one), self)
+        return self if conductor == self.conductor else self._multiple((1,), 1, 1, conductor)
+
+    def _multiple(self, coeffs, source: int, den: int, conductor: int) -> "ExactMatrix":
+        """The matrix times ``sum_s coeffs[s] z_source^s / den``, over
+        Q(zeta_conductor), a multiple of both conductors."""
+        bound = self.bound * sum(map(abs, coeffs)) * _spread(conductor, source, self.conductor)
+        width = max(self.width, _width_for(bound))
+        planes = _times(coeffs, source, self._at(width), self.conductor, conductor)
+        return ExactMatrix._packed(self.rows, self.cols, conductor, self.den * den, bound, width, planes)
 
     def _sum(self, other, sign: int) -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):
@@ -315,9 +346,9 @@ class ExactMatrix:
                 planes = [[q.numerator * r for r in plane] for plane in planes]
             return ExactMatrix._packed(self.rows, self.cols, self.conductor,
                                        self.den * q.denominator, bound, width, planes)
-        # An irrational scalar multiplies as the scalar matrix.
-        conductor, den, planes = _numerators([[s]])
-        return _product(_diagonal(self.rows, conductor, den, [p[0][0] for p in planes]), self)
+        den = math.lcm(*(q.denominator for q in s.coeffs))
+        return self._multiple([q.numerator * (den // q.denominator) for q in s.coeffs], s.conductor,
+                              den, math.lcm(s.conductor, self.conductor))
 
     def transpose(self) -> "ExactMatrix":
         planes = [[_pack(column, self.width) for column in zip(*plane)]
@@ -358,14 +389,6 @@ class ExactMatrix:
         return f"<ExactMatrix {self.rows}x{self.cols}>"
 
 
-def _diagonal(n: int, conductor: int, den: int, coeffs) -> ExactMatrix:
-    """The n x n scalar matrix of ``sum_s coeffs[s] z^s / den``."""
-    bound = max(map(abs, coeffs))
-    width = _width_for(bound)
-    return ExactMatrix._packed(n, n, conductor, den, bound, width,
-                               [[c << (width * i) for i in range(n)] for c in coeffs])
-
-
 def _product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """The product over Q(zeta_N), N the lcm of the operands' conductors.
 
@@ -373,31 +396,27 @@ def _product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     B lands at degree d = s N/N_A + t N/N_B, and row i of it is
     ``sum_k a_ik packed(B_k)``.  Given s and d there is at most one t, so
     each raw degree has entries of size at most A's largest row sum of
-    ``|a|`` over all planes times B's bound; reducing z^d modulo Phi_N
-    multiplies that by at most the largest row sum of the reduction's
-    coefficients.  That is the result's proven bound, and so its width.
+    ``|a|`` over all planes times B's bound, and reducing z^d modulo Phi_N
+    multiplies that by at most ``_spread(N, N_A, N_B)``, cached per triple
+    of conductors.  That is the result's proven bound, and so its width.
     """
     if a.cols != b.rows:
         raise ValueError("inner dimensions do not match")
     conductor = math.lcm(a.conductor, b.conductor)
-    step_a, step_b = conductor // a.conductor, conductor // b.conductor
     terms, row_sum = a._left_terms()
-    pairs = [(s, t, s * step_a + t * step_b) for s, plane in enumerate(terms) if any(plane)
-             for t, plane_b in enumerate(b.planes) if any(plane_b)]
-    degrees = {d for _, _, d in pairs}
-    factor = max(sum(abs(_xpow(conductor, d)[j]) for d in degrees)
-                 for j in range(euler_phi(conductor)))
-    bound = row_sum * b.bound * factor
+    bound = row_sum * b.bound * _spread(conductor, a.conductor, b.conductor)
     width = max(b.width, _width_for(bound))
-    planes_b = b._at(width)
+    step_a, step_b = conductor // a.conductor, conductor // b.conductor
+    live = [(t, plane.__getitem__) for t, plane in enumerate(b._at(width)) if any(plane)]
     raw = {}
-    for s, t, d in pairs:
-        get = planes_b[t].__getitem__
-        term = [0 if row is None
-                else sum(map(get, row[0])) if row[1] is None
-                else sum(map(mul, row[1], map(get, row[0])))
-                for row in terms[s]]
-        raw[d] = term if d not in raw else [x + y for x, y in zip(raw[d], term)]
+    for s, (rows, places) in enumerate(terms):
+        for t, get in live if any(rows) else ():
+            d = s * step_a + t * step_b
+            term = list(map([0 if row is None
+                             else sum(map(get, row[0])) if row[1] is None
+                             else sum(map(mul, row[1], map(get, row[0])))
+                             for row in rows].__getitem__, places))
+            raw[d] = term if d not in raw else [x + y for x, y in zip(raw[d], term)]
     return ExactMatrix._packed(a.rows, b.cols, conductor, a.den * b.den, bound, width,
                                _reduced(raw, conductor, a.rows))
 
@@ -405,117 +424,62 @@ def _product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 # -- spans ----------------------------------------------------------------------
 
 
-def _interleaved(planes) -> list[int]:
-    """The flat vector whose entry k has coefficients ``planes[s][k]``."""
-    phi = len(planes)
-    if phi == 1:
-        return planes[0]
-    out = [0] * (len(planes[0]) * phi)
-    for s, plane in enumerate(planes):
-        out[s::phi] = plane
-    return out
+def _slot(planes, r: int, shift: int, bias: int, width: int) -> list[int]:
+    """Entry ``shift / width`` of row r in each plane: ``bias`` offsets it
+    and every lower slot into ``[0, 2^width)``, so none borrows from it."""
+    half = 1 << (width - 1)
+    return [((plane[r] + bias) >> shift & (half << 1) - 1) - half for plane in planes]
 
 
-def _times(a, vec: list[int], conductor: int) -> list[int]:
-    """``a * vec`` for ``a`` in Z[zeta_conductor], given by its power-basis
-    coefficients, and an interleaved vector over Z[zeta_conductor]."""
-    phi = len(a)
-    planes = [vec[t::phi] for t in range(phi)]
-    raw = {}
-    for s, c in enumerate(a):
-        if c:
-            for t, plane in enumerate(planes):
-                term = [c * x for x in plane]
-                d = s + t
-                raw[d] = [x + y for x, y in zip(raw[d], term)] if d in raw else term
-    return _interleaved(_reduced(raw, conductor, len(vec) // phi))
-
-
-def _embedded(vec: list[int], source: int, target: int) -> list[int]:
-    """An interleaved vector over Z[zeta_source] as one over Z[zeta_target]."""
-    if source == target:
-        return vec
-    phi, step = euler_phi(source), target // source
-    raw = {s * step: vec[s::phi] for s in range(phi)}
-    return _interleaved(_reduced(raw, target, len(vec) // phi))
-
-
-def _normalized(row: list[int], at: int) -> list[int]:
-    """``row`` divided by its content, with a positive coefficient at ``at``."""
-    g = math.gcd(*row)
-    if row[at] < 0:
-        g = -g
-    return row if g == 1 else [x // g for x in row]
-
-
-def _support(row: list[int], phi: int) -> list[int]:
-    """The flat indices of every coefficient of the row's nonzero entries."""
-    nonzero = compress(range(len(row)), row)
-    if phi == 1:
-        return list(nonzero)
-    return [k + s for k in dict.fromkeys(i - i % phi for i in nonzero) for s in range(phi)]
-
-
-def _eliminate(v: list[int], row: list[int], support: list[int], at: int,
-               conductor: int) -> list[int]:
-    """Clear the entry of ``v`` that starts at flat index ``at``, where
-    ``row`` holds the positive integer ``c``: with ``a`` that entry of ``v``
-    and ``g = gcd(c, a)``, ``v <- (c/g) v - (a/g) * row``.  Only the row's
-    support changes when ``g = c``; ``v`` is then changed in place."""
-    a = v[at:at + euler_phi(conductor)]
-    c = row[at]
+def _cancel(v, bound: int, a, row: ExactMatrix, conductor: int, width: int):
+    """``v <- (c/g) v - (a/g) S`` in the list ``v`` of planes, for the stored
+    row S = ``row`` with pivot entry ``c = row.den``, v's entry ``a`` there
+    and ``g = gcd(c, a)``: one big-int multiply-add per row.  Returns the
+    new bound, or None, v unchanged, where ``width`` does not certify it."""
+    c = row.den
     g = math.gcd(c, *a)
-    if g != c:
-        m = c // g
-        v = [m * x for x in v]
+    m, x, term = c // g, a[0] // g, row.planes
     if any(a[1:]):
-        product = _times([x // g for x in a], [row[k] for k in support], conductor)
-        for k, x in zip(support, product):
-            v[k] -= x
+        a = [y // g for y in a]
+        x, term = 1, _times(a, conductor, term, conductor, conductor)
+        grown = m * bound + sum(map(abs, a)) * _spread(conductor, conductor, conductor) * row.bound
     else:
-        m = a[0] // g
-        for k in support:
-            v[k] -= m * row[k]
-    return v
+        grown = m * bound + abs(x) * row.bound
+    if grown >> (width - 1):
+        return None
+    v[:] = [list(map(sub, plane, rows)) if m == x == 1 else [m * p - x * q for p, q in zip(plane, rows)]
+            for plane, rows in zip(v, term)]
+    return grown
 
 
-def _reduce(rows, v: list[int], conductor: int) -> list[int]:
-    """Reduce ``v`` against (pivot, row, support) triples over one conductor."""
-    phi = euler_phi(conductor)
-    for pivot, row, support in rows:
-        at = pivot * phi
-        if any(v[at:at + phi]):
-            v = _eliminate(v, row, support, at, conductor)
-    return v
+def _exact_bound(v, width: int, cols: int) -> int:
+    """The largest |entry| of planes certified at ``width``, off their slots."""
+    return max(map(abs, _unpack(chain.from_iterable(v), width, cols)))
 
 
 class ExactSpan:
     """The span of ``rows`` x ``cols`` matrices over Q(zeta_N), flattened
-    row-major and kept in reduced echelon form.
+    row-major and kept in reduced echelon form (see the module docstring).
 
-    A row holds, entry by entry, the ``phi(N)`` integer power-basis
-    coefficients of one basis matrix over Z[zeta_N], interleaved in one
-    flat list (coefficient s of entry k at index ``k phi(N) + s``).  Each row
-    is scaled to content one and is a positive integer ``c`` times the
-    reduced echelon row whose pivot entry is one, so its pivot entry is the
-    rational integer ``c``.  Pivoting is first-nonzero-entry, and rows are
-    fully reduced against each other, so the stored rows depend only on the
-    subspace, not on which spanning matrices were inserted, or in which
-    order.
-
-    The conductor N starts at 1 and grows to the lcm of the conductors of
-    the inserted matrices.  A field embedding keeps reduced echelon form, so
-    widening embeds the stored rows and normalises their content again;
-    nothing is re-inserted.  At N = 1 the rows are plain integer rows.  A
-    matrix enters as its integer numerators, its denominator dropped, which
-    leaves every span unchanged.
+    Pivots are first nonzero entries, rows are fully reduced against each
+    other, and each is scaled to content one with a positive rational
+    pivot, so the stored rows depend only on the subspace.  Reducing
+    ``v <- (c/g) v - (a/g) S`` grows the vector's proven bound by ``c/g``
+    and by ``|a/g|`` times S's bound.  Where the width would not certify a
+    step, the step is tried with the exact bound, read off the slots, and
+    then the span repacks every row at twice the width and reduces again,
+    so no slot is read and no zero decided under an uncertified bound.  An
+    accepted row stays packed where its pivot is one and its bound fits
+    the narrowest width; any other is unpacked once, to divide out its
+    content.  The conductor N starts at 1 and grows to the lcm of the
+    conductors inserted, by embedding the stored rows.
     """
 
     def __init__(self, rows: int, cols: int):
         self.shape = (rows, cols)
-        self.conductor = 1
-        # (pivot entry, row, _support(row)), sorted by pivot
-        self._rows: list[tuple[int, list[int], list[int]]] = []
+        self.conductor, self.width = 1, _MIN_WIDTH
+        # (pivot, its row, shift, bias, row matrix), sorted by pivot
+        self._rows: list[tuple] = []
 
     @classmethod
     def from_matrices(cls, matrices) -> "ExactSpan":
@@ -531,72 +495,119 @@ class ExactSpan:
     def dimension(self) -> int:
         return len(self._rows)
 
-    def _vector(self, mat: ExactMatrix) -> tuple[int, list[int]]:
-        """The conductor and interleaved integer coefficients of ``mat``."""
+    def _key(self, pivot: int, width: int) -> tuple[int, int, int, int]:
+        """(pivot, row, shift, bias) of a flat pivot index: ``_slot``'s reading."""
+        r, j = divmod(pivot, self.shape[1])
+        return pivot, r, width * j, _bias(width, j + 1)
+
+    def _stored(self, planes, key, bound: int, width: int, conductor: int):
+        """A stored row from planes whose first nonzero entry is at ``key``:
+        times the pivot's adjugate where it is irrational, divided by its
+        content, pivot positive; None where ``width`` cannot hold it.  A
+        pivot of one leaves the content one, and the row stays packed unless
+        its bound passes the narrowest width."""
+        pivot, r, shift, bias = key
+        a, c = _slot(planes, r, shift, bias, width), 1
+        if a[0] != 1 or any(a[1:]) or bound >> (_MIN_WIDTH - 1):
+            cols, n = self.shape[1], self.shape[0] * self.shape[1]
+            values = _unpack(chain.from_iterable(planes), width, cols)
+            entries = [values[k:k + n] for k in range(0, len(values), n)]
+            if any(a[1:]):
+                # The adjugate turns the pivot into its norm, a rational integer.
+                entries = _times(_adjugate(a, conductor), conductor, entries, conductor, conductor)
+            g = math.gcd(*chain.from_iterable(entries))
+            g = -g if entries[0][pivot] < 0 else g
+            entries = [[x // g for x in plane] for plane in entries]
+            c, bound = entries[0][pivot], max(map(abs, chain.from_iterable(entries)))
+            if bound >> (width - 1):
+                return None
+            planes = [[_pack(plane[k:k + cols], width) for k in range(0, n, cols)] for plane in entries]
+        return (*key, ExactMatrix._packed(*self.shape, conductor, c, bound, width, planes))
+
+    def _rows_at(self, conductor: int, width: int):
+        """The stored rows over Q(zeta_conductor) at ``width``, at least the
+        own; None where the width does not certify them.  Z[zeta_M] is
+        Z[zeta_N] meet Q(zeta_M), so embedding keeps content one and pivots."""
+        if conductor == self.conductor and width == self.width:
+            return self._rows
+        spread, rows = _spread(conductor, 1, self.conductor), []
+        for pivot, _, _, _, row in self._rows:
+            if row.bound * spread >> (width - 1):
+                return None
+            planes = _times((1,), 1, row._at(width), self.conductor, conductor)
+            mat = ExactMatrix._packed(*self.shape, conductor, row.den, row.bound * spread, width, planes)
+            rows.append((*self._key(pivot, width), mat))
+        return rows
+
+    def _residual(self, mat: ExactMatrix, width: int = 0):
+        """(rows, planes, bound, conductor, width): ``mat``'s numerators
+        reduced against the stored rows, at the lcm of the conductors and the
+        narrowest width from ``width`` up that certifies every step."""
         if (mat.rows, mat.cols) != self.shape:
             raise ValueError("matrix shape does not match the span")
-        planes = mat.planes
-        if any(any(plane) for plane in planes[1:]):
-            conductor = mat.conductor
-        else:
-            conductor, planes = 1, planes[:1]
-        return conductor, _interleaved([_unpack(plane, mat.width, mat.cols) for plane in planes])
-
-    def _widened(self, conductor: int):
-        """The rows over Q(zeta_conductor), a multiple of the own conductor."""
-        if conductor == self.conductor:
-            return self._rows
-        phi = euler_phi(conductor)
-        rows = []
-        for pivot, row, _ in self._rows:
-            row = _normalized(_embedded(row, self.conductor, conductor), pivot * phi)
-            rows.append((pivot, row, _support(row, phi)))
-        return rows
+        source = 1 if mat.conductor == 1 or not any(map(any, mat.planes[1:])) else mat.conductor
+        conductor = math.lcm(self.conductor, source)
+        width = max(self.width, mat.width, width)
+        while True:
+            rows = self._rows_at(conductor, width)
+            v, bound = list(mat._at(width)[:euler_phi(source)]), mat.bound
+            if source != conductor:
+                v, bound = _times((1,), 1, v, source, conductor), bound * _spread(conductor, 1, source)
+            half, mask, phi = 1 << (width - 1), (1 << width) - 1, len(v)
+            certified = rows is not None and bound < half
+            for _, r, shift, bias, row in rows if certified else ():
+                a = ([((plane[r] + bias) >> shift & mask) - half for plane in v] if phi > 1
+                     else [((v[0][r] + bias) >> shift & mask) - half])
+                if any(a):
+                    # a proven bound may be loose: retry with the exact one
+                    bound = (_cancel(v, bound, a, row, conductor, width)
+                             or _cancel(v, _exact_bound(v, width, self.shape[1]), a, row, conductor, width))
+                    if bound is None:
+                        break
+            if certified and bound is not None:
+                return rows, v, bound, conductor, width
+            width *= 2
 
     def insert(self, mat: ExactMatrix) -> bool:
         """Adjoin a matrix; returns True iff the dimension grew."""
-        source, v = self._vector(mat)
-        conductor = math.lcm(self.conductor, source)
-        self._rows = self._widened(conductor)
-        self.conductor = conductor
-        v = _reduce(self._rows, _embedded(v, source, conductor), conductor)
-        if v.count(0) == len(v):
-            return False
-        phi = euler_phi(conductor)
-        pivot = next(compress(range(len(v)), v)) // phi
-        at = pivot * phi
-        if any(v[at + 1:at + phi]):
-            # The pivot's adjugate turns the pivot into its norm, a rational
-            # integer; _normalized then makes the row primitive.
-            v = _times(_adjugate(v[at:at + phi], conductor), v, conductor)
-        v = _normalized(v, at)
-        support = _support(v, phi)
-        updated = []
-        for p, row, row_support in self._rows:
-            if any(row[at:at + phi]):
-                row = _normalized(_eliminate(row, v, support, at, conductor), p * phi)
-                row_support = _support(row, phi)
-            updated.append((p, row, row_support))
-        updated.append((pivot, v, support))
-        updated.sort(key=lambda item: item[0])
-        self._rows = updated
-        return True
+        width = 0
+        while True:
+            rows, v, bound, conductor, width = self._residual(mat, width)
+            grew = any(map(any, v))
+            if grew:
+                rows = self._accepted(rows, v, bound, conductor, width)
+            if rows is not None:
+                self.conductor, self.width, self._rows = conductor, width, rows
+                return grew
+            width *= 2
+
+    def _accepted(self, rows, v, bound: int, conductor: int, width: int):
+        """The stored rows with the nonzero residual ``v`` adjoined and every
+        row reduced against it; None where ``width`` does not certify a step."""
+        # The pivot is in the first nonzero row r, and the lowest set bit of a
+        # certified row int lies in its first nonzero slot.
+        r = list(map(any, zip(*v))).index(True)
+        j = min(((x & -x).bit_length() - 1) // width for x in (plane[r] for plane in v) if x)
+        new = self._stored(v, self._key(r * self.shape[1] + j, width), bound, width, conductor)
+        if new is None:
+            return None
+        updated, key = [new], new[:4]
+        for old in rows:
+            a = _slot(old[4].planes, *key[1:], width)
+            if any(a):
+                planes = list(old[4].planes)
+                grown = _cancel(planes, old[4].bound, a, new[4], conductor, width)
+                if grown is None:
+                    return None
+                old = self._stored(planes, old[:4], grown, width, conductor)
+            updated.append(old)
+        return sorted(updated, key=itemgetter(0))
 
     def contains(self, mat: ExactMatrix) -> bool:
         """Exact membership: the residual after reduction is zero.  The
         stored rows are left as they are."""
-        source, v = self._vector(mat)
-        conductor = math.lcm(self.conductor, source)
-        v = _reduce(self._widened(conductor), _embedded(v, source, conductor), conductor)
-        return v.count(0) == len(v)
+        return not any(map(any, self._residual(mat)[1]))
 
     def basis(self) -> list[ExactMatrix]:
         """The reduced echelon rows as matrices, pivots normalized to one."""
-        rows, cols = self.shape
-        phi = euler_phi(self.conductor)
-        # A row's pivot coefficient is a positive integer: the denominator.
-        return [ExactMatrix._packed(rows, cols, *_packing(
-                    self.conductor, row[pivot * phi],
-                    [[plane[r * cols:(r + 1) * cols] for r in range(rows)]
-                     for plane in (row[s::phi] for s in range(phi))]))
-                for pivot, row, _ in self._rows]
+        return [row for *_, row in self._rows]

@@ -50,7 +50,6 @@ from .wreath import (
     check_translation_certificate,
     check_vanishing_criterion,
     class_indices,
-    indices_below_level,
     num_classes,
     wreath_of_cyclics,
 )
@@ -210,7 +209,8 @@ def check_adjacency_action(point: BasePoint, units: MatrixUnitFamily) -> CheckRe
     column sums s of (b, A, h), each with s n_h = D[b][h] n_b.  A failure
     names the first (a, b), in the order of the 2k^3 products ``checked``
     counts, whose product breaks its form.  The label of a's level with
-    offset o has the flat index a.flat - a.offset + o.
+    offset o has the flat index a.flat - a.offset + o, so the labels below
+    a's level are the first a.flat - a.offset + 1 in flat order.
     """
     moduli = _require_wreath(point)
     sizes = [len(sphere) for sphere in point.spheres]
@@ -231,7 +231,7 @@ def check_adjacency_action(point: BasePoint, units: MatrixUnitFamily) -> CheckRe
             elif hx.level == a.level:
                 p = moduli[a.level - 1]
                 if hx.offset == a.offset:
-                    for r in indices_below_level(moduli, a.level):
+                    for r in indices[:a.flat - a.offset + 1]:
                         left[r.flat, a.flat] = n_a
                 else:
                     left[a.flat - a.offset + (a.offset - hx.offset) % p, a.flat] = n_a
@@ -250,7 +250,7 @@ def check_adjacency_action(point: BasePoint, units: MatrixUnitFamily) -> CheckRe
                 if rho:
                     right[b.flat, b.flat - b.offset + rho] = n_b
                 else:
-                    for r in indices_below_level(moduli, b.level):
+                    for r in indices[:b.flat - b.offset + 1]:
                         right[b.flat, r.flat] = valency[r.flat]
             else:
                 right[b.flat, hx.flat] = n_hx
@@ -289,8 +289,9 @@ def check_block_form(point: BasePoint, index: WreathIndex) -> CheckResult:
     j, beta = index.level, index.offset
     p = moduli[j - 1]
     checked = 0
-    for a in class_indices(moduli):
-        for b in class_indices(moduli):
+    indices = class_indices(moduli)
+    for a in indices:
+        for b in indices:
             piece = point.pieces.get((a.flat, index.flat, b.flat))
             nonzero = piece is not None
             if a.level < j:
@@ -336,10 +337,11 @@ def check_commutation(point: BasePoint) -> CheckResult:
     moduli = _require_wreath(point)
     crossing = {key for i, j, h in point.pieces if i != h for key in ((i, j), (h, j))}
     checked = 0
-    for a in class_indices(moduli):
+    indices = class_indices(moduli)
+    for a in indices:
         if a.level == 0:
             continue
-        lower = indices_below_level(moduli, a.level)
+        lower = indices[:a.flat - a.offset + 1]  # the labels below a's level
         for b in lower:
             checked += 1
             if (a.flat, b.flat) in crossing:
@@ -390,17 +392,17 @@ def build_central_idempotents(point: BasePoint) -> CentralIdempotentFamily:
     """
     moduli = _require_wreath(point)
     family = CentralIdempotentFamily(moduli, point.x)
-    scheme = point.scheme
-    for a in class_indices(moduli):
+    indices = class_indices(moduli)
+    for a in indices:
         if a.level < 2:
             continue
         size = len(point.spheres[a.flat])
-        for hx in class_indices(moduli):
+        for hx in indices:
             if hx.level == 0 or hx.level >= a.level:
                 continue
             h, xi = hx.level, hx.offset
             p = moduli[h - 1]
-            weights = [(r.flat, 1) for r in indices_below_level(moduli, h)]
+            weights = [(r.flat, 1) for r in indices[:hx.flat - xi + 1]]  # the labels below h
             # (h, t) has the flat index hx.flat - xi + t
             weights += [(hx.flat - xi + t, zeta(p, t * xi)) for t in range(1, p)]
             block = ExactMatrix.zeros(size, size)
@@ -408,7 +410,7 @@ def build_central_idempotents(point: BasePoint) -> CentralIdempotentFamily:
                 piece = point.pieces.get((a.flat, r, a.flat))
                 if piece is not None:
                     block = block + piece.scaled(weight)
-            n_h = scheme.valency(hx.flat)
+            n_h = point.scheme.valency(hx.flat)
             family.matrices[(a.flat, hx.flat)] = block.scaled(Fraction(1, p * n_h))
     return family
 

@@ -69,9 +69,11 @@ def predict_triple_nonzero(moduli, a, b, c) -> bool:
     cross-validated by enumeration in the test suite.
     """
     m = check_moduli(moduli)
-    a = _as_index(m, a)
-    b = _as_index(m, b)
-    c = _as_index(m, c)
+    return _triple_nonzero(m, _as_index(m, a), _as_index(m, b), _as_index(m, c))
+
+
+def _triple_nonzero(m: tuple[int, ...], a, b, c) -> bool:
+    """``predict_triple_nonzero`` on labels of the checked moduli ``m``."""
     i, al = a.level, a.offset
     j, be = b.level, b.offset
     h, ga = c.level, c.offset
@@ -95,7 +97,7 @@ def check_triple_list(point) -> CheckResult:
     present = point.pieces
     checked = 0
     for a, b, c in iter_product(class_indices(m), repeat=3):
-        expected = predict_triple_nonzero(m, a, b, c)
+        expected = _triple_nonzero(m, a, b, c)
         actual = (a.flat, b.flat, c.flat) in present
         checked += 1
         if expected != actual:

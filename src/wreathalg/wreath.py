@@ -163,9 +163,11 @@ def predict_vanishing(moduli, a, b, c) -> bool:
     """Closed-form test: is the intersection number p_{ab}^c of three wreath
     classes zero?  Accepts WreathIndex labels or flat indices."""
     m = check_moduli(moduli)
-    a = _as_index(m, a)
-    b = _as_index(m, b)
-    c = _as_index(m, c)
+    return _vanishes(m, _as_index(m, a), _as_index(m, b), _as_index(m, c))
+
+
+def _vanishes(m: tuple[int, ...], a: WreathIndex, b: WreathIndex, c: WreathIndex) -> bool:
+    """``predict_vanishing`` on labels of the checked moduli ``m``."""
     i, al = a.level, a.offset
     j, be = b.level, b.offset
     h, ga = c.level, c.offset
@@ -193,11 +195,11 @@ def check_vanishing_criterion(moduli) -> CheckResult:
     for every triple of classes."""
     m = check_moduli(moduli)
     scheme = wreath_of_cyclics(m)
-    indices = class_indices(m)
+    indices = _class_indices(m)
     checked = 0
     witness = None
     for a, b, c in iter_product(indices, repeat=3):
-        predicted = predict_vanishing(m, a, b, c)
+        predicted = _vanishes(m, a, b, c)
         actual = scheme.intersection_number(a.flat, b.flat, c.flat) == 0
         checked += 1
         if predicted != actual:

@@ -49,7 +49,7 @@ from wreathalg import (
     wreath_of_cyclics,
     wreath_product,
 )
-from wreathalg import terwilliger
+from wreathalg import linalg, terwilliger
 from wreathalg.terwilliger import close_blocks, starting_pieces
 
 
@@ -379,3 +379,24 @@ def test_broken_table_closes_under_every_piece(monkeypatch):
             dim, factors, _ = closure_census(patch, BROKEN, x)
         assert dim == 10
         assert factors == starting_pieces(BROKEN, x)
+
+
+def test_a_rejected_insert_unpacks_nothing(monkeypatch):
+    # The spans reduce on packed rows: only an accepted insert may unpack a
+    # row, and the whole closure at (2,3,4)@4, products included, unpacks
+    # at most once per accepted insert.
+    unpacked, verdicts = [], []
+    unpack, insert = linalg._unpack, ExactSpan.insert
+
+    def counted(span, mat):
+        before = len(unpacked)
+        grew = insert(span, mat)
+        assert grew or len(unpacked) == before
+        verdicts.append(grew)
+        return grew
+
+    monkeypatch.setattr(linalg, "_unpack", lambda *args: unpacked.append(1) or unpack(*args))
+    monkeypatch.setattr(ExactSpan, "insert", counted)
+    spans = block_closure(wreath_of_cyclics((2, 3, 4)), 4)
+    assert sum(span.dimension for span in spans.values()) == 60
+    assert 0 < len(unpacked) <= sum(verdicts) and not all(verdicts)

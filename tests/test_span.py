@@ -32,28 +32,29 @@ def basis_vectors(span):
 
 
 @st.composite
-def elements(draw, conductor):
-    """A small element of Z[zeta_conductor], zero half of the time."""
+def elements(draw, conductor, size=2):
+    """An element of Z[zeta_conductor] with coefficients in [-size, size],
+    small by default, zero half of the time."""
     if draw(st.booleans()):
         return ZERO
     value = ZERO
     for k in range(euler_phi(conductor)):
-        value = value + zeta(conductor, k) * draw(st.integers(-2, 2))
+        value = value + zeta(conductor, k) * draw(st.integers(-size, size))
     return value
 
 
 @st.composite
-def vectors(draw, length, conductor, known=()):
+def vectors(draw, length, conductor, known=(), size=2):
     """A vector over Q(zeta_conductor); often a combination of ``known``
     ones, so that some inserts are rejected."""
     if known and draw(st.booleans()):
         picked = draw(st.lists(st.sampled_from(known), min_size=1, max_size=3))
         vec = [ZERO] * length
         for other in picked:
-            c = draw(elements(conductor))
+            c = draw(elements(conductor, size))
             vec = [a + c * b for a, b in zip(vec, other)]
         return vec
-    return [draw(elements(conductor)) for _ in range(length)]
+    return [draw(elements(conductor, size)) for _ in range(length)]
 
 
 # Conductors of the vectors, in insertion order; (3, 4) widens a span that
@@ -144,3 +145,41 @@ def test_irrational_pivots_over_q_zeta_35():
     assert span.contains(row(probe)) and reference.contains(probe)
     outside = [element() for _ in range(4)]
     assert span.contains(row(outside)) == reference.contains(outside)
+
+
+# Coefficients up to 2^40 start past 32-bit slots, and the elimination's
+# cross-multiplications and combinations of known vectors reach past 64 bits.
+BIG = 1 << 40
+
+
+@given(st.data(), st.sampled_from([(1,), (3,), (3, 4)]), st.integers(2, 5))
+@SETTINGS
+def test_span_with_entries_past_the_slot_widths_matches_the_reference(data, field, length):
+    span, reference, inserted = ExactSpan(1, length), ReferenceSpan(), []
+    for conductor in field:
+        for k in range(data.draw(st.integers(1, 4))):
+            vec = data.draw(vectors(length, conductor, inserted, BIG))
+            if k == 0:
+                vec[0] = zeta(conductor) * BIG + 1
+            assert span.insert(row(vec)) == reference.insert(vec)
+            inserted.append(vec)
+    assert span.dimension == len(reference.rows)
+    assert basis_vectors(span) == reference.vectors()
+    for conductor in (1, 3, 4):
+        vec = data.draw(vectors(length, conductor, inserted, BIG))
+        assert span.contains(row(vec)) == reference.contains(vec)
+    assert basis_vectors(span) == reference.vectors()
+
+
+def test_elimination_widens_past_64_bit_slots():
+    # Clearing q against the stored pivot p, coprime to it, scales the
+    # vector by p: the proven bound passes 2^63, so the span repacks at 128.
+    p, q = BIG + 1, BIG + 3
+    span, reference = ExactSpan(1, 4), ReferenceSpan()
+    for vec in ([p, 1, 0, 0], [q, 0, 1, 0]):
+        assert span.insert(row(vec)) and reference.insert(vec)
+    assert span.width == 128
+    assert basis_vectors(span) == reference.vectors()
+    for probe in ([p * q, q, p, 0], [p * q, q, p, 1], [0, q, -p, 0]):
+        assert span.contains(row(probe)) == reference.contains(probe)
+    assert span.contains(row([0, q, -p, 0]))

@@ -7,12 +7,17 @@ Run it on a source tree as
 and compare the dumps of two trees with ``diff``: equal dumps mean the same
 verdict, witness and ``checked`` count from every registered per-point check
 at every point of every moduli tuple of order at most 12 and of (2,3,4), the
-same certified results of ``run_point_checks`` on each of those tuples, and
-byte-identical default ``verify`` reports at a ladder of larger tuples.
+same closure basis at each of those points, the same certified results of
+``run_point_checks`` on each of those tuples, and byte-identical default
+``verify`` reports at a ladder of larger tuples.
 
 Output, one JSON object per line:
 - ``{"moduli", "x", "check", "passed", "witness", "checked"}`` per tuple,
   point and ``POINT_CHECKS`` name, the points of one tuple sharing one run;
+- ``{"moduli", "x", "closure_sha256"}`` per tuple and point: the digest of
+  the ``basis()`` of every block span of ``block_closure``, blocks in key
+  order, each basis matrix entry by entry.  Reduced echelon form is
+  canonical, so equal spans give equal digests;
 - ``{"moduli", "certified", "check", "passed", "witness", "checked"}`` per
   tuple and result of ``run_point_checks`` over every vertex, which runs the
   translation certificate;
@@ -33,7 +38,7 @@ from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
 
-from wreathalg import wreath_of_cyclics
+from wreathalg import block_closure, wreath_of_cyclics
 from wreathalg.cli import main
 from wreathalg.structure import POINT_CHECKS, SCHEME_CHECKS, BasePoint, run_point_checks
 
@@ -67,6 +72,18 @@ def point_verdicts(moduli: tuple[int, ...]) -> None:
             _line(moduli=list(moduli), x=x, check=name, **_result(point.result(name)))
 
 
+def closure_digests(moduli: tuple[int, ...]) -> None:
+    scheme = wreath_of_cyclics(moduli)
+    for x in range(scheme.order):
+        digest = hashlib.sha256()
+        for key, span in sorted(block_closure(scheme, x).items()):
+            digest.update(f"{key}:".encode())
+            for mat in span.basis():
+                entries = (f"{v.conductor}:{','.join(map(str, v.coeffs))}" for v in mat.flat())
+                digest.update(f"[{';'.join(entries)}]".encode())
+        _line(moduli=list(moduli), x=x, closure_sha256=digest.hexdigest())
+
+
 def certified_verdicts(moduli: tuple[int, ...]) -> None:
     names = [*SCHEME_CHECKS, *POINT_CHECKS, "decomposition"]
     results, _, _ = run_point_checks(wreath_of_cyclics(moduli), moduli, None, names)
@@ -85,6 +102,7 @@ def run() -> int:
     tuples = sorted(moduli_up_to(12) + [(2, 3, 4)], key=lambda m: (math.prod(m), m))
     for moduli in tuples:
         point_verdicts(moduli)
+        closure_digests(moduli)
     for moduli in tuples:
         certified_verdicts(moduli)
     with tempfile.TemporaryDirectory() as workdir:
