@@ -12,10 +12,14 @@ of S_a, n_b = |S_b|), so its rank k^2 is a property of the type.
 piece, once per base point; a point where a piece differs has no family,
 and every unit check fails there.  The unit checks read a family through
 the k indicator columns alone, and an A_j through the row and column sums
-of its pieces or the intersection tensor, with no n x n product.  A central
-idempotent lies in one sphere block and is held as that block.  The final
-decomposition report certifies the dimension count against the block
-closure oracle from :mod:`wreathalg.terwilliger`.
+of its pieces or the intersection tensor, with no n x n product.
+Likewise a ``CentralIdempotentFamily`` is the closed form
+F_(a,(h,xi)) = I (x) P_xi (x) J / n_h itself, held as its labels over the
+spheres: ``build_central_idempotents`` certifies the digit labelling of
+the table that this form rests on, once per base point, and each law of
+the members, and their rank, follows from the form with no product.  The
+final decomposition report certifies the dimension count against the
+block closure oracle from :mod:`wreathalg.terwilliger`.
 
 ``run_point_checks`` is the one runner, and the one clock, of every check;
 ``DecompReport.to_dict`` is the one report header.
@@ -24,11 +28,9 @@ closure oracle from :mod:`wreathalg.terwilliger`.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 
-from .cyclotomic import CycloNum, rational, zeta
 from .linalg import ExactMatrix, ExactSpan
 from .scheme import AxiomViolation, CheckResult, FrozenRecord, Record, Scheme
 from .terwilliger import (
@@ -358,82 +360,140 @@ def check_commutation(point: BasePoint) -> CheckResult:
 # -- central idempotents --------------------------------------------------------------------
 
 
-class CentralIdempotentFamily(Record):
-    """Candidate rank-one central idempotents, one per (class, lower level,
-    character) choice; keys are (class flat index, lower-class flat index).
-    The member F_(a,hx) = E_a F E_a is held as its |S_a| x |S_a| block,
-    rows and columns in vertex order."""
+class CentralIdempotentFamily(FrozenRecord):
+    """The central idempotents F_(a,hx) of one base point, held as their
+    labels over its spheres (``spheres[a]``, vertices of the scheme).
 
-    __slots__ = _fields = ("moduli", "base_point", "matrices")
+    There is one member per class a of level i >= 2 and class hx = (h, xi)
+    of level 1 <= h < i, keyed (a.flat, hx.flat) in sorted order (``keys``),
+    so ``count`` is sum_{h<i} (p_h - 1)(p_i - 1).  Write n_g = p_1...p_{g-1}.
+    ``spheres[a]`` lists S_a in digit order: the vertex at position r has as
+    its digits below i those of r in the mixed radix p_1, ..., p_{i-1},
+    digit 1 least significant, the coordinates ``build_central_idempotents``
+    reads off the table (vertex order on a table in the vertex encoding).
+    In them the member is zero off S_a x S_a and on it
+
+        F_(a,(h,xi)) = I (x) P_xi (x) J / n_h:
+
+    the identity on the digits h+1..i-1, the character projector
+    P_xi[y][z] = zeta_{p_h}^(xi (z - y)) / p_h on digit h, and J / n_h, J
+    all ones, on the n_h values of the digits below h.  Its trace, and so
+    its rank, is p_{h+1}...p_{i-1}: a member is rank-one only where
+    h = i - 1.  tests/reference.py builds each block from its label.
+    """
+
+    __slots__ = _fields = ("moduli", "base_point", "spheres")
 
     def __init__(self, moduli: tuple[int, ...], base_point: int,
-                 matrices: dict[tuple[int, int], ExactMatrix] | None = None):
-        self.moduli = moduli
-        self.base_point = base_point
-        self.matrices = {} if matrices is None else matrices
+                 spheres: tuple[tuple[int, ...], ...]):
+        self._freeze(moduli=moduli, base_point=base_point, spheres=spheres)
+
+    @property
+    def keys(self) -> list[tuple[int, int]]:
+        """The member keys (a, hx), by flat index: the order of every member loop."""
+        # the labels of levels 1..a.level - 1 end at a.flat - a.offset
+        return [(a.flat, hx) for a in class_indices(self.moduli) if a.level >= 2
+                for hx in range(1, a.flat - a.offset + 1)]
 
     @property
     def count(self) -> int:
-        return len(self.matrices)
+        return one_dim_ideal_count(self.moduli)
 
-    def nonzero_count(self) -> int:
-        return sum(1 for mat in self.matrices.values() if not mat.is_zero())
+
+def _digit_labels(moduli) -> list[list[tuple[int, ...]]]:
+    """For each level i = 1..d in turn, the digit labelling of the positions
+    0..n_i - 1: row y, column z holds 0 where y = z, and else the flat index
+    of the class (g, (z_g - y_g) mod p_g), g the highest digit at which y
+    and z differ."""
+    grids = [[(0,)]]
+    first = 1  # the flat index of (g, 1)
+    for p in moduli[:-1]:
+        grid = grids[-1]
+        grids.append([tuple(grid[r][s] if y == z else first + (z - y) % p - 1
+                            for z in range(p) for s in range(len(grid)))
+                      for y in range(p) for r in range(len(grid))])
+        first += p - 1
+    return grids
 
 
 def build_central_idempotents(point: BasePoint) -> CentralIdempotentFamily:
-    """Assemble the character-weighted sphere projections.
+    """Certify once per point the table facts under which each member is
+    the closed form of ``CentralIdempotentFamily``, and return the family.
 
-    For a class a of level i >= 2 and a class (h, xi) of lower level
-    h >= 1, the member is E_a ( sum of all adjacency matrices below level
-    h, plus the level-h adjacency matrices weighted by the xi-th character
-    of Z/p_h ) E_a, normalized by p_h times the level-h valency.  E_a A_r E_a
-    is the piece (a, r, a), so the member's block is the weighted sum of
-    those pieces, with no product.
+    Where there is a member (d >= 2), the first of these facts to fail, in
+    this order, raises StructureError:
+    - each class of level g < d has the valency n_g (the identity has 1);
+    - for each class a of level i >= 2, in flat order, S_a has n_i
+      vertices, each reached from the first y_0 by the walk below, and on
+      S_a x S_a the table is the digit labelling in the digits the walk
+      gives: 0 on the diagonal, and for y != z the class
+      (g, (z_g - y_g) mod p_g), g the highest digit at which y and z differ;
+    - each piece (i, j, h) with i != h, in piece order, one of whose classes
+      i and h is of level 2 or more, is all ones: each row sum is |S_h|.
+    A table whose valencies differ between vertices raises AxiomViolation.
+
+    The walk gives y_0 the digits 0 and makes it the origin of S_a.  A
+    vertex z starts at that origin r, with the digits from level i up
+    fixed; while r != z, t[r][z] must be a class (g, beta) below the level
+    reached, and z takes the digit beta at g and 0 between, and moves to the
+    origin of the vertices with those digits from g up, the first to get
+    there.  Every origin has the digits 0 below its level, and on a table
+    in the vertex encoding (S_a the vertices from a multiple of n_i on) each
+    vertex gets its own digits.  Two vertices never get the same digits, as
+    each walk ends at an origin of its own, so the digits are a bijection of
+    S_a onto the n_i positions: ``spheres[a]`` lists S_a by them.
+
+    The n x n references build the member as E_a M E_a / (p_h n_h), M the
+    sum of the adjacency matrices below level h and those of level h
+    weighted by the xi-th character: on S_a x S_a, the sum of the pieces
+    (a, r, a) weighted by w_r = 1 below level h, zeta_{p_h}^(t xi) for
+    r = (h, t), and 0 above, over p_h times the valency of hx.  Under the
+    labelling, piece (a, r, a) is 1 exactly where t[y][z] = r, so the (y, z)
+    entry is w_t[y][z] / (p_h n_h): zeta_{p_h}^(xi (z_h - y_h)) / (p_h n_h)
+    where y and z agree on the digits above h, else 0.  S_a takes every
+    value of the digits below i once, so that is I (x) P_xi (x) J / n_h.
     """
     moduli = _require_wreath(point)
-    family = CentralIdempotentFamily(moduli, point.x)
     indices = class_indices(moduli)
-    for a in indices:
-        if a.level < 2:
-            continue
-        size = len(point.spheres[a.flat])
-        for hx in indices:
-            if hx.level == 0 or hx.level >= a.level:
-                continue
-            h, xi = hx.level, hx.offset
-            p = moduli[h - 1]
-            weights = [(r.flat, 1) for r in indices[:hx.flat - xi + 1]]  # the labels below h
-            # (h, t) has the flat index hx.flat - xi + t
-            weights += [(hx.flat - xi + t, zeta(p, t * xi)) for t in range(1, p)]
-            block = ExactMatrix.zeros(size, size)
-            for r, weight in weights:
-                piece = point.pieces.get((a.flat, r, a.flat))
-                if piece is not None:
-                    block = block + piece.scaled(weight)
-            n_h = point.scheme.valency(hx.flat)
-            family.matrices[(a.flat, hx.flat)] = block.scaled(Fraction(1, p * n_h))
-    return family
-
-
-def _idempotent_scalar(moduli, scheme, a: WreathIndex, hx: WreathIndex, jb: WreathIndex) -> CycloNum:
-    # Eigenvalue of A_(j,beta) on the (a, hx) idempotent.
-    if jb.level >= a.level:
-        return rational(0)
-    if jb.level > hx.level:
-        return rational(0)
-    n_j = rational(scheme.valency(jb.flat))
-    if jb.level == hx.level:
-        p = moduli[hx.level - 1]
-        return zeta(p, -jb.offset * hx.offset) * n_j
-    return n_j
-
-
-def _acts_by(expected: ExactMatrix, ka: int, blocks) -> bool:
-    """Whether the product blocks ``blocks``, by sphere index, are
-    ``expected`` at ka and zero at every other index."""
-    own = blocks.pop(ka, None)
-    return (expected.is_zero() if own is None else own == expected) and all(
-        product.is_zero() for product in blocks.values())
+    spheres = [tuple(point.spheres[a.flat]) for a in indices]
+    if len(moduli) >= 2:
+        grids = _digit_labels(moduli)
+        valency = point.scheme.valencies()
+        for j in indices[:len(indices) - moduli[-1] + 1]:  # the labels below level d
+            n = len(grids[j.level - 1]) if j.level else 1
+            if valency[j.flat] != n:
+                raise StructureError(
+                    f"x={point.x}: class {j.flat} has valency {valency[j.flat]}, not {n}")
+        table = point.scheme.table
+        for a in indices[moduli[0]:]:  # the classes of levels 2 and up
+            sphere, grid = spheres[a.flat], grids[a.level - 1]
+            if len(sphere) != len(grid):
+                raise StructureError(
+                    f"x={point.x}: S_{a.flat} has {len(sphere)} vertices, not {len(grid)}")
+            origin, at = {(a.level, 0): sphere[0]}, {}
+            for z in sphere:
+                digits, level, r = 0, a.level, sphere[0]
+                while r != z:
+                    label = table[r][z]
+                    if not 0 < label < len(indices) or indices[label].level >= level:
+                        raise StructureError(f"x={point.x}: t[{r}][{z}] = {label} is not "
+                                             f"the digit label of a level below {level}")
+                    level = indices[label].level
+                    digits += indices[label].offset * len(grids[level - 1])
+                    r = origin.setdefault((level, digits), z)
+                at[digits] = z
+            spheres[a.flat] = tuple(at[r] for r in range(len(grid)))
+            for y, labels in zip(spheres[a.flat], grid):
+                row = [table[y][z] for z in spheres[a.flat]]
+                if tuple(row) != labels:
+                    k = next(k for k, label in enumerate(labels) if row[k] != label)
+                    raise StructureError(f"x={point.x}: t[{y}][{spheres[a.flat][k]}] = "
+                                         f"{row[k]} is not the digit label {labels[k]}")
+        for i, j, h in point.pieces:
+            if i != h and max(i, h) >= moduli[0] and any(
+                    s != len(spheres[h]) for s in point.sums[j][i, h][0]):
+                raise StructureError(f"x={point.x}: piece ({i},{j},{h}) is not all ones")
+    return CentralIdempotentFamily(moduli, point.x, tuple(spheres))
 
 
 def check_central_idempotents(
@@ -441,85 +501,51 @@ def check_central_idempotents(
     family: CentralIdempotentFamily,
     units: MatrixUnitFamily,
 ) -> CheckResult:
-    """Every member must be a nonzero idempotent commuting with all
-    generators via the eigenvalue table, annihilating every matrix unit,
-    and orthogonal to every other member; the family size must match the
-    product-count formula.
+    """Verify the laws of the members: each is a nonzero idempotent that
+    every A_j multiplies, on either side, by its eigenvalue lambda (see
+    below) and every E*_j by 1 (j = a) or 0, that annihilates every unit
+    and is orthogonal to every other member; and there are
+    ``one_dim_ideal_count`` of them.
 
-    Each member F is its block at (a, a).  A_j F has block (i, a) equal to
-    piece(i, j, a) F, and F A_j block (a, h) equal to F piece(a, j, h), so
-    A_j F = F A_j = lambda F iff piece(a, j, a) F = F piece(a, j, a) =
-    lambda F and the other pieces give zero.  E_j F and F E_j (F for j = a,
-    else zero), and F F' for members of other classes (zero), hold by
-    construction and are counted.  F G_cd = (F u_c) w_d^T and
-    G_cd F = u_c (w_d^T F), so F annihilates every unit iff F U_a = 0 and
-    U_a^T F = 0, U_a the rows in S_a of the family's own indicators U.
+    Each law follows from the closed form (``CentralIdempotentFamily``) by
+    character orthogonality on digit h: sum_t zeta_p^(xi t) over t mod p is
+    p where xi = 0 mod p and 0 elsewhere, so P_xi P_xi' is P_xi for
+    xi = xi' and 0 otherwise, and P_xi, 1 <= xi < p_h, has zero row and
+    column sums.
+    - Nonzero idempotent: I, P_xi and J / n_h are idempotents, and the
+      trace p_{h+1}...p_{i-1} is not 0.
+    - E*_j F and F E*_j are F for j = a and 0 otherwise: F lies in the
+      block (a, a).
+    - Orthogonal: members of other classes lie in other blocks.  Within a
+      class, P_xi P_xi' = 0 for two members of one level h; for h < h' the
+      member of h' is J on digit h, and J P_xi = 0.
+    - The eigenvalue: the block (i, a) of A_j F is piece(i, j, a) F, which
+      is 0 for i != a, as the piece is all ones and F has zero column sums.
+      Let j = (g, beta).  Under the labelling piece(a, j, a) is absent for
+      g >= i, and for 1 <= g < i it is I (x) C_beta (x) J on the digits
+      above g, at g and below g, with C_beta[y][z] = [z - y = beta mod p_g].
+      For g > h its J on digit h meets P_xi, so it acts by 0.  For g = h,
+      C_beta P_xi = zeta^(-beta xi) P_xi and J (J / n_h) = n_h (J / n_h):
+      it acts by n_h zeta^(-beta xi).  For g < h it acts on J / n_h by the
+      n_g ones of each row of C_beta (x) J, and the identity (piece I) by 1:
+      below h each acts by its valency, certified as n_g.  So lambda is 0
+      from level h + 1 up, n_h zeta^(-beta xi) on level h and the valency
+      below.  F A_j likewise, as P_xi C_beta = zeta^(-beta xi) P_xi.
+    - Annihilation: F G_cd = (F u_c) w_d^T and G_cd F = u_c (w_d^T F).
+      Where the units are over the members' spheres, u_c is all ones on S_a
+      (c = a) or zero there, and F has zero row and column sums.
+
+    So the one test here is that ``units`` is over the vertex sets of
+    ``family.spheres``.
+    ``checked`` counts, per member, its idempotence, its 4c products with
+    the A_j and E*_j, its 2c^2 with the units and its M - 1 with the other
+    members, for c classes and M members: M (4c + 2c^2 + M).
     """
-    moduli = _require_wreath(point)
-    scheme = point.scheme
-    expected_count = one_dim_ideal_count(moduli)
-    if family.count != expected_count or family.nonzero_count() != expected_count:
+    if list(map(set, units.spheres)) != list(map(set, family.spheres)):
         return CheckResult(
-            "f-family",
-            False,
-            f"x={point.x}: {family.nonzero_count()} nonzero members of "
-            f"{family.count}, expected {expected_count}",
-        )
-    unit_spheres = [set(sphere) for sphere in units.spheres]
-    keys = units.keys
-    checked = 0
-    items = sorted(family.matrices.items())
-    indices = class_indices(moduli)
-    for (ka, khx), mat in items:
-        a = indices[ka]
-        hx = indices[khx]
-        into = [(i, j, piece) for (i, j, h), piece in point.pieces.items() if h == ka]
-        out_of = [(h, j, piece) for (i, j, h), piece in point.pieces.items() if i == ka]
-        checked += 1
-        if mat * mat != mat:
-            return CheckResult(
-                "f-family", False, f"x={point.x}: member ({a},{hx}) is not idempotent", checked
-            )
-        for jb in indices:
-            scalar = _idempotent_scalar(moduli, scheme, a, hx, jb)
-            expected = mat.scaled(scalar)
-            left = {i: piece * mat for i, j, piece in into if j == jb.flat}
-            right = {h: mat * piece for h, j, piece in out_of if j == jb.flat}
-            checked += 2
-            if not _acts_by(expected, ka, left) or not _acts_by(expected, ka, right):
-                return CheckResult(
-                    "f-family",
-                    False,
-                    f"x={point.x}: A[{jb}] acts on member ({a},{hx}) "
-                    f"with the wrong eigenvalue",
-                    checked,
-                )
-            checked += 2  # E_j F and F E_j
-        u_a = ExactMatrix.from_rows(
-            [[int(y in sphere) for sphere in unit_spheres] for y in point.spheres[ka]])
-        first = _first_off(keys, set((mat * u_a).transpose().nonzero_rows()),
-                           set((u_a.transpose() * mat).nonzero_rows()))
-        if first is not None:
-            return CheckResult(
-                "f-family",
-                False,
-                f"x={point.x}: member ({a},{hx}) does not annihilate unit {keys[first]}",
-                checked + 2 * first + 2,
-            )
-        checked += 2 * len(keys)
-        for (kc, khx2), other in items:
-            if (kc, khx2) == (ka, khx):
-                continue
-            checked += 1
-            if kc == ka and not (mat * other).is_zero():
-                return CheckResult(
-                    "f-family",
-                    False,
-                    f"x={point.x}: members ({a},{hx}) and "
-                    f"({indices[kc]},{indices[khx2]}) are not orthogonal",
-                    checked,
-                )
-    return CheckResult("f-family", True, None, checked)
+            "f-family", False, f"x={point.x}: the units are not over the spheres of the members")
+    c, m = len(family.spheres), family.count
+    return CheckResult("f-family", True, None, m * (4 * c + 2 * c * c + m))
 
 
 # -- the decomposition report -----------------------------------------------------------------
@@ -811,23 +837,17 @@ def _quotient_commutes(point: BasePoint) -> CheckResult:
 def _span_accounting(point: BasePoint) -> CheckResult:
     # T(x) is the sum of its blocks E*_a T E*_b (Terwilliger 1992); G_ab
     # is the all-ones block (a, b) over n_b, nonzero as the spheres are
-    # nonempty, and F_(a,hx) is its block (a, a).  So the rank is k(k - 1)
-    # plus, per class a, dim span(J_aa, members of a).  The closure holds
-    # both families: it starts from every piece, the all-ones block (a, b)
-    # is the sum of its pieces (each pair has one label), and each member a
-    # weighted sum of the pieces (a, r, a).  So the rank with it is point.dim.
-    spheres = point.units.spheres
-    diagonal = [ExactSpan.from_matrices([ExactMatrix.ones(len(sphere), len(sphere))])
-                for sphere in spheres]
-    for (a, _), mat in point.idempotents.matrices.items():
-        diagonal[a].insert(mat)
-    rank = len(spheres) * (len(spheres) - 1) + sum(span.dimension for span in diagonal)
-    formula = dimension_formula(point.moduli)
-    if rank == formula:
-        return CheckResult("span-accounting", True, None, 2)
-    witness = (f"x={point.x}: rank(units+idempotents) = {rank}, with closure "
-               f"{point.dim}; expected {formula} and {point.dim}")
-    return CheckResult("span-accounting", False, witness, 2)
+    # nonempty, and F_(a,hx) lies in the block (a, a).  So the rank is
+    # k(k - 1) plus, per class a, dim span(J_aa, members of a).  The m_a
+    # members of a are nonzero, pairwise orthogonal idempotents with
+    # F J_aa = 0 (see check_central_idempotents): a vanishing combination,
+    # times each member in turn, keeps only that member's term, so that
+    # span has dimension 1 + m_a, and the rank is k^2 + M, the formula.
+    # Units first: a point whose units cannot be built fails with their
+    # witness, and a table the idempotent read refuses with the read's.
+    point.units
+    point.idempotents
+    return CheckResult("span-accounting", True, None, 2)
 
 
 # Every check that runs at one base point, as a function of that point's
@@ -962,10 +982,11 @@ def decomposition_report(moduli, base_points=None) -> DecompReport:
     the unit family must have full rank and satisfy the product law and
     adjacency action; products of generators with units must stay in the
     unit span (so it is an ideal) and generator commutators must lie in
-    it too (so the quotient is commutative); the idempotent family must
-    pass its property battery; and the units and idempotents together must
-    have the formula's rank, which the closure's dimension then is, since
-    the closure holds both families by construction.
+    it too (so the quotient is commutative); the table must carry the digit
+    labelling the idempotent family rests on, from which the members' laws
+    follow; and the units and idempotents together then have the formula's
+    rank, which the closure's dimension is too, since the closure holds
+    both families.
     """
     m = check_moduli(moduli)
     scheme = wreath_of_cyclics(m)

@@ -46,8 +46,12 @@ of the code it checks.  None of them is on a CLI path.
   holds a family as its spheres and forms no unit.
 - ``units_by_products`` and ``idempotents_by_products``: the unit and
   idempotent families built from n x n sandwiches E_a M E_b, the reference
-  of the piece-read builds of ``structure``; ``embedded`` puts a block back
-  into n x n.
+  of the piece-read builds of ``structure``, the idempotents held as
+  ``MemberMatrices``; ``embedded`` puts a block back into n x n.
+- ``closed_form_members``: each member of a ``CentralIdempotentFamily`` as
+  its block I (x) P_xi (x) J / n_h, formed entry by entry from the digits
+  of the vertices' positions in their sphere; ``_idempotent_scalar`` is
+  the eigenvalue of A_j on it.
 - ``matrix_units_by_products``, ``adjacency_action_by_products``,
   ``central_idempotents_by_products``, ``unit_ideal_by_membership``,
   ``quotient_commutes_by_membership``, ``unit_rank_by_echelon``,
@@ -61,9 +65,10 @@ It also holds the example tables and moduli tuples the tests share, and
 binding.
 """
 
+import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, repeat
@@ -85,11 +90,11 @@ from wreathalg import (
     dimension_formula,
     indices_below_level,
     one_dim_ideal_count,
+    rational,
     wreath_of_cyclics,
     zeta,
 )
 from wreathalg.linalg import as_cyclo
-from wreathalg.structure import _idempotent_scalar
 from wreathalg.terwilliger import _require_wreath, _spheres
 
 # -- n x n contexts ---------------------------------------------------------------------
@@ -521,11 +526,28 @@ def units_by_products(ctx: TerwilligerContext) -> MatrixUnitFamily:
     return family
 
 
-def idempotents_by_products(ctx: TerwilligerContext) -> CentralIdempotentFamily:
+@dataclass
+class MemberMatrices:
+    """An idempotent family as matrices by member key (a, hx), flat indices,
+    which the references multiply."""
+
+    moduli: tuple[int, ...]
+    base_point: int
+    matrices: dict[tuple[int, int], ExactMatrix] = field(default_factory=dict)
+
+    @property
+    def count(self) -> int:
+        return len(self.matrices)
+
+    def nonzero_count(self) -> int:
+        return sum(1 for mat in self.matrices.values() if not mat.is_zero())
+
+
+def idempotents_by_products(ctx: TerwilligerContext) -> MemberMatrices:
     """The idempotent family as n x n sandwiches E_a M E_a of the
     character-weighted sums M of adjacency matrices."""
     moduli = _require_wreath(ctx)
-    family = CentralIdempotentFamily(moduli, ctx.base_point)
+    family = MemberMatrices(moduli, ctx.base_point)
     for a in class_indices(moduli):
         if a.level < 2:
             continue
@@ -545,6 +567,39 @@ def idempotents_by_products(ctx: TerwilligerContext) -> CentralIdempotentFamily:
             n_h = ctx.scheme.valency(hx.flat)
             family.matrices[(a.flat, hx.flat)] = (ea * inner * ea).scaled(Fraction(1, p * n_h))
     return family
+
+
+def closed_form_members(family: CentralIdempotentFamily) -> dict[tuple[int, int], ExactMatrix]:
+    """Each member F_(a,(h,xi)) of ``family``, in key order, as its block on
+    S_a x S_a, rows and columns in the order of ``family.spheres[a]``: with
+    y and z the positions of two vertices there, the entry is
+    zeta_{p_h}^(xi (z_h - y_h)) / (p_h n_h) where y and z agree on the
+    digits above h, and 0 elsewhere, with n_h = p_1...p_{h-1} and
+    y_h = (y // n_h) mod p_h."""
+    indices = class_indices(family.moduli)
+    members = {}
+    for a, key in family.keys:
+        h, xi = indices[key].level, indices[key].offset
+        p = family.moduli[h - 1]
+        n_h = math.prod(family.moduli[:h - 1])
+        positions = range(len(family.spheres[a]))
+        rows = [[zeta(p, xi * (z // n_h % p - y // n_h % p)) if y // (n_h * p) == z // (n_h * p)
+                 else ZERO for z in positions] for y in positions]
+        members[a, key] = ExactMatrix.from_rows(rows).scaled(Fraction(1, p * n_h))
+    return members
+
+
+def _idempotent_scalar(moduli, scheme, a: WreathIndex, hx: WreathIndex, jb: WreathIndex):
+    # Eigenvalue of A_(j,beta) on the (a, hx) idempotent.
+    if jb.level >= a.level:
+        return rational(0)
+    if jb.level > hx.level:
+        return rational(0)
+    n_j = rational(scheme.valency(jb.flat))
+    if jb.level == hx.level:
+        p = moduli[hx.level - 1]
+        return zeta(p, -jb.offset * hx.offset) * n_j
+    return n_j
 
 
 def embedded(block: ExactMatrix, rows, cols, order: int) -> ExactMatrix:
@@ -701,7 +756,7 @@ def adjacency_action_by_products(ctx: TerwilligerContext, units: MatrixUnitFamil
 
 def central_idempotents_by_products(
     ctx: TerwilligerContext,
-    family: CentralIdempotentFamily,
+    family: MemberMatrices,
     units: MatrixUnitFamily,
 ) -> CheckResult:
     """Every member must be a nonzero idempotent commuting with all
@@ -876,7 +931,7 @@ def primary_module_by_products(ctx: TerwilligerContext) -> CheckResult:
     return CheckResult("primary-module", True, None, checked)
 
 
-def span_accounting_by_blocks(point: BasePoint, family: CentralIdempotentFamily) -> CheckResult:
+def span_accounting_by_blocks(point: BasePoint, family: MemberMatrices) -> CheckResult:
     """The rank of units and n x n idempotents, and with the point's closure,
     block by block, where every idempotent is certified zero off its block."""
     spheres = point.units.spheres
@@ -936,7 +991,7 @@ class ReferencePoint:
         return self._units
 
     @cached_property
-    def idempotents(self) -> CentralIdempotentFamily:
+    def idempotents(self) -> MemberMatrices:
         return idempotents_by_products(self.ctx)
 
     @property

@@ -12,6 +12,7 @@ from itertools import product as iter_product
 
 from reference import (
     algebra_dimension,
+    closed_form_members,
     product_closure,
     standard_generators,
     t0_dimension,
@@ -179,7 +180,9 @@ def test_criterion_8_central_idempotents():
     for moduli, count in expected.items():
         point = wreath_point(moduli, 0)
         family = build_central_idempotents(point)
-        ok = ok and family.count == count and family.nonzero_count() == count
+        members = closed_form_members(family)
+        ok = ok and family.count == len(members) == count
+        ok = ok and not any(member.is_zero() for member in members.values())
         ok = ok and check_central_idempotents(point, family, build_matrix_units(point)).passed
     report("criterion 8: central idempotent family", ok)
     assert ok

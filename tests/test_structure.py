@@ -39,12 +39,15 @@ from wreathalg.structure import DECOMPOSITION, POINT_CHECKS, BasePoint, run_poin
 
 from reference import (
     REFERENCES,
+    MemberMatrices,
     ReferencePoint,
+    closed_form_members,
     embedded,
     example_schemes,
     idempotents_by_products,
     make_context,
     moduli_up_to,
+    relabelled,
     trace,
     unit_matrices,
     unit_matrix,
@@ -182,7 +185,7 @@ def test_idempotent_family_sizes():
 def test_idempotent_matrix_for_two_two():
     point = wreath_point([2, 2], 0)
     fam = build_central_idempotents(point)
-    ((key, mat),) = fam.matrices.items()
+    ((key, mat),) = closed_form_members(fam).items()
     half = Fraction(1, 2)
     # the member is its block on S_2 = {2, 3}
     assert mat == ExactMatrix.from_rows([[half, -half], [-half, half]])
@@ -203,8 +206,8 @@ def test_idempotent_eigenvalue_table():
     m = (2, 3)
     point = wreath_point(m, 0)
     fam = build_central_idempotents(point)
-    members = {key: embedded(mat, point.spheres[key[0]], point.spheres[key[0]], 6)
-               for key, mat in fam.matrices.items()}
+    members = {key: embedded(mat, fam.spheres[key[0]], fam.spheres[key[0]], 6)
+               for key, mat in closed_form_members(fam).items()}
     a1 = point.scheme.adjacency_matrix(1)  # level-1 class
     eps = zeta(2, 1)
     for (ka, khx), mat in members.items():
@@ -228,8 +231,8 @@ def test_idempotents_annihilate_units():
     point = wreath_point([2, 3], 0)
     fam = build_central_idempotents(point)
     units = build_matrix_units(point)
-    for (a, _), mat in fam.matrices.items():
-        f = embedded(mat, point.spheres[a], point.spheres[a], 6)
+    for (a, _), mat in closed_form_members(fam).items():
+        f = embedded(mat, fam.spheres[a], fam.spheres[a], 6)
         for g in unit_matrices(units).values():
             assert (f * g).is_zero()
             assert (g * f).is_zero()
@@ -455,18 +458,23 @@ def test_quotient_commutes_fails_on_a_smaller_unit_span():
 
 
 def test_span_accounting_fails_without_the_idempotents():
+    # The point's family is its labels, and its count is set by the type,
+    # so the n x n reference carries this control: with no member of (2,2)
+    # its rank falls one short
     point = _point((2, 2), 0)
-    point.idempotents = CentralIdempotentFamily((2, 2), 0)
-    result = _assert_fails(point, "span-accounting")
+    reference = ReferencePoint(point)
+    reference.idempotents = MemberMatrices((2, 2), 0)
+    result = _assert_fails(reference, "span-accounting")
     assert "rank(units+idempotents) = 9" in result.witness
+    assert point.result("span-accounting").passed
 
 
 @pytest.mark.parametrize("unit", [(0, 0), (3, 0)], ids=["off-rows", "off-columns"])
 def test_span_accounting_fails_on_a_member_spread_over_two_blocks(unit):
     # F[3,1] lies in block (3,3); adding a unit spreads it over a second
     # block, in other rows or in other columns of the same rows.  The point
-    # holds each member as its block, so the n x n reference carries this
-    # control.
+    # holds each member as its label over its sphere, so the n x n reference
+    # carries this control.
     point = _point((2, 3), 0)
     reference = ReferencePoint(point)
     _spread_idempotent(unit)(point, reference)
@@ -487,17 +495,16 @@ def test_closure_holds_every_unit_block_and_member(moduli):
         for a, sa in enumerate(spheres):
             for b, sb in enumerate(spheres):
                 assert point.closure[a, b].contains(ExactMatrix.ones(len(sa), len(sb))), (x, a, b)
-        for (a, hx), member in point.idempotents.matrices.items():
+        for (a, hx), member in closed_form_members(point.idempotents).items():
             assert point.closure[a, a].contains(member), (x, a, hx)
 
 
-def test_span_accounting_ranks_only_the_diagonal_blocks(monkeypatch):
-    # At (2,3)@0, k = 4 classes and m = 2 members: one span per class holds
-    # J_aa and the members of a, so at most k + m = 6 inserts, and no
-    # closure basis matrix is read
+def test_span_accounting_builds_no_span(monkeypatch):
+    # At (2,3)@0 the rank k^2 + M = 16 + 2 follows from the two families
+    # (see _span_accounting): no span is made, inserted into or read
     point = _point((2, 3), 0)
     assert point.units and point.idempotents.count == 2  # built before counting
-    calls = {"insert": 0, "basis": 0}
+    calls = {"__init__": 0, "insert": 0, "basis": 0}
 
     def counted(name):
         method = getattr(ExactSpan, name)
@@ -510,8 +517,8 @@ def test_span_accounting_ranks_only_the_diagonal_blocks(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(ExactSpan, name, counted(name))
-    assert point.result("span-accounting").passed
-    assert calls["insert"] <= 6 and calls["basis"] == 0
+    assert point.result("span-accounting") == CheckResult("span-accounting", True, None, 2)
+    assert calls == {"__init__": 0, "insert": 0, "basis": 0}
 
 
 def test_dimension_fails_off_the_formula():
@@ -580,28 +587,29 @@ def test_adjacency_action_fails_on_a_perturbed_unit():
 def test_f_family_fails_on_the_wrong_character():
     # (3, 2): the two members of a level-2 class differ in the character of
     # Z/3 they weight the level-1 adjacency matrices with, so giving one of
-    # them the other's character breaks its eigenvalues in Q(zeta_3)
-    point = _point((3, 2), 0)
-    family = point.idempotents
-    keys = sorted(family.matrices)
+    # them the other's character breaks its eigenvalues in Q(zeta_3).  The
+    # point's members are their labels, so the n x n reference carries this
+    # control.
+    point, reference = _edited("wrong-character")
+    keys = sorted(reference.idempotents.matrices)
     (a1, h1), (a2, h2) = keys[0], keys[1]
     assert a1 == a2 and h1 != h2
-    assert not all(v.is_rational() for v in family.matrices[keys[1]].flat())
-    matrices = dict(family.matrices)
-    matrices[keys[0]] = matrices[keys[1]]
-    point.idempotents = CentralIdempotentFamily(family.moduli, family.base_point, matrices)
-    result = _assert_fails(point, "f-family")
+    assert not all(v.is_rational() for v in reference.idempotents.matrices[keys[1]].flat())
+    result = _assert_fails(reference, "f-family")
     assert "wrong eigenvalue" in result.witness
+    assert point.result("f-family").passed
 
 
 def test_f_family_fails_on_two_members_that_are_not_orthogonal():
-    # members of one class are multiplied; the first member's own steps pass
-    point, _ = _edited("duplicated-member")
-    result = _assert_fails(point, "f-family")
+    # members of one class are multiplied; the first member's own steps
+    # pass.  The n x n reference carries this control, as above.
+    point, reference = _edited("duplicated-member")
+    result = _assert_fails(reference, "f-family")
     assert result.witness == (
         "x=0: members (WreathIndex(2,1),WreathIndex(1,1)) and "
         "(WreathIndex(2,1),WreathIndex(1,2)) are not orthogonal"
     )
+    assert point.result("f-family").passed
 
 
 def test_commutation_fails_on_a_perturbed_dual_idempotent():
@@ -705,9 +713,11 @@ UNIT_CHECKS = (
 )
 
 
-# The checks on which the reference fails an n x n member off its sphere
-# block, which the point's block form cannot hold.
-OFF_THE_BLOCK = ("f-family", "span-accounting")
+# The checks of the idempotent family.  The reference fails them on an edit
+# of its n x n members, which the point holds as their labels; and the
+# point fails them with the witness of its read where that refuses the
+# table.
+MEMBER_CHECKS = ("f-family", "span-accounting")
 
 
 def _built(point):
@@ -716,17 +726,38 @@ def _built(point):
     return str(units) if isinstance(units, StructureError) else units
 
 
-def _assert_agrees_with_reference(point, reference, names=tuple(REFERENCES), differ=()):
+def _refusal(point):
+    """The witness of the idempotent read where it refuses the table of a
+    point whose units are built, else None."""
+    if isinstance(point._units, StructureError):
+        return None
+    try:
+        build_central_idempotents(point)
+    except StructureError as exc:
+        return str(exc)
+    return None
+
+
+def _assert_agrees_with_reference(point, reference, names=tuple(REFERENCES), differ=(),
+                                  both_fail=()):
     """Each check of ``names`` gives its n x n reference's verdict, witness
     and ``checked`` at ``point``, and the build gives the reference's unit
     family or its witness.  On the checks ``differ``, the reference fails
     on an edit of its n x n inputs that the point holds by construction,
-    and the point passes."""
+    and the point passes.  On the checks ``both_fail``, each fails with its
+    own witness.  Where the idempotent read refuses the table, the point
+    fails the member checks with the read's witness, whatever the product
+    battery finds: the read certifies more than the battery tests."""
     if "unit-support" not in differ:
         assert _built(point) == _built(reference)
+    refusal = _refusal(point)
     for name in names:
         if name in differ:
             assert point.result(name).passed and not reference.result(name).passed, name
+        elif name in both_fail:
+            assert not point.result(name).passed and not reference.result(name).passed, name
+        elif refusal is not None and name in MEMBER_CHECKS:
+            assert point.result(name) == CheckResult(name, False, refusal), name
         else:
             assert point.result(name) == reference.result(name), name
 
@@ -749,17 +780,21 @@ def test_factored_unit_checks_match_the_products_at_every_point_of_2_3_4():
 
 @pytest.mark.parametrize("moduli", moduli_up_to(24), ids=str)
 def test_idempotent_blocks_are_the_products_up_to_order_24(moduli):
-    # Each member, held as its block, embedded into n x n, is the member
-    # the n x n sandwich E_a M E_a builds, at the first and the last point.
-    scheme = wreath_of_cyclics(moduli)
-    for x in sorted({0, scheme.order - 1}):
-        point = BasePoint(scheme, moduli, x, {})
-        products = idempotents_by_products(make_context(scheme, x, moduli)).matrices
-        blocks = point.idempotents.matrices
-        assert list(blocks) == list(products)
-        for (a, hx), mat in blocks.items():
-            sphere = point.spheres[a]
-            assert embedded(mat, sphere, sphere, scheme.order) == products[a, hx], (x, a, hx)
+    # Each member's closed form I (x) P_xi (x) J / n_h, built from its label
+    # over the spheres in the digit order the read gives them, embedded into
+    # n x n, is the member the n x n sandwich E_a M E_a builds, at the first
+    # and the last point; of the wreath table, and of the table with its
+    # vertices relabelled, where that order is not vertex order.
+    for scheme in (wreath_of_cyclics(moduli), relabelled(moduli, 1)):
+        for x in sorted({0, scheme.order - 1}):
+            family = build_central_idempotents(BasePoint(scheme, moduli, x, {}))
+            products = idempotents_by_products(make_context(scheme, x, moduli)).matrices
+            blocks = closed_form_members(family)
+            assert list(blocks) == list(products) == family.keys
+            assert len(blocks) == family.count
+            for (a, hx), mat in blocks.items():
+                sphere = family.spheres[a]
+                assert embedded(mat, sphere, sphere, scheme.order) == products[a, hx], (x, a, hx)
 
 
 def _edited_point(moduli, x, swaps=(), change=None):
@@ -783,17 +818,20 @@ def _edited_point(moduli, x, swaps=(), change=None):
 
 
 def _wrong_character(point, reference):
-    for family in (point.idempotents, reference.idempotents):
-        keys = sorted(family.matrices)
-        family.matrices[keys[0]] = family.matrices[keys[1]]
+    # the first member of a class given the second's matrix, in the
+    # reference: the point holds its members as their labels
+    matrices = reference.idempotents.matrices
+    keys = sorted(matrices)
+    matrices[keys[0]] = matrices[keys[1]]
 
 
 def _duplicated_member(point, reference):
-    # the second member of a class given the first's matrix: the first
-    # member passes its own steps and is not orthogonal to the second
-    for family in (point.idempotents, reference.idempotents):
-        keys = sorted(family.matrices)
-        family.matrices[keys[1]] = family.matrices[keys[0]]
+    # the second member of a class given the first's matrix, in the
+    # reference: the first member passes its own steps and is not
+    # orthogonal to the second
+    matrices = reference.idempotents.matrices
+    keys = sorted(matrices)
+    matrices[keys[1]] = matrices[keys[0]]
 
 
 def _units_of_another_point(point, reference):
@@ -895,12 +933,12 @@ EDITED_POINTS = {
     "perturbed-unit-23": (_edited_point((2, 3), 2, change=_perturbed_input(
         "dual_idempotents", 3, _first_cell(2, 3), rational(1))),
         ("primary-module", "commutation", *UNIT_CHECKS)),
-    "wrong-character": (_edited_point((3, 2), 0, change=_wrong_character), ()),
-    "duplicated-member": (_edited_point((3, 2), 0, change=_duplicated_member), ()),
+    "wrong-character": (_edited_point((3, 2), 0, change=_wrong_character), MEMBER_CHECKS),
+    "duplicated-member": (_edited_point((3, 2), 0, change=_duplicated_member), MEMBER_CHECKS),
     "spread-idempotent-off-rows": (
-        _edited_point((2, 3), 0, change=_spread_idempotent((0, 0))), OFF_THE_BLOCK),
+        _edited_point((2, 3), 0, change=_spread_idempotent((0, 0))), MEMBER_CHECKS),
     "spread-idempotent-off-columns": (
-        _edited_point((2, 3), 0, change=_spread_idempotent((3, 0))), OFF_THE_BLOCK),
+        _edited_point((2, 3), 0, change=_spread_idempotent((3, 0))), MEMBER_CHECKS),
     # labels 2 and 1 exchanged in row 2: A_1 u_0 is not constant on S_2 = {2, 3}
     "perturbed-generator": (_edited_point((2, 2), 0, [(2, 0, 3)]), ()),
     # labels 3 and 2 exchanged in row 2 of (2,3), which lies in S_2 at x=1:
@@ -919,22 +957,28 @@ EDITED_POINTS = {
     "absent-piece": (_edited_point((3, 2), 0, [(2, 0, 1)]), ()),
     # units on other spheres than the point's: the E*_j steps of the point
     # pass by construction, on its own spheres, and the reference's
-    # members lie off the units' blocks
+    # members lie off the units' blocks; f-family fails at both (BOTH_FAIL)
     "units-of-another-point": (_edited_point((2, 3), 0, change=_units_of_another_point),
                                ("unit-ideal", "quotient-commutes", "span-accounting")),
     "idempotent-column-off-block": (
-        _edited_point((2, 3), 0, change=_idempotent_off_block(False)), OFF_THE_BLOCK),
+        _edited_point((2, 3), 0, change=_idempotent_off_block(False)), MEMBER_CHECKS),
     "idempotent-row-off-block": (
-        _edited_point((2, 3), 0, change=_idempotent_off_block(True)), OFF_THE_BLOCK),
+        _edited_point((2, 3), 0, change=_idempotent_off_block(True)), MEMBER_CHECKS),
     "shrunk-sphere": (_edited_point((2, 3), 0, change=_shrunk_sphere), (
         "primary-module", "commutation", "unit-ideal", "quotient-commutes", "f-family")),
 }
 
 
+# The checks that an edited point and its reference both fail, each with
+# its own witness: the point finds the units off the members' spheres, and
+# the reference a unit that a member does not annihilate.
+BOTH_FAIL = {"units-of-another-point": ("f-family",)}
+
+
 @pytest.mark.parametrize("name", EDITED_POINTS)
 def test_factored_unit_checks_match_the_products_on_edited_points(name):
     make, differ = EDITED_POINTS[name]
-    _assert_agrees_with_reference(*make(), differ=differ)
+    _assert_agrees_with_reference(*make(), differ=differ, both_fail=BOTH_FAIL.get(name, ()))
 
 
 def _block_route(monkeypatch, make):
@@ -1002,17 +1046,21 @@ def test_ag_forms_fail_past_the_certificate_on_an_off_block_adjacency_entry():
 
 def test_annihilation_fails_past_the_certificate_on_the_units_of_another_point():
     # The units of x=2 keep the product law and the closed forms, which
-    # hold at every point, but the idempotents of x=0 do not annihilate them
-    point, _ = _edited("units-of-another-point")
+    # hold at every point, but the idempotents of x=0 do not annihilate
+    # them, as the reference finds; the point finds the units off the
+    # members' spheres, where the annihilation its proof reads does not hold
+    point, reference = _edited("units-of-another-point")
     for name in ("matrix-units", "ag-forms", "unit-rank"):
         assert point.result(name).passed, name
-    result = _assert_fails(point, "f-family")
+    assert point.result("f-family") == CheckResult(
+        "f-family", False, "x=0: the units are not over the spheres of the members")
+    result = _assert_fails(reference, "f-family")
     assert "does not annihilate unit" in result.witness
 
 
 def test_f_family_reads_the_dual_idempotent_products_off_the_member():
-    # The point holds each member as its block, so E_j F and F E_j are F or
-    # zero by construction.  The reference forms them, and fails on an
+    # The point holds each member as its label over its sphere, so E_j F
+    # and F E_j are F or zero by construction.  The reference forms them, and fails on an
     # n x n member off its block: for j != a a column in S_j, and for j == a
     # a row or column outside S_a.
     for name in ("idempotent-column-off-block", "idempotent-row-off-block"):
@@ -1070,6 +1118,43 @@ def test_unequal_valencies_fail_the_checks_that_read_them():
         )
 
 
+# The witness with which the idempotent read refuses each of its controls
+# in CONTROLS.
+READ_REFUSALS = {
+    # the walk from 4 gives 5 the digits (0, 1) and 6 the digits (1, 0), and
+    # then finds the level-2 label t[5][7] where 7 should share digit 2 with 5
+    "member-label-swapped": "x=0: t[5][7] = 2 is not the digit label of a level below 2",
+    "crossing-label-swapped": "x=0: piece (2,2,3) is not all ones",
+    # the walk from 3 gives 4 the digit 2 and 5 the digit 1, so t[5][3]
+    # should be the class (1, 0 - 1) = 2
+    "wrong-offset": "x=0: t[5][3] = 1 is not the digit label 2",
+}
+
+
+def _lopsided_table():
+    """(2,3) with the class-3 entry t[y][z] with z_1 = y_1 made class 2 in
+    every row y: each row holds the labels 0, 1, 2, 2, 2, 3, so the valencies
+    are defined, and those of the classes of level 2 are 3 and 1."""
+    intact = wreath_of_cyclics((2, 3))
+    return Scheme([[2 if c == 3 and z % 2 == y % 2 else c for z, c in enumerate(row)]
+                   for y, row in enumerate(intact.table)], classes=intact.classes)
+
+
+def test_the_idempotent_read_refuses_with_its_own_witness():
+    # Its three controls keep the unit family and fail both member checks
+    # with the read's witness.  The tables of its other refusals fail the
+    # unit build first, so the read is called on them directly.
+    for name, witness in READ_REFUSALS.items():
+        point = CONTROLS[name][0]()
+        assert point.result("unit-support").passed, name
+        for check in MEMBER_CHECKS:
+            assert point.result(check) == CheckResult(check, False, witness), (name, check)
+    with pytest.raises(StructureError, match=r"^x=0: class 1 has valency 2, not 1$"):
+        build_central_idempotents(BasePoint(_swapped_table(), (2, 3), 0, {}))
+    with pytest.raises(StructureError, match=r"^x=0: S_2 has 3 vertices, not 2$"):
+        build_central_idempotents(BasePoint(_lopsided_table(), (2, 3), 0, {}))
+
+
 def test_checks_stated_for_a_wreath_fail_without_moduli():
     # The (2,3) table read as an ingested one: every check stated for a
     # wreath of cyclics fails with the same witness, in place of raising,
@@ -1112,7 +1197,14 @@ def test_value_classes_compare_hash_and_print_by_their_fields():
         "MatrixUnitFamily(moduli=(2, 3), base_point=1, indices=(WreathIndex(0,0), "
         "WreathIndex(1,1), WreathIndex(2,1), WreathIndex(2,2)), "
         "spheres=((1,), (0,), (2, 3), (4, 5)))")
-    for frozen, field in ((index, "level"), (units, "spheres")):
+    family = _point((2, 3), 1).idempotents
+    again = CentralIdempotentFamily((2, 3), 1, units.spheres)
+    assert family == again and hash(family) == hash(again)
+    assert family != CentralIdempotentFamily((2, 3), 0, units.spheres)
+    assert repr(family) == (
+        "CentralIdempotentFamily(moduli=(2, 3), base_point=1, "
+        "spheres=((1,), (0,), (2, 3), (4, 5)))")
+    for frozen, field in ((index, "level"), (units, "spheres"), (family, "spheres")):
         with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
             setattr(frozen, field, None)
     result = CheckResult(name="a", passed=True)
@@ -1126,8 +1218,6 @@ def test_value_classes_compare_hash_and_print_by_their_fields():
     # the container fields default to a fresh one per instance
     reports = [AxiomReport(True, True, True, True) for _ in range(2)]
     assert reports[0] == reports[1] and reports[0].counterexamples is not reports[1].counterexamples
-    families = [CentralIdempotentFamily((2, 2), 0) for _ in range(2)]
-    assert families[0].matrices == {} and families[0].matrices is not families[1].matrices
     decomps = [DecompReport(None, 1, 1, [0], None) for _ in range(2)]
     assert decomps[0].checks == [] and decomps[0].checks is not decomps[1].checks
     assert repr(decomps[0]) == (
@@ -1149,17 +1239,25 @@ CONTROLS = {
     "dimension-11": (lambda: _with(_point((2, 2), 0), dim=11), ("dimension",)),
     "unequal-valencies": (lambda: BasePoint(_unequal_valency_table(), (2, 2), 0, {}),
                           ("ag-forms", "f-family", "span-accounting")),
-    "no-idempotents": (lambda: _with(_point((2, 2), 0),
-                                     idempotents=CentralIdempotentFamily((2, 2), 0)),
-                       ("span-accounting",)),
+    # Three edits the idempotent read refuses (READ_REFUSALS), each a swap of
+    # two labels in one row, which keeps every valency.  (2,2,2)@0: labels
+    # 1 and 2 exchanged in row 4, inside S_3 x S_3, S_3 = {4, 5, 6, 7}
+    "member-label-swapped": (lambda: _edited_point((2, 2, 2), 0, [(4, 5, 6)])()[0],
+                             MEMBER_CHECKS),
+    # (2,4)@0: labels 2 and 3 exchanged in row 2 of S_2 = {2, 3}, in the
+    # pieces off the diagonal to S_3 = {4, 5} and S_4 = {6, 7}, which are
+    # of S_2's level, so that every unit piece keeps its labels
+    "crossing-label-swapped": (lambda: _edited_point((2, 4), 0, [(2, 4, 6)])()[0],
+                               MEMBER_CHECKS),
+    # (3,2)@0: the level-1 labels 1 and 2 exchanged in row 3, inside
+    # S_3 x S_3, S_3 = {3, 4, 5}: each has the offset of the other
+    "wrong-offset": (lambda: _edited_point((3, 2), 0, [(3, 4, 5)])()[0], MEMBER_CHECKS),
     **{name: (lambda name=name: _edited(name)[0], fails) for name, fails in {
         "popped-unit-12": UNIT_CHECKS,
         "perturbed-generator": ("unit-ideal", "quotient-commutes"),
         "perturbed-commutator": ("quotient-commutes",),
         "perturbed-adjacency": ("ag-forms",),
         "perturbed-dual": ("commutation",),
-        "wrong-character": ("f-family", "span-accounting"),
-        "duplicated-member": ("f-family", "span-accounting"),
         "units-of-another-point": ("f-family",),
     }.items()},
 }
@@ -1203,7 +1301,8 @@ def test_every_registered_check_fails_on_a_control(name):
 def test_unit_checks_form_no_product_of_two_n_by_n_matrices(monkeypatch):
     # At (2,3)@0 and (2,3,4)@5 no registered check forms a product of two
     # n x n matrices, nor one with a dual idempotent, which is a sphere.  The
-    # builds, the closure and the f-family battery multiply sphere blocks;
+    # closure multiplies sphere blocks; the builds read the pieces, their
+    # sums and the table, f-family and span-accounting form nothing,
     # ag-forms, unit-ideal and primary-module read the sums of the pieces,
     # and quotient-commutes the intersection tensor of a commutative scheme.
     counts = {}
