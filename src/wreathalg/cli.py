@@ -3,6 +3,10 @@
 Each command parses its arguments, calls ``structure.run_point_checks``,
 which runs and times every check, and emits the report that
 ``DecompReport.to_dict()`` heads; it runs no check and reads no clock.
+Each command imports, first thing, the modules it runs, so that a run
+compiles no other (``oracle`` compiles neither ``wreath`` nor
+``decomposition``, ``export`` no check) and ``verify`` compiles every
+module its checks use before its scheme is built.
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 usage or
 configuration error, 3 internal error.  JSON reports are byte-identical
@@ -21,8 +25,6 @@ import sys
 
 from . import __version__
 from .scheme import CheckResult, load_header, load_scheme, save_scheme
-from .structure import DecompReport, run_point_checks
-from .wreath import check_moduli, wreath_of_cyclics
 
 VERIFY_CHECKS = (
     "axioms",
@@ -48,6 +50,8 @@ class ConfigError(ValueError):
 
 
 def _parse_moduli(text: str) -> tuple[int, ...]:
+    from .wreath import check_moduli
+
     try:
         values = tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError:
@@ -109,7 +113,7 @@ def _read_table(load, path):
         raise ConfigError(f"cannot read scheme table: {exc}")
 
 
-def _emit(report: DecompReport, fmt: str, out: str | None, timings: dict[str, float]) -> None:
+def _emit(report, fmt: str, out: str | None, timings: dict[str, float]) -> None:
     data = report.to_dict() | {"version": __version__}
     for check in data["checks"]:
         check["millis"] = 0
@@ -140,6 +144,13 @@ def _emit(report: DecompReport, fmt: str, out: str | None, timings: dict[str, fl
 
 
 def cmd_verify(args) -> int:
+    # decomposition holds the checks stated for a wreath of cyclics, which
+    # the runner looks up there at call time: imported here, it is compiled
+    # as set-up, before the scheme is built.
+    from . import decomposition  # noqa: F401
+    from .structure import DecompReport, run_point_checks
+    from .wreath import wreath_of_cyclics
+
     max_order = _resolve_max_order(args.max_order)
     moduli = _parse_moduli(args.moduli)
     order = math.prod(moduli)
@@ -160,6 +171,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .structure import DecompReport, run_point_checks
+
     max_order = _resolve_max_order(args.max_order)
     # The header's order is capped before the body is read and parsed.
     _check_cap(_read_table(load_header, args.table)[0], max_order)
@@ -188,6 +201,8 @@ def _entry_json(value) -> dict:
 
 
 def cmd_export(args) -> int:
+    from .wreath import wreath_of_cyclics
+
     max_order = _resolve_max_order(args.max_order)
     moduli = _parse_moduli(args.moduli)
     _check_cap(math.prod(moduli), max_order)

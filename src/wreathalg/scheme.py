@@ -11,7 +11,7 @@ from __future__ import annotations
 import struct
 from collections import Counter
 from functools import cached_property
-from itertools import islice, product
+from itertools import product
 
 from .linalg import ExactMatrix, ExactSpan
 
@@ -436,37 +436,41 @@ def save_scheme(scheme: Scheme, path) -> None:
 _CHUNK = 1 << 16
 
 
-def _tokens(handle):
-    """The whitespace-separated tokens of a text file, read in chunks."""
+def _chunks(handle):
+    """The whitespace-separated tokens of a text file, read in chunks: one
+    list per chunk, a token cut by a chunk's end going with the next."""
     tail = ""
     while chunk := handle.read(_CHUNK):
-        parts = (tail + chunk).split()
+        tokens = (tail + chunk).split()
         # the last token may go on in the next chunk
-        tail = "" if chunk[-1].isspace() else parts.pop()
+        tail = "" if chunk[-1].isspace() else tokens.pop()
         if len(tail) > _CHUNK:
             raise ValueError(f"scheme file contains a token longer than {_CHUNK} characters")
-        yield from parts
+        yield tokens
     if tail:
-        yield tail
+        yield [tail]
 
 
-def _integers(tokens):
-    for token in tokens:
-        try:
-            yield int(token)
-        except ValueError as exc:
-            raise ValueError(f"scheme file contains a non-integer token: {exc}") from None
+def _integers(tokens) -> list[int]:
+    try:
+        return list(map(int, tokens))
+    except ValueError as exc:
+        raise ValueError(f"scheme file contains a non-integer token: {exc}") from None
 
 
 def load_header(path) -> tuple[int, int]:
     """The order and d of a class table file, the header that
     :func:`load_scheme` reads; nothing past it is read, so a size cap can
     be checked on the order before the body is."""
+    header: list[str] = []
     with open(path, "r", encoding="ascii") as handle:
-        header = list(islice(_tokens(handle), 2))
+        for tokens in _chunks(handle):
+            header += tokens
+            if len(header) >= 2:
+                break
     if len(header) < 2:
         raise ValueError("scheme file must start with 'order d'")
-    order, d = _integers(header)
+    order, d = _integers(header[:2])
     if order < 1 or d < 0:
         raise ValueError("order must be >= 1 and d >= 0")
     return order, d
@@ -475,13 +479,21 @@ def load_header(path) -> tuple[int, int]:
 def load_scheme(path) -> Scheme:
     """Parse a class table file produced by :func:`save_scheme`.
 
-    Tokens are parsed as they are read, and reading stops one token past the
-    ``order^2`` entries the header announces, so a body that is too long is
-    reported without being read whole.
+    Each chunk's tokens are parsed as it is read, with one ``map``, and
+    reading stops one token past the ``order^2`` entries the header
+    announces, so a body that is too long is reported without being read
+    whole, and no token after that one is parsed.
     """
     order, d = load_header(path)
+    # the header, read again and valid, the entries and one token past them
+    wanted = order * order + 3
+    values: list[int] = []
     with open(path, "r", encoding="ascii") as handle:
-        body = list(islice(_integers(islice(_tokens(handle), 2, None)), order * order + 1))
+        for tokens in _chunks(handle):
+            values += _integers(tokens[:wanted - len(values)])
+            if len(values) == wanted:
+                break
+    body = values[2:]
     if len(body) != order * order:
         more = "at least " if len(body) > order * order else ""
         raise ValueError(f"expected {order * order} table entries, found {more}{len(body)}")

@@ -5,38 +5,32 @@ the adjacency matrices together with the diagonal projections E*_i onto the
 spheres S_i around x.  A product with E*_i selects the rows or the columns
 in S_i, so E*_i is held as its sphere, and each E*_i A_j E*_h as its 0/1
 piece, the |S_i| x |S_h| block of the pairs labelled j, packed from one
-pass over the class table (``starting_pieces``); its row and column sums,
-the products of A_j with the sphere indicators on either side, are read
-off the packed rows (``piece_sums``).  The dimension of T is computed
-block by block, by an exact-span fixpoint on the pieces E*_i T E*_k
-(``block_closure``), and serves as the oracle that every structural claim
-in :mod:`wreathalg.structure` is checked against.  Which pieces are
-present, and so dim T_0, is read from the table, and so is the
-triple-regularity sweep, which the pipeline cross-checks.  The n x n
-references these are tested against (the dual idempotents, the flat
-closure of whole n x n words and the triple products) live in the test
-suite.
+pass over the class table (``starting_pieces``).  The dimension of T is
+computed block by block, by an exact-span fixpoint on the pieces
+E*_i T E*_k (``block_closure``), and serves as the oracle that every
+structural claim in :mod:`wreathalg.decomposition` is checked against.
+Which pieces are present, and so dim T_0, is read from the table, and so
+is the triple-regularity sweep, which the pipeline cross-checks.  This is
+the generic half of the checks, the one ``oracle`` runs: nothing here
+needs the moduli of a wreath of cyclics.  The n x n references these are
+tested against (the dual idempotents, the flat closure of whole n x n
+words and the triple products) live in the test suite.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product as iter_product, repeat
+from itertools import repeat
 from operator import add
 
 from .linalg import _MIN_WIDTH, ExactMatrix, ExactSpan
 from .scheme import AxiomViolation, CheckResult, Scheme
-from .wreath import _as_index, check_moduli, class_indices
 
 __all__ = [
-    "predict_triple_nonzero",
-    "check_triple_list",
     "starting_pieces",
-    "piece_sums",
     "close_blocks",
     "block_closure",
     "check_triply_regular",
-    "check_primary_module",
 ]
 
 
@@ -49,67 +43,6 @@ def _spheres(scheme: Scheme, base_point: int) -> list[list[int]]:
     for y, label in enumerate(scheme.table[base_point]):
         spheres[label].append(y)
     return spheres
-
-
-class ModuliRequired(ValueError):
-    """A check stated for a wreath of cyclics ran at a point without moduli."""
-
-
-def _require_wreath(point) -> tuple[int, ...]:
-    if point.moduli is None:
-        raise ModuliRequired("this check needs the moduli of a wreath of cyclics")
-    return point.moduli
-
-
-def predict_triple_nonzero(moduli, a, b, c) -> bool:
-    """Closed-form test for E_a* A_b E_c* being nonzero in the wreath scheme.
-
-    Implemented from the explicit case list, independently of
-    :func:`wreathalg.wreath.predict_vanishing`; the two predicates are
-    cross-validated by enumeration in the test suite.
-    """
-    m = check_moduli(moduli)
-    return _triple_nonzero(m, _as_index(m, a), _as_index(m, b), _as_index(m, c))
-
-
-def _triple_nonzero(m: tuple[int, ...], a, b, c) -> bool:
-    """``predict_triple_nonzero`` on labels of the checked moduli ``m``."""
-    i, al = a.level, a.offset
-    j, be = b.level, b.offset
-    h, ga = c.level, c.offset
-    if i == 0 and j == 0 and h == 0:
-        return True
-    if i == j == h:
-        return (al + be - ga) % m[i - 1] == 0
-    if i == j and h < i:
-        return (al + be) % m[i - 1] == 0
-    if i == h and j < i:
-        return al == ga
-    if j == h and i < j:
-        return be == ga
-    return False
-
-
-def check_triple_list(point) -> CheckResult:
-    """Compare the nonzero-triple-product case list with the labels of the
-    point's pieces."""
-    m = _require_wreath(point)
-    present = point.pieces
-    checked = 0
-    for a, b, c in iter_product(class_indices(m), repeat=3):
-        expected = _triple_nonzero(m, a, b, c)
-        actual = (a.flat, b.flat, c.flat) in present
-        checked += 1
-        if expected != actual:
-            return CheckResult(
-                "triple-list",
-                False,
-                f"x={point.x}, classes ({a},{b},{c}): predicted "
-                f"{'nonzero' if expected else 'zero'}, product is "
-                f"{'nonzero' if actual else 'zero'}",
-                checked,
-            )
-    return CheckResult("triple-list", True, None, checked)
 
 
 def starting_pieces(scheme: Scheme, base_point: int) -> dict[tuple[int, int, int], ExactMatrix]:
@@ -132,49 +65,6 @@ def starting_pieces(scheme: Scheme, base_point: int) -> dict[tuple[int, int, int
             rows.setdefault(key, [0] * len(spheres[key[0]]))[place[y]] = value
     return {key: ExactMatrix._packed(len(spheres[key[0]]), len(spheres[key[2]]), 1, 1, 1, _MIN_WIDTH,
                                      [rows[key]]) for key in sorted(rows)}
-
-
-def piece_sums(pieces, classes: int) -> list[dict[tuple[int, int], tuple[list[int], list[int]]]]:
-    """The row sums over S_i and the column sums over S_h of each piece
-    E*_i A_j E*_h of ``pieces``, keyed as ``starting_pieces``, as
-    ``sums[j][i, h]``; an absent piece has none.  They are read off the
-    packed 0/1 rows: a row's sum is its count of set bits, and the column
-    sums are the lanes of the sum of the rows, each at most |S_i|, so no
-    lane carries.  With u_i the indicator column of S_i, they are the
-    entries of A_j u_h in S_i and of u_i^T A_j in S_h."""
-    sums: list[dict[tuple[int, int], tuple[list[int], list[int]]]] = [{} for _ in range(classes)]
-    for (i, j, h), piece in pieces.items():
-        rows, width, total = piece.planes[0], piece.width, sum(piece.planes[0])
-        sums[j][i, h] = ([row.bit_count() for row in rows],
-                         [total >> width * k & (1 << width) - 1 for k in range(piece.cols)])
-    return sums
-
-
-def _uneven(point, j: int, columns: bool = False) -> set[int]:
-    """The a for which A_j u_a is not constant on every sphere, u_a the
-    indicator column of S_a: those of the pieces (h, j, a) whose row sums
-    differ (an absent piece is zero).  With ``columns``, the b for which
-    u_b^T A_j is not, read off the column sums of the pieces (b, j, h)."""
-    return {i if columns else h for (i, h), (rows, cols) in point.sums[j].items()
-            if len(set(cols if columns else rows)) > 1}
-
-
-def _commutator_constant(pieces, i: int, k: int) -> bool:
-    """Whether [A_i, A_k] is constant on every sphere block (a, b), formed
-    block by block from ``pieces``, keyed as ``starting_pieces``: block
-    (a, b) is sum_h piece(a, i, h) piece(h, k, b) - piece(a, k, h) piece(h, i, b)."""
-    after: dict[tuple[int, int], list[tuple[int, ExactMatrix]]] = {}
-    for (a, j, h), piece in pieces.items():
-        after.setdefault((a, j), []).append((h, piece))
-    blocks: dict[tuple[int, int], ExactMatrix] = {}
-    for first, second, sign in ((i, k, 1), (k, i, -1)):
-        for (a, j), lefts in after.items():
-            for h, left in lefts if j == first else ():
-                for b, right in after.get((h, second), ()):
-                    term = (left * right).scaled(sign)
-                    blocks[a, b] = blocks[a, b] + term if (a, b) in blocks else term
-    return all(block == ExactMatrix.ones(block.rows, block.cols).scaled(block[0, 0])
-               for block in blocks.values())
 
 
 def close_blocks(pieces, factors) -> dict[tuple[int, int], ExactSpan]:
@@ -315,24 +205,3 @@ def _count_witness(t, key, first, other) -> str:
         f"classes {label} over pair pattern {key}: count "
         f"{ref[label]} at {first} but {counts[label]} at {other}"
     )
-
-
-def check_primary_module(point) -> CheckResult:
-    """The span of the sphere indicator vectors u_i, n x 1 columns, must have
-    dimension d+1 and be carried into itself by every generator.
-
-    The span has dimension c iff every sphere is nonempty, and holds A_j u_a
-    iff A_j u_a is constant on every sphere (``_uneven``).  The generators
-    are the A_j, then the E*_j, each applied to u_0 .. u_{c-1}.  E*_j maps
-    u_j to itself and every other u_i to zero, so the E*_j pass by
-    construction, and ``checked`` counts their c^2 images after the A_j's."""
-    c = point.scheme.classes
-    dimension = sum(1 for sphere in point.spheres if sphere)
-    if dimension != c:
-        witness = f"x={point.x}: indicator span has dimension {dimension}, expected {c}"
-        return CheckResult("primary-module", False, witness)
-    for j in range(c):
-        if off := _uneven(point, j):
-            witness = f"x={point.x}: a generator maps an indicator vector outside the span"
-            return CheckResult("primary-module", False, witness, j * c + min(off) + 1)
-    return CheckResult("primary-module", True, None, 2 * c * c)

@@ -95,7 +95,8 @@ from wreathalg import (
     zeta,
 )
 from wreathalg.linalg import as_cyclo
-from wreathalg.terwilliger import _require_wreath, _spheres
+from wreathalg.decomposition import _require_wreath
+from wreathalg.terwilliger import _spheres
 
 # -- n x n contexts ---------------------------------------------------------------------
 

@@ -183,7 +183,7 @@ def test_criterion_8_central_idempotents():
         members = closed_form_members(family)
         ok = ok and family.count == len(members) == count
         ok = ok and not any(member.is_zero() for member in members.values())
-        ok = ok and check_central_idempotents(point, family, build_matrix_units(point)).passed
+        ok = ok and check_central_idempotents(point, build_matrix_units(point)).passed
     report("criterion 8: central idempotent family", ok)
     assert ok
 
@@ -266,7 +266,6 @@ def test_criterion_11c_base_point_invariance():
     for x in range(scheme.order):
         point = wreath_point(moduli, x)
         units = build_matrix_units(point)
-        family = build_central_idempotents(point)
         verdicts.append(
             (
                 check_triple_list(point).passed,
@@ -274,7 +273,7 @@ def test_criterion_11c_base_point_invariance():
                 check_matrix_units(units).passed,
                 check_adjacency_action(point, units).passed,
                 check_commutation(point).passed,
-                check_central_idempotents(point, family, units).passed,
+                check_central_idempotents(point, units).passed,
                 algebra_dimension(scheme, x),
                 t0_dimension(scheme, x),
             )

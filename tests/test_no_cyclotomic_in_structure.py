@@ -1,16 +1,18 @@
-"""A static guard on the package source: ``structure.py`` uses nothing of
-``cyclotomic``.
+"""A static guard on the package source: ``structure.py`` and
+``decomposition.py`` use nothing of ``cyclotomic``.
 
 The unit and idempotent families are their closed forms, certified by reads
-of the class table, so no structure check forms a cyclotomic number: the
-module imports nothing from ``cyclotomic`` and names none of ``zeta``,
+of the class table, so no structure check forms a cyclotomic number: neither
+module imports anything from ``cyclotomic`` or names any of ``zeta``,
 ``CycloNum`` and ``rational``.
 """
 
 import ast
 from pathlib import Path
 
-STRUCTURE = Path(__file__).resolve().parent.parent / "src" / "wreathalg" / "structure.py"
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "wreathalg"
+# the runner and its points, and the checks stated for a wreath of cyclics
+STRUCTURE = (SOURCE / "structure.py", SOURCE / "decomposition.py")
 
 MODULE = "cyclotomic"
 
@@ -36,8 +38,9 @@ def _uses(path: Path) -> list[str]:
 
 
 def test_structure_uses_nothing_of_cyclotomic():
-    assert STRUCTURE.exists()
-    assert _uses(STRUCTURE) == []
+    for path in STRUCTURE:
+        assert path.exists()
+        assert _uses(path) == [], path.name
 
 
 def test_the_guard_sees_each_use(tmp_path):

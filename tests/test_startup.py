@@ -5,7 +5,11 @@ every module it loads is compiled again, so the CLI must not load the
 standard library's ``dataclasses`` or the modules that import pulls in and
 no verdict uses, nor any module beyond those its own imports load.  Both
 interpreters start fresh, so modules that ``site`` loads on a given host
-are in both sets and cancel out.  Building a scheme, from a file or from
+are in both sets and cancel out.  Of the package, ``import wreathalg``
+loads no module, and each command loads only the modules it runs:
+``oracle`` neither ``wreath`` nor ``decomposition``, ``export`` no check,
+and ``verify`` every module it uses before its scheme is built, so that
+none is compiled in verdict time.  Building a scheme, from a file or from
 moduli, computes none of its parameters: the intersection data and the
 transpose map are verdict work.  No timing is read.
 """
@@ -16,11 +20,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 UNUSED = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 # The standard-library modules that src/ imports by name.
-IMPORTED = {"__future__", "argparse", "collections", "fractions", "functools", "itertools",
-            "json", "math", "operator", "os", "struct", "sys", "time"}
+IMPORTED = {"__future__", "argparse", "collections", "fractions", "functools", "importlib",
+            "itertools", "json", "math", "operator", "os", "struct", "sys", "time"}
 
 
 def _run(code: str) -> str:
@@ -65,3 +71,106 @@ def test_building_a_scheme_leaves_its_parameters_uncomputed(tmp_path):
         "    print(scheme._pnums, scheme._pnum_witness, '_transpose' in vars(scheme))\n"
     )
     assert state.splitlines() == ["None None False"] * 2
+
+
+def _package(modules: str) -> set[str]:
+    return {name for name in modules.split() if name.split(".")[0] == "wreathalg"}
+
+
+def _command_loads(argv: list[str]) -> set[str]:
+    """The package modules loaded in a fresh interpreter once ``cli.main``
+    has run ``argv``, which must pass."""
+    code = (
+        "import sys\n"
+        "from wreathalg.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print('\\n'.join(sys.modules))\n"
+    )
+    return _package(_run(code))
+
+
+def test_import_wreathalg_loads_no_submodule():
+    assert _package(_run("import sys, wreathalg; print('\\n'.join(sys.modules))")) == {"wreathalg"}
+
+
+def test_oracle_loads_neither_wreath_nor_decomposition(tmp_path):
+    from wreathalg import save_scheme, wreath_of_cyclics
+
+    table = tmp_path / "w22.table"
+    save_scheme(wreath_of_cyclics((2, 2)), table)
+    loaded = _command_loads(["oracle", str(table), "--out", str(tmp_path / "report.json")])
+    assert "wreathalg.structure" in loaded
+    assert sorted(loaded & {"wreathalg.wreath", "wreathalg.decomposition"}) == []
+
+
+def test_export_loads_no_check(tmp_path):
+    loaded = _command_loads(["export", "--moduli", "2,2", "--out", str(tmp_path / "w22.table")])
+    assert "wreathalg.wreath" in loaded
+    assert sorted(loaded & {"wreathalg.structure", "wreathalg.terwilliger"}) == []
+
+
+def test_verify_loads_every_module_it_uses_before_its_scheme_is_built(tmp_path):
+    # The scheme is ready when wreath_of_cyclics returns, as the benchmark
+    # marks it; a module loaded after that would be compiled in verdict time.
+    code = (
+        "import sys\n"
+        "import wreathalg.wreath as wreath\n"
+        "build, ready = wreath.wreath_of_cyclics, []\n"
+        "def marked(moduli):\n"
+        "    scheme = build(moduli)\n"
+        "    ready.append(set(sys.modules))\n"
+        "    return scheme\n"
+        "wreath.wreath_of_cyclics = marked\n"
+        "from wreathalg.cli import main\n"
+        f"assert main(['verify', '--moduli', '2,3', '--out', {str(tmp_path / 'r.json')!r}]) == 0\n"
+        "print('\\n'.join(ready[0]))\n"
+        "print('--')\n"
+        "print('\\n'.join(sys.modules))\n"
+    )
+    at_ready, _, at_exit = _run(code).partition("--")
+    assert "wreathalg.decomposition" in _package(at_ready)
+    assert _package(at_exit) == _package(at_ready)
+
+
+# Each public name of the package, by the module that defines it.
+DEFINED_IN = {
+    "cyclotomic": ("ONE", "ZERO", "CycloNum", "cyclotomic_polynomial", "euler_phi", "rational",
+                   "zeta"),
+    "linalg": ("ExactMatrix", "ExactSpan"),
+    "scheme": ("AxiomReport", "AxiomViolation", "CheckResult", "Scheme", "load_scheme",
+               "save_scheme"),
+    "structure": ("BasePoint", "DecompReport", "StructureError"),
+    "decomposition": ("CentralIdempotentFamily", "MatrixUnitFamily", "build_central_idempotents",
+                      "build_matrix_units", "check_adjacency_action", "check_block_form",
+                      "check_central_idempotents", "check_commutation", "check_matrix_units",
+                      "check_primary_module", "check_triple_list", "decomposition_report",
+                      "dimension_formula", "matrix_block_size", "one_dim_ideal_count",
+                      "predict_triple_nonzero"),
+    "terwilliger": ("block_closure", "check_triply_regular", "starting_pieces"),
+    "wreath": ("WreathIndex", "check_moduli", "check_translation_certificate",
+               "check_vanishing_criterion", "class_indices", "cyclic_scheme", "index_from_flat",
+               "indices_below_level", "num_classes", "predict_vanishing", "wreath_of_cyclics",
+               "wreath_product"),
+}
+# The submodules that are public names too: those the eager namespace bound.
+PUBLIC_MODULES = ("cyclotomic", "linalg", "scheme", "structure", "terwilliger", "wreath")
+
+
+def test_the_lazy_namespace_resolves_every_public_name():
+    import importlib
+
+    import wreathalg
+
+    assert wreathalg.__all__ == sorted(
+        [name for names in DEFINED_IN.values() for name in names] + list(PUBLIC_MODULES))
+    for module, names in DEFINED_IN.items():
+        home = importlib.import_module(f"wreathalg.{module}")
+        for name in names:
+            assert getattr(wreathalg, name) is getattr(home, name), name
+    for module in PUBLIC_MODULES:
+        assert getattr(wreathalg, module) is sys.modules[f"wreathalg.{module}"]
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        wreathalg.no_such_name
+    # dir lists every name before any has been read, in a fresh interpreter
+    listed = set(_run("import wreathalg; print('\\n'.join(dir(wreathalg)))").split())
+    assert sorted(set(wreathalg.__all__) - listed) == []

@@ -33,7 +33,7 @@ from wreathalg import (
     wreath_of_cyclics,
     zeta,
 )
-from wreathalg import structure, wreath
+from wreathalg import decomposition, structure, wreath
 from wreathalg.linalg import ExactSpan
 from wreathalg.structure import DECOMPOSITION, POINT_CHECKS, BasePoint, run_point_checks
 
@@ -222,8 +222,7 @@ def test_idempotent_eigenvalue_table():
 def test_idempotent_property_battery():
     for m in [(2, 2), (2, 3), (2, 2, 2)]:
         point = wreath_point(m, 0)
-        fam = build_central_idempotents(point)
-        result = check_central_idempotents(point, fam, build_matrix_units(point))
+        result = check_central_idempotents(point, build_matrix_units(point))
         assert result.passed, result.witness
 
 
@@ -536,14 +535,14 @@ def test_dimension_fails_when_it_differs_from_the_first_point():
 
 
 def test_unit_build_failure_skips_the_rest_of_the_point(monkeypatch):
-    original = structure.build_matrix_units
+    original = decomposition.build_matrix_units
 
     def failing(point):
         if point.x == 2:
             raise StructureError(f"unit (0,0) at x={point.x} is not supported on its block")
         return original(point)
 
-    monkeypatch.setattr(structure, "build_matrix_units", failing)
+    monkeypatch.setattr(decomposition, "build_matrix_units", failing)
     report = decomposition_report([2, 2])
     by_name = {c.name: c for c in report.checks}
     assert not report.passed
@@ -1155,6 +1154,34 @@ def test_the_idempotent_read_refuses_with_its_own_witness():
         build_central_idempotents(BasePoint(_lopsided_table(), (2, 3), 0, {}))
 
 
+def test_a_refused_idempotent_read_runs_once_per_point(monkeypatch):
+    # the point keeps the read's refusal as it keeps a family, so f-family
+    # and span-accounting share one read
+    calls = []
+    read = decomposition.build_central_idempotents
+    monkeypatch.setattr(decomposition, "build_central_idempotents",
+                        lambda point: calls.append(point.x) or read(point))
+    point = CONTROLS["wrong-offset"][0]()
+    for name in DECOMPOSITION:
+        point.result(name)
+    assert not point.result("f-family").passed
+    assert calls == [0]
+
+
+def test_f_family_checks_only_the_family_its_point_certified():
+    # A family made by hand over the units' spheres used to pass f-family
+    # at wrong-offset, where the read refuses the table.  The check takes
+    # no family: it reads the point's own, and raises the read's refusal.
+    point = CONTROLS["wrong-offset"][0]()
+    units = point.units
+    made = CentralIdempotentFamily(point.moduli, 0, units.spheres)
+    with pytest.raises(TypeError):
+        check_central_idempotents(point, made, units)
+    with pytest.raises(StructureError) as refused:
+        check_central_idempotents(point, units)
+    assert str(refused.value) == READ_REFUSALS["wrong-offset"]
+
+
 def test_checks_stated_for_a_wreath_fail_without_moduli():
     # The (2,3) table read as an ingested one: every check stated for a
     # wreath of cyclics fails with the same witness, in place of raising,
@@ -1337,8 +1364,8 @@ def test_full_decomposition_compares_each_unit_once(monkeypatch):
 
     monkeypatch.setattr(ExactMatrix, "_init", counted)
     builds = []
-    original = structure.build_matrix_units
-    monkeypatch.setattr(structure, "build_matrix_units",
+    original = decomposition.build_matrix_units
+    monkeypatch.setattr(decomposition, "build_matrix_units",
                         lambda point: builds.append(point.x) or original(point))
     assert decomposition_report((2, 3), base_points=[0]).passed
     assert (calls, builds) == ([], [0])
