@@ -197,7 +197,8 @@ def cmd_oracle(args) -> int:
 
 
 def _entry_json(value) -> dict:
-    return {"conductor": value.conductor, "coeffs": [str(c) for c in value.coeffs]}
+    # a rational entry, spelled as the element of Q(zeta_1) it is
+    return {"conductor": 1, "coeffs": [str(value)]}
 
 
 def cmd_export(args) -> int:

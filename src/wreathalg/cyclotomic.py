@@ -9,9 +9,9 @@ verdict in this package ultimately rests on that.
 Elements of different conductors are combined by embedding both into
 Q(zeta_lcm), via zeta_m = zeta_lcm^(lcm/m).
 
-This module is the one exact kernel for Q(zeta_N), and ``linalg`` calls it
-on integer coefficients over Z[zeta_N].  ``_reduce`` is the only reduction
-modulo Phi_N: a long division by the monic integer Phi_N, in the
+This module is the one exact kernel for Q(zeta_N); no command path forms
+an element of it, since ``linalg`` is over Q.  ``_reduce`` is the only
+reduction modulo Phi_N: a long division by the monic integer Phi_N, in the
 coefficients' own arithmetic, so integers stay integers.  The one inverse is
 the adjugate over the norm: the product of the Galois conjugates
 z -> z^k, 1 < k < N, gcd(k, N) = 1, of an integer element a is ``adj(a)``,

@@ -164,7 +164,7 @@ def piece_sums(pieces, classes: int) -> list[dict[tuple[int, int], tuple[list[in
     entries of A_j u_h in S_i and of u_i^T A_j in S_h."""
     sums: list[dict[tuple[int, int], tuple[list[int], list[int]]]] = [{} for _ in range(classes)]
     for (i, j, h), piece in pieces.items():
-        rows, width, total = piece.planes[0], piece.width, sum(piece.planes[0])
+        rows, width, total = piece.packed, piece.width, sum(piece.packed)
         sums[j][i, h] = ([row.bit_count() for row in rows],
                          [total >> width * k & (1 << width) - 1 for k in range(piece.cols)])
     return sums

@@ -1,36 +1,30 @@
-"""Dense exact matrices over Q(zeta_N) and echelon-form span bookkeeping.
+"""Dense exact rational matrices and echelon-form span bookkeeping.
 
-``ExactMatrix`` stores a matrix over Q(zeta_N) as packed integer rows
-(Kronecker substitution).  Entry (i, j) is
-``(v_0 + v_1 z + ... + v_{phi(N)-1} z^(phi(N)-1)) / den`` with integer
-coefficients, one positive common denominator ``den`` and ``z = zeta_N``;
-row i of plane s is the single int ``sum_j v_s(i, j) 2^(b j)`` for a slot
-width ``b``.  A rational matrix has one plane.  Packing is Z-linear, so
-sums, scalings and embeddings act on whole row ints, and row i of ``A*B``
-is ``sum_k a_ik packed(B_k)``: one big-int multiply-add per nonzero entry
-of A, with the planes convolved and reduced modulo Phi_N by the integer
-powers ``_xpow(N, d)`` of the ``cyclotomic`` kernel.  Packing is
-injective while every ``|v| < 2^(b-1)``, so each matrix carries a proven
-bound on its ``|v|``: every operation derives its result's bound from its
-operands' bounds and repacks wider when the bound would reach
+``ExactMatrix`` stores a matrix over Q as packed integer rows (Kronecker
+substitution).  Entry (i, j) is ``v(i, j) / den`` with integer numerators
+and one positive common denominator ``den``; row i is the single int
+``sum_j v(i, j) 2^(b j)`` for a slot width ``b``.  Packing is Z-linear, so
+sums and scalings act on whole row ints, and row i of ``A*B`` is
+``sum_k a_ik packed(B_k)``: one big-int multiply-add per nonzero entry of A.
+Packing is injective while every ``|v| < 2^(b-1)``, so each matrix carries a
+proven bound on its ``|v|``: every operation derives its result's bound from
+its operands' bounds and repacks wider when the bound would reach
 ``2^(b-1)``, and no matrix is built, and no equality decided, under a bound
 its width does not certify.  Equality and zero tests are then int
-comparisons.  The ``CycloNum`` grid of the public API (``data``,
-``flat()``, ``[i, j]``) is decoded on demand.
+comparisons.  An entry given to the constructor must be an ``int`` or a
+``Fraction`` (a ``bool``, a ``float``, a string or any other type is
+refused), and the entries of the public API (``data``, ``flat()``,
+``[i, j]``) are ``Fraction``s, decoded on demand.
 
-``ExactSpan`` keeps the span of equal-shape matrices over Q(zeta_N) in
-reduced echelon form, each row an ``ExactMatrix`` in the same layout: its
-numerators are the row, of content one, and its ``den`` is its positive
-rational-integer pivot entry.  Vectors are n x 1 matrices.  A matrix is
-reduced on its own packed rows, denominator dropped: a pivot entry is one
-biased shift and mask of a row int, a step is one big-int multiply-add per
-row, and zero is ``not any`` of the row ints.  The vector carries a proven
-bound, and the span repacks wider before a step its width would not
-certify.  Rows are unpacked only on an accepted insert and when the span
-widens.  Every product by a scalar of Z[zeta_N], in the spans and in
-``ExactMatrix.scaled``, is one helper on planes of packed rows
-(``_times``), and an irrational pivot is made rational by its adjugate
-(see ``cyclotomic``), so the span code works on integers alone.
+``ExactSpan`` keeps the span of equal-shape rational matrices in reduced
+echelon form, each row an ``ExactMatrix`` in the same layout: its numerators
+are the row, of content one, and its ``den`` is its positive pivot entry.
+Vectors are n x 1 matrices.  A matrix is reduced on its own packed rows,
+denominator dropped: a pivot entry is one biased shift and mask of a row
+int, a step is one big-int multiply-add per row, and zero is ``not any`` of
+the row ints.  The vector carries a proven bound, and the span repacks wider
+before a step its width would not certify.  Rows are unpacked only on an
+accepted insert.
 """
 
 from __future__ import annotations
@@ -42,15 +36,15 @@ from functools import lru_cache
 from itertools import chain, compress
 from operator import itemgetter, mul, sub
 
-from .cyclotomic import ZERO, CycloNum, _adjugate, _xpow, euler_phi
-
 __all__ = ["ExactMatrix", "ExactSpan"]
 
 
-def as_cyclo(value) -> CycloNum:
-    if isinstance(value, CycloNum):
-        return value
-    return CycloNum.from_rational(value) if value else ZERO
+def _refuse(kinds) -> None:
+    """A TypeError unless each type of ``kinds`` is int or a Fraction type, so
+    that no bool, float, string or irrational number reaches the kernel."""
+    for kind in kinds:
+        if kind is not int and not issubclass(kind, Fraction):
+            raise TypeError(f"an entry of type {kind.__name__} is not an int or a Fraction")
 
 
 # -- packed rows ----------------------------------------------------------------
@@ -111,116 +105,54 @@ def _unpack(rows, width: int, n: int) -> list[int]:
     return list(struct.unpack(f"<{len(raw) * 8 // width}{code}", raw))
 
 
-def _reduced(raw: dict[int, list[int]], conductor: int, rows: int) -> list[list[int]]:
-    """The planes of ``sum_d raw[d] z^d`` reduced modulo Phi_conductor."""
-    if conductor == 1:
-        return [raw.get(0) or [0] * rows]
-    phi = euler_phi(conductor)
-    if max(raw, default=0) < phi:
-        return [raw.get(j) or [0] * rows for j in range(phi)]
-    terms: list[tuple[list[int], list[list[int]]]] = [([], []) for _ in range(phi)]
-    for d, plane in raw.items():
-        for j, c in enumerate(_xpow(conductor, d)):
-            if c:
-                terms[j][0].append(c)
-                terms[j][1].append(plane)
-    return [[sum(map(mul, factors, column)) for column in zip(*rows_in)] if factors else [0] * rows
-            for factors, rows_in in terms]
-
-
-@lru_cache(maxsize=None)
-def _spread(conductor: int, source_a: int, source_b: int) -> int:
-    """``max_j sum_d |coefficient j of z^d|`` in Q(zeta_N), N = conductor,
-    over the degrees ``d = s N/N_a + t N/N_b`` of plane s over Q(zeta_{N_a})
-    times plane t over Q(zeta_{N_b}): reducing modulo Phi_N multiplies the
-    raw degrees' bound by at most this."""
-    step_a, step_b = conductor // source_a, conductor // source_b
-    degrees = {s * step_a + t * step_b
-               for s in range(euler_phi(source_a)) for t in range(euler_phi(source_b))}
-    return max(sum(abs(_xpow(conductor, d)[j]) for d in degrees) for j in range(euler_phi(conductor)))
-
-
-def _times(coeffs, source_a: int, planes, source_b: int, conductor: int) -> list[list[int]]:
-    """The planes of ``a M`` over Q(zeta_conductor), new lists, for
-    ``a = sum_s coeffs[s] z_a^s`` over Q(zeta_{source_a}) and the planes of
-    M over Q(zeta_{source_b}), packed rows or entries alike.  Given s and d
-    there is at most one t, so its entries are at most ``sum_s |coeffs[s]|``
-    times ``_spread(conductor, source_a, source_b)`` times M's bound."""
-    step_a, step_b = conductor // source_a, conductor // source_b
-    terms: dict[int, tuple[list[int], list[list[int]]]] = {}
-    for s, c in enumerate(coeffs):
-        for t, plane in enumerate(planes if c else ()):
-            factors, rows = terms.setdefault(s * step_a + t * step_b, ([], []))
-            factors.append(c)
-            rows.append(plane)
-    raw = {d: [sum(map(mul, factors, column)) for column in zip(*rows)]
-           for d, (factors, rows) in terms.items()}
-    return _reduced(raw, conductor, len(planes[0]))
-
-
-def _max_abs(planes) -> int:
-    """The largest |v| over planes of int rows."""
-    rows = [row for plane in planes for row in plane if row]
-    return max(max(map(max, rows)), -min(map(min, rows))) if rows else 0
-
-
 def _numerators(grid):
-    """(conductor, den, planes of int rows) for a grid of ints, Fractions and
-    CycloNums: the smallest conductor holding every irrational entry and
-    the least common denominator of all coefficients."""
-    if all(set(map(type, row)) <= {int} for row in grid):
-        return 1, 1, [[list(row) for row in grid]]
-    cells = [[as_cyclo(v) for v in row] for row in grid]
-    conductor = math.lcm(1, *(v.conductor for row in cells for v in row if not v.is_rational()))
-    pad = (0,) * (euler_phi(conductor) - 1)
-    coeffs = [[(v.coeffs[0],) + pad if v.is_rational() else v.embedded(conductor).coeffs
-               for v in row] for row in cells]
-    den = math.lcm(*(q.denominator for row in coeffs for c in row for q in c))
-    planes = [[[c[s].numerator * (den // c[s].denominator) for c in row] for row in coeffs]
-              for s in range(len(pad) + 1)]
-    return conductor, den, planes
+    """(den, int rows) for a grid of ints and Fractions: the least common
+    denominator and the numerators over it; a TypeError for any other entry."""
+    types = set(map(type, chain.from_iterable(grid)))
+    if types <= {int}:
+        return 1, [list(row) for row in grid]
+    _refuse(types)
+    den = math.lcm(*(v.denominator for row in grid for v in row))
+    return den, [[v.numerator * (den // v.denominator) for v in row] for row in grid]
 
 
-def _packing(conductor: int, den: int, planes):
-    """(conductor, den, bound, width, packed planes) for planes of int rows;
-    the width is certified before anything is packed at it."""
-    bound = _max_abs(planes)
+def _packing(den: int, rows):
+    """(den, bound, width, packed rows) for int rows; the width is certified
+    before anything is packed at it."""
+    bound = max((max(max(row), -min(row)) for row in rows if row), default=0)
     width = _width_for(bound)
     _certify(bound, width)
-    return conductor, den, bound, width, [[_pack(row, width) for row in plane] for plane in planes]
+    return den, bound, width, [_pack(row, width) for row in rows]
 
 
 class ExactMatrix:
-    """Immutable dense matrix with exact cyclotomic entries, stored as
-    packed integer rows (see the module docstring)."""
+    """Immutable dense matrix with exact rational entries, stored as packed
+    integer rows (see the module docstring)."""
 
-    __slots__ = ("rows", "cols", "conductor", "den", "bound", "width", "planes",
-                 "_ints", "_terms")
+    __slots__ = ("rows", "cols", "den", "bound", "width", "packed", "_ints", "_terms")
 
     def __init__(self, rows: int, cols: int, data):
-        """The matrix of a ``rows`` x ``cols`` grid of CycloNum (or int or
-        Fraction) entries."""
+        """The matrix of a ``rows`` x ``cols`` grid of int or Fraction entries."""
         if len(data) != rows or any(len(row) != cols for row in data):
             raise ValueError("data does not have the given shape")
         self._init(rows, cols, *_packing(*_numerators(data)))
 
-    def _init(self, rows, cols, conductor, den, bound, width, planes):
+    def _init(self, rows, cols, den, bound, width, packed):
         _certify(bound, width)
         self.rows = rows
         self.cols = cols
-        self.conductor = conductor
         self.den = den
         self.bound = bound
         self.width = width
-        self.planes = planes
+        self.packed = packed
         self._ints = None
         self._terms = None
 
     @classmethod
-    def _packed(cls, rows, cols, conductor, den, bound, width, planes) -> "ExactMatrix":
-        """A matrix from packed planes, whose entries are at most ``bound``."""
+    def _packed(cls, rows, cols, den, bound, width, packed) -> "ExactMatrix":
+        """A matrix from packed rows, whose entries are at most ``bound``."""
         mat = cls.__new__(cls)
-        mat._init(rows, cols, conductor, den, bound, width, planes)
+        mat._init(rows, cols, den, bound, width, packed)
         return mat
 
     @classmethod
@@ -232,93 +164,70 @@ class ExactMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls._packed(rows, cols, 1, 1, 0, _MIN_WIDTH, [[0] * rows])
+        return cls._packed(rows, cols, 1, 0, _MIN_WIDTH, [0] * rows)
 
     @classmethod
     def ones(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls._packed(rows, cols, 1, 1, 1, _MIN_WIDTH, [[_pack([1] * cols, _MIN_WIDTH)] * rows])
+        return cls._packed(rows, cols, 1, 1, _MIN_WIDTH, [_pack([1] * cols, _MIN_WIDTH)] * rows)
 
     # -- decoding -----------------------------------------------------------------
 
-    def _decoded(self) -> list[list[list[int]]]:
-        """The integer coefficients, plane by plane and row by row."""
+    def _decoded(self) -> list[list[int]]:
+        """The integer numerators, row by row."""
         if self._ints is None:
             cols = self.cols
-            flat = [_unpack(plane, self.width, cols) for plane in self.planes]
-            self._ints = [[values[k:k + cols] for k in range(0, len(values), cols)]
-                          for values in flat]
+            values = _unpack(self.packed, self.width, cols)
+            self._ints = [values[k:k + cols] for k in range(0, len(values), cols)]
         return self._ints
 
     def _left_terms(self):
-        """Each plane's distinct rows as ``(columns, values)`` of their nonzero
-        entries (values None when all are one; None for a zero row), with
-        each row's place among them, and the largest row sum of ``|v|`` over
-        all planes.  Equal rows of a left factor give equal product rows."""
+        """The distinct rows as ``(columns, values)`` of their nonzero entries
+        (values None when all are one; None for a zero row), each row's place
+        among them, and the largest row sum of ``|v|``.  Equal rows of a left
+        factor give equal product rows."""
         if self._terms is None:
             columns = range(self.cols)
-            sums = [0] * self.rows
-            planes = []
-            for plane in self._decoded():
-                distinct: dict[tuple[int, ...], int] = {}
-                places = [distinct.setdefault(tuple(row), len(distinct)) for row in plane]
-                terms = []
-                for row in distinct:
-                    values = list(filter(None, row))
-                    ones = values.count(1) == len(values)
-                    terms.append((list(compress(columns, row)), None if ones else values) if values else None)
-                for i, row in enumerate(plane):
-                    sums[i] += sum(map(abs, row))
-                planes.append((terms, places))
-            self._terms = planes, max(sums, default=0)
+            distinct: dict[tuple[int, ...], int] = {}
+            places = [distinct.setdefault(tuple(row), len(distinct)) for row in self._decoded()]
+            terms = []
+            for row in distinct:
+                values = list(filter(None, row))
+                ones = values.count(1) == len(values)
+                terms.append((list(compress(columns, row)), None if ones else values) if values else None)
+            self._terms = terms, places, max((sum(map(abs, row)) for row in distinct), default=0)
         return self._terms
 
-    def _at(self, width: int) -> list[list[int]]:
-        """The planes packed at ``width``, which is at least the own width."""
+    def _at(self, width: int) -> list[int]:
+        """The rows packed at ``width``, which is at least the own width."""
         if width == self.width:
-            return self.planes
-        return [[_pack(row, width) for row in plane] for plane in self._decoded()]
-
-    def _entry(self, coeffs) -> CycloNum:
-        return CycloNum(self.conductor, tuple(Fraction(v, self.den) for v in coeffs))
+            return self.packed
+        return [_pack(row, width) for row in self._decoded()]
 
     @property
-    def data(self) -> list[list[CycloNum]]:
-        return [[self._entry(c) for c in zip(*rows)] for rows in zip(*self._decoded())]
+    def data(self) -> list[list[Fraction]]:
+        den = self.den
+        return [[Fraction(v, den) for v in row] for row in self._decoded()]
 
-    def flat(self):
-        return [self._entry(c) for rows in zip(*self._decoded()) for c in zip(*rows)]
+    def flat(self) -> list[Fraction]:
+        den = self.den
+        return [Fraction(v, den) for row in self._decoded() for v in row]
 
-    def __getitem__(self, key):
+    def __getitem__(self, key) -> Fraction:
         i, j = key
-        return self._entry([plane[i][j] for plane in self._decoded()])
+        return Fraction(self._decoded()[i][j], self.den)
 
     # -- arithmetic ---------------------------------------------------------------
-
-    def _embedded(self, conductor: int) -> "ExactMatrix":
-        """The same matrix over Q(zeta_conductor), a multiple of its own."""
-        return self if conductor == self.conductor else self._multiple((1,), 1, 1, conductor)
-
-    def _multiple(self, coeffs, source: int, den: int, conductor: int) -> "ExactMatrix":
-        """The matrix times ``sum_s coeffs[s] z_source^s / den``, over
-        Q(zeta_conductor), a multiple of both conductors."""
-        bound = self.bound * sum(map(abs, coeffs)) * _spread(conductor, source, self.conductor)
-        width = max(self.width, _width_for(bound))
-        planes = _times(coeffs, source, self._at(width), self.conductor, conductor)
-        return ExactMatrix._packed(self.rows, self.cols, conductor, self.den * den, bound, width, planes)
 
     def _sum(self, other, sign: int) -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         self._require_shape(other)
-        conductor = math.lcm(self.conductor, other.conductor)
-        a, b = self._embedded(conductor), other._embedded(conductor)
-        den = math.lcm(a.den, b.den)
-        ma, mb = den // a.den, sign * (den // b.den)
-        bound = a.bound * ma + b.bound * abs(mb)
-        width = max(a.width, b.width, _width_for(bound))
-        planes = [[x * ma + y * mb for x, y in zip(pa, pb)]
-                  for pa, pb in zip(a._at(width), b._at(width))]
-        return ExactMatrix._packed(self.rows, self.cols, conductor, den, bound, width, planes)
+        den = math.lcm(self.den, other.den)
+        ma, mb = den // self.den, sign * (den // other.den)
+        bound = self.bound * ma + other.bound * abs(mb)
+        width = max(self.width, other.width, _width_for(bound))
+        packed = [x * ma + y * mb for x, y in zip(self._at(width), other._at(width))]
+        return ExactMatrix._packed(self.rows, self.cols, den, bound, width, packed)
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -327,8 +236,8 @@ class ExactMatrix:
         return self._sum(other, -1)
 
     def __neg__(self):
-        return ExactMatrix._packed(self.rows, self.cols, self.conductor, self.den, self.bound,
-                                   self.width, [[-r for r in plane] for plane in self.planes])
+        return ExactMatrix._packed(self.rows, self.cols, self.den, self.bound, self.width,
+                                   [-r for r in self.packed])
 
     def __mul__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -336,50 +245,42 @@ class ExactMatrix:
         return _product(self, other)
 
     def scaled(self, scalar) -> "ExactMatrix":
-        s = as_cyclo(scalar)
-        if s.is_rational():
-            q = Fraction(s.coeffs[0])
-            bound = self.bound * abs(q.numerator)
-            width = max(self.width, _width_for(bound))
-            planes = self._at(width)
-            if q.numerator != 1:
-                planes = [[q.numerator * r for r in plane] for plane in planes]
-            return ExactMatrix._packed(self.rows, self.cols, self.conductor,
-                                       self.den * q.denominator, bound, width, planes)
-        den = math.lcm(*(q.denominator for q in s.coeffs))
-        return self._multiple([q.numerator * (den // q.denominator) for q in s.coeffs], s.conductor,
-                              den, math.lcm(s.conductor, self.conductor))
+        """The matrix times an int or a Fraction."""
+        _refuse({type(scalar)})
+        num = scalar.numerator
+        bound = self.bound * abs(num)
+        width = max(self.width, _width_for(bound))
+        packed = self._at(width)
+        if num != 1:
+            packed = [num * r for r in packed]
+        return ExactMatrix._packed(self.rows, self.cols, self.den * scalar.denominator, bound, width, packed)
 
     def transpose(self) -> "ExactMatrix":
-        planes = [[_pack(column, self.width) for column in zip(*plane)]
-                  for plane in self._decoded()]
-        return ExactMatrix._packed(self.cols, self.rows, self.conductor, self.den, self.bound,
-                                   self.width, planes)
+        packed = [_pack(column, self.width) for column in zip(*self._decoded())]
+        return ExactMatrix._packed(self.cols, self.rows, self.den, self.bound, self.width, packed)
 
     def is_zero(self) -> bool:
-        return not any(any(plane) for plane in self.planes)
+        return not any(self.packed)
 
     def nonzero_rows(self) -> list[int]:
         """The indices of the rows with a nonzero entry, read off the packed rows."""
-        return [i for i, row in enumerate(zip(*self.planes)) if any(row)]
+        return [i for i, row in enumerate(self.packed) if row]
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        conductor = math.lcm(self.conductor, other.conductor)
-        a, b = self._embedded(conductor), other._embedded(conductor)
-        # a == b exactly when a's numerators times mb equal b's times ma.
-        g = math.gcd(a.den, b.den)
-        ma, mb = b.den // g, a.den // g
-        width = max(a.width, b.width, _width_for(max(a.bound * ma, b.bound * mb)))
-        _certify(a.bound * ma, width)
-        _certify(b.bound * mb, width)
-        pa, pb = a._at(width), b._at(width)
+        # self == other exactly when self's numerators times ma equal other's times mb.
+        g = math.gcd(self.den, other.den)
+        ma, mb = other.den // g, self.den // g
+        width = max(self.width, other.width, _width_for(max(self.bound * ma, other.bound * mb)))
+        _certify(self.bound * ma, width)
+        _certify(other.bound * mb, width)
+        pa, pb = self._at(width), other._at(width)
         if ma == mb == 1:
             return pa == pb
-        return all(x * ma == y * mb for ra, rb in zip(pa, pb) for x, y in zip(ra, rb))
+        return all(x * ma == y * mb for x, y in zip(pa, pb))
 
     def _require_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -390,80 +291,61 @@ class ExactMatrix:
 
 
 def _product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """The product over Q(zeta_N), N the lcm of the operands' conductors.
-
-    With z_A = z^(N/N_A) and z_B = z^(N/N_B), plane s of A times plane t of
-    B lands at degree d = s N/N_A + t N/N_B, and row i of it is
-    ``sum_k a_ik packed(B_k)``.  Given s and d there is at most one t, so
-    each raw degree has entries of size at most A's largest row sum of
-    ``|a|`` over all planes times B's bound, and reducing z^d modulo Phi_N
-    multiplies that by at most ``_spread(N, N_A, N_B)``, cached per triple
-    of conductors.  That is the result's proven bound, and so its width.
-    """
+    """The product: row i is ``sum_k a_ik packed(B_k)``, so its entries are at
+    most A's largest row sum of ``|a|`` times B's bound.  That is the
+    result's proven bound, and so its width."""
     if a.cols != b.rows:
         raise ValueError("inner dimensions do not match")
-    conductor = math.lcm(a.conductor, b.conductor)
-    terms, row_sum = a._left_terms()
-    bound = row_sum * b.bound * _spread(conductor, a.conductor, b.conductor)
+    terms, places, row_sum = a._left_terms()
+    bound = row_sum * b.bound
     width = max(b.width, _width_for(bound))
-    step_a, step_b = conductor // a.conductor, conductor // b.conductor
-    live = [(t, plane.__getitem__) for t, plane in enumerate(b._at(width)) if any(plane)]
-    raw = {}
-    for s, (rows, places) in enumerate(terms):
-        for t, get in live if any(rows) else ():
-            d = s * step_a + t * step_b
-            term = list(map([0 if row is None
-                             else sum(map(get, row[0])) if row[1] is None
-                             else sum(map(mul, row[1], map(get, row[0])))
-                             for row in rows].__getitem__, places))
-            raw[d] = term if d not in raw else [x + y for x, y in zip(raw[d], term)]
-    return ExactMatrix._packed(a.rows, b.cols, conductor, a.den * b.den, bound, width,
-                               _reduced(raw, conductor, a.rows))
+    get = b._at(width).__getitem__
+    distinct = [0 if row is None
+                else sum(map(get, row[0])) if row[1] is None
+                else sum(map(mul, row[1], map(get, row[0])))
+                for row in terms]
+    return ExactMatrix._packed(a.rows, b.cols, a.den * b.den, bound, width,
+                               list(map(distinct.__getitem__, places)))
 
 
 # -- spans ----------------------------------------------------------------------
 
 
-def _slot(planes, r: int, shift: int, bias: int, width: int) -> list[int]:
-    """Entry ``shift / width`` of row r in each plane: ``bias`` offsets it
-    and every lower slot into ``[0, 2^width)``, so none borrows from it."""
+def _slot(packed, r: int, shift: int, bias: int, width: int) -> int:
+    """Entry ``shift / width`` of row r: ``bias`` offsets it and every lower
+    slot into ``[0, 2^width)``, so none borrows from it."""
     half = 1 << (width - 1)
-    return [((plane[r] + bias) >> shift & (half << 1) - 1) - half for plane in planes]
+    return ((packed[r] + bias) >> shift & (half << 1) - 1) - half
 
 
-def _cancel(v, bound: int, a, row: ExactMatrix, conductor: int, width: int):
-    """``v <- (c/g) v - (a/g) S`` in the list ``v`` of planes, for the stored
+def _cancel(v: list[int], bound: int, a: int, row: ExactMatrix, width: int):
+    """``v <- (c/g) v - (a/g) S`` in the packed rows ``v``, for the stored
     row S = ``row`` with pivot entry ``c = row.den``, v's entry ``a`` there
     and ``g = gcd(c, a)``: one big-int multiply-add per row.  Returns the
     new bound, or None, v unchanged, where ``width`` does not certify it."""
     c = row.den
-    g = math.gcd(c, *a)
-    m, x, term = c // g, a[0] // g, row.planes
-    if any(a[1:]):
-        a = [y // g for y in a]
-        x, term = 1, _times(a, conductor, term, conductor, conductor)
-        grown = m * bound + sum(map(abs, a)) * _spread(conductor, conductor, conductor) * row.bound
-    else:
-        grown = m * bound + abs(x) * row.bound
+    g = math.gcd(c, a)
+    m, x = c // g, a // g
+    grown = m * bound + abs(x) * row.bound
     if grown >> (width - 1):
         return None
-    v[:] = [list(map(sub, plane, rows)) if m == x == 1 else [m * p - x * q for p, q in zip(plane, rows)]
-            for plane, rows in zip(v, term)]
+    v[:] = (list(map(sub, v, row.packed)) if m == x == 1
+            else [m * p - x * q for p, q in zip(v, row.packed)])
     return grown
 
 
 def _exact_bound(v, width: int, cols: int) -> int:
-    """The largest |entry| of planes certified at ``width``, off their slots."""
-    return max(map(abs, _unpack(chain.from_iterable(v), width, cols)))
+    """The largest |entry| of packed rows certified at ``width``, off their slots."""
+    return max(map(abs, _unpack(v, width, cols)))
 
 
 class ExactSpan:
-    """The span of ``rows`` x ``cols`` matrices over Q(zeta_N), flattened
-    row-major and kept in reduced echelon form (see the module docstring).
+    """The span of ``rows`` x ``cols`` rational matrices, flattened row-major
+    and kept in reduced echelon form (see the module docstring).
 
     Pivots are first nonzero entries, rows are fully reduced against each
-    other, and each is scaled to content one with a positive rational
-    pivot, so the stored rows depend only on the subspace.  Reducing
+    other, and each is scaled to content one with a positive pivot, so the
+    stored rows depend only on the subspace.  Reducing
     ``v <- (c/g) v - (a/g) S`` grows the vector's proven bound by ``c/g``
     and by ``|a/g|`` times S's bound.  Where the width would not certify a
     step, the step is tried with the exact bound, read off the slots, and
@@ -471,13 +353,12 @@ class ExactSpan:
     so no slot is read and no zero decided under an uncertified bound.  An
     accepted row stays packed where its pivot is one and its bound fits
     the narrowest width; any other is unpacked once, to divide out its
-    content.  The conductor N starts at 1 and grows to the lcm of the
-    conductors inserted, by embedding the stored rows.
+    content, which leaves it certified at the width it was reduced at.
     """
 
     def __init__(self, rows: int, cols: int):
         self.shape = (rows, cols)
-        self.conductor, self.width = 1, _MIN_WIDTH
+        self.width = _MIN_WIDTH
         # (pivot, its row, shift, bias, row matrix), sorted by pivot
         self._rows: list[tuple] = []
 
@@ -500,113 +381,91 @@ class ExactSpan:
         r, j = divmod(pivot, self.shape[1])
         return pivot, r, width * j, _bias(width, j + 1)
 
-    def _stored(self, planes, key, bound: int, width: int, conductor: int):
-        """A stored row from planes whose first nonzero entry is at ``key``:
-        times the pivot's adjugate where it is irrational, divided by its
-        content, pivot positive; None where ``width`` cannot hold it.  A
-        pivot of one leaves the content one, and the row stays packed unless
-        its bound passes the narrowest width."""
+    def _stored(self, packed, key, bound: int, width: int):
+        """A stored row from packed rows whose first nonzero entry is at
+        ``key``, divided by its content, pivot positive.  A pivot of one
+        leaves the content one, and the row stays packed unless its bound
+        passes the narrowest width."""
         pivot, r, shift, bias = key
-        a, c = _slot(planes, r, shift, bias, width), 1
-        if a[0] != 1 or any(a[1:]) or bound >> (_MIN_WIDTH - 1):
-            cols, n = self.shape[1], self.shape[0] * self.shape[1]
-            values = _unpack(chain.from_iterable(planes), width, cols)
-            entries = [values[k:k + n] for k in range(0, len(values), n)]
-            if any(a[1:]):
-                # The adjugate turns the pivot into its norm, a rational integer.
-                entries = _times(_adjugate(a, conductor), conductor, entries, conductor, conductor)
-            g = math.gcd(*chain.from_iterable(entries))
-            g = -g if entries[0][pivot] < 0 else g
-            entries = [[x // g for x in plane] for plane in entries]
-            c, bound = entries[0][pivot], max(map(abs, chain.from_iterable(entries)))
-            if bound >> (width - 1):
-                return None
-            planes = [[_pack(plane[k:k + cols], width) for k in range(0, n, cols)] for plane in entries]
-        return (*key, ExactMatrix._packed(*self.shape, conductor, c, bound, width, planes))
+        c = _slot(packed, r, shift, bias, width)
+        if c != 1 or bound >> (_MIN_WIDTH - 1):
+            cols = self.shape[1]
+            entries = _unpack(packed, width, cols)
+            g = math.gcd(*entries)
+            g = -g if entries[pivot] < 0 else g
+            entries = [x // g for x in entries]
+            c, bound = entries[pivot], max(map(abs, entries))
+            packed = [_pack(entries[k:k + cols], width) for k in range(0, len(entries), cols)]
+        return (*key, ExactMatrix._packed(*self.shape, c, bound, width, packed))
 
-    def _rows_at(self, conductor: int, width: int):
-        """The stored rows over Q(zeta_conductor) at ``width``, at least the
-        own; None where the width does not certify them.  Z[zeta_M] is
-        Z[zeta_N] meet Q(zeta_M), so embedding keeps content one and pivots."""
-        if conductor == self.conductor and width == self.width:
+    def _rows_at(self, width: int):
+        """The stored rows at ``width``, at least the own, which certifies them."""
+        if width == self.width:
             return self._rows
-        spread, rows = _spread(conductor, 1, self.conductor), []
-        for pivot, _, _, _, row in self._rows:
-            if row.bound * spread >> (width - 1):
-                return None
-            planes = _times((1,), 1, row._at(width), self.conductor, conductor)
-            mat = ExactMatrix._packed(*self.shape, conductor, row.den, row.bound * spread, width, planes)
-            rows.append((*self._key(pivot, width), mat))
-        return rows
+        return [(*self._key(pivot, width),
+                 ExactMatrix._packed(*self.shape, row.den, row.bound, width, row._at(width)))
+                for pivot, *_, row in self._rows]
 
     def _residual(self, mat: ExactMatrix, width: int = 0):
-        """(rows, planes, bound, conductor, width): ``mat``'s numerators
-        reduced against the stored rows, at the lcm of the conductors and the
-        narrowest width from ``width`` up that certifies every step."""
+        """(rows, packed rows, bound, width): ``mat``'s numerators reduced
+        against the stored rows, at the narrowest width from ``width`` up
+        that certifies every step."""
         if (mat.rows, mat.cols) != self.shape:
             raise ValueError("matrix shape does not match the span")
-        source = 1 if mat.conductor == 1 or not any(map(any, mat.planes[1:])) else mat.conductor
-        conductor = math.lcm(self.conductor, source)
         width = max(self.width, mat.width, width)
         while True:
-            rows = self._rows_at(conductor, width)
-            v, bound = list(mat._at(width)[:euler_phi(source)]), mat.bound
-            if source != conductor:
-                v, bound = _times((1,), 1, v, source, conductor), bound * _spread(conductor, 1, source)
-            half, mask, phi = 1 << (width - 1), (1 << width) - 1, len(v)
-            certified = rows is not None and bound < half
-            for _, r, shift, bias, row in rows if certified else ():
-                a = ([((plane[r] + bias) >> shift & mask) - half for plane in v] if phi > 1
-                     else [((v[0][r] + bias) >> shift & mask) - half])
-                if any(a):
+            rows = self._rows_at(width)
+            v, bound = list(mat._at(width)), mat.bound
+            half, mask = 1 << (width - 1), (1 << width) - 1
+            for _, r, shift, bias, row in rows:
+                a = ((v[r] + bias) >> shift & mask) - half
+                if a:
                     # a proven bound may be loose: retry with the exact one
-                    bound = (_cancel(v, bound, a, row, conductor, width)
-                             or _cancel(v, _exact_bound(v, width, self.shape[1]), a, row, conductor, width))
+                    bound = (_cancel(v, bound, a, row, width)
+                             or _cancel(v, _exact_bound(v, width, self.shape[1]), a, row, width))
                     if bound is None:
                         break
-            if certified and bound is not None:
-                return rows, v, bound, conductor, width
+            if bound is not None:
+                return rows, v, bound, width
             width *= 2
 
     def insert(self, mat: ExactMatrix) -> bool:
         """Adjoin a matrix; returns True iff the dimension grew."""
         width = 0
         while True:
-            rows, v, bound, conductor, width = self._residual(mat, width)
-            grew = any(map(any, v))
+            rows, v, bound, width = self._residual(mat, width)
+            grew = any(v)
             if grew:
-                rows = self._accepted(rows, v, bound, conductor, width)
+                rows = self._accepted(rows, v, bound, width)
             if rows is not None:
-                self.conductor, self.width, self._rows = conductor, width, rows
+                self.width, self._rows = width, rows
                 return grew
             width *= 2
 
-    def _accepted(self, rows, v, bound: int, conductor: int, width: int):
+    def _accepted(self, rows, v, bound: int, width: int):
         """The stored rows with the nonzero residual ``v`` adjoined and every
         row reduced against it; None where ``width`` does not certify a step."""
         # The pivot is in the first nonzero row r, and the lowest set bit of a
         # certified row int lies in its first nonzero slot.
-        r = list(map(any, zip(*v))).index(True)
-        j = min(((x & -x).bit_length() - 1) // width for x in (plane[r] for plane in v) if x)
-        new = self._stored(v, self._key(r * self.shape[1] + j, width), bound, width, conductor)
-        if new is None:
-            return None
+        r = next(i for i, x in enumerate(v) if x)
+        j = ((v[r] & -v[r]).bit_length() - 1) // width
+        new = self._stored(v, self._key(r * self.shape[1] + j, width), bound, width)
         updated, key = [new], new[:4]
         for old in rows:
-            a = _slot(old[4].planes, *key[1:], width)
-            if any(a):
-                planes = list(old[4].planes)
-                grown = _cancel(planes, old[4].bound, a, new[4], conductor, width)
+            a = _slot(old[4].packed, *key[1:], width)
+            if a:
+                packed = list(old[4].packed)
+                grown = _cancel(packed, old[4].bound, a, new[4], width)
                 if grown is None:
                     return None
-                old = self._stored(planes, old[:4], grown, width, conductor)
+                old = self._stored(packed, old[:4], grown, width)
             updated.append(old)
         return sorted(updated, key=itemgetter(0))
 
     def contains(self, mat: ExactMatrix) -> bool:
         """Exact membership: the residual after reduction is zero.  The
         stored rows are left as they are."""
-        return not any(map(any, self._residual(mat)[1]))
+        return not any(self._residual(mat)[1])
 
     def basis(self) -> list[ExactMatrix]:
         """The reduced echelon rows as matrices, pivots normalized to one."""

@@ -63,8 +63,8 @@ def starting_pieces(scheme: Scheme, base_point: int) -> dict[tuple[int, int, int
             packed[key] = packed.get(key, 0) | bit
         for key, value in packed.items():
             rows.setdefault(key, [0] * len(spheres[key[0]]))[place[y]] = value
-    return {key: ExactMatrix._packed(len(spheres[key[0]]), len(spheres[key[2]]), 1, 1, 1, _MIN_WIDTH,
-                                     [rows[key]]) for key in sorted(rows)}
+    return {key: ExactMatrix._packed(len(spheres[key[0]]), len(spheres[key[2]]), 1, 1, _MIN_WIDTH,
+                                     rows[key]) for key in sorted(rows)}
 
 
 def close_blocks(pieces, factors) -> dict[tuple[int, int], ExactSpan]:

@@ -17,12 +17,17 @@ of the code it checks.  None of them is on a CLI path.
   reference of ``terwilliger.starting_pieces``.
 - ``triple_product`` and ``t0_span``: the matrices E*_i A_j E*_h, the
   reference of ``label_triples`` and ``t0_dimension``.
+- ``CycloMatrix`` and ``CycloSpan``: matrices over Q(zeta_N), which the
+  references below form and the package does not, held as their phi(N)
+  planes of the package's rational ``ExactMatrix``, and their spans by
+  restriction of scalars to the package's rational ``ExactSpan``;
+  ``span_of`` picks the span that holds given matrices.
 - ``grid_product`` and ``grid_map``: entrywise CycloNum arithmetic, the
-  reference of the packed ``ExactMatrix`` operations.
+  reference of the ``ExactMatrix`` operations and of ``CycloMatrix``'s.
 - ``identity``, ``trace`` and ``classify``: the n x n identity, the trace
   of a square matrix and one table entry, which only the tests read.
 - ``ReferenceSpan``: CycloNum Gauss-Jordan elimination, the reference of
-  ``ExactSpan``.
+  ``ExactSpan`` and ``CycloSpan``.
 - ``brute_intersection`` and ``commutes_by_products``: the intersection
   numbers and commutativity from their definitions, the reference of the
   table-read ``Scheme`` parameters.
@@ -73,12 +78,14 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, repeat
 from itertools import product as iter_product
+from operator import add, neg
 
 from wreathalg import (
     ZERO,
     BasePoint,
     CentralIdempotentFamily,
     CheckResult,
+    CycloNum,
     ExactMatrix,
     ExactSpan,
     MatrixUnitFamily,
@@ -88,13 +95,14 @@ from wreathalg import (
     check_moduli,
     class_indices,
     dimension_formula,
+    euler_phi,
     indices_below_level,
     one_dim_ideal_count,
     rational,
     wreath_of_cyclics,
     zeta,
 )
-from wreathalg.linalg import as_cyclo
+from wreathalg.cyclotomic import _xpow
 from wreathalg.decomposition import _require_wreath
 from wreathalg.terwilliger import _spheres
 
@@ -198,7 +206,7 @@ def product_closure(matrices) -> ExactSpan:
     n = matrices[0].rows
     if any(m.rows != n or m.cols != n for m in matrices):
         raise ValueError("generators must be square matrices of equal size")
-    span = ExactSpan(n, n)
+    span = span_of(matrices, n, n)
     generators = [m for m in matrices if span.insert(m)]
     reps = list(generators)
     for r in reps:  # reps grows while it is walked
@@ -220,7 +228,7 @@ def pairwise_closure(matrices) -> ExactSpan:
     of them new, multiplied until a round adds nothing: the reference of
     ``product_closure``."""
     n = matrices[0].rows
-    span = ExactSpan(n, n)
+    span = span_of(matrices, n, n)
     reps = [m for m in matrices if span.insert(m)]
     processed = 0
     while processed < len(reps):
@@ -249,6 +257,167 @@ def t0_span(ctx: TerwilligerContext) -> ExactSpan:
     for i, j, h in iter_product(range(ctx.scheme.classes), repeat=3):
         span.insert(triple_product(ctx, i, j, h))
     return span
+
+
+# -- matrices and spans over Q(zeta_N) ---------------------------------------------------
+
+
+def as_cyclo(value) -> CycloNum:
+    """``value`` as a CycloNum, of conductor 1 where it is rational."""
+    value = value if isinstance(value, CycloNum) else rational(value)
+    return rational(value.coeffs[0]) if value.is_rational() else value
+
+
+def _planes(terms, conductor: int, rows: int, cols: int) -> list[ExactMatrix]:
+    """The planes of ``sum_d M_d z^d`` over Q(zeta_conductor), for the pairs
+    (d, M_d) of ``terms``, each z^d reduced modulo Phi_N by ``_xpow``."""
+    planes = [ExactMatrix.zeros(rows, cols)] * euler_phi(conductor)
+    for d, mat in terms:
+        for j, c in enumerate(_xpow(conductor, d)):
+            if c:
+                planes[j] = planes[j] + mat.scaled(c)
+    return planes
+
+
+class CycloMatrix:
+    """A matrix over Q(zeta_N), N = ``conductor``, held as its planes: the
+    phi(N) rational ``ExactMatrix`` M_s with the matrix sum_s zeta_N^s M_s.
+    The power basis is a basis of Q(zeta_N) over Q, so the planes are
+    unique and equality is plane by plane.  A product convolves the planes
+    and reduces the degrees modulo Phi_N; operands of different conductors
+    are embedded into the lcm first, and a rational ``ExactMatrix`` is the
+    conductor-1 matrix of its one plane."""
+
+    def __init__(self, conductor: int, planes):
+        self.conductor, self.planes = conductor, list(planes)
+        self.rows, self.cols = self.planes[0].rows, self.planes[0].cols
+
+    @classmethod
+    def of(cls, mat) -> "CycloMatrix":
+        return mat if isinstance(mat, CycloMatrix) else cls(1, [mat])
+
+    @classmethod
+    def from_rows(cls, rows) -> "CycloMatrix":
+        """The matrix of a grid of CycloNum, int and Fraction entries, over
+        the smallest field that holds them."""
+        cells = [[as_cyclo(v) for v in row] for row in rows]
+        conductor = math.lcm(*(v.conductor for row in cells for v in row))
+        coeffs = [[v.embedded(conductor).coeffs for v in row] for row in cells]
+        return cls(conductor, [ExactMatrix.from_rows([[c[s] for c in row] for row in coeffs])
+                               for s in range(euler_phi(conductor))])
+
+    def map(self, f) -> "CycloMatrix":
+        """The matrix of the planes ``f(M_s)``, for a Q-linear ``f``."""
+        return CycloMatrix(self.conductor, [f(plane) for plane in self.planes])
+
+    def embedded(self, conductor: int) -> "CycloMatrix":
+        """The same matrix over Q(zeta_conductor), a multiple of its own."""
+        if conductor % self.conductor:
+            raise ValueError("target conductor must be a multiple")
+        step = conductor // self.conductor
+        return self if step == 1 else CycloMatrix(conductor, _planes(
+            [(s * step, plane) for s, plane in enumerate(self.planes)], conductor, self.rows, self.cols))
+
+    def _both(self, other):
+        """Both operands over the lcm of their conductors."""
+        other = CycloMatrix.of(other)
+        conductor = math.lcm(self.conductor, other.conductor)
+        return self.embedded(conductor), other.embedded(conductor)
+
+    def __add__(self, other):
+        a, b = self._both(other)
+        return CycloMatrix(a.conductor, map(add, a.planes, b.planes))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self.map(neg)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        a, b = self._both(other)
+        terms = [(s + t, x * y) for s, x in enumerate(a.planes) if not x.is_zero()
+                 for t, y in enumerate(b.planes) if not y.is_zero()]
+        return CycloMatrix(a.conductor, _planes(terms, a.conductor, a.rows, b.cols))
+
+    def __rmul__(self, other):
+        return CycloMatrix.of(other) * self
+
+    def scaled(self, scalar) -> "CycloMatrix":
+        value = as_cyclo(scalar)
+        a = self.embedded(math.lcm(self.conductor, value.conductor))
+        terms = [(k + s, plane.scaled(q)) for k, q in enumerate(value.embedded(a.conductor).coeffs) if q
+                 for s, plane in enumerate(a.planes)]
+        return CycloMatrix(a.conductor, _planes(terms, a.conductor, a.rows, a.cols))
+
+    def transpose(self) -> "CycloMatrix":
+        return self.map(ExactMatrix.transpose)
+
+    def is_zero(self) -> bool:
+        return all(plane.is_zero() for plane in self.planes)
+
+    def __eq__(self, other):
+        a, b = self._both(other)
+        return a.planes == b.planes
+
+    @property
+    def data(self) -> list[list[CycloNum]]:
+        return [[CycloNum(self.conductor, cell) for cell in zip(*rows)]
+                for rows in zip(*(plane.data for plane in self.planes))]
+
+    def flat(self) -> list[CycloNum]:
+        return [value for row in self.data for value in row]
+
+    def __getitem__(self, key) -> CycloNum:
+        return CycloNum(self.conductor, tuple(plane[key] for plane in self.planes))
+
+
+class CycloSpan:
+    """The span over Q(zeta_N), N = ``conductor``, of ``rows`` x ``cols``
+    matrices, by restriction of scalars: the package's rational ``ExactSpan``
+    of the planes, stacked, of zeta_N^k M for k < phi(N) and each M adjoined.
+    The Q-span of those is the Q(zeta_N)-span of the M, so its Q-dimension
+    is phi(N) times theirs and membership over Q(zeta_N) is Q-membership.
+    An insert grows the span iff M itself is new, and then by phi(N)."""
+
+    def __init__(self, rows: int, cols: int, conductor: int):
+        self.conductor, self.phi = conductor, euler_phi(conductor)
+        self.span = ExactSpan(self.phi * rows, cols)
+
+    def _stacked(self, mat) -> ExactMatrix:
+        planes = CycloMatrix.of(mat).embedded(self.conductor).planes
+        return ExactMatrix.from_rows([row for plane in planes for row in plane.data])
+
+    def insert(self, mat) -> bool:
+        grew = self.span.insert(self._stacked(mat))
+        for k in range(1, self.phi) if grew else ():
+            self.span.insert(self._stacked(CycloMatrix.of(mat).scaled(zeta(self.conductor, k))))
+        return grew
+
+    def contains(self, mat) -> bool:
+        return self.span.contains(self._stacked(mat))
+
+    @property
+    def dimension(self) -> int:
+        return self.span.dimension // self.phi
+
+    def basis(self) -> list[ExactMatrix]:
+        """The rational span's reduced echelon rows: a canonical Q-basis."""
+        return self.span.basis()
+
+
+def span_of(matrices, rows: int, cols: int):
+    """An empty span for ``matrices``: the package's ``ExactSpan`` where all
+    are rational ``ExactMatrix``, else the ``CycloSpan`` over the lcm of
+    their conductors."""
+    if all(isinstance(mat, ExactMatrix) for mat in matrices):
+        return ExactSpan(rows, cols)
+    return CycloSpan(rows, cols, math.lcm(*(CycloMatrix.of(mat).conductor for mat in matrices)))
 
 
 # -- entrywise matrices and spans -----------------------------------------------------
@@ -534,7 +703,7 @@ class MemberMatrices:
 
     moduli: tuple[int, ...]
     base_point: int
-    matrices: dict[tuple[int, int], ExactMatrix] = field(default_factory=dict)
+    matrices: dict[tuple[int, int], CycloMatrix] = field(default_factory=dict)
 
     @property
     def count(self) -> int:
@@ -564,13 +733,13 @@ def idempotents_by_products(ctx: TerwilligerContext) -> MemberMatrices:
                 inner = term if inner is None else inner + term
             for t in range(1, p):
                 level_index = WreathIndex(h, t, moduli)
-                inner = inner + ctx.adjacency[level_index.flat].scaled(zeta(p, t * xi))
+                inner = inner + CycloMatrix.of(ctx.adjacency[level_index.flat]).scaled(zeta(p, t * xi))
             n_h = ctx.scheme.valency(hx.flat)
             family.matrices[(a.flat, hx.flat)] = (ea * inner * ea).scaled(Fraction(1, p * n_h))
     return family
 
 
-def closed_form_members(family: CentralIdempotentFamily) -> dict[tuple[int, int], ExactMatrix]:
+def closed_form_members(family: CentralIdempotentFamily) -> dict[tuple[int, int], CycloMatrix]:
     """Each member F_(a,(h,xi)) of ``family``, in key order, as its block on
     S_a x S_a, rows and columns in the order of ``family.spheres[a]``: with
     y and z the positions of two vertices there, the entry is
@@ -586,7 +755,7 @@ def closed_form_members(family: CentralIdempotentFamily) -> dict[tuple[int, int]
         positions = range(len(family.spheres[a]))
         rows = [[zeta(p, xi * (z // n_h % p - y // n_h % p)) if y // (n_h * p) == z // (n_h * p)
                  else ZERO for z in positions] for y in positions]
-        members[a, key] = ExactMatrix.from_rows(rows).scaled(Fraction(1, p * n_h))
+        members[a, key] = CycloMatrix.from_rows(rows).scaled(Fraction(1, p * n_h))
     return members
 
 
@@ -603,23 +772,27 @@ def _idempotent_scalar(moduli, scheme, a: WreathIndex, hx: WreathIndex, jb: Wrea
     return n_j
 
 
-def embedded(block: ExactMatrix, rows, cols, order: int) -> ExactMatrix:
+def embedded(block, rows, cols, order: int):
     """The n x n matrix that is ``block`` on ``rows`` x ``cols`` and zero
     elsewhere."""
-    data = [[ZERO] * order for _ in range(order)]
+    if isinstance(block, CycloMatrix):
+        return block.map(lambda plane: embedded(plane, rows, cols, order))
+    data = [[0] * order for _ in range(order)]
     for y, row in zip(rows, block.data):
         for z, value in zip(cols, row):
             data[y][z] = value
     return ExactMatrix(order, order, data)
 
 
-def block(mat: ExactMatrix, rows, cols) -> ExactMatrix | None:
+def block(mat, rows, cols):
     """The submatrix of ``mat`` on ``rows`` x ``cols``, where every entry off
     it is zero; None otherwise."""
+    if isinstance(mat, CycloMatrix):
+        planes = [block(plane, rows, cols) for plane in mat.planes]
+        return None if any(plane is None for plane in planes) else CycloMatrix(mat.conductor, planes)
     data = mat.data
     inside = {(y, z) for y in rows for z in cols}
-    if any(not value.is_zero() for y, row in enumerate(data) for z, value in enumerate(row)
-           if (y, z) not in inside):
+    if any(value for y, row in enumerate(data) for z, value in enumerate(row) if (y, z) not in inside):
         return None
     return ExactMatrix.from_rows([[data[y][z] for z in cols] for y in rows])
 
@@ -934,10 +1107,14 @@ def primary_module_by_products(ctx: TerwilligerContext) -> CheckResult:
 
 def span_accounting_by_blocks(point: BasePoint, family: MemberMatrices) -> CheckResult:
     """The rank of units and n x n idempotents, and with the point's closure,
-    block by block, where every idempotent is certified zero off its block."""
-    spheres = point.units.spheres
-    combined = {(a, b): ExactSpan.from_matrices([ExactMatrix.ones(len(sa), len(sb))])
-                for a, sa in enumerate(spheres) for b, sb in enumerate(spheres)}
+    block by block, where every idempotent is certified zero off its block;
+    each block's span is over the field of all the idempotents."""
+    spheres, members = point.units.spheres, list(family.matrices.values())
+    combined = {}
+    for a, sa in enumerate(spheres):
+        for b, sb in enumerate(spheres):
+            combined[a, b] = span_of(members, len(sa), len(sb))
+            combined[a, b].insert(ExactMatrix.ones(len(sa), len(sb)))
     for (a, hx), mat in sorted(family.matrices.items()):
         own = block(mat, spheres[a], spheres[a])
         if own is None:
@@ -946,7 +1123,7 @@ def span_accounting_by_blocks(point: BasePoint, family: MemberMatrices) -> Check
         combined[a, a].insert(own)
     rank_uf = sum(span.dimension for span in combined.values())
     for key, span in point.closure.items():
-        target = combined.setdefault(key, ExactSpan(*span.shape))
+        target = combined.setdefault(key, span_of(members, *span.shape))
         for mat in span.basis():
             target.insert(mat)
     rank = sum(span.dimension for span in combined.values())

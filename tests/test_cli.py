@@ -160,17 +160,13 @@ def test_export_two_vertex_table(capsys, tmp_path):
 
 
 def test_export_matrix_dump(capsys, tmp_path):
-    table = tmp_path / "t.txt"
+    # the whole dump, byte for byte: each rational entry q is spelled as the
+    # element {"conductor": 1, "coeffs": [q]} of Q(zeta_1)
     dump = tmp_path / "mats.json"
-    code, _, _ = run(
-        capsys, "export", "--moduli", "2,2", "--out", str(table), "--matrices", str(dump)
-    )
+    code, _, _ = run(capsys, "export", "--moduli", "2,3", "--out", str(tmp_path / "t.txt"),
+                     "--matrices", str(dump))
     assert code == 0
-    data = json.loads(dump.read_text())
-    assert data["order"] == 4
-    assert len(data["matrices"]) == 3
-    entry = data["matrices"][0]["rows"][0][0]
-    assert entry == {"conductor": 1, "coeffs": ["1"]}
+    assert dump.read_bytes() == (GOLDEN / "export-2x3-matrices.json").read_bytes()
 
 
 def test_export_io_error(capsys, tmp_path):

@@ -66,7 +66,7 @@ def test_table_facts_match_the_matrices_at_every_point(name):
         adjacency = scheme.adjacency_matrix(j)
         for y, z in iter_product(range(scheme.order), repeat=2):
             # the fact that lets block-form read its blocks from the table
-            assert adjacency[y, z].is_one() == (scheme.table[y][z] == j)
+            assert (adjacency[y, z] == 1) == (scheme.table[y][z] == j)
     for x in range(scheme.order):
         ctx = make_context(scheme, x)
         labels = label_triples(scheme, x)
@@ -101,10 +101,9 @@ def test_packed_pieces_match_the_blocks_built_entry_by_entry(name):
         assert list(packed) == list(reference) == sorted(label_triples(scheme, x))
         for key, piece in reference.items():
             assert packed[key] == piece
-            assert (packed[key].rows, packed[key].cols, packed[key].planes, packed[key].width,
-                    packed[key].bound, packed[key].conductor, packed[key].den) == (
-                piece.rows, piece.cols, piece.planes, piece.width, piece.bound, piece.conductor,
-                piece.den)
+            assert (packed[key].rows, packed[key].cols, packed[key].packed, packed[key].width,
+                    packed[key].bound, packed[key].den) == (
+                piece.rows, piece.cols, piece.packed, piece.width, piece.bound, piece.den)
 
 
 def test_label_triples_rejects_a_bad_base_point():

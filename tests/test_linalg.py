@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from reference import block, block_ones, identity, product_closure, trace
+from reference import CycloMatrix, CycloSpan, block, block_ones, identity, product_closure, trace
 
 from wreathalg import ExactMatrix, ExactSpan, rational, zeta
 
@@ -22,6 +22,7 @@ def test_matrix_basics():
     assert trace(a) == rational(5)
     assert identity(2) * a == a
     assert a.scaled(Fraction(1, 2))[0, 1] == rational(1)
+    assert all(type(v) is Fraction for v in a.flat()) and a.data == [[1, 2], [3, 4]]
 
 
 def test_block_ones_and_nonzero_rows():
@@ -29,10 +30,20 @@ def test_block_ones_and_nonzero_rows():
     assert mat == ExactMatrix.from_rows([[0, 1, 0, 1], [0, 0, 0, 0], [0, 1, 0, 1]])
     assert mat.nonzero_rows() == [0, 2]
     assert block_ones(2, 2, [], [0]).is_zero()
-    # a row whose only nonzero coefficient is that of zeta_3
-    irrational = ExactMatrix.from_rows([[0, 0], [0, zeta(3, 1)]])
-    assert irrational.planes[0][1] == 0
-    assert irrational.nonzero_rows() == [1]
+    assert ExactMatrix.from_rows([[0, 0], [0, Fraction(1, 3)]]).nonzero_rows() == [1]
+
+
+@pytest.mark.parametrize("entry", [0.5, "3", zeta(3), rational(1), True],
+                         ids=["float", "str", "irrational", "cyclonum", "bool"])
+def test_an_entry_that_is_not_an_int_or_a_fraction_is_refused(entry):
+    # the kernel is exact over Q: a float, a string, a bool or a CycloNum,
+    # even a rational one, never reaches it
+    with pytest.raises(TypeError):
+        ExactMatrix.from_rows([[entry, 1]])
+    with pytest.raises(TypeError):
+        ExactMatrix(1, 2, [[Fraction(1, 2), entry]])
+    with pytest.raises(TypeError):
+        identity(2).scaled(entry)
 
 
 def test_matrix_shape_errors():
@@ -47,12 +58,12 @@ def test_matrix_shape_errors():
 
 def test_matrix_block():
     # rows 1, 3 and columns 0, 2 of a matrix that is zero elsewhere, read by
-    # the reference of span-accounting
+    # the reference of span-accounting, plane by plane
     w = zeta(3, 1)
-    a = ExactMatrix.from_rows([[0, 0, 0, 0], [Fraction(1, 2), 0, w, 0],
+    a = CycloMatrix.from_rows([[0, 0, 0, 0], [Fraction(1, 2), 0, w, 0],
                                [0, 0, 0, 0], [0, 0, 3, 0]])
-    assert block(a, [1, 3], [0, 2]) == ExactMatrix.from_rows([[Fraction(1, 2), w], [0, 3]])
-    assert block(a, [1, 3], [0, 2, 3]) == ExactMatrix.from_rows([[Fraction(1, 2), w, 0],
+    assert block(a, [1, 3], [0, 2]) == CycloMatrix.from_rows([[Fraction(1, 2), w], [0, 3]])
+    assert block(a, [1, 3], [0, 2, 3]) == CycloMatrix.from_rows([[Fraction(1, 2), w, 0],
                                                                [0, 3, 0]])
     # a nonzero entry in another row, or in another column of the same rows
     assert block(a, [1], [0, 2]) is None
@@ -61,6 +72,7 @@ def test_matrix_block():
     rational_part = ExactMatrix.from_rows([[0, 0, 0, 0], [Fraction(1, 2), 0, 0, 0],
                                            [0, 0, 0, 0], [0, 0, 3, 0]])
     assert block(a - rational_part, [1, 3], [0]) is None
+    assert block(rational_part, [1, 3], [0, 2]) == ExactMatrix.from_rows([[Fraction(1, 2), 0], [0, 3]])
 
 
 def test_matrix_vector_product():
@@ -94,16 +106,6 @@ def test_span_reduced_form_is_pivot_one():
     assert rows[1] == [rational(0), rational(1), rational(0)]
 
 
-def test_span_upgrade_to_cyclotomic_rows():
-    span = ExactSpan(1, 2)
-    span.insert(row(1, 1))
-    assert span.contains(row(zeta(3), zeta(3)))  # scalar multiple over the big field
-    assert not span.contains(row(zeta(3), 0))
-    assert span.insert(row(zeta(3), 0))
-    assert span.dimension == 2
-    assert span.contains(row(0, 5))
-
-
 @pytest.mark.parametrize("field", ["int", "cyclo"])
 def test_span_basis_is_independent_of_insertion_order(field):
     rng = random.Random(7)
@@ -117,10 +119,9 @@ def test_span_basis_is_independent_of_insertion_order(field):
     reference = None
     for _ in range(5):
         rng.shuffle(vectors)
-        span = ExactSpan(1, 6)
+        span = CycloSpan(1, 6, 3) if field == "cyclo" else ExactSpan(1, 6)
         for vec in vectors:
-            span.insert(row(*vec))
-        assert span.conductor == (3 if field == "cyclo" else 1)
+            span.insert(CycloMatrix.from_rows([vec]) if field == "cyclo" else row(*vec))
         if reference is None:
             reference = [m.flat() for m in span.basis()]
         assert span.dimension == 3
@@ -152,7 +153,7 @@ def test_closure_of_orthogonal_idempotents():
     for i in range(4):
         m = ExactMatrix.zeros(4, 4).data
         rows = [list(r) for r in m]
-        rows[i][i] = rational(1)
+        rows[i][i] = 1
         mats.append(ExactMatrix(4, 4, rows))
     assert product_closure(mats).dimension == 4
 
@@ -174,7 +175,7 @@ def test_closure_idempotent():
 
 def test_closure_handles_cyclotomic_generators():
     z = zeta(4)
-    m = ExactMatrix.from_rows([[z, 0], [0, 1]])
+    m = CycloMatrix.from_rows([[z, 0], [0, 1]])
     closure = product_closure([m, identity(2)])
     # powers of m stay inside span{m, I, m^2=-diag(1,0)+...}: diag algebra has dim 2
     assert closure.dimension == 2

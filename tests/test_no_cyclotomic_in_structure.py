@@ -1,18 +1,21 @@
-"""A static guard on the package source: ``structure.py`` and
-``decomposition.py`` use nothing of ``cyclotomic``.
+"""A static guard on the package source: no module on a command path uses
+anything of ``cyclotomic``.
 
 The unit and idempotent families are their closed forms, certified by reads
-of the class table, so no structure check forms a cyclotomic number: neither
-module imports anything from ``cyclotomic`` or names any of ``zeta``,
-``CycloNum`` and ``rational``.
+of the class table, and ``linalg`` is over Q, so no command forms a
+cyclotomic number: none of ``linalg``, ``scheme``, ``terwilliger``,
+``structure``, ``decomposition``, ``wreath`` and ``cli`` imports anything
+from ``cyclotomic`` or names any of ``zeta``, ``CycloNum`` and
+``rational``.  ``cyclotomic`` stays a public module of scalar arithmetic.
 """
 
 import ast
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "wreathalg"
-# the runner and its points, and the checks stated for a wreath of cyclics
-STRUCTURE = (SOURCE / "structure.py", SOURCE / "decomposition.py")
+# every module a command imports
+COMMAND_PATH = tuple(SOURCE / f"{name}.py" for name in
+                     ("linalg", "scheme", "terwilliger", "structure", "decomposition", "wreath", "cli"))
 
 MODULE = "cyclotomic"
 
@@ -38,7 +41,7 @@ def _uses(path: Path) -> list[str]:
 
 
 def test_structure_uses_nothing_of_cyclotomic():
-    for path in STRUCTURE:
+    for path in COMMAND_PATH:
         assert path.exists()
         assert _uses(path) == [], path.name
 

@@ -1,10 +1,16 @@
-"""Packed matrices against the entrywise CycloNum reference, and the field
-laws of CycloNum itself, as properties over random inputs.
+"""Packed rational matrices, and the matrices over Q(zeta_N) that the
+references hold as planes of them, against the entrywise CycloNum
+reference, and the field laws of CycloNum itself, as properties over random
+inputs.
 
 ``grid_product`` and ``grid_map`` (``reference.py``) are the reference:
 they compute on CycloNum grids one entry at a time, the way ExactMatrix did
-before it stored packed rows.  Every packed operation must decode to the reference's entries, and
-every packed ``==``/``is_zero`` must agree with the entrywise comparison.
+before it stored packed rows.  Every packed operation must decode to the
+reference's entries, and every packed ``==``/``is_zero`` must agree with the
+entrywise comparison.  Over Q the operations are the package's
+``ExactMatrix``'s; over Q(zeta_N) they are ``CycloMatrix``'s
+(``reference.py``), whose planes are ``ExactMatrix`` and whose every step is
+an ``ExactMatrix`` sum, scaling or product.
 """
 
 from fractions import Fraction
@@ -12,9 +18,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from reference import grid_map, grid_product, identity
+from reference import CycloMatrix, grid_map, grid_product, identity
 
-from wreathalg import ZERO, CycloNum, ExactMatrix, euler_phi, rational, zeta
+from wreathalg import ZERO, CycloNum, ExactMatrix, euler_phi, zeta
 from wreathalg import linalg
 
 # The same examples on every run, and no example database on disk.
@@ -48,8 +54,10 @@ def cyclo(draw, conductors=CONDUCTORS, small=False):
 
 @st.composite
 def matrices(draw, rows, cols, conductors):
-    return ExactMatrix(rows, cols, [[draw(cyclo(conductors)) for _ in range(cols)]
-                                    for _ in range(rows)])
+    """The package's own matrix where every entry is rational, else the
+    reference's planes."""
+    mat = CycloMatrix.from_rows([[draw(cyclo(conductors)) for _ in range(cols)] for _ in range(rows)])
+    return mat.planes[0] if mat.conductor == 1 else mat
 
 
 FIELDS = st.sampled_from([(1,), (3,), (4,), (1, 3, 4), (2, 12)])
@@ -65,7 +73,7 @@ def test_product_matches_the_grid_product(data, shape, field):
     product = a * b
     reference = grid_product(a.data, b.data)
     assert product.data == reference
-    assert product == ExactMatrix(r, c, reference)
+    assert product == CycloMatrix.from_rows(reference)
     assert product.is_zero() == all(v.is_zero() for row in reference for v in row)
 
 
@@ -86,7 +94,7 @@ def test_sum_difference_transpose_and_negation(data, shape, field):
 @given(st.data(), st.integers(1, 4), st.integers(1, 4), FIELDS, cyclo())
 @SETTINGS
 def test_scaled_matches_entrywise_scaling(data, r, c, field, scalar):
-    a = data.draw(matrices(r, c, field))
+    a = CycloMatrix.of(data.draw(matrices(r, c, field)))
     scaled = a.scaled(scalar)
     assert scaled.data == grid_map(lambda x: scalar * x, a.data)
     assert scaled.is_zero() == (scalar.is_zero() or a.is_zero())
@@ -99,12 +107,13 @@ def test_equality_matches_entrywise_equality(data, r, c, field_a, field_b):
     b = data.draw(matrices(r, c, field_b))
     assert (a == b) == (a.data == b.data)
     # equal matrices of different denominators, conductors and widths
-    same = a.scaled(Fraction(1, 3)).scaled(zeta(4)).scaled(zeta(4, 3)).scaled(3)
+    same = CycloMatrix.of(a).scaled(Fraction(1, 3)).scaled(zeta(4)).scaled(zeta(4, 3)).scaled(3)
     assert same == a and a == same
     assert same.data == a.data
     if not a.is_zero():
-        wide = a.scaled(1 << a.width).scaled(Fraction(1, 1 << a.width))
-        assert wide.width > a.width
+        width = max(plane.width for plane in CycloMatrix.of(a).planes)
+        wide = a.scaled(1 << width).scaled(Fraction(1, 1 << width))
+        assert max(plane.width for plane in CycloMatrix.of(wide).planes) > width
         assert wide == a and a == wide
         assert a != a.scaled(2)
 
@@ -126,20 +135,22 @@ def test_entries_near_the_slot_bound_round_trip():
     for values in ([[top, -top], [1, 0]], [[BIG, -top], [0, 0]], [[-BIG, 1], [top, 2]]):
         mat = ExactMatrix.from_rows(values)
         assert mat.width == (32 if max(abs(v) for row in values for v in row) < BIG else 64)
-        assert mat.data == [[rational(v) for v in row] for row in values]
+        assert mat.data == values
         assert mat * identity(2) == mat
         assert (mat * mat).data == grid_product(mat.data, mat.data)
 
 
 def test_reduction_modulo_phi_is_in_the_bound():
     # (1 - z)(m z - m) = 3 m z in Q(zeta_3): reducing z^2 = -1 - z makes an
-    # entry larger than the operands' row sum times bound, 2 m < 2^31 <= 3 m
+    # entry larger than the operands' row sum times bound, 2 m < 2^31 <= 3 m,
+    # so the rational sums of the planes must widen
     m = (1 << 30) - 1
     z = zeta(3)
-    a = ExactMatrix.from_rows([[1 - z]])
-    b = ExactMatrix.from_rows([[m * z - m]])
+    a = CycloMatrix.from_rows([[1 - z]])
+    b = CycloMatrix.from_rows([[m * z - m]])
     assert (a * b).data == [[3 * m * z]]
-    assert a * b == ExactMatrix.from_rows([[3 * m * z]])
+    assert a * b == CycloMatrix.from_rows([[3 * m * z]])
+    assert (a * b).planes[1].width == 64
 
 
 @pytest.fixture
@@ -170,14 +181,14 @@ def test_too_narrow_slots_raise_instead_of_comparing(narrow_slots):
 
 def test_too_narrow_slots_raise_in_the_private_constructor():
     row = linalg._pack([1, 0], 8)
-    assert linalg.ExactMatrix._packed(1, 2, 1, 1, 1, 8, [[row]]).flat() == [rational(1), rational(0)]
+    assert linalg.ExactMatrix._packed(1, 2, 1, 1, 8, [row]).flat() == [1, 0]
     with pytest.raises(ArithmeticError):
-        linalg.ExactMatrix._packed(1, 2, 1, 1, 200, 8, [[row]])
+        linalg.ExactMatrix._packed(1, 2, 1, 200, 8, [row])
 
 
 def test_mixed_conductor_product_lands_in_the_lcm():
-    third = ExactMatrix.from_rows([[zeta(3), 0], [0, 1]])
-    half = ExactMatrix.from_rows([[zeta(4), 1], [0, zeta(2)]])
+    third = CycloMatrix.from_rows([[zeta(3), 0], [0, 1]])
+    half = CycloMatrix.from_rows([[zeta(4), 1], [0, zeta(2)]])
     product = third * half
     assert product.conductor == 12
     assert product.data == grid_product(third.data, half.data)

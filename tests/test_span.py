@@ -1,11 +1,17 @@
-"""ExactSpan against the CycloNum Gauss-Jordan elimination it replaced.
+"""ExactSpan, and the spans over Q(zeta_N) that the references rank by
+restriction of scalars to it, against the CycloNum Gauss-Jordan elimination
+that ExactSpan replaced.
 
 ``ReferenceSpan`` (``reference.py``) is the reference: it keeps one
 CycloNum per entry, scales each accepted row to pivot one and reduces every
-stored row against it, the way ExactSpan held irrational spans before its
-rows became integer coefficients over Z[zeta_N].  Both keep the reduced echelon form of the
-same subspace, so insert verdicts, dimensions, basis vectors and membership
-must agree exactly, whatever the conductors and the insertion order.
+stored row against it.  Over Q, ``ExactSpan`` keeps the reduced echelon
+form of the same subspace, so insert verdicts, dimensions, basis vectors
+and membership must agree exactly, whatever the insertion order.  Over
+Q(zeta_N), ``CycloSpan`` (``reference.py``) is the package's ``ExactSpan``
+of the planes of zeta_N^k v, k < phi(N), for each v inserted: insert
+verdicts, dimensions and membership must agree with the reference, and
+every reference row must be a member, which with equal dimensions makes the
+two subspaces equal.
 """
 
 import math
@@ -13,7 +19,7 @@ from random import Random
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from reference import ReferenceSpan
+from reference import CycloMatrix, CycloSpan, ReferenceSpan
 
 from wreathalg import ZERO, ExactMatrix, ExactSpan, euler_phi, zeta
 
@@ -24,11 +30,17 @@ SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=N
 
 def row(vec):
     """A vector, as the 1 x n matrix a span of vectors holds."""
-    return ExactMatrix.from_rows([vec])
+    return CycloMatrix.from_rows([vec])
 
 
 def basis_vectors(span):
     return [m.flat() for m in span.basis()]
+
+
+def assert_same_subspace(span, reference):
+    """Equal dimensions, and every reference row a member of ``span``."""
+    assert span.dimension == len(reference.rows)
+    assert all(span.contains(row(vec)) for vec in reference.vectors())
 
 
 @st.composite
@@ -57,15 +69,18 @@ def vectors(draw, length, conductor, known=(), size=2):
     return [draw(elements(conductor, size)) for _ in range(length)]
 
 
-# Conductors of the vectors, in insertion order; (3, 4) widens a span that
-# already holds Q(zeta_3) rows to conductor 12.
+# Conductors of the vectors, in insertion order; (3, 4) adds Q(zeta_4) rows
+# to a span that already holds Q(zeta_3) rows, all over Q(zeta_12).
 FIELDS = [(1,), (3,), (4,), (3, 4)]
+# the conductors of the membership probes, some of them not inserted
+PROBES = (1, 3, 4, 5)
 
 
 @given(st.data(), st.sampled_from(FIELDS), st.integers(2, 6))
 @SETTINGS
 def test_span_matches_the_reference_echelon(data, field, length):
-    span, reference, inserted = ExactSpan(1, length), ReferenceSpan(), []
+    span = CycloSpan(1, length, math.lcm(*field, *PROBES))
+    reference, inserted = ReferenceSpan(), []
     for conductor in field:
         for k in range(data.draw(st.integers(1, 5))):
             vec = data.draw(vectors(length, conductor, inserted))
@@ -73,62 +88,41 @@ def test_span_matches_the_reference_echelon(data, field, length):
                 vec[0] = zeta(conductor)  # each field's first vector is irrational
             assert span.insert(row(vec)) == reference.insert(vec)
             inserted.append(vec)
-    widened = math.lcm(*field)
-    assert span.conductor == widened
-    assert span.dimension == len(reference.rows)
-    assert basis_vectors(span) == reference.vectors()
-    # membership, also of vectors over a conductor the span has not seen
-    for conductor in (1, 3, 4, 5):
+    assert_same_subspace(span, reference)
+    # membership, also of vectors over a conductor no inserted vector has
+    for conductor in PROBES:
         vec = data.draw(vectors(length, conductor, inserted))
         stored = basis_vectors(span)
         assert span.contains(row(vec)) == reference.contains(vec)
         assert basis_vectors(span) == stored
-    assert span.conductor == widened
-
-
-@given(st.data(), st.sampled_from([3, 4]), st.integers(2, 6))
-@SETTINGS
-def test_irrational_membership_in_a_rational_span(data, conductor, length):
-    span, reference = ExactSpan(1, length), ReferenceSpan()
-    rational = [data.draw(vectors(length, 1)) for _ in range(data.draw(st.integers(1, 4)))]
-    for vec in rational:
-        span.insert(row(vec))
-        reference.insert(vec)
-    # an irrational multiple of a member is a member over the larger field
-    c = zeta(conductor) + data.draw(st.integers(-2, 2))
-    probes = [[c * a for a in rational[0]], data.draw(vectors(length, conductor, rational))]
-    for vec in probes:
-        assert span.contains(row(vec)) == reference.contains(vec)
-    assert span.contains(row(probes[0]))
-    assert span.conductor == 1
 
 
 @given(st.data(), st.sampled_from(FIELDS))
 @SETTINGS
 def test_basis_matrices_are_the_reference_rows(data, field):
-    span, reference, inserted = ExactSpan(2, 3), ReferenceSpan(), []
+    span, reference, inserted = CycloSpan(2, 3, math.lcm(*field)), ReferenceSpan(), []
     for conductor in field:
         for k in range(data.draw(st.integers(1, 4))):
             vec = data.draw(vectors(6, conductor, inserted))
             if k == 0:
                 vec[0] = zeta(conductor)
-            span.insert(ExactMatrix(2, 3, [vec[:3], vec[3:]]))
+            span.insert(CycloMatrix.from_rows([vec[:3], vec[3:]]))
             reference.insert(vec)
             inserted.append(vec)
-    assert basis_vectors(span) == reference.vectors()
-    for m in span.basis():
-        assert span.contains(m)
+    assert span.dimension == len(reference.rows)
+    for vec in reference.vectors():
+        assert span.contains(CycloMatrix.from_rows([vec[:3], vec[3:]]))
 
 
 def test_irrational_pivots_over_q_zeta_35():
-    # phi(35) = 24: the pivot is made rational by its adjugate, a product of
-    # 23 Galois conjugates, and the rows must still be the reference's
+    # phi(35) = 24: each vector is 24 rational planes, and each insert
+    # adjoins its 24 multiples by the powers of zeta_35
     rng = Random(35)
 
     def element():
         return sum((zeta(35, k) * rng.randint(-2, 2) for k in range(24)), ZERO)
 
-    span, reference, inserted = ExactSpan(1, 4), ReferenceSpan(), []
+    span, reference, inserted = CycloSpan(1, 4, 35), ReferenceSpan(), []
     for k in range(4):
         vec = [element() for _ in range(4)]
         vec[0] = vec[0] + zeta(35)  # nonzero and irrational
@@ -137,9 +131,9 @@ def test_irrational_pivots_over_q_zeta_35():
             vec = [a * zeta(35, 3) + b * c for a, b in zip(inserted[0], inserted[1])]
         assert span.insert(row(vec)) == reference.insert(vec)
         inserted.append(vec)
-    assert span.conductor == 35
     assert span.dimension == len(reference.rows) == 3
-    assert basis_vectors(span) == reference.vectors()
+    assert span.span.dimension == 3 * 24
+    assert_same_subspace(span, reference)
     c = element()
     probe = [a * c + b for a, b in zip(inserted[2], inserted[1])]
     assert span.contains(row(probe)) and reference.contains(probe)
@@ -155,7 +149,7 @@ BIG = 1 << 40
 @given(st.data(), st.sampled_from([(1,), (3,), (3, 4)]), st.integers(2, 5))
 @SETTINGS
 def test_span_with_entries_past_the_slot_widths_matches_the_reference(data, field, length):
-    span, reference, inserted = ExactSpan(1, length), ReferenceSpan(), []
+    span, reference, inserted = CycloSpan(1, length, math.lcm(*field, 3, 4)), ReferenceSpan(), []
     for conductor in field:
         for k in range(data.draw(st.integers(1, 4))):
             vec = data.draw(vectors(length, conductor, inserted, BIG))
@@ -163,12 +157,11 @@ def test_span_with_entries_past_the_slot_widths_matches_the_reference(data, fiel
                 vec[0] = zeta(conductor) * BIG + 1
             assert span.insert(row(vec)) == reference.insert(vec)
             inserted.append(vec)
-    assert span.dimension == len(reference.rows)
-    assert basis_vectors(span) == reference.vectors()
+    assert_same_subspace(span, reference)
     for conductor in (1, 3, 4):
         vec = data.draw(vectors(length, conductor, inserted, BIG))
         assert span.contains(row(vec)) == reference.contains(vec)
-    assert basis_vectors(span) == reference.vectors()
+    assert_same_subspace(span, reference)
 
 
 def test_elimination_widens_past_64_bit_slots():
@@ -177,9 +170,9 @@ def test_elimination_widens_past_64_bit_slots():
     p, q = BIG + 1, BIG + 3
     span, reference = ExactSpan(1, 4), ReferenceSpan()
     for vec in ([p, 1, 0, 0], [q, 0, 1, 0]):
-        assert span.insert(row(vec)) and reference.insert(vec)
+        assert span.insert(ExactMatrix.from_rows([vec])) and reference.insert(vec)
     assert span.width == 128
     assert basis_vectors(span) == reference.vectors()
     for probe in ([p * q, q, p, 0], [p * q, q, p, 1], [0, q, -p, 0]):
-        assert span.contains(row(probe)) == reference.contains(probe)
-    assert span.contains(row([0, q, -p, 0]))
+        assert span.contains(ExactMatrix.from_rows([probe])) == reference.contains(probe)
+    assert span.contains(ExactMatrix.from_rows([[0, q, -p, 0]]))

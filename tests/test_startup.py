@@ -9,7 +9,8 @@ are in both sets and cancel out.  Of the package, ``import wreathalg``
 loads no module, and each command loads only the modules it runs:
 ``oracle`` neither ``wreath`` nor ``decomposition``, ``export`` no check,
 and ``verify`` every module it uses before its scheme is built, so that
-none is compiled in verdict time.  Building a scheme, from a file or from
+none is compiled in verdict time.  No command loads ``cyclotomic``: the
+matrices and spans of ``linalg`` are over Q.  Building a scheme, from a file or from
 moduli, computes none of its parameters: the intersection data and the
 transpose map are verdict work.  No timing is read.
 """
@@ -100,13 +101,14 @@ def test_oracle_loads_neither_wreath_nor_decomposition(tmp_path):
     save_scheme(wreath_of_cyclics((2, 2)), table)
     loaded = _command_loads(["oracle", str(table), "--out", str(tmp_path / "report.json")])
     assert "wreathalg.structure" in loaded
-    assert sorted(loaded & {"wreathalg.wreath", "wreathalg.decomposition"}) == []
+    assert sorted(loaded & {"wreathalg.wreath", "wreathalg.decomposition", "wreathalg.cyclotomic"}) == []
 
 
 def test_export_loads_no_check(tmp_path):
-    loaded = _command_loads(["export", "--moduli", "2,2", "--out", str(tmp_path / "w22.table")])
+    loaded = _command_loads(["export", "--moduli", "2,2", "--out", str(tmp_path / "w22.table"),
+                             "--matrices", str(tmp_path / "w22.json")])
     assert "wreathalg.wreath" in loaded
-    assert sorted(loaded & {"wreathalg.structure", "wreathalg.terwilliger"}) == []
+    assert sorted(loaded & {"wreathalg.structure", "wreathalg.terwilliger", "wreathalg.cyclotomic"}) == []
 
 
 def test_verify_loads_every_module_it_uses_before_its_scheme_is_built(tmp_path):
@@ -130,6 +132,7 @@ def test_verify_loads_every_module_it_uses_before_its_scheme_is_built(tmp_path):
     at_ready, _, at_exit = _run(code).partition("--")
     assert "wreathalg.decomposition" in _package(at_ready)
     assert _package(at_exit) == _package(at_ready)
+    assert "wreathalg.cyclotomic" not in _package(at_exit)
 
 
 # Each public name of the package, by the module that defines it.

@@ -39,6 +39,7 @@ from wreathalg.structure import DECOMPOSITION, POINT_CHECKS, BasePoint, run_poin
 
 from reference import (
     REFERENCES,
+    CycloMatrix,
     MemberMatrices,
     ReferencePoint,
     closed_form_members,
@@ -70,10 +71,10 @@ def test_unit_family_small_entries():
     g = unit_matrix(units, 1, 2)  # level 1 row, level 2 column
     half = rational(Fraction(1, 2))
     assert g[1, 2] == half and g[1, 3] == half
-    assert sum(1 for v in g.flat() if not v.is_zero()) == 2
+    assert sum(1 for v in g.flat() if v) == 2
     g00 = unit_matrix(units, 0, 0)
     assert g00[0, 0] == rational(1)
-    assert sum(1 for v in g00.flat() if not v.is_zero()) == 1
+    assert sum(1 for v in g00.flat() if v) == 1
 
 
 def test_unit_family_rank():
@@ -141,7 +142,7 @@ def test_block_form_specific_blocks():
     # the wrap-around row (offset 2, since 2+1=0 mod 3) covers the low columns
     wrap = point.spheres[WreathIndex(2, 2, m).flat]
     low = point.spheres[0] + point.spheres[1]
-    assert all(not a[y, z].is_zero() for y in wrap for z in low)
+    assert all(a[y, z] for y in wrap for z in low)
 
 
 def test_block_form_diagonal_blocks_above_level():
@@ -151,7 +152,7 @@ def test_block_form_diagonal_blocks_above_level():
     a = point.scheme.adjacency_matrix(index.flat)
     top = point.spheres[WreathIndex(3, 1, m).flat]
     block = [[a[y, z] for z in top] for y in top]
-    assert any(not v.is_zero() for row in block for v in row)
+    assert any(v for row in block for v in row)
 
 
 def test_block_form_rejects_identity_class():
@@ -487,7 +488,9 @@ def test_closure_holds_every_unit_block_and_member(moduli):
     # The certificate span-accounting relies on in place of ranking the
     # closure again: every all-ones block (a, b), which is n_b G_ab, and
     # every built member lies in the point's closure, so the rank of units,
-    # idempotents and closure together is the closure's dimension.
+    # idempotents and closure together is the closure's dimension.  The
+    # closure is rational, so a member over Q(zeta_p) lies in it over
+    # Q(zeta_p) iff each of its planes lies in it over Q.
     for x in range(math.prod(moduli)):
         point = _point(moduli, x)
         spheres = point.units.spheres
@@ -495,7 +498,7 @@ def test_closure_holds_every_unit_block_and_member(moduli):
             for b, sb in enumerate(spheres):
                 assert point.closure[a, b].contains(ExactMatrix.ones(len(sa), len(sb))), (x, a, b)
         for (a, hx), member in closed_form_members(point.idempotents).items():
-            assert point.closure[a, a].contains(member), (x, a, hx)
+            assert all(point.closure[a, a].contains(plane) for plane in member.planes), (x, a, hx)
 
 
 def test_span_accounting_builds_no_span(monkeypatch):
@@ -855,7 +858,7 @@ def _idempotent_off_block(transposed):
         c = reference.ctx.spheres[3][0]
         for row in data:
             row[reference.x] = row[c]
-        mat = ExactMatrix(mat.rows, mat.cols, data)
+        mat = CycloMatrix.from_rows(data)
         family.matrices[3, 1] = mat.transpose() if transposed else mat
 
     return change
@@ -868,7 +871,7 @@ def _shrunk_sphere(point, reference):
     assert reference.units and reference.idempotents.count
     y = reference.ctx.spheres[3].pop()
     duals = reference.ctx.dual_idempotents
-    duals[3] = _perturbed(duals[3], y, y, rational(-1))
+    duals[3] = _perturbed(duals[3], y, y, -1)
 
 
 def _spread_idempotent(unit):
@@ -920,17 +923,17 @@ EDITED_POINTS = {
     "popped-unit-12": (_edited_point((2, 3), 0, [(1, 2, 4), (1, 3, 5)]), ()),
     # -A_1 on block (0, 1) makes the product build's G_01 zero
     "popped-unit-01": (_edited_point((2, 2), 0, change=_perturbed_input(
-        "adjacency", 1, _block(0, 1), rational(-1))), UNIT_CHECKS),
+        "adjacency", 1, _block(0, 1), -1)), UNIT_CHECKS),
     # E_0 doubled: the product build's G_00 is four times the unit
     "non-unit-00": (_edited_point((2, 2), 0, change=_perturbed_input(
-        "dual_idempotents", 0, _block(0, 0), rational(1))), UNIT_CHECKS),
+        "dual_idempotents", 0, _block(0, 0), 1)), UNIT_CHECKS),
     # labels 1 and 2 exchanged in row 1: the piece (1, 2, 2) of x=0 is not
     # all ones
     "perturbed-unit-12": (_edited_point((2, 2), 0, [(1, 0, 2)]), ()),
     # an entry of E_3 in block (2, 3) adds to the product build's E_2 J E_3;
     # the E_3 it perturbs also fails the reference's E_3 steps
     "perturbed-unit-23": (_edited_point((2, 3), 2, change=_perturbed_input(
-        "dual_idempotents", 3, _first_cell(2, 3), rational(1))),
+        "dual_idempotents", 3, _first_cell(2, 3), 1)),
         ("primary-module", "commutation", *UNIT_CHECKS)),
     "wrong-character": (_edited_point((3, 2), 0, change=_wrong_character), MEMBER_CHECKS),
     "duplicated-member": (_edited_point((3, 2), 0, change=_duplicated_member), MEMBER_CHECKS),

@@ -30,7 +30,6 @@ from wreathalg import (
     check_triple_list,
     check_triply_regular,
     cyclic_scheme,
-    rational,
     wreath_of_cyclics,
 )
 from wreathalg.structure import run_point_checks
@@ -404,4 +403,4 @@ def test_t0_span_matrices_have_scheme_shape():
     assert span.dimension == 10
     assert all(isinstance(mat, ExactMatrix) for mat in span.basis())
     assert span.contains(ctx.adjacency[1])
-    assert span.contains(identity(4).scaled(rational(3)))
+    assert span.contains(identity(4).scaled(3))

@@ -16,7 +16,8 @@ Output, one JSON object per line:
   point and ``POINT_CHECKS`` name, the points of one tuple sharing one run;
 - ``{"moduli", "x", "closure_sha256"}`` per tuple and point: the digest of
   the ``basis()`` of every block span of ``block_closure``, blocks in key
-  order, each basis matrix entry by entry.  Reduced echelon form is
+  order, each basis matrix entry by entry, a rational entry q spelled
+  ``1:q`` as the element of conductor 1 it is.  Reduced echelon form is
   canonical, so equal spans give equal digests;
 - ``{"moduli", "certified", "check", "passed", "witness", "checked"}`` per
   tuple and result of ``run_point_checks`` over every vertex, which runs the
@@ -79,7 +80,7 @@ def closure_digests(moduli: tuple[int, ...]) -> None:
         for key, span in sorted(block_closure(scheme, x).items()):
             digest.update(f"{key}:".encode())
             for mat in span.basis():
-                entries = (f"{v.conductor}:{','.join(map(str, v.coeffs))}" for v in mat.flat())
+                entries = (f"1:{v}" for v in mat.flat())
                 digest.update(f"[{';'.join(entries)}]".encode())
         _line(moduli=list(moduli), x=x, closure_sha256=digest.hexdigest())
 
