@@ -106,12 +106,6 @@ def _reduce(coeffs, n: int) -> tuple:
     return tuple(work)
 
 
-@lru_cache(maxsize=None)
-def _xpow(n: int, d: int) -> tuple[int, ...]:
-    """Integer coefficients of z^d in the power basis of Q(zeta_n)."""
-    return _reduce([0] * d + [1], n)
-
-
 def _mul(a, b, n: int) -> tuple:
     """The product of two power-basis coefficient vectors of Q(zeta_n),
     reduced; zero coefficients are skipped, and integers stay integers."""

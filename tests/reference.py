@@ -102,7 +102,6 @@ from wreathalg import (
     wreath_of_cyclics,
     zeta,
 )
-from wreathalg.cyclotomic import _xpow
 from wreathalg.decomposition import _require_wreath
 from wreathalg.terwilliger import _spheres
 
@@ -270,10 +269,10 @@ def as_cyclo(value) -> CycloNum:
 
 def _planes(terms, conductor: int, rows: int, cols: int) -> list[ExactMatrix]:
     """The planes of ``sum_d M_d z^d`` over Q(zeta_conductor), for the pairs
-    (d, M_d) of ``terms``, each z^d reduced modulo Phi_N by ``_xpow``."""
+    (d, M_d) of ``terms``, each z^d read in the power basis from ``zeta``."""
     planes = [ExactMatrix.zeros(rows, cols)] * euler_phi(conductor)
     for d, mat in terms:
-        for j, c in enumerate(_xpow(conductor, d)):
+        for j, c in enumerate(zeta(conductor, d).coeffs):
             if c:
                 planes[j] = planes[j] + mat.scaled(c)
     return planes

@@ -11,7 +11,8 @@ Q(zeta_N), ``CycloSpan`` (``reference.py``) is the package's ``ExactSpan``
 of the planes of zeta_N^k v, k < phi(N), for each v inserted: insert
 verdicts, dimensions and membership must agree with the reference, and
 every reference row must be a member, which with equal dimensions makes the
-two subspaces equal.
+two subspaces equal.  Over Q the rational inserts also run on a plain
+``ExactSpan``, whose basis must be the reference's rows exactly.
 """
 
 import math
@@ -37,10 +38,20 @@ def basis_vectors(span):
     return [m.flat() for m in span.basis()]
 
 
-def assert_same_subspace(span, reference):
-    """Equal dimensions, and every reference row a member of ``span``."""
+def assert_same_subspace(span, reference, exact=None):
+    """Equal dimensions, and every reference row a member of ``span``; and
+    the reference's rows the reduced echelon basis of ``exact``, if given."""
     assert span.dimension == len(reference.rows)
     assert all(span.contains(row(vec)) for vec in reference.vectors())
+    assert exact is None or basis_vectors(exact) == reference.vectors()
+
+
+def insert_agrees(span, reference, vec, exact=None):
+    """Insert ``vec`` into the spans, whose verdicts must agree; ``exact``,
+    a plain ``ExactSpan`` beside a span over Q, takes its one plane."""
+    verdict = reference.insert(vec)
+    assert span.insert(row(vec)) == verdict
+    assert exact is None or exact.insert(row(vec).planes[0]) == verdict
 
 
 @st.composite
@@ -69,6 +80,11 @@ def vectors(draw, length, conductor, known=(), size=2):
     return [draw(elements(conductor, size)) for _ in range(length)]
 
 
+def rational_span(field, length):
+    """A plain ``ExactSpan`` of vectors to run beside the span over Q, else None."""
+    return ExactSpan(1, length) if field == (1,) else None
+
+
 # Conductors of the vectors, in insertion order; (3, 4) adds Q(zeta_4) rows
 # to a span that already holds Q(zeta_3) rows, all over Q(zeta_12).
 FIELDS = [(1,), (3,), (4,), (3, 4)]
@@ -80,15 +96,15 @@ PROBES = (1, 3, 4, 5)
 @SETTINGS
 def test_span_matches_the_reference_echelon(data, field, length):
     span = CycloSpan(1, length, math.lcm(*field, *PROBES))
-    reference, inserted = ReferenceSpan(), []
+    reference, inserted, exact = ReferenceSpan(), [], rational_span(field, length)
     for conductor in field:
         for k in range(data.draw(st.integers(1, 5))):
             vec = data.draw(vectors(length, conductor, inserted))
             if k == 0:
                 vec[0] = zeta(conductor)  # each field's first vector is irrational
-            assert span.insert(row(vec)) == reference.insert(vec)
+            insert_agrees(span, reference, vec, exact)
             inserted.append(vec)
-    assert_same_subspace(span, reference)
+    assert_same_subspace(span, reference, exact)
     # membership, also of vectors over a conductor no inserted vector has
     for conductor in PROBES:
         vec = data.draw(vectors(length, conductor, inserted))
@@ -112,6 +128,9 @@ def test_basis_matrices_are_the_reference_rows(data, field):
     assert span.dimension == len(reference.rows)
     for vec in reference.vectors():
         assert span.contains(CycloMatrix.from_rows([vec[:3], vec[3:]]))
+    if math.lcm(*field) == 1:  # over Q, the basis matrices are the reference's rows
+        assert basis_vectors(span) == reference.vectors()
+        assert all(span.contains(mat) for mat in span.basis())
 
 
 def test_irrational_pivots_over_q_zeta_35():
@@ -150,14 +169,15 @@ BIG = 1 << 40
 @SETTINGS
 def test_span_with_entries_past_the_slot_widths_matches_the_reference(data, field, length):
     span, reference, inserted = CycloSpan(1, length, math.lcm(*field, 3, 4)), ReferenceSpan(), []
+    exact = rational_span(field, length)
     for conductor in field:
         for k in range(data.draw(st.integers(1, 4))):
             vec = data.draw(vectors(length, conductor, inserted, BIG))
             if k == 0:
                 vec[0] = zeta(conductor) * BIG + 1
-            assert span.insert(row(vec)) == reference.insert(vec)
+            insert_agrees(span, reference, vec, exact)
             inserted.append(vec)
-    assert_same_subspace(span, reference)
+    assert_same_subspace(span, reference, exact)
     for conductor in (1, 3, 4):
         vec = data.draw(vectors(length, conductor, inserted, BIG))
         assert span.contains(row(vec)) == reference.contains(vec)
