@@ -170,9 +170,13 @@ class CycloNum:
     # -- conductor handling -----------------------------------------------
 
     def embedded(self, n: int) -> "CycloNum":
-        """The same value viewed inside Q(zeta_n); n must be a multiple."""
+        """The same value viewed inside Q(zeta_n); n must be a multiple of
+        the conductor, unless the value is rational, which every Q(zeta_n)
+        holds."""
         if n == self.conductor:
             return self
+        if self.is_rational():
+            return CycloNum(n, _reduce(self.coeffs[:1], n))
         if n % self.conductor:
             raise ValueError("target conductor must be a multiple")
         step = n // self.conductor

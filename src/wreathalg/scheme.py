@@ -8,10 +8,9 @@ certificate at the scale this package targets.
 
 from __future__ import annotations
 
-import struct
 from collections import Counter
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 
 from .linalg import ExactMatrix, ExactSpan
 
@@ -24,10 +23,6 @@ __all__ = [
     "load_scheme",
     "save_scheme",
 ]
-
-
-# Unsigned struct lanes by their size in bytes.
-_LANES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 class AxiomViolation(ValueError):
@@ -129,7 +124,9 @@ class Scheme:
         order = len(table)
         if order == 0 or any(len(row) != order for row in table):
             raise ValueError("class table must be a nonempty square grid")
-        if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for row in table for v in row):
+        types = set(map(type, chain.from_iterable(table)))
+        if not all(issubclass(kind, int) and not issubclass(kind, bool) for kind in types) \
+                or min(map(min, table)) < 0:
             raise ValueError("class table entries must be nonnegative integers")
         top = max(map(max, table))
         self.order = order
@@ -141,7 +138,8 @@ class Scheme:
             f"classify({x},{y}) = {c} outside 0..{self.classes - 1}"
             for x, row in enumerate(table) for y, c in enumerate(row) if c >= self.classes)
         self._valencies: list[int] | None = None
-        self._pnums = None
+        self._firsts: dict[int, tuple[int, int]] | None = None
+        self._pnums: dict[int, Counter] | None = None
         self._pnum_witness: str | None = None
 
     @classmethod
@@ -169,9 +167,9 @@ class Scheme:
                 partition_ok = False
                 counterexamples["partition"] = f"relation {empty} is empty"
 
-        transpose_ok = partition_ok and self._transpose[1] is None
+        transpose_ok = partition_ok and self._transpose_witness is None
         if partition_ok and not transpose_ok:
-            counterexamples["transpose"] = self._transpose[1]
+            counterexamples["transpose"] = self._transpose_witness
 
         regular_ok = partition_ok
         if regular_ok:
@@ -201,109 +199,105 @@ class Scheme:
         return None if pair is None else "classify({0},{1}) = 0 with {0} != {1}".format(*pair)
 
     @cached_property
-    def _transpose(self) -> tuple[dict[int, int] | None, str | None]:
-        """The transpose map tau on the labels present, t[y][x] = tau(t[x][y])
-        for every pair, or None and the witness of the first pair, in row
-        order, whose transpose breaks it: one pass over the table, which
-        ``verify_axioms`` and the intersection count share."""
+    def _transpose_witness(self) -> str | None:
+        """The transpose axiom's witness: the first pair, in row order, whose
+        transpose breaks the map tau with t[y][x] = tau(t[x][y]) for every
+        pair, or None where tau is well defined."""
         tmap: dict[int, int] = {}
         for x, (row, column) in enumerate(zip(self.table, zip(*self.table))):
             for y, (i, it) in enumerate(zip(row, column)):
                 if tmap.setdefault(i, it) != it:
-                    return None, f"classify({y},{x}) = {it} but class {i} transposed to {tmap[i]} before"
-        return tmap, None
+                    return f"classify({y},{x}) = {it} but class {i} transposed to {tmap[i]} before"
+        return None
 
     def _compute_intersection_data(self):
-        """p^h_ij as ``_pnums[h][i][j]``, or the first witness that it is
-        not well defined.  c is one more than the largest label held, not
-        the class count claimed: a class no pair holds has no paths.
+        """The first pair of each relation, in row order, as ``_firsts``, and
+        the first witness, or None, that p^h_ij is not well defined.
 
-        A pair (x, y) is coded by the sorted codes t[x][z]*c + t[z][y] over
-        the vertices z, injective on label pairs since every label is below
-        c, so two pairs have equal path counts exactly when their code lists
-        are equal.  Each pair, in row order, is compared with the first pair
-        of its relation, whose codes give the relation's grid (``_scan``).
-        Where the transpose map tau is well defined, only the pairs with
-        x <= y are scanned.  There t[y][z] = tau(t[z][y]) and
-        t[z][x] = tau(t[x][z]), so the codes of (y, x) are those of (x, y)
-        under sigma: i*c + j -> tau(j)*c + tau(i).  The half scan is
-        accepted when no pair in it differs from its relation's list L_h and
-        L_h = sigma(L_tau(h)) for every relation h it read.  A pair (x, y)
-        with x > y then lies in h = tau(g), g = t[y][x], and has the list
-        sigma(L_g), which is L_h as tau is an involution on the labels
-        present.  So every pair has its relation's list, the full scan would
-        find no mismatch, and its first pair of each relation has the list
-        L_h: the tensor is the full scan's.  A relation with no pair on or
-        above the diagonal leaves L_tau(h) unread for h = tau of it, and
-        fails the comparison.  A half scan that is not accepted is discarded
-        and every pair is scanned in row order, so a table with a witness
-        gets the full scan's witness and the grids it counted before it.  At
-        the first mismatch both pairs are counted, and the witness names the
-        first label pair (i, j) whose counts differ.  The comparisons under
-        sigma are needed: in [[0, 1], [1, 2]] each relation has one pair on
-        or above the diagonal, yet (0, 1) and (1, 0) have different counts.
+        Pair (x, y) has the path counts p(x, y; i, j) = |{z : t[x][z] = i,
+        t[z][y] = j}|, nonzero only for i among row x's labels and j among
+        column y's, and equal counts give equal label sets.  So a pair's key
+        is its counts in lanes indexed by the rank of i in row x's set and of j
+        in column y's, with the numbers of both sets: two pairs of a relation
+        have equal keys exactly when they have equal counts.  A lane counts up
+        to n in the fewest bytes that hold n, so no lane carries.
+
+        Vertex z packs an int whose lane (j, y) is 1 where t[z][y] has rank j
+        in column y.  Row x adds it into the sum for the rank i of t[x][z], so
+        lane (j, y) of sum i is p(x, y; i, j).  The sums' bytes are joined
+        with one lane per column holding its set number and one per column
+        holding row x's (at most n sets, so a number fits a lane).  Lanes
+        wider than a byte are regrouped by byte plane, byte b of every lane
+        before byte b + 1, so that column y's key is the slice
+        ``joined[y::n]``.  Each pair is compared with its relation's first;
+        where a whole row agrees, one list comparison settles it.  At the
+        first mismatch both pairs are recounted, and the witness names the
+        first label pair (i, j) whose counts differ.
         """
         self._require_labels()
-        if self._pnums is not None:
+        if self._firsts is not None:
             return
-        c, t = self._bound, self.table
-        tau = self._transpose[0]
-        first, mismatch = self._scan(tau is not None)
-        if tau is not None:
-            sigma = {i * c + j: tau[j] * c + tau[i] for i in tau for j in tau}
-            if mismatch or not all(sorted(map(sigma.__getitem__, first.get(tau[h], (None, ()))[1])) == codes
-                                   for h, (_, codes) in first.items()):
-                first, mismatch = self._scan(False)
+        t, n = self.table, self.order
+        width = (n.bit_length() + 7) // 8
+        row_ranks, row_sets = _ranked(t, self._bound)
+        column_ranks, column_sets = _ranked(zip(*t), self._bound)
+        size = n * (max(map(max, column_ranks)) + 1) * width
+        packed = []
+        for ranks in zip(*column_ranks):
+            lanes = bytearray(size)
+            for y, j in enumerate(ranks):
+                lanes[(j * n + y) * width] = 1
+            packed.append(int.from_bytes(lanes, "little"))
+        column_tail = b"".join(number.to_bytes(width, "little") for number in column_sets)
+        keys: dict[int, bytes] = {}
+        firsts: dict[int, tuple[int, int]] = {}
+        mismatch = None
+        for x, (row, ranks) in enumerate(zip(t, row_ranks)):
+            sums = [0] * (max(ranks) + 1)
+            for z, i in enumerate(ranks):
+                sums[i] += packed[z]
+            joined = b"".join([s.to_bytes(size, "little") for s in sums]
+                              + [column_tail, row_sets[x].to_bytes(width, "little") * n])
+            joined = b"".join(joined[b::width] for b in range(width))
+            found = [joined[y::n] for y in range(n)]
+            if list(map(keys.get, row)) == found:
+                continue
+            for y, (h, key) in enumerate(zip(row, found)):
+                if h not in keys:
+                    keys[h], firsts[h] = key, (x, y)
+                elif keys[h] != key:
+                    mismatch = firsts[h], (x, y)
+                    break
+            if mismatch:
+                break
         witness = None
         if mismatch:
             ref, (x, y) = mismatch
-            counts = [Counter(zip(t[a], (row[b] for row in t))) for a, b in mismatch]
+            counts = [self._paths(*pair) for pair in mismatch]
             i, j = min(key for key in counts[0] | counts[1] if counts[0][key] != counts[1][key])
             witness = (f"count of class-{i}/class-{j} paths is {counts[0][i, j]} for pair {ref} "
                        f"but {counts[1][i, j]} for ({x},{y}), both in relation {t[x][y]}")
         # Past the first witness the numbers are not well defined, and every
         # reader of the tensor raises the witness first.
-        tensor: list[list[list[int]] | None] = [None] * c
-        for h, (_, codes) in first.items():
-            grid = tensor[h] = [[0] * c for _ in range(c)]
-            for code in codes:
-                i, j = divmod(code, c)
-                grid[i][j] += 1
-        self._pnums = tensor
+        self._firsts = firsts
         self._pnum_witness = witness
 
-    def _tensor(self) -> list[list[list[int]] | None]:
-        """``_pnums``; raises AxiomViolation with the witness where the
-        intersection numbers are not well defined."""
+    def _paths(self, x: int, y: int) -> Counter:
+        """p(x, y; i, j), the number of paths x -> z -> y with t[x][z] = i and
+        t[z][y] = j, keyed by (i, j): at most n keys."""
+        t = self.table
+        return Counter(zip(t[x], (row[y] for row in t)))
+
+    def _tensor(self) -> dict[int, Counter]:
+        """p^h_ij as ``_tensor()[h].get((i, j), 0)`` for each relation h the
+        table holds, counted on its first pair; raises AxiomViolation with the
+        witness where the intersection numbers are not well defined."""
         self._compute_intersection_data()
         if self._pnum_witness is not None:
             raise AxiomViolation(self._pnum_witness)
+        if self._pnums is None:
+            self._pnums = {h: self._paths(*pair) for h, pair in self._firsts.items()}
         return self._pnums
-
-    def _scan(self, upper: bool):
-        """The first pair of each relation, in row order, with its sorted
-        codes, over the pairs with x <= y where ``upper`` and over every pair
-        otherwise, up to the first pair whose codes differ from its
-        relation's; and that pair with its relation's first, or None.  A
-        pair's codes are the lanes of one int sum, row x scaled by c plus
-        column y, each packed by ``struct`` in unsigned lanes of the fewest
-        bytes that hold c^2 - 1, so no lane carries into the next."""
-        c, n = self._bound, self.order
-        lane = next((code for size, code in _LANES.items() if c * c <= 256 ** size), None)
-        if lane is None:
-            raise ValueError(f"labels up to {c - 1} are too many to count paths over")
-        lanes = struct.Struct(f"<{n}{lane}")
-        packed = [int.from_bytes(lanes.pack(*column), "little") for column in zip(*self.table)]
-        first: dict[int, tuple[tuple[int, int], list[int]]] = {}
-        for x, row in enumerate(self.table):
-            scaled = int.from_bytes(lanes.pack(*[label * c for label in row]), "little")
-            for y in range(x if upper else 0, n):
-                raw = (scaled + packed[y]).to_bytes(lanes.size, "little")
-                codes = sorted(raw if lane == "B" else lanes.unpack(raw))
-                ref = first.setdefault(row[y], ((x, y), codes))
-                if ref[1] != codes:
-                    return first, (ref[0], (x, y))
-        return first, None
 
     @cached_property
     def generating_classes(self) -> tuple[int, ...] | None:
@@ -338,7 +332,6 @@ class Scheme:
         and is closed under each map, as the closure of J from scratch is.
         """
         c, tensor = self.classes, self._tensor()
-        grids = [(h, grid) for h, grid in enumerate(tensor) if grid]
         words = [[1] + [0] * (c - 1)]
         span = ExactSpan.from_matrices([_column(words[0])])
         applied = [0]  # per word, how many maps of ``acting`` it has been walked under
@@ -350,9 +343,8 @@ class Scheme:
             if span.contains(_column([int(h == g) for h in range(c)])):
                 continue
             classes.append(g)
-            # a word is zero past the labels held, and a label not held has no paths
-            acting.append([[(h, grid[g][m]) for h, grid in grids if g < len(tensor) and grid[g][m]]
-                           for m in range(len(tensor))])
+            acting.append([[(h, grid[g, m]) for h, grid in tensor.items() if (g, m) in grid]
+                           for m in range(c)])
             w = 0
             while w < len(words):  # words grows while it is walked
                 for terms in acting[applied[w]:]:
@@ -376,11 +368,10 @@ class Scheme:
         """
         if not (0 <= i < self.classes and 0 <= j < self.classes and 0 <= h < self.classes):
             raise ValueError("class index out of range")
-        tensor = self._tensor()
-        grid = tensor[h] if h < len(tensor) else None
+        grid = self._tensor().get(h)
         if grid is None:
             raise AxiomViolation(f"relation {h} is empty")
-        return grid[i][j] if max(i, j) < len(tensor) else 0
+        return grid.get((i, j), 0)
 
     def valencies(self) -> list[int]:
         if self._valencies is None:
@@ -411,12 +402,27 @@ class Scheme:
         p^h_ij == p^h_ji for every nonempty relation h.  A table whose
         intersection numbers are not well defined raises AxiomViolation.
         """
-        return all(grid[i][j] == grid[j][i]
-                   for grid in self._tensor() if grid is not None
-                   for i in range(len(grid)) for j in range(i))
+        return all(grid.get((j, i), 0) == p for grid in self._tensor().values()
+                   for (i, j), p in grid.items())
 
     def __repr__(self):
         return f"<Scheme order={self.order} classes={self.classes}>"
+
+
+def _ranked(lines, bound: int) -> tuple[list, list[int]]:
+    """Each line's labels as their ranks in the line's label set, and the
+    number of that set among the distinct sets of ``lines``.  A line that
+    holds every label below ``bound`` is its own ranks."""
+    numbers: dict[tuple[int, ...], int] = {}
+    ranks, sets = [], []
+    for line in lines:
+        labels = tuple(sorted(set(line)))
+        sets.append(numbers.setdefault(labels, len(numbers)))
+        if len(labels) < bound:
+            rank = {label: r for r, label in enumerate(labels)}
+            line = [rank[label] for label in line]
+        ranks.append(line)
+    return ranks, sets
 
 
 def _column(vector) -> ExactMatrix:

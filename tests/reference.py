@@ -32,12 +32,12 @@ of the code it checks.  None of them is on a CLI path.
   numbers and commutativity from their definitions, the reference of the
   table-read ``Scheme`` parameters.
 - ``intersection_data_by_counts``: the intersection tensor and its witness
-  with one c x c count grid per vertex pair, the reference of the
-  sorted-code count of ``Scheme``.
+  with the path counts of each vertex pair counted vertex by vertex, the
+  reference of the packed row sums of ``Scheme``.
 - ``relabelled``: a wreath table with its vertices permuted by a seeded
   permutation, as the benchmark's oracle workload draws it.
 - ``transpose_witness_by_pairs``: the transpose axiom's first witness by
-  a loop over every pair, the reference of ``Scheme._transpose``.
+  a loop over every pair, the reference of ``Scheme._transpose_witness``.
 - ``triple_intersection``: one triple intersection count by enumeration
   over the vertex set.
 - ``generating_classes_by_reclosure``: the greedy generating class set with
@@ -73,6 +73,7 @@ binding.
 import math
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -262,9 +263,8 @@ def t0_span(ctx: TerwilligerContext) -> ExactSpan:
 
 
 def as_cyclo(value) -> CycloNum:
-    """``value`` as a CycloNum, of conductor 1 where it is rational."""
-    value = value if isinstance(value, CycloNum) else rational(value)
-    return rational(value.coeffs[0]) if value.is_rational() else value
+    """``value`` as a CycloNum: an int or a Fraction at conductor 1."""
+    return value if isinstance(value, CycloNum) else rational(value)
 
 
 def _planes(terms, conductor: int, rows: int, cols: int) -> list[ExactMatrix]:
@@ -300,7 +300,8 @@ class CycloMatrix:
         """The matrix of a grid of CycloNum, int and Fraction entries, over
         the smallest field that holds them."""
         cells = [[as_cyclo(v) for v in row] for row in rows]
-        conductor = math.lcm(*(v.conductor for row in cells for v in row))
+        # a rational cell, whatever its conductor, embeds in every field
+        conductor = math.lcm(*(v.conductor for row in cells for v in row if not v.is_rational()))
         coeffs = [[v.embedded(conductor).coeffs for v in row] for row in cells]
         return cls(conductor, [ExactMatrix.from_rows([[c[s] for c in row] for row in coeffs])
                                for s in range(euler_phi(conductor))])
@@ -499,45 +500,38 @@ def brute_intersection(table, i, j, h):
 
 
 def intersection_data_by_counts(scheme: Scheme):
-    """The tensor p^h_ij as ``tensor[h][i][j]`` and the first regularity
-    witness, or None, with one c x c grid of path counts per pair (x, y),
-    compared with the first pair of its relation: the reference of
-    ``Scheme._compute_intersection_data``."""
+    """The first pair's path counts of each relation, as ``tensor[h]`` keyed
+    by the label pair (i, j), up to the first pair whose counts differ from
+    its relation's, and that first regularity witness, or None: each pair in
+    row order is counted on its own, over every z, and the witness names the
+    first label pair (i, j) in sorted order whose counts differ.  The
+    reference of ``Scheme._compute_intersection_data``."""
     n = scheme.order
-    c = scheme.classes
-    tensor = [None] * c
-    pairs = [None] * c
-    witness = None
     t = scheme.table
-    for x in range(n):
-        row_x = t[x]
-        for y in range(n):
-            h = row_x[y]
-            counts = [[0] * c for _ in range(c)]
-            for z in range(n):
-                counts[row_x[z]][t[z][y]] += 1
-            if tensor[h] is None:
-                tensor[h] = counts
-                pairs[h] = (x, y)
-            elif tensor[h] != counts:
-                ref = tensor[h]
-                i, j = next((i, j) for i, j in iter_product(range(c), repeat=2)
-                            if counts[i][j] != ref[i][j])
-                witness = (
-                    f"count of class-{i}/class-{j} paths is {ref[i][j]} "
-                    f"for pair {pairs[h]} but {counts[i][j]} for ({x},{y}), "
-                    f"both in relation {h}"
-                )
-                break
-        if witness is not None:
-            break
-    return tensor, witness
+    columns = list(zip(*t))
+    tensor = {}
+    pairs = {}
+    for x, y in iter_product(range(n), repeat=2):
+        h = t[x][y]
+        counts = Counter(zip(t[x], columns[y]))  # (t[x][z], t[z][y]) over z
+        if h not in tensor:
+            tensor[h], pairs[h] = counts, (x, y)
+        elif tensor[h] != counts:
+            ref = tensor[h]
+            i, j = next(key for key in sorted(ref.keys() | counts.keys()) if counts[key] != ref[key])
+            witness = (
+                f"count of class-{i}/class-{j} paths is {ref[i, j]} "
+                f"for pair {pairs[h]} but {counts[i, j]} for ({x},{y}), "
+                f"both in relation {h}"
+            )
+            return tensor, witness
+    return tensor, None
 
 
 def transpose_witness_by_pairs(scheme: Scheme) -> str | None:
     """The first pair, in row order, whose transpose label breaks the
     transpose map, as ``verify_axioms`` names it, or None: the reference of
-    ``Scheme._transpose``."""
+    ``Scheme._transpose_witness``."""
     t = scheme.table
     tmap = {}
     for x, y in iter_product(range(scheme.order), repeat=2):
@@ -560,10 +554,10 @@ def triple_intersection(scheme: Scheme, x: int, y: int, z: int, i: int, j: int, 
 def word_span_by_reclosure(scheme: Scheme, classes) -> ExactSpan:
     """The span of the coefficient columns of the words in the A_j, j in
     ``classes``, applied to A_0, closed from scratch."""
-    scheme._compute_intersection_data()
+    tensor = scheme._tensor()
     c = scheme.classes
     # terms[g][m]: the nonzero (h, p^h_gm) of A_g A_m, one g per class
-    terms = [[[(h, grid[g][m]) for h, grid in enumerate(scheme._pnums) if grid and grid[g][m]]
+    terms = [[[(h, grid[g, m]) for h, grid in tensor.items() if grid[g, m]]
               for m in range(c)] for g in classes]
     words = [[1] + [0] * (c - 1)]
     span = ExactSpan.from_matrices([ExactMatrix.from_rows([[v] for v in words[0]])])

@@ -135,6 +135,18 @@ def test_embedding_preserves_arithmetic():
         assert (a + b).embedded(12) == a.embedded(12) + b.embedded(12)
 
 
+def test_rational_values_embed_at_any_conductor():
+    # zeta_2 = -1 is rational: it lies in every Q(zeta_n), though 2 does not
+    # divide n; an irrational value still needs a multiple of its conductor
+    for n in (1, 3, 5, 9, 12):
+        assert zeta(2).embedded(n).conductor == n
+        assert zeta(2).embedded(n) == -1
+        assert rational(Fraction(3, 4)).embedded(n) == Fraction(3, 4)
+    assert zeta(2).embedded(3) + zeta(3) == zeta(3) - 1
+    with pytest.raises(ValueError, match="target conductor must be a multiple"):
+        zeta(4).embedded(6)
+
+
 def test_canonical_equality_same_conductor():
     a = zeta(12, 4)  # lies in Q(zeta_3) but is stored at conductor 12
     assert a == zeta(3, 1)

@@ -85,13 +85,6 @@ def test_intersection_numbers_do_not_grow_with_the_class_count():
     assert scheme.generating_classes is None
 
 
-def _number(tensor, h, i, j):
-    """p^h_ij read from ``tensor``, 0 past its labels, or None where relation
-    h has no grid."""
-    grid = tensor[h] if h < len(tensor) else None
-    return None if grid is None else (grid[i][j] if max(i, j) < len(grid) else 0)
-
-
 def test_out_of_range_labels_raise_axiom_violations():
     # the table is accepted, so that verify_axioms can report it
     s = Scheme([[0, 2], [2, 0]], classes=2)
@@ -177,6 +170,24 @@ def _broken_transpose_table(seed):
     return Scheme(table, classes=4)
 
 
+def _distinct_labels(n):
+    # every entry its own label: n^2 labels, no scheme (only vertex 0 has
+    # label 0 on the diagonal), and every row and column a label set of its own
+    return Scheme([[n * x + y for y in range(n)] for x in range(n)])
+
+
+def _many_labels_table(seed):
+    # random symmetric labels from 1..29 off the diagonal: more labels than
+    # vertices, and rows whose label sets differ
+    rng = random.Random(seed)
+    n = 6 + seed % 3
+    table = [[0] * n for _ in range(n)]
+    for y in range(n):
+        for z in range(y):
+            table[y][z] = table[z][y] = rng.randrange(1, 30)
+    return Scheme(table)
+
+
 TABLES = {
     "shrikhande": lambda: example_schemes()["shrikhande"],
     "s3": lambda: example_schemes()["s3"],
@@ -188,72 +199,96 @@ TABLES = {
     **{f"relabelled-444-seed-{s}": (lambda s=s: relabelled((4, 4, 4), s)) for s in (1, 1103)},
     "cyclic-64": lambda: wreath_of_cyclics((64,)),
     "sigma-control": lambda: Scheme([[0, 1], [1, 2]]),
+    "distinct-labels-6": lambda: _distinct_labels(6),
+    **{f"many-labels-{s}": (lambda s=s: _many_labels_table(s)) for s in range(3)},
+    # order 256: lanes of two bytes; the corner table's first pair has 256
+    # paths of one label pair, and its witness is in row 0
+    "relabelled-2x8-seed-1": lambda: relabelled((2,) * 8, 1),
+    "corner-256": lambda: Scheme([[0] * 256] * 255 + [[0] * 255 + [1]]),
 }
+
+# The tables with no regularity witness.
+NO_WITNESS = ("shrikhande", "s3", "relabelled", "cyclic", "distinct")
 
 
 @pytest.mark.parametrize("name", [*moduli_up_to(12), *TABLES], ids=str)
-def test_intersection_data_matches_the_count_grids(name, monkeypatch):
-    # the sorted-code count against one c x c grid per pair: the whole
-    # tensor, the relations counted before a witness included, and the
-    # witness; the read above the diagonal accepts a table whose transpose
-    # map is well defined exactly where no witness exists, and refuses the
-    # rest, which are counted in row order
+def test_intersection_data_matches_the_count_grids(name):
+    # the packed row sums against each pair counted vertex by vertex: the
+    # first counts of every relation reached before the witness, the witness,
+    # and the tensor where there is none
     built = wreath_of_cyclics(name) if isinstance(name, tuple) else TABLES[name]()
     scheme = Scheme(built.table, built.classes)  # nothing cached from another test
-    scans = []
-    scan = Scheme._scan
-    monkeypatch.setattr(Scheme, "_scan", lambda self, upper: scans.append(upper) or scan(self, upper))
     scheme._compute_intersection_data()
     tensor, witness = intersection_data_by_counts(scheme)
     assert scheme._pnum_witness == witness
-    c = scheme.classes
-    assert all(_number(scheme._pnums, h, i, j) == _number(tensor, h, i, j)
-               for h in range(c) for i in range(c) for j in range(c))
-    scheme_like = isinstance(name, tuple) or name.startswith(("shrikhande", "s3", "relabelled", "cyclic"))
-    assert (scheme._pnum_witness is None) == scheme_like
-    tau, transpose_witness = scheme._transpose
+    assert {h: scheme._paths(*pair) for h, pair in scheme._firsts.items()} == tensor
+    scheme_like = isinstance(name, tuple) or name.startswith(NO_WITNESS)
+    assert (witness is None) == scheme_like
+    if scheme_like:
+        assert scheme._tensor() == tensor
+    transpose_witness = scheme._transpose_witness
     assert transpose_witness == transpose_witness_by_pairs(scheme)
-    assert (tau is None) == (not isinstance(name, tuple)
-                             and name.startswith(("broken-transpose", "moved-pair")))
-    # the half scan, where tau is well defined, is accepted exactly on the
-    # tables with no witness; any other table is scanned in full
-    if tau is None:
-        assert scans == [False]
-    else:
-        assert scans == ([True] if scheme_like else [True, False])
+    assert (transpose_witness is not None) == (not isinstance(name, tuple)
+                                               and name.startswith(("broken-transpose", "moved-pair")))
 
 
-def test_only_the_comparison_under_sigma_refuses_the_sigma_control():
-    # the pairs with x <= y, (0, 0), (0, 1) and (1, 1), are one per relation
-    # and agree with themselves; the pair (1, 0) of relation 1 does not
-    # agree with (0, 1), and only the comparison of L_1 with sigma(L_1)
-    # sees it
+def test_sigma_control_is_told_apart_by_its_label_sets():
+    # the rows hold {0, 1} and {1, 2}, and so do the columns; (0, 1) and
+    # (1, 0) of relation 1 have the paths (0, 1), (1, 2) and (1, 0), (2, 1),
+    # whose ranks in their rows' and columns' label sets are equal, (0, 0)
+    # and (1, 1): only the set numbers in the key tell the two pairs apart
     scheme = TABLES["sigma-control"]()
-    assert scheme._transpose == ({0: 0, 1: 1, 2: 2}, None)
-    assert scheme._scan(True)[1] is None
-    assert scheme._scan(False)[1] == ((0, 1), (1, 0))
+    assert scheme._paths(0, 1) == {(0, 1): 1, (1, 2): 1}
+    assert scheme._paths(1, 0) == {(1, 0): 1, (2, 1): 1}
     assert scheme.verify_axioms().counterexamples["regularity"] == (
         "count of class-0/class-1 paths is 1 for pair (0, 1) but 0 for (1,0), both in relation 1"
     )
 
 
 def test_intersection_tables_cover_both_lanes_and_a_transpose_other_than_the_identity():
-    # one-byte and two-byte lanes among the random tables with tau != id,
-    # and a scheme with tau != id, which the read above the diagonal accepts
-    tables = [_random_transposed_table(s) for s in range(8)]
-    assert {t.classes for t in tables} == {6, 20}
+    # one-byte lanes below order 256 and two-byte lanes from there, with a
+    # count that needs the second byte; labels that outnumber the vertices;
+    # rows and columns with different label sets; and tables whose transpose
+    # map tau is not the identity, a scheme among them
+    tables = {name: build() for name, build in TABLES.items()}
+    assert {t.order < 256 for t in tables.values()} == {True, False}
+    assert tables["corner-256"]._paths(0, 0) == {(0, 0): 256}
+    constant = Scheme([[0] * 256] * 256)
+    assert constant.verify_axioms().counterexamples == {"identity": "classify(0,1) = 0 with 0 != 1"}
+    assert constant._tensor() == {0: {(0, 0): 256}}
+    for name in ("distinct-labels-6", "many-labels-0", "many-labels-1", "many-labels-2"):
+        assert len(set().union(*tables[name].table)) > tables[name].order
+    for name in ("sigma-control", "distinct-labels-6", "many-labels-0"):
+        table = tables[name].table
+        assert len({frozenset(row) for row in table}) > 1
+        assert len({frozenset(column) for column in zip(*table)}) > 1
     cyclic = wreath_of_cyclics((5,))
-    for t in [*tables, cyclic]:
-        tau = t._transpose[0]
-        assert any(image != label for label, image in tau.items())
-    assert cyclic._scan(True)[1] is None
-    assert wreath_of_cyclics((64,)).classes ** 2 > 256 >= tables[0].classes ** 2
+    for t in [*(tables[f"transposed-{s}"] for s in range(8)), cyclic]:
+        assert t._transpose_witness is None
+        assert any(t.table[x][y] != t.table[y][x] for x in range(t.order) for y in range(t.order))
+    assert cyclic.verify_axioms().passed
+
+
+def test_axioms_on_many_labels_are_sized_by_the_order():
+    # 256 labels on 16 vertices: one c x c grid per relation would hold
+    # 16.7 million numbers; the count holds at most n per relation
+    scheme = _distinct_labels(16)
+    tracemalloc.start()
+    try:
+        report = scheme.verify_axioms()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.counterexamples == {"identity": "classify(1,1) = 17 != 0"}
+    assert peak < 2 * 2**20
+    assert scheme.intersection_number(0, 1, 1) == 1
+    assert scheme.intersection_number(1, 0, 1) == 0
 
 
 def test_axiom_counterexamples_are_pinned_on_the_transpose_controls():
-    # verify_axioms reads the transpose witness from the pass that the
-    # intersection count shares; the text is the first broken pair in row
-    # order, as the loop over every pair names it
+    # verify_axioms reads the transpose witness from one pass over the
+    # table; the text is the first broken pair in row order, as the loop
+    # over every pair names it
     cases = {
         "transpose-control": Scheme([[0, 1, 2], [2, 0, 1], [2, 1, 0]]),
         "moved-pair": moved_pair_table(),
@@ -475,8 +510,9 @@ def test_scheme_rejects_bad_tables():
         Scheme([[0, 1], [1]])
     with pytest.raises(ValueError):
         Scheme([[0, -1], [1, 0]])
-    with pytest.raises(ValueError):
-        Scheme([[False, True], [True, False]])
+    for entries in ([[False, True], [True, False]], [[0, 1.0], [1, 0]], [[0, "1"], [1, 0]]):
+        with pytest.raises(ValueError, match="^class table entries must be nonnegative integers$"):
+            Scheme(entries)
 
 
 def test_table_is_immutable():

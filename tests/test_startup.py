@@ -69,7 +69,7 @@ def test_building_a_scheme_leaves_its_parameters_uncomputed(tmp_path):
         "built = wreath_of_cyclics((4, 4, 4))\n"
         f"save_scheme(built, {str(tmp_path / 'w444.table')!r})\n"
         f"for scheme in (built, load_scheme({str(tmp_path / 'w444.table')!r})):\n"
-        "    print(scheme._pnums, scheme._pnum_witness, '_transpose' in vars(scheme))\n"
+        "    print(scheme._firsts, scheme._pnums, '_transpose_witness' in vars(scheme))\n"
     )
     assert state.splitlines() == ["None None False"] * 2
 
