@@ -196,11 +196,6 @@ def cmd_oracle(args) -> int:
     return 0 if report.passed else 1
 
 
-def _entry_json(value) -> dict:
-    # a rational entry, spelled as the element of Q(zeta_1) it is
-    return {"conductor": 1, "coeffs": [str(value)]}
-
-
 def cmd_export(args) -> int:
     from .wreath import wreath_of_cyclics
 
@@ -211,18 +206,16 @@ def cmd_export(args) -> int:
     try:
         save_scheme(scheme, args.out)
         if args.matrices:
+            # A_i's entries, 0 and 1, each spelled as the element of
+            # Q(zeta_1) it is, read off the class table
+            one, zero = {"conductor": 1, "coeffs": ["1"]}, {"conductor": 1, "coeffs": ["0"]}
             dump = {
                 "moduli": list(moduli),
                 "order": scheme.order,
                 "num_classes": scheme.classes,
                 "matrices": [
-                    {
-                        "class": i,
-                        "rows": [
-                            [_entry_json(v) for v in row]
-                            for row in scheme.adjacency_matrix(i).data
-                        ],
-                    }
+                    {"class": i, "rows": [[one if c == i else zero for c in row]
+                                          for row in scheme.table]}
                     for i in range(scheme.classes)
                 ],
             }

@@ -16,7 +16,11 @@ piece, once per base point; a point where a piece differs has no family,
 and every unit check fails there.  The unit checks read a family through
 the k indicator columns alone, and an A_j through the row and column sums
 of its pieces (``piece_sums``) or the intersection tensor, with no n x n
-product.  Likewise a ``CentralIdempotentFamily`` is the closed form
+product.  The sums are the one read of a piece's contents: a 0/1 piece is
+all ones where each of its rows sums to |S_h| (``_all_ones``), and only
+the block route of ``quotient-commutes`` (``_commutator_constant``), on a
+table that is not a commutative scheme, forms or compares a matrix.
+Likewise a ``CentralIdempotentFamily`` is the closed form
 F_(a,(h,xi)) = I (x) P_xi (x) J / n_h itself, held as its labels over the
 spheres: ``build_central_idempotents`` certifies the digit labelling of
 the table that this form rests on, once per base point, and each law of
@@ -154,20 +158,31 @@ def check_triple_list(point: BasePoint) -> CheckResult:
 # -- the primary module and the sums of the pieces ----------------------------------------
 
 
-def piece_sums(pieces, classes: int) -> list[dict[tuple[int, int], tuple[list[int], list[int]]]]:
-    """The row sums over S_i and the column sums over S_h of each piece
-    E*_i A_j E*_h of ``pieces``, keyed as ``starting_pieces``, as
-    ``sums[j][i, h]``; an absent piece has none.  They are read off the
-    packed 0/1 rows: a row's sum is its count of set bits, and the column
-    sums are the lanes of the sum of the rows, each at most |S_i|, so no
-    lane carries.  With u_i the indicator column of S_i, they are the
-    entries of A_j u_h in S_i and of u_i^T A_j in S_h."""
-    sums: list[dict[tuple[int, int], tuple[list[int], list[int]]]] = [{} for _ in range(classes)]
+def piece_sums(pieces, classes: int) -> list[dict[tuple[int, int], tuple[int | None, int | None]]]:
+    """The row sum and the column sum of each piece E*_i A_j E*_h of
+    ``pieces``, keyed as ``starting_pieces``, as ``sums[j][i, h]``, each
+    None where it is not constant; an absent piece has none.  They are read
+    off the packed 0/1 rows: a row's sum is its count of set bits, and the
+    column sums are the lanes of the sum of the rows, each at most |S_i|,
+    so no lane carries and they are all s where that sum is s times the
+    row of ones.  With u_i the indicator column of S_i, they are the
+    entries of A_j u_h on S_i and of u_i^T A_j on S_h."""
+    sums: list[dict[tuple[int, int], tuple[int | None, int | None]]] = [{} for _ in range(classes)]
     for (i, j, h), piece in pieces.items():
         rows, width, total = piece.packed, piece.width, sum(piece.packed)
-        sums[j][i, h] = ([row.bit_count() for row in rows],
-                         [total >> width * k & (1 << width) - 1 for k in range(piece.cols)])
+        row_sums = {row.bit_count() for row in rows}
+        column = total & (1 << width) - 1
+        ones = ((1 << width * piece.cols) - 1) // ((1 << width) - 1)
+        sums[j][i, h] = (row_sums.pop() if len(row_sums) == 1 else None,
+                         column if total == column * ones else None)
     return sums
+
+
+def _all_ones(point: BasePoint, i: int, j: int, h: int) -> bool:
+    """Whether the piece (i, j, h) of the point is present and all ones: a
+    0/1 piece is, where each of its rows sums to |S_h|."""
+    sums = point.sums[j].get((i, h))
+    return sums is not None and sums[0] == len(point.spheres[h])
 
 
 def _uneven(point: BasePoint, j: int, columns: bool = False) -> set[int]:
@@ -175,8 +190,8 @@ def _uneven(point: BasePoint, j: int, columns: bool = False) -> set[int]:
     indicator column of S_a: those of the pieces (h, j, a) whose row sums
     differ (an absent piece is zero).  With ``columns``, the b for which
     u_b^T A_j is not, read off the column sums of the pieces (b, j, h)."""
-    return {i if columns else h for (i, h), (rows, cols) in point.sums[j].items()
-            if len(set(cols if columns else rows)) > 1}
+    return {i if columns else h for (i, h), (row, column) in point.sums[j].items()
+            if (column if columns else row) is None}
 
 
 def check_primary_module(point: BasePoint) -> CheckResult:
@@ -245,10 +260,6 @@ class MatrixUnitFamily(FrozenRecord):
         return len(self.spheres) ** 2
 
 
-def _all_ones(piece: ExactMatrix | None) -> bool:
-    return piece is not None and piece == ExactMatrix.ones(piece.rows, piece.cols)
-
-
 def build_matrix_units(point: BasePoint) -> MatrixUnitFamily:
     """Construct the unit family on the spheres of the base point.
 
@@ -269,7 +280,7 @@ def build_matrix_units(point: BasePoint) -> MatrixUnitFamily:
         moduli, point.x, indices, tuple(tuple(point.spheres[a.flat]) for a in indices))
     for a in indices:
         for b in indices:
-            if a.level < b.level and not _all_ones(point.pieces.get((a.flat, b.flat, b.flat))):
+            if a.level < b.level and not _all_ones(point, a.flat, b.flat, b.flat):
                 raise StructureError(f"x={point.x}: G[{a.flat},{b.flat}] does not match "
                                      f"the closed form u_{a.flat} u_{b.flat}^T / n_{b.flat}")
     return family
@@ -358,12 +369,14 @@ def check_adjacency_action(point: BasePoint, units: MatrixUnitFamily) -> CheckRe
                         right[b.flat, r.flat] = valency[r.flat]
             else:
                 right[b.flat, hx.flat] = n_hx
-        # an absent piece (i, hx, h) has |S_i| row sums and |S_h| column sums, all 0
+        # an absent piece sums to 0, and a piece over an empty sphere S_h
+        # (rows on the left, columns on the right) has no sums to differ
         sums = point.sums[hx.flat]
         left_off = {a for h, a in left.keys() | sums.keys()
-                    if any(s != left.get((h, a), 0) for s in sums.get((h, a), ([0] * sizes[h],))[0])}
-        right_off = {b for b, h in right.keys() | sums.keys() if any(
-            s * sizes[h] != right.get((b, h), 0) * sizes[b] for s in sums.get((b, h), ((), [0] * sizes[h]))[1])}
+                    if sizes[h] and sums.get((h, a), (0, 0))[0] != left.get((h, a), 0)}
+        right_off = {b for b, h in right.keys() | sums.keys() if sizes[h] and (
+            (s := sums.get((b, h), (0, 0))[1]) is None
+            or s * sizes[h] != right.get((b, h), 0) * sizes[b])}
         first = _first_off(pairs, left_off, right_off)
         if first is not None:
             a, b = indices[pairs[first][0]], indices[pairs[first][1]]
@@ -396,8 +409,7 @@ def check_block_form(point: BasePoint, index: WreathIndex) -> CheckResult:
     indices = class_indices(moduli)
     for a in indices:
         for b in indices:
-            piece = point.pieces.get((a.flat, index.flat, b.flat))
-            nonzero = piece is not None
+            nonzero = (a.flat, index.flat, b.flat) in point.pieces
             if a.level < j:
                 expect_nonzero = b.flat == index.flat
                 expect_ones = expect_nonzero
@@ -414,7 +426,8 @@ def check_block_form(point: BasePoint, index: WreathIndex) -> CheckResult:
                 expect_nonzero = b.flat == a.flat
                 expect_ones = False
             checked += 1
-            if nonzero != expect_nonzero or (expect_ones and not _all_ones(piece)):
+            if nonzero != expect_nonzero or (
+                    expect_ones and not _all_ones(point, a.flat, index.flat, b.flat)):
                 return CheckResult(
                     "block-form",
                     False,
@@ -592,8 +605,7 @@ def build_central_idempotents(point: BasePoint) -> CentralIdempotentFamily:
                     raise StructureError(f"x={point.x}: t[{y}][{spheres[a.flat][k]}] = "
                                          f"{row[k]} is not the digit label {labels[k]}")
         for i, j, h in point.pieces:
-            if i != h and max(i, h) >= moduli[0] and any(
-                    s != len(spheres[h]) for s in point.sums[j][i, h][0]):
+            if i != h and max(i, h) >= moduli[0] and not _all_ones(point, i, j, h):
                 raise StructureError(f"x={point.x}: piece ({i},{j},{h}) is not all ones")
     return CentralIdempotentFamily(moduli, point.x, tuple(spheres))
 
@@ -729,7 +741,7 @@ def _quotient_commutes(point: BasePoint) -> CheckResult:
     scheme, classes = point.scheme, point.scheme.classes
     scheme._compute_intersection_data()
     commutative = scheme._pnum_witness is None and scheme.is_commutative()
-    leaves = {key for (h, i, j), piece in point.pieces.items() if h != j and not _all_ones(piece)
+    leaves = {key for h, i, j in point.pieces if h != j and not _all_ones(point, h, i, j)
               for key in ((i, j), (i, h))}
 
     def verdicts():
@@ -782,7 +794,5 @@ def decomposition_report(moduli, base_points=None) -> DecompReport:
     m = check_moduli(moduli)
     scheme = wreath_of_cyclics(m)
     points = list(range(scheme.order)) if base_points is None else list(base_points)
-    if not points:
-        raise ValueError("at least one base point is required")
     _, seen, _ = run_point_checks(scheme, m, points, ("decomposition",))
     return seen["decomposition"]

@@ -320,9 +320,9 @@ class Scheme:
 
     def _word_span(self, candidates) -> tuple[list[int], ExactSpan]:
         """Classes J among ``candidates`` and the span of the words in the
-        A_j, j in J, applied to A_0, as the c x 1 columns of their
-        coefficients over the A_h: the closure of the column of A_0 under the
-        maps A_g sum_m v_m A_m = sum_h (sum_m v_m p^h_gm) A_h.
+        A_j, j in J, applied to A_0, as the 1 x c rows of their coefficients
+        over the A_h, each one packed int: the closure of the row of A_0
+        under the maps A_g sum_m v_m A_m = sum_h (sum_m v_m p^h_gm) A_h.
 
         Each candidate j in turn, until the span has dimension c, joins J
         where A_j is not yet in the span (if it is, the span, an algebra, is
@@ -333,14 +333,14 @@ class Scheme:
         """
         c, tensor = self.classes, self._tensor()
         words = [[1] + [0] * (c - 1)]
-        span = ExactSpan.from_matrices([_column(words[0])])
+        span = ExactSpan.from_matrices([_row(words[0])])
         applied = [0]  # per word, how many maps of ``acting`` it has been walked under
         classes: list[int] = []
         acting: list[list[list[tuple[int, int]]]] = []  # [g][m]: the nonzero (h, p^h_gm)
         for g in candidates:
             if span.dimension == c:
                 break
-            if span.contains(_column([int(h == g) for h in range(c)])):
+            if span.contains(_row([int(h == g) for h in range(c)])):
                 continue
             classes.append(g)
             acting.append([[(h, grid[g, m]) for h, grid in tensor.items() if (g, m) in grid]
@@ -353,7 +353,7 @@ class Scheme:
                         if v:
                             for h, p in terms[m]:
                                 image[h] += v * p
-                    if span.insert(_column(image)):
+                    if span.insert(_row(image)):
                         words.append(image)
                         applied.append(0)
                 applied[w] = len(acting)
@@ -389,8 +389,9 @@ class Scheme:
         return self.valencies()[i]
 
     def adjacency_matrix(self, i: int) -> ExactMatrix:
-        """The n x n 0/1 matrix A_i, built on each call: no check reads it,
-        only ``export --matrices`` and the references of the tests."""
+        """The n x n 0/1 matrix A_i, built on each call: no command reads it
+        (``export --matrices`` writes the class table's entries), only the
+        references of the tests and the benchmark's order-64 probe."""
         if not 0 <= i < self.classes:
             raise ValueError("class index out of range")
         return ExactMatrix.from_rows([[int(c == i) for c in row] for row in self.table])
@@ -425,8 +426,8 @@ def _ranked(lines, bound: int) -> tuple[list, list[int]]:
     return ranks, sets
 
 
-def _column(vector) -> ExactMatrix:
-    return ExactMatrix.from_rows([[v] for v in vector])
+def _row(vector) -> ExactMatrix:
+    return ExactMatrix.from_rows([vector])
 
 
 def save_scheme(scheme: Scheme, path) -> None:

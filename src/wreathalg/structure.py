@@ -154,7 +154,8 @@ class BasePoint:
 
     E*_i is the sphere S_i (``spheres``), and each nonzero E*_i A_j E*_h is
     its 0/1 piece (``pieces``, keyed (i, j, h)), which the closure starts
-    from too, and their row and column sums (``sums``).  The unit and
+    from too, and its row sum and column sum, each None where it is not
+    constant (``sums``).  The unit and
     idempotent families are built once, and so is a refusal of either: a
     point that refuses a family raises the same StructureError on each read.
 
@@ -182,7 +183,7 @@ class BasePoint:
         return starting_pieces(self.scheme, self.x)
 
     @cached_property
-    def sums(self) -> list[dict[tuple[int, int], tuple[list[int], list[int]]]]:
+    def sums(self) -> list[dict[tuple[int, int], tuple[int | None, int | None]]]:
         return _explicit().piece_sums(self.pieces, self.scheme.classes)
 
     @cached_property
@@ -302,7 +303,7 @@ POINT_CHECKS = {
 # function of the scheme and its moduli, looked up by name as above.
 SCHEME_CHECKS = {
     "axioms": lambda scheme, moduli: scheme.verify_axioms().as_check(),
-    "vanishing": lambda scheme, moduli: _explicit().check_vanishing_criterion(moduli),
+    "vanishing": lambda scheme, moduli: _explicit().check_vanishing_criterion(scheme, moduli),
 }
 
 # The decomposition's sub-checks, in report order.  Where unit-support fails,
@@ -329,7 +330,8 @@ def run_point_checks(scheme: Scheme, moduli, base_points, names):
     decomposition runs at every point, after the checks, so work they share
     is timed under the check.
 
-    ``base_points=None`` means every vertex.  With moduli and a per-point
+    ``base_points=None`` means every vertex; an empty list raises
+    ValueError, as no check can pass on no point.  With moduli and a per-point
     check, ``check_translation_certificate`` runs before them and is
     reported; where it passes, a table automorphism maps 0 to every vertex,
     so every check at x is the conjugate of the same check at 0.  The checks
@@ -360,6 +362,8 @@ def run_point_checks(scheme: Scheme, moduli, base_points, names):
     per_point = [name for name in results if name not in SCHEME_CHECKS]
     per_point.sort(key=lambda name: name == "decomposition")
     points = list(range(scheme.order) if base_points is None else base_points)
+    if not points:
+        raise ValueError("at least one base point is required")
     group: dict[str, CheckResult] = {}
     seconds: dict[str, float] = {}
     seen: dict = {}

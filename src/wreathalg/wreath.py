@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import product as iter_product
 from math import prod
 
-from .scheme import CheckResult, FrozenRecord, Scheme
+from .scheme import AxiomViolation, CheckResult, FrozenRecord, Scheme
 
 __all__ = [
     "WreathIndex",
@@ -34,7 +34,12 @@ __all__ = [
 
 
 def check_moduli(moduli) -> tuple[int, ...]:
-    m = tuple(int(p) for p in moduli)
+    """The moduli as a tuple; a ValueError unless each is an int (not a
+    bool) of at least 2 and there is one or more."""
+    m = tuple(moduli)
+    bad = next((p for p in m if not isinstance(p, int) or isinstance(p, bool)), None)
+    if bad is not None:
+        raise ValueError(f"every modulus must be an integer, got {bad!r}")
     if not m:
         raise ValueError("at least one modulus is required")
     if any(p < 2 for p in m):
@@ -190,26 +195,29 @@ def _vanishes(m: tuple[int, ...], a: WreathIndex, b: WreathIndex, c: WreathIndex
     return True
 
 
-def check_vanishing_criterion(moduli) -> CheckResult:
-    """Cross-check the closed form against brute-force intersection numbers
-    for every triple of classes."""
+def check_vanishing_criterion(scheme: Scheme, moduli) -> CheckResult:
+    """Cross-check the closed form against the intersection numbers of
+    ``scheme`` for every triple of classes of the moduli.
+
+    A scheme with another number of classes raises ValueError.  Where an
+    intersection number is not well defined, the check fails with the
+    scheme's witness, after the triples ``checked`` before it."""
     m = check_moduli(moduli)
-    scheme = wreath_of_cyclics(m)
     indices = _class_indices(m)
+    if scheme.classes != len(indices):
+        raise ValueError(f"a table of {scheme.classes} classes has no class labels over {m}")
     checked = 0
-    witness = None
     for a, b, c in iter_product(indices, repeat=3):
-        predicted = _vanishes(m, a, b, c)
-        actual = scheme.intersection_number(a.flat, b.flat, c.flat) == 0
+        try:
+            count = scheme.intersection_number(a.flat, b.flat, c.flat)
+        except AxiomViolation as exc:
+            return CheckResult("vanishing", False, str(exc), checked)
         checked += 1
-        if predicted != actual:
-            witness = (
-                f"classes ({a},{b},{c}): predicted "
-                f"{'zero' if predicted else 'nonzero'} but count is "
-                f"{scheme.intersection_number(a.flat, b.flat, c.flat)}"
-            )
-            break
-    return CheckResult("vanishing", witness is None, witness, checked)
+        if _vanishes(m, a, b, c) != (count == 0):
+            witness = (f"classes ({a},{b},{c}): predicted "
+                       f"{'nonzero' if count == 0 else 'zero'} but count is {count}")
+            return CheckResult("vanishing", False, witness, checked)
+    return CheckResult("vanishing", True, None, checked)
 
 
 # -- the translation certificate ------------------------------------------------------

@@ -104,7 +104,7 @@ def test_criterion_2_equal_moduli_formula():
 def test_criterion_3_vanishing_criterion():
     ok = True
     for moduli in [(2, 3), (3, 3), (2, 2, 2), (2, 3, 4)]:
-        result = check_vanishing_criterion(moduli)
+        result = check_vanishing_criterion(wreath_of_cyclics(moduli), moduli)
         ok = ok and result.passed
     report("criterion 3: vanishing criterion", ok)
     assert ok

@@ -98,6 +98,27 @@ def test_verify_rejects_bad_flags(capsys):
     assert run(capsys, "verify", "--moduli", "1,2")[0] == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--moduli", ","), "--moduli must name at least one factor"),
+    (("--moduli", "2,3", "--base-points", "0,a"),
+     "--base-points expects 'all' or comma-separated integers, got '0,a'"),
+    (("--moduli", "2,3", "--base-points", ","), "--base-points must name at least one vertex"),
+    (("--moduli", "2,3", "--checks", " , "), "--checks must name at least one check"),
+])
+def test_verify_refuses_an_empty_or_non_integer_list(capsys, argv, message):
+    assert run(capsys, "verify", *argv) == (2, "", f"error: {message}\n")
+
+
+def test_an_internal_error_exits_3(capsys, monkeypatch):
+    from wreathalg import structure
+
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(structure, "run_point_checks", broken)
+    assert run(capsys, "verify", "--moduli", "2") == (3, "", "internal error: RuntimeError: boom\n")
+
+
 def test_verify_base_point_subset(capsys):
     code, out, _ = run(
         capsys, "verify", "--moduli", "2,3", "--base-points", "0,3", "--checks", "triple-list"
@@ -197,6 +218,29 @@ def test_oracle_corrupted_table(capsys, tmp_path):
     assert by_name["axioms"]["status"] == "fail"
     assert by_name["triply-regular"]["status"] == "fail"
     assert "skipped" in by_name["triply-regular"]["witness"]
+
+
+def test_text_format_names_the_witness_of_a_failing_check(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("2 2\n0 1\n1 0\n")
+    code, out, _ = run(capsys, "oracle", str(path), "--format", "text")
+    assert code == 1
+    lines = out.splitlines()
+    assert re.fullmatch(r"axioms: FAIL \(\d+ ms\) -- partition: relation 2 is empty", lines[2])
+    assert lines[3:] == [
+        "triply-regular: FAIL (0 ms) -- skipped: the axioms do not hold",
+        "dimension: FAIL (0 ms) -- skipped: the axioms do not hold",
+        "overall: FAIL",
+    ]
+
+
+def test_oracle_refuses_a_short_or_negative_header(capsys, tmp_path):
+    path = tmp_path / "header.txt"
+    for text, message in (("5\n", "scheme file must start with 'order d'"),
+                          ("0 1\n", "order must be >= 1 and d >= 0")):
+        path.write_text(text)
+        assert run(capsys, "oracle", str(path)) == (
+            2, "", f"error: cannot read scheme table: {message}\n")
 
 
 def test_oracle_parse_error(capsys, tmp_path):

@@ -2,9 +2,9 @@
 adjacency matrix.
 
 Every per-point check reads the pieces E*_i A_j E*_h of its base point, or
-the intersection tensor, so ``Scheme.adjacency_matrix`` is named in
-``src/wreathalg`` only where it is defined, in ``scheme.py``, and where
-``export --matrices`` dumps it, in ``cli.py``.
+the intersection tensor, and ``export --matrices`` writes its entries from
+the class table, so ``Scheme.adjacency_matrix`` is named in
+``src/wreathalg`` only where it is defined, in ``scheme.py``.
 """
 
 import ast
@@ -15,7 +15,6 @@ SOURCE = Path(__file__).resolve().parent.parent / "src" / "wreathalg"
 NAME = "adjacency_matrix"
 
 ALLOWED = [
-    "cli.py:cmd_export: reads it",
     "scheme.py:Scheme: defines it",
 ]
 
@@ -44,7 +43,7 @@ def _uses(path: Path) -> list[str]:
     return found
 
 
-def test_only_the_definition_and_the_export_name_adjacency_matrix():
+def test_only_the_definition_names_adjacency_matrix():
     files = sorted(SOURCE.glob("*.py"))
     assert files
     assert sorted(use for path in files for use in _uses(path)) == ALLOWED

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -26,6 +27,7 @@ from wreathalg import (
     wreath_of_cyclics,
 )
 from wreathalg import scheme as scheme_module
+from wreathalg.scheme import load_header
 
 
 def test_cyclic_scheme_axioms():
@@ -476,6 +478,25 @@ def test_load_scheme_stops_after_one_entry_too_many(tmp_path):
     path.write_text("2 1\n0 1\n1\n")
     with pytest.raises(ValueError, match=r"^expected 4 table entries, found 3$"):
         load_scheme(path)
+
+
+def test_load_header_refuses_a_short_or_negative_header(tmp_path):
+    path = tmp_path / "header.txt"
+    for text, message in (("", "scheme file must start with 'order d'"),
+                          ("5\n", "scheme file must start with 'order d'"),
+                          ("0 1\n", "order must be >= 1 and d >= 0"),
+                          ("2 -1\n0 1\n1 0\n", "order must be >= 1 and d >= 0")):
+        path.write_text(text)
+        for load in (load_header, load_scheme):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                load(path)
+
+
+def test_load_scheme_reads_a_last_token_with_no_whitespace_after_it(tmp_path):
+    path = tmp_path / "table.txt"
+    path.write_text("2 1\n0 1\n1 0")
+    assert load_header(path) == (2, 1)
+    assert load_scheme(path).table == ((0, 1), (1, 0))
 
 
 def test_load_scheme_joins_tokens_across_chunks(tmp_path, monkeypatch):

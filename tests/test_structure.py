@@ -33,7 +33,7 @@ from wreathalg import (
     wreath_of_cyclics,
     zeta,
 )
-from wreathalg import decomposition, structure, wreath
+from wreathalg import decomposition, structure
 from wreathalg.linalg import ExactSpan
 from wreathalg.structure import DECOMPOSITION, POINT_CHECKS, BasePoint, run_point_checks
 
@@ -295,6 +295,17 @@ def test_report_passes_when_every_check_passes():
     witness = "x=0: oracle dimension 19, formula 18"
     verified.checks.append(CheckResult("dimension", False, witness, 1))
     assert not verified.passed and verified.as_check().witness == witness
+
+
+def test_an_empty_point_list_is_refused():
+    # no check can pass on no point: the runner refuses the list, in place
+    # of a triple-list of None and a decomposition that passes with dim_T None
+    scheme = wreath_of_cyclics((2, 3))
+    for names in (["triple-list", "decomposition"], ["axioms"]):
+        with pytest.raises(ValueError, match="^at least one base point is required$"):
+            run_point_checks(scheme, (2, 3), [], names)
+    with pytest.raises(ValueError, match="^at least one base point is required$"):
+        decomposition_report((2, 3), base_points=[])
 
 
 def test_certified_run_is_the_run_at_zero():
@@ -576,6 +587,20 @@ def test_matrix_unit_law_fails_on_a_perturbed_unit():
     assert "G[1,2]" in result.witness
 
 
+def test_adjacency_action_reads_no_sum_over_an_empty_sphere():
+    # (2,2) with class 1 merged into class 2: S_1 is empty at every point,
+    # so no piece of A_2 has rows or columns over it, and the check, given
+    # the units of the intact table, fails first at the right product with
+    # G[0, (2,1)], not at a row sum over the empty S_1
+    intact = wreath_of_cyclics((2, 2))
+    merged = Scheme([[2 if c == 1 else c for c in row] for row in intact.table], classes=3)
+    point = BasePoint(merged, (2, 2), 0, {})
+    assert point.spheres[1] == []
+    result = check_adjacency_action(point, _point((2, 2), 0).units)
+    assert result == CheckResult("ag-forms", False, "x=0: G[WreathIndex(0,0),WreathIndex(2,1)] "
+                                 "* A[WreathIndex(2,1)] does not match the closed form", 42)
+
+
 def test_adjacency_action_fails_on_a_perturbed_unit():
     # an entry of E_3 in block (2, 3) adds to the product build's E_2 J E_3
     # alone; on equal levels the point's unit is the all-ones block by
@@ -658,17 +683,31 @@ def test_triple_list_fails_on_swapped_labels():
     )
 
 
-def test_vanishing_fails_on_swapped_labels(monkeypatch):
-    swapped = _swapped_table()
-    monkeypatch.setattr(wreath, "wreath_of_cyclics", lambda moduli: swapped)
-    result = check_vanishing_criterion((2, 3))
+def test_vanishing_fails_on_swapped_labels():
+    # the check reads the scheme it is given, so the run's vanishing fails
+    # where its triple-list does
+    result = check_vanishing_criterion(_swapped_table(), (2, 3))
     assert not result.passed
     assert result.witness == (
         "classes (WreathIndex(1,1),WreathIndex(1,1),WreathIndex(0,0)): "
         "predicted nonzero but count is 0"
     )
-    monkeypatch.undo()
-    assert check_vanishing_criterion((2, 3)).passed
+    run, _, _ = run_point_checks(_swapped_table(), (2, 3), [0], ["vanishing", "triple-list"])
+    assert run["vanishing"] == result and not run["triple-list"].passed
+    assert check_vanishing_criterion(wreath_of_cyclics((2, 3)), (2, 3)).passed
+
+
+def test_vanishing_fails_with_the_witness_of_a_table_that_is_not_a_scheme():
+    # (2,2) with unequal valencies: its intersection numbers are not well
+    # defined, so the check fails with the scheme's regularity witness, as a
+    # per-point check fails with it, in place of raising
+    scheme = _unequal_valency_table()
+    witness = scheme.verify_axioms().counterexamples["regularity"]
+    assert check_vanishing_criterion(scheme, (2, 2)) == CheckResult("vanishing", False, witness)
+    run, _, _ = run_point_checks(scheme, (2, 2), [0], ["vanishing"])
+    assert run["vanishing"] == CheckResult("vanishing", False, witness)
+    with pytest.raises(ValueError, match=r"^a table of 3 classes has no class labels over \(2, 3\)$"):
+        check_vanishing_criterion(wreath_of_cyclics((2, 2)), (2, 3))
 
 
 def test_block_form_fails_on_a_partly_filled_all_ones_block():
@@ -1335,22 +1374,36 @@ def test_unit_checks_form_no_product_of_two_n_by_n_matrices(monkeypatch):
     # sums and the table, f-family and span-accounting form nothing,
     # ag-forms, unit-ideal and primary-module read the sums of the pieces,
     # and quotient-commutes the intersection tensor of a commutative scheme.
+    # Nor does any compare two matrices or build the all-ones matrix: a
+    # piece is all ones where its row sum is the size of its column sphere.
     counts = {}
     name = None
-    product = ExactMatrix.__mul__
+    product, equal, ones = ExactMatrix.__mul__, ExactMatrix.__eq__, ExactMatrix.ones
 
     def counted(a, b):
         if a.rows == a.cols == b.cols == n:
             counts[name] = counts.get(name, 0) + 1
         return product(a, b)
 
+    def called(kind, original):
+        def call(*args):
+            counts[name, kind] = counts.get((name, kind), 0) + 1
+            return original(*args)
+        return call
+
     monkeypatch.setattr(ExactMatrix, "__mul__", counted)
+    monkeypatch.setattr(ExactMatrix, "__eq__", called("==", equal))
+    monkeypatch.setattr(ExactMatrix, "ones", staticmethod(called("ones", ones)))
     for moduli, x in (((2, 3), 0), ((2, 3, 4), 5)):
         point = _point(moduli, x)
         n = point.scheme.order
         for name in POINT_CHECKS:
             assert point.result(name).passed, name
     assert counts == {}
+    # the counters see a call
+    name = "control"
+    assert ExactMatrix.ones(1, 2) == ExactMatrix.from_rows([[1, 1]])
+    assert counts == {("control", "ones"): 1, ("control", "=="): 1}
 
 
 def test_full_decomposition_compares_each_unit_once(monkeypatch):

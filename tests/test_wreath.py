@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
@@ -48,6 +49,17 @@ def test_index_offset_normalization():
         WreathIndex(0, 1, m)
     with pytest.raises(ValueError):
         WreathIndex(3, 1, m)
+
+
+@pytest.mark.parametrize("moduli", [[2.9, 3], [2.0, 3], ["2", 3], "23", [Fraction(2), 3],
+                                     [True, 2], [2, False]])
+def test_a_modulus_that_is_not_an_int_is_refused(moduli):
+    # int() would truncate 2.9 to 2 and build a scheme of another order
+    message = "^every modulus must be an integer, got "
+    with pytest.raises(ValueError, match=message):
+        check_moduli(moduli)
+    with pytest.raises(ValueError, match=message):
+        wreath_of_cyclics(moduli)
 
 
 def test_indices_below_level():
@@ -182,7 +194,7 @@ def test_predict_vanishing_accepts_flat_indices():
 
 def test_vanishing_criterion_small_moduli():
     for m in [(2, 3), (2, 2, 2), (3, 3)]:
-        result = check_vanishing_criterion(m)
+        result = check_vanishing_criterion(wreath_of_cyclics(m), m)
         assert result.passed, result.witness
         assert result.checked == num_classes(m) ** 3
 

@@ -9,7 +9,7 @@ verdict, witness and ``checked`` count from every registered per-point check
 at every point of every moduli tuple of order at most 12 and of (2,3,4), the
 same closure basis at each of those points, the same certified results of
 ``run_point_checks`` on each of those tuples, and byte-identical default
-``verify`` reports at a ladder of larger tuples.
+``verify`` reports and ``export`` files at a ladder of larger tuples.
 
 Output, one JSON object per line:
 - ``{"moduli", "x", "check", "passed", "witness", "checked"}`` per tuple,
@@ -23,7 +23,10 @@ Output, one JSON object per line:
   tuple and result of ``run_point_checks`` over every vertex, which runs the
   translation certificate;
 - ``{"moduli", "exit", "sha256"}`` of the JSON report of the default
-  ``verify`` at each tuple of ``REPORTED``.
+  ``verify`` at each tuple of ``REPORTED``;
+- ``{"moduli", "export_exit", "table_sha256", "matrices_sha256"}`` of the
+  class table and the ``--matrices`` file that ``export`` writes at each
+  tuple of ``REPORTED``.
 
 Only the standard library and the package are imported.
 """
@@ -99,6 +102,15 @@ def report_digest(moduli: tuple[int, ...], workdir: Path) -> None:
     _line(moduli=list(moduli), exit=code, sha256=hashlib.sha256(out.read_bytes()).hexdigest())
 
 
+def export_digests(moduli: tuple[int, ...], workdir: Path) -> None:
+    table, matrices = workdir / "scheme.table", workdir / "matrices.json"
+    code = main(["export", "--moduli", ",".join(map(str, moduli)), "--out", str(table),
+                 "--matrices", str(matrices)])
+    _line(moduli=list(moduli), export_exit=code,
+          table_sha256=hashlib.sha256(table.read_bytes()).hexdigest(),
+          matrices_sha256=hashlib.sha256(matrices.read_bytes()).hexdigest())
+
+
 def run() -> int:
     tuples = sorted(moduli_up_to(12) + [(2, 3, 4)], key=lambda m: (math.prod(m), m))
     for moduli in tuples:
@@ -109,6 +121,7 @@ def run() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         for moduli in REPORTED:
             report_digest(moduli, Path(workdir))
+            export_digests(moduli, Path(workdir))
     sys.stdout.flush()
     return 0
 
