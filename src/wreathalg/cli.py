@@ -18,6 +18,7 @@ pinned to 0.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -196,6 +197,26 @@ def cmd_oracle(args) -> int:
     return 0 if report.passed else 1
 
 
+def _write_matrices(handle, moduli, scheme) -> None:
+    """Write A_i's entries, 0 and 1, each spelled as the element of
+    Q(zeta_1) it is and read off the class table, one row at a time, in
+    the bytes of ``json.dump(..., indent=2)`` and a newline: an entry sits
+    at depth 5, its row at depth 4 and its matrix at depth 2."""
+    entry = "\n" + " " * 10
+    one, zero = (json.dumps({"conductor": 1, "coeffs": [q]}, indent=2).replace("\n", entry)
+                 for q in "10")
+    head = json.dumps({"moduli": list(moduli), "order": scheme.order,
+                       "num_classes": scheme.classes}, indent=2)
+    handle.write(head[:-2] + ',\n  "matrices": [')
+    for i in range(scheme.classes):
+        handle.write(("," if i else "") + f'\n    {{\n      "class": {i},\n      "rows": [')
+        for y, row in enumerate(scheme.table):
+            entries = ("," + entry).join(one if c == i else zero for c in row)
+            handle.write(("," if y else "") + "\n        [" + entry + entries + "\n        ]")
+        handle.write("\n      ]\n    }")
+    handle.write("\n  ]\n}\n")
+
+
 def cmd_export(args) -> int:
     from .wreath import wreath_of_cyclics
 
@@ -206,22 +227,8 @@ def cmd_export(args) -> int:
     try:
         save_scheme(scheme, args.out)
         if args.matrices:
-            # A_i's entries, 0 and 1, each spelled as the element of
-            # Q(zeta_1) it is, read off the class table
-            one, zero = {"conductor": 1, "coeffs": ["1"]}, {"conductor": 1, "coeffs": ["0"]}
-            dump = {
-                "moduli": list(moduli),
-                "order": scheme.order,
-                "num_classes": scheme.classes,
-                "matrices": [
-                    {"class": i, "rows": [[one if c == i else zero for c in row]
-                                          for row in scheme.table]}
-                    for i in range(scheme.classes)
-                ],
-            }
             with open(args.matrices, "w", encoding="utf-8") as handle:
-                json.dump(dump, handle, indent=2)
-                handle.write("\n")
+                _write_matrices(handle, moduli, scheme)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -268,6 +275,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    It first freezes what start-up made (``gc.freeze``), which a full
+    collection there would not free, so that neither the run's collections
+    nor the exit walk it; files are closed by ``with`` and stdout is
+    flushed at exit.  A caller that runs ``main`` in-process freezes its
+    own heap too, until it calls ``gc.unfreeze``.
+    """
+    gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

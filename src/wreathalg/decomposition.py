@@ -326,8 +326,15 @@ def check_adjacency_action(point: BasePoint, units: MatrixUnitFamily) -> CheckRe
     counts, whose product breaks its form.  The label of a's level with
     offset o has the flat index a.flat - a.offset + o, so the labels below
     a's level are the first a.flat - a.offset + 1 in flat order.
+
+    The sums are the point's, so they are the units' only where ``units``
+    is over the point's spheres, which are then all nonempty; elsewhere the
+    check fails, with ``checked`` 0.
     """
     moduli = _require_wreath(point)
+    if list(map(set, units.spheres)) != list(map(set, point.spheres)):
+        return CheckResult(
+            "ag-forms", False, f"x={point.x}: the units are not over the spheres of the point")
     sizes = [len(sphere) for sphere in point.spheres]
     valency = point.scheme.valencies()
     indices = units.indices
@@ -369,14 +376,13 @@ def check_adjacency_action(point: BasePoint, units: MatrixUnitFamily) -> CheckRe
                         right[b.flat, r.flat] = valency[r.flat]
             else:
                 right[b.flat, hx.flat] = n_hx
-        # an absent piece sums to 0, and a piece over an empty sphere S_h
-        # (rows on the left, columns on the right) has no sums to differ
+        # an absent piece sums to 0
         sums = point.sums[hx.flat]
         left_off = {a for h, a in left.keys() | sums.keys()
-                    if sizes[h] and sums.get((h, a), (0, 0))[0] != left.get((h, a), 0)}
-        right_off = {b for b, h in right.keys() | sums.keys() if sizes[h] and (
-            (s := sums.get((b, h), (0, 0))[1]) is None
-            or s * sizes[h] != right.get((b, h), 0) * sizes[b])}
+                    if sums.get((h, a), (0, 0))[0] != left.get((h, a), 0)}
+        right_off = {b for b, h in right.keys() | sums.keys()
+                     if (s := sums.get((b, h), (0, 0))[1]) is None
+                     or s * sizes[h] != right.get((b, h), 0) * sizes[b]}
         first = _first_off(pairs, left_off, right_off)
         if first is not None:
             a, b = indices[pairs[first][0]], indices[pairs[first][1]]

@@ -12,7 +12,9 @@ and ``verify`` every module it uses before its scheme is built, so that
 none is compiled in verdict time.  No command loads ``cyclotomic``: the
 matrices and spans of ``linalg`` are over Q.  Building a scheme, from a file or from
 moduli, computes none of its parameters: the intersection data and the
-transpose map are verdict work.  No timing is read.
+transpose map are verdict work.  By the time a command's scheme is
+ready, ``cli.main`` has frozen the heap that start-up made, and the
+report still reaches stdout at exit.  No timing is read.
 """
 
 import ast
@@ -26,15 +28,18 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 UNUSED = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 # The standard-library modules that src/ imports by name.
-IMPORTED = {"__future__", "argparse", "collections", "fractions", "functools", "importlib",
-            "itertools", "json", "math", "operator", "os", "struct", "sys", "time"}
+IMPORTED = {"__future__", "argparse", "collections", "fractions", "functools", "gc",
+            "importlib", "itertools", "json", "math", "operator", "os", "struct", "sys", "time"}
+
+
+def _env() -> dict[str, str]:
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def _run(code: str) -> str:
-    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=60)
+    out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
+                         text=True, check=True, timeout=60)
     return out.stdout
 
 
@@ -133,6 +138,60 @@ def test_verify_loads_every_module_it_uses_before_its_scheme_is_built(tmp_path):
     assert "wreathalg.decomposition" in _package(at_ready)
     assert _package(at_exit) == _package(at_ready)
     assert "wreathalg.cyclotomic" not in _package(at_exit)
+
+
+def _freeze_counts(argv: list[str]) -> list[int]:
+    """``gc.get_freeze_count()`` in a fresh interpreter before ``cli.main``
+    runs ``argv``, which must pass, and when its scheme is ready, as
+    ``wreath_of_cyclics`` or ``load_scheme`` returns it."""
+    code = (
+        "import gc\n"
+        "import wreathalg.scheme as scheme\n"
+        "import wreathalg.wreath as wreath\n"
+        "frozen = [gc.get_freeze_count()]\n"
+        "def marked(build):\n"
+        "    def ready(source):\n"
+        "        built = build(source)\n"
+        "        frozen.append(gc.get_freeze_count())\n"
+        "        return built\n"
+        "    return ready\n"
+        "wreath.wreath_of_cyclics = marked(wreath.wreath_of_cyclics)\n"
+        "scheme.load_scheme = marked(scheme.load_scheme)\n"
+        "from wreathalg.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(*frozen)\n"
+    )
+    return list(map(int, _run(code).split()))
+
+
+def test_verify_and_oracle_have_frozen_the_heap_when_their_scheme_is_ready(tmp_path):
+    # cli.main freezes what start-up made before the command builds its
+    # scheme, so that neither the run's collections nor the exit walk it
+    from wreathalg import save_scheme, wreath_of_cyclics
+
+    table = tmp_path / "w22.table"
+    save_scheme(wreath_of_cyclics((2, 2)), table)
+    for argv in (["verify", "--moduli", "2,3", "--out", str(tmp_path / "v.json")],
+                 ["oracle", str(table), "--out", str(tmp_path / "o.json")]):
+        before, at_ready = _freeze_counts(argv)
+        assert before == 0, argv[0]
+        assert at_ready > 0, argv[0]
+
+
+def test_verify_flushes_its_text_report_to_stdout_at_exit():
+    # the heap is frozen, so the report reaches stdout by the interpreter's
+    # own flush at exit
+    from wreathalg.cli import VERIFY_CHECKS
+
+    proc = subprocess.run([sys.executable, "-m", "wreathalg", "verify", "--moduli", "2,3",
+                           "--format", "text"], env=_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("moduli=[2, 3] order=6 ")
+    assert [line.split(":")[0] for line in lines[2:-1]] == [*VERIFY_CHECKS,
+                                                           "translation-certificate"]
+    assert lines[-1] == "overall: PASS"
 
 
 # Each public name of the package, by the module that defines it.

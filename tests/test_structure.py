@@ -587,18 +587,24 @@ def test_matrix_unit_law_fails_on_a_perturbed_unit():
     assert "G[1,2]" in result.witness
 
 
-def test_adjacency_action_reads_no_sum_over_an_empty_sphere():
-    # (2,2) with class 1 merged into class 2: S_1 is empty at every point,
-    # so no piece of A_2 has rows or columns over it, and the check, given
-    # the units of the intact table, fails first at the right product with
-    # G[0, (2,1)], not at a row sum over the empty S_1
-    intact = wreath_of_cyclics((2, 2))
-    merged = Scheme([[2 if c == 1 else c for c in row] for row in intact.table], classes=3)
-    point = BasePoint(merged, (2, 2), 0, {})
-    assert point.spheres[1] == []
-    result = check_adjacency_action(point, _point((2, 2), 0).units)
-    assert result == CheckResult("ag-forms", False, "x=0: G[WreathIndex(0,0),WreathIndex(2,1)] "
-                                 "* A[WreathIndex(2,1)] does not match the closed form", 42)
+def test_adjacency_action_refuses_units_off_the_point_spheres():
+    # the intact table's units, read on that table with one class merged
+    # into another: the merged class's sphere is empty at every point, so
+    # the point's sums are not those of the units, and every point fails
+    # before reading them
+    for moduli, merge, into in [((2, 2), 1, 2), ((2, 3), 2, 3), ((2, 3), 1, 3)]:
+        intact = wreath_of_cyclics(moduli)
+        merged = Scheme([[into if c == merge else c for c in row] for row in intact.table],
+                        classes=intact.classes)
+        for x in range(intact.order):
+            point = BasePoint(merged, moduli, x, {})
+            assert point.spheres[merge] == []
+            result = check_adjacency_action(point, _point(moduli, x).units)
+            assert result == CheckResult(
+                "ag-forms", False, f"x={x}: the units are not over the spheres of the point")
+    # on its own point the same family passes
+    point = _point((2, 3), 0)
+    assert check_adjacency_action(point, point.units).passed
 
 
 def test_adjacency_action_fails_on_a_perturbed_unit():
@@ -780,13 +786,15 @@ def _refusal(point):
 
 
 def _assert_agrees_with_reference(point, reference, names=tuple(REFERENCES), differ=(),
-                                  both_fail=()):
+                                  both_fail=(), refused=()):
     """Each check of ``names`` gives its n x n reference's verdict, witness
     and ``checked`` at ``point``, and the build gives the reference's unit
     family or its witness.  On the checks ``differ``, the reference fails
     on an edit of its n x n inputs that the point holds by construction,
     and the point passes.  On the checks ``both_fail``, each fails with its
-    own witness.  Where the idempotent read refuses the table, the point
+    own witness.  On the checks ``refused``, the point refuses units that
+    are not over its spheres, whose products the reference forms and
+    passes.  Where the idempotent read refuses the table, the point
     fails the member checks with the read's witness, whatever the product
     battery finds: the read certifies more than the battery tests."""
     if "unit-support" not in differ:
@@ -797,6 +805,8 @@ def _assert_agrees_with_reference(point, reference, names=tuple(REFERENCES), dif
             assert point.result(name).passed and not reference.result(name).passed, name
         elif name in both_fail:
             assert not point.result(name).passed and not reference.result(name).passed, name
+        elif name in refused:
+            assert not point.result(name).passed and reference.result(name).passed, name
         elif refusal is not None and name in MEMBER_CHECKS:
             assert point.result(name) == CheckResult(name, False, refusal), name
         else:
@@ -1014,12 +1024,17 @@ EDITED_POINTS = {
 # its own witness: the point finds the units off the members' spheres, and
 # the reference a unit that a member does not annihilate.
 BOTH_FAIL = {"units-of-another-point": ("f-family",)}
+# The checks where the point refuses the units, which are off its spheres,
+# and the reference's products with them hold the closed forms, as they do
+# at every point.
+REFUSED = {"units-of-another-point": ("ag-forms",)}
 
 
 @pytest.mark.parametrize("name", EDITED_POINTS)
 def test_factored_unit_checks_match_the_products_on_edited_points(name):
     make, differ = EDITED_POINTS[name]
-    _assert_agrees_with_reference(*make(), differ=differ, both_fail=BOTH_FAIL.get(name, ()))
+    _assert_agrees_with_reference(*make(), differ=differ, both_fail=BOTH_FAIL.get(name, ()),
+                                  refused=REFUSED.get(name, ()))
 
 
 def _block_route(monkeypatch, make):
@@ -1089,10 +1104,13 @@ def test_annihilation_fails_past_the_certificate_on_the_units_of_another_point()
     # The units of x=2 keep the product law and the closed forms, which
     # hold at every point, but the idempotents of x=0 do not annihilate
     # them, as the reference finds; the point finds the units off the
-    # members' spheres, where the annihilation its proof reads does not hold
+    # members' spheres, where the annihilation its proof reads does not hold,
+    # and off its own, where its sums are not the units'
     point, reference = _edited("units-of-another-point")
-    for name in ("matrix-units", "ag-forms", "unit-rank"):
+    for name in ("matrix-units", "unit-rank"):
         assert point.result(name).passed, name
+    assert point.result("ag-forms") == CheckResult(
+        "ag-forms", False, "x=0: the units are not over the spheres of the point")
     assert point.result("f-family") == CheckResult(
         "f-family", False, "x=0: the units are not over the spheres of the members")
     result = _assert_fails(reference, "f-family")
@@ -1327,7 +1345,7 @@ CONTROLS = {
         "perturbed-commutator": ("quotient-commutes",),
         "perturbed-adjacency": ("ag-forms",),
         "perturbed-dual": ("commutation",),
-        "units-of-another-point": ("f-family",),
+        "units-of-another-point": ("ag-forms", "f-family"),
     }.items()},
 }
 

@@ -1,4 +1,4 @@
-"""Show what each CLI command compiles before it runs.
+"""Show what each CLI command compiles before it runs, and its exit time.
 
 Run it on a source tree as
 
@@ -9,8 +9,10 @@ interpreter, which then lists the ``wreathalg`` modules it loaded.  Where no
 bytecode is written, each of them is compiled from source on every run, so
 for each module the tool prints the time of one ``compile()`` of its source
 in this process, the minimum over ``N`` calls (15 by default), and the sum
-per command.  The commands are those of the benchmark's workloads, on the
-unrelabelled tables, and an ``export``.
+per command.  It then prints each command's exit time: from the return of
+``main`` to the end of the child process as this process sees it, the
+median over ``N`` more fresh runs.  The commands are those of the
+benchmark's workloads, on the unrelabelled tables, and an ``export``.
 
 Only the standard library is imported here; the package is imported only
 by the child interpreters.  Nothing is asserted.
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -36,6 +39,14 @@ loaded = {name: module.__file__ for name, module in sys.modules.items()
           if name.split(".")[0] == "wreathalg"}
 print(json.dumps({"exit": code, "loaded": loaded}))
 """
+# The exit probe: run one command, then print the moment main returned on
+# the system-wide monotonic clock, which the parent reads too.
+EXIT_CHILD = """
+import sys, time
+from wreathalg.cli import main
+main(sys.argv[1:])
+print(repr(time.monotonic()))
+"""
 
 
 def commands(workdir: Path) -> list[list[str]]:
@@ -48,10 +59,20 @@ def commands(workdir: Path) -> list[list[str]]:
     ]
 
 
-def run_child(argv: list[str]) -> dict:
-    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True, text=True,
+def run_child(code: str, argv: list[str]) -> str:
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
                           env=dict(os.environ), check=True, timeout=300)
-    return json.loads(proc.stdout.splitlines()[-1])
+    return proc.stdout.splitlines()[-1]
+
+
+def exit_ms(argv: list[str], repeat: int) -> float:
+    """The median time, over ``repeat`` fresh runs, from the return of
+    ``main`` until the child has ended and been reaped."""
+    times = []
+    for _ in range(repeat):
+        returned = float(run_child(EXIT_CHILD, argv))
+        times.append(time.monotonic() - returned)
+    return statistics.median(times) * 1000
 
 
 def compile_ms(path: str, repeat: int) -> float:
@@ -66,12 +87,13 @@ def compile_ms(path: str, repeat: int) -> float:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=15, help="compile() calls per module")
+    parser.add_argument("--repeat", type=int, default=15,
+                        help="compile() calls per module, and runs per exit time")
     args = parser.parse_args(argv)
     costs: dict[str, float] = {}
     with tempfile.TemporaryDirectory() as workdir:
         for argv_ in commands(Path(workdir)):
-            child = run_child(argv_)
+            child = json.loads(run_child(CHILD, argv_))
             print(f"{' '.join(argv_).replace(workdir, '<tmp>')} (exit {child['exit']})")
             total = 0.0
             for name, path in sorted(child["loaded"].items()):
@@ -80,6 +102,7 @@ def main(argv=None) -> int:
                 total += costs[path]
                 print(f"  {name:<26} {costs[path]:6.2f} ms")
             print(f"  {'total':<26} {total:6.2f} ms")
+            print(f"  {'exit':<26} {exit_ms(argv_, args.repeat):6.2f} ms")
     return 0
 
 
