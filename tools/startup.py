@@ -30,22 +30,17 @@ import tempfile
 import time
 from pathlib import Path
 
-# The child: run one command, then list the package modules it loaded.
+# The child: run one command, then list the package modules it loaded, with
+# the moment main returned on the system-wide monotonic clock, which the
+# parent reads too.
 CHILD = """
-import json, sys
+import json, sys, time
 from wreathalg.cli import main
 code = main(sys.argv[1:])
+returned = time.monotonic()
 loaded = {name: module.__file__ for name, module in sys.modules.items()
           if name.split(".")[0] == "wreathalg"}
-print(json.dumps({"exit": code, "loaded": loaded}))
-"""
-# The exit probe: run one command, then print the moment main returned on
-# the system-wide monotonic clock, which the parent reads too.
-EXIT_CHILD = """
-import sys, time
-from wreathalg.cli import main
-main(sys.argv[1:])
-print(repr(time.monotonic()))
+print(json.dumps({"exit": code, "loaded": loaded, "returned": returned}))
 """
 
 
@@ -59,20 +54,14 @@ def commands(workdir: Path) -> list[list[str]]:
     ]
 
 
-def run_child(code: str, argv: list[str]) -> str:
-    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+def run_child(argv: list[str]) -> tuple[dict, float]:
+    """The child's record, and the seconds from the return of ``main`` until
+    the child had ended and been reaped."""
+    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True, text=True,
                           env=dict(os.environ), check=True, timeout=300)
-    return proc.stdout.splitlines()[-1]
-
-
-def exit_ms(argv: list[str], repeat: int) -> float:
-    """The median time, over ``repeat`` fresh runs, from the return of
-    ``main`` until the child has ended and been reaped."""
-    times = []
-    for _ in range(repeat):
-        returned = float(run_child(EXIT_CHILD, argv))
-        times.append(time.monotonic() - returned)
-    return statistics.median(times) * 1000
+    ended = time.monotonic()
+    child = json.loads(proc.stdout.splitlines()[-1])
+    return child, ended - child["returned"]
 
 
 def compile_ms(path: str, repeat: int) -> float:
@@ -93,7 +82,7 @@ def main(argv=None) -> int:
     costs: dict[str, float] = {}
     with tempfile.TemporaryDirectory() as workdir:
         for argv_ in commands(Path(workdir)):
-            child = json.loads(run_child(CHILD, argv_))
+            child, _ = run_child(argv_)
             print(f"{' '.join(argv_).replace(workdir, '<tmp>')} (exit {child['exit']})")
             total = 0.0
             for name, path in sorted(child["loaded"].items()):
@@ -102,7 +91,8 @@ def main(argv=None) -> int:
                 total += costs[path]
                 print(f"  {name:<26} {costs[path]:6.2f} ms")
             print(f"  {'total':<26} {total:6.2f} ms")
-            print(f"  {'exit':<26} {exit_ms(argv_, args.repeat):6.2f} ms")
+            exit_ms = statistics.median(run_child(argv_)[1] for _ in range(args.repeat)) * 1000
+            print(f"  {'exit':<26} {exit_ms:6.2f} ms")
     return 0
 
 
