@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "cyclotomic": "ONE ZERO CycloNum cyclotomic_polynomial euler_phi rational zeta",
     "linalg": "ExactMatrix ExactSpan",
-    "scheme": "AxiomReport AxiomViolation CheckResult Scheme load_scheme save_scheme",
+    "scheme": "AxiomViolation CheckResult Scheme load_scheme save_scheme",
     "structure": "BasePoint DecompReport StructureError",
     "decomposition": "CentralIdempotentFamily MatrixUnitFamily build_central_idempotents "
                      "build_matrix_units check_adjacency_action check_block_form "

@@ -40,6 +40,7 @@ from .structure import (
     DecompReport,
     ModuliRequired,
     StructureError,
+    _commutative,
     _merge,
     run_point_checks,
 )
@@ -736,17 +737,15 @@ def _commutator_constant(pieces, i: int, k: int) -> bool:
 def _quotient_commutes(point: BasePoint) -> CheckResult:
     # A matrix c lies in the unit span {U P W} iff c = U (W c U) W: iff it is
     # constant on every block S_a x S_b.  The generators are the A_i, then
-    # the E*_j, and their commutators are taken in pair order.  Where the
-    # intersection numbers are well defined, A_i A_k = sum_h p^h_ik A_h, so
-    # on a commutative scheme [A_i, A_k] = 0; elsewhere it is formed block
-    # by block from the pieces (``_commutator_constant``).
+    # the E*_j, and their commutators are taken in pair order.  On a
+    # commutative scheme A_i A_k = sum_h p^h_ik A_h = A_k A_i, so
+    # [A_i, A_k] = 0; elsewhere it is formed block by block from the pieces
+    # (``_commutator_constant``).
     # [A_i, E*_j] is piece(h, i, j) on block (h, j) and -piece(j, i, h) on
     # block (j, h), for h != j, and zero elsewhere: it lies in the span iff
     # each of those pieces present is all ones.  [E*_i, E*_j] = 0.
     point.units
-    scheme, classes = point.scheme, point.scheme.classes
-    scheme._compute_intersection_data()
-    commutative = scheme._pnum_witness is None and scheme.is_commutative()
+    classes, commutative = point.scheme.classes, _commutative(point.scheme)
     leaves = {key for h, i, j in point.pieces if h != j and not _all_ones(point, h, i, j)
               for key in ((i, j), (i, h))}
 

@@ -16,7 +16,6 @@ from .linalg import ExactMatrix, ExactSpan
 
 __all__ = [
     "AxiomViolation",
-    "AxiomReport",
     "CheckResult",
     "Scheme",
     "load_header",
@@ -90,30 +89,6 @@ class CheckResult(Record):
         return entry | ({"witness": self.witness} if self.witness else {})
 
 
-class AxiomReport(Record):
-    """Per-axiom verdicts with the first counterexample for each failure."""
-
-    __slots__ = _fields = (
-        "identity_ok", "partition_ok", "transpose_ok", "regular_ok", "counterexamples")
-
-    def __init__(self, identity_ok: bool, partition_ok: bool, transpose_ok: bool,
-                 regular_ok: bool, counterexamples: dict[str, str] | None = None):
-        self.identity_ok = identity_ok
-        self.partition_ok = partition_ok
-        self.transpose_ok = transpose_ok
-        self.regular_ok = regular_ok
-        self.counterexamples = {} if counterexamples is None else counterexamples
-
-    @property
-    def passed(self) -> bool:
-        return self.identity_ok and self.partition_ok and self.transpose_ok and self.regular_ok
-
-    def as_check(self) -> CheckResult:
-        """The report as one ``axioms`` verdict: the witness lists every counterexample."""
-        witness = "; ".join(f"{k}: {v}" for k, v in self.counterexamples.items()) or None
-        return CheckResult("axioms", self.passed, witness, 4)
-
-
 class Scheme:
     """An association scheme (or candidate) on vertices 0..order-1."""
 
@@ -137,10 +112,6 @@ class Scheme:
         self._label_witness = None if top < self.classes else next(
             f"classify({x},{y}) = {c} outside 0..{self.classes - 1}"
             for x, row in enumerate(table) for y, c in enumerate(row) if c >= self.classes)
-        self._valencies: list[int] | None = None
-        self._firsts: dict[int, tuple[int, int]] | None = None
-        self._pnums: dict[int, Counter] | None = None
-        self._pnum_witness: str | None = None
 
     @classmethod
     def from_classifier(cls, order: int, classify, classes: int | None = None) -> "Scheme":
@@ -149,36 +120,17 @@ class Scheme:
 
     # -- axiom verification ---------------------------------------------------
 
-    def verify_axioms(self) -> AxiomReport:
-        counterexamples: dict[str, str] = {}
-        identity_ok = self._identity_witness is None
-        if not identity_ok:
-            counterexamples["identity"] = self._identity_witness
-
-        partition_ok = self._label_witness is None
-        if not partition_ok:
-            counterexamples["partition"] = self._label_witness
-        else:
-            # the smallest absent label is at most the number of labels present,
-            # so the search never depends on the class count the header claims
-            present = set().union(*self.table)
-            empty = next(i for i in range(len(present) + 1) if i not in present)
-            if empty < self.classes:
-                partition_ok = False
-                counterexamples["partition"] = f"relation {empty} is empty"
-
-        transpose_ok = partition_ok and self._transpose_witness is None
-        if partition_ok and not transpose_ok:
-            counterexamples["transpose"] = self._transpose_witness
-
-        regular_ok = partition_ok
-        if regular_ok:
-            self._compute_intersection_data()
-            if self._pnum_witness is not None:
-                regular_ok = False
-                counterexamples["regularity"] = self._pnum_witness
-
-        return AxiomReport(identity_ok, partition_ok, transpose_ok, regular_ok, counterexamples)
+    def verify_axioms(self) -> CheckResult:
+        """The ``axioms`` verdict over the four axioms.  The witness joins
+        each failing axiom's first counterexample, in the order identity,
+        partition, transpose, regularity; transpose and regularity are
+        tested only where the labels partition the pairs."""
+        found = {"identity": self._identity_witness, "partition": self._partition_witness}
+        if found["partition"] is None:
+            found |= {"transpose": self._transpose_witness,
+                      "regularity": self._intersection_data[1]}
+        witness = "; ".join(f"{name}: {text}" for name, text in found.items() if text) or None
+        return CheckResult("axioms", witness is None, witness, 4)
 
     # -- parameters -------------------------------------------------------------
 
@@ -199,6 +151,19 @@ class Scheme:
         return None if pair is None else "classify({0},{1}) = 0 with {0} != {1}".format(*pair)
 
     @cached_property
+    def _partition_witness(self) -> str | None:
+        """The partition axiom's witness: a label outside 0..classes-1, else
+        the first empty relation, or None where the relations partition the
+        pairs."""
+        if self._label_witness is not None:
+            return self._label_witness
+        # the smallest absent label is at most the number of labels present,
+        # so the search never depends on the class count the header claims
+        present = set().union(*self.table)
+        empty = next(i for i in range(len(present) + 1) if i not in present)
+        return f"relation {empty} is empty" if empty < self.classes else None
+
+    @cached_property
     def _transpose_witness(self) -> str | None:
         """The transpose axiom's witness: the first pair, in row order, whose
         transpose breaks the map tau with t[y][x] = tau(t[x][y]) for every
@@ -210,9 +175,10 @@ class Scheme:
                     return f"classify({y},{x}) = {it} but class {i} transposed to {tmap[i]} before"
         return None
 
-    def _compute_intersection_data(self):
-        """The first pair of each relation, in row order, as ``_firsts``, and
-        the first witness, or None, that p^h_ij is not well defined.
+    @cached_property
+    def _intersection_data(self) -> tuple[dict[int, tuple[int, int]], str | None]:
+        """The first pair of each relation, in row order, up to the first
+        witness that p^h_ij is not well defined, and that witness, or None.
 
         Pair (x, y) has the path counts p(x, y; i, j) = |{z : t[x][z] = i,
         t[z][y] = j}|, nonzero only for i among row x's labels and j among
@@ -235,8 +201,6 @@ class Scheme:
         first label pair (i, j) whose counts differ.
         """
         self._require_labels()
-        if self._firsts is not None:
-            return
         t, n = self.table, self.order
         width = (n.bit_length() + 7) // 8
         row_ranks, row_sets = _ranked(t, self._bound)
@@ -279,8 +243,7 @@ class Scheme:
                        f"but {counts[1][i, j]} for ({x},{y}), both in relation {t[x][y]}")
         # Past the first witness the numbers are not well defined, and every
         # reader of the tensor raises the witness first.
-        self._firsts = firsts
-        self._pnum_witness = witness
+        return firsts, witness
 
     def _paths(self, x: int, y: int) -> Counter:
         """p(x, y; i, j), the number of paths x -> z -> y with t[x][z] = i and
@@ -288,16 +251,15 @@ class Scheme:
         t = self.table
         return Counter(zip(t[x], (row[y] for row in t)))
 
+    @cached_property
     def _tensor(self) -> dict[int, Counter]:
-        """p^h_ij as ``_tensor()[h].get((i, j), 0)`` for each relation h the
+        """p^h_ij as ``_tensor[h].get((i, j), 0)`` for each relation h the
         table holds, counted on its first pair; raises AxiomViolation with the
         witness where the intersection numbers are not well defined."""
-        self._compute_intersection_data()
-        if self._pnum_witness is not None:
-            raise AxiomViolation(self._pnum_witness)
-        if self._pnums is None:
-            self._pnums = {h: self._paths(*pair) for h, pair in self._firsts.items()}
-        return self._pnums
+        firsts, witness = self._intersection_data
+        if witness is not None:
+            raise AxiomViolation(witness)
+        return {h: self._paths(*pair) for h, pair in firsts.items()}
 
     @cached_property
     def generating_classes(self) -> tuple[int, ...] | None:
@@ -306,14 +268,12 @@ class Scheme:
 
         J is chosen greedily from the labels 1..c-1 (``_word_span``).  Where
         A_0 = I, a span of dimension c holds every A_j, so the words in A_J
-        span them all.  None where the intersection numbers are not well
-        defined, a relation is empty, or the span stays below c.
+        span them all.  None where the relations do not partition the pairs,
+        the intersection numbers are not well defined, or the span stays
+        below c.
         """
         c = self.classes
-        if len(set().union(*self.table)) < c:
-            return None
-        self._compute_intersection_data()
-        if self._pnum_witness is not None:
+        if self._partition_witness is not None or self._intersection_data[1] is not None:
             return None
         classes, span = self._word_span(range(1, c))
         return tuple(classes) if span.dimension == c else None
@@ -331,7 +291,7 @@ class Scheme:
         alone, each new word under all of A_J.  So the span holds the words
         and is closed under each map, as the closure of J from scratch is.
         """
-        c, tensor = self.classes, self._tensor()
+        c, tensor = self.classes, self._tensor
         words = [[1] + [0] * (c - 1)]
         span = ExactSpan.from_matrices([_row(words[0])])
         applied = [0]  # per word, how many maps of ``acting`` it has been walked under
@@ -368,25 +328,28 @@ class Scheme:
         """
         if not (0 <= i < self.classes and 0 <= j < self.classes and 0 <= h < self.classes):
             raise ValueError("class index out of range")
-        grid = self._tensor().get(h)
+        grid = self._tensor.get(h)
         if grid is None:
             raise AxiomViolation(f"relation {h} is empty")
         return grid.get((i, j), 0)
 
     def valencies(self) -> list[int]:
-        if self._valencies is None:
-            self._require_labels()
-            rows = [[row.count(i) for i in range(self.classes)] for row in self.table]
-            x = next((x for x, counts in enumerate(rows) if counts != rows[0]), None)
-            if x is not None:
-                raise AxiomViolation(f"neighborhood sizes differ between vertices 0 and {x}")
-            self._valencies = rows[0]
-        return list(self._valencies)
+        return list(self._valency_row)
+
+    @cached_property
+    def _valency_row(self) -> list[int]:
+        """Row 0's count of each class, which every row must share."""
+        self._require_labels()
+        rows = [[row.count(i) for i in range(self.classes)] for row in self.table]
+        x = next((x for x, counts in enumerate(rows) if counts != rows[0]), None)
+        if x is not None:
+            raise AxiomViolation(f"neighborhood sizes differ between vertices 0 and {x}")
+        return rows[0]
 
     def valency(self, i: int) -> int:
         if not 0 <= i < self.classes:
             raise ValueError("class index out of range")
-        return self.valencies()[i]
+        return self._valency_row[i]
 
     def adjacency_matrix(self, i: int) -> ExactMatrix:
         """The n x n 0/1 matrix A_i, built on each call: no command reads it
@@ -403,7 +366,7 @@ class Scheme:
         p^h_ij == p^h_ji for every nonempty relation h.  A table whose
         intersection numbers are not well defined raises AxiomViolation.
         """
-        return all(grid.get((j, i), 0) == p for grid in self._tensor().values()
+        return all(grid.get((j, i), 0) == p for grid in self._tensor.values()
                    for (i, j), p in grid.items())
 
     def __repr__(self):

@@ -238,28 +238,39 @@ def _triply_regular(point: BasePoint) -> CheckResult:
     # and the witness, so it needs no closure.
     scheme, checked, seen = point.scheme, 0, point.seen
     if "sweep" not in seen:
-        if "translation-certificate" not in seen:
-            # An explicit list: the sweep forms the run's certificate once,
-            # unreported; a table with no vertex encoding has none.
-            seen["translation-certificate"] = None
-            if point.moduli is not None:
-                try:
-                    seen["translation-certificate"] = _explicit().check_translation_certificate(
-                        scheme, point.moduli
-                    )
-                except ValueError:
-                    pass
-        certificate = seen["translation-certificate"]
+        # Under an explicit list the sweep forms the certificate, unreported.
+        certificate = _certificate(scheme, point.moduli, seen)
         sweep = check_triply_regular(scheme, (0,) if certificate and certificate.passed else None)
-        applies = sweep.passed and scheme.verify_axioms().passed and scheme.is_commutative()
-        point.seen["sweep"] = sweep, applies
+        seen["sweep"] = sweep, sweep.passed and _commutative(scheme)
         checked = sweep.checked
-    sweep, applies = point.seen["sweep"]
+    sweep, applies = seen["sweep"]
     if not applies:
         return CheckResult(sweep.name, sweep.passed, sweep.witness, checked)
     agrees = len(point.pieces) == point.dim
     witness = None if agrees else "span-equality cross-check disagrees with the sweep"
     return CheckResult(sweep.name, agrees, witness, checked)
+
+
+def _certificate(scheme: Scheme, moduli, seen: dict) -> CheckResult | None:
+    """The run's translation certificate, formed once and kept in ``seen``:
+    None without moduli or where the table has no vertex encoding over
+    them."""
+    if "translation-certificate" not in seen:
+        seen["translation-certificate"] = None
+        if moduli is not None:
+            try:
+                seen["translation-certificate"] = _explicit().check_translation_certificate(
+                    scheme, moduli
+                )
+            except ValueError:
+                pass
+    return seen["translation-certificate"]
+
+
+def _commutative(scheme: Scheme) -> bool:
+    """Whether the table is a commutative scheme: the axioms hold and the
+    A_i commute."""
+    return scheme.verify_axioms().passed and scheme.is_commutative()
 
 
 def _dimension(point: BasePoint) -> CheckResult:
@@ -302,7 +313,7 @@ POINT_CHECKS = {
 # The checks that look at the whole scheme rather than one base point, as a
 # function of the scheme and its moduli, looked up by name as above.
 SCHEME_CHECKS = {
-    "axioms": lambda scheme, moduli: scheme.verify_axioms().as_check(),
+    "axioms": lambda scheme, moduli: scheme.verify_axioms(),
     "vanishing": lambda scheme, moduli: _explicit().check_vanishing_criterion(scheme, moduli),
 }
 
@@ -337,8 +348,8 @@ def run_point_checks(scheme: Scheme, moduli, base_points, names):
     so every check at x is the conjugate of the same check at 0.  The checks
     then run at x = 0 alone: each result, its ``checked`` count included, is
     that of one point and stands for every vertex.  Where it fails, every
-    point is computed.  An explicit list computes every listed point and
-    reports no certificate.
+    point is computed.  An explicit list, or a table with no vertex encoding
+    over the moduli, computes every point and reports no certificate.
 
     The triple-regularity sweep reads that certificate; under an explicit
     list with moduli it computes it once, unreported and timed under
@@ -389,10 +400,8 @@ def run_point_checks(scheme: Scheme, moduli, base_points, names):
             results[name] = timed(name, SCHEME_CHECKS[name], scheme, moduli)
     certificate = None
     if base_points is None and moduli is not None and per_point:
-        certificate = timed("translation-certificate", _explicit().check_translation_certificate,
-                            scheme, moduli)
-        seen[certificate.name] = certificate
-    for x in [0] if certificate is not None and certificate.passed else points:
+        certificate = timed("translation-certificate", _certificate, scheme, moduli, seen)
+    for x in [0] if certificate and certificate.passed else points:
         point = BasePoint(scheme, moduli, x, seen)
         for name in per_point:
             timed(name, step, point, name)
@@ -404,4 +413,6 @@ def run_point_checks(scheme: Scheme, moduli, base_points, names):
         results["decomposition"] = report.as_check()
     if certificate is not None:
         results[certificate.name] = certificate
+    else:
+        seconds.pop("translation-certificate", None)
     return results, seen, seconds

@@ -132,9 +132,9 @@ def wreath_product(inner: Scheme, outer: Scheme) -> Scheme:
     encoded as j*|inner| + x.
     """
     for name, factor in (("inner", inner), ("outer", outer)):
-        report = factor.verify_axioms()
-        if not report.passed:
-            raise ValueError(f"{name} factor fails the scheme axioms: {report.counterexamples}")
+        axioms = factor.verify_axioms()
+        if not axioms.passed:
+            raise ValueError(f"{name} factor fails the scheme axioms: {axioms.witness}")
     u = inner.order
     d = inner.classes - 1
 

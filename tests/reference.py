@@ -505,7 +505,7 @@ def intersection_data_by_counts(scheme: Scheme):
     its relation's, and that first regularity witness, or None: each pair in
     row order is counted on its own, over every z, and the witness names the
     first label pair (i, j) in sorted order whose counts differ.  The
-    reference of ``Scheme._compute_intersection_data``."""
+    reference of ``Scheme._intersection_data``."""
     n = scheme.order
     t = scheme.table
     columns = list(zip(*t))
@@ -554,7 +554,7 @@ def triple_intersection(scheme: Scheme, x: int, y: int, z: int, i: int, j: int, 
 def word_span_by_reclosure(scheme: Scheme, classes) -> ExactSpan:
     """The span of the coefficient columns of the words in the A_j, j in
     ``classes``, applied to A_0, closed from scratch."""
-    tensor = scheme._tensor()
+    tensor = scheme._tensor
     c = scheme.classes
     # terms[g][m]: the nonzero (h, p^h_gm) of A_g A_m, one g per class
     terms = [[[(h, grid[g, m]) for h, grid in tensor.items() if grid[g, m]]

@@ -276,7 +276,7 @@ def test_generating_classes_without_a_certificate():
     # below c
     empty = Scheme([[0, 1], [1, 0]], classes=3)
     assert empty.generating_classes is None
-    assert empty._pnums is None
+    assert "_tensor" not in vars(empty)
     assert Scheme([[1, 0], [0, 1]]).generating_classes is None
     assert Scheme([[0]]).generating_classes == ()
 

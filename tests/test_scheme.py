@@ -18,6 +18,7 @@ from reference import (
 
 from wreathalg import (
     AxiomViolation,
+    CheckResult,
     ExactMatrix,
     Scheme,
     cyclic_scheme,
@@ -33,7 +34,7 @@ from wreathalg.scheme import load_header
 def test_cyclic_scheme_axioms():
     report = cyclic_scheme(3).verify_axioms()
     assert report.passed
-    assert report.counterexamples == {}
+    assert report.witness is None
 
 
 def test_wreath_scheme_axioms():
@@ -43,14 +44,15 @@ def test_wreath_scheme_axioms():
 def test_identity_axiom_failure():
     s = Scheme.from_classifier(3, lambda x, y: 1 if x == y == 0 else (0 if x == y else 1))
     report = s.verify_axioms()
-    assert not report.identity_ok
-    assert "identity" in report.counterexamples
+    assert not report.passed
+    assert report.witness.startswith("identity: classify(0,0) = 1 != 0")
 
 
 def test_partition_axiom_failure_empty_class():
     s = Scheme([[0, 1], [1, 0]], classes=3)
     report = s.verify_axioms()
-    assert not report.partition_ok
+    assert not report.passed
+    assert report.witness == "partition: relation 2 is empty"
 
 
 def test_empty_class_search_does_not_grow_with_the_class_count():
@@ -62,7 +64,7 @@ def test_empty_class_search_does_not_grow_with_the_class_count():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.counterexamples == {"partition": "relation 2 is empty"}
+    assert report.witness == "partition: relation 2 is empty"
     assert peak < 2**20
 
 
@@ -90,7 +92,7 @@ def test_intersection_numbers_do_not_grow_with_the_class_count():
 def test_out_of_range_labels_raise_axiom_violations():
     # the table is accepted, so that verify_axioms can report it
     s = Scheme([[0, 2], [2, 0]], classes=2)
-    assert s.verify_axioms().counterexamples == {"partition": "classify(0,1) = 2 outside 0..1"}
+    assert s.verify_axioms().witness == "partition: classify(0,1) = 2 outside 0..1"
     for call in (lambda: s.intersection_number(0, 0, 0), s.is_commutative, s.valencies,
                  lambda: starting_pieces(s, 0)):
         with pytest.raises(AxiomViolation, match=r"classify\(0,1\) = 2 outside 0\.\.1"):
@@ -104,7 +106,8 @@ def test_transpose_axiom_failure():
         [2, 1, 0],
     ]
     report = Scheme(table).verify_axioms()
-    assert not report.transpose_ok
+    assert not report.passed
+    assert report.witness.startswith("transpose: ")
 
 
 def test_regularity_failure_reported_not_raised():
@@ -116,8 +119,9 @@ def test_regularity_failure_reported_not_raised():
     ]
     s = Scheme(table)
     report = s.verify_axioms()
-    assert report.identity_ok and report.partition_ok and report.transpose_ok
-    assert not report.regular_ok
+    # the regularity witness alone: identity, partition and transpose hold
+    assert not report.passed
+    assert report.witness.startswith("regularity: ") and ";" not in report.witness
     with pytest.raises(AxiomViolation):
         s.intersection_number(1, 1, 1)
 
@@ -128,13 +132,26 @@ def test_regularity_witness_is_the_first_inconsistent_pair():
     witness = (
         "count of class-2/class-1 paths is 0 for pair (0, 1) but 1 for (0,2), both in relation 2"
     )
-    assert scheme.verify_axioms().as_check().witness == (
+    assert scheme.verify_axioms().witness == (
         f"transpose: classify(2,0) = 3 but class 2 transposed to 2 before; regularity: {witness}"
     )
     for read in (lambda: scheme.intersection_number(1, 1, 1), scheme.is_commutative):
         with pytest.raises(AxiomViolation) as raised:
             read()
         assert str(raised.value) == witness
+
+
+def test_failing_axioms_are_joined_in_axiom_order():
+    # identity before transpose before regularity, each with its first
+    # counterexample; the partition holds, so it is not named
+    assert Scheme([[1, 1, 2], [2, 0, 1], [2, 1, 0]]).verify_axioms() == CheckResult(
+        "axioms", False,
+        "identity: classify(0,0) = 1 != 0; "
+        "transpose: classify(1,0) = 2 but class 1 transposed to 1 before; "
+        "regularity: count of class-1/class-0 paths is 0 for pair (0, 0) but 1 for (0,1), "
+        "both in relation 1",
+        4,
+    )
 
 
 def _random_table(seed):
@@ -220,14 +237,14 @@ def test_intersection_data_matches_the_count_grids(name):
     # and the tensor where there is none
     built = wreath_of_cyclics(name) if isinstance(name, tuple) else TABLES[name]()
     scheme = Scheme(built.table, built.classes)  # nothing cached from another test
-    scheme._compute_intersection_data()
+    firsts, found = scheme._intersection_data
     tensor, witness = intersection_data_by_counts(scheme)
-    assert scheme._pnum_witness == witness
-    assert {h: scheme._paths(*pair) for h, pair in scheme._firsts.items()} == tensor
+    assert found == witness
+    assert {h: scheme._paths(*pair) for h, pair in firsts.items()} == tensor
     scheme_like = isinstance(name, tuple) or name.startswith(NO_WITNESS)
     assert (witness is None) == scheme_like
     if scheme_like:
-        assert scheme._tensor() == tensor
+        assert scheme._tensor == tensor
     transpose_witness = scheme._transpose_witness
     assert transpose_witness == transpose_witness_by_pairs(scheme)
     assert (transpose_witness is not None) == (not isinstance(name, tuple)
@@ -242,7 +259,8 @@ def test_sigma_control_is_told_apart_by_its_label_sets():
     scheme = TABLES["sigma-control"]()
     assert scheme._paths(0, 1) == {(0, 1): 1, (1, 2): 1}
     assert scheme._paths(1, 0) == {(1, 0): 1, (2, 1): 1}
-    assert scheme.verify_axioms().counterexamples["regularity"] == (
+    assert scheme.verify_axioms().witness == (
+        "identity: classify(1,1) = 2 != 0; regularity: "
         "count of class-0/class-1 paths is 1 for pair (0, 1) but 0 for (1,0), both in relation 1"
     )
 
@@ -256,8 +274,8 @@ def test_intersection_tables_cover_both_lanes_and_a_transpose_other_than_the_ide
     assert {t.order < 256 for t in tables.values()} == {True, False}
     assert tables["corner-256"]._paths(0, 0) == {(0, 0): 256}
     constant = Scheme([[0] * 256] * 256)
-    assert constant.verify_axioms().counterexamples == {"identity": "classify(0,1) = 0 with 0 != 1"}
-    assert constant._tensor() == {0: {(0, 0): 256}}
+    assert constant.verify_axioms().witness == "identity: classify(0,1) = 0 with 0 != 1"
+    assert constant._tensor == {0: {(0, 0): 256}}
     for name in ("distinct-labels-6", "many-labels-0", "many-labels-1", "many-labels-2"):
         assert len(set().union(*tables[name].table)) > tables[name].order
     for name in ("sigma-control", "distinct-labels-6", "many-labels-0"):
@@ -281,7 +299,7 @@ def test_axioms_on_many_labels_are_sized_by_the_order():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.counterexamples == {"identity": "classify(1,1) = 17 != 0"}
+    assert report.witness == "identity: classify(1,1) = 17 != 0"
     assert peak < 2 * 2**20
     assert scheme.intersection_number(0, 1, 1) == 1
     assert scheme.intersection_number(1, 0, 1) == 0
@@ -296,36 +314,26 @@ def test_axiom_counterexamples_are_pinned_on_the_transpose_controls():
         "moved-pair": moved_pair_table(),
         **{f"broken-transpose-{s}": _broken_transpose_table(s) for s in range(3)},
     }
-    found = {name: s.verify_axioms().counterexamples for name, s in cases.items()}
+    found = {name: s.verify_axioms().witness for name, s in cases.items()}
     assert found == {
-        "transpose-control": {
-            "transpose": "classify(0,1) = 1 but class 2 transposed to 2 before",
-            "regularity": "count of class-1/class-1 paths is 1 for pair (0, 2) but 0 for (1,0), "
-                          "both in relation 2",
-        },
-        "moved-pair": {
-            "transpose": "classify(2,0) = 3 but class 2 transposed to 2 before",
-            "regularity": "count of class-2/class-1 paths is 0 for pair (0, 1) but 1 for (0,2), "
-                          "both in relation 2",
-        },
-        "broken-transpose-0": {
-            "transpose": "classify(3,1) = 3 but class 2 transposed to 2 before",
-            "regularity": "count of class-1/class-1 paths is 0 for pair (0, 1) but 1 for (0,2), "
-                          "both in relation 2",
-        },
-        "broken-transpose-1": {
-            "transpose": "classify(3,0) = 2 but class 1 transposed to 1 before",
-            "regularity": "count of class-1/class-1 paths is 1 for pair (0, 1) but 0 for (0,3), "
-                          "both in relation 1",
-        },
-        "broken-transpose-2": {
-            "transpose": "classify(2,0) = 1 but class 1 transposed to 3 before",
-            "regularity": "count of class-1/class-2 paths is 1 for pair (0, 1) but 0 for (0,2), "
-                          "both in relation 1",
-        },
+        "transpose-control": "transpose: classify(0,1) = 1 but class 2 transposed to 2 before; "
+                             "regularity: count of class-1/class-1 paths is 1 for pair (0, 2) "
+                             "but 0 for (1,0), both in relation 2",
+        "moved-pair": "transpose: classify(2,0) = 3 but class 2 transposed to 2 before; "
+                      "regularity: count of class-2/class-1 paths is 0 for pair (0, 1) "
+                      "but 1 for (0,2), both in relation 2",
+        "broken-transpose-0": "transpose: classify(3,1) = 3 but class 2 transposed to 2 before; "
+                              "regularity: count of class-1/class-1 paths is 0 for pair (0, 1) "
+                              "but 1 for (0,2), both in relation 2",
+        "broken-transpose-1": "transpose: classify(3,0) = 2 but class 1 transposed to 1 before; "
+                              "regularity: count of class-1/class-1 paths is 1 for pair (0, 1) "
+                              "but 0 for (0,3), both in relation 1",
+        "broken-transpose-2": "transpose: classify(2,0) = 1 but class 1 transposed to 3 before; "
+                              "regularity: count of class-1/class-2 paths is 1 for pair (0, 1) "
+                              "but 0 for (0,2), both in relation 1",
     }
     for name, s in cases.items():
-        assert found[name]["transpose"] == transpose_witness_by_pairs(s)
+        assert found[name].startswith(f"transpose: {transpose_witness_by_pairs(s)}; ")
 
 
 def test_adjacency_identity_and_partition():

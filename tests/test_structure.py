@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from wreathalg import (
-    AxiomReport,
     AxiomViolation,
     CentralIdempotentFamily,
     CheckResult,
@@ -404,12 +403,14 @@ def test_explicit_list_with_a_failed_certificate_sweeps_every_vertex():
 
 @pytest.mark.parametrize("moduli", [(2, 2), (6, 1)], ids=str)
 def test_explicit_list_without_a_vertex_encoding_sweeps_every_vertex(moduli):
-    # Moduli that give the table no vertex encoding raise nothing: the
-    # certificate is not formed, and the sweep visits every x.
+    # Moduli that give the table no vertex encoding raise nothing, under an
+    # explicit list or the default one: the certificate is not formed or
+    # reported, and the sweep visits every x.
     scheme = wreath_of_cyclics((2, 3))
-    run, seen, _ = run_point_checks(scheme, moduli, [1], ["triply-regular"])
-    assert seen["translation-certificate"] is None
-    assert run["triply-regular"] == CheckResult("triply-regular", True, None, 6 ** 3)
+    for points in ([1], None):
+        run, seen, seconds = run_point_checks(scheme, moduli, points, ["triply-regular"])
+        assert seen["translation-certificate"] is None and list(seconds) == ["triply-regular"]
+        assert run == {"triply-regular": CheckResult("triply-regular", True, None, 6 ** 3)}
 
 
 # -- negative controls through the per-point registry -------------------------------
@@ -708,7 +709,8 @@ def test_vanishing_fails_with_the_witness_of_a_table_that_is_not_a_scheme():
     # defined, so the check fails with the scheme's regularity witness, as a
     # per-point check fails with it, in place of raising
     scheme = _unequal_valency_table()
-    witness = scheme.verify_axioms().counterexamples["regularity"]
+    witness = "count of class-2/class-1 paths is 0 for pair (0, 1) but 1 for (1,0), both in relation 1"
+    assert scheme.verify_axioms().witness.endswith(f"; regularity: {witness}")
     assert check_vanishing_criterion(scheme, (2, 2)) == CheckResult("vanishing", False, witness)
     run, _, _ = run_point_checks(scheme, (2, 2), [0], ["vanishing"])
     assert run["vanishing"] == CheckResult("vanishing", False, witness)
@@ -1302,15 +1304,11 @@ def test_value_classes_compare_hash_and_print_by_their_fields():
         hash(result)
     result.checked = 2
     assert result.checked == 2
-    # the container fields default to a fresh one per instance
-    reports = [AxiomReport(True, True, True, True) for _ in range(2)]
-    assert reports[0] == reports[1] and reports[0].counterexamples is not reports[1].counterexamples
+    # the container field defaults to a fresh one per instance
     decomps = [DecompReport(None, 1, 1, [0], None) for _ in range(2)]
     assert decomps[0].checks == [] and decomps[0].checks is not decomps[1].checks
     assert repr(decomps[0]) == (
         "DecompReport(moduli=None, order=1, num_classes=1, base_points=[0], dim_T=None, checks=[])")
-    assert repr(reports[0]) == ("AxiomReport(identity_ok=True, partition_ok=True, "
-                                "transpose_ok=True, regular_ok=True, counterexamples={})")
 
 
 # Every negative control on a base point: its maker, and the registered

@@ -97,8 +97,12 @@ def test_wreath_rejects_invalid_factor():
     from wreathalg import Scheme
 
     broken = Scheme([[1, 0], [0, 1]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as raised:
         wreath_product(broken, cyclic_scheme(2))
+    assert str(raised.value) == "inner factor fails the scheme axioms: identity: classify(0,0) = 1 != 0"
+    with pytest.raises(ValueError) as raised:
+        wreath_product(cyclic_scheme(2), Scheme([[0, 1], [1, 0]], classes=3))
+    assert str(raised.value) == "outer factor fails the scheme axioms: partition: relation 2 is empty"
 
 
 def _kron(c, a):

@@ -8,8 +8,10 @@ and compare the dumps of two trees with ``diff``: equal dumps mean the same
 verdict, witness and ``checked`` count from every registered per-point check
 at every point of every moduli tuple of order at most 12 and of (2,3,4), the
 same closure basis at each of those points, the same certified results of
-``run_point_checks`` on each of those tuples, and byte-identical default
-``verify`` reports and ``export`` files at a ladder of larger tuples.
+``run_point_checks`` on each of those tuples, byte-identical default
+``verify`` reports and ``export`` files at a ladder of larger tuples, and
+the same ``axioms`` verdict and default ``oracle`` report on tables that
+fail the axioms.
 
 Output, one JSON object per line:
 - ``{"moduli", "x", "check", "passed", "witness", "checked"}`` per tuple,
@@ -26,7 +28,11 @@ Output, one JSON object per line:
   ``verify`` at each tuple of ``REPORTED``;
 - ``{"moduli", "export_exit", "table_sha256", "matrices_sha256"}`` of the
   class table and the ``--matrices`` file that ``export`` writes at each
-  tuple of ``REPORTED``.
+  tuple of ``REPORTED``;
+- ``{"table", "check", "passed", "witness", "checked", "oracle_exit",
+  "oracle_sha256"}`` per table of ``FAILING``: its ``axioms`` result, and
+  the exit code and the digest of the JSON report of the default ``oracle``
+  on its saved table (null where no report is written).
 
 Only the standard library and the package are imported.
 """
@@ -38,16 +44,31 @@ import json
 import math
 import sys
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
-from wreathalg import block_closure, wreath_of_cyclics
+from wreathalg import Scheme, block_closure, save_scheme, wreath_of_cyclics
 from wreathalg.cli import main
 from wreathalg.structure import POINT_CHECKS, SCHEME_CHECKS, BasePoint, run_point_checks
 
 # The tuples whose default verify report is hashed.
 REPORTED = ((2, 3), (3, 3), (2, 2, 2, 2), (2, 3, 4), (4, 4, 4), (2, 2, 2, 2, 2, 2), (64,))
+
+# Tables that fail the axioms, as (table, class count): the (2,3) wreath
+# table with the pair (0, 1)/(1, 0) moved from class 1 to class 2 fails
+# transpose and regularity, the last table identity, transpose and
+# regularity.
+_MOVED = [list(row) for row in wreath_of_cyclics((2, 3)).table]
+_MOVED[0][1] = _MOVED[1][0] = 2
+FAILING = {
+    "nonzero-diagonal": ([[1, 0], [0, 1]], None),
+    "empty-relation": ([[0, 1], [1, 0]], 3),
+    "label-outside": ([[0, 2], [2, 0]], 2),
+    "transpose-control": ([[0, 1, 2], [2, 0, 1], [2, 1, 0]], None),
+    "moved-pair": (_MOVED, 4),
+    "three-axioms": ([[1, 1, 2], [2, 0, 1], [2, 1, 0]], None),
+}
 
 
 def moduli_up_to(order: int, prefix: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
@@ -111,6 +132,19 @@ def export_digests(moduli: tuple[int, ...], workdir: Path) -> None:
           matrices_sha256=hashlib.sha256(matrices.read_bytes()).hexdigest())
 
 
+def axiom_verdicts(workdir: Path) -> None:
+    table, out = workdir / "failing.table", workdir / "oracle.json"
+    for name, (rows, classes) in FAILING.items():
+        scheme = Scheme(rows, classes)
+        save_scheme(scheme, table)
+        out.unlink(missing_ok=True)
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            code = main(["oracle", str(table), "--out", str(out)])
+        digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
+        _line(table=name, check="axioms", **_result(SCHEME_CHECKS["axioms"](scheme, None)),
+              oracle_exit=code, oracle_sha256=digest)
+
+
 def run() -> int:
     tuples = sorted(moduli_up_to(12) + [(2, 3, 4)], key=lambda m: (math.prod(m), m))
     for moduli in tuples:
@@ -122,6 +156,7 @@ def run() -> int:
         for moduli in REPORTED:
             report_digest(moduli, Path(workdir))
             export_digests(moduli, Path(workdir))
+        axiom_verdicts(Path(workdir))
     sys.stdout.flush()
     return 0
 
