@@ -15,11 +15,12 @@ of S_a, n_b = |S_b|), so its rank k^2 is a property of the type.
 piece, once per base point; a point where a piece differs has no family,
 and every unit check fails there.  The unit checks read a family through
 the k indicator columns alone, and an A_j through the row and column sums
-of its pieces (``piece_sums``) or the intersection tensor, with no n x n
-product.  The sums are the one read of a piece's contents: a 0/1 piece is
-all ones where each of its rows sums to |S_h| (``_all_ones``), and only
-the block route of ``quotient-commutes`` (``_commutator_constant``), on a
-table that is not a commutative scheme, forms or compares a matrix.
+of its pieces (``terwilliger.piece_sums``, the closure's reader) or the
+intersection tensor, with no n x n product.  The sums are the one read of
+a piece's contents: a 0/1 piece is all ones where each of its rows sums
+to |S_h| (``_all_ones``), and only the block route of
+``quotient-commutes`` (``_commutator_constant``), on a table that is not
+a commutative scheme, forms or compares a matrix.
 Likewise a ``CentralIdempotentFamily`` is the closed form
 F_(a,(h,xi)) = I (x) P_xi (x) J / n_h itself, held as its labels over the
 spheres: ``build_central_idempotents`` certifies the digit labelling of
@@ -58,7 +59,6 @@ from .wreath import (
 __all__ = [
     "predict_triple_nonzero",
     "check_triple_list",
-    "piece_sums",
     "check_primary_module",
     "MatrixUnitFamily",
     "build_matrix_units",
@@ -74,6 +74,7 @@ __all__ = [
     "one_dim_ideal_count",
     "matrix_block_size",
     # looked up here by the runner with the checks above
+    "check_moduli",
     "check_translation_certificate",
     "check_vanishing_criterion",
 ]
@@ -157,26 +158,6 @@ def check_triple_list(point: BasePoint) -> CheckResult:
 
 
 # -- the primary module and the sums of the pieces ----------------------------------------
-
-
-def piece_sums(pieces, classes: int) -> list[dict[tuple[int, int], tuple[int | None, int | None]]]:
-    """The row sum and the column sum of each piece E*_i A_j E*_h of
-    ``pieces``, keyed as ``starting_pieces``, as ``sums[j][i, h]``, each
-    None where it is not constant; an absent piece has none.  They are read
-    off the packed 0/1 rows: a row's sum is its count of set bits, and the
-    column sums are the lanes of the sum of the rows, each at most |S_i|,
-    so no lane carries and they are all s where that sum is s times the
-    row of ones.  With u_i the indicator column of S_i, they are the
-    entries of A_j u_h on S_i and of u_i^T A_j on S_h."""
-    sums: list[dict[tuple[int, int], tuple[int | None, int | None]]] = [{} for _ in range(classes)]
-    for (i, j, h), piece in pieces.items():
-        rows, width, total = piece.packed, piece.width, sum(piece.packed)
-        row_sums = {row.bit_count() for row in rows}
-        column = total & (1 << width) - 1
-        ones = ((1 << width * piece.cols) - 1) // ((1 << width) - 1)
-        sums[j][i, h] = (row_sums.pop() if len(row_sums) == 1 else None,
-                         column if total == column * ones else None)
-    return sums
 
 
 def _all_ones(point: BasePoint, i: int, j: int, h: int) -> bool:

@@ -7,9 +7,10 @@ pieces or holds by construction.
 
 This module and :mod:`wreathalg.terwilliger` are the generic path, the one
 ``oracle`` runs: the points, their block closure, the triple-regularity
-sweep and the dimension.  The checks stated for a wreath of cyclics, and
-the artifacts only they read (the sums of the pieces, the unit family and
-the idempotent family), are in :mod:`wreathalg.decomposition`; the
+sweep and the dimension, and the sums of the pieces, whose reader the
+closure shares.  The checks stated for a wreath of cyclics, and the
+artifacts only they read (the unit family and the idempotent family),
+are in :mod:`wreathalg.decomposition`; the
 registry and ``BasePoint`` look them up there at call time, so a run that
 names none of them never compiles that module.
 
@@ -21,10 +22,11 @@ from __future__ import annotations
 
 import time
 from functools import cached_property
+from math import prod
 
 from .linalg import ExactMatrix, ExactSpan
 from .scheme import AxiomViolation, CheckResult, Record, Scheme
-from .terwilliger import _closure, _spheres, check_triply_regular, starting_pieces
+from .terwilliger import _closure, _spheres, check_triply_regular, piece_sums, starting_pieces
 
 __all__ = [
     "StructureError",
@@ -184,7 +186,7 @@ class BasePoint:
 
     @cached_property
     def sums(self) -> list[dict[tuple[int, int], tuple[int | None, int | None]]]:
-        return _explicit().piece_sums(self.pieces, self.scheme.classes)
+        return piece_sums(self.pieces, self.scheme.classes)
 
     @cached_property
     def closure(self) -> dict[tuple[int, int], ExactSpan]:
@@ -254,16 +256,14 @@ def _triply_regular(point: BasePoint) -> CheckResult:
 def _certificate(scheme: Scheme, moduli, seen: dict) -> CheckResult | None:
     """The run's translation certificate, formed once and kept in ``seen``:
     None without moduli or where the table has no vertex encoding over
-    them."""
+    them, its order not their product.  Invalid moduli raise ValueError
+    (``check_moduli``), as every check stated for the moduli does."""
     if "translation-certificate" not in seen:
         seen["translation-certificate"] = None
-        if moduli is not None:
-            try:
-                seen["translation-certificate"] = _explicit().check_translation_certificate(
-                    scheme, moduli
-                )
-            except ValueError:
-                pass
+        if moduli is not None and prod(_explicit().check_moduli(moduli)) == scheme.order:
+            seen["translation-certificate"] = _explicit().check_translation_certificate(
+                scheme, moduli
+            )
     return seen["translation-certificate"]
 
 

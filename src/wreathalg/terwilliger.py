@@ -5,10 +5,13 @@ the adjacency matrices together with the diagonal projections E*_i onto the
 spheres S_i around x.  A product with E*_i selects the rows or the columns
 in S_i, so E*_i is held as its sphere, and each E*_i A_j E*_h as its 0/1
 piece, the |S_i| x |S_h| block of the pairs labelled j, packed from one
-pass over the class table (``starting_pieces``).  The dimension of T is
-computed block by block, by an exact-span fixpoint on the pieces
-E*_i T E*_k (``block_closure``), and serves as the oracle that every
-structural claim in :mod:`wreathalg.decomposition` is checked against.
+pass over the class table (``starting_pieces``), whose constant row and
+column sums are read off its packed rows (``piece_sums``).  The dimension
+of T is computed block by block, by an exact-span fixpoint on the pieces
+E*_i T E*_k (``block_closure``) that skips the products those sums prove
+to be multiples of a block of ones already spanned.  It serves as the
+oracle that every structural claim in :mod:`wreathalg.decomposition` is
+checked against.
 Which pieces are present, and so dim T_0, is read from the table, and so
 is the triple-regularity sweep, which the pipeline cross-checks.  This is
 the generic half of the checks, the one ``oracle`` runs: nothing here
@@ -28,6 +31,7 @@ from .scheme import AxiomViolation, CheckResult, Scheme
 
 __all__ = [
     "starting_pieces",
+    "piece_sums",
     "close_blocks",
     "block_closure",
     "check_triply_regular",
@@ -67,6 +71,38 @@ def starting_pieces(scheme: Scheme, base_point: int) -> dict[tuple[int, int, int
                                      rows[key]) for key in sorted(rows)}
 
 
+def _line_sums(mat: ExactMatrix) -> tuple[int | None, int | None]:
+    """The row sum and the column sum of the numerators of ``mat``, each
+    None where it is not constant, read off the packed rows at width w.
+    Slot k of a row weighs 2^(wk), which is 1 modulo 2^w - 1, so a row is
+    its sum modulo 2^w - 1, and a sum s with |s| < 2^(w-1) is read back
+    from s + 2^(w-1) - 1, which lies in [0, 2^w - 1).  The sum of the rows
+    packs the column sums, since packing is Z-linear, and where each is
+    below 2^(w-1) in size it is a multiple of the row of ones exactly when
+    they are all equal.  Every sum is at most the bound times the longer
+    side, so where that is not below 2^(w-1), neither is read."""
+    rows, cols, width = mat.packed, mat.cols, mat.width
+    half, lane = 1 << width - 1, (1 << width) - 1
+    if mat.bound * max(len(rows), cols) >= half:
+        return None, None
+    row_sums = {(row + half - 1) % lane for row in rows}
+    column, rest = divmod(sum(rows), ((1 << width * cols) - 1) // lane)
+    return (row_sums.pop() - half + 1 if len(row_sums) == 1 else None,
+            None if rest else column)
+
+
+def piece_sums(pieces, classes: int) -> list[dict[tuple[int, int], tuple[int | None, int | None]]]:
+    """The row sum and the column sum of each piece E*_i A_j E*_h of
+    ``pieces``, keyed as ``starting_pieces``, as ``sums[j][i, h]``, each
+    None where it is not constant (``_line_sums``); an absent piece has
+    none.  With u_i the indicator column of S_i, they are the entries of
+    A_j u_h on S_i and of u_i^T A_j on S_h."""
+    sums: list[dict[tuple[int, int], tuple[int | None, int | None]]] = [{} for _ in range(classes)]
+    for (i, j, h), piece in pieces.items():
+        sums[j][i, h] = _line_sums(piece)
+    return sums
+
+
 def close_blocks(pieces, factors) -> dict[tuple[int, int], ExactSpan]:
     """The smallest block spans that hold ``pieces`` and are closed under
     left multiplication by ``factors``.
@@ -78,8 +114,19 @@ def close_blocks(pieces, factors) -> dict[tuple[int, int], ExactSpan]:
     columns are its rows, and a product that grows the span at (h, k) is
     accepted in turn.  The final spans hold the pieces and are closed under
     left multiplication by every factor, so by induction on its length they
-    hold every word of factors times a piece.  A span that
-    holds every matrix of its shape cannot grow, so no product into it is
+    hold every word of factors times a piece.
+
+    A product that is already in its span is not formed, as inserting it
+    would not grow the span:
+    - a span that holds every matrix of its shape holds it;
+    - F B is c J, J the all-ones block at (h, k), where B = b J is constant
+      and every row of F sums to r (F J has the row sums of F, so
+      F B = b r J), or where F = f J is constant and every column of B sums
+      to s (J B has the column sums of B, so F B = f s J);
+    - J lies in the span at (h, k) where the pieces there sum to J, entry
+      by entry, since every piece was inserted before the walk.
+    Each fact is read once, on first need, from the packed rows
+    (``_line_sums``), and the spans are the same as with every product
     formed.
     """
     spans: dict[tuple[int, int], ExactSpan] = {}
@@ -93,10 +140,37 @@ def close_blocks(pieces, factors) -> dict[tuple[int, int], ExactSpan]:
     for (h, _, i), factor in factors.items():
         acting.setdefault(i, []).append((h, factor))
     accepted = [(i, k, piece) for (i, _, k), piece in pieces.items() if grows(i, k, piece)]
+    # by id, as every matrix read is held by ``factors`` or ``accepted``:
+    # (constant, row sums constant, column sums constant)
+    even: dict[int, tuple[bool, bool, bool]] = {}
+    ones: dict[tuple[int, int], bool] = {}  # J lies in the span
+    blocks: dict[tuple[int, int], list[ExactMatrix]] = {}  # the pieces, on first need
+
+    def evens(mat: ExactMatrix) -> tuple[bool, bool, bool]:
+        if id(mat) not in even:
+            row, column = _line_sums(mat)
+            even[id(mat)] = (column is not None and len(set(mat.packed)) == 1,
+                             row is not None, column is not None)
+        return even[id(mat)]
+
+    def holds_ones(h: int, k: int) -> bool:
+        if (h, k) not in ones:
+            if not blocks:
+                for (i, _, m), piece in pieces.items():
+                    blocks.setdefault((i, m), []).append(piece)
+            total = sum(blocks[h, k][1:], blocks[h, k][0]) if (h, k) in blocks else None
+            # the rows are equal and each column sums to rows * den: each entry is den / den
+            ones[h, k] = (total is not None and len(set(total.packed)) == 1
+                          and _line_sums(total)[1] == total.rows * total.den)
+        return ones[h, k]
+
     for i, k, mat in accepted:  # accepted grows while it is walked
         for h, factor in acting.get(i, ()):
             span = spans.get((h, k))
             if span is not None and span.dimension == factor.rows * mat.cols:
+                continue
+            (f_ones, f_rows, _), (b_ones, _, b_columns) = evens(factor), evens(mat)
+            if (b_ones and f_rows or f_ones and b_columns) and holds_ones(h, k):
                 continue
             product = factor * mat
             if grows(h, k, product):

@@ -11,6 +11,10 @@ of the code it checks.  None of them is on a CLI path.
 - ``product_closure`` and ``algebra_dimension``: the flat closure of the
   n x n generators, the reference of ``terwilliger.block_closure``.
   ``pairwise_closure`` is in turn the reference of ``product_closure``.
+- ``close_blocks_by_products``: the block closure that forms every product
+  of a factor and an accepted block, the reference of the products that
+  ``terwilliger.close_blocks`` skips as constant multiples of the all-ones
+  block.
 - ``label_triples`` and ``t0_dimension``: the labels of the vertex pairs
   at a base point and their count, dim T_0(x), read from the class table;
   ``pieces_by_rows`` builds the 0/1 block of each label entry by entry, the
@@ -241,6 +245,33 @@ def pairwise_closure(matrices) -> ExactSpan:
                         reps.append(product)
         processed = count
     return span
+
+
+def close_blocks_by_products(pieces, factors) -> dict[tuple[int, int], ExactSpan]:
+    """``terwilliger.close_blocks`` with every product formed: each accepted
+    block at (i, k), walked in acceptance order, times every factor
+    (h, j, i), inserted at (h, k), and accepted where it grows the span.
+    Only a span that holds every matrix of its shape gets no product."""
+    spans: dict[tuple[int, int], ExactSpan] = {}
+
+    def grows(i, k, mat):
+        if (i, k) not in spans:
+            spans[i, k] = ExactSpan(mat.rows, mat.cols)
+        return spans[i, k].insert(mat)
+
+    acting = {}
+    for (h, _, i), factor in factors.items():
+        acting.setdefault(i, []).append((h, factor))
+    accepted = [(i, k, piece) for (i, _, k), piece in pieces.items() if grows(i, k, piece)]
+    for i, k, mat in accepted:  # accepted grows while it is walked
+        for h, factor in acting.get(i, ()):
+            span = spans.get((h, k))
+            if span is not None and span.dimension == factor.rows * mat.cols:
+                continue
+            product = factor * mat
+            if grows(h, k, product):
+                accepted.append((h, k, product))
+    return spans
 
 
 # -- triple products ------------------------------------------------------------------

@@ -19,12 +19,16 @@ form of the subspace, the same basis.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import (
     algebra_dimension,
     broken_table,
+    close_blocks_by_products,
     example_schemes,
     generating_classes_by_reclosure,
     idempotents_by_products,
@@ -211,6 +215,113 @@ def test_block_closure_with_reversed_factors_falls_short():
     assert sum(s.dimension for s in spans.values()) == 9
 
 
+# -- the skipped products against every product formed --------------------------------
+#
+# close_blocks skips a product F B that is c J where J is certified in the
+# span at its block; close_blocks_by_products forms every product.  Each
+# of the three conditions has a mutant that drops it: without the all-ones
+# certificate the deleted single-label pieces below are not formed again,
+# and without the row-sum or the column-sum condition the broken table at
+# x = 2 and 3 closes short.
+
+
+# Small entries, fractions, and entries near the 32-bit slot bound, where a
+# sum of two no longer fits and the sums are not read.
+entries = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+                    st.integers((1 << 30) - 2, (1 << 31) - 1), st.integers(-(1 << 40), 1 << 40))
+
+
+@st.composite
+def line_matrices(draw):
+    """A matrix that is constant, a rotation of one row (equal row sums,
+    and equal column sums where it is square), or arbitrary."""
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["constant", "rotated", "any"]))
+    if kind == "constant":
+        grid = [[draw(entries)] * c] * r
+    elif kind == "rotated":
+        row = [draw(entries) for _ in range(c)]
+        grid = [row[k % c:] + row[:k % c] for k in range(r)]
+    else:
+        grid = [[draw(entries) for _ in range(c)] for _ in range(r)]
+    return ExactMatrix(r, c, grid)
+
+
+@given(line_matrices())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_line_sums_are_the_sums_of_the_numerators(mat):
+    # each read where the bound times the longer side fits the slot, and
+    # neither where it does not
+    ints = mat._decoded()
+    row_sums, column_sums = {sum(row) for row in ints}, {sum(column) for column in zip(*ints)}
+    if mat.bound * max(mat.rows, mat.cols) >= 1 << mat.width - 1:
+        assert terwilliger._line_sums(mat) == (None, None)
+    else:
+        assert terwilliger._line_sums(mat) == (
+            row_sums.pop() if len(row_sums) == 1 else None,
+            column_sums.pop() if len(column_sums) == 1 else None)
+
+
+def assert_same_spans(pieces, factors):
+    expected = close_blocks_by_products(pieces, factors)
+    actual = close_blocks(pieces, factors)
+    assert actual.keys() == expected.keys()
+    for key, span in expected.items():
+        assert actual[key].basis() == span.basis(), key
+
+
+def generating_factors(scheme, pieces):
+    classes = scheme.generating_classes
+    return pieces if classes is None else {key: p for key, p in pieces.items() if key[1] in classes}
+
+
+@pytest.mark.parametrize("moduli", moduli_up_to(12) + [(2, 3, 4)], ids=str)
+def test_skipped_products_change_no_span_at_every_point(moduli):
+    scheme = wreath_of_cyclics(moduli)
+    for x in range(scheme.order):
+        pieces = starting_pieces(scheme, x)
+        assert_same_spans(pieces, generating_factors(scheme, pieces))
+
+
+@pytest.mark.parametrize("name", ["(4, 4, 4) seed 1", "(4, 4, 4) seed 1103", "shrikhande", "broken"])
+def test_skipped_products_change_no_span_on_larger_and_broken_tables(name):
+    # x = 0 of the benchmark's relabelled tables, and every point of
+    # Shrikhande (not triply regular) and of the broken table (no scheme,
+    # with piece row and column sums that differ), under the generating
+    # pieces and under every piece
+    scheme, points = {
+        "(4, 4, 4) seed 1": lambda: (relabelled((4, 4, 4), 1), [0]),
+        "(4, 4, 4) seed 1103": lambda: (relabelled((4, 4, 4), 1103), [0]),
+        "shrikhande": lambda: (example_schemes()["shrikhande"], range(16)),
+        "broken": lambda: (BROKEN, range(4)),
+    }[name]()
+    for x in points:
+        pieces = starting_pieces(scheme, x)
+        assert_same_spans(pieces, generating_factors(scheme, pieces))
+        assert_same_spans(pieces, pieces)
+
+
+def test_skipped_products_change_no_span_without_a_piece_or_with_reversed_factors():
+    pieces = starting_pieces(BROKEN, 2)
+    fewer = {key: piece for key, piece in pieces.items() if key != (0, 1, 1)}
+    assert_same_spans(fewer, fewer)
+    assert_same_spans(pieces, {(i, j, h): pieces[i, j, h] for i, j, h in pieces if h == i})
+
+
+def test_a_deleted_piece_that_fills_its_block_is_formed_again():
+    # At x = 0 of (2,3) a piece alone in its block is J there.  Deleted, J
+    # is no longer certified in that span, so the product c J that gives it
+    # back is formed, not skipped.
+    pieces = starting_pieces(wreath_of_cyclics((2, 3)), 0)
+    blocks = Counter((i, h) for i, _, h in pieces)
+    alone = [key for key in pieces if blocks[key[0], key[2]] == 1]
+    assert len(alone) == 14
+    for key in alone:
+        fewer = {k: piece for k, piece in pieces.items() if k != key}
+        assert close_blocks(fewer, fewer)[key[0], key[2]].contains(pieces[key]), key
+        assert_same_spans(fewer, fewer)
+
+
 # -- the closure under the pieces of a generating class set ---------------------------
 
 
@@ -364,13 +475,24 @@ def closure_census(monkeypatch, scheme, x):
     return sum(span.dimension for span in spans.values()), factors[0], len(products)
 
 
-@pytest.mark.parametrize("seed", [None, 1])
+@pytest.mark.parametrize("seed", [None, 1, 1103])
 def test_closure_census_at_4_4_4(monkeypatch, seed):
-    # 468 products under the pieces of A_1, A_4 and A_7; none is E*_i
+    # 54 products under the pieces of A_1, A_4 and A_7, none of them E*_i;
+    # with every product formed that is 468, of which 414 are c J
     scheme = wreath_of_cyclics((4, 4, 4)) if seed is None else relabelled((4, 4, 4), seed)
     dim, factors, products = closure_census(monkeypatch, scheme, 0)
-    assert (dim, products) == (127, 468)
+    assert (dim, products) == (127, 54)
     assert {j for _, j, _ in factors} == {1, 4, 7}
+
+
+def test_closure_at_64_reads_no_sums(monkeypatch):
+    # 4,096 1 x 1 blocks, each full once its piece is in: no product is
+    # formed and no line sum is read
+    reads = []
+    line_sums = terwilliger._line_sums
+    monkeypatch.setattr(terwilliger, "_line_sums", lambda mat: reads.append(1) or line_sums(mat))
+    dim, _, products = closure_census(monkeypatch, wreath_of_cyclics((64,)), 0)
+    assert (dim, products, len(reads)) == (4096, 0, 0)
 
 
 def test_broken_table_closes_under_every_piece(monkeypatch):

@@ -401,7 +401,7 @@ def test_explicit_list_with_a_failed_certificate_sweeps_every_vertex():
     assert run["triply-regular"] == CheckResult("triply-regular", True, None, 6 ** 3)
 
 
-@pytest.mark.parametrize("moduli", [(2, 2), (6, 1)], ids=str)
+@pytest.mark.parametrize("moduli", [(2, 2), (3, 3)], ids=str)
 def test_explicit_list_without_a_vertex_encoding_sweeps_every_vertex(moduli):
     # Moduli that give the table no vertex encoding raise nothing, under an
     # explicit list or the default one: the certificate is not formed or
@@ -411,6 +411,18 @@ def test_explicit_list_without_a_vertex_encoding_sweeps_every_vertex(moduli):
         run, seen, seconds = run_point_checks(scheme, moduli, points, ["triply-regular"])
         assert seen["translation-certificate"] is None and list(seconds) == ["triply-regular"]
         assert run == {"triply-regular": CheckResult("triply-regular", True, None, 6 ** 3)}
+
+
+@pytest.mark.parametrize("names", [["triply-regular"], ["dimension"], ["axioms", "triply-regular"]],
+                         ids=str)
+def test_invalid_moduli_are_refused_not_taken_for_no_vertex_encoding(names):
+    # (6, 1) has the table's order as its product, but 1 is no modulus: the
+    # run refuses it under either list, whichever check reads the moduli
+    # first, as it does with the moduli any check is stated for.
+    scheme = wreath_of_cyclics((2, 3))
+    for points in ([1], None):
+        with pytest.raises(ValueError, match="every modulus must be at least 2"):
+            run_point_checks(scheme, (6, 1), points, names)
 
 
 # -- negative controls through the per-point registry -------------------------------
